@@ -5,12 +5,26 @@ quotients a_j >= 1 for j >= 1, and canonical rational expansions end with a
 quotient >= 2 unless the expansion is a single integer. Surd expansions are
 produced by the (P, Q) state recursion, whose first repeated state yields the
 preperiod and the minimal period.
+
+Two paths lead to convergents. ``convergent_stream`` (and ``convergents``,
+``denominators_up_to`` on top of it) walks them in order, for callers that
+want every convergent up to some point. ``convergent_state`` and
+``last_convergent_at_most`` answer single random-access queries through one
+lazily built ladder per expansion: the states ``(p_n, p_{n-1}, q_n, q_{n-1})``
+of the preperiod, and the squared period matrices ``M, M^2, M^4, ...`` of the
+2x2 matrix view of continued fractions (Gosper, HAKMEM item 101), extended
+only on demand. A query costs O(log n) 2x2 products plus at most one period
+of single recurrence steps; rational expansions bisect the preperiod states.
+The ladder never stores a table of convergents: past the preperiod it holds
+only the squared powers, whose sizes double, so its memory is O(bits of the
+largest q reached), about twice the bits of the largest t queried.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -66,16 +80,17 @@ class CFExpansion:
             yield from self.period
 
     def value(self) -> QuadExt | Fraction:
-        """Exact value: a Fraction when rational, a QuadExt otherwise."""
-        p_prev, q_prev = 1, 0
-        p, q = self.a0, 1
-        for a in self.preperiod:
-            p, p_prev = a * p + p_prev, p
-            q, q_prev = a * q + q_prev, q
-        if self.is_rational:
-            return Fraction(p, q)
-        omega = _period_tail(self, 0)
-        return (p * omega + p_prev) / (q * omega + q_prev)
+        """Exact value: a Fraction when rational, a QuadExt otherwise (memoized)."""
+        cached = self.__dict__.get("_value")
+        if cached is None:
+            p, p_prev, q, q_prev = _ladder(self).prefix[-1]
+            if self.is_rational:
+                cached = Fraction(p, q)
+            else:
+                omega = _period_tail(self, 0)
+                cached = (p * omega + p_prev) / (q * omega + q_prev)
+            object.__setattr__(self, "_value", cached)
+        return cached
 
     def __str__(self) -> str:
         parts = [",".join(map(str, self.preperiod))] if self.preperiod else []
@@ -149,6 +164,127 @@ def expand_quadratic(x: QuadExt) -> CFExpansion:
             break
         seen[state] = i
     return CFExpansion(quotients[0], tuple(quotients[1:j]), tuple(quotients[j:i]))
+
+
+State = tuple[int, int, int, int]
+"""(p_n, p_{n-1}, q_n, q_{n-1}): the matrix [[p_n, p_{n-1}], [q_n, q_{n-1}]], row by row."""
+
+
+def _mul(x: State, y: State) -> State:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _q_of_product(x: State, y: State) -> int:
+    """The q entry of _mul(x, y), without the other three."""
+    return x[2] * y[0] + x[3] * y[2]
+
+
+def _step(s: State, a: int) -> State:
+    """Advance one index: right-multiply by [[a, 1], [1, 0]]."""
+    p, p_prev, q, q_prev = s
+    return (a * p + p_prev, p, a * q + q_prev, q)
+
+
+class _Ladder:
+    """Random-access convergent source of one expansion.
+
+    ``prefix[n]`` is the state at index n for n <= k = len(preperiod); past it,
+    the state at k + j*m + r is prefix[k] * M^j followed by r single steps,
+    where M is the period's matrix and M^j is assembled from ``powers[i] =
+    M^(2^i)``. ``powers`` only ever grows, by rebinding to a longer tuple, so
+    concurrent readers see a consistent prefix of it.
+    """
+
+    __slots__ = ("prefix", "period", "powers")
+
+    def __init__(self, cf: CFExpansion) -> None:
+        states = [(cf.a0, 1, 1, 0)]
+        for a in cf.preperiod:
+            states.append(_step(states[-1], a))
+        self.prefix: tuple[State, ...] = tuple(states)
+        self.period = cf.period
+        self.powers: tuple[State, ...] = ()
+        if cf.period:
+            m = (1, 0, 0, 1)
+            for a in cf.period:
+                m = _step(m, a)
+            self.powers = (m,)
+
+    def power(self, i: int) -> State:
+        """M^(2^i), squaring further on demand."""
+        powers = self.powers
+        while len(powers) <= i:
+            powers = powers + (_mul(powers[-1], powers[-1]),)
+            self.powers = powers
+        return powers[i]
+
+    def state(self, n: int) -> State:
+        k = len(self.prefix) - 1
+        if n <= k:
+            return self.prefix[n]
+        if not self.period:
+            raise IndexError(f"rational expansion has no convergent {n}")
+        j, r = divmod(n - k, len(self.period))
+        s = self.prefix[k]
+        i = 0
+        while j:
+            if j & 1:
+                s = _mul(s, self.power(i))
+            j >>= 1
+            i += 1
+        for a in self.period[:r]:
+            s = _step(s, a)
+        return s
+
+    def last_at_most(self, t: int) -> tuple[int, State]:
+        """Largest n with q_n <= t (t >= 1), and the state there.
+
+        q is nondecreasing, so whole periods are taken greedily from the largest
+        power of M down, then single steps finish inside one period.
+        """
+        prefix = self.prefix
+        k = len(prefix) - 1
+        if prefix[k][2] > t or not self.period:
+            n = bisect_right(prefix, t, key=lambda s: s[2]) - 1
+            return n, prefix[n]
+        s, j = prefix[k], 0
+        top = 0
+        while _q_of_product(s, self.power(top)) <= t:
+            top += 1
+        for i in range(top - 1, -1, -1):
+            if _q_of_product(s, self.powers[i]) <= t:
+                s, j = _mul(s, self.powers[i]), j + (1 << i)
+        n = k + j * len(self.period)
+        for a in self.period:
+            nxt = _step(s, a)
+            if nxt[2] > t:
+                break
+            s, n = nxt, n + 1
+        return n, s
+
+
+def _ladder(cf: CFExpansion) -> _Ladder:
+    ladder = cf.__dict__.get("_ladder")
+    if ladder is None:
+        ladder = _Ladder(cf)
+        object.__setattr__(cf, "_ladder", ladder)
+    return ladder
+
+
+def convergent_state(cf: CFExpansion, n: int) -> State:
+    """(p_n, p_{n-1}, q_n, q_{n-1}) for n >= 0, with (p_{-1}, q_{-1}) = (1, 0)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _ladder(cf).state(n)
+
+
+def last_convergent_at_most(cf: CFExpansion, t: int) -> tuple[int, State]:
+    """(r, state at r) for the largest index r with q_r <= t; a rational expansion stops at its end."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    return _ladder(cf).last_at_most(t)
 
 
 def convergent_stream(cf: CFExpansion) -> Iterator[Convergent]:

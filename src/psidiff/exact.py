@@ -362,14 +362,6 @@ class Interval:
             return -self
         return Interval(Fraction(0), max(-self.lo, self.hi), self.precision_bits)
 
-    def __pow__(self, n: int) -> "Interval":
-        if n < 0:
-            raise ValueError("negative interval powers unsupported")
-        out = Interval.point(1, self.precision_bits)
-        for _ in range(n):
-            out = (out * self).outward(self.precision_bits)
-        return out
-
     def outward(self, bits: int) -> "Interval":
         """Round endpoints outward onto the dyadic grid 2**-bits.
 

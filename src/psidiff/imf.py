@@ -43,15 +43,13 @@ def _require_irrational(cf: CFExpansion) -> QuadExt:
 
 def _bracketing_convergents(cf: CFExpansion, t: int) -> tuple[Convergent, Convergent, Convergent]:
     """(c_{r-1}, c_r, c_{r+1}) where r is the largest index with q_r <= t."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    prev = Convergent(-1, 1, 0)
-    stream = contfrac.convergent_stream(cf)
-    cur = next(stream)
-    for nxt in stream:
-        if nxt.q > t:
-            return prev, cur, nxt
-        prev, cur = cur, nxt
+    r, (p, p_prev, q, q_prev) = contfrac.last_convergent_at_most(cf, t)
+    a = cf.partial_quotient(r + 1)
+    return (
+        Convergent(r - 1, p_prev, q_prev),
+        Convergent(r, p, q),
+        Convergent(r + 1, a * p + p_prev, a * q + q_prev),
+    )
 
 
 def psi(alpha: CFExpansion, t: int) -> PsiValue:
@@ -73,8 +71,8 @@ def convergent_distance(alpha: CFExpansion, n: int) -> QuadExt:
     x = _require_irrational(alpha)
     if n < 0:
         raise ValueError("index must be >= 0")
-    conv = contfrac.convergents(alpha, n)[n]
-    return abs(conv.q * x - conv.p)
+    p, _, q, _ = contfrac.convergent_state(alpha, n)
+    return abs(q * x - p)
 
 
 def inv_psi(alpha: CFExpansion, t: int) -> QuadExt:
@@ -84,7 +82,13 @@ def inv_psi(alpha: CFExpansion, t: int) -> QuadExt:
     with a_* the exact continued-fraction tails.
     """
     _require_irrational(alpha)
-    prev, cur, nxt = _bracketing_convergents(alpha, t)
+    return _inv_psi_at(alpha, t, _bracketing_convergents(alpha, t))
+
+
+def _inv_psi_at(
+    alpha: CFExpansion, t: int, bracket: tuple[Convergent, Convergent, Convergent]
+) -> QuadExt:
+    prev, cur, nxt = bracket
     first = cur.q * contfrac.tail(alpha, cur.index + 1) + prev.q
     second = nxt.q + cur.q / contfrac.tail(alpha, cur.index + 2)
     if first != second:
@@ -159,11 +163,14 @@ def d_at(alpha: CFExpansion, beta: CFExpansion, t: int) -> DValue:
 
 
 def _d_unchecked(alpha: CFExpansion, beta: CFExpansion, t: int) -> DValue:
-    inv_a = inv_psi(alpha, t)
-    inv_b = inv_psi(beta, t)
-    _, cur_a, _ = _bracketing_convergents(alpha, t)
-    _, cur_b, _ = _bracketing_convergents(beta, t)
-    return DValue(inv_b, inv_a, cur_a.index, cur_b.index)
+    bracket_a = _bracketing_convergents(alpha, t)
+    bracket_b = _bracketing_convergents(beta, t)
+    return DValue(
+        _inv_psi_at(beta, t, bracket_b),
+        _inv_psi_at(alpha, t, bracket_a),
+        bracket_a[1].index,
+        bracket_b[1].index,
+    )
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .errors import (
     GapViolationError,
     NotFoundInRangeError,
     PreconditionFailedError,
+    PsidiffError,
     SearchExhaustedError,
     UndecidedSignError,
 )
@@ -41,8 +42,7 @@ from .exact import (
     sqrt_tau_enclosure,
 )
 from .imf import DValue, convergent_distance
-
-TAU_CF = CFExpansion(1, (), (1,))
+from .numspec import TAU_CF
 
 _UV_SEARCH_LIMIT = 10**6
 
@@ -116,17 +116,12 @@ def find_witness(
 # -- Lemma scans over denominator coincidences ---------------------------------
 
 
-def _denominator_list(cf: CFExpansion, count: int) -> list[int]:
-    return [c.q for c in contfrac.convergents(cf, count)]
-
-
 def scan_lemma_conseq(alpha: CFExpansion, beta: CFExpansion, depth: int) -> list[tuple[int, int]]:
     """All (n, m) with (q_n, q_{n+1}) = (t_m, t_{m+1}) and n, m <= depth."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    qs = _denominator_list(alpha, depth + 1)
-    ts = _denominator_list(beta, depth + 1)
+    qs, ts = ([c.q for c in contfrac.convergents(x, depth + 1)] for x in (alpha, beta))
     by_pair: dict[tuple[int, int], list[int]] = {}
     for m in range(depth + 1):
         by_pair.setdefault((ts[m], ts[m + 1]), []).append(m)
@@ -143,8 +138,7 @@ def scan_lemma_conseq1(alpha: CFExpansion, beta: CFExpansion, depth: int) -> lis
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    qs = _denominator_list(alpha, depth + 2)
-    ts = _denominator_list(beta, depth + 2)
+    qs, ts = ([c.q for c in contfrac.convergents(x, depth + 2)] for x in (alpha, beta))
     by_pair: dict[tuple[int, int], list[int]] = {}
     for m in range(depth + 1):
         by_pair.setdefault((ts[m + 1], ts[m + 2]), []).append(m)
@@ -222,14 +216,12 @@ def check_dichotomy(
     if not (_strictly_less(xi, eta, cap_bits) and _strictly_less(eta, xi_prev, cap_bits)):
         raise PreconditionFailedError(f"eta_{s} is not inside (xi_{n}, xi_{n-1})")
 
-    q = contfrac.convergents(alpha, n)
-    t = contfrac.convergents(beta, s)
-    q_n, q_nm1 = q[n].q, q[n - 1].q
-    t_s = t[s].q
-    t_sm1 = t[s - 1].q if s >= 1 else 0
+    _, _, q_n, q_nm1 = contfrac.convergent_state(alpha, n)
+    q_nm2 = q_n - alpha.partial_quotient(n) * q_nm1  # q_{-1} = 0 at n = 1
+    _, _, t_s, t_sm1 = contfrac.convergent_state(beta, s)
     inv_eta = t_s * contfrac.tail(beta, s + 1) + t_sm1
     inv_xi = q_n * contfrac.tail(alpha, n + 1) + q_nm1
-    inv_xi_prev = q_nm1 * contfrac.tail(alpha, n) + (q[n - 2].q if n >= 2 else 0)
+    inv_xi_prev = q_nm1 * contfrac.tail(alpha, n) + q_nm2
 
     def factor(bits: int) -> Interval:
         root = sqrt_interval(contfrac.tail(alpha, n + 1).enclosure(bits))
@@ -396,8 +388,7 @@ def scan_interleave_gap(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    qs = _denominator_list(alpha, depth + 1)
-    ts = _denominator_list(beta, depth + 1)
+    qs, ts = ([c.q for c in contfrac.convergents(x, depth + 1)] for x in (alpha, beta))
     certificates = []
     for n in range(1, depth + 1):
         if alpha.partial_quotient(n + 1) < 2:
@@ -528,7 +519,8 @@ def _build_pair(epsilon: Fraction, U: int, V: int) -> OptimalPair:
             break
         length *= 2  # A > 0 guarantees the sequence eventually increases past 1
     cf = rational_to_cf(xs[k - 1], xs[k])
-    assert cf.a0 == 0
+    if cf.a0 != 0:
+        raise PsidiffError(f"X_{k - 1}/X_{k} = {xs[k - 1]}/{xs[k]} is not below 1")
     b = tuple(reversed(cf.preperiod))
     w = len(b)
     theta = CFExpansion(0, b, (1,))
@@ -536,10 +528,11 @@ def _build_pair(epsilon: Fraction, U: int, V: int) -> OptimalPair:
     xs = _x_sequence(U, V, w + 22 + shift)
     denominators = [c.q for c in contfrac.convergents(theta, w + 21)]
     for n in range(max(w - 1, 0), w + 21):
-        assert denominators[n] == xs[n + shift], (
-            f"denominator correspondence failed at n={n}: "
-            f"s_n={denominators[n]} != X_{n + shift}={xs[n + shift]}"
-        )
+        if denominators[n] != xs[n + shift]:
+            raise PsidiffError(
+                f"denominator correspondence failed at n={n}: "
+                f"s_n={denominators[n]} != X_{n + shift}={xs[n + shift]}"
+            )
     A = (TAU * V + U) / (TAU + 2)
     return OptimalPair(epsilon, U, V, A, k, w, b, theta, shift)
 
@@ -589,7 +582,7 @@ def verify_near_optimality(
     if slack is None:
         slack = 5 * pair.epsilon
     slack = Fraction(slack)
-    regime_floor = contfrac.convergents(pair.theta, pair.w + 10)[-1].q
+    regime_floor = contfrac.convergent_state(pair.theta, pair.w + 10)[2]
     t_lo = max(t_min, regime_floor)
     if t_lo > t_max:
         raise ValueError(f"range [{t_min}, {t_max}] lies below the verified regime {regime_floor}")

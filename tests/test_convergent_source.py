@@ -1,0 +1,136 @@
+"""The per-expansion convergent source against a plain recurrence.
+
+``convergent_state`` and ``last_convergent_at_most`` answer through the
+ladder of squared period matrices; ``convergents`` and ``denominators_up_to``
+walk in order. Every answer is compared with the three-term recurrence
+written out below, on expansions drawn with and without a preperiod, rational
+ones, and ones with a_1 = 1 (where q_0 = q_1 = 1).
+"""
+
+import itertools
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psidiff import CFExpansion, convergents, d_at, denominators_up_to, parse_number
+from psidiff.contfrac import convergent_state, last_convergent_at_most
+
+QUOTIENT = st.one_of(st.just(1), st.integers(1, 7))
+
+
+@st.composite
+def expansions(draw, rational=None):
+    a0 = draw(st.integers(-3, 5))
+    pre = draw(st.lists(QUOTIENT, max_size=5))
+    if rational is None:
+        rational = draw(st.booleans())
+    if rational:
+        if pre and pre[-1] == 1:
+            pre[-1] = 2
+        return CFExpansion(a0, tuple(pre))
+    return CFExpansion(a0, tuple(pre), tuple(draw(st.lists(QUOTIENT, min_size=1, max_size=4))))
+
+
+def reference_states(cf: CFExpansion):
+    """(n, (p_n, p_{n-1}, q_n, q_{n-1})) by the recurrence, straight from the fields."""
+    p_prev, q_prev, p, q = 1, 0, cf.a0, 1
+    yield 0, (p, p_prev, q, q_prev)
+    tail = itertools.cycle(cf.period) if cf.period else ()
+    for n, a in enumerate(itertools.chain(cf.preperiod, tail), start=1):
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        yield n, (p, p_prev, q, q_prev)
+
+
+def first_states(cf: CFExpansion, count: int):
+    return [s for _, s in itertools.islice(reference_states(cf), count)]
+
+
+def last_index_at_most(cf: CFExpansion, t: int) -> int:
+    last = 0
+    for n, (_, _, q, _) in reference_states(cf):
+        if q > t:
+            break
+        last = n
+    return last
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansions(), st.integers(0, 300))
+def test_state_at_index(cf, n):
+    states = first_states(cf, n + 1)
+    if n < len(states):
+        assert convergent_state(cf, n) == states[n]
+    else:
+        with pytest.raises(IndexError):
+            convergent_state(cf, n)
+    for i in range(min(n + 1, len(states), 12)):
+        assert convergent_state(cf, i) == states[i]
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions(), st.integers(0, 40))
+def test_convergents_list(cf, n):
+    got = [(c.index, c.p, c.q) for c in convergents(cf, n)]
+    assert got == [(i, s[0], s[2]) for i, s in enumerate(first_states(cf, n + 1))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions(), st.integers(1, 10**12))
+def test_denominators_up_to(cf, bound):
+    want = []
+    for n, (p, _, q, _) in reference_states(cf):
+        if q > bound:
+            break
+        want.append((n, p, q))
+    assert [(c.index, c.p, c.q) for c in denominators_up_to(cf, bound)] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansions(), st.integers(0, 120))
+def test_bracket_index_near_denominators(cf, n):
+    states = first_states(cf, n + 1)
+    q_n = states[-1][2]
+    for t in (q_n - 1, q_n, q_n + 1):
+        if t < 1:
+            continue
+        r, state = last_convergent_at_most(cf, t)
+        assert r == last_index_at_most(cf, t)
+        assert state == first_states(cf, r + 1)[r]
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions(rational=False), st.integers(1, 10**40))
+def test_bracket_index_far(cf, t):
+    assert last_convergent_at_most(cf, t)[0] == last_index_at_most(cf, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions())
+def test_caches_leave_identity_alone(cf):
+    fresh = CFExpansion(cf.a0, cf.preperiod, cf.period)
+    used = CFExpansion(cf.a0, cf.preperiod, cf.period)
+    first = used.value()
+    assert used.value() is first
+    convergent_state(used, 50 if cf.period else len(cf.preperiod))
+    last_convergent_at_most(used, 10**30)
+    assert first == fresh.value()
+    assert used == fresh and hash(used) == hash(fresh)
+    assert {used: 1}[fresh] == 1
+
+
+def test_deep_lookup_memory_and_indices():
+    """d(t) at t = 10**10000 stores no table of convergents, and brackets correctly."""
+    t = 10**10000
+    tau = CFExpansion(1, (), (1,))
+    sqrt2 = parse_number("surd:(0+sqrt(2))/1")
+    tracemalloc.start()
+    try:
+        d = d_at(tau, sqrt2, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert (d.alpha_index, d.beta_index) == (last_index_at_most(tau, t), last_index_at_most(sqrt2, t))
