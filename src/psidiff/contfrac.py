@@ -23,8 +23,8 @@ largest q reached), about twice the bits of the largest t queried.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -87,7 +87,7 @@ class CFExpansion:
             if self.is_rational:
                 cached = Fraction(p, q)
             else:
-                omega = _period_tail(self, 0)
+                omega = _period_tail(self.period, 0)
                 cached = (p * omega + p_prev) / (q * omega + q_prev)
             object.__setattr__(self, "_value", cached)
         return cached
@@ -332,10 +332,13 @@ def continuant(word: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _period_tail(cf: CFExpansion, offset: int) -> QuadExt:
-    """Value of the purely periodic fraction on the period rotated by offset."""
-    m = len(cf.period)
-    block = cf.period[offset:] + cf.period[:offset]
+def _period_tail(period: tuple[int, ...], offset: int) -> QuadExt:
+    """Value of the purely periodic fraction on the period rotated by offset.
+
+    Keyed by the period, not the expansion, so the cache holds no expansion
+    (nor the value and ladder memoized on it) alive.
+    """
+    block = period[offset:] + period[:offset]
     p_prev, q_prev = 1, 0
     p, q = block[0], 1
     for a in block[1:]:
@@ -358,8 +361,8 @@ def tail(cf: CFExpansion, r: int) -> QuadExt:
         raise ValueError("tail index must be >= 1")
     k = len(cf.preperiod)
     if r >= k + 1:
-        return _period_tail(cf, (r - k - 1) % len(cf.period))
-    x = _period_tail(cf, 0)
+        return _period_tail(cf.period, (r - k - 1) % len(cf.period))
+    x = _period_tail(cf.period, 0)
     for j in range(k, r - 1, -1):
         x = cf.partial_quotient(j) + x.inverse()
     return x
