@@ -44,13 +44,13 @@ def _config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_constants(args: argparse.Namespace) -> dict:
     cfg = _config(args)
-    d = cfg.digits
+    d, cap = cfg.digits, cfg.precision_cap_bits
     return {
-        "tau": render_decimal(TAU, d),
-        "phi": render_decimal(PHI, d),
-        "K": render_decimal(lambda bits: sqrt_tau_enclosure(bits) - 1, d),
-        "C": render_decimal(c_enclosure, d),
-        "2C+1": render_decimal(lambda bits: c_enclosure(bits) * 2 + 1, d),
+        "tau": render_decimal(TAU, d, cap),
+        "phi": render_decimal(PHI, d, cap),
+        "K": render_decimal(lambda bits: sqrt_tau_enclosure(bits) - 1, d, cap),
+        "C": render_decimal(c_enclosure, d, cap),
+        "2C+1": render_decimal(lambda bits: c_enclosure(bits) * 2 + 1, d, cap),
     }
 
 
@@ -74,8 +74,8 @@ def cmd_psi(args: argparse.Namespace) -> dict:
         "t": args.t,
         "index": value.index,
         "q": value.q,
-        "psi": render_decimal(value.value, cfg.digits),
-        "inv_psi": render_decimal(value.inv_value, cfg.digits),
+        "psi": render_decimal(value.value, cfg.digits, cfg.precision_cap_bits),
+        "inv_psi": render_decimal(value.inv_value, cfg.digits, cfg.precision_cap_bits),
         "psi_exact": str(value.value),
         "inv_psi_exact": str(value.inv_value),
     }

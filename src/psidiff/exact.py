@@ -4,9 +4,12 @@ Rationals are ``fractions.Fraction`` (always canonical: positive denominator,
 reduced). ``QuadExt`` is an element a + b*sqrt(D) of a real quadratic field
 with D squarefree; all field operations and sign tests are exact. ``Interval``
 is a rational enclosure used for quantities that live outside a single
-quadratic field (sqrt(tau), the optimal constant C, ...); comparisons against
-such quantities go through ``refine_compare``, which doubles the working
-precision until the intervals separate or a cap is hit.
+quadratic field (sqrt(tau), the optimal constant C, ...); it carries no working
+precision, so whoever builds one passes the bits. ``refine`` is the package's
+only precision-refinement loop: it doubles the bits from ``start_bits`` until
+``decide`` settles, and reports None once the attempt at ``cap_bits`` does not.
+Every caller passes a cap; ``refine_compare`` reports reaching it as
+``Comparison.UNDECIDED``, the other callers raise ``UndecidedSignError``.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, TypeVar, Union
 
-from .errors import MixedFieldError, NegativeArgumentError
+from .errors import MixedFieldError, NegativeArgumentError, UndecidedSignError
 
 Rat = Fraction
 
@@ -170,9 +173,6 @@ class QuadExt:
     def __rtruediv__(self, other: QuadExt | RatLike) -> "QuadExt":
         return self.inverse() * other
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.D)
-
     def norm(self) -> Fraction:
         return self.a * self.a - self.b * self.b * self.D
 
@@ -227,22 +227,19 @@ class QuadExt:
     # -- conversions ----------------------------------------------------------
 
     def floor(self) -> int:
-        """Unique integer floor, exact.
+        """Exact integer floor, without enclosures.
 
-        Rational elements floor directly; irrational ones are bracketed by a
-        refining enclosure (the value is never an integer), then the bracket is
-        certified by exact sign tests in the field.
+        Write the element as (A + B*sqrt(D))/Q with integers A, B, Q > 0 and
+        r = isqrt(B^2*D). As D is not a square, B*sqrt(D) lies strictly between
+        r and r + 1 (or -r - 1 and -r), so the floor is that of an integer over Q.
         """
         if self.b == 0:
             return math.floor(self.a)
-        bits = 32
-        while True:
-            enc = self.enclosure(bits)
-            lo, hi = math.floor(enc.lo), math.floor(enc.hi)
-            if lo == hi:
-                if (self - lo).sign() > 0 and (self - (lo + 1)).sign() < 0:
-                    return lo
-            bits *= 2
+        Q = math.lcm(self.a.denominator, self.b.denominator)
+        A = self.a.numerator * (Q // self.a.denominator)
+        B = self.b.numerator * (Q // self.b.denominator)
+        r = math.isqrt(B * B * self.D)
+        return (A + (r if B > 0 else -r - 1)) // Q
 
     __floor__ = floor
 
@@ -257,14 +254,14 @@ class QuadExt:
     def enclosure(self, bits: int) -> "Interval":
         """Rational enclosure of width <= 2**-bits."""
         if self.b == 0:
-            return Interval(self.a, self.a, bits)
+            return Interval(self.a, self.a)
         guard = max(0, _mag_bits(self.b)) + 2
         root = sqrt_enclosure(Fraction(self.D), bits + guard)
         if self.b > 0:
             lo, hi = self.a + self.b * root.lo, self.a + self.b * root.hi
         else:
             lo, hi = self.a + self.b * root.hi, self.a + self.b * root.lo
-        return Interval(lo, hi, bits)
+        return Interval(lo, hi)
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -288,24 +285,21 @@ SQRT5 = QuadExt(Fraction(0), Fraction(1), 5)
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed rational interval [lo, hi] tagged with its working precision."""
+    """Closed rational interval [lo, hi]."""
 
     lo: Fraction
     hi: Fraction
-    precision_bits: int = 64
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", _as_fraction(self.lo))
         object.__setattr__(self, "hi", _as_fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order")
-        if self.precision_bits <= 0:
-            raise ValueError("precision_bits must be positive")
 
     @classmethod
-    def point(cls, value: RatLike, bits: int = 64) -> "Interval":
+    def point(cls, value: RatLike) -> "Interval":
         v = _as_fraction(value)
-        return cls(v, v, bits)
+        return cls(v, v)
 
     @property
     def width(self) -> Fraction:
@@ -325,7 +319,7 @@ class Interval:
 
     def __add__(self, other: "Interval | RatLike") -> "Interval":
         o = _as_interval(other)
-        return Interval(self.lo + o.lo, self.hi + o.hi, min(self.precision_bits, o.precision_bits))
+        return Interval(self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
@@ -336,12 +330,12 @@ class Interval:
         return (-self) + other
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo, self.precision_bits)
+        return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval | RatLike") -> "Interval":
         o = _as_interval(other)
         products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Interval(min(products), max(products), min(self.precision_bits, o.precision_bits))
+        return Interval(min(products), max(products))
 
     __rmul__ = __mul__
 
@@ -349,7 +343,7 @@ class Interval:
         o = _as_interval(other)
         if o.lo <= 0 <= o.hi:
             raise ZeroDivisionError("division by interval containing zero")
-        inv = Interval(1 / o.hi, 1 / o.lo, o.precision_bits)
+        inv = Interval(1 / o.hi, 1 / o.lo)
         return self * inv
 
     def __rtruediv__(self, other: "Interval | RatLike") -> "Interval":
@@ -360,7 +354,7 @@ class Interval:
             return self
         if self.hi <= 0:
             return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi), self.precision_bits)
+        return Interval(Fraction(0), max(-self.lo, self.hi))
 
     def outward(self, bits: int) -> "Interval":
         """Round endpoints outward onto the dyadic grid 2**-bits.
@@ -371,7 +365,7 @@ class Interval:
         scale = 1 << bits
         lo = Fraction(math.floor(self.lo * scale), scale)
         hi = Fraction(-math.floor(-self.hi * scale), scale)
-        return Interval(lo, hi, self.precision_bits)
+        return Interval(lo, hi)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -380,7 +374,7 @@ class Interval:
 def _as_interval(x: "Interval | RatLike") -> Interval:
     if isinstance(x, Interval):
         return x
-    return Interval.point(_as_fraction(x))
+    return Interval.point(x)
 
 
 def sqrt_enclosure(q: Fraction, bits: int) -> Interval:
@@ -388,22 +382,21 @@ def sqrt_enclosure(q: Fraction, bits: int) -> Interval:
     if q < 0:
         raise NegativeArgumentError("square root of a negative rational")
     if q == 0:
-        return Interval.point(0, bits)
+        return Interval.point(0)
     n, d = q.numerator, q.denominator
     scaled = (n * d) << (2 * bits)
     root = math.isqrt(scaled)
     lo = Fraction(root // d, 1 << bits)
     up = root if root * root == scaled else root + 1
     hi = Fraction(-((-up) // d), 1 << bits)  # ceil(up / d) scaled back
-    return Interval(lo, hi, bits)
+    return Interval(lo, hi)
 
 
-def sqrt_interval(x: Interval) -> Interval:
-    """Enclosure of {sqrt(v) : v in x}; requires x.lo >= 0."""
+def sqrt_interval(x: Interval, bits: int) -> Interval:
+    """Enclosure of {sqrt(v) : v in x}, endpoints rounded out to 2**-bits; requires x.lo >= 0."""
     if x.lo < 0:
         raise NegativeArgumentError("square root of an interval reaching below zero")
-    bits = x.precision_bits
-    return Interval(sqrt_enclosure(x.lo, bits).lo, sqrt_enclosure(x.hi, bits).hi, bits)
+    return Interval(sqrt_enclosure(x.lo, bits).lo, sqrt_enclosure(x.hi, bits).hi)
 
 
 class Comparison(Enum):
@@ -424,7 +417,7 @@ def enclosure_of(x: Enclosable, bits: int) -> Interval:
     if isinstance(x, Interval):
         return x
     if isinstance(x, (int, Fraction)):
-        return Interval.point(x, bits)
+        return Interval.point(x)
     if callable(x):
         return x(bits)
     raise TypeError(f"cannot form an enclosure of {type(x).__name__}")
@@ -436,6 +429,26 @@ def _exact_operand(x: Enclosable) -> QuadExt | None:
     if isinstance(x, (int, Fraction)):
         return QuadExt(_as_fraction(x), Fraction(0), 2)
     return None
+
+
+E, T = TypeVar("E"), TypeVar("T")
+
+
+def refine(make: Callable[[int], E], decide: Callable[[E], T | None], cap_bits: int,
+           start_bits: int = 32) -> T | None:
+    """First non-None decide(make(bits)) for bits = start_bits, 2*start_bits, ...
+
+    The last attempt is made at exactly cap_bits (or at start_bits alone when
+    that is already past the cap); None means it was undecided too.
+    """
+    bits = start_bits
+    while True:
+        verdict = decide(make(bits))
+        if verdict is not None:
+            return verdict
+        if bits >= cap_bits:
+            return None
+        bits = min(2 * bits, cap_bits)
 
 
 def refine_compare(
@@ -459,17 +472,20 @@ def refine_compare(
             s = None
         if s is not None:
             return (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER)[s + 1]
-    bits = start_bits
-    while True:
-        el = enclosure_of(lhs, bits)
-        er = enclosure_of(rhs, bits)
+
+    def separate(pair: tuple[Interval, Interval]) -> Comparison | None:
+        el, er = pair
         if el.hi < er.lo:
             return Comparison.LESS
         if el.lo > er.hi:
             return Comparison.GREATER
-        if bits >= cap_bits:
-            return Comparison.UNDECIDED
-        bits = min(2 * bits, cap_bits)
+        return None
+
+    verdict = refine(
+        lambda bits: (enclosure_of(lhs, bits), enclosure_of(rhs, bits)),
+        separate, cap_bits, start_bits,
+    )
+    return Comparison.UNDECIDED if verdict is None else verdict
 
 
 # -- named constants ----------------------------------------------------------
@@ -478,29 +494,22 @@ _CONST_NAMES = ("tau", "phi", "K", "C")
 
 
 def _refine_to_width(make: Callable[[int], Interval], precision_bits: int) -> Interval:
+    # make(bits) is under 2**(3-bits) wide for K and C, so the first attempt fits
     target = Fraction(1, 1 << precision_bits)
-    bits = precision_bits + 8
-    while True:
-        enc = make(bits)
-        if enc.width <= target:
-            return Interval(enc.lo, enc.hi, precision_bits)
-        bits *= 2
+    start = precision_bits + 8
+    enc = refine(make, lambda e: e if e.width <= target else None, 2 * start, start)
+    if enc is None:
+        raise UndecidedSignError(f"enclosure not within 2**-{precision_bits} at {2 * start} bits")
+    return enc
 
 
 def sqrt_tau_enclosure(bits: int) -> Interval:
-    return sqrt_interval(TAU.enclosure(bits))
+    return sqrt_interval(TAU.enclosure(bits), bits)
 
 
 def c_enclosure(bits: int) -> Interval:
     """C = sqrt(5) * (1 - sqrt(phi))."""
-    return SQRT5.enclosure(bits) * (1 - sqrt_interval(PHI.enclosure(bits)))
-
-
-def c_alt_enclosure(bits: int) -> Interval:
-    """The product form of the same constant: K * (sqrt(tau) + tau**(-3/2))."""
-    t = TAU.enclosure(bits)
-    st = sqrt_interval(t)
-    return (st - 1) * (st + 1 / (t * st))
+    return SQRT5.enclosure(bits) * (1 - sqrt_interval(PHI.enclosure(bits), bits))
 
 
 @lru_cache(maxsize=256)
@@ -532,22 +541,21 @@ def render_decimal(x: Enclosable, digits: int = 12, cap_bits: int = DEFAULT_CAP_
     """Correctly rounded decimal string with ``digits`` places (ties to even).
 
     Exact rationals round exactly; irrational values are refined until both
-    enclosure endpoints round to the same string, which terminates because an
-    irrational never sits on a rounding boundary.
+    enclosure endpoints round to the same string. An irrational never sits on a
+    rounding boundary, so reaching ``cap_bits`` first means the cap is too small
+    for ``digits`` places, which raises ``UndecidedSignError``.
     """
     scale = 10**digits
     exact = _exact_operand(x)
     if exact is not None and exact.is_rational:
         return _format_scaled(round(exact.a * scale), digits)
-    bits = 64
-    while True:
-        enc = enclosure_of(x, bits)
-        lo, hi = round(enc.lo * scale), round(enc.hi * scale)
-        if lo == hi:
-            return _format_scaled(lo, digits)
-        if bits >= cap_bits:
-            raise ValueError(
-                f"cannot round to {digits} digits within {cap_bits} bits; "
-                "the value may be an exact rounding boundary"
-            )
-        bits = min(2 * bits, cap_bits)
+
+    def rounded(enc: Interval) -> int | None:
+        lo = round(enc.lo * scale)
+        return lo if lo == round(enc.hi * scale) else None
+
+    n = refine(lambda bits: enclosure_of(x, bits), rounded, cap_bits, 64)
+    if n is None:
+        raise UndecidedSignError(f"cannot round to {digits} digits within {cap_bits} bits; "
+                                 "a larger precision cap may settle it")
+    return _format_scaled(n, digits)

@@ -21,7 +21,7 @@ from .errors import (
     RationalInputError,
     UndecidedSignError,
 )
-from .exact import DEFAULT_CAP_BITS, Interval, QuadExt, render_decimal
+from .exact import DEFAULT_CAP_BITS, Comparison, Interval, QuadExt, refine_compare, render_decimal
 
 
 @dataclass(frozen=True)
@@ -132,22 +132,12 @@ class DValue:
 
     def sign(self, cap_bits: int = DEFAULT_CAP_BITS) -> int:
         """Strict sign of d; exact in a shared field, else by refinement."""
-        exact = self.as_quadext()
-        if exact is not None:
-            s = exact.sign()
-            if s == 0:
-                raise UndecidedSignError("d(t) is exactly zero")
-            return s
-        bits = 32
-        while True:
-            enc = self.enclosure(bits)
-            if enc.lo > 0:
-                return 1
-            if enc.hi < 0:
-                return -1
-            if bits >= cap_bits:
-                raise UndecidedSignError(f"sign of d undecided at {cap_bits} bits")
-            bits = min(2 * bits, cap_bits)
+        verdict = refine_compare(self.inv_psi_beta, self.inv_psi_alpha, cap_bits)
+        if verdict is Comparison.EQUAL:
+            raise UndecidedSignError("d(t) is exactly zero")
+        if verdict is Comparison.UNDECIDED:
+            raise UndecidedSignError(f"sign of d undecided at {cap_bits} bits")
+        return 1 if verdict is Comparison.GREATER else -1
 
     def render(self, digits: int = 12) -> str:
         exact = self.as_quadext()

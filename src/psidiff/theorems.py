@@ -36,6 +36,7 @@ from .exact import (
     Interval,
     QuadExt,
     c_enclosure,
+    refine,
     refine_compare,
     render_decimal,
     sqrt_interval,
@@ -78,10 +79,6 @@ class Witness:
         }
 
 
-def _abs_d_exceeds(d: DValue, rhs: Callable[[int], Interval], cap_bits: int) -> Comparison:
-    return refine_compare(d.abs_enclosure, rhs, cap_bits)
-
-
 def find_witness(
     alpha: CFExpansion,
     beta: CFExpansion,
@@ -100,12 +97,12 @@ def find_witness(
     candidates = sorted({T, *imf.merged_denominators(alpha, beta, T, search_bound)})
     for t in candidates:
         d = imf._d_unchecked(alpha, beta, t)
-        verdict = _abs_d_exceeds(d, lambda bits: c_enclosure(bits) * t, cap_bits)
+        verdict = refine_compare(d.abs_enclosure, lambda bits: c_enclosure(bits) * t, cap_bits)
         if verdict is Comparison.GREATER:
-            bits = 64
-            while d.abs_enclosure(bits).lo <= 0:
-                bits *= 2
-            return Witness(t, d, d.abs_enclosure(bits).lo / t, verdict)
+            lo = refine(d.abs_enclosure, lambda enc: enc.lo if enc.lo > 0 else None, cap_bits, 64)
+            if lo is None:
+                raise UndecidedSignError(f"|d({t})| not bounded away from 0 at {cap_bits} bits")
+            return Witness(t, d, lo / t, verdict)
         if verdict is Comparison.UNDECIDED:
             raise UndecidedSignError(f"|d({t})| vs C*{t} undecided at {cap_bits} bits")
     raise NotFoundInRangeError(
@@ -224,7 +221,7 @@ def check_dichotomy(
     inv_xi_prev = q_nm1 * contfrac.tail(alpha, n) + q_nm2
 
     def factor(bits: int) -> Interval:
-        root = sqrt_interval(contfrac.tail(alpha, n + 1).enclosure(bits))
+        root = sqrt_interval(contfrac.tail(alpha, n + 1).enclosure(bits), bits)
         return 1 - 1 / root
 
     def lhs_first(bits: int) -> Interval:
@@ -362,7 +359,7 @@ def _gap_certificate(
     verified = []
     half = Fraction(bound, 2)
     for point, d in ((first_point, d_first), (second_point, d_second)):
-        if _abs_d_exceeds(d, lambda bits: Interval.point(half, bits), cap_bits) is Comparison.GREATER:
+        if refine_compare(d.abs_enclosure, half, cap_bits) is Comparison.GREATER:
             verified.append(point)
     if not verified:
         raise GapViolationError(
@@ -464,16 +461,15 @@ class OptimalPair:
 
 def _nearest_int(make: Callable[[int], Interval], cap_bits: int) -> int:
     """Nearest integer to an irrational enclosure generator."""
-    bits = 32
-    while True:
-        enc = make(bits)
+
+    def rounded(enc: Interval) -> int | None:
         lo = math.floor(enc.lo + Fraction(1, 2))
-        hi = math.floor(enc.hi + Fraction(1, 2))
-        if lo == hi:
-            return lo
-        if bits >= cap_bits:
-            raise UndecidedSignError("nearest integer undecided at the precision cap")
-        bits = min(2 * bits, cap_bits)
+        return lo if lo == math.floor(enc.hi + Fraction(1, 2)) else None
+
+    n = refine(make, rounded, cap_bits)
+    if n is None:
+        raise UndecidedSignError("nearest integer undecided at the precision cap")
+    return n
 
 
 def construct_optimal(epsilon: Fraction, cap_bits: int = DEFAULT_CAP_BITS) -> OptimalPair:
@@ -555,9 +551,7 @@ class NearOptimalityReport:
             "decimal": {
                 "max_ratio_lo": render_decimal(self.max_ratio_enclosure.lo, digits),
                 "max_ratio_hi": render_decimal(self.max_ratio_enclosure.hi, digits),
-                "c_plus_slack": render_decimal(
-                    lambda bits: c_enclosure(bits) + Interval.point(self.slack, bits), digits
-                ),
+                "c_plus_slack": render_decimal(lambda bits: c_enclosure(bits) + self.slack, digits),
             },
             "verdict": "pass" if self.passed else "fail",
         }
@@ -596,9 +590,9 @@ def verify_near_optimality(
             max_hi = ratio.hi
             argmax_t = entry.t
         max_lo = ratio.lo if max_lo is None else max(max_lo, ratio.lo)
-        verdict = _abs_d_exceeds(
-            entry.d,
-            lambda bits, t=entry.t: (c_enclosure(bits) + Interval.point(slack, bits)) * t,
+        verdict = refine_compare(
+            entry.d.abs_enclosure,
+            lambda bits, t=entry.t: (c_enclosure(bits) + slack) * t,
             cap_bits,
         )
         if verdict is Comparison.GREATER:
@@ -606,7 +600,7 @@ def verify_near_optimality(
         elif verdict is Comparison.UNDECIDED:
             raise UndecidedSignError(f"ratio comparison undecided at t={entry.t}")
     return NearOptimalityReport(
-        Interval(max_lo, max_hi, _RATIO_BITS), argmax_t, passed, t_lo, t_max, slack
+        Interval(max_lo, max_hi), argmax_t, passed, t_lo, t_max, slack
     )
 
 
@@ -617,7 +611,7 @@ def verify_near_optimality(
 def _golden_power(name: str, n: int, bits: int) -> Interval:
     base = (TAU if name == "tau" else PHI).enclosure(bits)
     if n == 0:
-        return Interval.point(1, bits)
+        return Interval.point(1)
     return (_golden_power(name, n - 1, bits) * base).outward(bits)
 
 
@@ -625,7 +619,7 @@ def _binet_enclosure(n: int, bits: int = 256) -> Interval:
     tau_pow = _golden_power("tau", n, bits)
     phi_pow = _golden_power("phi", n, bits)
     alternating = phi_pow if n % 2 == 0 else -phi_pow
-    return (tau_pow - alternating) / sqrt_interval(Interval.point(5, bits))
+    return (tau_pow - alternating) / sqrt_interval(Interval.point(5), bits)
 
 
 def binet_fib(n: int) -> int:

@@ -2,7 +2,9 @@
 
 Everything here goes through mpmath at high working precision and never
 touches the exact code paths under test (continued fractions, tails,
-closed-form reciprocals), so agreement is meaningful.
+closed-form reciprocals), so agreement is meaningful. The one exception is
+``c_alt_enclosure``, a second interval formula for C that the tests hold
+against ``psidiff.exact.c_enclosure``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from fractions import Fraction
 
 import mpmath
 
-from psidiff import CFExpansion, QuadExt
+from psidiff import TAU, CFExpansion, Interval, QuadExt, sqrt_interval
 
 DPS = 60  # roughly 200 bits
 
@@ -21,8 +23,8 @@ def mp(ctxdps: int = DPS):
     return mpmath.mp
 
 
-def mp_quadext(x: QuadExt) -> mpmath.mpf:
-    mp()
+def mp_quadext(x: QuadExt, dps: int = DPS) -> mpmath.mpf:
+    mp(dps)
     return mpmath.mpf(x.a.numerator) / x.a.denominator + (
         mpmath.mpf(x.b.numerator) / x.b.denominator
     ) * mpmath.sqrt(x.D)
@@ -54,8 +56,8 @@ def brute_force_psi_table(value: mpmath.mpf, t_max: int) -> list[tuple[int, mpma
     return table
 
 
-def mp_const(name: str) -> mpmath.mpf:
-    mp()
+def mp_const(name: str, dps: int = DPS) -> mpmath.mpf:
+    mp(dps)
     sqrt5 = mpmath.sqrt(5)
     tau = (sqrt5 + 1) / 2
     phi = (sqrt5 - 1) / 2
@@ -68,6 +70,13 @@ def mp_const(name: str) -> mpmath.mpf:
     if name == "C":
         return sqrt5 * (1 - mpmath.sqrt(phi))
     raise ValueError(name)
+
+
+def c_alt_enclosure(bits: int) -> Interval:
+    """The product form of C: K * (sqrt(tau) + tau**(-3/2))."""
+    t = TAU.enclosure(bits)
+    st = sqrt_interval(t, bits)
+    return (st - 1) * (st + 1 / (t * st))
 
 
 def assert_close(rendered: str, expected: mpmath.mpf, places: int = 9) -> None:

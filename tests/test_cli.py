@@ -2,8 +2,12 @@
 
 import json
 
+import mpmath
+
 from psidiff import cli
 from psidiff.errors import UndecidedSignError
+
+from _oracles import mp_const
 
 SQRT2 = "surd:(0+sqrt(2))/1"
 SQRT3 = "surd:(0+sqrt(3))/1"
@@ -28,6 +32,15 @@ class TestCommands:
         assert payload["K"].startswith("0.2720")
         assert payload["2C+1"].startswith("1.95636")
         assert payload["tau"] == "1.6180339887"
+
+    def test_constants_obey_precision_cap(self, capsys):
+        code, payload = run_json(
+            capsys, "constants", "--digits", "2000", "--precision-cap-bits", "8192"
+        )
+        assert code == 0
+        with mpmath.workdps(2050):
+            error = abs(mpmath.mpf(payload["C"]) - mp_const("C", dps=2050))
+            assert error <= mpmath.mpf(10) ** -2000 / 2
 
     def test_expand(self, capsys):
         code, payload = run_json(capsys, "expand", "--number", SQRT2)
@@ -146,6 +159,13 @@ class TestErrorsAndExitCodes:
         )
         assert code == 2
         assert payload["error"]["code"] == "undecided_sign"
+
+    def test_digits_beyond_cap_exit_2(self, capsys):
+        code, payload = run_json(capsys, "constants", "--digits", "100000")
+        assert code == 2
+        assert payload["error"]["code"] == "undecided_sign"
+        assert "100000 digits" in payload["error"]["message"]
+        assert "4096 bits" in payload["error"]["message"]
 
     def test_unknown_command_exits_1(self, capsys):
         assert cli.main(["no-such-command"]) == 1

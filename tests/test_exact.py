@@ -8,9 +8,9 @@ import pytest
 
 from psidiff import Comparison, Interval, PHI, QuadExt, TAU, const, refine_compare, render_decimal, sqrt_interval
 from psidiff.errors import MixedFieldError, NegativeArgumentError
-from psidiff.exact import c_alt_enclosure, c_enclosure, sqrt_enclosure, sqrt_tau_enclosure, squarefree_decompose
+from psidiff.exact import c_enclosure, sqrt_enclosure, sqrt_tau_enclosure, squarefree_decompose
 
-from _oracles import assert_close, mp_const, mp_quadext
+from _oracles import assert_close, c_alt_enclosure, mp_const, mp_quadext
 
 SQRT2 = QuadExt(0, 1, 2)
 
@@ -109,19 +109,24 @@ class TestIntervals:
         assert enc.lo == enc.hi == 2
 
     def test_sqrt_exact_square(self):
-        enc = sqrt_interval(Interval.point(4, 32))
+        enc = sqrt_interval(Interval.point(4), 32)
         assert enc.lo == enc.hi == 2
+
+    def test_sqrt_interval_width_follows_bits(self):
+        # a rational factor once cut the working precision of the result to 64 bits
+        enc = sqrt_interval(TAU.enclosure(4096) * 2, 4096)
+        assert enc.width < Fraction(1, 2**4000)
 
     def test_sqrt_tau(self):
         assert_close(render_decimal(sqrt_tau_enclosure, 10), mp_const("K") + 1)
 
     def test_sqrt_phi(self):
-        got = render_decimal(lambda b: sqrt_interval(PHI.enclosure(b)), 12)
+        got = render_decimal(lambda b: sqrt_interval(PHI.enclosure(b), b), 12)
         assert got.startswith("0.78615137775")
 
     def test_sqrt_negative_rejected(self):
         with pytest.raises(NegativeArgumentError):
-            sqrt_interval(Interval(Fraction(-1), Fraction(1)))
+            sqrt_interval(Interval(Fraction(-1), Fraction(1)), 64)
 
     def test_enclosure_soundness(self):
         # exact containment certified by field sign tests, plus nesting under refinement

@@ -1,0 +1,119 @@
+"""Generated-input properties of the exact layer against the mpmath oracles.
+
+``refine_compare`` must agree with the exact field sign on same-field pairs,
+also when it is made to refine enclosures instead, and with mpmath on
+cross-field pairs. ``QuadExt.floor`` and ``nearest_int`` are checked on
+powers of (1 + sqrt(D)), which lie exponentially close to integers:
+(1 + sqrt(2))**4000 is within 2**-5000 of one. ``render_decimal`` must give
+mpmath's correctly rounded digits.
+"""
+
+import math
+from fractions import Fraction
+
+import mpmath
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from psidiff import Comparison, QuadExt, refine_compare, render_decimal
+
+from _oracles import mp_quadext
+
+FIELDS = (2, 3, 5, 6, 7, 10, 11, 13)
+ORDER = (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER)
+
+RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+
+
+@st.composite
+def quadexts(draw, D=None, rational_ok=True):
+    D = draw(st.sampled_from(FIELDS)) if D is None else D
+    b = draw(RATIONALS)
+    if not rational_ok:
+        assume(b != 0)
+    return QuadExt(draw(RATIONALS), b, D)
+
+
+@st.composite
+def same_field_pairs(draw):
+    x = draw(quadexts())
+    if draw(st.booleans()):
+        return x, x
+    return x, draw(quadexts(D=x.D))
+
+
+def unit_power(D: int, n: int) -> QuadExt:
+    """(1 + sqrt(D))**n, built from integers."""
+    A, B = 1, 0
+    for _ in range(n):
+        A, B = A + B * D, A + B
+    return QuadExt(A, B, D)
+
+
+def expected_render(terms: list[QuadExt], digits: int) -> str:
+    """The sum of ``terms`` rounded to ``digits`` places by mpmath."""
+    dps = 2 * digits + 60
+    with mpmath.workdps(dps):
+        value = sum(mp_quadext(x, dps) for x in terms)
+        n = int(mpmath.nint(value * mpmath.mpf(10) ** digits))
+    whole, frac = divmod(abs(n), 10**digits)
+    return f"{'-' if n < 0 else ''}{whole}.{frac:0{digits}d}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_field_pairs())
+def test_same_field_compare_is_exact_sign(pair):
+    x, y = pair
+    s = (x - y).sign()
+    assert refine_compare(x, y) is ORDER[s + 1]
+    # the enclosure path separates exactly the unequal pairs
+    refined = refine_compare(x.enclosure, y.enclosure, cap_bits=512)
+    assert refined is (ORDER[s + 1] if s else Comparison.UNDECIDED)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadexts(rational_ok=False), quadexts(rational_ok=False))
+def test_cross_field_compare_matches_oracle(x, y):
+    assume(x.D != y.D)
+    vx, vy = mp_quadext(x), mp_quadext(y)
+    assume(abs(vx - vy) > mpmath.mpf(10) ** -40)
+    assert refine_compare(x, y) is (Comparison.LESS if vx < vy else Comparison.GREATER)
+    assert refine_compare(y, x) is (Comparison.GREATER if vx < vy else Comparison.LESS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 4000), st.sampled_from((1, -1)), st.integers(-5, 5))
+@example(2, 4000, 1, 0)
+def test_floor_and_nearest_int_near_integers(D, n, sign, shift):
+    x = unit_power(D, n) * sign + shift
+    assume(not x.is_rational)
+    # For an integer m, (x - m) times its conjugate is a nonzero integer, so x
+    # is about 1/(2|x|) or more from any integer: twice the digits of |x| pin
+    # both its floor and its nearest integer.
+    dps = 2 * (max(x.a.numerator.bit_length(), x.b.numerator.bit_length() + 4) // 3) + 30
+    with mpmath.workdps(dps):
+        value = mp_quadext(x, dps)
+        floor, nearest = int(mpmath.floor(value)), int(mpmath.nint(value))
+    assert x.floor() == math.floor(x) == floor
+    assert x.nearest_int() == nearest
+
+
+def test_floor_of_near_integer_power_is_exact():
+    # (1+sqrt2)^4000 + (1-sqrt2)^4000 = 2A, and 0 < (1-sqrt2)^4000 < 2**-5000
+    x = unit_power(2, 4000)
+    assert (x.floor(), x.nearest_int()) == (2 * x.a - 1, 2 * x.a)
+    assert QuadExt(-x.a, -x.b, 2).floor() == -2 * x.a
+
+
+@settings(max_examples=100, deadline=None)
+@given(quadexts(rational_ok=False), st.integers(1, 60))
+def test_render_decimal_is_correctly_rounded(x, digits):
+    assert render_decimal(x, digits) == expected_render([x], digits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quadexts(rational_ok=False), quadexts(rational_ok=False), st.integers(1, 40))
+def test_render_decimal_of_cross_field_sum(x, y, digits):
+    assume(x.D != y.D)
+    got = render_decimal(lambda bits: x.enclosure(bits) + y.enclosure(bits), digits)
+    assert got == expected_render([x, y], digits)
