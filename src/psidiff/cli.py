@@ -86,8 +86,9 @@ def cmd_profile(args: argparse.Namespace) -> dict | str:
     alpha = parse_number(args.alpha)
     beta = parse_number(args.beta)
     profile = imf.breakpoint_profile(alpha, beta, args.from_t, args.bound)
+    d, cap = cfg.digits, cfg.precision_cap_bits
     if cfg.output == "csv":
-        return imf.profile_to_csv(profile, cfg.digits)
+        return imf.profile_to_csv(profile, d, cap)
     return {
         "alpha": args.alpha,
         "beta": args.beta,
@@ -96,13 +97,13 @@ def cmd_profile(args: argparse.Namespace) -> dict | str:
         "entries": [
             {
                 "t": entry.t,
-                "inv_psi_alpha": render_decimal(entry.inv_psi_alpha, cfg.digits),
-                "inv_psi_beta": render_decimal(entry.inv_psi_beta, cfg.digits),
-                "d": entry.d.render(cfg.digits),
+                "inv_psi_alpha": render_decimal(entry.inv_psi_alpha, d, cap),
+                "inv_psi_beta": render_decimal(entry.inv_psi_beta, d, cap),
+                "d": entry.d.render(d, cap),
             }
             for entry in profile.entries
         ],
-        "sign_changes": imf.sign_changes(profile, cfg.precision_cap_bits),
+        "sign_changes": imf.sign_changes(profile, cap),
     }
 
 
@@ -113,7 +114,7 @@ def cmd_witness(args: argparse.Namespace) -> dict:
     witness = theorems.find_witness(
         alpha, beta, args.from_t, args.bound, cfg.precision_cap_bits
     )
-    payload = witness.to_json(cfg.digits)
+    payload = witness.to_json(cfg.digits, cfg.precision_cap_bits)
     payload["parameters"] = {"alpha": args.alpha, "beta": args.beta,
                              "from": args.from_t, "bound": args.bound}
     return payload
@@ -148,11 +149,11 @@ def cmd_lemmas(args: argparse.Namespace) -> dict:
         "conseq": [list(pair) for pair in theorems.scan_lemma_conseq(alpha, beta, depth)],
         "conseq1": [list(pair) for pair in theorems.scan_lemma_conseq1(alpha, beta, depth)],
         "interleave_gap": [
-            cert.to_json(cfg.digits)
+            cert.to_json(cfg.digits, cap)
             for cert in theorems.scan_interleave_gap(alpha, beta, depth, cap)
         ],
         "dichotomy": [
-            record.to_json(cfg.digits)
+            record.to_json(cfg.digits, cap)
             for record in theorems.scan_dichotomy(alpha, beta, depth, cap)
         ],
     }
@@ -161,17 +162,16 @@ def cmd_lemmas(args: argparse.Namespace) -> dict:
 def cmd_construct_optimal(args: argparse.Namespace) -> dict:
     cfg = _config(args)
     pair = theorems.construct_optimal(Fraction(args.epsilon), cfg.precision_cap_bits)
-    return pair.to_json(cfg.digits)
+    return pair.to_json(cfg.digits, cfg.precision_cap_bits)
 
 
 def cmd_verify_optimal(args: argparse.Namespace) -> dict:
     cfg = _config(args)
-    pair = theorems.construct_optimal(Fraction(args.epsilon), cfg.precision_cap_bits)
+    cap = cfg.precision_cap_bits
+    pair = theorems.construct_optimal(Fraction(args.epsilon), cap)
     slack = Fraction(args.slack) if args.slack is not None else None
-    report = theorems.verify_near_optimality(
-        pair, args.from_t, args.bound, slack, cfg.precision_cap_bits
-    )
-    return {"pair": pair.to_json(cfg.digits), "report": report.to_json(cfg.digits)}
+    report = theorems.verify_near_optimality(pair, args.from_t, args.bound, slack, cap)
+    return {"pair": pair.to_json(cfg.digits, cap), "report": report.to_json(cfg.digits, cap)}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -133,14 +133,11 @@ def expand_quadratic(x: QuadExt) -> CFExpansion:
     """
     if x.is_rational:
         raise RationalInputError("expansion of a rational via expand_quadratic")
-    scale = math.lcm(x.a.denominator, x.b.denominator)
-    A = int(x.a * scale)
-    B = int(x.b * scale)
-    N = B * B * x.D
-    if B > 0:
-        P, Q = A, scale
+    N = x.B * x.B * x.D
+    if x.B > 0:
+        P, Q = x.A, x.Q
     else:
-        P, Q = -A, -scale
+        P, Q = -x.A, -x.Q
     if (N - P * P) % Q:
         P *= abs(Q)
         N *= Q * Q
@@ -349,8 +346,7 @@ def _period_tail(period: tuple[int, ...], offset: int) -> QuadExt:
     _, f = squarefree_decompose(disc)
     if f == 1:
         raise RationalInputError("period block does not define an irrational")
-    root = QuadExt(Fraction(0), Fraction(1), disc)
-    return ((p - q_prev) + root) / (2 * q)
+    return QuadExt(Fraction(p - q_prev, 2 * q), Fraction(1, 2 * q), disc)
 
 
 def tail(cf: CFExpansion, r: int) -> QuadExt:
@@ -375,6 +371,6 @@ def is_nonintegral_sum_and_diff(x: QuadExt, y: QuadExt) -> bool:
     if x.D != y.D:
         return True
     for combined in (x + y, x - y):
-        if combined.b == 0 and combined.a.denominator == 1:
+        if combined.B == 0 and combined.Q == 1:
             return False
     return True

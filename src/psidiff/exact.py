@@ -1,8 +1,12 @@
 """Exact arithmetic substrate: quadratic-field elements and rational intervals.
 
 Rationals are ``fractions.Fraction`` (always canonical: positive denominator,
-reduced). ``QuadExt`` is an element a + b*sqrt(D) of a real quadratic field
-with D squarefree; all field operations and sign tests are exact. ``Interval``
+reduced). ``QuadExt`` is an element (A + B*sqrt(D))/Q of a real quadratic field,
+held as integers with Q > 0, gcd(A, B, Q) = 1 and D squarefree; all field
+operations and sign tests are exact integer arithmetic. Its floor and its
+dyadic enclosures come from one scaled floor, floor(x * 2**k) =
+(A*2**k + r)//Q with r from isqrt(B^2*D*4**k), at k = 0 and at k = bits + 1
+respectively. ``Interval``
 is a rational enclosure used for quantities that live outside a single
 quadratic field (sqrt(tau), the optimal constant C, ...); it carries no working
 precision, so whoever builds one passes the bits. ``refine`` is the package's
@@ -86,95 +90,98 @@ def _as_fraction(x: RatLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class QuadExt:
-    """Exact element a + b*sqrt(D) of Q(sqrt(D)), D squarefree and not a square.
+    """Exact, immutable element (A + B*sqrt(D))/Q of Q(sqrt(D)) held as integers.
 
-    Construction normalizes the radicand: QuadExt(0, 1, 8) becomes 0 + 2*sqrt(2).
-    Elements with b == 0 are exact rationals and interoperate with any field.
+    Invariants: Q > 0, gcd(A, B, Q) = 1, D squarefree and not a square. B == 0
+    means the element is rational; rationals interoperate with any field.
+    ``QuadExt(a, b, D)`` takes rationals a, b and reduces the radicand, the one
+    place that does: QuadExt(0, 1, 8) becomes 0 + 2*sqrt(2). Arithmetic builds
+    its results from integers in the operands' field.
     """
 
-    a: Fraction
-    b: Fraction
-    D: int
+    __slots__ = ("A", "B", "Q", "D")
 
-    def __post_init__(self) -> None:
-        a = _as_fraction(self.a)
-        b = _as_fraction(self.b)
-        if self.D <= 0:
+    def __new__(cls, a: RatLike, b: RatLike, D: int) -> "QuadExt":
+        a, b = _as_fraction(a), _as_fraction(b)
+        if D <= 0:
             raise ValueError("D must be positive")
-        s, f = squarefree_decompose(self.D)
+        s, f = squarefree_decompose(D)
         if f == 1:
             raise ValueError("D must not be a perfect square")
-        if s != 1:
-            b *= s
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "D", f)
+        return _make(a.numerator * b.denominator, s * b.numerator * a.denominator,
+                     a.denominator * b.denominator, f)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("QuadExt is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _make, (self.A, self.B, self.Q, self.D)
 
     # -- field bookkeeping -------------------------------------------------
 
     @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.Q)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.Q)
+
+    @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.B == 0
 
-    def _coerce(self, other: QuadExt | RatLike) -> "QuadExt":
+    def _join(self, other: QuadExt | RatLike) -> tuple[int, int, int, int]:
+        """(A, B, Q) of other and the D of the field it shares with self."""
         if isinstance(other, QuadExt):
-            if other.D == self.D:
-                return other
-            if other.b == 0:
-                return QuadExt(other.a, Fraction(0), self.D)
-            if self.b == 0:
-                return other
-            raise MixedFieldError(
-                f"cannot combine sqrt({self.D}) with sqrt({other.D})"
-            )
-        return QuadExt(_as_fraction(other), Fraction(0), self.D)
-
-    def _pair(self, other: QuadExt | RatLike) -> tuple["QuadExt", "QuadExt"]:
-        rhs = self._coerce(other)
-        lhs = rhs._coerce(self)
-        return lhs, rhs
+            if other.D == self.D or other.B == 0:
+                return other.A, other.B, other.Q, self.D
+            if self.B == 0:
+                return other.A, other.B, other.Q, other.D
+            raise MixedFieldError(f"cannot combine sqrt({self.D}) with sqrt({other.D})")
+        if isinstance(other, (int, Fraction)):
+            return other.numerator, 0, other.denominator, self.D
+        raise TypeError(f"expected int, Fraction or QuadExt, got {type(other).__name__}")
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: QuadExt | RatLike) -> "QuadExt":
-        x, y = self._pair(other)
-        return QuadExt(x.a + y.a, x.b + y.b, x.D)
+        A, B, Q, D = self._join(other)
+        return _make(self.A * Q + A * self.Q, self.B * Q + B * self.Q, self.Q * Q, D)
 
     __radd__ = __add__
 
     def __sub__(self, other: QuadExt | RatLike) -> "QuadExt":
-        x, y = self._pair(other)
-        return QuadExt(x.a - y.a, x.b - y.b, x.D)
+        A, B, Q, D = self._join(other)
+        return _make(self.A * Q - A * self.Q, self.B * Q - B * self.Q, self.Q * Q, D)
 
     def __rsub__(self, other: QuadExt | RatLike) -> "QuadExt":
-        return (-self) + other
+        return -(self - other)
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a, -self.b, self.D)
+        return _make(-self.A, -self.B, self.Q, self.D)
 
     def __mul__(self, other: QuadExt | RatLike) -> "QuadExt":
-        x, y = self._pair(other)
-        return QuadExt(x.a * y.a + x.b * y.b * x.D, x.a * y.b + x.b * y.a, x.D)
+        A, B, Q, D = self._join(other)
+        return _make(self.A * A + self.B * B * D, self.A * B + self.B * A, self.Q * Q, D)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        n = self.norm()
+        """Q(A - B*sqrt(D)) / (A^2 - B^2*D); the norm vanishes only at zero."""
+        n = self.A * self.A - self.B * self.B * self.D
         if n == 0:
             raise ZeroDivisionError("inverse of zero quadratic element")
-        return QuadExt(self.a / n, -self.b / n, self.D)
+        return _make(self.Q * self.A, -self.Q * self.B, n, self.D)
 
     def __truediv__(self, other: QuadExt | RatLike) -> "QuadExt":
-        x, y = self._pair(other)
-        return x * y.inverse()
+        return self * _make(*self._join(other)).inverse()
 
     def __rtruediv__(self, other: QuadExt | RatLike) -> "QuadExt":
         return self.inverse() * other
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.D
 
     def __abs__(self) -> "QuadExt":
         return -self if self.sign() < 0 else self
@@ -182,100 +189,94 @@ class QuadExt:
     # -- exact order --------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(D): compares a^2 against b^2*D."""
-        if self.b == 0:
-            return -1 if self.a < 0 else (0 if self.a == 0 else 1)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        n = self.norm()
-        major = 1 if self.a > 0 else -1
-        return major * (-1 if n < 0 else (0 if n == 0 else 1))
+        """Exact sign: that of A and B when they agree, else compares A^2 with B^2*D."""
+        sa = (self.A > 0) - (self.A < 0)
+        sb = (self.B > 0) - (self.B < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        return sa if self.A * self.A > self.B * self.B * self.D else sb
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, QuadExt):
+            return (self.A == other.A and self.B == other.B and self.Q == other.Q
+                    and (self.B == 0 or self.D == other.D))
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        if not isinstance(other, QuadExt):
-            return NotImplemented
-        if self.b == 0 and other.b == 0:
-            return self.a == other.a
-        return self.D == other.D and self.a == other.a and self.b == other.b
+            return self.B == 0 and self.A == other.numerator and self.Q == other.denominator
+        return NotImplemented
 
     def __hash__(self) -> int:
-        if self.b == 0:
+        if self.B == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.D))
-
-    def _cmp(self, other: QuadExt | RatLike) -> int:
-        return (self - other).sign()
+        return hash((self.A, self.B, self.Q, self.D))
 
     def __lt__(self, other: QuadExt | RatLike) -> bool:
-        return self._cmp(other) < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other: QuadExt | RatLike) -> bool:
-        return self._cmp(other) <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other: QuadExt | RatLike) -> bool:
-        return self._cmp(other) > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other: QuadExt | RatLike) -> bool:
-        return self._cmp(other) >= 0
+        return (self - other).sign() >= 0
 
     # -- conversions ----------------------------------------------------------
 
-    def floor(self) -> int:
-        """Exact integer floor, without enclosures.
+    def _scaled_floor(self, k: int) -> int:
+        """floor(x * 2**k) for k >= 0, in integers alone.
 
-        Write the element as (A + B*sqrt(D))/Q with integers A, B, Q > 0 and
-        r = isqrt(B^2*D). As D is not a square, B*sqrt(D) lies strictly between
-        r and r + 1 (or -r - 1 and -r), so the floor is that of an integer over Q.
+        r = isqrt(B^2*D*4^k) is the floor of |B|*2^k*sqrt(D), which is irrational
+        unless B == 0 (D is not a square). So B*2^k*sqrt(D) lies in [r, r + 1) or
+        in (-r - 1, -r), and x*2^k has the floor of (A*2^k + r)/Q or (A*2^k - r - 1)/Q.
         """
-        if self.b == 0:
-            return math.floor(self.a)
-        Q = math.lcm(self.a.denominator, self.b.denominator)
-        A = self.a.numerator * (Q // self.a.denominator)
-        B = self.b.numerator * (Q // self.b.denominator)
-        r = math.isqrt(B * B * self.D)
-        return (A + (r if B > 0 else -r - 1)) // Q
+        r = math.isqrt(self.B * self.B * self.D << 2 * k)
+        return ((self.A << k) + (r if self.B >= 0 else -r - 1)) // self.Q
+
+    def floor(self) -> int:
+        """Exact integer floor, without enclosures."""
+        return self._scaled_floor(0)
 
     __floor__ = floor
 
     def nearest_int(self) -> int:
         f = self.floor()
-        return f + 1 if (self - f)._cmp(Fraction(1, 2)) > 0 else f
+        return f + 1 if self - f > Fraction(1, 2) else f
 
     def dist_to_nearest_int(self) -> "QuadExt":
         """||x||: exact distance to the nearest integer."""
         return abs(self - self.nearest_int())
 
     def enclosure(self, bits: int) -> "Interval":
-        """Rational enclosure of width <= 2**-bits."""
-        if self.b == 0:
-            return Interval(self.a, self.a)
-        guard = max(0, _mag_bits(self.b)) + 2
-        root = sqrt_enclosure(Fraction(self.D), bits + guard)
-        if self.b > 0:
-            lo, hi = self.a + self.b * root.lo, self.a + self.b * root.hi
-        else:
-            lo, hi = self.a + self.b * root.hi, self.a + self.b * root.lo
-        return Interval(lo, hi)
+        """Rational enclosure of width <= 2**-bits: a point for a rational, else
+        the dyadic [n, n + 1] / 2**(bits + 1) with n = floor(x * 2**(bits + 1))."""
+        if self.B == 0:
+            return Interval.point(self.a)
+        k = bits + 1
+        n = self._scaled_floor(k)
+        return Interval(Fraction(n, 1 << k), Fraction(n + 1, 1 << k))
 
     def __str__(self) -> str:
-        if self.b == 0:
+        if self.B == 0:
             return str(self.a)
-        sign = "+" if self.b >= 0 else "-"
+        sign = "+" if self.B >= 0 else "-"
         return f"{self.a}{sign}{abs(self.b)}√{self.D}"
 
     def __repr__(self) -> str:
         return f"QuadExt({self.a!r}, {self.b!r}, {self.D})"
 
 
-def _mag_bits(x: Fraction) -> int:
-    """ceil(log2(|x|)) for x != 0, a cheap magnitude estimate."""
-    return abs(x.numerator).bit_length() - x.denominator.bit_length() + 1
+def _make(A: int, B: int, Q: int, D: int) -> QuadExt:
+    """(A + B*sqrt(D))/Q reduced to the invariants; Q != 0 and D already squarefree."""
+    # Q first: it is often far smaller than A and B (q_r * tail at t = 10**30000),
+    # and math.gcd skips the remaining arguments once the result is 1
+    g = math.gcd(Q, A, B) if Q > 0 else -math.gcd(Q, A, B)
+    x = object.__new__(QuadExt)
+    object.__setattr__(x, "A", A // g)
+    object.__setattr__(x, "B", B // g)
+    object.__setattr__(x, "Q", Q // g)
+    object.__setattr__(x, "D", D)
+    return x
 
 
 TAU = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
@@ -427,7 +428,7 @@ def _exact_operand(x: Enclosable) -> QuadExt | None:
     if isinstance(x, QuadExt):
         return x
     if isinstance(x, (int, Fraction)):
-        return QuadExt(_as_fraction(x), Fraction(0), 2)
+        return _make(x.numerator, 0, x.denominator, 2)
     return None
 
 

@@ -139,11 +139,9 @@ class DValue:
             raise UndecidedSignError(f"sign of d undecided at {cap_bits} bits")
         return 1 if verdict is Comparison.GREATER else -1
 
-    def render(self, digits: int = 12) -> str:
+    def render(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> str:
         exact = self.as_quadext()
-        if exact is not None:
-            return render_decimal(exact, digits)
-        return render_decimal(self.enclosure, digits)
+        return render_decimal(self.enclosure if exact is None else exact, digits, cap_bits)
 
 
 def d_at(alpha: CFExpansion, beta: CFExpansion, t: int) -> DValue:
@@ -281,7 +279,8 @@ def merged_word(alpha: CFExpansion, beta: CFExpansion, count: int) -> MergedWord
     return MergedWord(alpha, beta, tuple(letters))
 
 
-def profile_to_csv(profile: BreakpointProfile, digits: int = 12) -> str:
+def profile_to_csv(profile: BreakpointProfile, digits: int = 12,
+                   cap_bits: int = DEFAULT_CAP_BITS) -> str:
     """CSV rendering with header t,inv_psi_alpha,inv_psi_beta,d,digits=<n>."""
     lines = [f"t,inv_psi_alpha,inv_psi_beta,d,digits={digits}"]
     for entry in profile.entries:
@@ -289,9 +288,9 @@ def profile_to_csv(profile: BreakpointProfile, digits: int = 12) -> str:
             ",".join(
                 (
                     str(entry.t),
-                    render_decimal(entry.inv_psi_alpha, digits),
-                    render_decimal(entry.inv_psi_beta, digits),
-                    entry.d.render(digits),
+                    render_decimal(entry.inv_psi_alpha, digits, cap_bits),
+                    render_decimal(entry.inv_psi_beta, digits, cap_bits),
+                    entry.d.render(digits, cap_bits),
                 )
             )
         )

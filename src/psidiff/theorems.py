@@ -60,7 +60,7 @@ class Witness:
     ratio_lower_bound: Fraction
     comparison: Comparison
 
-    def to_json(self, digits: int = 12) -> dict:
+    def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         d = self.d_value
         return {
             "kind": "witness",
@@ -71,8 +71,9 @@ class Witness:
                 "inv_psi_beta": str(d.inv_psi_beta),
             },
             "decimal": {
-                "d": d.render(digits),
-                "c_times_t": render_decimal(lambda bits: c_enclosure(bits) * self.t, digits),
+                "d": d.render(digits, cap_bits),
+                "c_times_t": render_decimal(lambda bits: c_enclosure(bits) * self.t,
+                                            digits, cap_bits),
                 "ratio_lower_bound": render_decimal(self.ratio_lower_bound, digits),
             },
             "verdict": "greater",
@@ -167,7 +168,7 @@ class DichotomyRecord:
     xi: QuadExt
     eta: QuadExt
 
-    def to_json(self, digits: int = 12) -> dict:
+    def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         return {
             "kind": "dichotomy",
             "indices": {"n": self.n, "s": self.s},
@@ -178,9 +179,9 @@ class DichotomyRecord:
                 "eta_s": str(self.eta),
             },
             "decimal": {
-                "xi_n_minus_1": render_decimal(self.xi_prev, digits),
-                "xi_n": render_decimal(self.xi, digits),
-                "eta_s": render_decimal(self.eta, digits),
+                "xi_n_minus_1": render_decimal(self.xi_prev, digits, cap_bits),
+                "xi_n": render_decimal(self.xi, digits, cap_bits),
+                "eta_s": render_decimal(self.eta, digits, cap_bits),
             },
             "verdict": self.branch.value,
         }
@@ -308,7 +309,7 @@ class GapCertificate:
     d_second: DValue
     verified_points: tuple[int, ...]
 
-    def to_json(self, digits: int = 12) -> dict:
+    def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         return {
             "kind": f"interleave_gap_{self.pattern}",
             "indices": {
@@ -320,9 +321,9 @@ class GapCertificate:
             "t": self.verified_points[0],
             "exact_values": {"delta": str(self.delta)},
             "decimal": {
-                "d_first": self.d_first.render(digits),
-                "d_second": self.d_second.render(digits),
-                "delta": render_decimal(self.delta, digits),
+                "d_first": self.d_first.render(digits, cap_bits),
+                "d_second": self.d_second.render(digits, cap_bits),
+                "delta": render_decimal(self.delta, digits, cap_bits),
                 "threshold": render_decimal(Fraction(self.bound * (self.quotient - 1)), digits),
                 "half_bound": render_decimal(Fraction(self.bound, 2), digits),
             },
@@ -434,7 +435,7 @@ class OptimalPair:
     theta: CFExpansion
     index_shift: int
 
-    def to_json(self, digits: int = 12) -> dict:
+    def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         return {
             "kind": "optimal_pair",
             "indices": {"k": self.k, "w": self.w, "index_shift": self.index_shift},
@@ -444,8 +445,8 @@ class OptimalPair:
                 "approximant": str(self.V + self.U * PHI),
             },
             "decimal": {
-                "A": render_decimal(self.A, digits),
-                "error": render_decimal(self._error_enclosure, digits),
+                "A": render_decimal(self.A, digits, cap_bits),
+                "error": render_decimal(self._error_enclosure, digits, cap_bits),
             },
             "verdict": "constructed",
             "U": self.U,
@@ -542,7 +543,7 @@ class NearOptimalityReport:
     t_max: int
     slack: Fraction
 
-    def to_json(self, digits: int = 12) -> dict:
+    def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         return {
             "kind": "near_optimality",
             "indices": {"t_min": self.t_min, "t_max": self.t_max},
@@ -551,7 +552,8 @@ class NearOptimalityReport:
             "decimal": {
                 "max_ratio_lo": render_decimal(self.max_ratio_enclosure.lo, digits),
                 "max_ratio_hi": render_decimal(self.max_ratio_enclosure.hi, digits),
-                "c_plus_slack": render_decimal(lambda bits: c_enclosure(bits) + self.slack, digits),
+                "c_plus_slack": render_decimal(lambda bits: c_enclosure(bits) + self.slack,
+                                               digits, cap_bits),
             },
             "verdict": "pass" if self.passed else "fail",
         }

@@ -1,13 +1,16 @@
 """CLI surface: output shapes, determinism, exit codes."""
 
 import json
+import re
+from fractions import Fraction
 
 import mpmath
+import pytest
 
-from psidiff import cli
+from psidiff import breakpoint_profile, cli, d_at, parse_number
 from psidiff.errors import UndecidedSignError
 
-from _oracles import mp_const
+from _oracles import mp_const, mp_quadext
 
 SQRT2 = "surd:(0+sqrt(2))/1"
 SQRT3 = "surd:(0+sqrt(3))/1"
@@ -174,6 +177,100 @@ class TestErrorsAndExitCodes:
         code, payload = run_json(capsys, "constants", "--digits", "0")
         assert code == 1
         assert payload["error"]["code"] == "invalid_input"
+
+
+WIDE_DPS = 2050
+_EXACT = re.compile(r"(-?\d+(?:/\d+)?)(?:([+-])(\d+(?:/\d+)?)√(\d+))?\Z")
+
+
+def mp_rational(text) -> mpmath.mpf:
+    q = Fraction(text)
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def mp_exact(text: str) -> mpmath.mpf:
+    """mpmath value of an exact field element as the CLI prints it: a, a+b√D or a-b√D."""
+    a, sign, b, D = _EXACT.match(text).groups()
+    if b is None:
+        return mp_rational(a)
+    return mp_rational(a) + (1 if sign == "+" else -1) * mp_rational(b) * mpmath.sqrt(int(D))
+
+
+def rendered_and_expected(name: str, out: str) -> list[tuple[str, mpmath.mpf]]:
+    """Each 2000-digit decimal of a command's output, with its value from mpmath."""
+    alpha, beta = parse_number(SQRT2), parse_number("tau")
+    if name == "profile_csv":
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        columns = ("t", "inv_psi_alpha", "inv_psi_beta", "d")
+        name, payload = "profile_json", {"entries": [dict(zip(columns, row)) for row in rows]}
+    else:
+        payload = json.loads(out)
+    pairs = []
+    if name == "witness":
+        exact, dec = payload["exact_values"], payload["decimal"]
+        d = mp_exact(exact["inv_psi_beta"]) - mp_exact(exact["inv_psi_alpha"])
+        pairs += [(dec["d"], d), (dec["c_times_t"], mp_const("C", WIDE_DPS) * payload["t"])]
+        assert mpmath.mpf(dec["ratio_lower_bound"]) <= abs(d) / payload["t"]
+    elif name == "profile_json":
+        profile = breakpoint_profile(alpha, beta, 1, 30)
+        assert [int(e["t"]) for e in payload["entries"]] == [e.t for e in profile.entries]
+        for got, entry in zip(payload["entries"], profile.entries):
+            a = mp_quadext(entry.inv_psi_alpha, WIDE_DPS)
+            b = mp_quadext(entry.inv_psi_beta, WIDE_DPS)
+            pairs += [(got["inv_psi_alpha"], a), (got["inv_psi_beta"], b), (got["d"], b - a)]
+    elif name == "lemmas":
+        assert payload["dichotomy"] and payload["interleave_gap"]
+        for rec in payload["dichotomy"]:
+            pairs += [(rec["decimal"][k], mp_exact(v)) for k, v in rec["exact_values"].items()]
+        for cert in payload["interleave_gap"]:
+            pairs.append((cert["decimal"]["delta"], mp_exact(cert["exact_values"]["delta"])))
+            for point, field in (("first_point", "d_first"), ("second_point", "d_second")):
+                d = d_at(alpha, beta, cert["indices"][point])
+                b, a = (mp_quadext(x, WIDE_DPS) for x in (d.inv_psi_beta, d.inv_psi_alpha))
+                pairs.append((cert["decimal"][field], b - a))
+    else:  # verify_optimal
+        pair, report = payload["pair"], payload["report"]
+        sqrt_tau = mpmath.sqrt(mp_const("tau", WIDE_DPS))
+        error = abs(mp_exact(pair["exact_values"]["approximant"]) - sqrt_tau)
+        slack = 5 * Fraction(pair["epsilon"])
+        pairs += [(pair["decimal"]["A"], mp_exact(pair["exact_values"]["A"])),
+                  (pair["decimal"]["error"], error),
+                  (report["decimal"]["c_plus_slack"], mp_const("C", WIDE_DPS) + mp_rational(slack))]
+    return pairs
+
+
+CAPPED = {
+    "witness": ("witness", "--alpha", SQRT2, "--beta", "tau", "--from", "4", "--bound", "1000000"),
+    "profile_json": ("profile", "--alpha", SQRT2, "--beta", "tau", "--bound", "30",
+                     "--output", "json"),
+    "profile_csv": ("profile", "--alpha", SQRT2, "--beta", "tau", "--bound", "30"),
+    "lemmas": ("lemmas", "--alpha", SQRT2, "--beta", "tau", "--max-depth", "6"),
+    "verify_optimal": ("verify-optimal", "--epsilon", "0.06", "--from", "1000000",
+                       "--bound", "1000000000000"),
+}
+
+
+class TestRenderingObeysPrecisionCap:
+    """2000 digits need about 6650 bits: past the default 4096-bit cap, within 100000."""
+
+    @pytest.mark.parametrize("name", sorted(CAPPED))
+    def test_large_cap_renders_correctly(self, capsys, name):
+        code, out = run(capsys, *CAPPED[name], "--digits", "2000",
+                        "--precision-cap-bits", "100000")
+        assert code == 0, out
+        with mpmath.workdps(WIDE_DPS):
+            pairs = rendered_and_expected(name, out)
+            assert len(pairs) >= 2
+            for rendered, expected in pairs:
+                assert len(rendered.partition(".")[2]) == 2000
+                assert abs(mpmath.mpf(rendered) - expected) <= mpmath.mpf(10) ** -2000 / 2
+
+    @pytest.mark.parametrize("name", sorted(CAPPED))
+    def test_default_cap_is_too_small(self, capsys, name):
+        code, payload = run_json(capsys, *CAPPED[name], "--digits", "2000")
+        assert code == 2
+        assert payload["error"]["code"] == "undecided_sign"
+        assert "4096 bits" in payload["error"]["message"]
 
 
 class TestNumberSpec:

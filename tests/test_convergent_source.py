@@ -4,17 +4,20 @@
 ladder of squared period matrices; ``convergents`` and ``denominators_up_to``
 walk in order. Every answer is compared with the three-term recurrence
 written out below, on expansions drawn with and without a preperiod, rational
-ones, and ones with a_1 = 1 (where q_0 = q_1 = 1).
+ones, and ones with a_1 = 1 (where q_0 = q_1 = 1). The exact value and the
+surd expansion invert each other on the same expansions.
 """
 
 import itertools
+import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from psidiff import CFExpansion, convergents, d_at, denominators_up_to, parse_number
+from psidiff import (CFExpansion, convergents, d_at, denominators_up_to, expand_quadratic,
+                     parse_number, parse_surd)
 from psidiff.contfrac import convergent_state, last_convergent_at_most
 
 QUOTIENT = st.one_of(st.just(1), st.integers(1, 7))
@@ -119,6 +122,31 @@ def test_caches_leave_identity_alone(cf):
     assert first == fresh.value()
     assert used == fresh and hash(used) == hash(fresh)
     assert {used: 1}[fresh] == 1
+
+
+def canonical(cf: CFExpansion) -> CFExpansion:
+    """The same value with the shortest period, started as early as it can be."""
+    period, pre = cf.period, cf.preperiod
+    m = next(m for m in range(1, len(period) + 1)
+             if len(period) % m == 0 and period == period[:m] * (len(period) // m))
+    period = period[:m]
+    while pre and pre[-1] == period[-1]:
+        pre, period = pre[:-1], period[-1:] + period[:-1]
+    return CFExpansion(cf.a0, pre, period)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansions(rational=False))
+def test_expand_quadratic_inverts_value(cf):
+    assert expand_quadratic(cf.value()) == canonical(cf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-100, 100), st.integers(2, 2000), st.integers(-50, 50).filter(bool))
+def test_surd_spec_value_round_trip(P, D, Q):
+    assume(math.isqrt(D) ** 2 != D)
+    spec = f"surd:({P}+sqrt({D}))/{Q}"
+    assert parse_number(spec).value() == parse_surd(spec)
 
 
 def test_deep_lookup_memory_and_indices():

@@ -70,10 +70,14 @@ class TestQuadArith:
         for _ in range(300):
             x, y = random_quadext(rng), random_quadext(rng)
             y = QuadExt(y.a, y.b, x.D)
-            for z in (x + y, x - y, x * y):
+            for z in (x + y, x - y, x * y) + ((x / y,) if y != 0 else ()):
                 assert z.a.denominator > 0 and z.b.denominator > 0
                 assert math.gcd(z.a.numerator, z.a.denominator) == 1
                 assert math.gcd(z.b.numerator, z.b.denominator) == 1
+                # the stored integers: (A + B*sqrt(D))/Q with Q > 0 and gcd(A, B, Q) = 1
+                assert all(type(v) is int for v in (z.A, z.B, z.Q, z.D))
+                assert z.Q > 0 and math.gcd(z.A, z.B, z.Q) == 1 and z.D == x.D
+                assert (z.a, z.b) == (Fraction(z.A, z.Q), Fraction(z.B, z.Q))
 
     def test_exact_order_matches_oracle(self):
         rng = random.Random(7)

@@ -5,10 +5,13 @@ also when it is made to refine enclosures instead, and with mpmath on
 cross-field pairs. ``QuadExt.floor`` and ``nearest_int`` are checked on
 powers of (1 + sqrt(D)), which lie exponentially close to integers:
 (1 + sqrt(2))**4000 is within 2**-5000 of one. ``render_decimal`` must give
-mpmath's correctly rounded digits.
+mpmath's correctly rounded digits. The field axioms hold on same-field
+elements, every result keeps the stored integers (A + B*sqrt(D))/Q canonical,
+equal values hash alike, and enclosures contain the mpmath value.
 """
 
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from psidiff import Comparison, QuadExt, refine_compare, render_decimal
+from psidiff.exact import squarefree_decompose
 
 from _oracles import mp_quadext
 
@@ -117,3 +121,88 @@ def test_render_decimal_of_cross_field_sum(x, y, digits):
     assume(x.D != y.D)
     got = render_decimal(lambda bits: x.enclosure(bits) + y.enclosure(bits), digits)
     assert got == expected_render([x, y], digits)
+
+
+def assert_canonical(x: QuadExt) -> None:
+    """The integer invariants of (A + B*sqrt(D))/Q."""
+    assert all(type(v) is int for v in (x.A, x.B, x.Q, x.D))
+    assert x.Q > 0 and math.gcd(x.A, x.B, x.Q) == 1
+    assert x.D > 1 and squarefree_decompose(x.D) == (1, x.D)
+
+
+@st.composite
+def same_field_triples(draw):
+    D = draw(st.sampled_from(FIELDS))
+    return tuple(draw(quadexts(D=D)) for _ in range(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_field_triples())
+def test_field_axioms(triple):
+    x, y, z = triple
+    results = [x + y, y + x, x * y, y * x, (x + y) + z, x + (y + z), (x * y) * z,
+               x * (y * z), x * (y + z), x * y + x * z, x - y, -x]
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x - y) + y == x and x + (-x) == 0
+    if x != 0:
+        assert x * x.inverse() == 1
+        results.append(x.inverse())
+    if y != 0:
+        assert (x / y) * y == x
+        results.append(x / y)
+    for r in results:
+        assert_canonical(r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadexts(), RATIONALS, st.sampled_from(FIELDS))
+def test_rational_operands_from_any_field(x, r, E):
+    # a rational joins any field, as a Fraction, an int or a QuadExt of another field
+    other = QuadExt(r, 0, E)
+    for s in (x + r, r + x, x - r, r - x, x * r, r * x, x + other, other * x, x * int(r)):
+        assert_canonical(s)
+    assert x + r == x + other == r + x and x * r == other * x
+    assert x - r == -(r - x)
+    if r != 0:
+        assert (x / r) * r == x == (x / other) * other
+        assert_canonical(x / r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RATIONALS, st.sampled_from(FIELDS), st.sampled_from(FIELDS))
+def test_equal_rationals_hash_alike_across_fields(r, D, E):
+    x, y = QuadExt(r, 0, D), QuadExt(r, 0, E)
+    assert x == y == r and hash(x) == hash(y) == hash(r)
+    assert (x == r.numerator) is (r.denominator == 1)
+    if r.denominator == 1:
+        assert hash(x) == hash(r.numerator)
+    assert {x: 1}[r] == 1 and {r: 1}[y] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadexts(), st.integers(1, 6), RATIONALS)
+def test_equal_irrationals_hash_alike(x, s, r):
+    # the radicand s^2*D reduces to D, and arithmetic that cancels lands on x again
+    y = QuadExt(x.a, x.b / s, x.D * s * s)
+    z = (x + r) - r
+    assert x == y == z and hash(x) == hash(y) == hash(z)
+    assert (x.A, x.B, x.Q, x.D) == (y.A, y.B, y.Q, y.D) == (z.A, z.B, z.Q, z.D)
+    w = pickle.loads(pickle.dumps(x))
+    assert w == x and hash(w) == hash(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadexts(), st.integers(0, 300))
+def test_enclosure_contains_value(x, bits):
+    enc = x.enclosure(bits)
+    assert enc.width <= Fraction(1, 2**bits)
+    # for these operands x lies 2**-(2*bits + 95) or more inside each end, which
+    # bits + 60 decimal digits resolve
+    dps = bits + 60
+    with mpmath.workdps(dps):
+        value = mp_quadext(x, dps)
+        lo = mpmath.mpf(enc.lo.numerator) / enc.lo.denominator
+        hi = mpmath.mpf(enc.hi.numerator) / enc.hi.denominator
+        assert lo <= value <= hi
