@@ -8,7 +8,9 @@ dyadic enclosures come from one scaled floor, floor(x * 2**k) =
 (A*2**k + r)//Q with r from isqrt(B^2*D*4**k), at k = 0 and at k = bits + 1
 respectively. ``Interval``
 is a rational enclosure used for quantities that live outside a single
-quadratic field (sqrt(tau), the optimal constant C, ...); it carries no working
+quadratic field (sqrt(tau), the optimal constant C, ...), held as integers
+lo_n/den and hi_n/den over one shared denominator that arithmetic never
+reduces; ``.lo`` and ``.hi`` are ``Fraction`` views. It carries no working
 precision, so whoever builds one passes the bits. ``refine`` is the package's
 only precision-refinement loop: it doubles the bits from ``start_bits`` until
 ``decide`` settles, and reports None once the attempt at ``cap_bits`` does not.
@@ -19,7 +21,6 @@ Every caller passes a cap; ``refine_compare`` reports reaching it as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -251,10 +252,9 @@ class QuadExt:
         """Rational enclosure of width <= 2**-bits: a point for a rational, else
         the dyadic [n, n + 1] / 2**(bits + 1) with n = floor(x * 2**(bits + 1))."""
         if self.B == 0:
-            return Interval.point(self.a)
-        k = bits + 1
-        n = self._scaled_floor(k)
-        return Interval(Fraction(n, 1 << k), Fraction(n + 1, 1 << k))
+            return _interval(self.A, self.A, self.Q)
+        n = self._scaled_floor(bits + 1)
+        return _interval(n, n + 1, 2 << bits)
 
     def __str__(self) -> str:
         if self.B == 0:
@@ -272,11 +272,16 @@ def _make(A: int, B: int, Q: int, D: int) -> QuadExt:
     # and math.gcd skips the remaining arguments once the result is 1
     g = math.gcd(Q, A, B) if Q > 0 else -math.gcd(Q, A, B)
     x = object.__new__(QuadExt)
-    object.__setattr__(x, "A", A // g)
-    object.__setattr__(x, "B", B // g)
-    object.__setattr__(x, "Q", Q // g)
-    object.__setattr__(x, "D", D)
+    _SET_A(x, A // g)
+    _SET_B(x, B // g)
+    _SET_Q(x, Q // g)
+    _SET_D(x, D)
     return x
+
+
+# the slots' own setters: about twice as fast as object.__setattr__, and not
+# reached by the immutable classes' __setattr__
+_SET_A, _SET_B, _SET_Q, _SET_D = (QuadExt.__dict__[f].__set__ for f in QuadExt.__slots__)
 
 
 TAU = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
@@ -284,30 +289,46 @@ PHI = QuadExt(Fraction(-1, 2), Fraction(1, 2), 5)
 SQRT5 = QuadExt(Fraction(0), Fraction(1), 5)
 
 
-@dataclass(frozen=True)
 class Interval:
-    """Closed rational interval [lo, hi]."""
+    """Closed rational interval [lo_n/den, hi_n/den], den > 0 and never reduced.
 
-    lo: Fraction
-    hi: Fraction
+    ``Interval(lo, hi)`` takes rationals; ``lo`` and ``hi`` are Fraction views.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", _as_fraction(self.lo))
-        object.__setattr__(self, "hi", _as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
+    __slots__ = ("lo_n", "hi_n", "den")
+
+    def __new__(cls, lo: RatLike, hi: RatLike) -> "Interval":
+        lo, hi = _as_fraction(lo), _as_fraction(hi)
+        return _interval(lo.numerator * hi.denominator, hi.numerator * lo.denominator,
+                         lo.denominator * hi.denominator)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Interval is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _interval, (self.lo_n, self.hi_n, self.den)
 
     @classmethod
     def point(cls, value: RatLike) -> "Interval":
         v = _as_fraction(value)
-        return cls(v, v)
+        return _interval(v.numerator, v.numerator, v.denominator)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_n, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_n, self.den)
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.hi_n - self.lo_n, self.den)
 
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.lo_n + self.hi_n, 2 * self.den)
 
     def contains(self, value: RatLike) -> bool:
         return self.lo <= value <= self.hi
@@ -318,44 +339,64 @@ class Interval:
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Interval):
+            return NotImplemented
+        return (self.lo_n * other.den == other.lo_n * self.den
+                and self.hi_n * other.den == other.hi_n * self.den)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def _plus(self, lo: int, hi: int, den: int) -> "Interval":
+        if den == self.den:
+            return _interval(self.lo_n + lo, self.hi_n + hi, den)
+        return _interval(self.lo_n * den + lo * self.den, self.hi_n * den + hi * self.den,
+                         self.den * den)
+
     def __add__(self, other: "Interval | RatLike") -> "Interval":
-        o = _as_interval(other)
-        return Interval(self.lo + o.lo, self.hi + o.hi)
+        return self._plus(*_parts(other))
 
     __radd__ = __add__
 
     def __sub__(self, other: "Interval | RatLike") -> "Interval":
-        return self + (-_as_interval(other))
+        lo, hi, den = _parts(other)
+        return self._plus(-hi, -lo, den)
 
     def __rsub__(self, other: "Interval | RatLike") -> "Interval":
-        return (-self) + other
+        return (-self)._plus(*_parts(other))
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return _interval(-self.hi_n, -self.lo_n, self.den)
 
     def __mul__(self, other: "Interval | RatLike") -> "Interval":
-        o = _as_interval(other)
-        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Interval(min(products), max(products))
+        lo, hi, den = _parts(other)
+        if lo == hi:  # a rational scales the numerators
+            ends = (self.lo_n * lo, self.hi_n * lo) if lo >= 0 else (self.hi_n * lo, self.lo_n * lo)
+        elif self.lo_n >= 0 and lo >= 0:  # nonnegative factors: the ends multiply
+            ends = (self.lo_n * lo, self.hi_n * hi)
+        else:
+            products = (self.lo_n * lo, self.lo_n * hi, self.hi_n * lo, self.hi_n * hi)
+            ends = (min(products), max(products))
+        return _interval(*ends, self.den * den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Interval | RatLike") -> "Interval":
-        o = _as_interval(other)
-        if o.lo <= 0 <= o.hi:
+        lo, hi, den = _parts(other)
+        if lo <= 0 <= hi:
             raise ZeroDivisionError("division by interval containing zero")
-        inv = Interval(1 / o.hi, 1 / o.lo)
-        return self * inv
+        return self * _interval(den * lo, den * hi, lo * hi)  # [den/hi, den/lo]
 
     def __rtruediv__(self, other: "Interval | RatLike") -> "Interval":
-        return _as_interval(other) / self
+        return _interval(*_parts(other)) / self
 
     def __abs__(self) -> "Interval":
-        if self.lo >= 0:
+        if self.lo_n >= 0:
             return self
-        if self.hi <= 0:
+        if self.hi_n <= 0:
             return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi))
+        return _interval(0, max(-self.lo_n, self.hi_n), self.den)
 
     def outward(self, bits: int) -> "Interval":
         """Round endpoints outward onto the dyadic grid 2**-bits.
@@ -363,41 +404,55 @@ class Interval:
         Keeps denominators bounded through long products at the cost of at
         most 2**(1-bits) of extra width.
         """
-        scale = 1 << bits
-        lo = Fraction(math.floor(self.lo * scale), scale)
-        hi = Fraction(-math.floor(-self.hi * scale), scale)
-        return Interval(lo, hi)
+        return _interval((self.lo_n << bits) // self.den, -((-self.hi_n << bits) // self.den),
+                         1 << bits)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
+    def __repr__(self) -> str:
+        return f"Interval({self.lo!r}, {self.hi!r})"
 
-def _as_interval(x: "Interval | RatLike") -> Interval:
+
+def _interval(lo_n: int, hi_n: int, den: int) -> Interval:
+    """[lo_n/den, hi_n/den] for den > 0; every path to an Interval checks the order here."""
+    if lo_n > hi_n:
+        raise ValueError("interval endpoints out of order")
+    x = object.__new__(Interval)
+    _SET_LO(x, lo_n)
+    _SET_HI(x, hi_n)
+    _SET_DEN(x, den)
+    return x
+
+
+_SET_LO, _SET_HI, _SET_DEN = (Interval.__dict__[f].__set__ for f in Interval.__slots__)
+
+
+def _parts(x: "Interval | RatLike") -> tuple[int, int, int]:
     if isinstance(x, Interval):
-        return x
-    return Interval.point(x)
+        return x.lo_n, x.hi_n, x.den
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.numerator, x.denominator
+    raise TypeError(f"expected int, Fraction or Interval, got {type(x).__name__}")
 
 
 def sqrt_enclosure(q: Fraction, bits: int) -> Interval:
     """Enclosure of sqrt(q) for q >= 0 with width <= 2**(1-bits)."""
-    if q < 0:
-        raise NegativeArgumentError("square root of a negative rational")
-    if q == 0:
-        return Interval.point(0)
-    n, d = q.numerator, q.denominator
-    scaled = (n * d) << (2 * bits)
-    root = math.isqrt(scaled)
-    lo = Fraction(root // d, 1 << bits)
-    up = root if root * root == scaled else root + 1
-    hi = Fraction(-((-up) // d), 1 << bits)  # ceil(up / d) scaled back
-    return Interval(lo, hi)
+    return sqrt_interval(Interval.point(q), bits)
 
 
 def sqrt_interval(x: Interval, bits: int) -> Interval:
-    """Enclosure of {sqrt(v) : v in x}, endpoints rounded out to 2**-bits; requires x.lo >= 0."""
-    if x.lo < 0:
+    """Enclosure of {sqrt(v) : v in x}, endpoints rounded out to 2**-bits; requires x.lo >= 0.
+
+    An integer m is at most sqrt(y) exactly when m*m <= floor(y), so the ends are
+    isqrt(floor(lo * 4**bits)) and the integer ceiling of sqrt(ceil(hi * 4**bits)).
+    """
+    if x.lo_n < 0:
         raise NegativeArgumentError("square root of an interval reaching below zero")
-    return Interval(sqrt_enclosure(x.lo, bits).lo, sqrt_enclosure(x.hi, bits).hi)
+    up = -((-x.hi_n << 2 * bits) // x.den)
+    root = math.isqrt(up)
+    return _interval(math.isqrt((x.lo_n << 2 * bits) // x.den),
+                     root if root * root == up else root + 1, 1 << bits)
 
 
 class Comparison(Enum):
@@ -413,14 +468,14 @@ Enclosable = Union[int, Fraction, QuadExt, Interval, Callable[[int], Interval]]
 
 
 def enclosure_of(x: Enclosable, bits: int) -> Interval:
+    if callable(x):  # no value type is callable
+        return x(bits)
     if isinstance(x, QuadExt):
         return x.enclosure(bits)
     if isinstance(x, Interval):
         return x
     if isinstance(x, (int, Fraction)):
         return Interval.point(x)
-    if callable(x):
-        return x(bits)
     raise TypeError(f"cannot form an enclosure of {type(x).__name__}")
 
 
@@ -476,9 +531,9 @@ def refine_compare(
 
     def separate(pair: tuple[Interval, Interval]) -> Comparison | None:
         el, er = pair
-        if el.hi < er.lo:
+        if el.hi_n * er.den < er.lo_n * el.den:
             return Comparison.LESS
-        if el.lo > er.hi:
+        if el.lo_n * er.den > er.hi_n * el.den:
             return Comparison.GREATER
         return None
 
@@ -530,6 +585,12 @@ def const(name: str, precision_bits: int = 64) -> Interval:
 # -- decimal rendering --------------------------------------------------------
 
 
+def _round_half_even(n: int, d: int) -> int:
+    """n/d rounded to the nearest integer, ties to even, for d > 0."""
+    q, r = divmod(n, d)
+    return q + (2 * r > d or (2 * r == d and q & 1))
+
+
 def _format_scaled(n: int, digits: int) -> str:
     sign = "-" if n < 0 else ""
     whole, frac = divmod(abs(n), 10**digits)
@@ -549,11 +610,11 @@ def render_decimal(x: Enclosable, digits: int = 12, cap_bits: int = DEFAULT_CAP_
     scale = 10**digits
     exact = _exact_operand(x)
     if exact is not None and exact.is_rational:
-        return _format_scaled(round(exact.a * scale), digits)
+        return _format_scaled(_round_half_even(exact.A * scale, exact.Q), digits)
 
     def rounded(enc: Interval) -> int | None:
-        lo = round(enc.lo * scale)
-        return lo if lo == round(enc.hi * scale) else None
+        lo = _round_half_even(enc.lo_n * scale, enc.den)
+        return lo if lo == _round_half_even(enc.hi_n * scale, enc.den) else None
 
     n = refine(lambda bits: enclosure_of(x, bits), rounded, cap_bits, 64)
     if n is None:

@@ -10,6 +10,7 @@ correspondence it relies on.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -389,28 +390,25 @@ def scan_interleave_gap(
     qs, ts = ([c.q for c in contfrac.convergents(x, depth + 1)] for x in (alpha, beta))
     certificates = []
     for n in range(1, depth + 1):
-        if alpha.partial_quotient(n + 1) < 2:
-            continue
-        for m in range(1, depth + 1):
-            if ts[m - 1] < qs[n] < ts[m] and qs[n - 1] <= ts[m - 1]:
-                certificates.append(
-                    _gap_certificate(
-                        alpha, beta, "a", n, m, ts[m - 1], qs[n],
-                        qs[n], alpha.partial_quotient(n + 1), cap_bits,
-                    )
-                )
+        m, a = _step_index(ts, qs[n], depth), alpha.partial_quotient(n + 1)
+        if m and a >= 2 and qs[n - 1] <= ts[m - 1]:
+            certificates.append(_gap_certificate(alpha, beta, "a", n, m, ts[m - 1], qs[n],
+                                                 qs[n], a, cap_bits))
     for m in range(1, depth + 1):
-        if beta.partial_quotient(m + 1) < 2:
-            continue
-        for n in range(1, depth + 1):
-            if qs[n - 1] < ts[m] < qs[n] and ts[m - 1] <= qs[n - 1]:
-                certificates.append(
-                    _gap_certificate(
-                        alpha, beta, "b", n, m, qs[n - 1], ts[m],
-                        ts[m], beta.partial_quotient(m + 1), cap_bits,
-                    )
-                )
+        n, b = _step_index(qs, ts[m], depth), beta.partial_quotient(m + 1)
+        if n and b >= 2 and ts[m - 1] <= qs[n - 1]:
+            certificates.append(_gap_certificate(alpha, beta, "b", n, m, qs[n - 1], ts[m],
+                                                 ts[m], b, cap_bits))
     return certificates
+
+
+def _step_index(denominators: list[int], x: int, depth: int) -> int:
+    """The one m in 1..depth with denominators[m-1] < x < denominators[m], else 0.
+
+    Denominators never decrease, so the open steps between them are disjoint.
+    """
+    m = bisect.bisect_right(denominators, x, 0, depth + 1)
+    return m if 1 <= m <= depth and denominators[m - 1] < x else 0
 
 
 # -- Sharpness: the near-optimal companion of tau --------------------------------

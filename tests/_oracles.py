@@ -2,13 +2,18 @@
 
 Everything here goes through mpmath at high working precision and never
 touches the exact code paths under test (continued fractions, tails,
-closed-form reciprocals), so agreement is meaningful. The one exception is
+closed-form reciprocals), so agreement is meaningful. Two exceptions:
 ``c_alt_enclosure``, a second interval formula for C that the tests hold
-against ``psidiff.exact.c_enclosure``.
+against ``psidiff.exact.c_enclosure``, and ``FractionInterval`` with
+``fraction_sqrt_interval``, the rational interval arithmetic that
+``psidiff.Interval`` replaced, kept as the reference its integer form must
+match endpoint for endpoint.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -139,3 +144,86 @@ def _float_theta(U: int, V: int) -> mpmath.mpf:
     for a in reversed(b):
         value = 1 / (a + value)
     return value
+
+
+@dataclass(frozen=True)
+class FractionInterval:
+    """Closed rational interval [lo, hi] with Fraction endpoints: the reference."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lo", Fraction(self.lo))
+        object.__setattr__(self, "hi", Fraction(self.hi))
+        if self.lo > self.hi:
+            raise ValueError("interval endpoints out of order")
+
+    @classmethod
+    def point(cls, value) -> "FractionInterval":
+        return cls(value, value)
+
+    def __add__(self, other):
+        o = _as_reference(other)
+        return FractionInterval(self.lo + o.lo, self.hi + o.hi)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-_as_reference(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return FractionInterval(-self.hi, -self.lo)
+
+    def __mul__(self, other):
+        o = _as_reference(other)
+        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+        return FractionInterval(min(products), max(products))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _as_reference(other)
+        if o.lo <= 0 <= o.hi:
+            raise ZeroDivisionError("division by interval containing zero")
+        return self * FractionInterval(1 / o.hi, 1 / o.lo)
+
+    def __rtruediv__(self, other):
+        return _as_reference(other) / self
+
+    def __abs__(self):
+        if self.lo >= 0:
+            return self
+        if self.hi <= 0:
+            return -self
+        return FractionInterval(Fraction(0), max(-self.lo, self.hi))
+
+    def outward(self, bits: int) -> "FractionInterval":
+        scale = 1 << bits
+        lo = Fraction(math.floor(self.lo * scale), scale)
+        hi = Fraction(-math.floor(-self.hi * scale), scale)
+        return FractionInterval(lo, hi)
+
+
+def _as_reference(x) -> FractionInterval:
+    return x if isinstance(x, FractionInterval) else FractionInterval.point(x)
+
+
+def _fraction_sqrt(q: Fraction, bits: int) -> FractionInterval:
+    if q == 0:
+        return FractionInterval.point(0)
+    n, d = q.numerator, q.denominator
+    scaled = (n * d) << (2 * bits)
+    root = math.isqrt(scaled)
+    lo = Fraction(root // d, 1 << bits)
+    up = root if root * root == scaled else root + 1
+    hi = Fraction(-((-up) // d), 1 << bits)
+    return FractionInterval(lo, hi)
+
+
+def fraction_sqrt_interval(x: FractionInterval, bits: int) -> FractionInterval:
+    """Enclosure of {sqrt(v) : v in x} rounded out to 2**-bits; x.lo >= 0."""
+    return FractionInterval(_fraction_sqrt(x.lo, bits).lo, _fraction_sqrt(x.hi, bits).hi)

@@ -8,6 +8,9 @@ powers of (1 + sqrt(D)), which lie exponentially close to integers:
 mpmath's correctly rounded digits. The field axioms hold on same-field
 elements, every result keeps the stored integers (A + B*sqrt(D))/Q canonical,
 equal values hash alike, and enclosures contain the mpmath value.
+``Interval`` arithmetic gives the endpoints of the ``Fraction`` reference in
+``_oracles``, keeps its order check, and keeps its shared denominator at the
+size the enclosures it was built from fix.
 """
 
 import math
@@ -15,13 +18,16 @@ import pickle
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from psidiff import Comparison, QuadExt, refine_compare, render_decimal
-from psidiff.exact import squarefree_decompose
+from psidiff import (Comparison, Interval, QuadExt, d_at, refine_compare, render_decimal,
+                     sqrt_interval)
+from psidiff.exact import c_enclosure, squarefree_decompose
 
-from _oracles import mp_quadext
+from _oracles import FractionInterval, fraction_sqrt_interval, mp_quadext
+from test_convergent_source import expansions
 
 FIELDS = (2, 3, 5, 6, 7, 10, 11, 13)
 ORDER = (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER)
@@ -206,3 +212,75 @@ def test_enclosure_contains_value(x, bits):
         lo = mpmath.mpf(enc.lo.numerator) / enc.lo.denominator
         hi = mpmath.mpf(enc.hi.numerator) / enc.hi.denominator
         assert lo <= value <= hi
+
+
+@st.composite
+def interval_operands(draw, bits, bare_ok=False):
+    """(operand, reference): an Interval on rational ends or a QuadExt enclosure at
+    ``bits``, which share their denominator, or with ``bare_ok`` a bare rational."""
+    kinds = ("ends", "enclosure", "bare") if bare_ok else ("ends", "enclosure")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "bare":
+        r = draw(RATIONALS)
+        return r, r
+    if kind == "enclosure":
+        enc = draw(quadexts()).enclosure(bits)
+        return enc, FractionInterval(enc.lo, enc.hi)
+    lo, hi = sorted((draw(RATIONALS), draw(RATIONALS)))
+    return Interval(lo, hi), FractionInterval(lo, hi)
+
+
+def assert_same_ends(got: Interval, want: FractionInterval) -> None:
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+def excludes_zero(x) -> bool:
+    return not (x.lo <= 0 <= x.hi) if isinstance(x, FractionInterval) else x != 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 80))
+def test_interval_arithmetic_matches_fraction_reference(data, bits):
+    x, rx = data.draw(interval_operands(bits))
+    y, ry = data.draw(interval_operands(bits, bare_ok=True))
+    for got, want in ((x + y, rx + ry), (y + x, ry + rx), (x - y, rx - ry), (y - x, ry - rx),
+                      (x * y, rx * ry), (y * x, ry * rx), (-x, -rx), (abs(x), abs(rx)),
+                      (x.outward(bits), rx.outward(bits)),
+                      (sqrt_interval(abs(x), bits), fraction_sqrt_interval(abs(rx), bits))):
+        assert_same_ends(got, want)
+    if excludes_zero(ry):
+        assert_same_ends(x / y, rx / ry)
+    if excludes_zero(rx):
+        assert_same_ends(y / x, ry / rx)
+    if rx.lo >= 0:
+        assert_same_ends(sqrt_interval(x, bits), fraction_sqrt_interval(rx, bits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(RATIONALS, RATIONALS)
+def test_interval_order_check_and_value_semantics(a, b):
+    lo, hi = sorted((a, b))
+    if lo < hi:
+        with pytest.raises(ValueError):
+            Interval(hi, lo)
+    x = Interval(lo, hi)
+    # the same ends over another denominator: equal, alike in hash, pickled intact
+    y = (Interval.point(lo) + Interval(0, hi - lo)) * 3 / 3
+    assert x == y and hash(x) == hash(y) and (y.lo, y.hi) == (lo, hi)
+    assert pickle.loads(pickle.dumps(y)) == x
+    with pytest.raises(AttributeError):
+        x.lo_n = 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 600))
+def test_c_enclosure_denominator_stays_bounded(bits):
+    assert c_enclosure(bits).den.bit_length() <= 2 * bits + 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions(rational=False), expansions(rational=False), st.integers(1, 10**12),
+       st.integers(1, 600))
+def test_d_enclosure_denominator_stays_bounded(alpha, beta, t, bits):
+    assume(alpha.value().D != beta.value().D)
+    assert d_at(alpha, beta, t).enclosure(bits).den.bit_length() <= bits + 2

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from psidiff import (
     CFExpansion,
@@ -23,6 +25,7 @@ from psidiff.errors import IntegralSumOrDiffError
 from psidiff.numspec import parse_number
 
 from _oracles import brute_force_psi_table, mp_cf_value, mp_quadext
+from test_convergent_source import expansions
 
 SQRT2 = parse_number("surd:(0+sqrt(2))/1")
 SQRT3 = parse_number("surd:(0+sqrt(3))/1")
@@ -217,3 +220,27 @@ class TestCsv:
         assert lines[1] == "1,2.414214,2.618034,0.203820"
         assert lines[4] == "5,14.071068,11.090170,-2.980898"
         assert len(lines) == 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions(rational=False), expansions(rational=False), st.integers(1, 10**30),
+       st.integers(1, 300))
+def test_d_swaps_with_its_arguments(alpha, beta, t, bits):
+    assume(alpha.value().D != beta.value().D)
+    forward, backward = d_at(alpha, beta, t), d_at(beta, alpha, t)
+    assert (backward.inv_psi_beta, backward.inv_psi_alpha) == (forward.inv_psi_alpha,
+                                                               forward.inv_psi_beta)
+    assert (backward.alpha_index, backward.beta_index) == (forward.beta_index, forward.alpha_index)
+    assert backward.enclosure(bits) == -forward.enclosure(bits)
+    assert backward.sign() == -forward.sign()
+
+
+@settings(max_examples=40, deadline=None)
+@given(expansions(rational=False), st.integers(1, 2000))
+def test_psi_is_the_least_distance_up_to_t(cf, t):
+    x = cf.value()
+    distances = [(q * x).dist_to_nearest_int() for q in range(1, t + 1)]
+    best = min(distances)
+    value = psi(cf, t)
+    assert value.value == best
+    assert value.q == distances.index(best) + 1

@@ -4,6 +4,9 @@
 ``A``, ``B``, ``Q`` directly. Rebuilding that form from the rational views,
 through ``.a.numerator``, ``.a.denominator``, ``.b.numerator`` or
 ``.b.denominator``, is a second representation kept by hand.
+
+``Interval`` likewise holds its ends as integers ``lo_n``, ``hi_n`` over a
+shared ``den``; code outside ``exact`` reads the ``.lo``/``.hi`` views.
 """
 
 import ast
@@ -59,3 +62,28 @@ def test_guard_sees_each_form():
         "    return x.Q, x.a\n"
     )
     assert rational_view_reads(source) == [("f", 2), ("f", 2), ("f", 3), ("f", 3)]
+
+
+INTERVAL_FIELDS = {"lo_n", "hi_n", "den"}
+
+
+def interval_field_reads(source: str) -> list[tuple[str, int]]:
+    """(attribute, line) of each ``<expr>.lo_n|hi_n|den`` in ``source``."""
+    return [(node.attr, node.lineno) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in INTERVAL_FIELDS]
+
+
+def test_one_module_knows_how_an_interval_is_stored():
+    offenders = [
+        f"{path.stem}.{attr} (line {line})"
+        for path in SOURCES
+        if path.name != "exact.py"
+        for attr, line in interval_field_reads(path.read_text())
+    ]
+    assert not offenders, f"Interval fields read outside exact: {', '.join(offenders)}"
+
+
+def test_interval_guard_sees_each_field():
+    source = ("def f(enc):\n"
+              "    return enc.lo_n * enc.den, enc.hi_n, enc.lo, enc.hi, enc.denominator\n")
+    assert sorted(interval_field_reads(source)) == [("den", 2), ("hi_n", 2), ("lo_n", 2)]

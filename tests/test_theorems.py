@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from psidiff import (
     Comparison,
@@ -32,6 +34,7 @@ from psidiff.numspec import parse_number
 from psidiff.theorems import DichotomyBranch, _binet_enclosure
 
 from _oracles import float_uv_search
+from test_convergent_source import expansions
 
 SQRT2 = parse_number("surd:(0+sqrt(2))/1")
 SQRT3 = parse_number("surd:(0+sqrt(3))/1")
@@ -274,3 +277,28 @@ class TestBinet:
             binet_fib(0)
         with pytest.raises(ValueError):
             binet_fib(301)
+
+
+def brute_force_interleave(alpha, beta, depth):
+    """(pattern, n, m) of every interleave occurrence, by the plain double loops."""
+    qs, ts = ([c.q for c in convergents(x, depth + 1)] for x in (alpha, beta))
+    found = []
+    for n in range(1, depth + 1):
+        for m in range(1, depth + 1):
+            if (alpha.partial_quotient(n + 1) >= 2 and ts[m - 1] < qs[n] < ts[m]
+                    and qs[n - 1] <= ts[m - 1]):
+                found.append(("a", n, m))
+    for m in range(1, depth + 1):
+        for n in range(1, depth + 1):
+            if (beta.partial_quotient(m + 1) >= 2 and qs[n - 1] < ts[m] < qs[n]
+                    and ts[m - 1] <= qs[n - 1]):
+                found.append(("b", n, m))
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions(rational=False), expansions(rational=False), st.integers(0, 40))
+def test_interleave_scan_matches_double_loop(alpha, beta, depth):
+    assume(alpha.value().D != beta.value().D)
+    certs = scan_interleave_gap(alpha, beta, depth)
+    assert [(c.pattern, c.n, c.m) for c in certs] == brute_force_interleave(alpha, beta, depth)
