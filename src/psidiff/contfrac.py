@@ -6,11 +6,12 @@ quotient >= 2 unless the expansion is a single integer. Surd expansions are
 produced by the (P, Q) state recursion, whose first repeated state yields the
 preperiod and the minimal period.
 
-Two paths lead to convergents. ``convergent_stream`` (and ``convergents``,
-``denominators_up_to`` on top of it) walks them in order, for callers that
-want every convergent up to some point. ``convergent_state`` and
-``last_convergent_at_most`` answer single random-access queries through one
-lazily built ladder per expansion: the states ``(p_n, p_{n-1}, q_n, q_{n-1})``
+Two paths lead to convergents. ``convergent_stream`` walks them in order, one
+recurrence step each; it feeds ``convergents`` and ``imf``'s merged walk over
+two expansions, which serves profiles, merged words, witness searches and the
+near-optimality check. ``convergent_state`` and ``last_convergent_at_most``
+serve single evaluations (``psi``, ``d_at``, the dichotomy) through one lazily
+built ladder per expansion: the states ``(p_n, p_{n-1}, q_n, q_{n-1})``
 of the preperiod, and the squared period matrices ``M, M^2, M^4, ...`` of the
 2x2 matrix view of continued fractions (Gosper, HAKMEM item 101), extended
 only on demand. A query costs O(log n) 2x2 products plus at most one period
@@ -303,18 +304,6 @@ def convergents(cf: CFExpansion, n: int) -> list[Convergent]:
     if n < 0:
         raise ValueError("n must be >= 0")
     return list(islice(convergent_stream(cf), n + 1))
-
-
-def denominators_up_to(cf: CFExpansion, bound: int) -> list[Convergent]:
-    """All convergents with q <= bound, in index order (q_0 = q_1 = 1 both kept)."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    out = []
-    for conv in convergent_stream(cf):
-        if conv.q > bound:
-            break
-        out.append(conv)
-    return out
 
 
 def continuant(word: Sequence[int]) -> int:

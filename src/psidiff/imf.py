@@ -5,10 +5,16 @@ and drops exactly at convergent denominators, so d(t) = 1/psi_beta - 1/psi_alpha
 is piecewise constant between the merged denominators of the two numbers. All
 values are exact quadratic-field elements; d(t) is kept as a pair of them
 because alpha and beta generally live in different fields.
+
+Single evaluations (``psi``, ``d_at``) take the convergents bracketing t from
+the ladder; passes over the breakpoints in order (profiles, merged words,
+witnesses, the near-optimality check) take them from one merged walk of both
+convergent streams, at one recurrence step per breakpoint.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -41,15 +47,15 @@ def _require_irrational(cf: CFExpansion) -> QuadExt:
     return value
 
 
-def _bracketing_convergents(cf: CFExpansion, t: int) -> tuple[Convergent, Convergent, Convergent]:
-    """(c_{r-1}, c_r, c_{r+1}) where r is the largest index with q_r <= t."""
+Bracket = tuple[Convergent, Convergent, Convergent]
+
+
+def _bracketing_convergents(cf: CFExpansion, t: int) -> Bracket:
+    """The bracket (c_{r-1}, c_r, c_{r+1}) at t, r the largest index with q_r <= t."""
     r, (p, p_prev, q, q_prev) = contfrac.last_convergent_at_most(cf, t)
     a = cf.partial_quotient(r + 1)
-    return (
-        Convergent(r - 1, p_prev, q_prev),
-        Convergent(r, p, q),
-        Convergent(r + 1, a * p + p_prev, a * q + q_prev),
-    )
+    return (Convergent(r - 1, p_prev, q_prev), Convergent(r, p, q),
+            Convergent(r + 1, a * p + p_prev, a * q + q_prev))
 
 
 def psi(alpha: CFExpansion, t: int) -> PsiValue:
@@ -85,16 +91,12 @@ def inv_psi(alpha: CFExpansion, t: int) -> QuadExt:
     return _inv_psi_at(alpha, t, _bracketing_convergents(alpha, t))
 
 
-def _inv_psi_at(
-    alpha: CFExpansion, t: int, bracket: tuple[Convergent, Convergent, Convergent]
-) -> QuadExt:
+def _inv_psi_at(alpha: CFExpansion, t: int, bracket: Bracket) -> QuadExt:
     prev, cur, nxt = bracket
     first = cur.q * contfrac.tail(alpha, cur.index + 1) + prev.q
     second = nxt.q + cur.q / contfrac.tail(alpha, cur.index + 2)
     if first != second:
-        raise FormMismatchError(
-            f"closed forms of 1/psi disagree at t={t}: {first} vs {second}"
-        )
+        raise FormMismatchError(f"closed forms of 1/psi disagree at t={t}: {first} vs {second}")
     return first
 
 
@@ -147,18 +149,51 @@ class DValue:
 def d_at(alpha: CFExpansion, beta: CFExpansion, t: int) -> DValue:
     """Exact d(t) for a valid pair; raises if alpha +- beta is integral."""
     check_pair(alpha, beta)
-    return _d_unchecked(alpha, beta, t)
+    return _d_from(alpha, beta, t, _bracketing_convergents(alpha, t),
+                   _bracketing_convergents(beta, t))
 
 
-def _d_unchecked(alpha: CFExpansion, beta: CFExpansion, t: int) -> DValue:
-    bracket_a = _bracketing_convergents(alpha, t)
-    bracket_b = _bracketing_convergents(beta, t)
-    return DValue(
-        _inv_psi_at(beta, t, bracket_b),
-        _inv_psi_at(alpha, t, bracket_a),
-        bracket_a[1].index,
-        bracket_b[1].index,
-    )
+def _d_from(alpha: CFExpansion, beta: CFExpansion, t: int, bracket_a: Bracket,
+            bracket_b: Bracket) -> DValue:
+    return DValue(_inv_psi_at(beta, t, bracket_b), _inv_psi_at(alpha, t, bracket_a),
+                  bracket_a[1].index, bracket_b[1].index)
+
+
+def _brackets(cf: CFExpansion) -> Iterator[Bracket]:
+    """The bracket at each distinct q_r in turn; of q_0 = q_1 = 1 only r = 1 steps."""
+    stream = contfrac.convergent_stream(cf)
+    prev, cur = Convergent(-1, 1, 0), next(stream)
+    for nxt in stream:
+        if nxt.q != cur.q:
+            yield prev, cur, nxt
+        prev, cur = cur, nxt
+
+
+def _merged_brackets(alpha: CFExpansion,
+                     beta: CFExpansion) -> Iterator[tuple[int, Bracket, Bracket]]:
+    """(t, alpha's bracket, beta's bracket) at each distinct denominator t of either number.
+
+    The one merge of the two denominator sequences. t ascends from q_0 = 1, and a
+    number stepped at t exactly when the middle q of its bracket is t.
+    """
+    walk_a, walk_b = _brackets(alpha), _brackets(beta)
+    a, b, t = next(walk_a), next(walk_b), 1
+    while True:
+        yield t, a, b
+        t = min(a[2].q, b[2].q)
+        a = next(walk_a) if a[2].q == t else a
+        b = next(walk_b) if b[2].q == t else b
+
+
+def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,
+             t_max: int) -> Iterator[tuple[int, DValue]]:
+    """(t_min, d(t_min)), then (t, d(t)) at each merged denominator t in (t_min, t_max]."""
+    for (t, a, b), (t_next, _, _) in itertools.pairwise(_merged_brackets(alpha, beta)):
+        if t > t_max:
+            return
+        if t_next > t_min:
+            t = max(t, t_min)
+            yield t, _d_from(alpha, beta, t, a, b)
 
 
 @dataclass(frozen=True)
@@ -178,15 +213,6 @@ class BreakpointProfile:
     entries: tuple[ProfileEntry, ...]
 
 
-def merged_denominators(
-    alpha: CFExpansion, beta: CFExpansion, t_min: int, t_max: int
-) -> list[int]:
-    """Distinct convergent denominators of either number within [t_min, t_max]."""
-    values = {c.q for c in contfrac.denominators_up_to(alpha, t_max)}
-    values |= {c.q for c in contfrac.denominators_up_to(beta, t_max)}
-    return sorted(v for v in values if v >= t_min)
-
-
 def breakpoint_profile(
     alpha: CFExpansion, beta: CFExpansion, t_min: int, t_max: int
 ) -> BreakpointProfile:
@@ -194,14 +220,9 @@ def breakpoint_profile(
     if not 1 <= t_min <= t_max:
         raise ValueError("need 1 <= t_min <= t_max")
     check_pair(alpha, beta)
-    points = merged_denominators(alpha, beta, t_min, t_max)
-    if not points or points[0] > t_min:
-        points.insert(0, t_min)
-    entries = []
-    for t in points:
-        d = _d_unchecked(alpha, beta, t)
-        entries.append(ProfileEntry(t, d.inv_psi_alpha, d.inv_psi_beta, d))
-    return BreakpointProfile(alpha, beta, t_min, t_max, tuple(entries))
+    entries = tuple(ProfileEntry(t, d.inv_psi_alpha, d.inv_psi_beta, d)
+                    for t, d in _d_steps(alpha, beta, t_min, t_max))
+    return BreakpointProfile(alpha, beta, t_min, t_max, entries)
 
 
 def sign_changes(profile: BreakpointProfile, cap_bits: int = DEFAULT_CAP_BITS) -> list[int]:
@@ -242,40 +263,17 @@ class MergedWord:
     letters: tuple[Letter, ...]
 
 
-def _distinct_denominators(cf: CFExpansion) -> Iterator[tuple[int, int]]:
-    """(value, index) with one entry per distinct q; the duplicated 1 keeps index 1."""
-    stream = contfrac.convergent_stream(cf)
-    cur = next(stream)
-    for nxt in stream:
-        if nxt.q == cur.q:
-            cur = nxt
-            continue
-        yield cur.q, cur.index
-        cur = nxt
-    yield cur.q, cur.index
-
-
 def merged_word(alpha: CFExpansion, beta: CFExpansion, count: int) -> MergedWord:
     """First ``count`` letters of the merged word over {B, Q, T}."""
     if count < 1:
         raise ValueError("count must be >= 1")
     check_pair(alpha, beta)
-    qs = _distinct_denominators(alpha)
-    ts = _distinct_denominators(beta)
-    q_val, q_idx = next(qs)
-    t_val, t_idx = next(ts)
     letters = []
-    while len(letters) < count:
-        if q_val == t_val:
-            letters.append(Letter("B", q_idx, t_idx, q_val))
-            q_val, q_idx = next(qs)
-            t_val, t_idx = next(ts)
-        elif q_val < t_val:
-            letters.append(Letter("Q", q_idx, None, q_val))
-            q_val, q_idx = next(qs)
-        else:
-            letters.append(Letter("T", None, t_idx, t_val))
-            t_val, t_idx = next(ts)
+    for t, a, b in itertools.islice(_merged_brackets(alpha, beta), count):
+        n = a[1].index if a[1].q == t else None
+        s = b[1].index if b[1].q == t else None
+        kind = "T" if n is None else "Q" if s is None else "B"
+        letters.append(Letter(kind, n, s, t))
     return MergedWord(alpha, beta, tuple(letters))
 
 

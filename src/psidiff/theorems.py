@@ -96,9 +96,7 @@ def find_witness(
     if not 1 <= T <= search_bound:
         raise ValueError("need 1 <= T <= search_bound")
     imf.check_pair(alpha, beta)
-    candidates = sorted({T, *imf.merged_denominators(alpha, beta, T, search_bound)})
-    for t in candidates:
-        d = imf._d_unchecked(alpha, beta, t)
+    for t, d in imf._d_steps(alpha, beta, T, search_bound):
         verdict = refine_compare(d.abs_enclosure, lambda bits: c_enclosure(bits) * t, cap_bits)
         if verdict is Comparison.GREATER:
             lo = refine(d.abs_enclosure, lambda enc: enc.lo if enc.lo > 0 else None, cap_bits, 64)
@@ -344,8 +342,8 @@ def _gap_certificate(
     quotient: int,
     cap_bits: int,
 ) -> GapCertificate:
-    d_first = imf._d_unchecked(alpha, beta, first_point)
-    d_second = imf._d_unchecked(alpha, beta, second_point)
+    d_first = imf.d_at(alpha, beta, first_point)
+    d_second = imf.d_at(alpha, beta, second_point)
     if pattern == "a":
         if d_first.inv_psi_beta != d_second.inv_psi_beta:
             raise GapViolationError("beta step is not constant across the pattern")
@@ -580,25 +578,22 @@ def verify_near_optimality(
     t_lo = max(t_min, regime_floor)
     if t_lo > t_max:
         raise ValueError(f"range [{t_min}, {t_max}] lies below the verified regime {regime_floor}")
-    profile = imf.breakpoint_profile(TAU_CF, pair.theta, t_lo, t_max)
+    imf.check_pair(TAU_CF, pair.theta)
     passed = True
-    max_lo = max_hi = None
-    argmax_t = profile.entries[0].t
-    for entry in profile.entries:
-        ratio = entry.d.abs_enclosure(_RATIO_BITS) * Fraction(1, entry.t)
+    max_lo = max_hi = argmax_t = None
+    for t, d in imf._d_steps(TAU_CF, pair.theta, t_lo, t_max):
+        ratio = d.abs_enclosure(_RATIO_BITS) * Fraction(1, t)
         if max_hi is None or ratio.hi > max_hi:
             max_hi = ratio.hi
-            argmax_t = entry.t
+            argmax_t = t
         max_lo = ratio.lo if max_lo is None else max(max_lo, ratio.lo)
         verdict = refine_compare(
-            entry.d.abs_enclosure,
-            lambda bits, t=entry.t: (c_enclosure(bits) + slack) * t,
-            cap_bits,
+            d.abs_enclosure, lambda bits, t=t: (c_enclosure(bits) + slack) * t, cap_bits
         )
         if verdict is Comparison.GREATER:
             passed = False
         elif verdict is Comparison.UNDECIDED:
-            raise UndecidedSignError(f"ratio comparison undecided at t={entry.t}")
+            raise UndecidedSignError(f"ratio comparison undecided at t={t}")
     return NearOptimalityReport(
         Interval(max_lo, max_hi), argmax_t, passed, t_lo, t_max, slack
     )

@@ -11,7 +11,6 @@ from psidiff import (
     TAU,
     continuant,
     convergents,
-    denominators_up_to,
     expand_quadratic,
     is_nonintegral_sum_and_diff,
     rational_to_cf,
@@ -116,20 +115,6 @@ class TestConvergents:
             for i in range(1, len(convs)):
                 a, b = convs[i - 1], convs[i]
                 assert b.p * a.q - a.p * b.q == (-1) ** (b.index - 1)
-
-
-class TestDenominators:
-    def test_sqrt2_bound30(self):
-        assert [c.q for c in denominators_up_to(SQRT2_CF, 30)] == [1, 2, 5, 12, 29]
-
-    def test_tau_bound8_keeps_duplicate(self):
-        convs = denominators_up_to(TAU_CF, 8)
-        assert [c.q for c in convs] == [1, 1, 2, 3, 5, 8]
-        assert [c.index for c in convs] == [0, 1, 2, 3, 4, 5]
-
-    def test_bound_one(self):
-        assert [c.q for c in denominators_up_to(SQRT2_CF, 1)] == [1]
-        assert [c.q for c in denominators_up_to(TAU_CF, 1)] == [1, 1]
 
 
 class TestContinuant:

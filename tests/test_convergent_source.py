@@ -1,11 +1,13 @@
 """The per-expansion convergent source against a plain recurrence.
 
 ``convergent_state`` and ``last_convergent_at_most`` answer through the
-ladder of squared period matrices; ``convergents`` and ``denominators_up_to``
-walk in order. Every answer is compared with the three-term recurrence
-written out below, on expansions drawn with and without a preperiod, rational
-ones, and ones with a_1 = 1 (where q_0 = q_1 = 1). The exact value and the
-surd expansion invert each other on the same expansions.
+ladder of squared period matrices; ``convergents`` walks in order, and so does
+the merged walk behind profiles, merged words and witness searches. Every
+answer is compared with the three-term recurrence written out below, on
+expansions drawn with and without a preperiod, rational ones, and ones with
+a_1 = 1 (where q_0 = q_1 = 1); the merged walk is compared with the ladder's
+``d_at`` and with denominators merged by hand. The exact value and the surd
+expansion invert each other on the same expansions.
 """
 
 import itertools
@@ -16,8 +18,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from psidiff import (CFExpansion, convergents, d_at, denominators_up_to, expand_quadratic,
-                     parse_number, parse_surd)
+from psidiff import (CFExpansion, breakpoint_profile, convergents, d_at, expand_quadratic,
+                     find_witness, is_nonintegral_sum_and_diff, merged_word, parse_number,
+                     parse_surd)
 from psidiff.contfrac import convergent_state, last_convergent_at_most
 
 QUOTIENT = st.one_of(st.just(1), st.integers(1, 7))
@@ -78,17 +81,6 @@ def test_state_at_index(cf, n):
 def test_convergents_list(cf, n):
     got = [(c.index, c.p, c.q) for c in convergents(cf, n)]
     assert got == [(i, s[0], s[2]) for i, s in enumerate(first_states(cf, n + 1))]
-
-
-@settings(max_examples=100, deadline=None)
-@given(expansions(), st.integers(1, 10**12))
-def test_denominators_up_to(cf, bound):
-    want = []
-    for n, (p, _, q, _) in reference_states(cf):
-        if q > bound:
-            break
-        want.append((n, p, q))
-    assert [(c.index, c.p, c.q) for c in denominators_up_to(cf, bound)] == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -162,3 +154,62 @@ def test_deep_lookup_memory_and_indices():
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
     assert (d.alpha_index, d.beta_index) == (last_index_at_most(tau, t), last_index_at_most(sqrt2, t))
+
+
+@st.composite
+def valid_pairs(draw):
+    """Two irrational expansions with alpha +- beta not integral; half share a field."""
+    alpha, beta = draw(expansions(rational=False)), draw(expansions(rational=False))
+    if draw(st.booleans()):
+        beta = CFExpansion(beta.a0, beta.preperiod, alpha.period)  # same period, same field
+    assume(is_nonintegral_sum_and_diff(alpha.value(), beta.value()))
+    return alpha, beta
+
+
+def last_index_by_q(cf: CFExpansion) -> dict[int, int]:
+    """q -> index for every q_n with n <= 200 (past 10**41); a repeated q keeps its last n."""
+    return {c.q: c.index for c in convergents(cf, 200)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_pairs(), st.integers(1, 10**40), st.data())
+def test_merged_walk_matches_ladder(pair, t_max, data):
+    alpha, beta = pair
+    denominators = sorted({*last_index_by_q(alpha), *last_index_by_q(beta)})
+    on_breakpoint = [q for q in denominators if q <= t_max]
+    t_min = data.draw(st.one_of(st.sampled_from(on_breakpoint), st.integers(1, t_max)))
+    profile = breakpoint_profile(alpha, beta, t_min, t_max)
+    assert [e.t for e in profile.entries] == sorted({t_min} | {
+        q for q in denominators if t_min <= q <= t_max})
+    for entry in profile.entries:
+        want = d_at(alpha, beta, entry.t)
+        got = entry.d
+        assert (got.inv_psi_alpha, got.inv_psi_beta) == (want.inv_psi_alpha, want.inv_psi_beta)
+        assert (got.alpha_index, got.beta_index) == (want.alpha_index, want.beta_index)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_pairs(), st.integers(1, 60))
+def test_merged_word_matches_merged_denominators(pair, count):
+    alpha, beta = pair
+    qa, qb = last_index_by_q(alpha), last_index_by_q(beta)
+    want = []
+    for q in sorted({*qa, *qb})[:count]:
+        n, s = qa.get(q), qb.get(q)
+        want.append(("T" if n is None else "Q" if s is None else "B", n, s, q))
+    letters = merged_word(alpha, beta, count).letters
+    assert [(x.kind, x.n, x.s, x.value) for x in letters] == want
+
+
+def test_witness_search_is_lazy():
+    """The walk stops at the first witness: a huge search bound builds nothing past it."""
+    tau = CFExpansion(1, (), (1,))
+    sqrt2 = parse_number("surd:(0+sqrt(2))/1")
+    tracemalloc.start()
+    try:
+        witness = find_witness(sqrt2, tau, 1, 10**6000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert witness.t == 2

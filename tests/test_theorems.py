@@ -16,6 +16,7 @@ from psidiff import (
     check_dichotomy,
     construct_optimal,
     convergents,
+    d_at,
     find_witness,
     refine_compare,
     scan_dichotomy,
@@ -67,13 +68,12 @@ class TestFindWitness:
         T = 10
         witness = find_witness(SQRT2, TAU_CF, T, 10**6)
         assert witness.t == 12
-        from psidiff.imf import _d_unchecked, merged_denominators
-
-        for t in [T, *merged_denominators(SQRT2, TAU_CF, T, 10**6)]:
+        steps = {c.q for x in (SQRT2, TAU_CF) for c in convergents(x, 40) if T <= c.q <= 10**6}
+        for t in sorted({T} | steps):
             if t >= witness.t:
                 break
             verdict = refine_compare(
-                _d_unchecked(SQRT2, TAU_CF, t).abs_enclosure,
+                d_at(SQRT2, TAU_CF, t).abs_enclosure,
                 lambda bits: c_enclosure(bits) * t,
             )
             assert verdict is Comparison.LESS
