@@ -21,6 +21,7 @@ Every caller passes a cap; ``refine_compare`` reports reaching it as
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -607,14 +608,25 @@ def render_decimal(x: Enclosable, digits: int = 12, cap_bits: int = DEFAULT_CAP_
     rounding boundary, so reaching ``cap_bits`` first means the cap is too small
     for ``digits`` places, which raises ``UndecidedSignError``.
     """
+    return _render(x, digits, cap_bits, _round_half_even)
+
+
+def render_decimal_down(x: Enclosable, digits: int = 12,
+                        cap_bits: int = DEFAULT_CAP_BITS) -> str:
+    """Like ``render_decimal`` but rounded down: the largest ``digits``-place decimal <= x."""
+    return _render(x, digits, cap_bits, operator.floordiv)
+
+
+def _render(x: Enclosable, digits: int, cap_bits: int,
+            round_int: Callable[[int, int], int]) -> str:
     scale = 10**digits
     exact = _exact_operand(x)
     if exact is not None and exact.is_rational:
-        return _format_scaled(_round_half_even(exact.A * scale, exact.Q), digits)
+        return _format_scaled(round_int(exact.A * scale, exact.Q), digits)
 
     def rounded(enc: Interval) -> int | None:
-        lo = _round_half_even(enc.lo_n * scale, enc.den)
-        return lo if lo == _round_half_even(enc.hi_n * scale, enc.den) else None
+        lo = round_int(enc.lo_n * scale, enc.den)
+        return lo if lo == round_int(enc.hi_n * scale, enc.den) else None
 
     n = refine(lambda bits: enclosure_of(x, bits), rounded, cap_bits, 64)
     if n is None:

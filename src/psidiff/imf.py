@@ -9,7 +9,9 @@ because alpha and beta generally live in different fields.
 Single evaluations (``psi``, ``d_at``) take the convergents bracketing t from
 the ladder; passes over the breakpoints in order (profiles, merged words,
 witnesses, the near-optimality check) take them from one merged walk of both
-convergent streams, at one recurrence step per breakpoint.
+convergent streams, at one recurrence step per breakpoint. Such a pass computes
+one exact 1/psi per convergent, not per breakpoint: at a breakpoint where only
+one number steps, the other's value is carried over from the step before.
 """
 
 from __future__ import annotations
@@ -149,14 +151,8 @@ class DValue:
 def d_at(alpha: CFExpansion, beta: CFExpansion, t: int) -> DValue:
     """Exact d(t) for a valid pair; raises if alpha +- beta is integral."""
     check_pair(alpha, beta)
-    return _d_from(alpha, beta, t, _bracketing_convergents(alpha, t),
-                   _bracketing_convergents(beta, t))
-
-
-def _d_from(alpha: CFExpansion, beta: CFExpansion, t: int, bracket_a: Bracket,
-            bracket_b: Bracket) -> DValue:
-    return DValue(_inv_psi_at(beta, t, bracket_b), _inv_psi_at(alpha, t, bracket_a),
-                  bracket_a[1].index, bracket_b[1].index)
+    a, b = _bracketing_convergents(alpha, t), _bracketing_convergents(beta, t)
+    return DValue(_inv_psi_at(beta, t, b), _inv_psi_at(alpha, t, a), a[1].index, b[1].index)
 
 
 def _brackets(cf: CFExpansion) -> Iterator[Bracket]:
@@ -187,13 +183,22 @@ def _merged_brackets(alpha: CFExpansion,
 
 def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,
              t_max: int) -> Iterator[tuple[int, DValue]]:
-    """(t_min, d(t_min)), then (t, d(t)) at each merged denominator t in (t_min, t_max]."""
+    """(t_min, d(t_min)), then (t, d(t)) at each merged denominator t in (t_min, t_max].
+
+    The walk yields the very same bracket for a number that did not step, whose
+    1/psi is then carried over; only a new bracket is evaluated and cross-checked.
+    """
+    held_a = held_b = inv_a = inv_b = None
     for (t, a, b), (t_next, _, _) in itertools.pairwise(_merged_brackets(alpha, beta)):
         if t > t_max:
             return
         if t_next > t_min:
             t = max(t, t_min)
-            yield t, _d_from(alpha, beta, t, a, b)
+            if a is not held_a:
+                held_a, inv_a = a, _inv_psi_at(alpha, t, a)
+            if b is not held_b:
+                held_b, inv_b = b, _inv_psi_at(beta, t, b)
+            yield t, DValue(inv_b, inv_a, a[1].index, b[1].index)
 
 
 @dataclass(frozen=True)

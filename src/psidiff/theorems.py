@@ -40,6 +40,7 @@ from .exact import (
     refine,
     refine_compare,
     render_decimal,
+    render_decimal_down,
     sqrt_interval,
     sqrt_tau_enclosure,
 )
@@ -54,7 +55,10 @@ _UV_SEARCH_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class Witness:
-    """A point t with |d(t)| >= C*t, certified by a separated enclosure pair."""
+    """A point t with |d(t)| >= C*t, certified by a separated enclosure pair.
+
+    ``to_json`` prints |d(t)|/t rounded down as ``ratio_lower_bound``.
+    """
 
     t: int
     d_value: DValue
@@ -63,6 +67,9 @@ class Witness:
 
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         d = self.d_value
+        exact = d.as_quadext()
+        ratio = (abs(exact) / self.t if exact is not None
+                 else lambda bits: d.abs_enclosure(bits) / self.t)
         return {
             "kind": "witness",
             "indices": {"alpha_r": d.alpha_index, "beta_l": d.beta_index},
@@ -75,7 +82,7 @@ class Witness:
                 "d": d.render(digits, cap_bits),
                 "c_times_t": render_decimal(lambda bits: c_enclosure(bits) * self.t,
                                             digits, cap_bits),
-                "ratio_lower_bound": render_decimal(self.ratio_lower_bound, digits),
+                "ratio_lower_bound": render_decimal_down(ratio, digits, cap_bits),
             },
             "verdict": "greater",
         }

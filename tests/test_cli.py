@@ -273,6 +273,32 @@ class TestRenderingObeysPrecisionCap:
         assert "4096 bits" in payload["error"]["message"]
 
 
+class TestWitnessRatioBound:
+    """The printed ratio_lower_bound is |d(t)|/t rounded down: at most it, within 10**-digits."""
+
+    @pytest.mark.parametrize("digits", [12, 25, 40])
+    @pytest.mark.parametrize("alpha, beta, start", [
+        (SQRT2, "tau", "4"),
+        (SQRT2, "tau", "100"),  # rounding half-to-even printed ...152 for 0.86112461815186...
+        ("cf:[0;(1,2)]", "tau", "1"),  # and ...819 for 1.11401681881898...
+        ("cf:[0;3,(1,4)]", "surd:(1+sqrt(7))/2", "10"),
+        (SQRT2, "surd:(1+sqrt(8))/3", "1"),  # one field: |d(t)|/t = (1+sqrt(2))/2 exactly
+        (SQRT3, "cf:[0;2,(1,2)]", "1"),  # one field: |d(t)|/t = 1 exactly
+    ])
+    def test_rounded_down(self, capsys, alpha, beta, start, digits):
+        code, payload = run_json(capsys, "witness", "--alpha", alpha, "--beta", beta,
+                                 "--from", start, "--bound", "1000000", "--digits", str(digits))
+        assert code == 0
+        exact = payload["exact_values"]
+        printed = payload["decimal"]["ratio_lower_bound"]
+        assert len(printed.partition(".")[2]) == digits
+        with mpmath.workdps(digits + 30):
+            d = mp_exact(exact["inv_psi_beta"]) - mp_exact(exact["inv_psi_alpha"])
+            scaled = abs(d) / payload["t"] * mpmath.mpf(10) ** digits
+            n = int(printed.replace(".", ""))
+            assert n <= scaled < n + 1
+
+
 class TestNumberSpec:
     def test_tau_named_constant(self, capsys):
         code, payload = run_json(capsys, "expand", "--number", "tau")

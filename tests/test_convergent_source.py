@@ -186,6 +186,15 @@ def test_merged_walk_matches_ladder(pair, t_max, data):
         got = entry.d
         assert (got.inv_psi_alpha, got.inv_psi_beta) == (want.inv_psi_alpha, want.inv_psi_beta)
         assert (got.alpha_index, got.beta_index) == (want.alpha_index, want.beta_index)
+    # a number that does not step at a breakpoint keeps the value of the step before
+    letters = {x.value: x for x in merged_word(alpha, beta, len(on_breakpoint)).letters}
+    for prev, entry in itertools.pairwise(profile.entries):
+        letter, d = letters[entry.t], entry.d
+        assert letter.n in (None, d.alpha_index) and letter.s in (None, d.beta_index)
+        if letter.kind == "Q":
+            assert (d.inv_psi_beta, d.beta_index) == (prev.d.inv_psi_beta, prev.d.beta_index)
+        if letter.kind == "T":
+            assert (d.inv_psi_alpha, d.alpha_index) == (prev.d.inv_psi_alpha, prev.d.alpha_index)
 
 
 @settings(max_examples=60, deadline=None)
