@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import imf, theorems
@@ -19,32 +18,8 @@ from .exact import PHI, TAU, c_enclosure, render_decimal, sqrt_tau_enclosure
 from .numspec import parse_number
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    digits: int = 12
-    precision_cap_bits: int = 4096
-    max_depth: int = 200
-    output: str = "json"
-
-    def __post_init__(self) -> None:
-        if self.digits < 1:
-            raise ValueError("--digits must be >= 1")
-        if self.precision_cap_bits < 64:
-            raise ValueError("--precision-cap-bits must be >= 64")
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        digits=args.digits,
-        precision_cap_bits=args.precision_cap_bits,
-        max_depth=getattr(args, "max_depth", 200),
-        output=getattr(args, "output", "json"),
-    )
-
-
 def cmd_constants(args: argparse.Namespace) -> dict:
-    cfg = _config(args)
-    d, cap = cfg.digits, cfg.precision_cap_bits
+    d, cap = args.digits, args.precision_cap_bits
     return {
         "tau": render_decimal(TAU, d, cap),
         "phi": render_decimal(PHI, d, cap),
@@ -66,7 +41,6 @@ def cmd_expand(args: argparse.Namespace) -> dict:
 
 
 def cmd_psi(args: argparse.Namespace) -> dict:
-    cfg = _config(args)
     cf = parse_number(args.number)
     value = imf.psi(cf, args.t)
     return {
@@ -74,20 +48,19 @@ def cmd_psi(args: argparse.Namespace) -> dict:
         "t": args.t,
         "index": value.index,
         "q": value.q,
-        "psi": render_decimal(value.value, cfg.digits, cfg.precision_cap_bits),
-        "inv_psi": render_decimal(value.inv_value, cfg.digits, cfg.precision_cap_bits),
+        "psi": render_decimal(value.value, args.digits, args.precision_cap_bits),
+        "inv_psi": render_decimal(value.inv_value, args.digits, args.precision_cap_bits),
         "psi_exact": str(value.value),
         "inv_psi_exact": str(value.inv_value),
     }
 
 
 def cmd_profile(args: argparse.Namespace) -> dict | str:
-    cfg = _config(args)
     alpha = parse_number(args.alpha)
     beta = parse_number(args.beta)
     profile = imf.breakpoint_profile(alpha, beta, args.from_t, args.bound)
-    d, cap = cfg.digits, cfg.precision_cap_bits
-    if cfg.output == "csv":
+    d, cap = args.digits, args.precision_cap_bits
+    if args.output == "csv":
         return imf.profile_to_csv(profile, d, cap)
     return {
         "alpha": args.alpha,
@@ -95,26 +68,18 @@ def cmd_profile(args: argparse.Namespace) -> dict | str:
         "t_min": profile.t_min,
         "t_max": profile.t_max,
         "entries": [
-            {
-                "t": entry.t,
-                "inv_psi_alpha": render_decimal(entry.inv_psi_alpha, d, cap),
-                "inv_psi_beta": render_decimal(entry.inv_psi_beta, d, cap),
-                "d": entry.d.render(d, cap),
-            }
-            for entry in profile.entries
+            {"t": t, "inv_psi_alpha": inv_a, "inv_psi_beta": inv_b, "d": d_text}
+            for t, inv_a, inv_b, d_text in imf._rendered_rows(profile, d, cap)
         ],
         "sign_changes": imf.sign_changes(profile, cap),
     }
 
 
 def cmd_witness(args: argparse.Namespace) -> dict:
-    cfg = _config(args)
     alpha = parse_number(args.alpha)
     beta = parse_number(args.beta)
-    witness = theorems.find_witness(
-        alpha, beta, args.from_t, args.bound, cfg.precision_cap_bits
-    )
-    payload = witness.to_json(cfg.digits, cfg.precision_cap_bits)
+    witness = theorems.find_witness(alpha, beta, args.from_t, args.bound, args.precision_cap_bits)
+    payload = witness.to_json(args.digits, args.precision_cap_bits)
     payload["parameters"] = {"alpha": args.alpha, "beta": args.beta,
                              "from": args.from_t, "bound": args.bound}
     return payload
@@ -137,11 +102,9 @@ def cmd_word(args: argparse.Namespace) -> dict:
 
 
 def cmd_lemmas(args: argparse.Namespace) -> dict:
-    cfg = _config(args)
     alpha = parse_number(args.alpha)
     beta = parse_number(args.beta)
-    depth = cfg.max_depth
-    cap = cfg.precision_cap_bits
+    depth, cap = args.max_depth, args.precision_cap_bits
     return {
         "alpha": args.alpha,
         "beta": args.beta,
@@ -149,29 +112,27 @@ def cmd_lemmas(args: argparse.Namespace) -> dict:
         "conseq": [list(pair) for pair in theorems.scan_lemma_conseq(alpha, beta, depth)],
         "conseq1": [list(pair) for pair in theorems.scan_lemma_conseq1(alpha, beta, depth)],
         "interleave_gap": [
-            cert.to_json(cfg.digits, cap)
+            cert.to_json(args.digits, cap)
             for cert in theorems.scan_interleave_gap(alpha, beta, depth, cap)
         ],
         "dichotomy": [
-            record.to_json(cfg.digits, cap)
+            record.to_json(args.digits, cap)
             for record in theorems.scan_dichotomy(alpha, beta, depth, cap)
         ],
     }
 
 
 def cmd_construct_optimal(args: argparse.Namespace) -> dict:
-    cfg = _config(args)
-    pair = theorems.construct_optimal(Fraction(args.epsilon), cfg.precision_cap_bits)
-    return pair.to_json(cfg.digits, cfg.precision_cap_bits)
+    pair = theorems.construct_optimal(Fraction(args.epsilon), args.precision_cap_bits)
+    return pair.to_json(args.digits, args.precision_cap_bits)
 
 
 def cmd_verify_optimal(args: argparse.Namespace) -> dict:
-    cfg = _config(args)
-    cap = cfg.precision_cap_bits
+    cap = args.precision_cap_bits
     pair = theorems.construct_optimal(Fraction(args.epsilon), cap)
     slack = Fraction(args.slack) if args.slack is not None else None
     report = theorems.verify_near_optimality(pair, args.from_t, args.bound, slack, cap)
-    return {"pair": pair.to_json(cfg.digits, cap), "report": report.to_json(cfg.digits, cap)}
+    return {"pair": pair.to_json(args.digits, cap), "report": report.to_json(args.digits, cap)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,6 +208,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 1
     try:
+        if args.digits < 1:
+            raise ValueError("--digits must be >= 1")
+        if args.precision_cap_bits < 64:
+            raise ValueError("--precision-cap-bits must be >= 64")
         payload = args.func(args)
     except UndecidedSignError as exc:
         print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}, indent=2))

@@ -508,18 +508,14 @@ def refine(make: Callable[[int], E], decide: Callable[[E], T | None], cap_bits: 
         bits = min(2 * bits, cap_bits)
 
 
-def refine_compare(
-    lhs: Enclosable,
-    rhs: Enclosable,
-    cap_bits: int = DEFAULT_CAP_BITS,
-    start_bits: int = 32,
-) -> Comparison:
+def refine_compare(lhs: Enclosable, rhs: Enclosable,
+                   cap_bits: int = DEFAULT_CAP_BITS) -> Comparison:
     """Decide lhs vs rhs, exactly when both live in one quadratic field.
 
     Same-field operands (and rationals) short-circuit to an exact sign test,
     which is the only way EQUAL can be returned. Otherwise both sides are
-    enclosed at doubling precision until the intervals separate; UNDECIDED
-    means the cap was reached with the intervals still overlapping.
+    enclosed at doubling precision from 32 bits until the intervals separate;
+    UNDECIDED means the cap was reached with the intervals still overlapping.
     """
     xl, xr = _exact_operand(lhs), _exact_operand(rhs)
     if xl is not None and xr is not None:
@@ -538,10 +534,8 @@ def refine_compare(
             return Comparison.GREATER
         return None
 
-    verdict = refine(
-        lambda bits: (enclosure_of(lhs, bits), enclosure_of(rhs, bits)),
-        separate, cap_bits, start_bits,
-    )
+    verdict = refine(lambda bits: (enclosure_of(lhs, bits), enclosure_of(rhs, bits)),
+                     separate, cap_bits)
     return Comparison.UNDECIDED if verdict is None else verdict
 
 

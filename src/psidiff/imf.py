@@ -6,12 +6,16 @@ is piecewise constant between the merged denominators of the two numbers. All
 values are exact quadratic-field elements; d(t) is kept as a pair of them
 because alpha and beta generally live in different fields.
 
-Single evaluations (``psi``, ``d_at``) take the convergents bracketing t from
-the ladder; passes over the breakpoints in order (profiles, merged words,
-witnesses, the near-optimality check) take them from one merged walk of both
-convergent streams, at one recurrence step per breakpoint. Such a pass computes
-one exact 1/psi per convergent, not per breakpoint: at a breakpoint where only
-one number steps, the other's value is carried over from the step before.
+Every 1/psi, and every convergent remainder xi_n (as the inverse of 1/xi_n),
+comes from ``_inv_psi_at``, which checks its two closed forms exactly against
+each other. Single evaluations (``psi``, ``d_at``, ``convergent_distance``, the
+dichotomy's reciprocals) take the bracketing convergents from the ladder, by
+bound or by index; passes over the breakpoints in order (profiles, merged
+words, witnesses, the near-optimality check) take them from one merged walk of
+both convergent streams, at one recurrence step per breakpoint. Such a pass
+computes one exact 1/psi per convergent, not per breakpoint: at a breakpoint
+where only one number steps, the other's value is carried over from the step
+before, and so is its rendered decimal.
 """
 
 from __future__ import annotations
@@ -52,48 +56,55 @@ def _require_irrational(cf: CFExpansion) -> QuadExt:
 Bracket = tuple[Convergent, Convergent, Convergent]
 
 
-def _bracketing_convergents(cf: CFExpansion, t: int) -> Bracket:
-    """The bracket (c_{r-1}, c_r, c_{r+1}) at t, r the largest index with q_r <= t."""
-    r, (p, p_prev, q, q_prev) = contfrac.last_convergent_at_most(cf, t)
+def _bracket(cf: CFExpansion, r: int, state: contfrac.State) -> Bracket:
+    """The bracket (c_{r-1}, c_r, c_{r+1}) from the ladder state (p_r, p_{r-1}, q_r, q_{r-1})."""
+    p, p_prev, q, q_prev = state
     a = cf.partial_quotient(r + 1)
     return (Convergent(r - 1, p_prev, q_prev), Convergent(r, p, q),
             Convergent(r + 1, a * p + p_prev, a * q + q_prev))
 
 
+def _bracketing_convergents(cf: CFExpansion, t: int) -> Bracket:
+    """The bracket at t: r is the largest index with q_r <= t."""
+    return _bracket(cf, *contfrac.last_convergent_at_most(cf, t))
+
+
+def _inv_xi(cf: CFExpansion, n: int) -> QuadExt:
+    """1/xi_n = q_n a_{n+1} + q_{n-1}, the n-th reciprocal remainder, cross-checked."""
+    _require_irrational(cf)
+    bracket = _bracket(cf, n, contfrac.convergent_state(cf, n))
+    return _inv_psi_at(cf, bracket[1].q, bracket)
+
+
 def psi(alpha: CFExpansion, t: int) -> PsiValue:
     """Exact psi_alpha(t) = ||q_r alpha|| with r the largest index, q_r <= t."""
-    x = _require_irrational(alpha)
-    prev, cur, _ = _bracketing_convergents(alpha, t)
-    value = abs(cur.q * x - cur.p)
-    inv_value = cur.q * contfrac.tail(alpha, cur.index + 1) + prev.q
-    return PsiValue(cur.index, cur.q, value, inv_value)
+    _require_irrational(alpha)
+    bracket = _bracketing_convergents(alpha, t)
+    inv_value = _inv_psi_at(alpha, t, bracket)
+    return PsiValue(bracket[1].index, bracket[1].q, inv_value.inverse(), inv_value)
 
 
 def convergent_distance(alpha: CFExpansion, n: int) -> QuadExt:
-    """xi_n = |q_n alpha - p_n|, the n-th convergent remainder.
+    """xi_n = |q_n alpha - p_n|, the n-th convergent remainder, as the inverse of 1/xi_n.
 
     Equals psi_alpha(q_n) for n >= 1; at n = 0 with a_1 = 1 it differs (the
     nearest integer to alpha is then p_1, not p_0), and it is this remainder
     that satisfies xi_{n-1}/xi_n = alpha_{n+1} and the reciprocal identities.
     """
-    x = _require_irrational(alpha)
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    p, _, q, _ = contfrac.convergent_state(alpha, n)
-    return abs(q * x - p)
+    return _inv_xi(alpha, n).inverse()
 
 
 def inv_psi(alpha: CFExpansion, t: int) -> QuadExt:
-    """1/psi_alpha(t) through both closed forms, asserted exactly equal.
-
-    Form one is q_r a_{r+1} + q_{r-1}; form two is q_{r+1} + q_r / a_{r+2}
-    with a_* the exact continued-fraction tails.
-    """
+    """1/psi_alpha(t) through both closed forms, asserted exactly equal."""
     _require_irrational(alpha)
     return _inv_psi_at(alpha, t, _bracketing_convergents(alpha, t))
 
 
 def _inv_psi_at(alpha: CFExpansion, t: int, bracket: Bracket) -> QuadExt:
+    """q_r a_{r+1} + q_{r-1}, checked against q_{r+1} + q_r / a_{r+2} (a_* the tails).
+
+    The one evaluation of either closed form: every 1/psi and remainder comes from here.
+    """
     prev, cur, nxt = bracket
     first = cur.q * contfrac.tail(alpha, cur.index + 1) + prev.q
     second = nxt.q + cur.q / contfrac.tail(alpha, cur.index + 2)
@@ -211,8 +222,6 @@ class ProfileEntry:
 
 @dataclass(frozen=True)
 class BreakpointProfile:
-    alpha: CFExpansion
-    beta: CFExpansion
     t_min: int
     t_max: int
     entries: tuple[ProfileEntry, ...]
@@ -227,7 +236,7 @@ def breakpoint_profile(
     check_pair(alpha, beta)
     entries = tuple(ProfileEntry(t, d.inv_psi_alpha, d.inv_psi_beta, d)
                     for t, d in _d_steps(alpha, beta, t_min, t_max))
-    return BreakpointProfile(alpha, beta, t_min, t_max, entries)
+    return BreakpointProfile(t_min, t_max, entries)
 
 
 def sign_changes(profile: BreakpointProfile, cap_bits: int = DEFAULT_CAP_BITS) -> list[int]:
@@ -263,8 +272,6 @@ class Letter:
 
 @dataclass(frozen=True)
 class MergedWord:
-    alpha: CFExpansion
-    beta: CFExpansion
     letters: tuple[Letter, ...]
 
 
@@ -279,22 +286,27 @@ def merged_word(alpha: CFExpansion, beta: CFExpansion, count: int) -> MergedWord
         s = b[1].index if b[1].q == t else None
         kind = "T" if n is None else "Q" if s is None else "B"
         letters.append(Letter(kind, n, s, t))
-    return MergedWord(alpha, beta, tuple(letters))
+    return MergedWord(tuple(letters))
+
+
+def _rendered_rows(profile: BreakpointProfile, digits: int,
+                   cap_bits: int) -> Iterator[tuple[int, str, str, str]]:
+    """(t, 1/psi_alpha, 1/psi_beta, d) of each entry, the last three as decimals.
+
+    A 1/psi that is the previous entry's very object (the number did not step)
+    reuses that entry's string.
+    """
+    held, texts = [None, None], [None, None]
+    for entry in profile.entries:
+        for side, value in enumerate((entry.inv_psi_alpha, entry.inv_psi_beta)):
+            if value is not held[side]:
+                held[side], texts[side] = value, render_decimal(value, digits, cap_bits)
+        yield entry.t, texts[0], texts[1], entry.d.render(digits, cap_bits)
 
 
 def profile_to_csv(profile: BreakpointProfile, digits: int = 12,
                    cap_bits: int = DEFAULT_CAP_BITS) -> str:
     """CSV rendering with header t,inv_psi_alpha,inv_psi_beta,d,digits=<n>."""
     lines = [f"t,inv_psi_alpha,inv_psi_beta,d,digits={digits}"]
-    for entry in profile.entries:
-        lines.append(
-            ",".join(
-                (
-                    str(entry.t),
-                    render_decimal(entry.inv_psi_alpha, digits, cap_bits),
-                    render_decimal(entry.inv_psi_beta, digits, cap_bits),
-                    entry.d.render(digits, cap_bits),
-                )
-            )
-        )
+    lines.extend(f"{t},{a},{b},{d}" for t, a, b, d in _rendered_rows(profile, digits, cap_bits))
     return "\n".join(lines) + "\n"

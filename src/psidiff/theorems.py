@@ -44,7 +44,7 @@ from .exact import (
     sqrt_interval,
     sqrt_tau_enclosure,
 )
-from .imf import DValue, convergent_distance
+from .imf import DValue, _inv_xi
 from .numspec import TAU_CF
 
 _UV_SEARCH_LIMIT = 10**6
@@ -214,18 +214,10 @@ def check_dichotomy(
     """
     if n < 1 or s < 0:
         raise ValueError("need n >= 1 and s >= 0")
-    xi = convergent_distance(alpha, n)
-    xi_prev = convergent_distance(alpha, n - 1)
-    eta = convergent_distance(beta, s)
-    if not (_strictly_less(xi, eta, cap_bits) and _strictly_less(eta, xi_prev, cap_bits)):
+    inv_xi_prev, inv_xi, inv_eta = _inv_xi(alpha, n - 1), _inv_xi(alpha, n), _inv_xi(beta, s)
+    if not (_strictly_less(inv_eta, inv_xi, cap_bits)
+            and _strictly_less(inv_xi_prev, inv_eta, cap_bits)):
         raise PreconditionFailedError(f"eta_{s} is not inside (xi_{n}, xi_{n-1})")
-
-    _, _, q_n, q_nm1 = contfrac.convergent_state(alpha, n)
-    q_nm2 = q_n - alpha.partial_quotient(n) * q_nm1  # q_{-1} = 0 at n = 1
-    _, _, t_s, t_sm1 = contfrac.convergent_state(beta, s)
-    inv_eta = t_s * contfrac.tail(beta, s + 1) + t_sm1
-    inv_xi = q_n * contfrac.tail(alpha, n + 1) + q_nm1
-    inv_xi_prev = q_nm1 * contfrac.tail(alpha, n) + q_nm2
 
     def factor(bits: int) -> Interval:
         root = sqrt_interval(contfrac.tail(alpha, n + 1).enclosure(bits), bits)
@@ -266,27 +258,26 @@ def scan_dichotomy(
 ) -> list[DichotomyRecord]:
     """check_dichotomy over every valid (n, s) with both indices <= depth.
 
-    Both remainder sequences are strictly decreasing, so for each s there is at
-    most one n with eta_s strictly inside (xi_n, xi_{n-1}); a single merge pass
-    finds them all.
+    Both reciprocal remainder sequences are strictly increasing, so for each s
+    there is at most one n with 1/eta_s strictly inside (1/xi_{n-1}, 1/xi_n); a
+    single merge pass finds them all.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    xis = [convergent_distance(alpha, n) for n in range(depth + 1)]
+    inv_xis = [_inv_xi(alpha, n) for n in range(depth + 1)]
     records = []
     n = 1
     for s in range(depth + 1):
-        eta = convergent_distance(beta, s)
-        while n <= depth and not _strictly_less(xis[n], eta, cap_bits):
+        inv_eta = _inv_xi(beta, s)
+        while n <= depth and not _strictly_less(inv_eta, inv_xis[n], cap_bits):
             n += 1
         if n > depth:
             break
-        if _strictly_less(eta, xis[n - 1], cap_bits):
+        if _strictly_less(inv_xis[n - 1], inv_eta, cap_bits):
             branch = check_dichotomy(alpha, beta, n, s, cap_bits)
-            records.append(
-                DichotomyRecord(n, s, branch, xis[n - 1], xis[n], eta)
-            )
+            records.append(DichotomyRecord(n, s, branch, inv_xis[n - 1].inverse(),
+                                           inv_xis[n].inverse(), inv_eta.inverse()))
     return records
 
 

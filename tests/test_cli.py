@@ -173,10 +173,24 @@ class TestErrorsAndExitCodes:
     def test_unknown_command_exits_1(self, capsys):
         assert cli.main(["no-such-command"]) == 1
 
-    def test_bad_config(self, capsys):
-        code, payload = run_json(capsys, "constants", "--digits", "0")
+    @pytest.mark.parametrize("flag, value", [("--digits", "0"), ("--precision-cap-bits", "63")])
+    @pytest.mark.parametrize("argv", [
+        ["constants"],
+        ["expand", "--number", "tau"],
+        ["psi", "--number", "tau", "--t", "5"],
+        ["profile", "--alpha", SQRT2, "--beta", "tau"],
+        ["witness", "--alpha", SQRT2, "--beta", "tau"],
+        ["word", "--alpha", SQRT2, "--beta", "tau"],
+        ["lemmas", "--alpha", SQRT2, "--beta", "tau"],
+        ["construct-optimal", "--epsilon", "0.06"],
+        ["verify-optimal", "--epsilon", "0.06"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_config(self, capsys, argv, flag, value):
+        """Every command rejects the shared flags out of range the same way."""
+        code, payload = run_json(capsys, *argv, flag, value)
         assert code == 1
         assert payload["error"]["code"] == "invalid_input"
+        assert payload["error"]["message"].startswith(flag)
 
 
 WIDE_DPS = 2050

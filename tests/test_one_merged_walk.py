@@ -9,15 +9,16 @@ creeping back into any of them fails here.
 Along the walk, 1/psi of a number is computed once per bracket it holds, not
 once per breakpoint: at a breakpoint where only the other number steps, its
 value is carried over. Every new bracket is still cross-checked through both
-closed forms, which a corrupted tail must trip.
+closed forms, which a corrupted tail must trip. Rendering a profile likewise
+turns each carried-over 1/psi into a decimal once, not once per row.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from psidiff import (CFExpansion, breakpoint_profile, construct_optimal, contfrac, find_witness,
-                     imf, merged_word, parse_number, verify_near_optimality)
+from psidiff import (CFExpansion, breakpoint_profile, cli, construct_optimal, contfrac,
+                     find_witness, imf, merged_word, parse_number, verify_near_optimality)
 from psidiff.errors import FormMismatchError
 
 LADDER = ("last_convergent_at_most", "convergent_state")
@@ -65,6 +66,25 @@ def test_one_inv_psi_per_bracket(monkeypatch):
                            contfrac.last_convergent_at_most(x, t_max)[0] + 1)}
     assert len(calls) == len(want)
     assert set(calls) == want
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_one_render_per_bracket(output, monkeypatch, capsys):
+    """A profile renders each distinct 1/psi once, plus d once per row."""
+    sqrt2 = "surd:(0+sqrt(2))/1"
+    argv = ["profile", "--alpha", sqrt2, "--beta", "tau", "--from", "7", "--bound", str(10**100)]
+    entries = breakpoint_profile(parse_number(sqrt2), parse_number("tau"), 7, 10**100).entries
+    brackets = len({e.d.alpha_index for e in entries}) + len({e.d.beta_index for e in entries})
+    real, calls = imf.render_decimal, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(imf, "render_decimal", counting)
+    assert cli.main([*argv, "--output", output]) == 0
+    capsys.readouterr()
+    assert len(calls) == brackets + len(entries)
 
 
 def corrupt_tail(monkeypatch, period, offset):
