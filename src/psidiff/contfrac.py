@@ -8,14 +8,16 @@ preperiod and the minimal period.
 
 Two paths lead to convergents. ``convergent_stream`` walks them in order, one
 recurrence step each; it feeds ``convergents`` and ``imf``'s merged walk over
-two expansions, which serves profiles, merged words, witness searches and the
-near-optimality check. ``convergent_state`` and ``last_convergent_at_most``
-serve single evaluations (``psi``, ``d_at``, the dichotomy) through one lazily
-built ladder per expansion: the states ``(p_n, p_{n-1}, q_n, q_{n-1})``
-of the preperiod, and the squared period matrices ``M, M^2, M^4, ...`` of the
-2x2 matrix view of continued fractions (Gosper, HAKMEM item 101), extended
-only on demand. A query costs O(log n) 2x2 products plus at most one period
-of single recurrence steps; rational expansions bisect the preperiod states.
+two expansions, which serve every pass (profiles, merged words, witness
+searches, the near-optimality check, the lemma scans). ``convergent_state``
+and ``last_convergent_at_most`` serve single evaluations (``psi``, ``d_at``,
+``convergent_distance``, ``check_dichotomy``, the near-optimality regime floor)
+through one lazily built ladder per expansion: the states
+``(p_n, p_{n-1}, q_n, q_{n-1})`` of the preperiod, and the squared period
+matrices ``M, M^2, M^4, ...`` of the 2x2 matrix view of continued fractions
+(Gosper, HAKMEM item 101), extended only on demand. A query costs O(log n)
+2x2 products plus at most one period of single recurrence steps; rational
+expansions bisect the preperiod states.
 The ladder never stores a table of convergents: past the preperiod it holds
 only the squared powers, whose sizes double, so its memory is O(bits of the
 largest q reached), about twice the bits of the largest t queried.

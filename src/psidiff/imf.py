@@ -8,11 +8,13 @@ because alpha and beta generally live in different fields.
 
 Every 1/psi, and every convergent remainder xi_n (as the inverse of 1/xi_n),
 comes from ``_inv_psi_at``, which checks its two closed forms exactly against
-each other. Single evaluations (``psi``, ``d_at``, ``convergent_distance``, the
-dichotomy's reciprocals) take the bracketing convergents from the ladder, by
-bound or by index; passes over the breakpoints in order (profiles, merged
-words, witnesses, the near-optimality check) take them from one merged walk of
-both convergent streams, at one recurrence step per breakpoint. Such a pass
+each other. Single evaluations (``psi``, ``d_at``, ``convergent_distance``,
+``check_dichotomy``'s reciprocals) take the bracketing convergents from the
+ladder, by bound or by index. Passes in order take them from the convergent
+stream: the dichotomy scan reads 1/xi_0 .. 1/xi_depth off one list
+(``_inv_xis``), and passes over the breakpoints (profiles, merged words,
+witnesses, the near-optimality check, the interleave scan) read one merged walk
+of both convergent streams, at one recurrence step per breakpoint. Such a pass
 computes one exact 1/psi per convergent, not per breakpoint: at a breakpoint
 where only one number steps, the other's value is carried over from the step
 before, and so is its rendered decimal.
@@ -74,6 +76,12 @@ def _inv_xi(cf: CFExpansion, n: int) -> QuadExt:
     _require_irrational(cf)
     bracket = _bracket(cf, n, contfrac.convergent_state(cf, n))
     return _inv_psi_at(cf, bracket[1].q, bracket)
+
+
+def _inv_xis(cf: CFExpansion, depth: int) -> list[QuadExt]:
+    """[1/xi_0, ..., 1/xi_depth] of an irrational cf from one in-order convergent list."""
+    c = [Convergent(-1, 1, 0), *contfrac.convergents(cf, depth + 1)]
+    return [_inv_psi_at(cf, c[n + 1].q, (c[n], c[n + 1], c[n + 2])) for n in range(depth + 1)]
 
 
 def psi(alpha: CFExpansion, t: int) -> PsiValue:

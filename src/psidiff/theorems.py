@@ -10,7 +10,7 @@ correspondence it relies on.
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -62,7 +62,6 @@ class Witness:
 
     t: int
     d_value: DValue
-    ratio_lower_bound: Fraction
     comparison: Comparison
 
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
@@ -106,10 +105,7 @@ def find_witness(
     for t, d in imf._d_steps(alpha, beta, T, search_bound):
         verdict = refine_compare(d.abs_enclosure, lambda bits: c_enclosure(bits) * t, cap_bits)
         if verdict is Comparison.GREATER:
-            lo = refine(d.abs_enclosure, lambda enc: enc.lo if enc.lo > 0 else None, cap_bits, 64)
-            if lo is None:
-                raise UndecidedSignError(f"|d({t})| not bounded away from 0 at {cap_bits} bits")
-            return Witness(t, d, lo / t, verdict)
+            return Witness(t, d, verdict)
         if verdict is Comparison.UNDECIDED:
             raise UndecidedSignError(f"|d({t})| vs C*{t} undecided at {cap_bits} bits")
     raise NotFoundInRangeError(
@@ -218,6 +214,12 @@ def check_dichotomy(
     if not (_strictly_less(inv_eta, inv_xi, cap_bits)
             and _strictly_less(inv_xi_prev, inv_eta, cap_bits)):
         raise PreconditionFailedError(f"eta_{s} is not inside (xi_{n}, xi_{n-1})")
+    return _branch(alpha, n, s, inv_xi_prev, inv_xi, inv_eta, cap_bits)
+
+
+def _branch(alpha: CFExpansion, n: int, s: int, inv_xi_prev: QuadExt, inv_xi: QuadExt,
+            inv_eta: QuadExt, cap_bits: int) -> DichotomyBranch:
+    """The branch test of ``check_dichotomy`` on reciprocals already known to be in order."""
 
     def factor(bits: int) -> Interval:
         root = sqrt_interval(contfrac.tail(alpha, n + 1).enclosure(bits), bits)
@@ -260,22 +262,21 @@ def scan_dichotomy(
 
     Both reciprocal remainder sequences are strictly increasing, so for each s
     there is at most one n with 1/eta_s strictly inside (1/xi_{n-1}, 1/xi_n); a
-    single merge pass finds them all.
+    single merge pass over the two in-order lists finds them all.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    inv_xis = [_inv_xi(alpha, n) for n in range(depth + 1)]
+    inv_xis = imf._inv_xis(alpha, depth)
     records = []
     n = 1
-    for s in range(depth + 1):
-        inv_eta = _inv_xi(beta, s)
+    for s, inv_eta in enumerate(imf._inv_xis(beta, depth)):
         while n <= depth and not _strictly_less(inv_eta, inv_xis[n], cap_bits):
             n += 1
         if n > depth:
             break
         if _strictly_less(inv_xis[n - 1], inv_eta, cap_bits):
-            branch = check_dichotomy(alpha, beta, n, s, cap_bits)
+            branch = _branch(alpha, n, s, inv_xis[n - 1], inv_xis[n], inv_eta, cap_bits)
             records.append(DichotomyRecord(n, s, branch, inv_xis[n - 1].inverse(),
                                            inv_xis[n].inverse(), inv_eta.inverse()))
     return records
@@ -328,20 +329,11 @@ class GapCertificate:
         }
 
 
-def _gap_certificate(
-    alpha: CFExpansion,
-    beta: CFExpansion,
-    pattern: str,
-    n: int,
-    m: int,
-    first_point: int,
-    second_point: int,
-    bound: int,
-    quotient: int,
-    cap_bits: int,
-) -> GapCertificate:
-    d_first = imf.d_at(alpha, beta, first_point)
-    d_second = imf.d_at(alpha, beta, second_point)
+def _gap_certificate(pattern: str, n: int, m: int, first_point: int, second_point: int,
+                     d_first: DValue, d_second: DValue, quotient: int,
+                     cap_bits: int) -> GapCertificate:
+    """Check one occurrence, bounded by its second point, from d at its two points."""
+    bound = second_point
     if pattern == "a":
         if d_first.inv_psi_beta != d_second.inv_psi_beta:
             raise GapViolationError("beta step is not constant across the pattern")
@@ -378,33 +370,25 @@ def scan_interleave_gap(
     """Certificates for every interleave pattern with indices <= depth.
 
     Pattern a: q_{n-1} <= t_{m-1} < q_n < t_m with a_{n+1} >= 2, evaluated at
-    t_{m-1} and q_n. Pattern b swaps the roles of the two numbers.
+    t_{m-1} and q_n. Pattern b swaps the roles of the two numbers. Either way the
+    two points are consecutive merged denominators, the first a denominator of the
+    number that does not step at the second, so one walk of the steps finds them all.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
     qs, ts = ([c.q for c in contfrac.convergents(x, depth + 1)] for x in (alpha, beta))
-    certificates = []
-    for n in range(1, depth + 1):
-        m, a = _step_index(ts, qs[n], depth), alpha.partial_quotient(n + 1)
-        if m and a >= 2 and qs[n - 1] <= ts[m - 1]:
-            certificates.append(_gap_certificate(alpha, beta, "a", n, m, ts[m - 1], qs[n],
-                                                 qs[n], a, cap_bits))
-    for m in range(1, depth + 1):
-        n, b = _step_index(qs, ts[m], depth), beta.partial_quotient(m + 1)
-        if n and b >= 2 and ts[m - 1] <= qs[n - 1]:
-            certificates.append(_gap_certificate(alpha, beta, "b", n, m, qs[n - 1], ts[m],
-                                                 ts[m], b, cap_bits))
-    return certificates
-
-
-def _step_index(denominators: list[int], x: int, depth: int) -> int:
-    """The one m in 1..depth with denominators[m-1] < x < denominators[m], else 0.
-
-    Denominators never decrease, so the open steps between them are disjoint.
-    """
-    m = bisect.bisect_right(denominators, x, 0, depth + 1)
-    return m if 1 <= m <= depth and denominators[m - 1] < x else 0
+    matches = []
+    steps = imf._d_steps(alpha, beta, 1, min(qs[depth], ts[depth]))
+    for (t0, d0), (t1, d1) in itertools.pairwise(steps):
+        if d0.beta_index == d1.beta_index and t0 == ts[d1.beta_index]:
+            n, m = d1.alpha_index, d1.beta_index + 1
+            matches.append(("a", n, m, t0, t1, d0, d1, alpha.partial_quotient(n + 1)))
+        elif d0.alpha_index == d1.alpha_index and t0 == qs[d1.alpha_index]:
+            n, m = d1.alpha_index + 1, d1.beta_index
+            matches.append(("b", n, m, t0, t1, d0, d1, beta.partial_quotient(m + 1)))
+    matches.sort(key=lambda match: match[0])  # stable: pattern a first, each in walk order
+    return [_gap_certificate(*match, cap_bits) for match in matches if match[-1] >= 2]
 
 
 # -- Sharpness: the near-optimal companion of tau --------------------------------

@@ -29,6 +29,10 @@ COMMANDS = {
     "witness": ["witness", "--alpha", SQRT2, "--beta", "tau", "--from", "4", "--bound", "1000000"],
     "word": ["word", "--alpha", SQRT2, "--beta", "tau", "--count", "10"],
     "lemmas": ["lemmas", "--alpha", SQRT2, "--beta", "tau", "--max-depth", "60"],
+    "lemmas_same_field": ["lemmas", "--alpha", SQRT2, "--beta", "surd:(1+sqrt(8))/3",
+                          "--max-depth", "60"],
+    "lemmas_preperiod": ["lemmas", "--alpha", "cf:[0;1,1,1,1,1,1,(1,2)]",
+                         "--beta", "surd:(1+sqrt(3))/2", "--max-depth", "60"],
     "construct_optimal": ["construct-optimal", "--epsilon", "0.06"],
     "verify_optimal": ["verify-optimal", "--epsilon", "0.06", "--from", "1000000",
                        "--bound", "1000000000000"],

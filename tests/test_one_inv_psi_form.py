@@ -1,11 +1,11 @@
 """Every 1/psi and every convergent remainder comes from one cross-checked closed form.
 
 ``imf._inv_psi_at`` evaluates 1/xi_r = q_r a_{r+1} + q_{r-1} and checks it
-against q_{r+1} + q_r / a_{r+2}. ``psi``, ``convergent_distance`` and the
-dichotomy read their reciprocals (and the remainders, as their inverses) from
-it, so a corrupted tail must trip each of them; a path that used one closed
-form alone, or |q x - p|, would not notice. The remainder |q_n x - p_n| lives
-on here as the reference of a property test.
+against q_{r+1} + q_r / a_{r+2}. ``psi``, ``convergent_distance``, the
+dichotomy and the interleave certificates read their reciprocals (and the
+remainders, as their inverses) from it, so a corrupted tail must trip each of
+them; a path that used one closed form alone, or |q x - p|, would not notice.
+The remainder |q_n x - p_n| lives on here as the reference of a property test.
 """
 
 import json
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psidiff import (CFExpansion, check_dichotomy, cli, convergent_distance, convergents,
-                     parse_number, psi, scan_dichotomy)
+                     parse_number, psi, scan_dichotomy, scan_interleave_gap)
 from psidiff.errors import FormMismatchError
 
 from test_convergent_source import expansions
@@ -32,6 +32,7 @@ CORRUPTED = {
     "check_dichotomy": lambda: check_dichotomy(ALPHA, SQRT2, 7, 3),  # a record when intact
     "check_dichotomy_eta": lambda: check_dichotomy(SQRT2, ALPHA, 6, 9),
     "scan_dichotomy": lambda: scan_dichotomy(ALPHA, SQRT2, 12),
+    "scan_interleave_gap": lambda: scan_interleave_gap(ALPHA, SQRT2, 12),
 }
 
 

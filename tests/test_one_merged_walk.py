@@ -1,10 +1,10 @@
 """Passes over the breakpoints in order read one merged walk, not the ladder.
 
-Profiles, merged words and witness searches visit the merged denominators of
-both numbers in ascending order, so each breakpoint's brackets come from one
+Profiles, merged words, witness searches and the lemma scans visit the
+convergents of both numbers in ascending order, so each bracket comes from one
 recurrence step of the two convergent streams. With the ladder's lookups made
-to raise, all three must still give the same results; a per-step ladder lookup
-creeping back into any of them fails here.
+to raise, all of them must still give the same results; a per-step ladder
+lookup creeping back into any of them fails here.
 
 Along the walk, 1/psi of a number is computed once per bracket it holds, not
 once per breakpoint: at a breakpoint where only the other number steps, its
@@ -18,7 +18,9 @@ from fractions import Fraction
 import pytest
 
 from psidiff import (CFExpansion, breakpoint_profile, cli, construct_optimal, contfrac,
-                     find_witness, imf, merged_word, parse_number, verify_near_optimality)
+                     find_witness, imf, merged_word, parse_number, scan_dichotomy,
+                     scan_interleave_gap, scan_lemma_conseq, scan_lemma_conseq1,
+                     theorems, verify_near_optimality)
 from psidiff.errors import FormMismatchError
 
 LADDER = ("last_convergent_at_most", "convergent_state")
@@ -31,6 +33,10 @@ def passes():
         "profile": lambda: breakpoint_profile(sqrt2, tau, 7, 10**100),
         "word": lambda: merged_word(sqrt2, tau, 50),
         "witness": lambda: find_witness(sqrt2, tau, 10, 10**6),
+        "conseq": lambda: scan_lemma_conseq(sqrt2, tau, 60),
+        "conseq1": lambda: scan_lemma_conseq1(sqrt2, tau, 60),
+        "interleave_gap": lambda: scan_interleave_gap(sqrt2, tau, 60),
+        "dichotomy": lambda: scan_dichotomy(sqrt2, tau, 60),
     }
 
 
@@ -66,6 +72,26 @@ def test_one_inv_psi_per_bracket(monkeypatch):
                            contfrac.last_convergent_at_most(x, t_max)[0] + 1)}
     assert len(calls) == len(want)
     assert set(calls) == want
+
+
+def test_dichotomy_scan_evaluates_each_remainder_once(monkeypatch):
+    """The scan reads 1/xi_0 .. 1/xi_depth of each number once and never calls check_dichotomy."""
+    tau = CFExpansion(1, (), (1,))
+    sqrt2 = parse_number("surd:(0+sqrt(2))/1")
+    depth, real, calls = 200, imf._inv_psi_at, []
+
+    def counting(cf, t, bracket):
+        calls.append((cf, bracket[1].index))
+        return real(cf, t, bracket)
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("check_dichotomy inside the scan")
+
+    monkeypatch.setattr(imf, "_inv_psi_at", counting)
+    monkeypatch.setattr(theorems, "check_dichotomy", no_check)
+    assert scan_dichotomy(tau, sqrt2, depth)
+    assert len(calls) <= 2 * (depth + 1)
+    assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("output", ["csv", "json"])

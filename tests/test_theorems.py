@@ -35,7 +35,7 @@ from psidiff.numspec import parse_number
 from psidiff.theorems import DichotomyBranch, _binet_enclosure
 
 from _oracles import float_uv_search
-from test_convergent_source import expansions
+from test_convergent_source import expansions, valid_pairs
 
 SQRT2 = parse_number("surd:(0+sqrt(2))/1")
 SQRT3 = parse_number("surd:(0+sqrt(3))/1")
@@ -54,8 +54,9 @@ class TestFindWitness:
         witness = find_witness(SQRT2, TAU_CF, 4, 10**6)
         assert witness.d_value.inv_psi_alpha == QuadExt(7, 5, 2)
         assert witness.d_value.inv_psi_beta == 3 + 5 * TAU
-        assert witness.ratio_lower_bound <= Fraction(2981, 5000)
-        assert witness.ratio_lower_bound > Fraction(478, 1000)
+        ratio_lower_bound = Fraction(witness.to_json()["decimal"]["ratio_lower_bound"])
+        assert ratio_lower_bound <= Fraction(2981, 5000)
+        assert ratio_lower_bound > Fraction(478, 1000)
 
     def test_reverification(self):
         witness = find_witness(SQRT2, SQRT3, 1000, 10**12)
@@ -302,3 +303,23 @@ def test_interleave_scan_matches_double_loop(alpha, beta, depth):
     assume(alpha.value().D != beta.value().D)
     certs = scan_interleave_gap(alpha, beta, depth)
     assert [(c.pattern, c.n, c.m) for c in certs] == brute_force_interleave(alpha, beta, depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_pairs(), st.integers(0, 40))
+def test_interleave_certificates_match_single_evaluations(pair, depth):
+    """Same-field pairs included: each certificate's d values are d_at at its two points."""
+    alpha, beta = pair
+    certs = scan_interleave_gap(alpha, beta, depth)
+    assert [(c.pattern, c.n, c.m) for c in certs] == brute_force_interleave(alpha, beta, depth)
+    for c in certs:
+        assert c.d_first == d_at(alpha, beta, c.first_point)
+        assert c.d_second == d_at(alpha, beta, c.second_point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_pairs(), st.integers(0, 40))
+def test_dichotomy_scan_matches_single_checks(pair, depth):
+    alpha, beta = pair
+    for record in scan_dichotomy(alpha, beta, depth):
+        assert record.branch is check_dichotomy(alpha, beta, record.n, record.s)
