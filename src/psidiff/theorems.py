@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, partial
 
 from . import contfrac, imf
 from .contfrac import CFExpansion, rational_to_cf
@@ -424,7 +423,8 @@ class OptimalPair:
             },
             "decimal": {
                 "A": render_decimal(self.A, digits, cap_bits),
-                "error": render_decimal(self._error_enclosure, digits, cap_bits),
+                "error": render_decimal(lambda bits: abs(self.V - _offset(self.U, bits)),
+                                        digits, cap_bits),
             },
             "verdict": "constructed",
             "U": self.U,
@@ -434,65 +434,58 @@ class OptimalPair:
             "epsilon": str(self.epsilon),
         }
 
-    def _error_enclosure(self, bits: int) -> Interval:
-        return abs((self.V + self.U * PHI).enclosure(bits) - sqrt_tau_enclosure(bits))
+
+def _offset(U: int, bits: int) -> Interval:
+    """Enclosure of sqrt(tau) - U*phi, the value whose nearest integer is V."""
+    return sqrt_tau_enclosure(bits) - (U * PHI).enclosure(bits)
 
 
-def _nearest_int(make: Callable[[int], Interval], cap_bits: int) -> int:
-    """Nearest integer to an irrational enclosure generator."""
+def _judge(U: int, epsilon: Fraction, offset: Interval) -> tuple[int, bool] | None:
+    """(V, accepted) for candidate U from one enclosure of its offset, or None if unsettled.
 
-    def rounded(enc: Interval) -> int | None:
-        lo = math.floor(enc.lo + Fraction(1, 2))
-        return lo if lo == math.floor(enc.hi + Fraction(1, 2)) else None
-
-    n = refine(make, rounded, cap_bits)
-    if n is None:
-        raise UndecidedSignError("nearest integer undecided at the precision cap")
-    return n
+    V is the nearest integer to the offset. The coprimality and positivity tests
+    are exact; only a candidate that passes them needs |V - offset| < epsilon.
+    """
+    V = math.floor(offset.lo + Fraction(1, 2))
+    if V != math.floor(offset.hi + Fraction(1, 2)):
+        return None
+    if math.gcd(U, V) != 1 or not TAU * V + U > 0:
+        return V, False
+    error = abs(V - offset)
+    if error.hi < epsilon or error.lo > epsilon:
+        return V, error.hi < epsilon
+    return None
 
 
 def construct_optimal(epsilon: Fraction, cap_bits: int = DEFAULT_CAP_BITS) -> OptimalPair:
     """Deterministic search for the near-optimal companion of tau.
 
-    U ascends from 0; V is the nearest integer to sqrt(tau) - U/tau. The first
-    pair with approximation error < epsilon, gcd(U, V) = 1, tau*V + U > 0, and
-    a companion theta with tau +- theta not integral is accepted.
+    U ascends from 0; V is the nearest integer to sqrt(tau) - U*phi. The first
+    pair with gcd(U, V) = 1, tau*V + U > 0, approximation error
+    |V + U*phi - sqrt(tau)| < epsilon, and a companion theta with tau +- theta
+    not integral is accepted. Each U is settled by one refinement of that offset;
+    a candidate the cap cannot settle raises UndecidedSignError instead of being skipped.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     for U in range(_UV_SEARCH_LIMIT + 1):
-        target = lambda bits: sqrt_tau_enclosure(bits) - (U * PHI).enclosure(bits)
-        V = _nearest_int(target, cap_bits)
-        sigma = V + U * PHI
-        err = lambda bits: abs(sigma.enclosure(bits) - sqrt_tau_enclosure(bits))
-        if refine_compare(err, epsilon, cap_bits) is not Comparison.LESS:
-            continue
-        if math.gcd(U, V) != 1:
-            continue
-        if not (TAU * V + U) > 0:
-            continue
-        pair = _build_pair(epsilon, U, V)
-        if contfrac.is_nonintegral_sum_and_diff(TAU_CF.value(), pair.theta.value()):
-            return pair
+        settled = refine(partial(_offset, U), partial(_judge, U, epsilon), cap_bits)
+        if settled is None:
+            raise UndecidedSignError(f"candidate U={U} undecided at {cap_bits} bits")
+        V, accepted = settled
+        if accepted:
+            pair = _build_pair(epsilon, U, V)
+            if contfrac.is_nonintegral_sum_and_diff(TAU_CF.value(), pair.theta.value()):
+                return pair
     raise SearchExhaustedError(f"no (U, V) with U <= {_UV_SEARCH_LIMIT} for epsilon {epsilon}")
 
 
-def _x_sequence(U: int, V: int, length: int) -> list[int]:
-    xs = [U, V]
-    while len(xs) < length:
-        xs.append(xs[-1] + xs[-2])
-    return xs
-
-
 def _build_pair(epsilon: Fraction, U: int, V: int) -> OptimalPair:
-    length = 64
-    while True:
-        xs = _x_sequence(U, V, length)
-        k = next((i for i in range(1, len(xs)) if 1 <= xs[i - 1] < xs[i]), None)
-        if k is not None:
-            break
-        length *= 2  # A > 0 guarantees the sequence eventually increases past 1
+    xs = [U, V]
+    while not 1 <= xs[-2] < xs[-1]:  # A > 0 guarantees the sequence eventually increases past 1
+        xs.append(xs[-1] + xs[-2])
+    k = len(xs) - 1
     cf = rational_to_cf(xs[k - 1], xs[k])
     if cf.a0 != 0:
         raise PsidiffError(f"X_{k - 1}/X_{k} = {xs[k - 1]}/{xs[k]} is not below 1")
@@ -500,7 +493,8 @@ def _build_pair(epsilon: Fraction, U: int, V: int) -> OptimalPair:
     w = len(b)
     theta = CFExpansion(0, b, (1,))
     shift = k - w
-    xs = _x_sequence(U, V, w + 22 + shift)
+    while len(xs) < k + 22:
+        xs.append(xs[-1] + xs[-2])
     denominators = [c.q for c in contfrac.convergents(theta, w + 21)]
     for n in range(max(w - 1, 0), w + 21):
         if denominators[n] != xs[n + shift]:
@@ -514,7 +508,9 @@ def _build_pair(epsilon: Fraction, U: int, V: int) -> OptimalPair:
 
 @dataclass(frozen=True)
 class NearOptimalityReport:
-    max_ratio_enclosure: Interval
+    """The exact largest |d(t)|/t in range, first reached at argmax_t; printed as both keys."""
+
+    max_ratio: QuadExt
     argmax_t: int
     passed: bool
     t_min: int
@@ -522,22 +518,20 @@ class NearOptimalityReport:
     slack: Fraction
 
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
+        ratio = render_decimal(self.max_ratio, digits, cap_bits)
         return {
             "kind": "near_optimality",
             "indices": {"t_min": self.t_min, "t_max": self.t_max},
             "t": self.argmax_t,
             "exact_values": {},
             "decimal": {
-                "max_ratio_lo": render_decimal(self.max_ratio_enclosure.lo, digits),
-                "max_ratio_hi": render_decimal(self.max_ratio_enclosure.hi, digits),
+                "max_ratio_lo": ratio,
+                "max_ratio_hi": ratio,
                 "c_plus_slack": render_decimal(lambda bits: c_enclosure(bits) + self.slack,
                                                digits, cap_bits),
             },
             "verdict": "pass" if self.passed else "fail",
         }
-
-
-_RATIO_BITS = 192
 
 
 def verify_near_optimality(
@@ -551,7 +545,8 @@ def verify_near_optimality(
 
     The range is clamped from below to the denominator s_{w+10} so that the
     shifted-index regime is in force; slack defaults to five epsilon, covering
-    the finite-range transients of an asymptotic bound.
+    the finite-range transients of an asymptotic bound. theta lies in Q(sqrt(5)), so
+    the walk keeps the exact maximum of |d(t)|/t, and one comparison with C + slack decides.
     """
     if slack is None:
         slack = 5 * pair.epsilon
@@ -561,24 +556,18 @@ def verify_near_optimality(
     if t_lo > t_max:
         raise ValueError(f"range [{t_min}, {t_max}] lies below the verified regime {regime_floor}")
     imf.check_pair(TAU_CF, pair.theta)
-    passed = True
-    max_lo = max_hi = argmax_t = None
+    if pair.theta.value().D != TAU.D:
+        raise PreconditionFailedError(f"theta = {pair.theta} does not lie in Q(sqrt(5))")
+    top = argmax_t = None
     for t, d in imf._d_steps(TAU_CF, pair.theta, t_lo, t_max):
-        ratio = d.abs_enclosure(_RATIO_BITS) * Fraction(1, t)
-        if max_hi is None or ratio.hi > max_hi:
-            max_hi = ratio.hi
-            argmax_t = t
-        max_lo = ratio.lo if max_lo is None else max(max_lo, ratio.lo)
-        verdict = refine_compare(
-            d.abs_enclosure, lambda bits, t=t: (c_enclosure(bits) + slack) * t, cap_bits
-        )
-        if verdict is Comparison.GREATER:
-            passed = False
-        elif verdict is Comparison.UNDECIDED:
-            raise UndecidedSignError(f"ratio comparison undecided at t={t}")
-    return NearOptimalityReport(
-        Interval(max_lo, max_hi), argmax_t, passed, t_lo, t_max, slack
-    )
+        size = abs(d.as_quadext())
+        if top is None or size * argmax_t > top * t:  # |d|/t > top/argmax_t, no division
+            top, argmax_t = size, t
+    max_ratio = top / argmax_t
+    verdict = refine_compare(max_ratio, lambda bits: c_enclosure(bits) + slack, cap_bits)
+    if verdict is Comparison.UNDECIDED:
+        raise UndecidedSignError(f"ratio at t={argmax_t} vs C + slack undecided at {cap_bits} bits")
+    return NearOptimalityReport(max_ratio, argmax_t, verdict is Comparison.LESS, t_lo, t_max, slack)
 
 
 # -- Fibonacci / Binet ------------------------------------------------------------

@@ -201,8 +201,8 @@ def test_criterion_7_optimality_construction():
         report = verify_near_optimality(pair, 10**6, 10**12, slack=5 * pair.epsilon)
         assert report.passed
         c_band = const("C", 80)
-        assert report.max_ratio_enclosure.lo > c_band.lo - Fraction(3, 10)
-        assert report.max_ratio_enclosure.hi < c_band.hi + Fraction(3, 10)
+        assert report.max_ratio > c_band.lo - Fraction(3, 10)
+        assert report.max_ratio < c_band.hi + Fraction(3, 10)
 
 
 def test_criterion_8_binet_fibonacci():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from psidiff import breakpoint_profile, cli, d_at, parse_number
+from psidiff import QuadExt, breakpoint_profile, cli, d_at, parse_number
 from psidiff.errors import UndecidedSignError
 
 from _oracles import mp_const, mp_quadext
@@ -123,6 +123,22 @@ class TestCommands:
         assert code == 0
         assert payload["report"]["verdict"] == "pass"
 
+    def test_verify_optimal_max_ratio_correctly_rounded(self, capsys):
+        code, payload = run_json(
+            capsys, "verify-optimal", "--epsilon", "0.06", "--from", "1",
+            "--bound", "100000000000000000000", "--digits", "60",
+        )
+        assert code == 0
+        report = payload["report"]
+        assert report["t"] == 809
+        top = QuadExt(Fraction(445, 1618), Fraction(199, 1618), 5)
+        with mpmath.workdps(100):
+            scaled = int(mpmath.nint(mp_quadext(top, 100) * mpmath.mpf(10) ** 60))
+        expected = f"0.{scaled:060d}"
+        assert expected.endswith("088461007")
+        assert report["decimal"]["max_ratio_lo"] == expected
+        assert report["decimal"]["max_ratio_hi"] == expected
+
 
 class TestErrorsAndExitCodes:
     def test_bad_number_spec(self, capsys):
@@ -162,6 +178,17 @@ class TestErrorsAndExitCodes:
         )
         assert code == 2
         assert payload["error"]["code"] == "undecided_sign"
+
+    def test_undecided_candidate_exits_2(self, capsys):
+        # U = 7's approximation error rounded up at 25 digits: 64 bits cannot separate them
+        epsilon = "271091358675974865898427/5000000000000000000000000"
+        code, payload = run_json(capsys, "construct-optimal", "--epsilon", epsilon,
+                                 "--precision-cap-bits", "64")
+        assert code == 2
+        assert payload["error"]["code"] == "undecided_sign"
+        code, payload = run_json(capsys, "construct-optimal", "--epsilon", epsilon)
+        assert code == 0
+        assert (payload["U"], payload["V"]) == (7, -3)
 
     def test_digits_beyond_cap_exit_2(self, capsys):
         code, payload = run_json(capsys, "constants", "--digits", "100000")

@@ -36,6 +36,9 @@ COMMANDS = {
     "construct_optimal": ["construct-optimal", "--epsilon", "0.06"],
     "verify_optimal": ["verify-optimal", "--epsilon", "0.06", "--from", "1000000",
                        "--bound", "1000000000000"],
+    "construct_optimal_small": ["construct-optimal", "--epsilon", "1/3000"],
+    "verify_optimal_wide": ["verify-optimal", "--epsilon", "1/1000", "--from", "1000000",
+                            "--bound", "10000000000000000000000000000000000000000"],
 }
 
 

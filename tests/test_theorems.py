@@ -1,7 +1,9 @@
 """Witness search, lemma scans, the dichotomy, and the optimality construction."""
 
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,24 +25,28 @@ from psidiff import (
     scan_interleave_gap,
     scan_lemma_conseq,
     scan_lemma_conseq1,
+    theorems,
     verify_near_optimality,
 )
 from psidiff.errors import (
     IntegralSumOrDiffError,
     NotFoundInRangeError,
     PreconditionFailedError,
+    UndecidedSignError,
 )
 from psidiff.exact import c_enclosure, const
 from psidiff.numspec import parse_number
-from psidiff.theorems import DichotomyBranch, _binet_enclosure
+from psidiff.theorems import DichotomyBranch, OptimalPair, _binet_enclosure
 
-from _oracles import float_uv_search
+from _oracles import float_uv_search, mp_const, mp_quadext
 from test_convergent_source import expansions, valid_pairs
 
 SQRT2 = parse_number("surd:(0+sqrt(2))/1")
 SQRT3 = parse_number("surd:(0+sqrt(3))/1")
 TAU_CF = parse_number("tau")
 FIVE1 = parse_number("cf:[0;5,(1)]")
+# U = 7's approximation error |V + U*phi - sqrt(tau)| rounded up at 25 digits
+UNDECIDED_EPS = Fraction(271091358675974865898427, 5000000000000000000000000)
 
 
 class TestFindWitness:
@@ -161,6 +167,18 @@ class TestInterleaveGap:
         assert payload["verdict"] == "verified"
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the named functions as ``theorems`` sees them."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, function=getattr(theorems, name)):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(theorems, name, counted)
+    return calls
+
+
 class TestConstructOptimal:
     def test_known_construction(self):
         pair = construct_optimal(Fraction(6, 100))
@@ -190,7 +208,8 @@ class TestConstructOptimal:
             assert denoms[n] == xs[n + pair.index_shift]
 
     def test_matches_float_oracle(self):
-        for eps in (Fraction(1, 2), Fraction(6, 100), Fraction(1, 100)):
+        for eps in (Fraction(1, 2), Fraction(6, 100), Fraction(1, 100), Fraction(1, 20),
+                    Fraction(1, 1000), Fraction(1, 3000)):
             pair = construct_optimal(eps)
             assert (pair.U, pair.V) == float_uv_search(eps)
 
@@ -212,6 +231,19 @@ class TestConstructOptimal:
         from psidiff import is_nonintegral_sum_and_diff
 
         assert is_nonintegral_sum_and_diff(TAU, pair.theta.value())
+
+    def test_undecided_candidate_raises(self):
+        # 64 bits cannot separate U = 7's error from epsilon; skipping U = 7 gave (15, -8)
+        with pytest.raises(UndecidedSignError, match="U=7"):
+            construct_optimal(UNDECIDED_EPS, cap_bits=64)
+        pair = construct_optimal(UNDECIDED_EPS)
+        assert (pair.U, pair.V) == (7, -3)
+
+    def test_one_refinement_per_candidate(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "refine", "refine_compare")
+        pair = construct_optimal(Fraction(1, 1000))
+        assert pair.U == 1235
+        assert calls == {"refine": pair.U + 1, "refine_compare": 0}
 
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
@@ -239,13 +271,13 @@ class TestVerifyNearOptimality:
         assert report.passed
         assert report.slack == Fraction(30, 100)
         c_hi = const("C", 80).hi
-        assert report.max_ratio_enclosure.lo > c_hi - Fraction(3, 10)
-        assert report.max_ratio_enclosure.hi < c_hi + Fraction(3, 10)
+        assert report.max_ratio > c_hi - Fraction(3, 10)
+        assert report.max_ratio < c_hi + Fraction(3, 10)
 
     def test_small_slack_fails(self):
         pair = construct_optimal(Fraction(6, 100))
         report = verify_near_optimality(pair, 10**6, 10**12)
-        tight = report.max_ratio_enclosure.lo - const("C", 80).hi - Fraction(1, 100)
+        tight = report.max_ratio.enclosure(80).lo - const("C", 80).hi - Fraction(1, 100)
         assert tight > 0
         failing = verify_near_optimality(pair, 10**6, 10**12, slack=tight)
         assert not failing.passed
@@ -261,6 +293,24 @@ class TestVerifyNearOptimality:
         pair = construct_optimal(Fraction(6, 100))
         with pytest.raises(ValueError):
             verify_near_optimality(pair, 1, 10)
+
+    def test_one_comparison_per_range(self, monkeypatch):
+        pair = construct_optimal(Fraction(6, 100))
+        calls = _count_calls(monkeypatch, "refine", "refine_compare")
+        verify_near_optimality(pair, 1, 10**40)
+        assert calls == {"refine": 0, "refine_compare": 1}
+
+    def test_exact_maximum(self):
+        report = verify_near_optimality(construct_optimal(Fraction(6, 100)), 1, 10**20)
+        assert report.argmax_t == 809
+        assert report.max_ratio == QuadExt(Fraction(445, 1618), Fraction(199, 1618), 5)
+
+    def test_theta_outside_q_sqrt5_rejected(self):
+        p = construct_optimal(Fraction(6, 100))
+        pair = OptimalPair(p.epsilon, p.U, p.V, p.A, p.k, p.w, p.b,
+                           parse_number("cf:[0;(2)]"), p.index_shift)
+        with pytest.raises(PreconditionFailedError):
+            verify_near_optimality(pair, 10**6, 10**9)
 
 
 class TestBinet:
@@ -323,3 +373,34 @@ def test_dichotomy_scan_matches_single_checks(pair, depth):
     alpha, beta = pair
     for record in scan_dichotomy(alpha, beta, depth):
         assert record.branch is check_dichotomy(alpha, beta, record.n, record.s)
+
+
+@lru_cache(maxsize=None)
+def _optimal_pair(n):
+    return construct_optimal(Fraction(1, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(20, 3000), st.integers(0, 30), st.integers(0, 30))
+def test_near_optimality_matches_brute_force(n, a, b):
+    """The report's maximum is the exact max of |d_at(tau, theta, t)|/t over the breakpoints."""
+    pair = _optimal_pair(n)
+    t_min, t_max = 10 ** min(a, b), 10 ** max(a, b)
+    t_lo = max(t_min, convergents(pair.theta, pair.w + 10)[-1].q)
+    if t_lo > t_max:
+        with pytest.raises(ValueError):
+            verify_near_optimality(pair, t_min, t_max)
+        return
+    report = verify_near_optimality(pair, t_min, t_max)
+    points = {t_lo}
+    for x in (TAU_CF, pair.theta):
+        qs = [c.q for c in convergents(x, 200)]
+        assert qs[-1] > t_max
+        points.update(q for q in qs if t_lo < q <= t_max)
+    ratios = {t: abs(d_at(TAU_CF, pair.theta, t).as_quadext()) / t for t in sorted(points)}
+    top = max(ratios.values())
+    assert report.max_ratio == top
+    assert report.argmax_t == min(t for t, ratio in ratios.items() if ratio == top)
+    with mpmath.workdps(60):
+        bound = mp_const("C") + mpmath.mpf(report.slack.numerator) / report.slack.denominator
+        assert report.passed == (mp_quadext(top) < bound)
