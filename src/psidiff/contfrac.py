@@ -6,14 +6,12 @@ quotient >= 2 unless the expansion is a single integer. Surd expansions are
 produced by the (P, Q) state recursion, whose first repeated state yields the
 preperiod and the minimal period.
 
-Two paths lead to convergents. ``convergent_stream`` walks them in order, one
-recurrence step each; it feeds ``convergents`` and ``imf``'s merged walk over
-two expansions, which serve every pass (profiles, merged words, witness
-searches, the near-optimality check, the lemma scans). ``convergent_state``
-and ``last_convergent_at_most`` serve single evaluations (``psi``, ``d_at``,
-``convergent_distance``, ``check_dichotomy``, the near-optimality regime floor)
-through one lazily built ladder per expansion: the states
-``(p_n, p_{n-1}, q_n, q_{n-1})`` of the preperiod, and the squared period
+Convergents come from one in-order stream, ``convergent_stream``, one
+recurrence step each. It starts at index 0 (``convergents``) or, seeded with a
+state from the ladder, at any index; ``imf`` seeds every walk at its lower end
+with one ladder lookup per number (``last_convergent_at_most`` by bound,
+``convergent_state`` by index). The ladder is built lazily per expansion: the
+states ``(p_n, p_{n-1}, q_n, q_{n-1})`` of the preperiod, and the squared period
 matrices ``M, M^2, M^4, ...`` of the 2x2 matrix view of continued fractions
 (Gosper, HAKMEM item 101), extended only on demand. A query costs O(log n)
 2x2 products plus at most one period of single recurrence steps; rational
@@ -75,12 +73,19 @@ class CFExpansion:
             raise IndexError(f"rational expansion has no quotient a_{j}")
         return self.period[(j - k - 1) % len(self.period)]
 
-    def quotients(self) -> Iterator[int]:
-        """All partial quotients, an infinite stream for irrational values."""
-        yield self.a0
-        yield from self.preperiod
-        while self.period:
-            yield from self.period
+    def quotients(self, start: int = 0) -> Iterator[int]:
+        """a_start, a_start+1, ...: an infinite stream for irrational values.
+
+        The stream starts by slicing the preperiod or rotating the period, not by
+        skipping quotients.
+        """
+        head = (self.a0, *self.preperiod)
+        yield from head[start:]
+        if self.period:
+            offset = max(start - len(head), 0) % len(self.period)
+            yield from self.period[offset:]
+            while True:
+                yield from self.period
 
     def value(self) -> QuadExt | Fraction:
         """Exact value: a Fraction when rational, a QuadExt otherwise (memoized)."""
@@ -287,14 +292,12 @@ def last_convergent_at_most(cf: CFExpansion, t: int) -> tuple[int, State]:
     return _ladder(cf).last_at_most(t)
 
 
-def convergent_stream(cf: CFExpansion) -> Iterator[Convergent]:
-    p_prev, q_prev = 1, 0
-    p, q = cf.a0, 1
-    index = 0
-    yield Convergent(0, p, q)
-    quotients = cf.quotients()
-    next(quotients)
-    for a in quotients:
+def convergent_stream(cf: CFExpansion,
+                      start: tuple[int, State] | None = None) -> Iterator[Convergent]:
+    """Convergents in order from index 0, or from n given start = (n, state at n)."""
+    index, (p, p_prev, q, q_prev) = start or (0, (cf.a0, 1, 1, 0))
+    yield Convergent(index, p, q)
+    for a in cf.quotients(index + 1):
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         index += 1

@@ -8,16 +8,19 @@ because alpha and beta generally live in different fields.
 
 Every 1/psi, and every convergent remainder xi_n (as the inverse of 1/xi_n),
 comes from ``_inv_psi_at``, which checks its two closed forms exactly against
-each other. Single evaluations (``psi``, ``d_at``, ``convergent_distance``,
-``check_dichotomy``'s reciprocals) take the bracketing convergents from the
-ladder, by bound or by index. Passes in order take them from the convergent
-stream: the dichotomy scan reads 1/xi_0 .. 1/xi_depth off one list
-(``_inv_xis``), and passes over the breakpoints (profiles, merged words,
-witnesses, the near-optimality check, the interleave scan) read one merged walk
-of both convergent streams, at one recurrence step per breakpoint. Such a pass
-computes one exact 1/psi per convergent, not per breakpoint: at a breakpoint
-where only one number steps, the other's value is carried over from the step
-before, and so is its rendered decimal.
+each other. Every bracket (c_{r-1}, c_r, c_{r+1}) comes from the convergent
+stream, seeded at the lower end of its walk by one ladder lookup per number:
+by bound in ``_brackets``, by index in ``_inv_xis``. A single evaluation is the
+first step of such a walk: ``psi`` and ``inv_psi`` take the first bracket at t,
+``d_at`` the first step of the merged walk, ``convergent_distance`` and
+``check_dichotomy`` the first reciprocals from their index. The dichotomy scan
+reads 1/xi_0 .. 1/xi_depth off one walk, and passes over the breakpoints
+(profiles, merged words, witnesses, the near-optimality check, the interleave
+scan) read one merged walk of both streams from their lower end, at one
+recurrence step per breakpoint. Such a pass computes one exact 1/psi per
+convergent, not per breakpoint: at a breakpoint where only one number steps,
+the other's value is carried over from the step before, and so is its
+rendered decimal.
 """
 
 from __future__ import annotations
@@ -58,36 +61,34 @@ def _require_irrational(cf: CFExpansion) -> QuadExt:
 Bracket = tuple[Convergent, Convergent, Convergent]
 
 
-def _bracket(cf: CFExpansion, r: int, state: contfrac.State) -> Bracket:
-    """The bracket (c_{r-1}, c_r, c_{r+1}) from the ladder state (p_r, p_{r-1}, q_r, q_{r-1})."""
-    p, p_prev, q, q_prev = state
-    a = cf.partial_quotient(r + 1)
-    return (Convergent(r - 1, p_prev, q_prev), Convergent(r, p, q),
-            Convergent(r + 1, a * p + p_prev, a * q + q_prev))
+def _walk(cf: CFExpansion, r: int, state: contfrac.State) -> Iterator[Bracket]:
+    """The brackets (c_{n-1}, c_n, c_{n+1}) for n = r, r+1, ..., from the state at r."""
+    stream = contfrac.convergent_stream(cf, (r, state))
+    prev, cur = Convergent(r - 1, state[1], state[3]), next(stream)
+    for nxt in stream:
+        yield prev, cur, nxt
+        prev, cur = cur, nxt
 
 
-def _bracketing_convergents(cf: CFExpansion, t: int) -> Bracket:
-    """The bracket at t: r is the largest index with q_r <= t."""
-    return _bracket(cf, *contfrac.last_convergent_at_most(cf, t))
+def _brackets(cf: CFExpansion, t: int) -> Iterator[Bracket]:
+    """The bracket at t, then one per later q_r in turn; r(t) is the largest index, q_r <= t.
+
+    Past r(t) the q_r increase strictly: of q_0 = q_1 = 1, r(t) is already the last.
+    """
+    return _walk(cf, *contfrac.last_convergent_at_most(cf, t))
 
 
-def _inv_xi(cf: CFExpansion, n: int) -> QuadExt:
-    """1/xi_n = q_n a_{n+1} + q_{n-1}, the n-th reciprocal remainder, cross-checked."""
+def _inv_xis(cf: CFExpansion, first: int, last: int) -> list[QuadExt]:
+    """[1/xi_first, ..., 1/xi_last], 1/xi_n = q_n a_{n+1} + q_{n-1}, of an irrational cf."""
     _require_irrational(cf)
-    bracket = _bracket(cf, n, contfrac.convergent_state(cf, n))
-    return _inv_psi_at(cf, bracket[1].q, bracket)
-
-
-def _inv_xis(cf: CFExpansion, depth: int) -> list[QuadExt]:
-    """[1/xi_0, ..., 1/xi_depth] of an irrational cf from one in-order convergent list."""
-    c = [Convergent(-1, 1, 0), *contfrac.convergents(cf, depth + 1)]
-    return [_inv_psi_at(cf, c[n + 1].q, (c[n], c[n + 1], c[n + 2])) for n in range(depth + 1)]
+    walk = _walk(cf, first, contfrac.convergent_state(cf, first))
+    return [_inv_psi_at(cf, b[1].q, b) for b in itertools.islice(walk, last - first + 1)]
 
 
 def psi(alpha: CFExpansion, t: int) -> PsiValue:
     """Exact psi_alpha(t) = ||q_r alpha|| with r the largest index, q_r <= t."""
     _require_irrational(alpha)
-    bracket = _bracketing_convergents(alpha, t)
+    bracket = next(_brackets(alpha, t))
     inv_value = _inv_psi_at(alpha, t, bracket)
     return PsiValue(bracket[1].index, bracket[1].q, inv_value.inverse(), inv_value)
 
@@ -99,13 +100,13 @@ def convergent_distance(alpha: CFExpansion, n: int) -> QuadExt:
     nearest integer to alpha is then p_1, not p_0), and it is this remainder
     that satisfies xi_{n-1}/xi_n = alpha_{n+1} and the reciprocal identities.
     """
-    return _inv_xi(alpha, n).inverse()
+    return _inv_xis(alpha, n, n)[0].inverse()
 
 
 def inv_psi(alpha: CFExpansion, t: int) -> QuadExt:
     """1/psi_alpha(t) through both closed forms, asserted exactly equal."""
     _require_irrational(alpha)
-    return _inv_psi_at(alpha, t, _bracketing_convergents(alpha, t))
+    return _inv_psi_at(alpha, t, next(_brackets(alpha, t)))
 
 
 def _inv_psi_at(alpha: CFExpansion, t: int, bracket: Bracket) -> QuadExt:
@@ -170,29 +171,18 @@ class DValue:
 def d_at(alpha: CFExpansion, beta: CFExpansion, t: int) -> DValue:
     """Exact d(t) for a valid pair; raises if alpha +- beta is integral."""
     check_pair(alpha, beta)
-    a, b = _bracketing_convergents(alpha, t), _bracketing_convergents(beta, t)
-    return DValue(_inv_psi_at(beta, t, b), _inv_psi_at(alpha, t, a), a[1].index, b[1].index)
+    return next(_d_steps(alpha, beta, t, t))[1]
 
 
-def _brackets(cf: CFExpansion) -> Iterator[Bracket]:
-    """The bracket at each distinct q_r in turn; of q_0 = q_1 = 1 only r = 1 steps."""
-    stream = contfrac.convergent_stream(cf)
-    prev, cur = Convergent(-1, 1, 0), next(stream)
-    for nxt in stream:
-        if nxt.q != cur.q:
-            yield prev, cur, nxt
-        prev, cur = cur, nxt
+def _merged_brackets(alpha: CFExpansion, beta: CFExpansion,
+                     t: int) -> Iterator[tuple[int, Bracket, Bracket]]:
+    """(t, alpha's bracket, beta's bracket) at t, then at each later denominator of either number.
 
-
-def _merged_brackets(alpha: CFExpansion,
-                     beta: CFExpansion) -> Iterator[tuple[int, Bracket, Bracket]]:
-    """(t, alpha's bracket, beta's bracket) at each distinct denominator t of either number.
-
-    The one merge of the two denominator sequences. t ascends from q_0 = 1, and a
-    number stepped at t exactly when the middle q of its bracket is t.
+    The one merge of the two denominator sequences. t ascends, and a number
+    stepped at t exactly when the middle q of its bracket is t.
     """
-    walk_a, walk_b = _brackets(alpha), _brackets(beta)
-    a, b, t = next(walk_a), next(walk_b), 1
+    walk_a, walk_b = _brackets(alpha, t), _brackets(beta, t)
+    a, b = next(walk_a), next(walk_b)
     while True:
         yield t, a, b
         t = min(a[2].q, b[2].q)
@@ -208,16 +198,14 @@ def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,
     1/psi is then carried over; only a new bracket is evaluated and cross-checked.
     """
     held_a = held_b = inv_a = inv_b = None
-    for (t, a, b), (t_next, _, _) in itertools.pairwise(_merged_brackets(alpha, beta)):
+    for t, a, b in _merged_brackets(alpha, beta, t_min):
         if t > t_max:
             return
-        if t_next > t_min:
-            t = max(t, t_min)
-            if a is not held_a:
-                held_a, inv_a = a, _inv_psi_at(alpha, t, a)
-            if b is not held_b:
-                held_b, inv_b = b, _inv_psi_at(beta, t, b)
-            yield t, DValue(inv_b, inv_a, a[1].index, b[1].index)
+        if a is not held_a:
+            held_a, inv_a = a, _inv_psi_at(alpha, t, a)
+        if b is not held_b:
+            held_b, inv_b = b, _inv_psi_at(beta, t, b)
+        yield t, DValue(inv_b, inv_a, a[1].index, b[1].index)
 
 
 @dataclass(frozen=True)
@@ -289,7 +277,7 @@ def merged_word(alpha: CFExpansion, beta: CFExpansion, count: int) -> MergedWord
         raise ValueError("count must be >= 1")
     check_pair(alpha, beta)
     letters = []
-    for t, a, b in itertools.islice(_merged_brackets(alpha, beta), count):
+    for t, a, b in itertools.islice(_merged_brackets(alpha, beta, 1), count):
         n = a[1].index if a[1].q == t else None
         s = b[1].index if b[1].q == t else None
         kind = "T" if n is None else "Q" if s is None else "B"

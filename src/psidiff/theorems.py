@@ -43,7 +43,7 @@ from .exact import (
     sqrt_interval,
     sqrt_tau_enclosure,
 )
-from .imf import DValue, _inv_xi
+from .imf import DValue
 from .numspec import TAU_CF
 
 _UV_SEARCH_LIMIT = 10**6
@@ -209,7 +209,7 @@ def check_dichotomy(
     """
     if n < 1 or s < 0:
         raise ValueError("need n >= 1 and s >= 0")
-    inv_xi_prev, inv_xi, inv_eta = _inv_xi(alpha, n - 1), _inv_xi(alpha, n), _inv_xi(beta, s)
+    (inv_xi_prev, inv_xi), (inv_eta,) = imf._inv_xis(alpha, n - 1, n), imf._inv_xis(beta, s, s)
     if not (_strictly_less(inv_eta, inv_xi, cap_bits)
             and _strictly_less(inv_xi_prev, inv_eta, cap_bits)):
         raise PreconditionFailedError(f"eta_{s} is not inside (xi_{n}, xi_{n-1})")
@@ -266,10 +266,10 @@ def scan_dichotomy(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    inv_xis = imf._inv_xis(alpha, depth)
+    inv_xis = imf._inv_xis(alpha, 0, depth)
     records = []
     n = 1
-    for s, inv_eta in enumerate(imf._inv_xis(beta, depth)):
+    for s, inv_eta in enumerate(imf._inv_xis(beta, 0, depth)):
         while n <= depth and not _strictly_less(inv_eta, inv_xis[n], cap_bits):
             n += 1
         if n > depth:
@@ -443,13 +443,15 @@ def _offset(U: int, bits: int) -> Interval:
 def _judge(U: int, epsilon: Fraction, offset: Interval) -> tuple[int, bool] | None:
     """(V, accepted) for candidate U from one enclosure of its offset, or None if unsettled.
 
-    V is the nearest integer to the offset. The coprimality and positivity tests
-    are exact; only a candidate that passes them needs |V - offset| < epsilon.
+    V is the nearest integer to the offset. The coprimality test is exact; only a
+    candidate that passes it needs |V - offset| < epsilon.
     """
     V = math.floor(offset.lo + Fraction(1, 2))
     if V != math.floor(offset.hi + Fraction(1, 2)):
         return None
-    if math.gcd(U, V) != 1 or not TAU * V + U > 0:
+    # tau*V + U > 0 needs no test: it is tau*(V + U*phi), as tau*phi = 1, and V + U*phi
+    # lies within 1/2 of sqrt(tau) ~ 1.272
+    if math.gcd(U, V) != 1:
         return V, False
     error = abs(V - offset)
     if error.hi < epsilon or error.lo > epsilon:
@@ -460,11 +462,12 @@ def _judge(U: int, epsilon: Fraction, offset: Interval) -> tuple[int, bool] | No
 def construct_optimal(epsilon: Fraction, cap_bits: int = DEFAULT_CAP_BITS) -> OptimalPair:
     """Deterministic search for the near-optimal companion of tau.
 
-    U ascends from 0; V is the nearest integer to sqrt(tau) - U*phi. The first
-    pair with gcd(U, V) = 1, tau*V + U > 0, approximation error
-    |V + U*phi - sqrt(tau)| < epsilon, and a companion theta with tau +- theta
-    not integral is accepted. Each U is settled by one refinement of that offset;
-    a candidate the cap cannot settle raises UndecidedSignError instead of being skipped.
+    U ascends from 0; V is the nearest integer to sqrt(tau) - U*phi, so that
+    tau*V + U = tau*(V + U*phi) > 0 always. The first pair with gcd(U, V) = 1,
+    approximation error |V + U*phi - sqrt(tau)| < epsilon, and a companion theta
+    with tau +- theta not integral is accepted. Each U is settled by one
+    refinement of that offset; a candidate the cap cannot settle raises
+    UndecidedSignError instead of being skipped.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:

@@ -1,13 +1,15 @@
 """The per-expansion convergent source against a plain recurrence.
 
 ``convergent_state`` and ``last_convergent_at_most`` answer through the
-ladder of squared period matrices; ``convergents`` walks in order, and so does
-the merged walk behind profiles, merged words and witness searches. Every
-answer is compared with the three-term recurrence written out below, on
-expansions drawn with and without a preperiod, rational ones, and ones with
-a_1 = 1 (where q_0 = q_1 = 1); the merged walk is compared with the ladder's
-``d_at`` and with denominators merged by hand. The exact value and the surd
-expansion invert each other on the same expansions.
+ladder of squared period matrices; ``convergent_stream`` walks in order, from
+index 0 or from a seed, and so does the merged walk behind profiles, merged
+words and witness searches. Every answer is compared with the three-term
+recurrence written out below, on expansions drawn with and without a
+preperiod, rational ones, and ones with a_1 = 1 (where q_0 = q_1 = 1); a
+seeded stream is compared with the stream from index 0, and the merged walk
+with 1/psi built from the unseeded convergents and with denominators merged by
+hand. The exact value and the surd expansion invert each other on the same
+expansions.
 """
 
 import itertools
@@ -15,13 +17,13 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from psidiff import (CFExpansion, breakpoint_profile, convergents, d_at, expand_quadratic,
                      find_witness, is_nonintegral_sum_and_diff, merged_word, parse_number,
-                     parse_surd)
-from psidiff.contfrac import convergent_state, last_convergent_at_most
+                     parse_surd, tail)
+from psidiff.contfrac import convergent_state, convergent_stream, last_convergent_at_most
 
 QUOTIENT = st.one_of(st.just(1), st.integers(1, 7))
 
@@ -94,6 +96,24 @@ def test_bracket_index_near_denominators(cf, n):
         r, state = last_convergent_at_most(cf, t)
         assert r == last_index_at_most(cf, t)
         assert state == first_states(cf, r + 1)[r]
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansions(), st.data())
+def test_seeded_stream_is_the_stream_from_its_seed(cf, data):
+    n = data.draw(st.integers(0, len(cf.preperiod) if cf.is_rational else 30))
+    seeded = itertools.islice(convergent_stream(cf, (n, first_states(cf, n + 1)[n])), 20)
+    assert list(seeded) == list(itertools.islice(convergent_stream(cf), n, n + 20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansions(), st.integers(0, 30))
+@example(CFExpansion(2, (3, 4)), 5)  # rational, past its end
+@example(CFExpansion(0, (1, 2, 3), (4, 5)), 2)  # inside the preperiod
+@example(CFExpansion(0, (1, 2, 3), (4, 5)), 6)  # past it, period rotated
+def test_quotients_from_start(cf, start):
+    want = list(itertools.islice(cf.quotients(), start, start + 20))
+    assert list(itertools.islice(cf.quotients(start), 20)) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -171,9 +191,16 @@ def last_index_by_q(cf: CFExpansion) -> dict[int, int]:
     return {c.q: c.index for c in convergents(cf, 200)}
 
 
+def reference_inv_psi(cf: CFExpansion, t: int):
+    """(r, q_r*tail(r+1) + q_{r-1}), r the last index with q_r <= t, from the unseeded convergents."""
+    r = last_index_at_most(cf, t)
+    q = [0, *(c.q for c in convergents(cf, r))]  # q[n + 1] = q_n, q_{-1} = 0
+    return r, q[r + 1] * tail(cf, r + 1) + q[r]
+
+
 @settings(max_examples=60, deadline=None)
 @given(valid_pairs(), st.integers(1, 10**40), st.data())
-def test_merged_walk_matches_ladder(pair, t_max, data):
+def test_merged_walk_matches_recurrence(pair, t_max, data):
     alpha, beta = pair
     denominators = sorted({*last_index_by_q(alpha), *last_index_by_q(beta)})
     on_breakpoint = [q for q in denominators if q <= t_max]
@@ -182,10 +209,9 @@ def test_merged_walk_matches_ladder(pair, t_max, data):
     assert [e.t for e in profile.entries] == sorted({t_min} | {
         q for q in denominators if t_min <= q <= t_max})
     for entry in profile.entries:
-        want = d_at(alpha, beta, entry.t)
-        got = entry.d
-        assert (got.inv_psi_alpha, got.inv_psi_beta) == (want.inv_psi_alpha, want.inv_psi_beta)
-        assert (got.alpha_index, got.beta_index) == (want.alpha_index, want.beta_index)
+        d = entry.d
+        assert (d.alpha_index, d.inv_psi_alpha) == reference_inv_psi(alpha, entry.t)
+        assert (d.beta_index, d.inv_psi_beta) == reference_inv_psi(beta, entry.t)
     # a number that does not step at a breakpoint keeps the value of the step before
     letters = {x.value: x for x in merged_word(alpha, beta, len(on_breakpoint)).letters}
     for prev, entry in itertools.pairwise(profile.entries):
@@ -195,6 +221,18 @@ def test_merged_walk_matches_ladder(pair, t_max, data):
             assert (d.inv_psi_beta, d.beta_index) == (prev.d.inv_psi_beta, prev.d.beta_index)
         if letter.kind == "T":
             assert (d.inv_psi_alpha, d.alpha_index) == (prev.d.inv_psi_alpha, prev.d.alpha_index)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_pairs(), st.integers(1, 10**40), st.data())
+def test_profile_from_t_min_is_the_cut_profile(pair, t_max, data):
+    """Seeded at t_min, the profile is the one from t = 1 with the steps before t_min cut."""
+    alpha, beta = pair
+    full = breakpoint_profile(alpha, beta, 1, t_max).entries
+    t_min = data.draw(st.one_of(st.sampled_from([e.t for e in full]), st.integers(1, t_max)))
+    active = [e for e in full if e.t <= t_min][-1]
+    want = [(t_min, active.d), *((e.t, e.d) for e in full if e.t > t_min)]
+    assert [(e.t, e.d) for e in breakpoint_profile(alpha, beta, t_min, t_max).entries] == want
 
 
 @settings(max_examples=60, deadline=None)

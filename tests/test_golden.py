@@ -39,6 +39,23 @@ COMMANDS = {
     "construct_optimal_small": ["construct-optimal", "--epsilon", "1/3000"],
     "verify_optimal_wide": ["verify-optimal", "--epsilon", "1/1000", "--from", "1000000",
                             "--bound", "10000000000000000000000000000000000000000"],
+    "profile_far": ["profile", "--alpha", SQRT2, "--beta", "tau",
+                    "--from", "1000000000000000000000000000000000000000000000000000000000000",
+                    "--bound", "100000000000000000000000000000000000000000000000000000000000000",
+                    "--output", "json"],
+    "witness_far": ["witness", "--alpha", "cf:[0;1,1,1,1,1,1,(1,2)]",
+                    "--beta", "surd:(1+sqrt(3))/2",
+                    "--from", "1000000000000000000000000000000000000000000000000000000000000",
+                    "--bound", "100000000000000000000000000000000000000000000000000000000000000"],
+    "verify_optimal_far": ["verify-optimal", "--epsilon", "1/100",
+                           "--from", ("100000000000000000000000000000000000000000000000000000000000"
+                                      "000000000000000000000000000000000000000000000000000000000000"
+                                      "000000000000000000000000000000000000000000000000000000000000"
+                                      "000000000000000000000"),
+                           "--bound", ("100000000000000000000000000000000000000000000000000000000000"
+                                       "000000000000000000000000000000000000000000000000000000000000"
+                                       "000000000000000000000000000000000000000000000000000000000000"
+                                       "0000000000000000000000")],
 }
 
 

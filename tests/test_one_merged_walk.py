@@ -1,10 +1,13 @@
-"""Passes over the breakpoints in order read one merged walk, not the ladder.
+"""Passes over the breakpoints in order read one merged walk, seeded once per number.
 
 Profiles, merged words, witness searches and the lemma scans visit the
 convergents of both numbers in ascending order, so each bracket comes from one
-recurrence step of the two convergent streams. With the ladder's lookups made
-to raise, all of them must still give the same results; a per-step ladder
-lookup creeping back into any of them fails here.
+recurrence step of the two convergent streams. The ladder only seeds a walk at
+its lower end, one lookup per number, and single evaluations are the first step
+of such a walk; a per-step ladder lookup creeping back into any of them fails
+here, and so does a ladder lookup from anywhere but the two seeding helpers and
+the near-optimality regime floor. A walk far out costs its own entries, not
+every convergent below them.
 
 Along the walk, 1/psi of a number is computed once per bracket it holds, not
 once per breakpoint: at a breakpoint where only the other number steps, its
@@ -13,14 +16,16 @@ closed forms, which a corrupted tail must trip. Rendering a profile likewise
 turns each carried-over 1/psi into a decimal once, not once per row.
 """
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from psidiff import (CFExpansion, breakpoint_profile, cli, construct_optimal, contfrac,
-                     find_witness, imf, merged_word, parse_number, scan_dichotomy,
-                     scan_interleave_gap, scan_lemma_conseq, scan_lemma_conseq1,
-                     theorems, verify_near_optimality)
+from psidiff import (CFExpansion, breakpoint_profile, check_dichotomy, cli, construct_optimal,
+                     contfrac, convergent_distance, d_at, find_witness, imf, inv_psi,
+                     merged_word, parse_number, psi, scan_dichotomy, scan_interleave_gap,
+                     scan_lemma_conseq, scan_lemma_conseq1, theorems, verify_near_optimality)
 from psidiff.errors import FormMismatchError
 
 LADDER = ("last_convergent_at_most", "convergent_state")
@@ -40,16 +45,97 @@ def passes():
     }
 
 
+# ladder lookups per pass: one seed per number of a walk, none for the conseq scans,
+# which read plain convergent lists
+SEEDS = {"profile": 2, "word": 2, "witness": 2, "interleave_gap": 2, "dichotomy": 2,
+         "conseq": 0, "conseq1": 0}
+
+
+def count_ladder(monkeypatch) -> list:
+    """The expansion of every ladder lookup from now on; lookups still answer."""
+    lookups = []
+    for attr in LADDER:
+        def counting(cf, *args, real=getattr(contfrac, attr)):
+            lookups.append(cf)
+            return real(cf, *args)
+
+        monkeypatch.setattr(contfrac, attr, counting)
+    return lookups
+
+
 @pytest.mark.parametrize("name", sorted(passes()))
 def test_in_order_pass_needs_no_ladder(name, monkeypatch):
+    """No lookup per step: at most one ladder lookup per number seeds the walk."""
     want = passes()[name]()
-
-    def no_ladder(*args, **kwargs):
-        raise AssertionError("ladder lookup inside an in-order pass")
-
-    for attr in LADDER:
-        monkeypatch.setattr(contfrac, attr, no_ladder)
+    lookups = count_ladder(monkeypatch)
     assert passes()[name]() == want
+    assert len(lookups) == SEEDS[name]
+    assert len(set(lookups)) == len(lookups)
+
+
+def test_single_evaluation_is_one_seeded_step(monkeypatch):
+    tau = CFExpansion(1, (), (1,))
+    sqrt2 = parse_number("surd:(0+sqrt(2))/1")
+    alpha = CFExpansion(0, (1,) * 6, (1, 2))
+    t = 10**50
+    evaluations = [
+        (lambda: d_at(sqrt2, tau, t), [sqrt2, tau]),
+        (lambda: psi(tau, t), [tau]),
+        (lambda: inv_psi(sqrt2, t), [sqrt2]),
+        (lambda: convergent_distance(sqrt2, 40), [sqrt2]),
+        (lambda: check_dichotomy(alpha, sqrt2, 7, 3), [alpha, sqrt2]),
+    ]
+    lookups = count_ladder(monkeypatch)
+    for evaluate, numbers in evaluations:
+        lookups.clear()
+        evaluate()
+        assert lookups == numbers
+
+
+def ladder_references() -> list[str]:
+    """module.function of each ladder name mentioned in the package outside contfrac."""
+    found = []
+    for path in sorted(pathlib.Path(imf.__file__).parent.glob("*.py")):
+        if path.stem == "contfrac":
+            continue
+        scope = [path.stem]
+
+        class Visitor(ast.NodeVisitor):
+            def visit_FunctionDef(self, node):
+                scope.append(node.name)
+                self.generic_visit(node)
+                scope.pop()
+
+            def generic_visit(self, node):
+                name = getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+                if name in LADDER:
+                    found.append(".".join(scope))
+                super().generic_visit(node)
+
+        Visitor().visit(ast.parse(path.read_text()))
+    return sorted(found)
+
+
+def test_only_the_seeds_touch_the_ladder():
+    """Outside contfrac the ladder seeds the two walks and finds the regime floor, nothing else."""
+    assert ladder_references() == ["imf._brackets", "imf._inv_xis",
+                                   "theorems.verify_near_optimality"]
+
+
+def test_far_window_walks_from_its_lower_end(monkeypatch):
+    """The stream yields once per entry, plus a seed and a first step per number."""
+    tau = CFExpansion(1, (), (1,))
+    sqrt2 = parse_number("surd:(0+sqrt(2))/1")
+    real, yielded = contfrac.convergent_stream, []
+
+    def counting(*args):
+        for c in real(*args):
+            yielded.append(c)
+            yield c
+
+    monkeypatch.setattr(contfrac, "convergent_stream", counting)
+    profile = breakpoint_profile(sqrt2, tau, 10**10000, 10**10001)
+    assert len(yielded) <= len(profile.entries) + 2 * 2
 
 
 def test_one_inv_psi_per_bracket(monkeypatch):
