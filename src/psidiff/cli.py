@@ -123,15 +123,15 @@ def cmd_lemmas(args: argparse.Namespace) -> dict:
 
 
 def cmd_construct_optimal(args: argparse.Namespace) -> dict:
-    pair = theorems.construct_optimal(Fraction(args.epsilon), args.precision_cap_bits)
+    pair = theorems.construct_optimal(Fraction(args.epsilon))
     return pair.to_json(args.digits, args.precision_cap_bits)
 
 
 def cmd_verify_optimal(args: argparse.Namespace) -> dict:
     cap = args.precision_cap_bits
-    pair = theorems.construct_optimal(Fraction(args.epsilon), cap)
+    pair = theorems.construct_optimal(Fraction(args.epsilon))
     slack = Fraction(args.slack) if args.slack is not None else None
-    report = theorems.verify_near_optimality(pair, args.from_t, args.bound, slack, cap)
+    report = theorems.verify_near_optimality(pair, args.from_t, args.bound, slack)
     return {"pair": pair.to_json(args.digits, cap), "report": report.to_json(args.digits, cap)}
 
 

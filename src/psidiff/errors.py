@@ -50,7 +50,7 @@ class PreconditionFailedError(PsidiffError):
 
 
 class DichotomyViolationError(PsidiffError):
-    """Neither branch of the dichotomy held; must never fire."""
+    """A dichotomy branch test met 1/xi_n != alpha_{n+1}/xi_{n-1}; must never fire."""
 
     code = "dichotomy_violation"
 

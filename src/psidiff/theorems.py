@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import contfrac, imf
 from .contfrac import CFExpansion, rational_to_cf
@@ -31,12 +31,12 @@ from .errors import (
 from .exact import (
     DEFAULT_CAP_BITS,
     PHI,
+    SQRT5,
     TAU,
     Comparison,
     Interval,
     QuadExt,
     c_enclosure,
-    refine,
     refine_compare,
     render_decimal,
     render_decimal_down,
@@ -205,7 +205,9 @@ def check_dichotomy(
 
     Branch one: 1/eta_s - 1/xi_{n-1} >= t_s(beta_{s+1} + t_{s-1}/t_s)(1 - 1/sqrt(alpha_{n+1})).
     Branch two: 1/xi_n - 1/eta_s >= q_n(alpha_{n+1} + q_{n-1}/q_n)(1 - 1/sqrt(alpha_{n+1})).
-    At least one must hold; neither holding is a violation that fails the build.
+    As 1/xi_n = alpha_{n+1}/xi_{n-1}, branch one says 1/eta_s >= g and branch two
+    1/eta_s <= g, where g = sqrt((1/xi_{n-1})*(1/xi_n)). So exactly one holds
+    unless 1/eta_s equals g, when both do.
     """
     if n < 1 or s < 0:
         raise ValueError("need n >= 1 and s >= 0")
@@ -218,37 +220,20 @@ def check_dichotomy(
 
 def _branch(alpha: CFExpansion, n: int, s: int, inv_xi_prev: QuadExt, inv_xi: QuadExt,
             inv_eta: QuadExt, cap_bits: int) -> DichotomyBranch:
-    """The branch test of ``check_dichotomy`` on reciprocals already known to be in order."""
+    """The branch test of ``check_dichotomy`` on reciprocals already known to be in order.
 
-    def factor(bits: int) -> Interval:
-        root = sqrt_interval(contfrac.tail(alpha, n + 1).enclosure(bits), bits)
-        return 1 - 1 / root
-
-    def lhs_first(bits: int) -> Interval:
-        return inv_eta.enclosure(bits) - inv_xi_prev.enclosure(bits)
-
-    def rhs_first(bits: int) -> Interval:
-        return inv_eta.enclosure(bits) * factor(bits)
-
-    def lhs_second(bits: int) -> Interval:
-        return inv_xi.enclosure(bits) - inv_eta.enclosure(bits)
-
-    def rhs_second(bits: int) -> Interval:
-        return inv_xi.enclosure(bits) * factor(bits)
-
-    first = refine_compare(lhs_first, rhs_first, cap_bits)
-    second = refine_compare(lhs_second, rhs_second, cap_bits)
-    first_holds = first in (Comparison.GREATER, Comparison.EQUAL)
-    second_holds = second in (Comparison.GREATER, Comparison.EQUAL)
-    if first_holds and second_holds:
-        return DichotomyBranch.BOTH
-    if first_holds:
-        return DichotomyBranch.FIRST_BRANCH
-    if second_holds:
-        return DichotomyBranch.SECOND_BRANCH
-    if first is Comparison.LESS and second is Comparison.LESS:
-        raise DichotomyViolationError(f"neither branch holds at (n, s) = ({n}, {s})")
-    raise UndecidedSignError(f"dichotomy branches undecided at (n, s) = ({n}, {s})")
+    It compares (1/eta_s)^2 with (1/xi_{n-1})*(1/xi_n), both positive, after checking
+    the identity 1/xi_n = alpha_{n+1}/xi_{n-1} that turns the branches into that
+    comparison. Exact when beta shares alpha's field; across fields it is one
+    comparison of two quadratic numbers, like ``_strictly_less``.
+    """
+    if inv_xi != contfrac.tail(alpha, n + 1) * inv_xi_prev:
+        raise DichotomyViolationError(f"1/xi_{n} is not alpha_{n + 1}/xi_{n - 1}")
+    verdict = refine_compare(inv_eta * inv_eta, inv_xi * inv_xi_prev, cap_bits)
+    if verdict is Comparison.UNDECIDED:
+        raise UndecidedSignError(f"dichotomy branches undecided at (n, s) = ({n}, {s})")
+    return {Comparison.GREATER: DichotomyBranch.FIRST_BRANCH,
+            Comparison.LESS: DichotomyBranch.SECOND_BRANCH}.get(verdict, DichotomyBranch.BOTH)
 
 
 def scan_dichotomy(
@@ -348,7 +333,12 @@ def _gap_certificate(pattern: str, n: int, m: int, first_point: int, second_poin
     verified = []
     half = Fraction(bound, 2)
     for point, d in ((first_point, d_first), (second_point, d_second)):
-        if refine_compare(d.abs_enclosure, half, cap_bits) is Comparison.GREATER:
+        # in one field |d| can equal bound/2 exactly; across fields d is irrational
+        exact = d.as_quadext()
+        verdict = refine_compare(d.abs_enclosure if exact is None else abs(exact), half, cap_bits)
+        if verdict is Comparison.UNDECIDED:
+            raise UndecidedSignError(f"|d({point})| vs {half} undecided at {cap_bits} bits")
+        if verdict is Comparison.GREATER:
             verified.append(point)
     if not verified:
         raise GapViolationError(
@@ -440,23 +430,9 @@ def _offset(U: int, bits: int) -> Interval:
     return sqrt_tau_enclosure(bits) - (U * PHI).enclosure(bits)
 
 
-def _judge(U: int, epsilon: Fraction, offset: Interval) -> tuple[int, bool] | None:
-    """(V, accepted) for candidate U from one enclosure of its offset, or None if unsettled.
-
-    V is the nearest integer to the offset. The coprimality test is exact; only a
-    candidate that passes it needs |V - offset| < epsilon.
-    """
-    V = math.floor(offset.lo + Fraction(1, 2))
-    if V != math.floor(offset.hi + Fraction(1, 2)):
-        return None
-    # tau*V + U > 0 needs no test: it is tau*(V + U*phi), as tau*phi = 1, and V + U*phi
-    # lies within 1/2 of sqrt(tau) ~ 1.272
-    if math.gcd(U, V) != 1:
-        return V, False
-    error = abs(V - offset)
-    if error.hi < epsilon or error.lo > epsilon:
-        return V, error.hi < epsilon
-    return None
+def _above_sqrt_tau(x: QuadExt) -> bool:
+    """x > sqrt(tau), exactly; never a tie, as sqrt(tau) has degree 4."""
+    return x > 0 and x * x > TAU
 
 
 def construct_optimal(epsilon: Fraction, cap_bits: int = DEFAULT_CAP_BITS) -> OptimalPair:
@@ -465,19 +441,19 @@ def construct_optimal(epsilon: Fraction, cap_bits: int = DEFAULT_CAP_BITS) -> Op
     U ascends from 0; V is the nearest integer to sqrt(tau) - U*phi, so that
     tau*V + U = tau*(V + U*phi) > 0 always. The first pair with gcd(U, V) = 1,
     approximation error |V + U*phi - sqrt(tau)| < epsilon, and a companion theta
-    with tau +- theta not integral is accepted. Each U is settled by one
-    refinement of that offset; a candidate the cap cannot settle raises
-    UndecidedSignError instead of being skipped.
+    with tau +- theta not integral is accepted. Each U is settled exactly in
+    Q(sqrt(5)) by squaring against tau; the verdict does not read ``cap_bits``.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     for U in range(_UV_SEARCH_LIMIT + 1):
-        settled = refine(partial(_offset, U), partial(_judge, U, epsilon), cap_bits)
-        if settled is None:
-            raise UndecidedSignError(f"candidate U={U} undecided at {cap_bits} bits")
-        V, accepted = settled
-        if accepted:
+        s = U * PHI
+        # with m = floor(-s), sqrt(tau) + 1/2 - s lies in [m + 1.77, m + 2.78)
+        m = (-s).floor()
+        V = m + 1 if _above_sqrt_tau(s + m + Fraction(3, 2)) else m + 2
+        if (math.gcd(U, V) == 1 and _above_sqrt_tau(s + V + epsilon)
+                and not _above_sqrt_tau(s + V - epsilon)):
             pair = _build_pair(epsilon, U, V)
             if contfrac.is_nonintegral_sum_and_diff(TAU_CF.value(), pair.theta.value()):
                 return pair
@@ -549,7 +525,10 @@ def verify_near_optimality(
     The range is clamped from below to the denominator s_{w+10} so that the
     shifted-index regime is in force; slack defaults to five epsilon, covering
     the finite-range transients of an asymptotic bound. theta lies in Q(sqrt(5)), so
-    the walk keeps the exact maximum of |d(t)|/t, and one comparison with C + slack decides.
+    the walk keeps the exact maximum of |d(t)|/t. As C = sqrt(5) - sqrt(5*phi), the
+    maximum is below C + slack exactly when sqrt(5*phi) < w = sqrt(5) - (maximum - slack),
+    decided by squaring w; 5*phi has norm -25, so it is no square and never ties.
+    The verdict does not read ``cap_bits``.
     """
     if slack is None:
         slack = 5 * pair.epsilon
@@ -567,10 +546,9 @@ def verify_near_optimality(
         if top is None or size * argmax_t > top * t:  # |d|/t > top/argmax_t, no division
             top, argmax_t = size, t
     max_ratio = top / argmax_t
-    verdict = refine_compare(max_ratio, lambda bits: c_enclosure(bits) + slack, cap_bits)
-    if verdict is Comparison.UNDECIDED:
-        raise UndecidedSignError(f"ratio at t={argmax_t} vs C + slack undecided at {cap_bits} bits")
-    return NearOptimalityReport(max_ratio, argmax_t, verdict is Comparison.LESS, t_lo, t_max, slack)
+    w = SQRT5 - (max_ratio - slack)
+    passed = w > 0 and w * w > 5 * PHI
+    return NearOptimalityReport(max_ratio, argmax_t, passed, t_lo, t_max, slack)
 
 
 # -- Fibonacci / Binet ------------------------------------------------------------

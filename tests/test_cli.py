@@ -179,16 +179,14 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert payload["error"]["code"] == "undecided_sign"
 
-    def test_undecided_candidate_exits_2(self, capsys):
-        # U = 7's approximation error rounded up at 25 digits: 64 bits cannot separate them
+    def test_small_cap_candidate_exits_0(self, capsys):
+        # U = 7's approximation error rounded up at 25 digits: the cap does not decide it
         epsilon = "271091358675974865898427/5000000000000000000000000"
-        code, payload = run_json(capsys, "construct-optimal", "--epsilon", epsilon,
-                                 "--precision-cap-bits", "64")
-        assert code == 2
-        assert payload["error"]["code"] == "undecided_sign"
-        code, payload = run_json(capsys, "construct-optimal", "--epsilon", epsilon)
+        code, small = run(capsys, "construct-optimal", "--epsilon", epsilon,
+                          "--precision-cap-bits", "64")
         assert code == 0
-        assert (payload["U"], payload["V"]) == (7, -3)
+        assert (json.loads(small)["U"], json.loads(small)["V"]) == (7, -3)
+        assert run(capsys, "construct-optimal", "--epsilon", epsilon) == (0, small)
 
     def test_digits_beyond_cap_exit_2(self, capsys):
         code, payload = run_json(capsys, "constants", "--digits", "100000")

@@ -33,9 +33,12 @@ COMMANDS = {
                           "--max-depth", "60"],
     "lemmas_preperiod": ["lemmas", "--alpha", "cf:[0;1,1,1,1,1,1,(1,2)]",
                          "--beta", "surd:(1+sqrt(3))/2", "--max-depth", "60"],
+    "lemmas_tie": ["lemmas", "--alpha", SQRT2, "--beta", "cf:[0;1,(2)]", "--max-depth", "20"],
     "construct_optimal": ["construct-optimal", "--epsilon", "0.06"],
     "verify_optimal": ["verify-optimal", "--epsilon", "0.06", "--from", "1000000",
                        "--bound", "1000000000000"],
+    "verify_optimal_fail": ["verify-optimal", "--epsilon", "0.06", "--from", "1000000",
+                            "--bound", "1000000000000", "--slack", "0"],
     "construct_optimal_small": ["construct-optimal", "--epsilon", "1/3000"],
     "verify_optimal_wide": ["verify-optimal", "--epsilon", "1/1000", "--from", "1000000",
                             "--bound", "10000000000000000000000000000000000000000"],

@@ -17,8 +17,10 @@ from psidiff import (
     binet_fib,
     check_dichotomy,
     construct_optimal,
+    convergent_distance,
     convergents,
     d_at,
+    exact,
     find_witness,
     refine_compare,
     scan_dichotomy,
@@ -29,6 +31,7 @@ from psidiff import (
     verify_near_optimality,
 )
 from psidiff.errors import (
+    DichotomyViolationError,
     IntegralSumOrDiffError,
     NotFoundInRangeError,
     PreconditionFailedError,
@@ -133,6 +136,16 @@ class TestDichotomy:
         with pytest.raises(PreconditionFailedError):
             check_dichotomy(SQRT2, TAU_CF, 2, 1)
 
+    def test_branch_checks_the_reciprocal_identity(self, monkeypatch):
+        inv_xi_prev, inv_xi = (1 / convergent_distance(SQRT2, n) for n in (1, 2))
+        inv_eta = 1 / convergent_distance(TAU_CF, 3)
+        calls = _count_calls(monkeypatch, "refine_compare")
+        branch = theorems._branch(SQRT2, 2, 3, inv_xi_prev, inv_xi, inv_eta, 4096)
+        assert branch is DichotomyBranch.SECOND_BRANCH
+        assert calls == {"refine_compare": 1}
+        with pytest.raises(DichotomyViolationError):
+            theorems._branch(SQRT2, 2, 3, inv_xi_prev, inv_xi + 1, inv_eta, 4096)
+
     def test_scan_never_violates(self):
         for alpha, beta in ((SQRT2, TAU_CF), (SQRT2, SQRT3), (TAU_CF, FIVE1)):
             records = scan_dichotomy(alpha, beta, 30)
@@ -160,6 +173,28 @@ class TestInterleaveGap:
         # all partial quotients of both numbers equal 1 beyond the start
         assert scan_interleave_gap(TAU_CF, FIVE1, 40) == []
 
+    def test_exact_half_bound_tie_is_decided(self, monkeypatch):
+        # sqrt2 vs [0;1,(2)] share a field, and |d| equals bound/2 at one point
+        verdicts = []
+
+        def spy(*args):
+            verdicts.append(refine_compare(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(theorems, "refine_compare", spy)
+        certs = scan_interleave_gap(SQRT2, parse_number("cf:[0;1,(2)]"), 20)
+        assert verdicts[0] is Comparison.EQUAL
+        assert Comparison.UNDECIDED not in verdicts
+        # d(1) = 1 is exactly bound/2 = 2/2, so only the second point is verified
+        assert (certs[0].first_point, certs[0].d_first.as_quadext()) == (1, 1)
+        assert certs[0].verified_points == (2,)
+        assert len(certs) == 38
+
+    def test_undecided_point_raises(self, monkeypatch):
+        monkeypatch.setattr(theorems, "refine_compare", lambda *args: Comparison.UNDECIDED)
+        with pytest.raises(UndecidedSignError):
+            scan_interleave_gap(SQRT2, TAU_CF, 10)
+
     def test_json_schema(self):
         cert = scan_interleave_gap(SQRT2, TAU_CF, 10)[0]
         payload = cert.to_json(6)
@@ -168,14 +203,16 @@ class TestInterleaveGap:
 
 
 def _count_calls(monkeypatch, *names):
-    """Count the calls of the named functions as ``theorems`` sees them."""
+    """Count the calls of the named ``exact`` functions, from ``theorems`` or within ``exact``."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*args, name=name, function=getattr(theorems, name)):
+        def counted(*args, name=name, function=getattr(exact, name)):
             calls[name] += 1
             return function(*args)
 
-        monkeypatch.setattr(theorems, name, counted)
+        for module in (exact, theorems):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -232,18 +269,19 @@ class TestConstructOptimal:
 
         assert is_nonintegral_sum_and_diff(TAU, pair.theta.value())
 
-    def test_undecided_candidate_raises(self):
-        # 64 bits cannot separate U = 7's error from epsilon; skipping U = 7 gave (15, -8)
-        with pytest.raises(UndecidedSignError, match="U=7"):
-            construct_optimal(UNDECIDED_EPS, cap_bits=64)
-        pair = construct_optimal(UNDECIDED_EPS)
+    def test_cap_does_not_decide_candidate(self):
+        # 64 bits cannot separate U = 7's error from epsilon, and the exact test needs
+        # no bits; skipping U = 7 would give (15, -8)
+        pair = construct_optimal(UNDECIDED_EPS, cap_bits=64)
         assert (pair.U, pair.V) == (7, -3)
+        assert pair == construct_optimal(UNDECIDED_EPS)
 
     def test_one_refinement_per_candidate(self, monkeypatch):
+        # each candidate is settled in Q(sqrt(5)), with no refinement at all
         calls = _count_calls(monkeypatch, "refine", "refine_compare")
         pair = construct_optimal(Fraction(1, 1000))
         assert pair.U == 1235
-        assert calls == {"refine": pair.U + 1, "refine_compare": 0}
+        assert calls == {"refine": 0, "refine_compare": 0}
 
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
@@ -295,10 +333,11 @@ class TestVerifyNearOptimality:
             verify_near_optimality(pair, 1, 10)
 
     def test_one_comparison_per_range(self, monkeypatch):
+        # the one comparison with C + slack is a sign test in Q(sqrt(5)), not a refinement
         pair = construct_optimal(Fraction(6, 100))
         calls = _count_calls(monkeypatch, "refine", "refine_compare")
         verify_near_optimality(pair, 1, 10**40)
-        assert calls == {"refine": 0, "refine_compare": 1}
+        assert calls == {"refine": 0, "refine_compare": 0}
 
     def test_exact_maximum(self):
         report = verify_near_optimality(construct_optimal(Fraction(6, 100)), 1, 10**20)
@@ -311,6 +350,24 @@ class TestVerifyNearOptimality:
                            parse_number("cf:[0;(2)]"), p.index_shift)
         with pytest.raises(PreconditionFailedError):
             verify_near_optimality(pair, 10**6, 10**9)
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.fractions(Fraction(1, 3000), 1).filter(lambda eps: eps < 1),
+       st.integers(0, 40), st.integers(0, 40))
+def test_optimal_pair_ignores_the_cap(epsilon, a, b):
+    pair = construct_optimal(epsilon)
+    assert construct_optimal(epsilon, 64) == pair
+    t_min, t_max = 10 ** min(a, b), 10 ** max(a, b)
+    assert (_outcome(verify_near_optimality, pair, t_min, t_max, None, 64)
+            == _outcome(verify_near_optimality, pair, t_min, t_max))
 
 
 class TestBinet:
@@ -373,6 +430,35 @@ def test_dichotomy_scan_matches_single_checks(pair, depth):
     alpha, beta = pair
     for record in scan_dichotomy(alpha, beta, depth):
         assert record.branch is check_dichotomy(alpha, beta, record.n, record.s)
+
+
+def _mp_tail(cf, r):
+    """alpha_r = [a_r; a_{r+1}, ...] in mpmath, unrolled from the partial quotients alone."""
+    value = mpmath.mpf(cf.partial_quotient(r + 400))
+    for j in range(r + 399, r - 1, -1):
+        value = cf.partial_quotient(j) + 1 / value
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_pairs(), st.integers(0, 40))
+def test_dichotomy_branches_match_the_inequalities(pair, depth):
+    """Each record's branch against the two inequalities of ``check_dichotomy``, in mpmath."""
+    alpha, beta = pair
+    expected = {(True, False): DichotomyBranch.FIRST_BRANCH,
+                (False, True): DichotomyBranch.SECOND_BRANCH}
+    with mpmath.workdps(150):
+        for record in scan_dichotomy(alpha, beta, depth):
+            inv_xi_prev, inv_xi, inv_eta = (1 / mp_quadext(x, 150)
+                                            for x in (record.xi_prev, record.xi, record.eta))
+            factor = 1 - 1 / mpmath.sqrt(_mp_tail(alpha, record.n + 1))
+            first = inv_eta - inv_xi_prev - inv_eta * factor
+            second = inv_xi - inv_eta - inv_xi * factor
+            tie = mpmath.mpf(10) ** -100 * inv_xi
+            if abs(first) > tie and abs(second) > tie:
+                assert record.branch is expected[first > 0, second > 0]
+            else:
+                assert record.branch is DichotomyBranch.BOTH
 
 
 @lru_cache(maxsize=None)
