@@ -1,7 +1,8 @@
 """Command-line front end with deterministic, machine-readable output.
 
 Exit codes: 0 success, 1 domain error (bad input, precondition failure),
-2 undecided comparison (the precision cap was reached). Errors print as JSON
+2 the precision cap was reached: by a decimal rendering, or by the witness
+test |d(t)| vs C*t, the one decision that refines. Errors print as JSON
 objects with a machine-readable ``code``.
 """
 
@@ -71,7 +72,7 @@ def cmd_profile(args: argparse.Namespace) -> dict | str:
             {"t": t, "inv_psi_alpha": inv_a, "inv_psi_beta": inv_b, "d": d_text}
             for t, inv_a, inv_b, d_text in imf._rendered_rows(profile, d, cap)
         ],
-        "sign_changes": imf.sign_changes(profile, cap),
+        "sign_changes": imf.sign_changes(profile),
     }
 
 
@@ -113,11 +114,11 @@ def cmd_lemmas(args: argparse.Namespace) -> dict:
         "conseq1": [list(pair) for pair in theorems.scan_lemma_conseq1(alpha, beta, depth)],
         "interleave_gap": [
             cert.to_json(args.digits, cap)
-            for cert in theorems.scan_interleave_gap(alpha, beta, depth, cap)
+            for cert in theorems.scan_interleave_gap(alpha, beta, depth)
         ],
         "dichotomy": [
             record.to_json(args.digits, cap)
-            for record in theorems.scan_dichotomy(alpha, beta, depth, cap)
+            for record in theorems.scan_dichotomy(alpha, beta, depth)
         ],
     }
 
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=12, help="decimal digits in output")
     common.add_argument("--precision-cap-bits", type=int, default=4096,
-                        help="refinement cap for undecidable comparisons")
+                        help="precision cap for decimals and the |d| vs C*t witness test")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", parents=[common], help="render tau, phi, K, C")
@@ -201,10 +202,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """``--slack -1/100`` as ``--slack=-1/100``: argparse takes -1/100 for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--slack", "--epsilon"):
+            arg = f"{out.pop()}={arg}"
+        out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if not exc.code else 1
     try:

@@ -3,19 +3,20 @@
 Rationals are ``fractions.Fraction`` (always canonical: positive denominator,
 reduced). ``QuadExt`` is an element (A + B*sqrt(D))/Q of a real quadratic field,
 held as integers with Q > 0, gcd(A, B, Q) = 1 and D squarefree; all field
-operations and sign tests are exact integer arithmetic. Its floor and its
-dyadic enclosures come from one scaled floor, floor(x * 2**k) =
-(A*2**k + r)//Q with r from isqrt(B^2*D*4**k), at k = 0 and at k = bits + 1
-respectively. ``Interval``
-is a rational enclosure used for quantities that live outside a single
-quadratic field (sqrt(tau), the optimal constant C, ...), held as integers
-lo_n/den and hi_n/den over one shared denominator that arithmetic never
-reduces; ``.lo`` and ``.hi`` are ``Fraction`` views. It carries no working
-precision, so whoever builds one passes the bits. ``refine`` is the package's
-only precision-refinement loop: it doubles the bits from ``start_bits`` until
+operations and sign tests are exact integer arithmetic, and ``compare`` orders
+elements of any two fields by at most two such sign tests. Its floor and its
+dyadic enclosures come from one scaled floor, floor(x * 2**k) = (A*2**k + r)//Q
+with r from isqrt(B^2*D*4**k), at k = 0 and at k = bits + 1 respectively.
+``Interval`` is a rational enclosure used for quantities that are not quadratic
+numbers (sqrt(tau), the optimal constant C, ...), held as integers lo_n/den and
+hi_n/den over one shared denominator that arithmetic never reduces; ``.lo`` and
+``.hi`` are ``Fraction`` views. It carries no working precision, so whoever
+builds one passes the bits. ``refine`` is the package's only
+precision-refinement loop: it doubles the bits from ``start_bits`` until
 ``decide`` settles, and reports None once the attempt at ``cap_bits`` does not.
 Every caller passes a cap; ``refine_compare`` reports reaching it as
-``Comparison.UNDECIDED``, the other callers raise ``UndecidedSignError``.
+``Comparison.UNDECIDED``, the other callers raise ``UndecidedSignError``. Two
+exact operands never reach the loop: the cap bounds rendering and enclosures.
 """
 
 from __future__ import annotations
@@ -192,11 +193,25 @@ class QuadExt:
 
     def sign(self) -> int:
         """Exact sign: that of A and B when they agree, else compares A^2 with B^2*D."""
-        sa = (self.A > 0) - (self.A < 0)
-        sb = (self.B > 0) - (self.B < 0)
-        if sa * sb >= 0:
-            return sa or sb
-        return sa if self.A * self.A > self.B * self.B * self.D else sb
+        return _sign(self.A, self.B, self.D)
+
+    def compare(self, other: QuadExt | RatLike) -> int:
+        """Exact sign of self - other, for a rational or an element of any field.
+
+        Across fields, self - other = u - v with u = self - A'/Q' in self's field and
+        v = B'*sqrt(D')/Q'; times Q*Q' they are a + b*sqrt(D) and c*sqrt(D'). Unlike
+        signs decide at once; a shared sign s gives s*sign(u^2 - v^2), one more test in
+        self's field. Never 0 there: sqrt(D') is not in Q(sqrt(D)).
+        """
+        if not isinstance(other, QuadExt) or other.B == 0 or self.B == 0 or other.D == self.D:
+            return (self - other).sign()
+        a, b, c = self.A * other.Q - other.A * self.Q, self.B * other.Q, other.B * self.Q
+        sa, sb, sv = (a > 0) - (a < 0), (b > 0) - (b < 0), (c > 0) - (c < 0)
+        aa, bb = a * a, b * b * self.D  # both tests below read them
+        su = (sa or sb) if sa * sb >= 0 else (sa if aa > bb else sb)
+        if su != sv:
+            return su or -sv
+        return su * _sign(aa + bb - c * c * other.D, 2 * a * b, self.D)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadExt):
@@ -212,16 +227,16 @@ class QuadExt:
         return hash((self.A, self.B, self.Q, self.D))
 
     def __lt__(self, other: QuadExt | RatLike) -> bool:
-        return (self - other).sign() < 0
+        return self.compare(other) < 0
 
     def __le__(self, other: QuadExt | RatLike) -> bool:
-        return (self - other).sign() <= 0
+        return self.compare(other) <= 0
 
     def __gt__(self, other: QuadExt | RatLike) -> bool:
-        return (self - other).sign() > 0
+        return self.compare(other) > 0
 
     def __ge__(self, other: QuadExt | RatLike) -> bool:
-        return (self - other).sign() >= 0
+        return self.compare(other) >= 0
 
     # -- conversions ----------------------------------------------------------
 
@@ -264,7 +279,26 @@ class QuadExt:
         return f"{self.a}{sign}{abs(self.b)}√{self.D}"
 
     def __repr__(self) -> str:
-        return f"QuadExt({self.a!r}, {self.b!r}, {self.D})"
+        a, b = self.a, self.b
+        return (f"QuadExt(Fraction({int_repr(a.numerator)}, {int_repr(a.denominator)}), "
+                f"Fraction({int_repr(b.numerator)}, {int_repr(b.denominator)}), {self.D})")
+
+
+def int_repr(x: object) -> str:
+    """repr(x), but an int past ``sys.get_int_max_str_digits()`` in hex, which has no limit."""
+    try:
+        return repr(x)
+    except ValueError:
+        return hex(x)
+
+
+def _sign(a: int, b: int, D: int) -> int:
+    """Exact sign of a + b*sqrt(D): that of a and b when they agree, else by a^2 vs b^2*D."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if a * a > b * b * D else sb
 
 
 def _make(A: int, B: int, Q: int, D: int) -> QuadExt:
@@ -399,15 +433,6 @@ class Interval:
             return -self
         return _interval(0, max(-self.lo_n, self.hi_n), self.den)
 
-    def outward(self, bits: int) -> "Interval":
-        """Round endpoints outward onto the dyadic grid 2**-bits.
-
-        Keeps denominators bounded through long products at the cost of at
-        most 2**(1-bits) of extra width.
-        """
-        return _interval((self.lo_n << bits) // self.den, -((-self.hi_n << bits) // self.den),
-                         1 << bits)
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -510,21 +535,17 @@ def refine(make: Callable[[int], E], decide: Callable[[E], T | None], cap_bits: 
 
 def refine_compare(lhs: Enclosable, rhs: Enclosable,
                    cap_bits: int = DEFAULT_CAP_BITS) -> Comparison:
-    """Decide lhs vs rhs, exactly when both live in one quadratic field.
+    """Decide lhs vs rhs, exactly when both are rationals or quadratic numbers.
 
-    Same-field operands (and rationals) short-circuit to an exact sign test,
-    which is the only way EQUAL can be returned. Otherwise both sides are
-    enclosed at doubling precision from 32 bits until the intervals separate;
-    UNDECIDED means the cap was reached with the intervals still overlapping.
+    Two exact operands, of any fields, go to ``QuadExt.compare``, which is the
+    only way EQUAL can be returned. Otherwise (a callable or an ``Interval`` on
+    either side) both sides are enclosed at doubling precision from 32 bits until
+    the intervals separate; UNDECIDED means the cap was reached with the
+    intervals still overlapping.
     """
     xl, xr = _exact_operand(lhs), _exact_operand(rhs)
     if xl is not None and xr is not None:
-        try:
-            s = (xl - xr).sign()
-        except MixedFieldError:
-            s = None
-        if s is not None:
-            return (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER)[s + 1]
+        return (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER)[xl.compare(xr) + 1]
 
     def separate(pair: tuple[Interval, Interval]) -> Comparison | None:
         el, er = pair

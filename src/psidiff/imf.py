@@ -26,7 +26,7 @@ rendered decimal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator
 
@@ -38,7 +38,7 @@ from .errors import (
     RationalInputError,
     UndecidedSignError,
 )
-from .exact import DEFAULT_CAP_BITS, Comparison, Interval, QuadExt, refine_compare, render_decimal
+from .exact import DEFAULT_CAP_BITS, Interval, QuadExt, int_repr, render_decimal
 
 
 @dataclass(frozen=True)
@@ -154,14 +154,12 @@ class DValue:
     def abs_enclosure(self, bits: int) -> Interval:
         return abs(self.enclosure(bits))
 
-    def sign(self, cap_bits: int = DEFAULT_CAP_BITS) -> int:
-        """Strict sign of d; exact in a shared field, else by refinement."""
-        verdict = refine_compare(self.inv_psi_beta, self.inv_psi_alpha, cap_bits)
-        if verdict is Comparison.EQUAL:
+    def sign(self) -> int:
+        """Strict sign of d, exact in any two fields; an exact zero raises."""
+        s = self.inv_psi_beta.compare(self.inv_psi_alpha)
+        if s == 0:
             raise UndecidedSignError("d(t) is exactly zero")
-        if verdict is Comparison.UNDECIDED:
-            raise UndecidedSignError(f"sign of d undecided at {cap_bits} bits")
-        return 1 if verdict is Comparison.GREATER else -1
+        return s
 
     def render(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> str:
         exact = self.as_quadext()
@@ -208,6 +206,12 @@ def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,
         yield t, DValue(inv_b, inv_a, a[1].index, b[1].index)
 
 
+def _fields_repr(self) -> str:
+    """The dataclass repr, with integers past the int-to-str digit limit in hex."""
+    parts = (f"{f.name}={int_repr(getattr(self, f.name))}" for f in fields(self))
+    return f"{type(self).__name__}({', '.join(parts)})"
+
+
 @dataclass(frozen=True)
 class ProfileEntry:
     t: int
@@ -215,12 +219,16 @@ class ProfileEntry:
     inv_psi_beta: QuadExt
     d: DValue
 
+    __repr__ = _fields_repr
+
 
 @dataclass(frozen=True)
 class BreakpointProfile:
     t_min: int
     t_max: int
     entries: tuple[ProfileEntry, ...]
+
+    __repr__ = _fields_repr
 
 
 def breakpoint_profile(
@@ -236,13 +244,13 @@ def breakpoint_profile(
 
 
 def sign_changes(profile: BreakpointProfile, cap_bits: int = DEFAULT_CAP_BITS) -> list[int]:
-    """Breakpoints where the strict sign of d flips versus the previous entry."""
+    """Breakpoints where the exact sign of d flips from the entry before; ``cap_bits`` is unread."""
     if not profile.entries:
         raise ValueError("empty profile")
     flips = []
-    previous = profile.entries[0].d.sign(cap_bits)
+    previous = profile.entries[0].d.sign()
     for entry in profile.entries[1:]:
-        s = entry.d.sign(cap_bits)
+        s = entry.d.sign()
         if s != previous:
             flips.append(entry.t)
         previous = s

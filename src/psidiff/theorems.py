@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from . import contfrac, imf
 from .contfrac import CFExpansion, rational_to_cf
@@ -40,7 +39,6 @@ from .exact import (
     refine_compare,
     render_decimal,
     render_decimal_down,
-    sqrt_interval,
     sqrt_tau_enclosure,
 )
 from .imf import DValue
@@ -61,7 +59,6 @@ class Witness:
 
     t: int
     d_value: DValue
-    comparison: Comparison
 
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         d = self.d_value
@@ -104,7 +101,7 @@ def find_witness(
     for t, d in imf._d_steps(alpha, beta, T, search_bound):
         verdict = refine_compare(d.abs_enclosure, lambda bits: c_enclosure(bits) * t, cap_bits)
         if verdict is Comparison.GREATER:
-            return Witness(t, d, verdict)
+            return Witness(t, d)
         if verdict is Comparison.UNDECIDED:
             raise UndecidedSignError(f"|d({t})| vs C*{t} undecided at {cap_bits} bits")
     raise NotFoundInRangeError(
@@ -188,19 +185,7 @@ class DichotomyRecord:
         }
 
 
-def _strictly_less(x: QuadExt, y: QuadExt, cap_bits: int) -> bool:
-    verdict = refine_compare(x, y, cap_bits)
-    if verdict is Comparison.UNDECIDED:
-        raise UndecidedSignError("cross-field order undecided at the precision cap")
-    return verdict is Comparison.LESS
-
-def check_dichotomy(
-    alpha: CFExpansion,
-    beta: CFExpansion,
-    n: int,
-    s: int,
-    cap_bits: int = DEFAULT_CAP_BITS,
-) -> DichotomyBranch:
+def check_dichotomy(alpha: CFExpansion, beta: CFExpansion, n: int, s: int) -> DichotomyBranch:
     """Which of the two lower-bound branches holds when eta_s is inside (xi_n, xi_{n-1}).
 
     Branch one: 1/eta_s - 1/xi_{n-1} >= t_s(beta_{s+1} + t_{s-1}/t_s)(1 - 1/sqrt(alpha_{n+1})).
@@ -212,28 +197,23 @@ def check_dichotomy(
     if n < 1 or s < 0:
         raise ValueError("need n >= 1 and s >= 0")
     (inv_xi_prev, inv_xi), (inv_eta,) = imf._inv_xis(alpha, n - 1, n), imf._inv_xis(beta, s, s)
-    if not (_strictly_less(inv_eta, inv_xi, cap_bits)
-            and _strictly_less(inv_xi_prev, inv_eta, cap_bits)):
+    if not inv_xi_prev < inv_eta < inv_xi:
         raise PreconditionFailedError(f"eta_{s} is not inside (xi_{n}, xi_{n-1})")
-    return _branch(alpha, n, s, inv_xi_prev, inv_xi, inv_eta, cap_bits)
+    return _branch(alpha, n, inv_xi_prev, inv_xi, inv_eta)
 
 
-def _branch(alpha: CFExpansion, n: int, s: int, inv_xi_prev: QuadExt, inv_xi: QuadExt,
-            inv_eta: QuadExt, cap_bits: int) -> DichotomyBranch:
+def _branch(alpha: CFExpansion, n: int, inv_xi_prev: QuadExt, inv_xi: QuadExt,
+            inv_eta: QuadExt) -> DichotomyBranch:
     """The branch test of ``check_dichotomy`` on reciprocals already known to be in order.
 
     It compares (1/eta_s)^2 with (1/xi_{n-1})*(1/xi_n), both positive, after checking
     the identity 1/xi_n = alpha_{n+1}/xi_{n-1} that turns the branches into that
-    comparison. Exact when beta shares alpha's field; across fields it is one
-    comparison of two quadratic numbers, like ``_strictly_less``.
+    comparison: one exact ``QuadExt.compare``, in one field or across two.
     """
     if inv_xi != contfrac.tail(alpha, n + 1) * inv_xi_prev:
         raise DichotomyViolationError(f"1/xi_{n} is not alpha_{n + 1}/xi_{n - 1}")
-    verdict = refine_compare(inv_eta * inv_eta, inv_xi * inv_xi_prev, cap_bits)
-    if verdict is Comparison.UNDECIDED:
-        raise UndecidedSignError(f"dichotomy branches undecided at (n, s) = ({n}, {s})")
-    return {Comparison.GREATER: DichotomyBranch.FIRST_BRANCH,
-            Comparison.LESS: DichotomyBranch.SECOND_BRANCH}.get(verdict, DichotomyBranch.BOTH)
+    return (DichotomyBranch.SECOND_BRANCH, DichotomyBranch.BOTH,
+            DichotomyBranch.FIRST_BRANCH)[(inv_eta * inv_eta).compare(inv_xi * inv_xi_prev) + 1]
 
 
 def scan_dichotomy(
@@ -246,7 +226,8 @@ def scan_dichotomy(
 
     Both reciprocal remainder sequences are strictly increasing, so for each s
     there is at most one n with 1/eta_s strictly inside (1/xi_{n-1}, 1/xi_n); a
-    single merge pass over the two in-order lists finds them all.
+    single merge pass over the two in-order lists finds them all. Every order is
+    exact; no decision reads ``cap_bits``.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -255,12 +236,12 @@ def scan_dichotomy(
     records = []
     n = 1
     for s, inv_eta in enumerate(imf._inv_xis(beta, 0, depth)):
-        while n <= depth and not _strictly_less(inv_eta, inv_xis[n], cap_bits):
+        while n <= depth and not inv_eta < inv_xis[n]:
             n += 1
         if n > depth:
             break
-        if _strictly_less(inv_xis[n - 1], inv_eta, cap_bits):
-            branch = _branch(alpha, n, s, inv_xis[n - 1], inv_xis[n], inv_eta, cap_bits)
+        if inv_xis[n - 1] < inv_eta:
+            branch = _branch(alpha, n, inv_xis[n - 1], inv_xis[n], inv_eta)
             records.append(DichotomyRecord(n, s, branch, inv_xis[n - 1].inverse(),
                                            inv_xis[n].inverse(), inv_eta.inverse()))
     return records
@@ -314,8 +295,7 @@ class GapCertificate:
 
 
 def _gap_certificate(pattern: str, n: int, m: int, first_point: int, second_point: int,
-                     d_first: DValue, d_second: DValue, quotient: int,
-                     cap_bits: int) -> GapCertificate:
+                     d_first: DValue, d_second: DValue, quotient: int) -> GapCertificate:
     """Check one occurrence, bounded by its second point, from d at its two points."""
     bound = second_point
     if pattern == "a":
@@ -330,16 +310,10 @@ def _gap_certificate(pattern: str, n: int, m: int, first_point: int, second_poin
         raise GapViolationError(
             f"exact gap inequality failed at pattern {pattern}, (n, m) = ({n}, {m})"
         )
-    verified = []
     half = Fraction(bound, 2)
-    for point, d in ((first_point, d_first), (second_point, d_second)):
-        # in one field |d| can equal bound/2 exactly; across fields d is irrational
-        exact = d.as_quadext()
-        verdict = refine_compare(d.abs_enclosure if exact is None else abs(exact), half, cap_bits)
-        if verdict is Comparison.UNDECIDED:
-            raise UndecidedSignError(f"|d({point})| vs {half} undecided at {cap_bits} bits")
-        if verdict is Comparison.GREATER:
-            verified.append(point)
+    # |d| > bound/2, strictly: in one field |d| can equal bound/2 exactly
+    verified = [point for point, d in ((first_point, d_first), (second_point, d_second))
+                if not d.inv_psi_alpha - half <= d.inv_psi_beta <= d.inv_psi_alpha + half]
     if not verified:
         raise GapViolationError(
             f"neither point exceeds half the bound at pattern {pattern}, (n, m) = ({n}, {m})"
@@ -362,6 +336,7 @@ def scan_interleave_gap(
     t_{m-1} and q_n. Pattern b swaps the roles of the two numbers. Either way the
     two points are consecutive merged denominators, the first a denominator of the
     number that does not step at the second, so one walk of the steps finds them all.
+    Every comparison is exact; no decision reads ``cap_bits``.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -377,7 +352,7 @@ def scan_interleave_gap(
             n, m = d1.alpha_index + 1, d1.beta_index
             matches.append(("b", n, m, t0, t1, d0, d1, beta.partial_quotient(m + 1)))
     matches.sort(key=lambda match: match[0])  # stable: pattern a first, each in walk order
-    return [_gap_certificate(*match, cap_bits) for match in matches if match[-1] >= 2]
+    return [_gap_certificate(*match) for match in matches if match[-1] >= 2]
 
 
 # -- Sharpness: the near-optimal companion of tau --------------------------------
@@ -554,30 +529,13 @@ def verify_near_optimality(
 # -- Fibonacci / Binet ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _golden_power(name: str, n: int, bits: int) -> Interval:
-    base = (TAU if name == "tau" else PHI).enclosure(bits)
-    if n == 0:
-        return Interval.point(1)
-    return (_golden_power(name, n - 1, bits) * base).outward(bits)
-
-
-def _binet_enclosure(n: int, bits: int = 256) -> Interval:
-    tau_pow = _golden_power("tau", n, bits)
-    phi_pow = _golden_power("phi", n, bits)
-    alternating = phi_pow if n % 2 == 0 else -phi_pow
-    return (tau_pow - alternating) / sqrt_interval(Interval.point(5), bits)
-
-
 def binet_fib(n: int) -> int:
-    """F_n by the recurrence, cross-checked against the closed-form enclosure."""
+    """F_n by the recurrence, checked exactly against Binet's (tau^n - (-phi)^n)/sqrt(5)."""
     if not 1 <= n <= 300:
         raise ValueError("n must be in [1, 300]")
     a, b = 1, 1
     for _ in range(n - 1):
         a, b = b, a + b
-    enc = _binet_enclosure(n)
-    lo, hi = math.ceil(enc.lo), math.floor(enc.hi)
-    if not (lo == hi == a):
-        raise AssertionError(f"Binet enclosure for n={n} does not pin F_n={a}")
+    if (math.prod([TAU] * n) - math.prod([-PHI] * n)) / SQRT5 != a:
+        raise AssertionError(f"Binet's formula for n={n} does not give F_n={a}")
     return a

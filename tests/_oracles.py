@@ -201,12 +201,6 @@ class FractionInterval:
             return -self
         return FractionInterval(Fraction(0), max(-self.lo, self.hi))
 
-    def outward(self, bits: int) -> "FractionInterval":
-        scale = 1 << bits
-        lo = Fraction(math.floor(self.lo * scale), scale)
-        hi = Fraction(-math.floor(-self.hi * scale), scale)
-        return FractionInterval(lo, hi)
-
 
 def _as_reference(x) -> FractionInterval:
     return x if isinstance(x, FractionInterval) else FractionInterval.point(x)

@@ -198,6 +198,20 @@ class TestErrorsAndExitCodes:
     def test_unknown_command_exits_1(self, capsys):
         assert cli.main(["no-such-command"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-optimal", "--epsilon", "0.06", "--slack", "-1/100"],
+        ["verify-optimal", "--epsilon", "-1/100"],
+        ["construct-optimal", "--epsilon", "-1/100"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_negative_fraction_value(self, capsys, argv):
+        # argparse's negative-number pattern knows no fractions; both spellings parse alike
+        code, out = run(capsys, *argv)
+        assert (code, out) == run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+        if argv[-2] == "--slack":
+            assert code == 0 and json.loads(out)["report"]["verdict"] == "fail"
+        else:
+            assert code == 1 and json.loads(out)["error"]["code"] == "invalid_input"
+
     @pytest.mark.parametrize("flag, value", [("--digits", "0"), ("--precision-cap-bits", "63")])
     @pytest.mark.parametrize("argv", [
         ["constants"],

@@ -2,7 +2,8 @@
 
 ``refine_compare`` must agree with the exact field sign on same-field pairs,
 also when it is made to refine enclosures instead, and with mpmath on
-cross-field pairs. ``QuadExt.floor`` and ``nearest_int`` are checked on
+cross-field pairs, near-ties far past the precision cap included, where it is
+``QuadExt.compare``. ``QuadExt.floor`` and ``nearest_int`` are checked on
 powers of (1 + sqrt(D)), which lie exponentially close to integers:
 (1 + sqrt(2))**4000 is within 2**-5000 of one. ``render_decimal`` must give
 mpmath's correctly rounded digits. The field axioms hold on same-field
@@ -24,6 +25,8 @@ from hypothesis import strategies as st
 
 from psidiff import (Comparison, Interval, QuadExt, d_at, refine_compare, render_decimal,
                      sqrt_interval)
+from psidiff.contfrac import convergent_state, expand_quadratic, last_convergent_at_most
+from psidiff.errors import MixedFieldError
 from psidiff.exact import c_enclosure, squarefree_decompose
 
 from _oracles import FractionInterval, fraction_sqrt_interval, mp_quadext
@@ -89,6 +92,51 @@ def test_cross_field_compare_matches_oracle(x, y):
     assume(abs(vx - vy) > mpmath.mpf(10) ** -40)
     assert refine_compare(x, y) is (Comparison.LESS if vx < vy else Comparison.GREATER)
     assert refine_compare(y, x) is (Comparison.GREATER if vx < vy else Comparison.LESS)
+
+
+@st.composite
+def cross_field_near_ties(draw):
+    """(x, y, dps): y = p/q + eps*sqrt(D2), p/q a convergent of x, eps = +-10**-e, e <= 2000.
+
+    x is the value of a generated periodic expansion, whose convergents are at hand.
+
+    The convergent's error is drawn near |eps|, so the two parts of x - y can cancel.
+    Times L = x.Q*y.Q, x - y is a + b*sqrt(D) + c*sqrt(D2) in integers, and the product
+    of its four conjugates is a nonzero integer; the other three are below L*10**8, so
+    |x - y| > 10**-(4*digits(L) + 30), which dps digits resolve.
+    """
+    cf = draw(expansions(rational=False))
+    x = cf.value()
+    D2 = draw(st.sampled_from(FIELDS).filter(lambda D: D != x.D))
+    e = draw(st.integers(0, 2000) | st.integers(1240, 2000))  # the latter past 4096 bits
+    bits = max(0, e * 3322 // 1000 + draw(st.integers(-64, 64)))
+    _, (p, _, q, _) = last_convergent_at_most(cf, 1 << bits)
+    y = QuadExt(Fraction(p, q), Fraction(draw(st.sampled_from((1, -1))), 10**e), D2)
+    return x, y, 4 * ((x.Q * y.Q).bit_length() * 302 // 1000 + 1) + 60
+
+
+@settings(max_examples=100, deadline=None)
+@given(cross_field_near_ties())
+def test_cross_field_near_tie_matches_oracle(tie):
+    x, y, dps = tie
+    s = x.compare(y)
+    with mpmath.workdps(dps):
+        assert s == mpmath.sign(mp_quadext(x, dps) - mp_quadext(y, dps)) != 0
+    assert y.compare(x) == -s
+    assert refine_compare(x, y) is ORDER[s + 1]
+
+
+def test_cross_field_near_tie_past_the_cap():
+    # p/q is the 2000th convergent of sqrt2, and x - y is about -2.2e-1531: 4096 bits of
+    # refinement cannot separate them
+    x = QuadExt(0, 1, 2)
+    p, _, q, _ = convergent_state(expand_quadratic(x), 1999)
+    y = QuadExt(Fraction(p, q), Fraction(1, 10**1540), 3)
+    assert (x.compare(y), y.compare(x)) == (-1, 1)
+    assert refine_compare(x, y) is Comparison.LESS
+    assert x < y and x <= y and y > x and y >= x and not x > y
+    with pytest.raises(MixedFieldError):
+        x + y
 
 
 @settings(max_examples=100, deadline=None)
@@ -245,7 +293,6 @@ def test_interval_arithmetic_matches_fraction_reference(data, bits):
     y, ry = data.draw(interval_operands(bits, bare_ok=True))
     for got, want in ((x + y, rx + ry), (y + x, ry + rx), (x - y, rx - ry), (y - x, ry - rx),
                       (x * y, rx * ry), (y * x, ry * rx), (-x, -rx), (abs(x), abs(rx)),
-                      (x.outward(bits), rx.outward(bits)),
                       (sqrt_interval(abs(x), bits), fraction_sqrt_interval(abs(rx), bits))):
         assert_same_ends(got, want)
     if excludes_zero(ry):

@@ -170,6 +170,15 @@ class TestProfile:
         two = breakpoint_profile(SQRT2, TAU_CF, 1, 1000)
         assert one == two
 
+    def test_repr_past_the_int_to_str_limit(self):
+        # integers past sys.get_int_max_str_digits() print in hex; smaller ones as before
+        assert "QuadExt(Fraction(0x" in repr(d_at(SQRT2, TAU_CF, 10**5000))
+        far = repr(breakpoint_profile(SQRT2, TAU_CF, 10**10000, 10**10001))
+        assert far.startswith(f"BreakpointProfile(t_min={10**10000:#x}, t_max={10**10001:#x}, ")
+        assert repr(breakpoint_profile(SQRT2, TAU_CF, 5, 5)).startswith(
+            "BreakpointProfile(t_min=5, t_max=5, entries=(ProfileEntry(t=5, "
+            "inv_psi_alpha=QuadExt(Fraction(7, 1), Fraction(5, 1), 2), ")
+
 
 class TestSignChanges:
     def test_example_window(self):

@@ -2,6 +2,8 @@
 
 A bit count that doubles (``bits *= 2``, ``bits = min(2 * bits, cap)``,
 ``bits <<= 1``) anywhere else is a second, hand-written refinement loop.
+Outside ``exact``, refinement decides one thing: the witness test |d(t)| vs
+C*t in ``theorems.find_witness``. Every other decision is exact.
 """
 
 import ast
@@ -88,3 +90,63 @@ def test_guard_sees_each_form():
 
 def test_refine_has_no_default_cap():
     assert inspect.signature(exact.refine).parameters["cap_bits"].default is inspect.Parameter.empty
+
+
+class _RefineCompareUses(ast.NodeVisitor):
+    """Collects the scope (``Class.method``, ``function`` or ``<module>``) of each use of
+    ``refine_compare``: by name, as an attribute, or imported under another name."""
+
+    def __init__(self):
+        self.scopes: list[str] = []
+        self.found: list[str] = []
+
+    def _scoped(self, node: ast.AST) -> None:
+        self.scopes.append(node.name)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if node.id == "refine_compare":
+            self._note()
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == "refine_compare":
+            self._note()
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if any(a.name == "refine_compare" and a.asname not in (None, a.name) for a in node.names):
+            self._note()
+
+    def _note(self) -> None:
+        self.found.append(".".join(self.scopes) or "<module>")
+
+
+def refine_compare_uses(source: str) -> list[str]:
+    visitor = _RefineCompareUses()
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+def test_refinement_decides_only_the_witness_test():
+    offenders = [
+        f"{path.name} in {scope}"
+        for path in SOURCES if path.name != "exact.py"
+        for scope in refine_compare_uses(path.read_text())
+        if (path.name, scope) != ("theorems.py", "find_witness")
+    ]
+    assert not offenders, f"decisions that refine: {', '.join(offenders)}"
+
+
+def test_refine_compare_guard_sees_each_form():
+    source = (
+        "from .exact import refine_compare\n"
+        "from .exact import refine_compare as decide\n"
+        "class DValue:\n    def sign(self):\n        return refine_compare(self, 0)\n"
+        "def f(x):\n    return exact.refine_compare(x, 0)\n"
+        "def g():\n    return map(refine_compare, (), ())\n"
+        "refine_compare(0, 1)\n"
+    )
+    assert refine_compare_uses(source) == ["<module>", "DValue.sign", "f", "g", "<module>"]
