@@ -27,8 +27,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import islice
+from functools import lru_cache, reduce
+from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from .errors import RationalInputError
@@ -192,6 +192,12 @@ def _step(s: State, a: int) -> State:
     return (a * p + p_prev, p, a * q + q_prev, q)
 
 
+def _fold(word: Sequence[int]) -> State:
+    """The product of [[a, 1], [1, 0]] over the word, (<a_1..a_n>, <a_1..a_{n-1}>,
+    <a_2..a_n>, <a_2..a_{n-1}>) in continuants; the identity for an empty word."""
+    return reduce(_step, word, (1, 0, 0, 1))
+
+
 class _Ladder:
     """Random-access convergent source of one expansion.
 
@@ -205,17 +211,12 @@ class _Ladder:
     __slots__ = ("prefix", "period", "powers")
 
     def __init__(self, cf: CFExpansion) -> None:
-        states = [(cf.a0, 1, 1, 0)]
-        for a in cf.preperiod:
-            states.append(_step(states[-1], a))
-        self.prefix: tuple[State, ...] = tuple(states)
+        self.prefix: tuple[State, ...] = tuple(accumulate(cf.preperiod, _step,
+                                                          initial=(cf.a0, 1, 1, 0)))
         self.period = cf.period
         self.powers: tuple[State, ...] = ()
         if cf.period:
-            m = (1, 0, 0, 1)
-            for a in cf.period:
-                m = _step(m, a)
-            self.powers = (m,)
+            self.powers = (_fold(cf.period),)
 
     def power(self, i: int) -> State:
         """M^(2^i), squaring further on demand."""
@@ -316,10 +317,7 @@ def continuant(word: Sequence[int]) -> int:
     for a in word:
         if a < 1:
             raise ValueError("continuant entries must be >= 1")
-    prev, cur = 0, 1
-    for a in word:
-        prev, cur = cur, a * cur + prev
-    return cur
+    return _fold(word)[0]
 
 
 @lru_cache(maxsize=None)
@@ -329,12 +327,7 @@ def _period_tail(period: tuple[int, ...], offset: int) -> QuadExt:
     Keyed by the period, not the expansion, so the cache holds no expansion
     (nor the value and ladder memoized on it) alive.
     """
-    block = period[offset:] + period[:offset]
-    p_prev, q_prev = 1, 0
-    p, q = block[0], 1
-    for a in block[1:]:
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
+    p, p_prev, q, q_prev = _fold(period[offset:] + period[:offset])
     # omega = (p*omega + p_prev) / (q*omega + q_prev)
     disc = (q_prev - p) ** 2 + 4 * q * p_prev
     _, f = squarefree_decompose(disc)

@@ -12,8 +12,9 @@ numbers (sqrt(tau), the optimal constant C, ...), held as integers lo_n/den and
 hi_n/den over one shared denominator that arithmetic never reduces; ``.lo`` and
 ``.hi`` are ``Fraction`` views. It carries no working precision, so whoever
 builds one passes the bits. ``refine`` is the package's only
-precision-refinement loop: it doubles the bits from ``start_bits`` until
-``decide`` settles, and reports None once the attempt at ``cap_bits`` does not.
+precision-refinement loop: it starts at 64 bits, or at ``cap_bits`` when that
+is lower, doubles the bits until ``decide`` settles, and reports None once the
+attempt at ``cap_bits`` does not; no attempt goes past the cap.
 Every caller passes a cap; ``refine_compare`` reports reaching it as
 ``Comparison.UNDECIDED``, the other callers raise ``UndecidedSignError``. Two
 exact operands never reach the loop: the cap bounds rendering and enclosures.
@@ -21,6 +22,7 @@ exact operands never reach the loop: the cap bounds rendering and enclosures.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from enum import Enum
@@ -30,25 +32,9 @@ from typing import Callable, TypeVar, Union
 
 from .errors import MixedFieldError, NegativeArgumentError, UndecidedSignError
 
-Rat = Fraction
-
 RatLike = Union[int, Fraction]
 
 DEFAULT_CAP_BITS = 4096
-
-
-def _small_primes(limit: int = 10_000) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
-@lru_cache(maxsize=1)
-def _prime_table() -> list[int]:
-    return _small_primes()
 
 
 @lru_cache(maxsize=8192)
@@ -57,7 +43,8 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     if n <= 0:
         raise ValueError("positive integer required")
     s, f = 1, 1
-    for p in _prime_table():
+    # 2 and the odd numbers below 1e4: a composite never divides once its primes are gone
+    for p in itertools.chain((2,), range(3, 10_000, 2)):
         if p * p > n:
             break
         e = 0
@@ -285,10 +272,13 @@ class QuadExt:
 
 
 def int_repr(x: object) -> str:
-    """repr(x), but an int past ``sys.get_int_max_str_digits()`` in hex, which has no limit."""
+    """repr(x), but an int past ``sys.get_int_max_str_digits()`` in hex, which has no limit,
+    also inside a tuple."""
     try:
         return repr(x)
     except ValueError:
+        if isinstance(x, tuple):
+            return f"({', '.join(map(int_repr, x))}{',' * (len(x) == 1)})"
         return hex(x)
 
 
@@ -462,11 +452,6 @@ def _parts(x: "Interval | RatLike") -> tuple[int, int, int]:
     raise TypeError(f"expected int, Fraction or Interval, got {type(x).__name__}")
 
 
-def sqrt_enclosure(q: Fraction, bits: int) -> Interval:
-    """Enclosure of sqrt(q) for q >= 0 with width <= 2**(1-bits)."""
-    return sqrt_interval(Interval.point(q), bits)
-
-
 def sqrt_interval(x: Interval, bits: int) -> Interval:
     """Enclosure of {sqrt(v) : v in x}, endpoints rounded out to 2**-bits; requires x.lo >= 0.
 
@@ -516,14 +501,10 @@ def _exact_operand(x: Enclosable) -> QuadExt | None:
 E, T = TypeVar("E"), TypeVar("T")
 
 
-def refine(make: Callable[[int], E], decide: Callable[[E], T | None], cap_bits: int,
-           start_bits: int = 32) -> T | None:
-    """First non-None decide(make(bits)) for bits = start_bits, 2*start_bits, ...
-
-    The last attempt is made at exactly cap_bits (or at start_bits alone when
-    that is already past the cap); None means it was undecided too.
-    """
-    bits = start_bits
+def refine(make: Callable[[int], E], decide: Callable[[E], T | None], cap_bits: int) -> T | None:
+    """First non-None decide(make(bits)) for bits = min(64, cap_bits), doubled up to
+    exactly cap_bits and never past it; None means the attempt at cap_bits was undecided too."""
+    bits = min(64, cap_bits)
     while True:
         verdict = decide(make(bits))
         if verdict is not None:
@@ -539,7 +520,7 @@ def refine_compare(lhs: Enclosable, rhs: Enclosable,
 
     Two exact operands, of any fields, go to ``QuadExt.compare``, which is the
     only way EQUAL can be returned. Otherwise (a callable or an ``Interval`` on
-    either side) both sides are enclosed at doubling precision from 32 bits until
+    either side) both sides are enclosed at doubling precision from 64 bits until
     the intervals separate; UNDECIDED means the cap was reached with the
     intervals still overlapping.
     """
@@ -560,19 +541,7 @@ def refine_compare(lhs: Enclosable, rhs: Enclosable,
     return Comparison.UNDECIDED if verdict is None else verdict
 
 
-# -- named constants ----------------------------------------------------------
-
-_CONST_NAMES = ("tau", "phi", "K", "C")
-
-
-def _refine_to_width(make: Callable[[int], Interval], precision_bits: int) -> Interval:
-    # make(bits) is under 2**(3-bits) wide for K and C, so the first attempt fits
-    target = Fraction(1, 1 << precision_bits)
-    start = precision_bits + 8
-    enc = refine(make, lambda e: e if e.width <= target else None, 2 * start, start)
-    if enc is None:
-        raise UndecidedSignError(f"enclosure not within 2**-{precision_bits} at {2 * start} bits")
-    return enc
+# -- sqrt(tau) and C, of degree 4 --------------------------------------------
 
 
 def sqrt_tau_enclosure(bits: int) -> Interval:
@@ -582,20 +551,6 @@ def sqrt_tau_enclosure(bits: int) -> Interval:
 def c_enclosure(bits: int) -> Interval:
     """C = sqrt(5) * (1 - sqrt(phi))."""
     return SQRT5.enclosure(bits) * (1 - sqrt_interval(PHI.enclosure(bits), bits))
-
-
-@lru_cache(maxsize=256)
-def const(name: str, precision_bits: int = 64) -> Interval:
-    """Enclosure of a named constant with width <= 2**-precision_bits."""
-    if name == "tau":
-        return TAU.enclosure(precision_bits)
-    if name == "phi":
-        return PHI.enclosure(precision_bits)
-    if name == "K":
-        return _refine_to_width(lambda b: sqrt_tau_enclosure(b) - 1, precision_bits)
-    if name == "C":
-        return _refine_to_width(c_enclosure, precision_bits)
-    raise ValueError(f"unknown constant {name!r}; expected one of {_CONST_NAMES}")
 
 
 # -- decimal rendering --------------------------------------------------------
@@ -618,10 +573,11 @@ def _format_scaled(n: int, digits: int) -> str:
 def render_decimal(x: Enclosable, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> str:
     """Correctly rounded decimal string with ``digits`` places (ties to even).
 
-    Exact rationals round exactly; irrational values are refined until both
-    enclosure endpoints round to the same string. An irrational never sits on a
-    rounding boundary, so reaching ``cap_bits`` first means the cap is too small
-    for ``digits`` places, which raises ``UndecidedSignError``.
+    A rational's enclosure is a point, which rounds exactly at the first
+    attempt; irrational values are refined until both enclosure endpoints round
+    to the same string. An irrational never sits on a rounding boundary, so
+    reaching ``cap_bits`` first means the cap is too small for ``digits``
+    places, which raises ``UndecidedSignError``.
     """
     return _render(x, digits, cap_bits, _round_half_even)
 
@@ -635,15 +591,12 @@ def render_decimal_down(x: Enclosable, digits: int = 12,
 def _render(x: Enclosable, digits: int, cap_bits: int,
             round_int: Callable[[int, int], int]) -> str:
     scale = 10**digits
-    exact = _exact_operand(x)
-    if exact is not None and exact.is_rational:
-        return _format_scaled(round_int(exact.A * scale, exact.Q), digits)
 
     def rounded(enc: Interval) -> int | None:
         lo = round_int(enc.lo_n * scale, enc.den)
         return lo if lo == round_int(enc.hi_n * scale, enc.den) else None
 
-    n = refine(lambda bits: enclosure_of(x, bits), rounded, cap_bits, 64)
+    n = refine(lambda bits: enclosure_of(x, bits), rounded, cap_bits)
     if n is None:
         raise UndecidedSignError(f"cannot round to {digits} digits within {cap_bits} bits; "
                                  "a larger precision cap may settle it")

@@ -266,13 +266,6 @@ class Letter:
     s: int | None
     value: int
 
-    def __str__(self) -> str:
-        if self.kind == "B":
-            return f"B({self.n},{self.s})"
-        if self.kind == "Q":
-            return f"Q({self.n})"
-        return f"T({self.s})"
-
 
 @dataclass(frozen=True)
 class MergedWord:

@@ -60,6 +60,8 @@ class Witness:
     t: int
     d_value: DValue
 
+    __repr__ = imf._fields_repr
+
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         d = self.d_value
         exact = d.as_quadext()
@@ -112,40 +114,29 @@ def find_witness(
 # -- Lemma scans over denominator coincidences ---------------------------------
 
 
-def scan_lemma_conseq(alpha: CFExpansion, beta: CFExpansion, depth: int) -> list[tuple[int, int]]:
-    """All (n, m) with (q_n, q_{n+1}) = (t_m, t_{m+1}) and n, m <= depth."""
+def _coincidences(alpha: CFExpansion, beta: CFExpansion, depth: int, gap: int,
+                  shift: int) -> list[tuple[int, int]]:
+    """All (n, m), n, m <= depth, with (q_n, q_{n+gap}) = (t_{m+shift}, t_{m+shift+1}), sorted."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    qs, ts = ([c.q for c in contfrac.convergents(x, depth + 1)] for x in (alpha, beta))
+    qs = [c.q for c in contfrac.convergents(alpha, depth + gap)]
+    ts = [c.q for c in contfrac.convergents(beta, depth + shift + 1)]
     by_pair: dict[tuple[int, int], list[int]] = {}
     for m in range(depth + 1):
-        by_pair.setdefault((ts[m], ts[m + 1]), []).append(m)
-    out = []
-    for n in range(depth + 1):
-        for m in by_pair.get((qs[n], qs[n + 1]), ()):
-            out.append((n, m))
-    out.sort()
-    return out
+        by_pair.setdefault((ts[m + shift], ts[m + shift + 1]), []).append(m)
+    return [(n, m) for n in range(depth + 1) for m in by_pair.get((qs[n], qs[n + gap]), ())]
+
+
+def scan_lemma_conseq(alpha: CFExpansion, beta: CFExpansion, depth: int) -> list[tuple[int, int]]:
+    """All (n, m) with (q_n, q_{n+1}) = (t_m, t_{m+1}) and n, m <= depth."""
+    return _coincidences(alpha, beta, depth, 1, 0)
 
 
 def scan_lemma_conseq1(alpha: CFExpansion, beta: CFExpansion, depth: int) -> list[tuple[int, int]]:
     """All (n, m), n, m <= depth, with (q_n, q_{n+2}) = (t_{m+1}, t_{m+2}) and a_{n+2} = 1."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    imf.check_pair(alpha, beta)
-    qs, ts = ([c.q for c in contfrac.convergents(x, depth + 2)] for x in (alpha, beta))
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for m in range(depth + 1):
-        by_pair.setdefault((ts[m + 1], ts[m + 2]), []).append(m)
-    out = []
-    for n in range(depth + 1):
-        if alpha.partial_quotient(n + 2) != 1:
-            continue
-        for m in by_pair.get((qs[n], qs[n + 2]), ()):
-            out.append((n, m))
-    out.sort()
-    return out
+    return [(n, m) for n, m in _coincidences(alpha, beta, depth, 2, 1)
+            if alpha.partial_quotient(n + 2) == 1]
 
 
 # -- The dichotomy --------------------------------------------------------------
@@ -271,6 +262,8 @@ class GapCertificate:
     d_first: DValue
     d_second: DValue
     verified_points: tuple[int, ...]
+
+    __repr__ = imf._fields_repr
 
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         return {
@@ -471,6 +464,8 @@ class NearOptimalityReport:
     t_max: int
     slack: Fraction
 
+    __repr__ = imf._fields_repr
+
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         ratio = render_decimal(self.max_ratio, digits, cap_bits)
         return {
@@ -497,9 +492,9 @@ def verify_near_optimality(
 ) -> NearOptimalityReport:
     """Check |d_{tau,theta}(t)| < (C + slack)*t over all breakpoints in range.
 
-    The range is clamped from below to the denominator s_{w+10} so that the
-    shifted-index regime is in force; slack defaults to five epsilon, covering
-    the finite-range transients of an asymptotic bound. theta lies in Q(sqrt(5)), so
+    A reversed range is rejected, and t_min is raised to the denominator s_{w+10}
+    so that the shifted-index regime is in force. slack defaults to five epsilon,
+    covering the finite-range transients of an asymptotic bound. theta lies in Q(sqrt(5)), so
     the walk keeps the exact maximum of |d(t)|/t. As C = sqrt(5) - sqrt(5*phi), the
     maximum is below C + slack exactly when sqrt(5*phi) < w = sqrt(5) - (maximum - slack),
     decided by squaring w; 5*phi has norm -25, so it is no square and never ties.
@@ -508,6 +503,8 @@ def verify_near_optimality(
     if slack is None:
         slack = 5 * pair.epsilon
     slack = Fraction(slack)
+    if t_min > t_max:
+        raise ValueError("need t_min <= t_max")
     regime_floor = contfrac.convergent_state(pair.theta, pair.w + 10)[2]
     t_lo = max(t_min, regime_floor)
     if t_lo > t_max:

@@ -198,6 +198,16 @@ class TestErrorsAndExitCodes:
     def test_unknown_command_exits_1(self, capsys):
         assert cli.main(["no-such-command"]) == 1
 
+    def test_reversed_range(self, capsys):
+        # an empty range, not one below the regime
+        code, payload = run_json(capsys, "verify-optimal", "--epsilon", "0.06",
+                                 "--from", "1000000", "--bound", "10")
+        assert code == 1
+        assert payload["error"] == {"code": "invalid_input", "message": "need t_min <= t_max"}
+        code, payload = run_json(capsys, "verify-optimal", "--epsilon", "0.06",
+                                 "--from", "1", "--bound", "10")
+        assert "below the verified regime" in payload["error"]["message"]
+
     @pytest.mark.parametrize("argv", [
         ["verify-optimal", "--epsilon", "0.06", "--slack", "-1/100"],
         ["verify-optimal", "--epsilon", "-1/100"],

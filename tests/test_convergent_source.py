@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from psidiff import (CFExpansion, breakpoint_profile, convergents, d_at, expand_quadratic,
                      find_witness, is_nonintegral_sum_and_diff, merged_word, parse_number,
-                     parse_surd, tail)
+                     parse_surd, scan_lemma_conseq, scan_lemma_conseq1, tail)
 from psidiff.contfrac import convergent_state, convergent_stream, last_convergent_at_most
 
 QUOTIENT = st.one_of(st.just(1), st.integers(1, 7))
@@ -246,6 +246,23 @@ def test_merged_word_matches_merged_denominators(pair, count):
         want.append(("T" if n is None else "Q" if s is None else "B", n, s, q))
     letters = merged_word(alpha, beta, count).letters
     assert [(x.kind, x.n, x.s, x.value) for x in letters] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_pairs(), st.integers(0, 30))
+@example((CFExpansion(1, (), (1,)), CFExpansion(0, (1,), (2,))), 30)  # q_0 = q_1 = 1 on both sides
+@example((CFExpansion(0, (1,), (2,)), CFExpansion(0, (1, 2), (1,))), 12)  # a_2 = 2 drops (0, 0)
+def test_coincidence_scans_match_brute_force(pair, depth):
+    """Both consecutive-denominator scans against a double loop over n, m <= depth."""
+    alpha, beta = pair
+    q, t = ([s[2] for s in first_states(x, depth + 3)] for x in (alpha, beta))
+    pairs = [(n, m) for n in range(depth + 1) for m in range(depth + 1)]
+    assert scan_lemma_conseq(alpha, beta, depth) == [
+        (n, m) for n, m in pairs if (q[n], q[n + 1]) == (t[m], t[m + 1])]
+    # a_{n+2} = 1 exactly when q_{n+2} = q_{n+1} + q_n
+    assert scan_lemma_conseq1(alpha, beta, depth) == [
+        (n, m) for n, m in pairs
+        if (q[n], q[n + 2]) == (t[m + 1], t[m + 2]) and q[n + 2] == q[n + 1] + q[n]]
 
 
 def test_witness_search_is_lazy():

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from psidiff import Comparison, Interval, PHI, QuadExt, TAU, const, refine_compare, render_decimal, sqrt_interval
+from psidiff import Comparison, Interval, PHI, QuadExt, TAU, refine_compare, render_decimal, sqrt_interval
 from psidiff.errors import MixedFieldError, NegativeArgumentError
-from psidiff.exact import c_enclosure, sqrt_enclosure, sqrt_tau_enclosure, squarefree_decompose
+from psidiff.exact import c_enclosure, sqrt_tau_enclosure, squarefree_decompose
 
 from _oracles import assert_close, c_alt_enclosure, mp_const, mp_quadext
 
@@ -148,7 +148,7 @@ class TestIntervals:
         rng = random.Random(99)
         for _ in range(200):
             q = Fraction(rng.randint(0, 10**6), rng.randint(1, 10**4))
-            enc = sqrt_enclosure(q, 40)
+            enc = sqrt_interval(Interval.point(q), 40)
             assert enc.lo * enc.lo <= q <= enc.hi * enc.hi
             assert enc.width <= Fraction(2, 2**40)
 
@@ -182,14 +182,13 @@ class TestRefineCompare:
 
 class TestConstants:
     def test_reference_prefixes(self):
-        assert render_decimal(const("C", 40).midpoint(), 7).startswith("0.47818")
-        assert render_decimal(const("K", 40).midpoint(), 6).startswith("0.2720")
+        assert render_decimal(c_enclosure, 7).startswith("0.47818")
+        assert render_decimal(lambda b: sqrt_tau_enclosure(b) - 1, 6).startswith("0.2720")
 
     def test_against_oracle(self):
-        for name in ("tau", "phi", "K", "C"):
-            enc = const(name, 64)
-            assert enc.width <= Fraction(1, 2**64)
-            assert_close(render_decimal(enc.midpoint(), 15), mp_const(name), places=15)
+        for name, value in (("tau", TAU), ("phi", PHI), ("K", lambda b: sqrt_tau_enclosure(b) - 1),
+                            ("C", c_enclosure)):
+            assert_close(render_decimal(value, 15), mp_const(name), places=15)
 
     def test_c_formulas_agree_and_refine(self):
         for bits in (16, 32, 64, 80):
@@ -201,12 +200,8 @@ class TestConstants:
         assert lo <= hi and hi - lo < Fraction(1, 2**64)
 
     def test_tau_phi_enclosures_multiply_to_one(self):
-        product = const("tau", 40) * const("phi", 40)
+        product = TAU.enclosure(40) * PHI.enclosure(40)
         assert product.contains(1)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            const("gamma", 32)
 
 
 class TestRenderDecimal:

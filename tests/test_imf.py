@@ -1,6 +1,8 @@
 """psi, 1/psi, d(t), breakpoint profiles, sign changes, and the merged word."""
 
+import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,15 +13,19 @@ from psidiff import (
     QuadExt,
     TAU,
     breakpoint_profile,
+    construct_optimal,
     convergent_distance,
     convergents,
     d_at,
+    find_witness,
     inv_psi,
     merged_word,
     profile_to_csv,
     psi,
+    scan_interleave_gap,
     sign_changes,
     tail,
+    verify_near_optimality,
 )
 from psidiff.errors import IntegralSumOrDiffError
 from psidiff.numspec import parse_number
@@ -178,6 +184,13 @@ class TestProfile:
         assert repr(breakpoint_profile(SQRT2, TAU_CF, 5, 5)).startswith(
             "BreakpointProfile(t_min=5, t_max=5, entries=(ProfileEntry(t=5, "
             "inv_psi_alpha=QuadExt(Fraction(7, 1), Fraction(5, 1), 2), ")
+        witness = repr(find_witness(SQRT2, TAU_CF, 10**5000, 10**5001))
+        assert witness.startswith("Witness(t=0x")
+        report = verify_near_optimality(construct_optimal(Fraction(6, 100)), 10**5000, 2 * 10**5000)
+        assert f"t_min={10**5000:#x}, t_max={2 * 10**5000:#x}, " in repr(report)
+        far_point = dataclasses.replace(scan_interleave_gap(SQRT2, TAU_CF, 40)[0],
+                                        verified_points=(10**5000,))
+        assert repr(far_point).endswith(f", verified_points=({10**5000:#x},))")
 
 
 class TestSignChanges:

@@ -1,4 +1,4 @@
-"""Precision refinement has one loop, ``exact.refine``, and it is always capped.
+"""Precision refinement has one loop, ``exact.refine``, with one start and a cap it never passes.
 
 A bit count that doubles (``bits *= 2``, ``bits = min(2 * bits, cap)``,
 ``bits <<= 1``) anywhere else is a second, hand-written refinement loop.
@@ -9,6 +9,8 @@ C*t in ``theorems.find_witness``. Every other decision is exact.
 import ast
 import inspect
 import pathlib
+
+import pytest
 
 import psidiff
 from psidiff import exact
@@ -90,6 +92,25 @@ def test_guard_sees_each_form():
 
 def test_refine_has_no_default_cap():
     assert inspect.signature(exact.refine).parameters["cap_bits"].default is inspect.Parameter.empty
+
+
+def test_refine_has_one_start():
+    assert list(inspect.signature(exact.refine).parameters) == ["make", "decide", "cap_bits"]
+
+
+@pytest.mark.parametrize("cap_bits", [16, 40, 64])
+def test_refine_never_passes_the_cap(cap_bits):
+    seen = []
+
+    def make(bits):
+        seen.append(bits)
+        return exact.TAU.enclosure(bits)
+
+    assert exact.refine(make, lambda enc: None, cap_bits) is None
+    assert max(seen) == seen[-1] == cap_bits
+    seen.clear()
+    assert exact.render_decimal(make, 3, cap_bits) == "1.618"
+    assert seen == [cap_bits]  # settled at the first attempt, at the cap
 
 
 class _RefineCompareUses(ast.NodeVisitor):

@@ -41,7 +41,7 @@ from psidiff.errors import (
     PreconditionFailedError,
     UndecidedSignError,
 )
-from psidiff.exact import c_enclosure, const
+from psidiff.exact import c_enclosure
 from psidiff.numspec import parse_number
 from psidiff.theorems import DichotomyBranch, OptimalPair
 
@@ -313,14 +313,14 @@ class TestVerifyNearOptimality:
         report = verify_near_optimality(pair, 10**6, 10**12)
         assert report.passed
         assert report.slack == Fraction(30, 100)
-        c_hi = const("C", 80).hi
+        c_hi = c_enclosure(83).hi  # C within 2**-80
         assert report.max_ratio > c_hi - Fraction(3, 10)
         assert report.max_ratio < c_hi + Fraction(3, 10)
 
     def test_small_slack_fails(self):
         pair = construct_optimal(Fraction(6, 100))
         report = verify_near_optimality(pair, 10**6, 10**12)
-        tight = report.max_ratio.enclosure(80).lo - const("C", 80).hi - Fraction(1, 100)
+        tight = report.max_ratio.enclosure(80).lo - c_enclosure(83).hi - Fraction(1, 100)
         assert tight > 0
         failing = verify_near_optimality(pair, 10**6, 10**12, slack=tight)
         assert not failing.passed
