@@ -1,106 +1,40 @@
-"""Exact irrationality-measure computations for pairs of quadratic irrationals."""
+"""Exact irrationality-measure computations for pairs of quadratic irrationals.
 
-from .contfrac import (
-    CFExpansion,
-    Convergent,
-    continuant,
-    convergents,
-    expand_quadratic,
-    is_nonintegral_sum_and_diff,
-    rational_to_cf,
-    tail,
-)
-from .exact import (
-    Comparison,
-    Interval,
-    PHI,
-    QuadExt,
-    SQRT5,
-    TAU,
-    refine_compare,
-    render_decimal,
-    sqrt_interval,
-)
-from .imf import (
-    BreakpointProfile,
-    DValue,
-    Letter,
-    MergedWord,
-    PsiValue,
-    breakpoint_profile,
-    convergent_distance,
-    d_at,
-    inv_psi,
-    merged_word,
-    profile_to_csv,
-    psi,
-    sign_changes,
-)
-from .numspec import parse_number, parse_surd
-from .theorems import (
-    DichotomyBranch,
-    GapCertificate,
-    NearOptimalityReport,
-    OptimalPair,
-    Witness,
-    binet_fib,
-    check_dichotomy,
-    construct_optimal,
-    find_witness,
-    scan_dichotomy,
-    scan_interleave_gap,
-    scan_lemma_conseq,
-    scan_lemma_conseq1,
-    verify_near_optimality,
-)
+The public names load on first use (PEP 562): ``import psidiff`` imports no
+submodule, and ``from psidiff import psi`` imports only ``psidiff.imf`` and what
+it needs, so a command-line call pays for the modules its command runs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BreakpointProfile",
-    "CFExpansion",
-    "Comparison",
-    "Convergent",
-    "DValue",
-    "DichotomyBranch",
-    "GapCertificate",
-    "Interval",
-    "Letter",
-    "MergedWord",
-    "NearOptimalityReport",
-    "OptimalPair",
-    "PHI",
-    "PsiValue",
-    "QuadExt",
-    "SQRT5",
-    "TAU",
-    "Witness",
-    "binet_fib",
-    "breakpoint_profile",
-    "check_dichotomy",
-    "construct_optimal",
-    "continuant",
-    "convergent_distance",
-    "convergents",
-    "d_at",
-    "expand_quadratic",
-    "find_witness",
-    "inv_psi",
-    "is_nonintegral_sum_and_diff",
-    "merged_word",
-    "parse_number",
-    "parse_surd",
-    "profile_to_csv",
-    "psi",
-    "rational_to_cf",
-    "refine_compare",
-    "render_decimal",
-    "scan_dichotomy",
-    "scan_interleave_gap",
-    "scan_lemma_conseq",
-    "scan_lemma_conseq1",
-    "sign_changes",
-    "sqrt_interval",
-    "tail",
-    "verify_near_optimality",
-]
+_EXPORTS = {
+    "contfrac": ("CFExpansion", "Convergent", "continuant", "convergents", "expand_quadratic",
+                 "is_nonintegral_sum_and_diff", "rational_to_cf", "tail"),
+    "exact": ("Comparison", "Interval", "PHI", "QuadExt", "SQRT5", "TAU", "refine_compare",
+              "render_decimal", "sqrt_interval"),
+    "imf": ("BreakpointProfile", "DValue", "Letter", "MergedWord", "PsiValue",
+            "breakpoint_profile", "convergent_distance", "d_at", "inv_psi", "merged_word",
+            "profile_to_csv", "psi", "sign_changes"),
+    "numspec": ("parse_number", "parse_surd"),
+    "theorems": ("DichotomyBranch", "GapCertificate", "NearOptimalityReport", "OptimalPair",
+                 "Witness", "binet_fib", "check_dichotomy", "construct_optimal", "find_witness",
+                 "scan_dichotomy", "scan_interleave_gap", "scan_lemma_conseq",
+                 "scan_lemma_conseq1", "verify_near_optimality"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    """A public name, imported from its home module on first use and kept here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

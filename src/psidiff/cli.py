@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 domain error (bad input, precondition failure),
 2 the precision cap was reached: by a decimal rendering, or by the witness
 test |d(t)| vs C*t, the one decision that refines. Errors print as JSON
 objects with a machine-readable ``code``.
+
+Each command imports ``numspec``, ``imf`` and ``theorems`` only if it runs
+them, so a call loads no module that its command does not use.
 """
 
 from __future__ import annotations
@@ -13,10 +16,8 @@ import json
 import sys
 from fractions import Fraction
 
-from . import imf, theorems
 from .errors import PsidiffError, UndecidedSignError
 from .exact import PHI, TAU, c_enclosure, render_decimal, sqrt_tau_enclosure
-from .numspec import parse_number
 
 
 def cmd_constants(args: argparse.Namespace) -> dict:
@@ -31,6 +32,8 @@ def cmd_constants(args: argparse.Namespace) -> dict:
 
 
 def cmd_expand(args: argparse.Namespace) -> dict:
+    from .numspec import parse_number
+
     cf = parse_number(args.number)
     return {
         "number": args.number,
@@ -42,6 +45,9 @@ def cmd_expand(args: argparse.Namespace) -> dict:
 
 
 def cmd_psi(args: argparse.Namespace) -> dict:
+    from . import imf
+    from .numspec import parse_number
+
     cf = parse_number(args.number)
     value = imf.psi(cf, args.t)
     return {
@@ -57,6 +63,9 @@ def cmd_psi(args: argparse.Namespace) -> dict:
 
 
 def cmd_profile(args: argparse.Namespace) -> dict | str:
+    from . import imf
+    from .numspec import parse_number
+
     alpha = parse_number(args.alpha)
     beta = parse_number(args.beta)
     profile = imf.breakpoint_profile(alpha, beta, args.from_t, args.bound)
@@ -77,6 +86,9 @@ def cmd_profile(args: argparse.Namespace) -> dict | str:
 
 
 def cmd_witness(args: argparse.Namespace) -> dict:
+    from . import theorems
+    from .numspec import parse_number
+
     alpha = parse_number(args.alpha)
     beta = parse_number(args.beta)
     witness = theorems.find_witness(alpha, beta, args.from_t, args.bound, args.precision_cap_bits)
@@ -87,6 +99,9 @@ def cmd_witness(args: argparse.Namespace) -> dict:
 
 
 def cmd_word(args: argparse.Namespace) -> dict:
+    from . import imf
+    from .numspec import parse_number
+
     alpha = parse_number(args.alpha)
     beta = parse_number(args.beta)
     word = imf.merged_word(alpha, beta, args.count)
@@ -103,6 +118,9 @@ def cmd_word(args: argparse.Namespace) -> dict:
 
 
 def cmd_lemmas(args: argparse.Namespace) -> dict:
+    from . import theorems
+    from .numspec import parse_number
+
     alpha = parse_number(args.alpha)
     beta = parse_number(args.beta)
     depth, cap = args.max_depth, args.precision_cap_bits
@@ -124,11 +142,15 @@ def cmd_lemmas(args: argparse.Namespace) -> dict:
 
 
 def cmd_construct_optimal(args: argparse.Namespace) -> dict:
+    from . import theorems
+
     pair = theorems.construct_optimal(Fraction(args.epsilon))
     return pair.to_json(args.digits, args.precision_cap_bits)
 
 
 def cmd_verify_optimal(args: argparse.Namespace) -> dict:
+    from . import theorems
+
     cap = args.precision_cap_bits
     pair = theorems.construct_optimal(Fraction(args.epsilon))
     slack = Fraction(args.slack) if args.slack is not None else None

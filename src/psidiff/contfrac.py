@@ -25,36 +25,33 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from .errors import RationalInputError
-from .exact import QuadExt, squarefree_decompose
+from .exact import QuadExt, Record, squarefree_decompose
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(Record):
     """Continued fraction [a0; preperiod..., (period...)].
 
     An empty period means the value is rational; a nonempty period repeats
-    forever, so the value is a quadratic irrational.
+    forever, so the value is a quadratic irrational. The value and the
+    convergent ladder are memoized in the slots ``_value`` and ``_ladder``,
+    unset until first use.
     """
 
-    a0: int
-    preperiod: tuple[int, ...] = ()
-    period: tuple[int, ...] = ()
+    __slots__ = ("a0", "preperiod", "period", "_value", "_ladder")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", tuple(self.period))
-        for a in (*self.preperiod, *self.period):
-            if a < 1:
-                raise ValueError("partial quotients after a0 must be >= 1")
-        if not self.period and len(self.preperiod) >= 1 and self.preperiod[-1] < 2:
+    def __init__(self, a0: int, preperiod: Sequence[int] = (), period: Sequence[int] = ()) -> None:
+        preperiod, period = tuple(preperiod), tuple(period)
+        if any(a < 1 for a in (*preperiod, *period)):
+            raise ValueError("partial quotients after a0 must be >= 1")
+        if not period and len(preperiod) >= 1 and preperiod[-1] < 2:
             raise ValueError("canonical rational expansion must end with a quotient >= 2")
+        Record.__init__(self, a0, preperiod, period)
 
     @property
     def is_rational(self) -> bool:
@@ -89,7 +86,7 @@ class CFExpansion:
 
     def value(self) -> QuadExt | Fraction:
         """Exact value: a Fraction when rational, a QuadExt otherwise (memoized)."""
-        cached = self.__dict__.get("_value")
+        cached = getattr(self, "_value", None)
         if cached is None:
             p, p_prev, q, q_prev = _ladder(self).prefix[-1]
             if self.is_rational:
@@ -109,11 +106,16 @@ class CFExpansion:
         return f"[{self.a0};{','.join(parts)}]"
 
 
-@dataclass(frozen=True)
-class Convergent:
-    index: int
-    p: int
-    q: int
+class Convergent(Record):
+    """The n-th convergent p/q, with its index n."""
+
+    __slots__ = ("index", "p", "q")
+
+    def __init__(self, index: int, p: int, q: int) -> None:
+        set_index, set_p, set_q = self._setters
+        set_index(self, index)
+        set_p(self, p)
+        set_q(self, q)
 
 
 def rational_to_cf(num: int, den: int) -> CFExpansion:
@@ -272,7 +274,7 @@ class _Ladder:
 
 
 def _ladder(cf: CFExpansion) -> _Ladder:
-    ladder = cf.__dict__.get("_ladder")
+    ladder = getattr(cf, "_ladder", None)
     if ladder is None:
         ladder = _Ladder(cf)
         object.__setattr__(cf, "_ladder", ladder)

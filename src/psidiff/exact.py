@@ -18,6 +18,7 @@ attempt at ``cap_bits`` does not; no attempt goes past the cap.
 Every caller passes a cap; ``refine_compare`` reports reaching it as
 ``Comparison.UNDECIDED``, the other callers raise ``UndecidedSignError``. Two
 exact operands never reach the loop: the cap bounds rendering and enclosures.
+``Record`` is the slotted, immutable base of the package's result records.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class QuadExt:
         return _make(a.numerator * b.denominator, s * b.numerator * a.denominator,
                      a.denominator * b.denominator, f)
 
-    def __setattr__(self, name: str, value: object) -> None:
+    def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError("QuadExt is immutable")
 
     __delattr__ = __setattr__
@@ -266,20 +267,62 @@ class QuadExt:
         return f"{self.a}{sign}{abs(self.b)}√{self.D}"
 
     def __repr__(self) -> str:
-        a, b = self.a, self.b
-        return (f"QuadExt(Fraction({int_repr(a.numerator)}, {int_repr(a.denominator)}), "
-                f"Fraction({int_repr(b.numerator)}, {int_repr(b.denominator)}), {self.D})")
+        return f"QuadExt({int_repr(self.a)}, {int_repr(self.b)}, {self.D})"
 
 
 def int_repr(x: object) -> str:
     """repr(x), but an int past ``sys.get_int_max_str_digits()`` in hex, which has no limit,
-    also inside a tuple."""
+    also inside a tuple or as a part of a Fraction."""
     try:
         return repr(x)
     except ValueError:
         if isinstance(x, tuple):
             return f"({', '.join(map(int_repr, x))}{',' * (len(x) == 1)})"
+        if isinstance(x, Fraction):
+            return f"Fraction({int_repr(x.numerator)}, {int_repr(x.denominator)})"
         return hex(x)
+
+
+class Record:
+    """Base of the immutable records, whose fields a subclass names in ``__slots__``.
+
+    A record is compared, hashed, pickled and copied as the pair of its class and
+    its fields (``__reduce__``), and prints through ``int_repr``; slots named with a
+    leading ``_`` are memos, outside all of this. ``__init__`` takes the fields in
+    order; records built at every step of a walk call ``_setters`` directly.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        cls._setters = tuple(cls.__dict__[f].__set__ for f in cls._fields)
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        parts = (f"{f}={int_repr(getattr(self, f))}" for f in self._fields)
+        return f"{type(self).__name__}({', '.join(parts)})"
 
 
 def _sign(a: int, b: int, D: int) -> int:
@@ -327,7 +370,7 @@ class Interval:
         return _interval(lo.numerator * hi.denominator, hi.numerator * lo.denominator,
                          lo.denominator * hi.denominator)
 
-    def __setattr__(self, name: str, value: object) -> None:
+    def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError("Interval is immutable")
 
     __delattr__ = __setattr__
@@ -427,7 +470,7 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
     def __repr__(self) -> str:
-        return f"Interval({self.lo!r}, {self.hi!r})"
+        return f"Interval({int_repr(self.lo)}, {int_repr(self.hi)})"
 
 
 def _interval(lo_n: int, hi_n: int, den: int) -> Interval:

@@ -26,7 +26,6 @@ rendered decimal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator
 
@@ -38,13 +37,13 @@ from .errors import (
     RationalInputError,
     UndecidedSignError,
 )
-from .exact import DEFAULT_CAP_BITS, Interval, QuadExt, int_repr, render_decimal
+from .exact import DEFAULT_CAP_BITS, Interval, QuadExt, Record, render_decimal
 
 
-@dataclass(frozen=True)
-class PsiValue:
+class PsiValue(Record):
     """psi at one argument: the minimizing index r, q_r, ||q_r x|| and its reciprocal."""
 
+    __slots__ = ("index", "q", "value", "inv_value")
     index: int
     q: int
     value: QuadExt
@@ -129,14 +128,18 @@ def check_pair(alpha: CFExpansion, beta: CFExpansion) -> None:
         raise IntegralSumOrDiffError("alpha + beta or alpha - beta is an integer")
 
 
-@dataclass(frozen=True)
-class DValue:
+class DValue(Record):
     """d(t) = 1/psi_beta(t) - 1/psi_alpha(t), kept as two exact field elements."""
 
-    inv_psi_beta: QuadExt
-    inv_psi_alpha: QuadExt
-    alpha_index: int
-    beta_index: int
+    __slots__ = ("inv_psi_beta", "inv_psi_alpha", "alpha_index", "beta_index")
+
+    def __init__(self, inv_psi_beta: QuadExt, inv_psi_alpha: QuadExt, alpha_index: int,
+                 beta_index: int) -> None:
+        set_inv_psi_beta, set_inv_psi_alpha, set_alpha_index, set_beta_index = self._setters
+        set_inv_psi_beta(self, inv_psi_beta)
+        set_inv_psi_alpha(self, inv_psi_alpha)
+        set_alpha_index(self, alpha_index)
+        set_beta_index(self, beta_index)
 
     def as_quadext(self) -> QuadExt | None:
         """The difference as a single element when both parts share a field."""
@@ -206,29 +209,22 @@ def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,
         yield t, DValue(inv_b, inv_a, a[1].index, b[1].index)
 
 
-def _fields_repr(self) -> str:
-    """The dataclass repr, with integers past the int-to-str digit limit in hex."""
-    parts = (f"{f.name}={int_repr(getattr(self, f.name))}" for f in fields(self))
-    return f"{type(self).__name__}({', '.join(parts)})"
+class ProfileEntry(Record):
+    __slots__ = ("t", "inv_psi_alpha", "inv_psi_beta", "d")
+
+    def __init__(self, t: int, inv_psi_alpha: QuadExt, inv_psi_beta: QuadExt, d: DValue) -> None:
+        set_t, set_inv_psi_alpha, set_inv_psi_beta, set_d = self._setters
+        set_t(self, t)
+        set_inv_psi_alpha(self, inv_psi_alpha)
+        set_inv_psi_beta(self, inv_psi_beta)
+        set_d(self, d)
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
-    t: int
-    inv_psi_alpha: QuadExt
-    inv_psi_beta: QuadExt
-    d: DValue
-
-    __repr__ = _fields_repr
-
-
-@dataclass(frozen=True)
-class BreakpointProfile:
+class BreakpointProfile(Record):
+    __slots__ = ("t_min", "t_max", "entries")
     t_min: int
     t_max: int
     entries: tuple[ProfileEntry, ...]
-
-    __repr__ = _fields_repr
 
 
 def breakpoint_profile(
@@ -257,18 +253,21 @@ def sign_changes(profile: BreakpointProfile, cap_bits: int = DEFAULT_CAP_BITS) -
     return flips
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(Record):
     """One letter of the merged word: kind B (both), Q (alpha only), T (beta only)."""
 
-    kind: str
-    n: int | None
-    s: int | None
-    value: int
+    __slots__ = ("kind", "n", "s", "value")
+
+    def __init__(self, kind: str, n: int | None, s: int | None, value: int) -> None:
+        set_kind, set_n, set_s, set_value = self._setters
+        set_kind(self, kind)
+        set_n(self, n)
+        set_s(self, s)
+        set_value(self, value)
 
 
-@dataclass(frozen=True)
-class MergedWord:
+class MergedWord(Record):
+    __slots__ = ("letters",)
     letters: tuple[Letter, ...]
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -35,6 +34,7 @@ from .exact import (
     Comparison,
     Interval,
     QuadExt,
+    Record,
     c_enclosure,
     refine_compare,
     render_decimal,
@@ -50,17 +50,15 @@ _UV_SEARCH_LIMIT = 10**6
 # -- Witnesses for the lower bound |d(t)| >= C*t --------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A point t with |d(t)| >= C*t, certified by a separated enclosure pair.
 
     ``to_json`` prints |d(t)|/t rounded down as ``ratio_lower_bound``.
     """
 
+    __slots__ = ("t", "d_value")
     t: int
     d_value: DValue
-
-    __repr__ = imf._fields_repr
 
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         d = self.d_value
@@ -148,8 +146,8 @@ class DichotomyBranch(Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
-class DichotomyRecord:
+class DichotomyRecord(Record):
+    __slots__ = ("n", "s", "branch", "xi_prev", "xi", "eta")
     n: int
     s: int
     branch: DichotomyBranch
@@ -241,8 +239,7 @@ def scan_dichotomy(
 # -- The interleave-gap pattern -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GapCertificate:
+class GapCertificate(Record):
     """Certificate for one interleave pattern occurrence.
 
     ``delta`` is the exact one-field value of d(first_point) - d(second_point)
@@ -251,6 +248,8 @@ class GapCertificate:
     points, and ``verified_points`` lists the points where that was confirmed.
     """
 
+    __slots__ = ("pattern", "n", "m", "first_point", "second_point", "bound", "quotient",
+                 "delta", "d_first", "d_second", "verified_points")
     pattern: str
     n: int
     m: int
@@ -262,8 +261,6 @@ class GapCertificate:
     d_first: DValue
     d_second: DValue
     verified_points: tuple[int, ...]
-
-    __repr__ = imf._fields_repr
 
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         return {
@@ -351,8 +348,7 @@ def scan_interleave_gap(
 # -- Sharpness: the near-optimal companion of tau --------------------------------
 
 
-@dataclass(frozen=True)
-class OptimalPair:
+class OptimalPair(Record):
     """The companion number theta of tau built from the shifted sequence X.
 
     theta = [0; b_1, ..., b_w, (1)] where the reversed word b comes from the
@@ -360,6 +356,7 @@ class OptimalPair:
     satisfy s_n = X_{n + index_shift} for every n >= w - 1.
     """
 
+    __slots__ = ("epsilon", "U", "V", "A", "k", "w", "b", "theta", "index_shift")
     epsilon: Fraction
     U: int
     V: int
@@ -453,18 +450,16 @@ def _build_pair(epsilon: Fraction, U: int, V: int) -> OptimalPair:
     return OptimalPair(epsilon, U, V, A, k, w, b, theta, shift)
 
 
-@dataclass(frozen=True)
-class NearOptimalityReport:
+class NearOptimalityReport(Record):
     """The exact largest |d(t)|/t in range, first reached at argmax_t; printed as both keys."""
 
+    __slots__ = ("max_ratio", "argmax_t", "passed", "t_min", "t_max", "slack")
     max_ratio: QuadExt
     argmax_t: int
     passed: bool
     t_min: int
     t_max: int
     slack: Fraction
-
-    __repr__ = imf._fields_repr
 
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         ratio = render_decimal(self.max_ratio, digits, cap_bits)

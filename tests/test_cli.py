@@ -171,7 +171,7 @@ class TestErrorsAndExitCodes:
         def boom(*args, **kwargs):
             raise UndecidedSignError("forced for the exit-code contract")
 
-        monkeypatch.setattr(cli.theorems, "find_witness", boom)
+        monkeypatch.setattr("psidiff.theorems.find_witness", boom)
         code, payload = run_json(
             capsys, "witness", "--alpha", SQRT2, "--beta", "tau", "--from", "1",
             "--bound", "10",

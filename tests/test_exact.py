@@ -57,6 +57,13 @@ class TestQuadArith:
         with pytest.raises(ValueError):
             QuadExt(0, 1, 4)
 
+    def test_immutable(self):
+        with pytest.raises(AttributeError, match="immutable"):
+            SQRT2.A = 0
+        with pytest.raises(AttributeError, match="immutable"):
+            del SQRT2.A
+        assert SQRT2.A == 0 and SQRT2.B == 1
+
     def test_floor_random_against_oracle(self):
         rng = random.Random(20240811)
         for _ in range(300):

@@ -317,6 +317,8 @@ def test_interval_order_check_and_value_semantics(a, b):
     assert pickle.loads(pickle.dumps(y)) == x
     with pytest.raises(AttributeError):
         x.lo_n = 0
+    with pytest.raises(AttributeError):
+        del x.lo_n
 
 
 @settings(max_examples=50, deadline=None)

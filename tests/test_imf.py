@@ -1,6 +1,5 @@
 """psi, 1/psi, d(t), breakpoint profiles, sign changes, and the merged word."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 from psidiff import (
     CFExpansion,
+    GapCertificate,
     QuadExt,
     TAU,
     breakpoint_profile,
@@ -188,8 +188,9 @@ class TestProfile:
         assert witness.startswith("Witness(t=0x")
         report = verify_near_optimality(construct_optimal(Fraction(6, 100)), 10**5000, 2 * 10**5000)
         assert f"t_min={10**5000:#x}, t_max={2 * 10**5000:#x}, " in repr(report)
-        far_point = dataclasses.replace(scan_interleave_gap(SQRT2, TAU_CF, 40)[0],
-                                        verified_points=(10**5000,))
+        c = scan_interleave_gap(SQRT2, TAU_CF, 40)[0]
+        far_point = GapCertificate(c.pattern, c.n, c.m, c.first_point, c.second_point, c.bound,
+                                   c.quotient, c.delta, c.d_first, c.d_second, (10**5000,))
         assert repr(far_point).endswith(f", verified_points=({10**5000:#x},))")
 
 
