@@ -288,8 +288,9 @@ class Record:
 
     A record is compared, hashed, pickled and copied as the pair of its class and
     its fields (``__reduce__``), and prints through ``int_repr``; slots named with a
-    leading ``_`` are memos, outside all of this. ``__init__`` takes the fields in
-    order; records built at every step of a walk call ``_setters`` directly.
+    leading ``_`` are memos, outside all of this. ``__slots__`` is the one list of
+    fields. ``__init__`` takes them in order, the later ones also by name; records
+    built at every step of a walk call ``_setters`` directly.
     """
 
     __slots__ = ()
@@ -298,8 +299,10 @@ class Record:
         cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
         cls._setters = tuple(cls.__dict__[f].__set__ for f in cls._fields)
 
-    def __init__(self, *values: object) -> None:
-        if len(values) != len(self._fields):
+    def __init__(self, *values: object, **named: object) -> None:
+        if named:
+            values += tuple(named.pop(f) for f in self._fields[len(values):] if f in named)
+        if named or len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
         for setter, value in zip(self._setters, values):
             setter(self, value)

@@ -44,10 +44,6 @@ class PsiValue(Record):
     """psi at one argument: the minimizing index r, q_r, ||q_r x|| and its reciprocal."""
 
     __slots__ = ("index", "q", "value", "inv_value")
-    index: int
-    q: int
-    value: QuadExt
-    inv_value: QuadExt
 
 
 def _require_irrational(cf: CFExpansion) -> QuadExt:
@@ -222,9 +218,6 @@ class ProfileEntry(Record):
 
 class BreakpointProfile(Record):
     __slots__ = ("t_min", "t_max", "entries")
-    t_min: int
-    t_max: int
-    entries: tuple[ProfileEntry, ...]
 
 
 def breakpoint_profile(
@@ -258,17 +251,9 @@ class Letter(Record):
 
     __slots__ = ("kind", "n", "s", "value")
 
-    def __init__(self, kind: str, n: int | None, s: int | None, value: int) -> None:
-        set_kind, set_n, set_s, set_value = self._setters
-        set_kind(self, kind)
-        set_n(self, n)
-        set_s(self, s)
-        set_value(self, value)
-
 
 class MergedWord(Record):
     __slots__ = ("letters",)
-    letters: tuple[Letter, ...]
 
 
 def merged_word(alpha: CFExpansion, beta: CFExpansion, count: int) -> MergedWord:

@@ -57,8 +57,6 @@ class Witness(Record):
     """
 
     __slots__ = ("t", "d_value")
-    t: int
-    d_value: DValue
 
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         d = self.d_value
@@ -148,12 +146,6 @@ class DichotomyBranch(Enum):
 
 class DichotomyRecord(Record):
     __slots__ = ("n", "s", "branch", "xi_prev", "xi", "eta")
-    n: int
-    s: int
-    branch: DichotomyBranch
-    xi_prev: QuadExt
-    xi: QuadExt
-    eta: QuadExt
 
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         return {
@@ -250,17 +242,6 @@ class GapCertificate(Record):
 
     __slots__ = ("pattern", "n", "m", "first_point", "second_point", "bound", "quotient",
                  "delta", "d_first", "d_second", "verified_points")
-    pattern: str
-    n: int
-    m: int
-    first_point: int
-    second_point: int
-    bound: int
-    quotient: int
-    delta: QuadExt
-    d_first: DValue
-    d_second: DValue
-    verified_points: tuple[int, ...]
 
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         return {
@@ -357,15 +338,6 @@ class OptimalPair(Record):
     """
 
     __slots__ = ("epsilon", "U", "V", "A", "k", "w", "b", "theta", "index_shift")
-    epsilon: Fraction
-    U: int
-    V: int
-    A: QuadExt
-    k: int
-    w: int
-    b: tuple[int, ...]
-    theta: CFExpansion
-    index_shift: int
 
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         return {
@@ -454,12 +426,6 @@ class NearOptimalityReport(Record):
     """The exact largest |d(t)|/t in range, first reached at argmax_t; printed as both keys."""
 
     __slots__ = ("max_ratio", "argmax_t", "passed", "t_min", "t_max", "slack")
-    max_ratio: QuadExt
-    argmax_t: int
-    passed: bool
-    t_min: int
-    t_max: int
-    slack: Fraction
 
     def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
         ratio = render_decimal(self.max_ratio, digits, cap_bits)

@@ -118,6 +118,16 @@ def test_constructor_arity_and_validation():
         Witness(1)
     with pytest.raises(TypeError):
         DValue(TAU, TAU, 1)
+    d = d_at(SQRT2, TAU_CF, 5)
+    assert Witness(t=5, d_value=d) == Witness(5, d_value=d) == Witness(5, d)
+    assert Letter("B", 0, value=1, s=1) == Letter("B", 0, 1, 1)
+    assert DValue(inv_psi_beta=TAU, inv_psi_alpha=TAU, alpha_index=1, beta_index=2) == (
+        DValue(TAU, TAU, 1, 2))
+    for bad in ({"t": 5}, {"t": 5, "d_value": d, "x": 0}, {"d_value": d}):
+        with pytest.raises(TypeError):
+            Witness(**bad)
+    with pytest.raises(TypeError):
+        Witness(5, d, t=5)
     assert CFExpansion(1, [2], [3]).preperiod == (2,)
     with pytest.raises(ValueError):
         CFExpansion(1, (0,), (1,))
