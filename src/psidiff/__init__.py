@@ -13,7 +13,7 @@ _EXPORTS = {
     "contfrac": ("CFExpansion", "Convergent", "continuant", "convergents", "expand_quadratic",
                  "is_nonintegral_sum_and_diff", "rational_to_cf", "tail"),
     "exact": ("Comparison", "Interval", "PHI", "QuadExt", "SQRT5", "TAU", "refine_compare",
-              "render_decimal", "sqrt_interval"),
+              "render_decimal"),
     "imf": ("BreakpointProfile", "DValue", "Letter", "MergedWord", "PsiValue",
             "breakpoint_profile", "convergent_distance", "d_at", "inv_psi", "merged_word",
             "profile_to_csv", "psi", "sign_changes"),

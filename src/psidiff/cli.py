@@ -1,9 +1,11 @@
 """Command-line front end with deterministic, machine-readable output.
 
 Exit codes: 0 success, 1 domain error (bad input, precondition failure),
-2 the precision cap was reached: by a decimal rendering, or by the witness
-test |d(t)| vs C*t, the one decision that refines. Errors print as JSON
-objects with a machine-readable ``code``.
+2 a sign the program could not decide: the witness test |d(t)| vs C*t reached
+``--precision-cap-bits`` (it is the one decision that refines), or d(t) is
+exactly zero where a sign change is asked for. Every decimal is exact at any
+``--digits``, so no rendering reads the cap. Errors print as JSON objects with a
+machine-readable ``code``.
 
 Each command imports ``numspec``, ``imf`` and ``theorems`` only if it runs
 them, so a call loads no module that its command does not use.
@@ -17,17 +19,17 @@ import sys
 from fractions import Fraction
 
 from .errors import PsidiffError, UndecidedSignError
-from .exact import PHI, TAU, c_enclosure, render_decimal, sqrt_tau_enclosure
+from .exact import PHI, SQRT_TAU, TAU, C, render_decimal
 
 
 def cmd_constants(args: argparse.Namespace) -> dict:
-    d, cap = args.digits, args.precision_cap_bits
+    d = args.digits
     return {
-        "tau": render_decimal(TAU, d, cap),
-        "phi": render_decimal(PHI, d, cap),
-        "K": render_decimal(lambda bits: sqrt_tau_enclosure(bits) - 1, d, cap),
-        "C": render_decimal(c_enclosure, d, cap),
-        "2C+1": render_decimal(lambda bits: c_enclosure(bits) * 2 + 1, d, cap),
+        "tau": render_decimal(TAU, d),
+        "phi": render_decimal(PHI, d),
+        "K": render_decimal(SQRT_TAU - 1, d),
+        "C": render_decimal(C, d),
+        "2C+1": render_decimal(C * 2 + 1, d),
     }
 
 
@@ -55,8 +57,8 @@ def cmd_psi(args: argparse.Namespace) -> dict:
         "t": args.t,
         "index": value.index,
         "q": value.q,
-        "psi": render_decimal(value.value, args.digits, args.precision_cap_bits),
-        "inv_psi": render_decimal(value.inv_value, args.digits, args.precision_cap_bits),
+        "psi": render_decimal(value.value, args.digits),
+        "inv_psi": render_decimal(value.inv_value, args.digits),
         "psi_exact": str(value.value),
         "inv_psi_exact": str(value.inv_value),
     }
@@ -69,9 +71,8 @@ def cmd_profile(args: argparse.Namespace) -> dict | str:
     alpha = parse_number(args.alpha)
     beta = parse_number(args.beta)
     profile = imf.breakpoint_profile(alpha, beta, args.from_t, args.bound)
-    d, cap = args.digits, args.precision_cap_bits
     if args.output == "csv":
-        return imf.profile_to_csv(profile, d, cap)
+        return imf.profile_to_csv(profile, args.digits)
     return {
         "alpha": args.alpha,
         "beta": args.beta,
@@ -79,7 +80,7 @@ def cmd_profile(args: argparse.Namespace) -> dict | str:
         "t_max": profile.t_max,
         "entries": [
             {"t": t, "inv_psi_alpha": inv_a, "inv_psi_beta": inv_b, "d": d_text}
-            for t, inv_a, inv_b, d_text in imf._rendered_rows(profile, d, cap)
+            for t, inv_a, inv_b, d_text in imf._rendered_rows(profile, args.digits)
         ],
         "sign_changes": imf.sign_changes(profile),
     }
@@ -92,7 +93,7 @@ def cmd_witness(args: argparse.Namespace) -> dict:
     alpha = parse_number(args.alpha)
     beta = parse_number(args.beta)
     witness = theorems.find_witness(alpha, beta, args.from_t, args.bound, args.precision_cap_bits)
-    payload = witness.to_json(args.digits, args.precision_cap_bits)
+    payload = witness.to_json(args.digits)
     payload["parameters"] = {"alpha": args.alpha, "beta": args.beta,
                              "from": args.from_t, "bound": args.bound}
     return payload
@@ -123,7 +124,7 @@ def cmd_lemmas(args: argparse.Namespace) -> dict:
 
     alpha = parse_number(args.alpha)
     beta = parse_number(args.beta)
-    depth, cap = args.max_depth, args.precision_cap_bits
+    depth = args.max_depth
     return {
         "alpha": args.alpha,
         "beta": args.beta,
@@ -131,11 +132,11 @@ def cmd_lemmas(args: argparse.Namespace) -> dict:
         "conseq": [list(pair) for pair in theorems.scan_lemma_conseq(alpha, beta, depth)],
         "conseq1": [list(pair) for pair in theorems.scan_lemma_conseq1(alpha, beta, depth)],
         "interleave_gap": [
-            cert.to_json(args.digits, cap)
+            cert.to_json(args.digits)
             for cert in theorems.scan_interleave_gap(alpha, beta, depth)
         ],
         "dichotomy": [
-            record.to_json(args.digits, cap)
+            record.to_json(args.digits)
             for record in theorems.scan_dichotomy(alpha, beta, depth)
         ],
     }
@@ -145,17 +146,16 @@ def cmd_construct_optimal(args: argparse.Namespace) -> dict:
     from . import theorems
 
     pair = theorems.construct_optimal(Fraction(args.epsilon))
-    return pair.to_json(args.digits, args.precision_cap_bits)
+    return pair.to_json(args.digits)
 
 
 def cmd_verify_optimal(args: argparse.Namespace) -> dict:
     from . import theorems
 
-    cap = args.precision_cap_bits
     pair = theorems.construct_optimal(Fraction(args.epsilon))
     slack = Fraction(args.slack) if args.slack is not None else None
     report = theorems.verify_near_optimality(pair, args.from_t, args.bound, slack)
-    return {"pair": pair.to_json(args.digits, cap), "report": report.to_json(args.digits, cap)}
+    return {"pair": pair.to_json(args.digits), "report": report.to_json(args.digits)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=12, help="decimal digits in output")
     common.add_argument("--precision-cap-bits", type=int, default=4096,
-                        help="precision cap for decimals and the |d| vs C*t witness test")
+                        help="precision cap of the |d| vs C*t witness test, the one decision "
+                             "that refines; decimals are exact at any --digits")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", parents=[common], help="render tau, phi, K, C")

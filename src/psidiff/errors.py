@@ -13,12 +13,6 @@ class MixedFieldError(PsidiffError):
     code = "mixed_field"
 
 
-class NegativeArgumentError(PsidiffError):
-    """Square root of an interval reaching below zero."""
-
-    code = "negative_argument"
-
-
 class RationalInputError(PsidiffError):
     """An operation that needs an irrational number received a rational one."""
 

@@ -1,23 +1,23 @@
-"""Exact arithmetic substrate: quadratic-field elements and rational intervals.
+"""Exact arithmetic substrate: quadratic-field elements, square roots over them, and intervals.
 
 Rationals are ``fractions.Fraction`` (always canonical: positive denominator,
 reduced). ``QuadExt`` is an element (A + B*sqrt(D))/Q of a real quadratic field,
 held as integers with Q > 0, gcd(A, B, Q) = 1 and D squarefree; all field
 operations and sign tests are exact integer arithmetic, and ``compare`` orders
-elements of any two fields by at most two such sign tests. Its floor and its
-dyadic enclosures come from one scaled floor, floor(x * 2**k) = (A*2**k + r)//Q
-with r from isqrt(B^2*D*4**k), at k = 0 and at k = bits + 1 respectively.
-``Interval`` is a rational enclosure used for quantities that are not quadratic
-numbers (sqrt(tau), the optimal constant C, ...), held as integers lo_n/den and
-hi_n/den over one shared denominator that arithmetic never reduces; ``.lo`` and
-``.hi`` are ``Fraction`` views. It carries no working precision, so whoever
-builds one passes the bits. ``refine`` is the package's only
+elements of any two fields by at most two such sign tests. ``Root`` is a + s*sqrt(w)
+with a and w in one such field and s = +-1, the form of sqrt(tau), of the optimal
+constant C = sqrt(5) - sqrt(5*phi) and of what is built from them; one squaring
+decides its sign. Each kind has one scaled floor, floor(m*x) for an integer m >= 1:
+``floor`` takes it at m = 1, a dyadic enclosure at m = 2**(bits + 1), and
+``render_decimal`` prints every decimal from it at m = 2*10**digits, with no
+precision to choose. ``Interval`` is a rational enclosure, held as integers
+lo_n/den and hi_n/den over one shared denominator that arithmetic never reduces;
+``.lo`` and ``.hi`` are ``Fraction`` views. ``refine`` is the package's only
 precision-refinement loop: it starts at 64 bits, or at ``cap_bits`` when that
 is lower, doubles the bits until ``decide`` settles, and reports None once the
-attempt at ``cap_bits`` does not; no attempt goes past the cap.
-Every caller passes a cap; ``refine_compare`` reports reaching it as
-``Comparison.UNDECIDED``, the other callers raise ``UndecidedSignError``. Two
-exact operands never reach the loop: the cap bounds rendering and enclosures.
+attempt at ``cap_bits`` does not; no attempt goes past the cap. Its one caller,
+``refine_compare``, reports reaching the cap as ``Comparison.UNDECIDED``; two
+exact operands never reach the loop.
 ``Record`` is the slotted, immutable base of the package's result records.
 """
 
@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, TypeVar, Union
 
-from .errors import MixedFieldError, NegativeArgumentError, UndecidedSignError
+from .errors import MixedFieldError
 
 RatLike = Union[int, Fraction]
 
@@ -228,19 +227,19 @@ class QuadExt:
 
     # -- conversions ----------------------------------------------------------
 
-    def _scaled_floor(self, k: int) -> int:
-        """floor(x * 2**k) for k >= 0, in integers alone.
+    def _scaled_floor(self, m: int) -> int:
+        """floor(x * m) for an integer m >= 1, in integers alone.
 
-        r = isqrt(B^2*D*4^k) is the floor of |B|*2^k*sqrt(D), which is irrational
-        unless B == 0 (D is not a square). So B*2^k*sqrt(D) lies in [r, r + 1) or
-        in (-r - 1, -r), and x*2^k has the floor of (A*2^k + r)/Q or (A*2^k - r - 1)/Q.
+        r = isqrt(B^2*D*m^2) is the floor of |B|*m*sqrt(D), which is irrational
+        unless B == 0 (D is not a square). So B*m*sqrt(D) lies in [r, r + 1) or
+        in (-r - 1, -r), and x*m has the floor of (A*m + r)/Q or (A*m - r - 1)/Q.
         """
-        r = math.isqrt(self.B * self.B * self.D << 2 * k)
-        return ((self.A << k) + (r if self.B >= 0 else -r - 1)) // self.Q
+        r = math.isqrt(self.B * self.B * self.D * m * m)
+        return (self.A * m + (r if self.B >= 0 else -r - 1)) // self.Q
 
     def floor(self) -> int:
         """Exact integer floor, without enclosures."""
-        return self._scaled_floor(0)
+        return self._scaled_floor(1)
 
     __floor__ = floor
 
@@ -257,8 +256,7 @@ class QuadExt:
         the dyadic [n, n + 1] / 2**(bits + 1) with n = floor(x * 2**(bits + 1))."""
         if self.B == 0:
             return _interval(self.A, self.A, self.Q)
-        n = self._scaled_floor(bits + 1)
-        return _interval(n, n + 1, 2 << bits)
+        return _dyadic(self, bits)
 
     def __str__(self) -> str:
         if self.B == 0:
@@ -360,10 +358,62 @@ PHI = QuadExt(Fraction(-1, 2), Fraction(1, 2), 5)
 SQRT5 = QuadExt(Fraction(0), Fraction(1), 5)
 
 
+class Root(Record):
+    """a + s*sqrt(w): a rational or a ``QuadExt``, s = +-1, and w > 0 with no square root in
+    a's field, so the value is irrational.
+
+    Adding or subtracting an element of a's field moves a, and a positive integer k
+    scales a by k and w by k*k. The sign is ``_sign`` on field elements: unlike signs
+    decide at once, else one comparison of a*a with w.
+    """
+
+    __slots__ = ("a", "s", "w")
+
+    def __add__(self, x: QuadExt | RatLike) -> "Root":
+        return Root(self.a + x, self.s, self.w)
+
+    def __sub__(self, x: QuadExt | RatLike) -> "Root":
+        return Root(self.a - x, self.s, self.w)
+
+    def __mul__(self, k: int) -> "Root":
+        if k < 1:
+            raise ValueError("a Root scales by a positive integer only")
+        return Root(self.a * k, self.s, self.w * (k * k))
+
+    def __neg__(self) -> "Root":
+        return Root(-self.a, -self.s, self.w)
+
+    def __abs__(self) -> "Root":
+        return -self if self.sign() < 0 else self
+
+    def sign(self) -> int:
+        return _sign(self.a, self.s, self.w)
+
+    def _scaled_floor(self, m: int) -> int:
+        """floor(m*x) for an integer m >= 1.
+
+        n = floor(m*a) + floor(s*sqrt(m*m*w)) is floor(m*x) or one less, as each floor
+        drops less than 1; the sign of m*x - (n + 1) settles which. It is formed without
+        dividing by m: a gcd of a huge n and m would cost more than the rest.
+        floor(sqrt(z)) is isqrt(floor(z)), and floor(-sqrt(z)) one less than its
+        negative, z being no square.
+        """
+        am, w = self.a * m, self.w * (m * m)
+        r = math.isqrt(math.floor(w))
+        n = math.floor(am) + (r if self.s > 0 else -r - 1)
+        return n + (_sign(am - (n + 1), self.s, w) >= 0)
+
+
+C = Root(SQRT5, -1, 5 * PHI)  # sqrt(5) * (1 - sqrt(phi)); 5*phi has norm -25, no square
+SQRT_TAU = Root(0, 1, TAU)
+
+
 class Interval:
     """Closed rational interval [lo_n/den, hi_n/den], den > 0 and never reduced.
 
-    ``Interval(lo, hi)`` takes rationals; ``lo`` and ``hi`` are Fraction views.
+    ``Interval(lo, hi)`` takes rationals; ``lo`` and ``hi`` are Fraction views. Its
+    operations are those that enclose |d(t)| and C*t for ``refine_compare``: the
+    difference of two intervals, negation, ``abs`` and scaling by a rational.
     """
 
     __slots__ = ("lo_n", "hi_n", "den")
@@ -394,73 +444,20 @@ class Interval:
     def hi(self) -> Fraction:
         return Fraction(self.hi_n, self.den)
 
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self.hi_n - self.lo_n, self.den)
-
-    def midpoint(self) -> Fraction:
-        return Fraction(self.lo_n + self.hi_n, 2 * self.den)
-
-    def contains(self, value: RatLike) -> bool:
-        return self.lo <= value <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def overlaps(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Interval):
-            return NotImplemented
-        return (self.lo_n * other.den == other.lo_n * self.den
-                and self.hi_n * other.den == other.hi_n * self.den)
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
-
-    def _plus(self, lo: int, hi: int, den: int) -> "Interval":
-        if den == self.den:
-            return _interval(self.lo_n + lo, self.hi_n + hi, den)
-        return _interval(self.lo_n * den + lo * self.den, self.hi_n * den + hi * self.den,
-                         self.den * den)
-
-    def __add__(self, other: "Interval | RatLike") -> "Interval":
-        return self._plus(*_parts(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Interval | RatLike") -> "Interval":
-        lo, hi, den = _parts(other)
-        return self._plus(-hi, -lo, den)
-
-    def __rsub__(self, other: "Interval | RatLike") -> "Interval":
-        return (-self)._plus(*_parts(other))
+    def __sub__(self, other: "Interval") -> "Interval":
+        if other.den == self.den:
+            return _interval(self.lo_n - other.hi_n, self.hi_n - other.lo_n, self.den)
+        return _interval(self.lo_n * other.den - other.hi_n * self.den,
+                         self.hi_n * other.den - other.lo_n * self.den, self.den * other.den)
 
     def __neg__(self) -> "Interval":
         return _interval(-self.hi_n, -self.lo_n, self.den)
 
-    def __mul__(self, other: "Interval | RatLike") -> "Interval":
-        lo, hi, den = _parts(other)
-        if lo == hi:  # a rational scales the numerators
-            ends = (self.lo_n * lo, self.hi_n * lo) if lo >= 0 else (self.hi_n * lo, self.lo_n * lo)
-        elif self.lo_n >= 0 and lo >= 0:  # nonnegative factors: the ends multiply
-            ends = (self.lo_n * lo, self.hi_n * hi)
-        else:
-            products = (self.lo_n * lo, self.lo_n * hi, self.hi_n * lo, self.hi_n * hi)
-            ends = (min(products), max(products))
-        return _interval(*ends, self.den * den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "Interval | RatLike") -> "Interval":
-        lo, hi, den = _parts(other)
-        if lo <= 0 <= hi:
-            raise ZeroDivisionError("division by interval containing zero")
-        return self * _interval(den * lo, den * hi, lo * hi)  # [den/hi, den/lo]
-
-    def __rtruediv__(self, other: "Interval | RatLike") -> "Interval":
-        return _interval(*_parts(other)) / self
+    def __mul__(self, k: RatLike) -> "Interval":
+        """The interval scaled by a rational k: the numerators scale, and swap when k < 0."""
+        k = _as_fraction(k)
+        lo, hi = self.lo_n * k.numerator, self.hi_n * k.numerator
+        return _interval(*((lo, hi) if k >= 0 else (hi, lo)), self.den * k.denominator)
 
     def __abs__(self) -> "Interval":
         if self.lo_n >= 0:
@@ -468,9 +465,6 @@ class Interval:
         if self.hi_n <= 0:
             return -self
         return _interval(0, max(-self.lo_n, self.hi_n), self.den)
-
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
 
     def __repr__(self) -> str:
         return f"Interval({int_repr(self.lo)}, {int_repr(self.hi)})"
@@ -490,26 +484,16 @@ def _interval(lo_n: int, hi_n: int, den: int) -> Interval:
 _SET_LO, _SET_HI, _SET_DEN = (Interval.__dict__[f].__set__ for f in Interval.__slots__)
 
 
-def _parts(x: "Interval | RatLike") -> tuple[int, int, int]:
-    if isinstance(x, Interval):
-        return x.lo_n, x.hi_n, x.den
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, x.numerator, x.denominator
-    raise TypeError(f"expected int, Fraction or Interval, got {type(x).__name__}")
+def _dyadic(x: QuadExt | Root, bits: int) -> Interval:
+    """[n, n + 1] / 2**(bits + 1) with n = floor(x * 2**(bits + 1)), of width 2**-(bits + 1)."""
+    n = x._scaled_floor(2 << bits)
+    return _interval(n, n + 1, 2 << bits)
 
 
-def sqrt_interval(x: Interval, bits: int) -> Interval:
-    """Enclosure of {sqrt(v) : v in x}, endpoints rounded out to 2**-bits; requires x.lo >= 0.
-
-    An integer m is at most sqrt(y) exactly when m*m <= floor(y), so the ends are
-    isqrt(floor(lo * 4**bits)) and the integer ceiling of sqrt(ceil(hi * 4**bits)).
-    """
-    if x.lo_n < 0:
-        raise NegativeArgumentError("square root of an interval reaching below zero")
-    up = -((-x.hi_n << 2 * bits) // x.den)
-    root = math.isqrt(up)
-    return _interval(math.isqrt((x.lo_n << 2 * bits) // x.den),
-                     root if root * root == up else root + 1, 1 << bits)
+@lru_cache(maxsize=64)
+def c_enclosure(bits: int) -> Interval:
+    """The dyadic enclosure of C; cached, as the witness test asks for a few bit counts only."""
+    return _dyadic(C, bits)
 
 
 class Comparison(Enum):
@@ -587,18 +571,6 @@ def refine_compare(lhs: Enclosable, rhs: Enclosable,
     return Comparison.UNDECIDED if verdict is None else verdict
 
 
-# -- sqrt(tau) and C, of degree 4 --------------------------------------------
-
-
-def sqrt_tau_enclosure(bits: int) -> Interval:
-    return sqrt_interval(TAU.enclosure(bits), bits)
-
-
-def c_enclosure(bits: int) -> Interval:
-    """C = sqrt(5) * (1 - sqrt(phi))."""
-    return SQRT5.enclosure(bits) * (1 - sqrt_interval(PHI.enclosure(bits), bits))
-
-
 # -- decimal rendering --------------------------------------------------------
 
 
@@ -608,42 +580,45 @@ def _round_half_even(n: int, d: int) -> int:
     return q + (2 * r > d or (2 * r == d and q & 1))
 
 
-def _format_scaled(n: int, digits: int) -> str:
-    sign = "-" if n < 0 else ""
-    whole, frac = divmod(abs(n), 10**digits)
-    if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{digits}d}"
+_STR_BITS = 2000  # below 640 digits, which no int-to-str limit may reach (sys.int_info)
 
 
-def render_decimal(x: Enclosable, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> str:
-    """Correctly rounded decimal string with ``digits`` places (ties to even).
+def _decimal(n: int, width: int) -> str:
+    """The digits of n >= 0, zero-padded to ``width``.
 
-    A rational's enclosure is a point, which rounds exactly at the first
-    attempt; irrational values are refined until both enclosure endpoints round
-    to the same string. An irrational never sits on a rounding boundary, so
-    reaching ``cap_bits`` first means the cap is too small for ``digits``
-    places, which raises ``UndecidedSignError``.
+    Past _STR_BITS, n splits at a power of ten about half its length, so that no part
+    reaches CPython's int-to-str limit (Brent and Zimmermann, Modern Computer
+    Arithmetic, 1.7). The high half's pad can run out, hence the guard at 0.
     """
-    return _render(x, digits, cap_bits, _round_half_even)
+    if n.bit_length() <= _STR_BITS:
+        return str(n).zfill(width)
+    k = n.bit_length() * 3 // 20  # log10(2) is about 3/10
+    high, low = divmod(n, 10**k)
+    return _decimal(high, max(width - k, 0)) + _decimal(low, k)
 
 
-def render_decimal_down(x: Enclosable, digits: int = 12,
-                        cap_bits: int = DEFAULT_CAP_BITS) -> str:
-    """Like ``render_decimal`` but rounded down: the largest ``digits``-place decimal <= x."""
-    return _render(x, digits, cap_bits, operator.floordiv)
+def _format_scaled(n: int, digits: int) -> str:
+    """n / 10**digits as a decimal with ``digits`` places."""
+    sign = "-" if n < 0 else ""
+    text = _decimal(abs(n), digits + 1)
+    if digits == 0:
+        return f"{sign}{text}"
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def _render(x: Enclosable, digits: int, cap_bits: int,
-            round_int: Callable[[int, int], int]) -> str:
+def render_decimal(x: object, digits: int = 12) -> str:
+    """x correctly rounded to ``digits`` places, ties to even.
+
+    x is a rational, a ``QuadExt``, a ``Root``, or another exact value with a scaled
+    floor (a cross-field ``imf.DValue``). A rational rounds by integer division. An
+    irrational never sits on a tie, so it rounds to (floor(2*x*10**digits) + 1) // 2,
+    from one scaled floor: no precision to choose, no cap to reach.
+    """
     scale = 10**digits
-
-    def rounded(enc: Interval) -> int | None:
-        lo = round_int(enc.lo_n * scale, enc.den)
-        return lo if lo == round_int(enc.hi_n * scale, enc.den) else None
-
-    n = refine(lambda bits: enclosure_of(x, bits), rounded, cap_bits)
-    if n is None:
-        raise UndecidedSignError(f"cannot round to {digits} digits within {cap_bits} bits; "
-                                 "a larger precision cap may settle it")
+    if isinstance(x, QuadExt) and x.B == 0:
+        x = x.a
+    if isinstance(x, (int, Fraction)):
+        n = _round_half_even(x.numerator * scale, x.denominator)
+    else:
+        n = (x._scaled_floor(2 * scale) + 1) // 2
     return _format_scaled(n, digits)

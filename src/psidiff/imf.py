@@ -39,6 +39,8 @@ from .errors import (
 )
 from .exact import DEFAULT_CAP_BITS, Interval, QuadExt, Record, render_decimal
 
+_GUARD_BITS = 64  # extra bits of the bracket in DValue._scaled_floor
+
 
 class PsiValue(Record):
     """psi at one argument: the minimizing index r, q_r, ||q_r x|| and its reciprocal."""
@@ -160,9 +162,25 @@ class DValue(Record):
             raise UndecidedSignError("d(t) is exactly zero")
         return s
 
-    def render(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> str:
+    def _scaled_floor(self, m: int) -> int:
+        """floor(m*d) for an integer m >= 1, exact for parts b, a (d = b - a) in two fields.
+
+        With M = m * 2**_GUARD_BITS, k = floor(M*b) - floor(M*a) is floor(M*d) or one
+        more, and floor(m*d) = floor(M*d) >> _GUARD_BITS. So j = k >> _GUARD_BITS is the
+        answer unless k - 1 shifts to another j; then m*d >= j or not, one exact
+        ``compare`` of m*b - j with m*a, which never ties across two fields.
+        """
+        scaled = m << _GUARD_BITS
+        k = self.inv_psi_beta._scaled_floor(scaled) - self.inv_psi_alpha._scaled_floor(scaled)
+        j = k >> _GUARD_BITS
+        if (k - 1) >> _GUARD_BITS == j:
+            return j
+        return j - ((self.inv_psi_beta * m - j).compare(self.inv_psi_alpha * m) < 0)
+
+    def render(self, digits: int = 12) -> str:
+        """d correctly rounded to ``digits`` places, from its exact value."""
         exact = self.as_quadext()
-        return render_decimal(self.enclosure if exact is None else exact, digits, cap_bits)
+        return render_decimal(self if exact is None else exact, digits)
 
 
 def d_at(alpha: CFExpansion, beta: CFExpansion, t: int) -> DValue:
@@ -270,8 +288,8 @@ def merged_word(alpha: CFExpansion, beta: CFExpansion, count: int) -> MergedWord
     return MergedWord(tuple(letters))
 
 
-def _rendered_rows(profile: BreakpointProfile, digits: int,
-                   cap_bits: int) -> Iterator[tuple[int, str, str, str]]:
+def _rendered_rows(profile: BreakpointProfile,
+                   digits: int) -> Iterator[tuple[int, str, str, str]]:
     """(t, 1/psi_alpha, 1/psi_beta, d) of each entry, the last three as decimals.
 
     A 1/psi that is the previous entry's very object (the number did not step)
@@ -281,13 +299,12 @@ def _rendered_rows(profile: BreakpointProfile, digits: int,
     for entry in profile.entries:
         for side, value in enumerate((entry.inv_psi_alpha, entry.inv_psi_beta)):
             if value is not held[side]:
-                held[side], texts[side] = value, render_decimal(value, digits, cap_bits)
-        yield entry.t, texts[0], texts[1], entry.d.render(digits, cap_bits)
+                held[side], texts[side] = value, render_decimal(value, digits)
+        yield entry.t, texts[0], texts[1], entry.d.render(digits)
 
 
-def profile_to_csv(profile: BreakpointProfile, digits: int = 12,
-                   cap_bits: int = DEFAULT_CAP_BITS) -> str:
+def profile_to_csv(profile: BreakpointProfile, digits: int = 12) -> str:
     """CSV rendering with header t,inv_psi_alpha,inv_psi_beta,d,digits=<n>."""
     lines = [f"t,inv_psi_alpha,inv_psi_beta,d,digits={digits}"]
-    lines.extend(f"{t},{a},{b},{d}" for t, a, b, d in _rendered_rows(profile, digits, cap_bits))
+    lines.extend(f"{t},{a},{b},{d}" for t, a, b, d in _rendered_rows(profile, digits))
     return "\n".join(lines) + "\n"

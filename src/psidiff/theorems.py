@@ -30,16 +30,16 @@ from .exact import (
     DEFAULT_CAP_BITS,
     PHI,
     SQRT5,
+    SQRT_TAU,
     TAU,
+    C,
     Comparison,
-    Interval,
     QuadExt,
     Record,
+    _format_scaled,
     c_enclosure,
     refine_compare,
     render_decimal,
-    render_decimal_down,
-    sqrt_tau_enclosure,
 )
 from .imf import DValue
 from .numspec import TAU_CF
@@ -58,11 +58,13 @@ class Witness(Record):
 
     __slots__ = ("t", "d_value")
 
-    def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
-        d = self.d_value
+    def to_json(self, digits: int = 12) -> dict:
+        d, scale = self.d_value, 10**digits
         exact = d.as_quadext()
-        ratio = (abs(exact) / self.t if exact is not None
-                 else lambda bits: d.abs_enclosure(bits) / self.t)
+        if exact is not None:
+            top = abs(exact)._scaled_floor(scale)
+        else:  # d is irrational, and floor(-x) = -floor(x) - 1
+            top = d._scaled_floor(scale) if d.sign() > 0 else -d._scaled_floor(scale) - 1
         return {
             "kind": "witness",
             "indices": {"alpha_r": d.alpha_index, "beta_l": d.beta_index},
@@ -72,10 +74,10 @@ class Witness(Record):
                 "inv_psi_beta": str(d.inv_psi_beta),
             },
             "decimal": {
-                "d": d.render(digits, cap_bits),
-                "c_times_t": render_decimal(lambda bits: c_enclosure(bits) * self.t,
-                                            digits, cap_bits),
-                "ratio_lower_bound": render_decimal_down(ratio, digits, cap_bits),
+                "d": d.render(digits),
+                "c_times_t": render_decimal(C * self.t, digits),
+                # floor(x/t) = floor(floor(x)/t) for a positive integer t
+                "ratio_lower_bound": _format_scaled(top // self.t, digits),
             },
             "verdict": "greater",
         }
@@ -147,7 +149,7 @@ class DichotomyBranch(Enum):
 class DichotomyRecord(Record):
     __slots__ = ("n", "s", "branch", "xi_prev", "xi", "eta")
 
-    def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
+    def to_json(self, digits: int = 12) -> dict:
         return {
             "kind": "dichotomy",
             "indices": {"n": self.n, "s": self.s},
@@ -158,9 +160,9 @@ class DichotomyRecord(Record):
                 "eta_s": str(self.eta),
             },
             "decimal": {
-                "xi_n_minus_1": render_decimal(self.xi_prev, digits, cap_bits),
-                "xi_n": render_decimal(self.xi, digits, cap_bits),
-                "eta_s": render_decimal(self.eta, digits, cap_bits),
+                "xi_n_minus_1": render_decimal(self.xi_prev, digits),
+                "xi_n": render_decimal(self.xi, digits),
+                "eta_s": render_decimal(self.eta, digits),
             },
             "verdict": self.branch.value,
         }
@@ -243,7 +245,7 @@ class GapCertificate(Record):
     __slots__ = ("pattern", "n", "m", "first_point", "second_point", "bound", "quotient",
                  "delta", "d_first", "d_second", "verified_points")
 
-    def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
+    def to_json(self, digits: int = 12) -> dict:
         return {
             "kind": f"interleave_gap_{self.pattern}",
             "indices": {
@@ -255,9 +257,9 @@ class GapCertificate(Record):
             "t": self.verified_points[0],
             "exact_values": {"delta": str(self.delta)},
             "decimal": {
-                "d_first": self.d_first.render(digits, cap_bits),
-                "d_second": self.d_second.render(digits, cap_bits),
-                "delta": render_decimal(self.delta, digits, cap_bits),
+                "d_first": self.d_first.render(digits),
+                "d_second": self.d_second.render(digits),
+                "delta": render_decimal(self.delta, digits),
                 "threshold": render_decimal(Fraction(self.bound * (self.quotient - 1)), digits),
                 "half_bound": render_decimal(Fraction(self.bound, 2), digits),
             },
@@ -339,7 +341,7 @@ class OptimalPair(Record):
 
     __slots__ = ("epsilon", "U", "V", "A", "k", "w", "b", "theta", "index_shift")
 
-    def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
+    def to_json(self, digits: int = 12) -> dict:
         return {
             "kind": "optimal_pair",
             "indices": {"k": self.k, "w": self.w, "index_shift": self.index_shift},
@@ -349,9 +351,8 @@ class OptimalPair(Record):
                 "approximant": str(self.V + self.U * PHI),
             },
             "decimal": {
-                "A": render_decimal(self.A, digits, cap_bits),
-                "error": render_decimal(lambda bits: abs(self.V - _offset(self.U, bits)),
-                                        digits, cap_bits),
+                "A": render_decimal(self.A, digits),
+                "error": render_decimal(abs(SQRT_TAU - (self.V + self.U * PHI)), digits),
             },
             "verdict": "constructed",
             "U": self.U,
@@ -360,11 +361,6 @@ class OptimalPair(Record):
             "theta": str(self.theta),
             "epsilon": str(self.epsilon),
         }
-
-
-def _offset(U: int, bits: int) -> Interval:
-    """Enclosure of sqrt(tau) - U*phi, the value whose nearest integer is V."""
-    return sqrt_tau_enclosure(bits) - (U * PHI).enclosure(bits)
 
 
 def _above_sqrt_tau(x: QuadExt) -> bool:
@@ -427,8 +423,8 @@ class NearOptimalityReport(Record):
 
     __slots__ = ("max_ratio", "argmax_t", "passed", "t_min", "t_max", "slack")
 
-    def to_json(self, digits: int = 12, cap_bits: int = DEFAULT_CAP_BITS) -> dict:
-        ratio = render_decimal(self.max_ratio, digits, cap_bits)
+    def to_json(self, digits: int = 12) -> dict:
+        ratio = render_decimal(self.max_ratio, digits)
         return {
             "kind": "near_optimality",
             "indices": {"t_min": self.t_min, "t_max": self.t_max},
@@ -437,8 +433,7 @@ class NearOptimalityReport(Record):
             "decimal": {
                 "max_ratio_lo": ratio,
                 "max_ratio_hi": ratio,
-                "c_plus_slack": render_decimal(lambda bits: c_enclosure(bits) + self.slack,
-                                               digits, cap_bits),
+                "c_plus_slack": render_decimal(C + self.slack, digits),
             },
             "verdict": "pass" if self.passed else "fail",
         }
@@ -456,10 +451,8 @@ def verify_near_optimality(
     A reversed range is rejected, and t_min is raised to the denominator s_{w+10}
     so that the shifted-index regime is in force. slack defaults to five epsilon,
     covering the finite-range transients of an asymptotic bound. theta lies in Q(sqrt(5)), so
-    the walk keeps the exact maximum of |d(t)|/t. As C = sqrt(5) - sqrt(5*phi), the
-    maximum is below C + slack exactly when sqrt(5*phi) < w = sqrt(5) - (maximum - slack),
-    decided by squaring w; 5*phi has norm -25, so it is no square and never ties.
-    The verdict does not read ``cap_bits``.
+    the walk keeps the exact maximum of |d(t)|/t, and the verdict is the exact sign of
+    C + slack - maximum, a ``Root``. The verdict does not read ``cap_bits``.
     """
     if slack is None:
         slack = 5 * pair.epsilon
@@ -479,8 +472,7 @@ def verify_near_optimality(
         if top is None or size * argmax_t > top * t:  # |d|/t > top/argmax_t, no division
             top, argmax_t = size, t
     max_ratio = top / argmax_t
-    w = SQRT5 - (max_ratio - slack)
-    passed = w > 0 and w * w > 5 * PHI
+    passed = (C + slack - max_ratio).sign() > 0
     return NearOptimalityReport(max_ratio, argmax_t, passed, t_lo, t_max, slack)
 
 

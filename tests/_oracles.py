@@ -2,12 +2,13 @@
 
 Everything here goes through mpmath at high working precision and never
 touches the exact code paths under test (continued fractions, tails,
-closed-form reciprocals), so agreement is meaningful. Two exceptions:
-``c_alt_enclosure``, a second interval formula for C that the tests hold
-against ``psidiff.exact.c_enclosure``, and ``FractionInterval`` with
+closed-form reciprocals), so agreement is meaningful. Two more references
+use no code under test either: ``FractionInterval`` with
 ``fraction_sqrt_interval``, the rational interval arithmetic that
 ``psidiff.Interval`` replaced, kept as the reference its integer form must
-match endpoint for endpoint.
+match endpoint for endpoint, and ``c_alt_enclosure``, a second formula for C
+computed in that arithmetic, which the tests hold against
+``psidiff.exact.c_enclosure``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import mpmath
 
-from psidiff import TAU, CFExpansion, Interval, QuadExt, sqrt_interval
+from psidiff import CFExpansion, Interval, QuadExt
 
 DPS = 60  # roughly 200 bits
 
@@ -78,10 +79,29 @@ def mp_const(name: str, dps: int = DPS) -> mpmath.mpf:
 
 
 def c_alt_enclosure(bits: int) -> Interval:
-    """The product form of C: K * (sqrt(tau) + tau**(-3/2))."""
-    t = TAU.enclosure(bits)
-    st = sqrt_interval(t, bits)
-    return (st - 1) * (st + 1 / (t * st))
+    """The product form of C, K * (sqrt(tau) + tau**(-3/2)), in ``FractionInterval`` arithmetic
+    from an enclosure of sqrt(5) rounded out to 2**-bits."""
+    t = (fraction_sqrt_interval(FractionInterval.point(5), bits) + 1) * Fraction(1, 2)
+    st = fraction_sqrt_interval(t, bits)
+    c = (st - 1) * (st + 1 / (t * st))
+    return Interval(c.lo, c.hi)
+
+
+def scaled_int(rendered: str) -> int:
+    """The integer a decimal string spells without its point, read in pieces, since one
+    int() of a string stops at CPython's 4300-digit limit."""
+    sign, digits = (-1, rendered[1:]) if rendered.startswith("-") else (1, rendered)
+    digits = digits.replace(".", "")
+    n = 0
+    for i in range(0, len(digits), 4000):
+        piece = digits[i:i + 4000]
+        n = n * 10 ** len(piece) + int(piece)
+    return sign * n
+
+
+def mp_rounded(value: mpmath.mpf, digits: int) -> int:
+    """value * 10**digits rounded to the nearest integer, at the working precision."""
+    return int(mpmath.nint(value * mpmath.mpf(10) ** digits))
 
 
 def assert_close(rendered: str, expected: mpmath.mpf, places: int = 9) -> None:

@@ -31,7 +31,7 @@ from psidiff import (
     tail,
     verify_near_optimality,
 )
-from psidiff.exact import Comparison, c_enclosure, sqrt_tau_enclosure
+from psidiff.exact import C, SQRT_TAU, Comparison, c_enclosure
 from psidiff.numspec import parse_number
 
 from _oracles import brute_force_psi_table, mp_cf_value
@@ -66,9 +66,9 @@ class _Budget:
 
 def test_criterion_1_constants():
     with _Budget(1, "constants", 1):
-        assert render_decimal(c_enclosure, 10).startswith("0.47818")
-        assert render_decimal(lambda b: sqrt_tau_enclosure(b) - 1, 10).startswith("0.2720")
-        assert render_decimal(lambda b: c_enclosure(b) * 2 + 1, 10).startswith("1.95636")
+        assert render_decimal(C, 10).startswith("0.47818")
+        assert render_decimal(SQRT_TAU - 1, 10).startswith("0.2720")
+        assert render_decimal(C * 2 + 1, 10).startswith("1.95636")
 
 
 def test_criterion_2_oracle_equivalence():
@@ -85,7 +85,7 @@ def test_criterion_2_oracle_equivalence():
                 if q_star not in exact_dist_cache:
                     exact_dist_cache[q_star] = (q_star * x).dist_to_nearest_int()
                 assert value.value == exact_dist_cache[q_star], (cf, t)
-                assert abs(float(rough) - float(value.value.enclosure(64).midpoint())) < 1e-12
+                assert abs(float(rough) - float(value.value.enclosure(64).lo)) < 1e-12
 
 
 def test_criterion_3_witnesses():
@@ -185,7 +185,7 @@ def test_criterion_6_lemma_checkers():
         assert 12 in cert.verified_points
         d12 = cert.d_second.abs_enclosure(64)
         assert d12.lo > 6
-        assert render_decimal(cert.d_second.abs_enclosure, 4) == "16.0263"
+        assert cert.d_second.render(4) == "-16.0263"
 
 
 def test_criterion_7_optimality_construction():

@@ -10,7 +10,7 @@ import pytest
 from psidiff import QuadExt, breakpoint_profile, cli, d_at, parse_number
 from psidiff.errors import UndecidedSignError
 
-from _oracles import mp_const, mp_quadext
+from _oracles import mp_const, mp_quadext, mp_rounded, scaled_int
 
 SQRT2 = "surd:(0+sqrt(2))/1"
 SQRT3 = "surd:(0+sqrt(3))/1"
@@ -37,13 +37,20 @@ class TestCommands:
         assert payload["tau"] == "1.6180339887"
 
     def test_constants_obey_precision_cap(self, capsys):
-        code, payload = run_json(
-            capsys, "constants", "--digits", "2000", "--precision-cap-bits", "8192"
-        )
+        # 2000 digits need about 6650 bits; the default 4096-bit cap bounds no rendering
+        code, payload = run_json(capsys, "constants", "--digits", "2000")
         assert code == 0
         with mpmath.workdps(2050):
             error = abs(mpmath.mpf(payload["C"]) - mp_const("C", dps=2050))
             assert error <= mpmath.mpf(10) ** -2000 / 2
+
+    def test_constants_past_the_int_to_str_limit(self, capsys):
+        code, payload = run_json(capsys, "constants", "--digits", "5000")
+        assert code == 0
+        with mpmath.workdps(5050):
+            for name in ("tau", "phi", "K", "C"):
+                assert scaled_int(payload[name]) == mp_rounded(mp_const(name, 5050), 5000), name
+            assert scaled_int(payload["2C+1"]) == mp_rounded(2 * mp_const("C", 5050) + 1, 5000)
 
     def test_expand(self, capsys):
         code, payload = run_json(capsys, "expand", "--number", SQRT2)
@@ -188,13 +195,6 @@ class TestErrorsAndExitCodes:
         assert (json.loads(small)["U"], json.loads(small)["V"]) == (7, -3)
         assert run(capsys, "construct-optimal", "--epsilon", epsilon) == (0, small)
 
-    def test_digits_beyond_cap_exit_2(self, capsys):
-        code, payload = run_json(capsys, "constants", "--digits", "100000")
-        assert code == 2
-        assert payload["error"]["code"] == "undecided_sign"
-        assert "100000 digits" in payload["error"]["message"]
-        assert "4096 bits" in payload["error"]["message"]
-
     def test_unknown_command_exits_1(self, capsys):
         assert cli.main(["no-such-command"]) == 1
 
@@ -269,7 +269,9 @@ def rendered_and_expected(name: str, out: str) -> list[tuple[str, mpmath.mpf]]:
     else:
         payload = json.loads(out)
     pairs = []
-    if name == "witness":
+    if name == "psi":
+        pairs += [(payload[key], mp_exact(payload[f"{key}_exact"])) for key in ("psi", "inv_psi")]
+    elif name == "witness":
         exact, dec = payload["exact_values"], payload["decimal"]
         d = mp_exact(exact["inv_psi_beta"]) - mp_exact(exact["inv_psi_alpha"])
         pairs += [(dec["d"], d), (dec["c_times_t"], mp_const("C", WIDE_DPS) * payload["t"])]
@@ -303,6 +305,7 @@ def rendered_and_expected(name: str, out: str) -> list[tuple[str, mpmath.mpf]]:
 
 
 CAPPED = {
+    "psi": ("psi", "--number", "tau", "--t", "1000000000000000000000000000000"),
     "witness": ("witness", "--alpha", SQRT2, "--beta", "tau", "--from", "4", "--bound", "1000000"),
     "profile_json": ("profile", "--alpha", SQRT2, "--beta", "tau", "--bound", "30",
                      "--output", "json"),
@@ -314,12 +317,12 @@ CAPPED = {
 
 
 class TestRenderingObeysPrecisionCap:
-    """2000 digits need about 6650 bits: past the default 4096-bit cap, within 100000."""
+    """2000 digits need about 6650 bits, past the default 4096-bit cap. Every decimal
+    comes from an exact scaled floor, so any cap renders them, and alike."""
 
-    @pytest.mark.parametrize("name", sorted(CAPPED))
-    def test_large_cap_renders_correctly(self, capsys, name):
-        code, out = run(capsys, *CAPPED[name], "--digits", "2000",
-                        "--precision-cap-bits", "100000")
+    @staticmethod
+    def check(capsys, name: str, *cap: str) -> str:
+        code, out = run(capsys, *CAPPED[name], "--digits", "2000", *cap)
         assert code == 0, out
         with mpmath.workdps(WIDE_DPS):
             pairs = rendered_and_expected(name, out)
@@ -327,13 +330,17 @@ class TestRenderingObeysPrecisionCap:
             for rendered, expected in pairs:
                 assert len(rendered.partition(".")[2]) == 2000
                 assert abs(mpmath.mpf(rendered) - expected) <= mpmath.mpf(10) ** -2000 / 2
+        return out
 
     @pytest.mark.parametrize("name", sorted(CAPPED))
-    def test_default_cap_is_too_small(self, capsys, name):
-        code, payload = run_json(capsys, *CAPPED[name], "--digits", "2000")
-        assert code == 2
-        assert payload["error"]["code"] == "undecided_sign"
-        assert "4096 bits" in payload["error"]["message"]
+    def test_large_cap_renders_correctly(self, capsys, name):
+        self.check(capsys, name, "--precision-cap-bits", "100000")
+
+    @pytest.mark.parametrize("name", sorted(CAPPED))
+    def test_default_cap_renders_correctly(self, capsys, name):
+        out = self.check(capsys, name)
+        assert out == run(capsys, *CAPPED[name], "--digits", "2000",
+                          "--precision-cap-bits", "64")[1]
 
 
 class TestWitnessRatioBound:

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from psidiff import Comparison, Interval, PHI, QuadExt, TAU, refine_compare, render_decimal, sqrt_interval
-from psidiff.errors import MixedFieldError, NegativeArgumentError
-from psidiff.exact import c_enclosure, sqrt_tau_enclosure, squarefree_decompose
+from psidiff import Comparison, PHI, QuadExt, TAU, refine_compare, render_decimal
+from psidiff.errors import MixedFieldError
+from psidiff.exact import C, SQRT_TAU, Root, c_enclosure, squarefree_decompose
 
 from _oracles import assert_close, c_alt_enclosure, mp_const, mp_quadext
 
@@ -111,33 +111,37 @@ class TestSquarefree:
 class TestIntervals:
     def test_tau_enclosure(self):
         enc = TAU.enclosure(32)
-        assert enc.width <= Fraction(1, 2**32)
+        assert enc.hi - enc.lo <= Fraction(1, 2**32)
         assert (TAU - enc.lo).sign() >= 0 and (TAU - enc.hi).sign() <= 0
-        assert render_decimal(enc.midpoint(), 10) == "1.6180339887"
+        assert render_decimal((enc.lo + enc.hi) / 2, 10) == "1.6180339887"
 
     def test_rational_degenerate(self):
         enc = QuadExt(2, 0, 2).enclosure(16)
         assert enc.lo == enc.hi == 2
 
     def test_sqrt_exact_square(self):
-        enc = sqrt_interval(Interval.point(4), 32)
-        assert enc.lo == enc.hi == 2
+        # a square factor of w comes out whole: sqrt(9*tau) = 3*sqrt(tau)
+        three = SQRT_TAU * 3
+        assert three.w == 9 * TAU
+        assert render_decimal(three, 20) == render_decimal(Root(0, 1, TAU * 9), 20)
+        assert_close(render_decimal(three, 20), 3 * (mp_const("K") + 1), places=19)
 
     def test_sqrt_interval_width_follows_bits(self):
-        # a rational factor once cut the working precision of the result to 64 bits
-        enc = sqrt_interval(TAU.enclosure(4096) * 2, 4096)
-        assert enc.width < Fraction(1, 2**4000)
+        # a rational factor once cut the working precision of an enclosure of C to 64 bits
+        enc = c_enclosure(4096)
+        assert enc.hi - enc.lo == Fraction(1, 2**4097)
 
     def test_sqrt_tau(self):
-        assert_close(render_decimal(sqrt_tau_enclosure, 10), mp_const("K") + 1)
+        assert_close(render_decimal(SQRT_TAU, 10), mp_const("K") + 1)
 
     def test_sqrt_phi(self):
-        got = render_decimal(lambda b: sqrt_interval(PHI.enclosure(b), b), 12)
+        got = render_decimal(Root(0, 1, PHI), 12)
         assert got.startswith("0.78615137775")
 
     def test_sqrt_negative_rejected(self):
-        with pytest.raises(NegativeArgumentError):
-            sqrt_interval(Interval(Fraction(-1), Fraction(1)), 64)
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                SQRT_TAU * k
 
     def test_enclosure_soundness(self):
         # exact containment certified by field sign tests, plus nesting under refinement
@@ -148,21 +152,24 @@ class TestIntervals:
             coarse = x.enclosure(bits)
             fine = x.enclosure(4 * bits)
             assert (x - coarse.lo).sign() >= 0 and (x - coarse.hi).sign() <= 0
-            assert coarse.contains_interval(fine)
-            assert coarse.width <= Fraction(1, 2**bits)
+            assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
+            assert coarse.hi - coarse.lo <= Fraction(1, 2**bits)
 
     def test_sqrt_enclosure_random(self):
+        # the scaled floor of sqrt(q): n/2**40 <= sqrt(q) < (n + 1)/2**40
         rng = random.Random(99)
         for _ in range(200):
-            q = Fraction(rng.randint(0, 10**6), rng.randint(1, 10**4))
-            enc = sqrt_interval(Interval.point(q), 40)
-            assert enc.lo * enc.lo <= q <= enc.hi * enc.hi
-            assert enc.width <= Fraction(2, 2**40)
+            q = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4))
+            if math.isqrt(q.numerator * q.denominator) ** 2 == q.numerator * q.denominator:
+                continue  # a square; q is reduced
+            n = Root(0, 1, q)._scaled_floor(2**40)
+            assert Fraction(n, 2**40) ** 2 <= q < Fraction(n + 1, 2**40) ** 2
 
 
 class TestRefineCompare:
     def test_two_c_plus_one_below_two(self):
-        assert refine_compare(lambda b: c_enclosure(b) * 2 + 1, 2) is Comparison.LESS
+        assert refine_compare(lambda b: c_enclosure(b) * 2, 1) is Comparison.LESS
+        assert (C * 2 + 1 - 2).sign() < 0
 
     def test_tau_phi_product_exactly_one(self):
         assert refine_compare(TAU * PHI, 1) is Comparison.EQUAL
@@ -189,26 +196,25 @@ class TestRefineCompare:
 
 class TestConstants:
     def test_reference_prefixes(self):
-        assert render_decimal(c_enclosure, 7).startswith("0.47818")
-        assert render_decimal(lambda b: sqrt_tau_enclosure(b) - 1, 6).startswith("0.2720")
+        assert render_decimal(C, 7).startswith("0.47818")
+        assert render_decimal(SQRT_TAU - 1, 6).startswith("0.2720")
 
     def test_against_oracle(self):
-        for name, value in (("tau", TAU), ("phi", PHI), ("K", lambda b: sqrt_tau_enclosure(b) - 1),
-                            ("C", c_enclosure)):
+        for name, value in (("tau", TAU), ("phi", PHI), ("K", SQRT_TAU - 1), ("C", C)):
             assert_close(render_decimal(value, 15), mp_const(name), places=15)
 
     def test_c_formulas_agree_and_refine(self):
         for bits in (16, 32, 64, 80):
             one = c_enclosure(bits)
             two = c_alt_enclosure(bits)
-            assert one.overlaps(two)
+            assert one.lo <= two.hi and two.lo <= one.hi
         one, two = c_enclosure(128), c_alt_enclosure(128)
         lo, hi = max(one.lo, two.lo), min(one.hi, two.hi)
         assert lo <= hi and hi - lo < Fraction(1, 2**64)
 
     def test_tau_phi_enclosures_multiply_to_one(self):
-        product = TAU.enclosure(40) * PHI.enclosure(40)
-        assert product.contains(1)
+        tau, phi = TAU.enclosure(40), PHI.enclosure(40)
+        assert tau.lo * phi.lo <= 1 <= tau.hi * phi.hi
 
 
 class TestRenderDecimal:

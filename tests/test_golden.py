@@ -59,6 +59,10 @@ COMMANDS = {
                                        "000000000000000000000000000000000000000000000000000000000000"
                                        "000000000000000000000000000000000000000000000000000000000000"
                                        "0000000000000000000000")],
+    # 12 digits of c_times_t there need about 4360 bits, past the default cap, which
+    # bounds only the witness test
+    "witness_deep": ["witness", "--alpha", SQRT2, "--beta", "tau",
+                     "--from", str(10**1300), "--bound", str(10**1301)],
 }
 
 

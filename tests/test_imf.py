@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,7 @@ from psidiff import (
 from psidiff.errors import IntegralSumOrDiffError
 from psidiff.numspec import parse_number
 
-from _oracles import brute_force_psi_table, mp_cf_value, mp_quadext
+from _oracles import brute_force_psi_table, mp_cf_value, mp_quadext, mp_rounded, scaled_int
 from test_convergent_source import expansions
 
 SQRT2 = parse_number("surd:(0+sqrt(2))/1")
@@ -193,6 +194,17 @@ class TestProfile:
                                    c.quotient, c.delta, c.d_first, c.d_second, (10**5000,))
         assert repr(far_point).endswith(f", verified_points=({10**5000:#x},))")
 
+    def test_render_past_the_int_to_str_limit(self):
+        # d(10**5000), in two fields, has 5001 digits before the point
+        d = d_at(SQRT2, TAU_CF, 10**5000)
+        for digits in (12, 40):
+            text = d.render(digits)
+            assert len(text.partition(".")[2]) == digits
+            dps = 5000 + 2 * digits + 60
+            with mpmath.workdps(dps):
+                value = mp_quadext(d.inv_psi_beta, dps) - mp_quadext(d.inv_psi_alpha, dps)
+                assert scaled_int(text) == mp_rounded(value, digits)
+
 
 class TestSignChanges:
     def test_example_window(self):
@@ -254,7 +266,8 @@ def test_d_swaps_with_its_arguments(alpha, beta, t, bits):
     assert (backward.inv_psi_beta, backward.inv_psi_alpha) == (forward.inv_psi_alpha,
                                                                forward.inv_psi_beta)
     assert (backward.alpha_index, backward.beta_index) == (forward.beta_index, forward.alpha_index)
-    assert backward.enclosure(bits) == -forward.enclosure(bits)
+    back, negated = backward.enclosure(bits), -forward.enclosure(bits)
+    assert (back.lo, back.hi) == (negated.lo, negated.hi)
     assert backward.sign() == -forward.sign()
 
 

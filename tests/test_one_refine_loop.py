@@ -2,8 +2,10 @@
 
 A bit count that doubles (``bits *= 2``, ``bits = min(2 * bits, cap)``,
 ``bits <<= 1``) anywhere else is a second, hand-written refinement loop.
-Outside ``exact``, refinement decides one thing: the witness test |d(t)| vs
-C*t in ``theorems.find_witness``. Every other decision is exact.
+``refine`` has one caller, ``refine_compare``, and that one caller in the
+package, the witness test |d(t)| vs C*t in ``theorems.find_witness``. Every
+other decision is exact, and so is every printed decimal: no output path
+mentions refinement, enclosures or the cap.
 """
 
 import ast
@@ -13,7 +15,7 @@ import pathlib
 import pytest
 
 import psidiff
-from psidiff import exact
+from psidiff import cli, exact, imf, theorems
 
 SOURCES = sorted(pathlib.Path(psidiff.__file__).parent.glob("*.py"))
 
@@ -109,15 +111,16 @@ def test_refine_never_passes_the_cap(cap_bits):
     assert exact.refine(make, lambda enc: None, cap_bits) is None
     assert max(seen) == seen[-1] == cap_bits
     seen.clear()
-    assert exact.render_decimal(make, 3, cap_bits) == "1.618"
+    assert exact.refine_compare(make, 1, cap_bits) is exact.Comparison.GREATER
     assert seen == [cap_bits]  # settled at the first attempt, at the cap
 
 
-class _RefineCompareUses(ast.NodeVisitor):
+class _NameUses(ast.NodeVisitor):
     """Collects the scope (``Class.method``, ``function`` or ``<module>``) of each use of
-    ``refine_compare``: by name, as an attribute, or imported under another name."""
+    ``name``: by name, as an attribute, or imported under another name."""
 
-    def __init__(self):
+    def __init__(self, name: str = "refine_compare"):
+        self.name = name
         self.scopes: list[str] = []
         self.found: list[str] = []
 
@@ -129,36 +132,60 @@ class _RefineCompareUses(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
 
     def visit_Name(self, node: ast.Name) -> None:
-        if node.id == "refine_compare":
+        if node.id == self.name:
             self._note()
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "refine_compare":
+        if node.attr == self.name:
             self._note()
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if any(a.name == "refine_compare" and a.asname not in (None, a.name) for a in node.names):
+        if any(a.name == self.name and a.asname not in (None, a.name) for a in node.names):
             self._note()
 
     def _note(self) -> None:
         self.found.append(".".join(self.scopes) or "<module>")
 
 
-def refine_compare_uses(source: str) -> list[str]:
-    visitor = _RefineCompareUses()
+def refine_compare_uses(source: str, name: str = "refine_compare") -> list[str]:
+    visitor = _NameUses(name)
     visitor.visit(ast.parse(source))
     return visitor.found
 
 
+def uses_in_package(name: str) -> list[str]:
+    return [f"{path.name} in {scope}" for path in SOURCES
+            for scope in refine_compare_uses(path.read_text(), name)]
+
+
 def test_refinement_decides_only_the_witness_test():
-    offenders = [
-        f"{path.name} in {scope}"
-        for path in SOURCES if path.name != "exact.py"
-        for scope in refine_compare_uses(path.read_text())
-        if (path.name, scope) != ("theorems.py", "find_witness")
-    ]
-    assert not offenders, f"decisions that refine: {', '.join(offenders)}"
+    assert uses_in_package("refine_compare") == ["theorems.py in find_witness"]
+
+
+def test_refine_has_one_caller():
+    assert uses_in_package("refine") == ["exact.py in refine_compare"]
+
+
+OUTPUT_PATHS = [exact.render_decimal, imf.DValue.render, imf.profile_to_csv, imf._rendered_rows,
+                cli.cmd_constants] + [
+    cls.to_json for cls in vars(theorems).values()
+    if isinstance(cls, type) and cls.__module__ == theorems.__name__ and hasattr(cls, "to_json")
+]
+
+
+@pytest.mark.parametrize("function", OUTPUT_PATHS, ids=lambda f: f.__qualname__)
+def test_output_paths_read_no_cap(function):
+    """Every decimal comes from an exact scaled floor, whatever the digits."""
+    source = inspect.getsource(function)
+    for word in ("refine", "enclosure", "cap_bits", "precision_cap"):
+        assert word not in source, f"{function.__qualname__} mentions {word}"
+
+
+def test_every_certificate_is_an_output_path():
+    names = {f.__qualname__ for f in OUTPUT_PATHS}
+    assert {"Witness.to_json", "DichotomyRecord.to_json", "GapCertificate.to_json",
+            "OptimalPair.to_json", "NearOptimalityReport.to_json"} <= names
 
 
 def test_refine_compare_guard_sees_each_form():

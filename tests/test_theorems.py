@@ -41,7 +41,7 @@ from psidiff.errors import (
     PreconditionFailedError,
     UndecidedSignError,
 )
-from psidiff.exact import c_enclosure
+from psidiff.exact import SQRT_TAU, c_enclosure
 from psidiff.numspec import parse_number
 from psidiff.theorems import DichotomyBranch, OptimalPair
 
@@ -70,6 +70,13 @@ class TestFindWitness:
         ratio_lower_bound = Fraction(witness.to_json()["decimal"]["ratio_lower_bound"])
         assert ratio_lower_bound <= Fraction(2981, 5000)
         assert ratio_lower_bound > Fraction(478, 1000)
+
+    def test_small_cap_stops_the_witness_test(self):
+        # |d(1)| vs C*1 needs more than 1 bit; the cap bounds this test and nothing else
+        with pytest.raises(UndecidedSignError, match="at 1 bits"):
+            find_witness(SQRT2, TAU_CF, 1, 10**6, cap_bits=1)
+        small = find_witness(SQRT2, TAU_CF, 1, 10**6, cap_bits=2)
+        assert small == find_witness(SQRT2, TAU_CF, 1, 10**6)
 
     def test_reverification(self):
         witness = find_witness(SQRT2, SQRT3, 1000, 10**12)
@@ -257,14 +264,8 @@ class TestConstructOptimal:
 
     def test_small_epsilon_terminates(self):
         pair = construct_optimal(Fraction(1, 10000))
-        sigma = pair.V + pair.U * PHI
-        from psidiff.exact import sqrt_tau_enclosure
-
-        verdict = refine_compare(
-            lambda bits: abs(sigma.enclosure(bits) - sqrt_tau_enclosure(bits)),
-            Fraction(1, 10000),
-        )
-        assert verdict is Comparison.LESS
+        error = abs(SQRT_TAU - (pair.V + pair.U * PHI))
+        assert (error - Fraction(1, 10000)).sign() < 0
 
     def test_companion_is_admissible(self):
         # theta built at large epsilon must still satisfy tau +- theta not in Z
