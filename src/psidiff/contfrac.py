@@ -31,7 +31,7 @@ from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from .errors import RationalInputError
-from .exact import QuadExt, Record, squarefree_decompose
+from .exact import QuadExt, Record
 
 
 class CFExpansion(Record):
@@ -144,33 +144,22 @@ def expand_quadratic(x: QuadExt) -> CFExpansion:
     if x.is_rational:
         raise RationalInputError("expansion of a rational via expand_quadratic")
     N = x.B * x.B * x.D
-    if x.B > 0:
-        P, Q = x.A, x.Q
-    else:
-        P, Q = -x.A, -x.Q
+    P, Q = (x.A, x.Q) if x.B > 0 else (-x.A, -x.Q)
     if (N - P * P) % Q:
         P *= abs(Q)
         N *= Q * Q
         Q *= abs(Q)
     s = math.isqrt(N)
     quotients: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    i = 0
+    seen: dict[tuple[int, int], int] = {}  # (P, Q) after i quotients -> i
     while True:
-        if Q > 0:
-            a = (P + s) // Q
-        else:
-            a = -((P + s) // -Q) - 1
+        a = (P + s + (Q < 0)) // Q  # floor((P + sqrt(N))/Q), as sqrt(N) is no integer
         quotients.append(a)
         P = a * Q - P
         Q = (N - P * P) // Q
-        i += 1
-        state = (P, Q)
-        if state in seen:
-            j = seen[state]
-            break
-        seen[state] = i
-    return CFExpansion(quotients[0], tuple(quotients[1:j]), tuple(quotients[j:i]))
+        j = seen.setdefault((P, Q), len(quotients))
+        if j < len(quotients):
+            return CFExpansion(quotients[0], tuple(quotients[1:j]), tuple(quotients[j:]))
 
 
 State = tuple[int, int, int, int]
@@ -332,8 +321,7 @@ def _period_tail(period: tuple[int, ...], offset: int) -> QuadExt:
     p, p_prev, q, q_prev = _fold(period[offset:] + period[:offset])
     # omega = (p*omega + p_prev) / (q*omega + q_prev)
     disc = (q_prev - p) ** 2 + 4 * q * p_prev
-    _, f = squarefree_decompose(disc)
-    if f == 1:
+    if math.isqrt(disc) ** 2 == disc:
         raise RationalInputError("period block does not define an irrational")
     return QuadExt(Fraction(p - q_prev, 2 * q), Fraction(1, 2 * q), disc)
 

@@ -2,9 +2,10 @@
 
 Rationals are ``fractions.Fraction`` (always canonical: positive denominator,
 reduced). ``QuadExt`` is an element (A + B*sqrt(D))/Q of a real quadratic field,
-held as integers with Q > 0, gcd(A, B, Q) = 1 and D squarefree; all field
-operations and sign tests are exact integer arithmetic, and ``compare`` orders
-elements of any two fields by at most two such sign tests. ``Root`` is a + s*sqrt(w)
+held as integers with Q > 0, gcd(A, B, Q) = 1 and D its field's one radicand in
+this process, found without factoring; all field operations and sign tests are
+exact integer arithmetic, and ``compare`` orders elements of any two fields by at
+most two such sign tests. ``Root`` is a + s*sqrt(w)
 with a and w in one such field and s = +-1, the form of sqrt(tau), of the optimal
 constant C = sqrt(5) - sqrt(5*phi) and of what is built from them; one squaring
 decides its sign. Each kind has one scaled floor, floor(m*x) for an integer m >= 1:
@@ -35,11 +36,18 @@ from .errors import MixedFieldError
 RatLike = Union[int, Fraction]
 
 DEFAULT_CAP_BITS = 4096
+_COFACTORS: list[int] = []  # recorded cofactors; a field's first is its radicand
 
 
 @lru_cache(maxsize=8192)
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Split n > 0 as s*s*f with f squarefree; returns (s, f)."""
+def squarefree_decompose(n: int) -> tuple[RatLike, int]:
+    """Split n > 0 as s*s*f, f this process's radicand of Q(sqrt(n)); returns (s, f).
+
+    Trial division below 1e4 leaves a cofactor c. Two radicands give one field
+    exactly when their product is a square, so c is a square, or joins the field
+    of the first recorded cofactor g with c*g a square (sqrt(c) = isqrt(c*g)/g *
+    sqrt(g), and s may be a Fraction), or is recorded as its field's radicand.
+    """
     if n <= 0:
         raise ValueError("positive integer required")
     s, f = 1, 1
@@ -55,21 +63,15 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             s *= p ** (e // 2)
             if e % 2:
                 f *= p
-    if n > 1:
-        r = math.isqrt(n)
-        if r * r == n:
-            s *= r
-        elif n < 10**8:
-            # no prime factor <= 1e4 remains, so n < 1e8 has no square divisor
-            f *= n
-        else:
-            from sympy import factorint  # rare: large cofactor with unknown structure
-
-            for p, e in factorint(n).items():
-                s *= p ** (e // 2)
-                if e % 2:
-                    f *= p
-    return s, f
+    r = math.isqrt(n)
+    if r * r == n:
+        return s * r, f
+    while True:  # scanning again after the append, racing threads agree on the first entry
+        for g in _COFACTORS:
+            r = math.isqrt(n * g)
+            if r * r == n * g:
+                return s * Fraction(r, g), f * g
+        _COFACTORS.append(n)
 
 
 def _as_fraction(x: RatLike) -> Fraction:
@@ -83,23 +85,27 @@ def _as_fraction(x: RatLike) -> Fraction:
 class QuadExt:
     """Exact, immutable element (A + B*sqrt(D))/Q of Q(sqrt(D)) held as integers.
 
-    Invariants: Q > 0, gcd(A, B, Q) = 1, D squarefree and not a square. B == 0
-    means the element is rational; rationals interoperate with any field.
-    ``QuadExt(a, b, D)`` takes rationals a, b and reduces the radicand, the one
-    place that does: QuadExt(0, 1, 8) becomes 0 + 2*sqrt(2). Arithmetic builds
-    its results from integers in the operands' field.
+    Invariants: Q > 0, gcd(A, B, Q) = 1, and D not a square and a fixed point,
+    ``squarefree_decompose(D) == (1, D)``: the one radicand of its field in this
+    process. D is squarefree when the first cofactor of its field seen is below
+    1e12, which has at most two primes above 1e4; only that first radicand can
+    leave D the square of a prime above 1e4. A pickled element carries this
+    process's D. B == 0 means the element is rational; rationals interoperate with
+    any field. ``QuadExt(a, b, D)`` takes rationals a, b and reduces the radicand,
+    the one place that does: QuadExt(0, 1, 8) becomes 0 + 2*sqrt(2). Arithmetic
+    builds its results from integers in the operands' field.
     """
 
     __slots__ = ("A", "B", "Q", "D")
 
     def __new__(cls, a: RatLike, b: RatLike, D: int) -> "QuadExt":
-        a, b = _as_fraction(a), _as_fraction(b)
         if D <= 0:
             raise ValueError("D must be positive")
         s, f = squarefree_decompose(D)
         if f == 1:
             raise ValueError("D must not be a perfect square")
-        return _make(a.numerator * b.denominator, s * b.numerator * a.denominator,
+        a, b = _as_fraction(a), _as_fraction(b) * s
+        return _make(a.numerator * b.denominator, b.numerator * a.denominator,
                      a.denominator * b.denominator, f)
 
     def __setattr__(self, name: str, value: object = None) -> None:
@@ -259,10 +265,8 @@ class QuadExt:
         return _dyadic(self, bits)
 
     def __str__(self) -> str:
-        if self.B == 0:
-            return str(self.a)
-        sign = "+" if self.B >= 0 else "-"
-        return f"{self.a}{sign}{abs(self.b)}√{self.D}"
+        a, b = _ratio_str(self.A, self.Q), _ratio_str(abs(self.B), self.Q)
+        return a if self.B == 0 else f"{a}{'+-'[self.B < 0]}{b}√{_format_scaled(self.D, 0)}"
 
     def __repr__(self) -> str:
         return f"QuadExt({int_repr(self.a)}, {int_repr(self.b)}, {self.D})"
@@ -336,7 +340,7 @@ def _sign(a: int, b: int, D: int) -> int:
 
 
 def _make(A: int, B: int, Q: int, D: int) -> QuadExt:
-    """(A + B*sqrt(D))/Q reduced to the invariants; Q != 0 and D already squarefree."""
+    """(A + B*sqrt(D))/Q reduced to the invariants; Q != 0 and D already its field's radicand."""
     # Q first: it is often far smaller than A and B (q_r * tail at t = 10**30000),
     # and math.gcd skips the remaining arguments once the result is 1
     g = math.gcd(Q, A, B) if Q > 0 else -math.gcd(Q, A, B)
@@ -604,6 +608,13 @@ def _format_scaled(n: int, digits: int) -> str:
     if digits == 0:
         return f"{sign}{text}"
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, also past the int-to-str limit."""
+    g = math.gcd(n, d)
+    text = _format_scaled(n // g, 0)
+    return text if d == g else f"{text}/{_format_scaled(d // g, 0)}"
 
 
 def render_decimal(x: object, digits: int = 12) -> str:

@@ -37,7 +37,7 @@ from .errors import (
     RationalInputError,
     UndecidedSignError,
 )
-from .exact import DEFAULT_CAP_BITS, Interval, QuadExt, Record, render_decimal
+from .exact import DEFAULT_CAP_BITS, Interval, QuadExt, Record, _format_scaled, render_decimal
 
 _GUARD_BITS = 64  # extra bits of the bracket in DValue._scaled_floor
 
@@ -306,5 +306,6 @@ def _rendered_rows(profile: BreakpointProfile,
 def profile_to_csv(profile: BreakpointProfile, digits: int = 12) -> str:
     """CSV rendering with header t,inv_psi_alpha,inv_psi_beta,d,digits=<n>."""
     lines = [f"t,inv_psi_alpha,inv_psi_beta,d,digits={digits}"]
-    lines.extend(f"{t},{a},{b},{d}" for t, a, b, d in _rendered_rows(profile, digits))
+    lines.extend(f"{_format_scaled(t, 0)},{a},{b},{d}"
+                 for t, a, b, d in _rendered_rows(profile, digits))
     return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ computed in that arithmetic, which the tests hold against
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,6 +98,24 @@ def scaled_int(rendered: str) -> int:
         piece = digits[i:i + 4000]
         n = n * 10 ** len(piece) + int(piece)
     return sign * n
+
+
+def mp_rational(text: str) -> mpmath.mpf:
+    """mpmath value of a rational printed as n or n/d, at any length."""
+    num, _, den = text.partition("/")
+    return mpmath.mpf(scaled_int(num)) / scaled_int(den or "1")
+
+
+_EXACT = re.compile(r"(-?\d+(?:/\d+)?)(?:([+-])(\d+(?:/\d+)?)√(\d+))?\Z")
+
+
+def mp_exact(text: str) -> mpmath.mpf:
+    """mpmath value of an exact field element as it prints: a, a+b√D or a-b√D."""
+    a, sign, b, D = _EXACT.match(text).groups()
+    if b is None:
+        return mp_rational(a)
+    root = mpmath.sqrt(scaled_int(D))
+    return mp_rational(a) + (1 if sign == "+" else -1) * mp_rational(b) * root
 
 
 def mp_rounded(value: mpmath.mpf, digits: int) -> int:

@@ -1,7 +1,11 @@
 """CLI surface: output shapes, determinism, exit codes."""
 
 import json
-import re
+import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +14,8 @@ import pytest
 from psidiff import QuadExt, breakpoint_profile, cli, d_at, parse_number
 from psidiff.errors import UndecidedSignError
 
-from _oracles import mp_const, mp_quadext, mp_rounded, scaled_int
+from _oracles import (brute_force_psi_table, mp_const, mp_exact, mp_quadext, mp_rational,
+                      mp_rounded, scaled_int)
 
 SQRT2 = "surd:(0+sqrt(2))/1"
 SQRT3 = "surd:(0+sqrt(3))/1"
@@ -25,6 +30,17 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def run_fresh(*argv):
+    """(exit code, JSON stdout) of ``python -m psidiff.cli`` in a fresh interpreter, whose
+    first radicands are this call's; a hang fails after 60 s instead of stalling the suite."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "psidiff.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    return proc.returncode, json.loads(proc.stdout)
 
 
 class TestCommands:
@@ -243,20 +259,6 @@ class TestErrorsAndExitCodes:
 
 
 WIDE_DPS = 2050
-_EXACT = re.compile(r"(-?\d+(?:/\d+)?)(?:([+-])(\d+(?:/\d+)?)√(\d+))?\Z")
-
-
-def mp_rational(text) -> mpmath.mpf:
-    q = Fraction(text)
-    return mpmath.mpf(q.numerator) / q.denominator
-
-
-def mp_exact(text: str) -> mpmath.mpf:
-    """mpmath value of an exact field element as the CLI prints it: a, a+b√D or a-b√D."""
-    a, sign, b, D = _EXACT.match(text).groups()
-    if b is None:
-        return mp_rational(a)
-    return mp_rational(a) + (1 if sign == "+" else -1) * mp_rational(b) * mpmath.sqrt(int(D))
 
 
 def rendered_and_expected(name: str, out: str) -> list[tuple[str, mpmath.mpf]]:
@@ -297,10 +299,10 @@ def rendered_and_expected(name: str, out: str) -> list[tuple[str, mpmath.mpf]]:
         pair, report = payload["pair"], payload["report"]
         sqrt_tau = mpmath.sqrt(mp_const("tau", WIDE_DPS))
         error = abs(mp_exact(pair["exact_values"]["approximant"]) - sqrt_tau)
-        slack = 5 * Fraction(pair["epsilon"])
+        slack = mp_rational(str(5 * Fraction(pair["epsilon"])))
         pairs += [(pair["decimal"]["A"], mp_exact(pair["exact_values"]["A"])),
                   (pair["decimal"]["error"], error),
-                  (report["decimal"]["c_plus_slack"], mp_const("C", WIDE_DPS) + mp_rational(slack))]
+                  (report["decimal"]["c_plus_slack"], mp_const("C", WIDE_DPS) + slack)]
     return pairs
 
 
@@ -408,6 +410,48 @@ class TestNumberSpec:
         for bad in ("surd:(1+sqrt(2))/0", "cf:[1;(2),(3)]", "cf:[1;]", "pi", "surd:1+sqrt(2)"):
             code, payload = run_json(capsys, "expand", "--number", bad)
             assert code == 1, bad
+
+
+class TestLargeRadicands:
+    """Radicands whose cofactor past trial division is large: nothing factors them."""
+
+    def test_psi_of_a_prime_radicand_past_the_table(self):
+        # the period discriminants of sqrt(20011) are 20011*k^2 with large k
+        code, payload = run_fresh("psi", "--number", "surd:(0+sqrt(20011))/1", "--t", "1000000")
+        assert code == 0
+        q = nearest_multiple_search(20011, 10**6)
+        assert payload["q"] == q
+        with mpmath.workdps(60):
+            dist = abs(q * mpmath.sqrt(20011) - mpmath.nint(q * mpmath.sqrt(20011)))
+            assert scaled_int(payload["psi"]) == mp_rounded(dist, 12)
+            assert scaled_int(payload["inv_psi"]) == mp_rounded(1 / dist, 12)
+            assert abs(mp_exact(payload["psi_exact"]) - dist) < mpmath.mpf(10) ** -50
+        _, small = run_fresh("psi", "--number", "surd:(0+sqrt(20011))/1", "--t", "1000")
+        with mpmath.workdps(60):
+            assert small["q"] == brute_force_psi_table(mpmath.sqrt(20011), 1000)[-1][0] == 415
+
+    @pytest.mark.parametrize("first", ["alpha", "beta"])
+    def test_square_of_a_large_prime_keeps_the_field(self, first):
+        # 109758411554087 = 104729^2 * 10007, so alpha = sqrt(10007) and beta - alpha = 1,
+        # whichever radicand is seen first
+        alpha, beta = "surd:(0+sqrt(109758411554087))/104729", "surd:(1+sqrt(10007))/1"
+        pair = (alpha, beta) if first == "alpha" else (beta, alpha)
+        code, payload = run_fresh("profile", "--alpha", pair[0], "--beta", pair[1])
+        assert code == 1
+        assert payload["error"]["code"] == "integral_sum_or_diff"
+
+
+def nearest_multiple_search(D: int, t: int) -> int:
+    """The q <= t with q*sqrt(D) nearest an integer, by brute force. Below 2**28, each float
+    distance is off by under 5e-8, so floats keep every q within 1e-7 of their minimum and
+    mpmath picks among those."""
+    root = math.sqrt(D)
+    dists = [abs(q * root - round(q * root)) for q in range(1, t + 1)]
+    least = min(dists)
+    with mpmath.workdps(60):
+        exact = mpmath.sqrt(D)
+        return min((q for q, d in enumerate(dists, 1) if d <= least + 1e-7),
+                   key=lambda q: abs(q * exact - mpmath.nint(q * exact)))
 
 
 class TestDeterminism:

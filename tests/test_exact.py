@@ -103,9 +103,21 @@ class TestSquarefree:
         p = 104729  # prime above the trial-division table
         assert squarefree_decompose(p * p * 3) == (p, 3)
 
-    def test_large_composite_cofactor(self):
-        p, q = 104729, 10007  # forces the full-factorization fallback
-        assert squarefree_decompose(p * p * q) == (p, q)
+    @pytest.mark.parametrize("p, q, product_first", [(100003, 10037, True), (100019, 10039, False)],
+                             ids=["product_first", "cofactor_first"])
+    def test_square_of_a_large_prime_keeps_the_field(self, p, q, product_first):
+        # sqrt(p*p*q) = p*sqrt(q) with p past the trial-division table, so nothing factors
+        # p*p*q: the first radicand seen fixes the field's D. Tests share one process, so
+        # each order uses primes no other test does.
+        build = [lambda: QuadExt(0, 1, p * p * q), lambda: p * QuadExt(0, 1, q)]
+        x, y = (make() for make in (build if product_first else build[::-1]))
+        assert x == y and hash(x) == hash(y) and x.compare(y) == y.compare(x) == 0
+        assert x.D == y.D == (p * p * q if product_first else q)
+        assert squarefree_decompose(x.D) == (1, x.D)
+        assert squarefree_decompose(q) == ((Fraction(1, p), p * p * q) if product_first else (1, q))
+        assert (x - p * QuadExt(0, 1, q)).is_rational and x * x == p * p * q
+        # the printed surd keeps the square under the root when p*p*q came first
+        assert str(QuadExt(1, 1, q)) == (f"1+1/{p}√{p * p * q}" if product_first else f"1+1√{q}")
 
 
 class TestIntervals:

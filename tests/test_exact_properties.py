@@ -280,6 +280,21 @@ def test_rational_operands_from_any_field(x, r, E):
         assert_canonical(x / r)
 
 
+# products of primes past the trial-division table, whose squares the radicand sheds
+# by one square test, without factoring
+LARGE_SQUARE_ROOTS = st.lists(st.sampled_from((10061, 10067, 104723, 1000003)),
+                              min_size=1, max_size=3).map(math.prod)
+
+
+@settings(max_examples=100, deadline=None)
+@given(RATIONALS, RATIONALS, st.sampled_from(FIELDS), LARGE_SQUARE_ROOTS)
+def test_large_square_factor_leaves_the_field(a, b, g, k):
+    x, y = QuadExt(a, b, g * k * k), QuadExt(a, b * k, g)
+    assert x == y and hash(x) == hash(y) and x.D == y.D == g
+    assert_canonical(x)
+    assert_canonical(y)
+
+
 @settings(max_examples=200, deadline=None)
 @given(RATIONALS, st.sampled_from(FIELDS), st.sampled_from(FIELDS))
 def test_equal_rationals_hash_alike_across_fields(r, D, E):

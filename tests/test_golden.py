@@ -59,6 +59,9 @@ COMMANDS = {
                                        "000000000000000000000000000000000000000000000000000000000000"
                                        "000000000000000000000000000000000000000000000000000000000000"
                                        "0000000000000000000000")],
+    # the period discriminants of this expansion have large cofactors past trial division
+    "profile_wide_quotients": ["profile", "--alpha", "cf:[0;(1000,999,998)]", "--beta", "tau",
+                               "--bound", "1000000000000", "--output", "json"],
     # 12 digits of c_times_t there need about 4360 bits, past the default cap, which
     # bounds only the witness test
     "witness_deep": ["witness", "--alpha", SQRT2, "--beta", "tau",

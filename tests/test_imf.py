@@ -31,7 +31,8 @@ from psidiff import (
 from psidiff.errors import IntegralSumOrDiffError
 from psidiff.numspec import parse_number
 
-from _oracles import brute_force_psi_table, mp_cf_value, mp_quadext, mp_rounded, scaled_int
+from _oracles import (brute_force_psi_table, mp_cf_value, mp_exact, mp_quadext, mp_rounded,
+                      scaled_int)
 from test_convergent_source import expansions
 
 SQRT2 = parse_number("surd:(0+sqrt(2))/1")
@@ -205,6 +206,27 @@ class TestProfile:
                 value = mp_quadext(d.inv_psi_beta, dps) - mp_quadext(d.inv_psi_alpha, dps)
                 assert scaled_int(text) == mp_rounded(value, digits)
 
+
+    def test_strings_past_the_int_to_str_limit(self):
+        # the exact values and the csv t column print past 4300 digits, as the decimals do
+        witness = find_witness(SQRT2, TAU_CF, 10**5000, 10**5001)
+        payload, d = witness.to_json(), witness.d_value
+        dps = 10100
+        with mpmath.workdps(dps):
+            exact = {k: mp_exact(v) for k, v in payload["exact_values"].items()}
+            for name in ("inv_psi_alpha", "inv_psi_beta"):
+                value = mp_quadext(getattr(d, name), dps)
+                assert abs(exact[name] - value) < mpmath.mpf(10) ** -1000
+            assert scaled_int(payload["decimal"]["d"]) == mp_rounded(
+                exact["inv_psi_beta"] - exact["inv_psi_alpha"], 12)
+        profile = breakpoint_profile(SQRT2, TAU_CF, 10**5000, 10**5000)
+        (row,) = profile_to_csv(profile).splitlines()[1:]
+        t, *decimals = row.split(",")
+        entry = profile.entries[0]
+        assert scaled_int(t) == entry.t == 10**5000
+        with mpmath.workdps(dps):
+            a, b = (mp_quadext(x, dps) for x in (entry.inv_psi_alpha, entry.inv_psi_beta))
+            assert list(map(scaled_int, decimals)) == [mp_rounded(v, 12) for v in (a, b, b - a)]
 
 class TestSignChanges:
     def test_example_window(self):

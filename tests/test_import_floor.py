@@ -4,8 +4,9 @@
 names on first use (PEP 562). ``cli`` imports ``numspec``, ``imf`` and
 ``theorems`` inside the commands that run them, and the records derive from
 ``exact.Record``, so no module loads ``dataclasses`` (and, with it,
-``inspect``). The subprocess checks run a fresh interpreter, since this one
-has every module loaded.
+``inspect``). The package imports only the standard library, and the
+large-radicand commands run with ``sympy`` blocked. The subprocess checks run a
+fresh interpreter, since this one has every module loaded.
 """
 
 import ast
@@ -65,11 +66,20 @@ def test_cli_command_loads_only_what_it_runs(argv, unused):
     assert "exact" in loaded and not unused & loaded, f"{argv[0]} loaded {sorted(loaded)}"
 
 
+def imports(source: str) -> list[tuple[int, str]]:
+    """(line, top-level name) of every absolute ``import`` and ``from``, also inside functions."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.partition(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.partition(".")[0]))
+    return found
+
+
 def dataclass_imports(source: str) -> list[int]:
     """Lines that import ``dataclasses`` or a name from it."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
-            or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    return [line for line, name in imports(source) if name == "dataclasses"]
 
 
 def test_no_module_imports_dataclasses():
@@ -83,6 +93,30 @@ def test_dataclass_guard_sees_each_form():
               "def f():\n    import os, dataclasses as dc\n"
               "from . import dataclasses_like\nimport dataclasses_like\n")
     assert dataclass_imports(source) == [1, 2, 4]
+
+
+def test_package_imports_only_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"psidiff"}
+    offenders = [f"{path.name}:{line} {name}" for path in SOURCES
+                 for line, name in imports(path.read_text()) if name not in allowed]
+    assert not offenders, f"outside the standard library: {', '.join(offenders)}"
+
+
+def test_import_guard_sees_each_form():
+    source = ("import os.path, sympy as sp\nfrom __future__ import annotations\n"
+              "def f():\n    from sympy.ntheory import factorint\n"
+              "from . import exact\nfrom .contfrac import tail\n")
+    assert imports(source) == [(1, "os"), (1, "sympy"), (2, "__future__"), (4, "sympy")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--number", "surd:(0+sqrt(20011))/1", "--t", "1000000"],
+    ["psi", "--number", "surd:(0+sqrt(99991))/1", "--t", str(10**12)],
+    ["psi", "--number", "surd:(1+sqrt(100000007))/2", "--t", "1000000"],
+], ids=["20011", "99991", "100000007"])
+def test_large_radicands_need_no_sympy(argv):
+    # a None entry in sys.modules makes every import of sympy raise ImportError
+    loaded_submodules("import sys\nsys.modules['sympy'] = None\n" + CLI.format(argv=argv))
 
 
 # -- the lazy package surface -------------------------------------------------------
