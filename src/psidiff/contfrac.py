@@ -10,15 +10,20 @@ Convergents come from one in-order stream, ``convergent_stream``, one
 recurrence step each. It starts at index 0 (``convergents``) or, seeded with a
 state from the ladder, at any index; ``imf`` seeds every walk at its lower end
 with one ladder lookup per number (``last_convergent_at_most`` by bound,
-``convergent_state`` by index). The ladder is built lazily per expansion: the
-states ``(p_n, p_{n-1}, q_n, q_{n-1})`` of the preperiod, and the squared period
-matrices ``M, M^2, M^4, ...`` of the 2x2 matrix view of continued fractions
-(Gosper, HAKMEM item 101), extended only on demand. A query costs O(log n)
-2x2 products plus at most one period of single recurrence steps; rational
-expansions bisect the preperiod states.
+``convergent_state`` by index). The ladder, an expansion's one memo, is built
+on first use: the states ``(p_n, p_{n-1}, q_n, q_{n-1})`` of the preperiod,
+and the squared period matrices ``M, M^2, M^4, ...`` of the 2x2 matrix view of
+continued fractions (Gosper, HAKMEM item 101), extended only on demand. A query
+costs O(log n) 2x2 products plus at most one period of single recurrence steps;
+rational expansions bisect the preperiod states.
 The ladder never stores a table of convergents: past the preperiod it holds
 only the squared powers, whose sizes double, so its memory is O(bits of the
 largest q reached), about twice the bits of the largest t queried.
+
+The ladder also holds every tail and the exact value, built from the period
+matrix M when the ladder is: the purely periodic tail is M's fixed point, the
+period's other tails follow forwards by x -> 1/(x - a), and the preperiod's
+backwards by x -> a + 1/x. So each period is folded once per expansion.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
@@ -38,12 +43,12 @@ class CFExpansion(Record):
     """Continued fraction [a0; preperiod..., (period...)].
 
     An empty period means the value is rational; a nonempty period repeats
-    forever, so the value is a quadratic irrational. The value and the
-    convergent ladder are memoized in the slots ``_value`` and ``_ladder``,
-    unset until first use.
+    forever, so the value is a quadratic irrational. The convergent ladder,
+    which also holds the value and every tail, is memoized in the slot
+    ``_ladder``, unset until first use.
     """
 
-    __slots__ = ("a0", "preperiod", "period", "_value", "_ladder")
+    __slots__ = ("a0", "preperiod", "period", "_ladder")
 
     def __init__(self, a0: int, preperiod: Sequence[int] = (), period: Sequence[int] = ()) -> None:
         preperiod, period = tuple(preperiod), tuple(period)
@@ -59,16 +64,9 @@ class CFExpansion(Record):
 
     def partial_quotient(self, j: int) -> int:
         """a_j for any j >= 0, unrolling the period."""
-        if j < 0:
-            raise IndexError("quotient index must be >= 0")
-        if j == 0:
-            return self.a0
-        k = len(self.preperiod)
-        if j <= k:
-            return self.preperiod[j - 1]
-        if not self.period:
-            raise IndexError(f"rational expansion has no quotient a_{j}")
-        return self.period[(j - k - 1) % len(self.period)]
+        for a in self.quotients(j):
+            return a
+        raise IndexError(f"rational expansion has no quotient a_{j}")
 
     def quotients(self, start: int = 0) -> Iterator[int]:
         """a_start, a_start+1, ...: an infinite stream for irrational values.
@@ -76,6 +74,8 @@ class CFExpansion(Record):
         The stream starts by slicing the preperiod or rotating the period, not by
         skipping quotients.
         """
+        if start < 0:
+            raise IndexError("quotient index must be >= 0")
         head = (self.a0, *self.preperiod)
         yield from head[start:]
         if self.period:
@@ -85,17 +85,8 @@ class CFExpansion(Record):
                 yield from self.period
 
     def value(self) -> QuadExt | Fraction:
-        """Exact value: a Fraction when rational, a QuadExt otherwise (memoized)."""
-        cached = getattr(self, "_value", None)
-        if cached is None:
-            p, p_prev, q, q_prev = _ladder(self).prefix[-1]
-            if self.is_rational:
-                cached = Fraction(p, q)
-            else:
-                omega = _period_tail(self.period, 0)
-                cached = (p * omega + p_prev) / (q * omega + q_prev)
-            object.__setattr__(self, "_value", cached)
-        return cached
+        """Exact value: a Fraction when rational, a QuadExt otherwise (from the ladder)."""
+        return _ladder(self).value
 
     def __str__(self) -> str:
         parts = [",".join(map(str, self.preperiod))] if self.preperiod else []
@@ -196,18 +187,33 @@ class _Ladder:
     the state at k + j*m + r is prefix[k] * M^j followed by r single steps,
     where M is the period's matrix and M^j is assembled from ``powers[i] =
     M^(2^i)``. ``powers`` only ever grows, by rebinding to a longer tuple, so
-    concurrent readers see a consistent prefix of it.
+    concurrent readers see a consistent prefix of it. ``tails[r - 1]`` is the
+    tail [a_r; a_{r+1}, ...] for 1 <= r <= k + len(period), and ``value`` the
+    expansion's value.
     """
 
-    __slots__ = ("prefix", "period", "powers")
+    __slots__ = ("prefix", "period", "powers", "tails", "value")
 
     def __init__(self, cf: CFExpansion) -> None:
         self.prefix: tuple[State, ...] = tuple(accumulate(cf.preperiod, _step,
                                                           initial=(cf.a0, 1, 1, 0)))
         self.period = cf.period
         self.powers: tuple[State, ...] = ()
-        if cf.period:
-            self.powers = (_fold(cf.period),)
+        self.tails: tuple[QuadExt, ...] = ()
+        if not cf.period:
+            p, _, q, _ = self.prefix[-1]
+            self.value: QuadExt | Fraction = Fraction(p, q)
+            return
+        p, p_prev, q, q_prev = m = _fold(cf.period)
+        self.powers = (m,)
+        # omega = (p*omega + p_prev) / (q*omega + q_prev), the root above 1
+        omega = QuadExt(Fraction(p - q_prev, 2 * q), Fraction(1, 2 * q),
+                        (q_prev - p) ** 2 + 4 * q * p_prev)
+        # the tails at r = k+1, k, ..., 1 backwards, and at r = k+1, ..., k+L forwards
+        back = list(accumulate(reversed(cf.preperiod), lambda x, a: a + x.inverse(), initial=omega))
+        forward = accumulate(cf.period[:-1], lambda x, a: (x - a).inverse(), initial=omega)
+        self.tails = (*back[:0:-1], *forward)
+        self.value = cf.a0 + back[-1].inverse()
 
     def power(self, i: int) -> State:
         """M^(2^i), squaring further on demand."""
@@ -311,21 +317,6 @@ def continuant(word: Sequence[int]) -> int:
     return _fold(word)[0]
 
 
-@lru_cache(maxsize=None)
-def _period_tail(period: tuple[int, ...], offset: int) -> QuadExt:
-    """Value of the purely periodic fraction on the period rotated by offset.
-
-    Keyed by the period, not the expansion, so the cache holds no expansion
-    (nor the value and ladder memoized on it) alive.
-    """
-    p, p_prev, q, q_prev = _fold(period[offset:] + period[:offset])
-    # omega = (p*omega + p_prev) / (q*omega + q_prev)
-    disc = (q_prev - p) ** 2 + 4 * q * p_prev
-    if math.isqrt(disc) ** 2 == disc:
-        raise RationalInputError("period block does not define an irrational")
-    return QuadExt(Fraction(p - q_prev, 2 * q), Fraction(1, 2 * q), disc)
-
-
 def tail(cf: CFExpansion, r: int) -> QuadExt:
     """Exact tail [a_r; a_{r+1}, ...] of a periodic expansion, r >= 1."""
     if cf.is_rational:
@@ -333,12 +324,7 @@ def tail(cf: CFExpansion, r: int) -> QuadExt:
     if r < 1:
         raise ValueError("tail index must be >= 1")
     k = len(cf.preperiod)
-    if r >= k + 1:
-        return _period_tail(cf.period, (r - k - 1) % len(cf.period))
-    x = _period_tail(cf.period, 0)
-    for j in range(k, r - 1, -1):
-        x = cf.partial_quotient(j) + x.inverse()
-    return x
+    return _ladder(cf).tails[r - 1 if r <= k else k + (r - k - 1) % len(cf.period)]
 
 
 def is_nonintegral_sum_and_diff(x: QuadExt, y: QuadExt) -> bool:

@@ -107,13 +107,38 @@ def test_seeded_stream_is_the_stream_from_its_seed(cf, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(expansions(), st.integers(0, 30))
+@given(expansions(), st.integers(-3, 30))
 @example(CFExpansion(2, (3, 4)), 5)  # rational, past its end
 @example(CFExpansion(0, (1, 2, 3), (4, 5)), 2)  # inside the preperiod
 @example(CFExpansion(0, (1, 2, 3), (4, 5)), 6)  # past it, period rotated
+@example(CFExpansion(0, (1, 2), (3,)), -1)  # no index, not the head sliced from its end
 def test_quotients_from_start(cf, start):
+    if start < 0:
+        with pytest.raises(IndexError):
+            next(cf.quotients(start))
+        with pytest.raises(IndexError):
+            cf.partial_quotient(start)
+        return
     want = list(itertools.islice(cf.quotients(), start, start + 20))
     assert list(itertools.islice(cf.quotients(start), 20)) == want
+    if want:
+        assert cf.partial_quotient(start) == want[0]
+    else:
+        with pytest.raises(IndexError):
+            cf.partial_quotient(start)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansions(rational=False))
+def test_every_tail_against_the_recurrence(cf):
+    """x = (p_{r-1} t_r + p_{r-2}) / (q_{r-1} t_r + q_{r-2}) and floor(t_r) = a_r for each
+    tail t_r = [a_r; a_{r+1}, ...], r = 1..k + 2L + 1 (k the preperiod's length, L the period's)."""
+    x = cf.value()
+    last = len(cf.preperiod) + 2 * len(cf.period) + 1
+    for n, (p, p_prev, q, q_prev) in itertools.islice(reference_states(cf), last):
+        t_r = tail(cf, n + 1)
+        assert x == (p * t_r + p_prev) / (q * t_r + q_prev)
+        assert t_r.floor() == cf.partial_quotient(n + 1)
 
 
 @settings(max_examples=100, deadline=None)

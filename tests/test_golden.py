@@ -14,10 +14,13 @@ import sys
 
 import pytest
 
-from psidiff import cli
+from psidiff import cli, contfrac, numspec
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SQRT2 = "surd:(0+sqrt(2))/1"
+# period 688: the window q_685..q_691 crosses the period's end (offset 687 -> 0)
+LONG_PERIOD = "surd:(3+sqrt(4999))/29"
+LONG_Q = [c.q for c in contfrac.convergents(numspec.parse_number(LONG_PERIOD), 691)]
 
 COMMANDS = {
     "constants": ["constants", "--digits", "10"],
@@ -66,6 +69,9 @@ COMMANDS = {
     # bounds only the witness test
     "witness_deep": ["witness", "--alpha", SQRT2, "--beta", "tau",
                      "--from", str(10**1300), "--bound", str(10**1301)],
+    "profile_period_wrap": ["profile", "--alpha", LONG_PERIOD, "--beta", "surd:(0+sqrt(4999))/1",
+                            "--from", str(LONG_Q[685]), "--bound", str(LONG_Q[691]),
+                            "--output", "csv", "--digits", "6"],
 }
 
 

@@ -200,14 +200,16 @@ def test_one_render_per_bracket(output, monkeypatch, capsys):
 
 
 def corrupt_tail(monkeypatch, period, offset):
-    """Shift the tail of one rotation of a period by 1, so the closed forms disagree there."""
-    real = contfrac._period_tail
+    """Shift by 1 every tail that starts at this offset of this period, so the closed forms
+    disagree there."""
+    real = contfrac.tail
 
-    def corrupted(p, o):
-        value = real(p, o)
-        return value + 1 if (p, o) == (period, offset) else value
+    def corrupted(cf, r):
+        value, k = real(cf, r), len(cf.preperiod)
+        hit = cf.period == period and r > k and (r - k - 1) % len(period) == offset
+        return value + 1 if hit else value
 
-    monkeypatch.setattr(contfrac, "_period_tail", corrupted)
+    monkeypatch.setattr(contfrac, "tail", corrupted)
 
 
 def test_cross_check_runs_on_a_bracket_that_steps_alone(monkeypatch):
