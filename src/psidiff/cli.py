@@ -19,7 +19,14 @@ import sys
 from fractions import Fraction
 
 from .errors import PsidiffError, UndecidedSignError
-from .exact import PHI, SQRT_TAU, TAU, C, render_decimal
+from .exact import _STR_BITS, PHI, SQRT_TAU, TAU, C, _format_scaled, render_decimal
+
+
+def _parse(*texts: str) -> list:
+    """The numbers the texts spell, loading ``numspec`` only for a command that reads one."""
+    from .numspec import parse_number
+
+    return [parse_number(text) for text in texts]
 
 
 def cmd_constants(args: argparse.Namespace) -> dict:
@@ -34,9 +41,7 @@ def cmd_constants(args: argparse.Namespace) -> dict:
 
 
 def cmd_expand(args: argparse.Namespace) -> dict:
-    from .numspec import parse_number
-
-    cf = parse_number(args.number)
+    cf, = _parse(args.number)
     return {
         "number": args.number,
         "expansion": str(cf),
@@ -48,9 +53,7 @@ def cmd_expand(args: argparse.Namespace) -> dict:
 
 def cmd_psi(args: argparse.Namespace) -> dict:
     from . import imf
-    from .numspec import parse_number
-
-    cf = parse_number(args.number)
+    cf, = _parse(args.number)
     value = imf.psi(cf, args.t)
     return {
         "number": args.number,
@@ -66,10 +69,7 @@ def cmd_psi(args: argparse.Namespace) -> dict:
 
 def cmd_profile(args: argparse.Namespace) -> dict | str:
     from . import imf
-    from .numspec import parse_number
-
-    alpha = parse_number(args.alpha)
-    beta = parse_number(args.beta)
+    alpha, beta = _parse(args.alpha, args.beta)
     profile = imf.breakpoint_profile(alpha, beta, args.from_t, args.bound)
     if args.output == "csv":
         return imf.profile_to_csv(profile, args.digits)
@@ -88,10 +88,7 @@ def cmd_profile(args: argparse.Namespace) -> dict | str:
 
 def cmd_witness(args: argparse.Namespace) -> dict:
     from . import theorems
-    from .numspec import parse_number
-
-    alpha = parse_number(args.alpha)
-    beta = parse_number(args.beta)
+    alpha, beta = _parse(args.alpha, args.beta)
     witness = theorems.find_witness(alpha, beta, args.from_t, args.bound, args.precision_cap_bits)
     payload = witness.to_json(args.digits)
     payload["parameters"] = {"alpha": args.alpha, "beta": args.beta,
@@ -101,10 +98,7 @@ def cmd_witness(args: argparse.Namespace) -> dict:
 
 def cmd_word(args: argparse.Namespace) -> dict:
     from . import imf
-    from .numspec import parse_number
-
-    alpha = parse_number(args.alpha)
-    beta = parse_number(args.beta)
+    alpha, beta = _parse(args.alpha, args.beta)
     word = imf.merged_word(alpha, beta, args.count)
     return {
         "alpha": args.alpha,
@@ -120,10 +114,7 @@ def cmd_word(args: argparse.Namespace) -> dict:
 
 def cmd_lemmas(args: argparse.Namespace) -> dict:
     from . import theorems
-    from .numspec import parse_number
-
-    alpha = parse_number(args.alpha)
-    beta = parse_number(args.beta)
+    alpha, beta = _parse(args.alpha, args.beta)
     depth = args.max_depth
     return {
         "alpha": args.alpha,
@@ -235,32 +226,41 @@ def _attach_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _json(payload: object) -> str:
+    """``json.dumps(payload, indent=2)``, but each int past ``_STR_BITS`` is printed by
+    ``_format_scaled``, since json's int.__repr__ stops at CPython's int-to-str limit."""
+    big: list[int] = []
+
+    def swap(x: object) -> object:
+        if isinstance(x, (dict, list, tuple)):
+            return {k: swap(v) for k, v in x.items()} if isinstance(x, dict) else [*map(swap, x)]
+        if type(x) is int and x.bit_length() > _STR_BITS:
+            big.append(x)
+            return "\0"  # json prints it as "\u0000", which no argument can hold
+        return x
+
+    parts = json.dumps(swap(payload), indent=2).split('"\\u0000"')
+    return "".join(p + _format_scaled(n, 0) for p, n in zip(parts, big)) + parts[-1]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if not exc.code else 1
+    status = 0
     try:
         if args.digits < 1:
             raise ValueError("--digits must be >= 1")
         if args.precision_cap_bits < 64:
             raise ValueError("--precision-cap-bits must be >= 64")
         payload = args.func(args)
-    except UndecidedSignError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}, indent=2))
-        return 2
-    except PsidiffError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}, indent=2))
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        print(json.dumps({"error": {"code": "invalid_input", "message": str(exc)}}, indent=2))
-        return 1
-    if isinstance(payload, str):
-        sys.stdout.write(payload)
-    else:
-        print(json.dumps(payload, indent=2))
-    return 0
+    except (PsidiffError, ValueError, ZeroDivisionError) as exc:
+        payload = {"error": {"code": getattr(exc, "code", "invalid_input"), "message": str(exc)}}
+        status = 2 if isinstance(exc, UndecidedSignError) else 1
+    sys.stdout.write(payload if isinstance(payload, str) else _json(payload) + "\n")
+    return status
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .exact import (
     QuadExt,
     Record,
     _format_scaled,
+    _sign,
     c_enclosure,
     refine_compare,
     render_decimal,
@@ -363,9 +364,15 @@ class OptimalPair(Record):
         }
 
 
-def _above_sqrt_tau(x: QuadExt) -> bool:
-    """x > sqrt(tau), exactly; never a tie, as sqrt(tau) has degree 4."""
-    return x > 0 and x * x > TAU
+def _floor_neg_u_phi(U: int) -> int:
+    """floor(-U*phi) = floor((U - U*sqrt(5))/2) for U >= 0; U*sqrt(5) is irrational for U > 0."""
+    return (U - math.isqrt(5 * U * U) - (U > 0)) // 2
+
+
+def _above_sqrt_tau(U: int, n: int, d: int) -> bool:
+    """U*phi + n/d > sqrt(tau), d > 0: a + b*sqrt(5) = 2d(U*phi + n/d) > 0, squared > 4d^2*tau."""
+    a, b = 2 * n - U * d, U * d
+    return _sign(a, b, 5) > 0 and _sign(a * a + 5 * b * b - 2 * d * d, 2 * (a * b - d * d), 5) > 0
 
 
 def construct_optimal(epsilon: Fraction, cap_bits: int = DEFAULT_CAP_BITS) -> OptimalPair:
@@ -374,22 +381,30 @@ def construct_optimal(epsilon: Fraction, cap_bits: int = DEFAULT_CAP_BITS) -> Op
     U ascends from 0; V is the nearest integer to sqrt(tau) - U*phi, so that
     tau*V + U = tau*(V + U*phi) > 0 always. The first pair with gcd(U, V) = 1,
     approximation error |V + U*phi - sqrt(tau)| < epsilon, and a companion theta
-    with tau +- theta not integral is accepted. Each U is settled exactly in
-    Q(sqrt(5)) by squaring against tau; the verdict does not read ``cap_bits``.
+    with tau +- theta not integral is accepted. A screen skips U: at K = 64 + bits(epsilon's
+    denominator) + bits(U's limit), with P, S, E = floor(phi*2^K), floor(sqrt(tau)*2^K),
+    ceil(epsilon*2^K) and r = (U*P - S) mod 2^K, 2^K*(U*phi - sqrt(tau)) lies in (r - 1, r + U)
+    mod 2^K, so E < r <= 2^K - E - U means an error >= epsilon. A U let through errs by under
+    epsilon + (U + 2)/2^K < epsilon*(1 + 2^-64); an exact integer test decides it, not ``cap_bits``.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
+    n, d = epsilon.numerator, epsilon.denominator
+    one = 1 << 64 + d.bit_length() + _UV_SEARCH_LIMIT.bit_length()  # 2^K
+    P, E = (math.isqrt(5 * one * one) - one) >> 1, -(-n * one // d)
+    r = -math.isqrt(one * one + math.isqrt(5 * one**4) >> 1) % one  # -S mod 2^K
     for U in range(_UV_SEARCH_LIMIT + 1):
-        s = U * PHI
-        # with m = floor(-s), sqrt(tau) + 1/2 - s lies in [m + 1.77, m + 2.78)
-        m = (-s).floor()
-        V = m + 1 if _above_sqrt_tau(s + m + Fraction(3, 2)) else m + 2
-        if (math.gcd(U, V) == 1 and _above_sqrt_tau(s + V + epsilon)
-                and not _above_sqrt_tau(s + V - epsilon)):
-            pair = _build_pair(epsilon, U, V)
-            if contfrac.is_nonintegral_sum_and_diff(TAU_CF.value(), pair.theta.value()):
-                return pair
+        if r <= E or r + U > one - E:
+            # with m = floor(-U*phi), sqrt(tau) + 1/2 - U*phi lies in [m + 1.77, m + 2.78)
+            m = _floor_neg_u_phi(U)
+            V = m + 1 if _above_sqrt_tau(U, 2 * m + 3, 2) else m + 2
+            if (math.gcd(U, V) == 1 and _above_sqrt_tau(U, V * d + n, d)
+                    and not _above_sqrt_tau(U, V * d - n, d)):
+                pair = _build_pair(epsilon, U, V)
+                if contfrac.is_nonintegral_sum_and_diff(TAU_CF.value(), pair.theta.value()):
+                    return pair
+        r = (r + P) & (one - 1)
     raise SearchExhaustedError(f"no (U, V) with U <= {_UV_SEARCH_LIMIT} for epsilon {epsilon}")
 
 

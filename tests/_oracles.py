@@ -8,7 +8,10 @@ use no code under test either: ``FractionInterval`` with
 ``psidiff.Interval`` replaced, kept as the reference its integer form must
 match endpoint for endpoint, and ``c_alt_enclosure``, a second formula for C
 computed in that arithmetic, which the tests hold against
-``psidiff.exact.c_enclosure``.
+``psidiff.exact.c_enclosure``. ``exact_uv_search`` is the one reference built on
+code under test: the (U, V) search that ``construct_optimal`` replaced, which
+settles every U with ``QuadExt`` arithmetic, kept as the reference the integer
+search must match pair for pair.
 """
 
 from __future__ import annotations
@@ -160,6 +163,30 @@ def float_uv_search(epsilon: Fraction, limit: int = 10**6) -> tuple[int, int]:
             continue
         return U, V
     raise AssertionError("float search exhausted")
+
+
+def exact_uv_search(epsilon: Fraction, limit: int = 10**6):
+    """The (U, V) search with no screen: every U is settled in Q(sqrt(5)) by ``QuadExt``
+    squarings against tau, about a dozen allocations per U. Same order and filters as
+    ``construct_optimal``, and the same ``OptimalPair``, from ``theorems._build_pair``."""
+    from psidiff import contfrac, theorems
+    from psidiff.exact import PHI, TAU
+    from psidiff.numspec import TAU_CF
+
+    def above_sqrt_tau(x: QuadExt) -> bool:
+        return x > 0 and x * x > TAU
+
+    for U in range(limit + 1):
+        s = U * PHI
+        # with m = floor(-s), sqrt(tau) + 1/2 - s lies in [m + 1.77, m + 2.78)
+        m = (-s).floor()
+        V = m + 1 if above_sqrt_tau(s + m + Fraction(3, 2)) else m + 2
+        if (math.gcd(U, V) == 1 and above_sqrt_tau(s + V + epsilon)
+                and not above_sqrt_tau(s + V - epsilon)):
+            pair = theorems._build_pair(epsilon, U, V)
+            if contfrac.is_nonintegral_sum_and_diff(TAU_CF.value(), pair.theta.value()):
+                return pair
+    raise AssertionError("exact search exhausted")
 
 
 def _float_theta(U: int, V: int) -> mpmath.mpf:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from psidiff import QuadExt, breakpoint_profile, cli, d_at, parse_number
+from psidiff import QuadExt, breakpoint_profile, cli, d_at, merged_word, parse_number
 from psidiff.errors import UndecidedSignError
 
 from _oracles import (brute_force_psi_table, mp_const, mp_exact, mp_quadext, mp_rational,
@@ -162,8 +162,28 @@ class TestCommands:
         assert report["decimal"]["max_ratio_lo"] == expected
         assert report["decimal"]["max_ratio_hi"] == expected
 
+    def test_ints_past_the_int_to_str_limit(self, capsys):
+        # q_n of [0;(1000)] passes 4300 digits near n = 1433; json's int.__repr__ stops there
+        code, out = run(capsys, "word", "--alpha", "cf:[0;(1000)]", "--beta", "cf:[0;(999)]",
+                        "--count", "3000")
+        assert code == 0
+        payload = json.loads(out, parse_int=scaled_int)
+        word = merged_word(parse_number("cf:[0;(1000)]"), parse_number("cf:[0;(999)]"), 3000)
+        assert payload["letters"] == [
+            {"kind": letter.kind, "n": letter.n, "s": letter.s, "value": letter.value}
+            for letter in word.letters
+        ]
+        assert word.letters[-1].value >= 10**4300
+
 
 class TestErrorsAndExitCodes:
+    @pytest.mark.parametrize("command", ["construct-optimal", "verify-optimal"])
+    def test_search_exhausted(self, capsys, command):
+        # the screen passes no U below the limit; the whole scan takes about a second
+        code, payload = run_json(capsys, command, "--epsilon", "1e-400")
+        assert code == 1
+        assert payload["error"]["code"] == "search_exhausted"
+
     def test_bad_number_spec(self, capsys):
         code, payload = run_json(capsys, "expand", "--number", "surd:(1+sqrt(4))/1")
         assert code == 1

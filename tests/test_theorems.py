@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from psidiff import (
@@ -45,7 +45,7 @@ from psidiff.exact import SQRT_TAU, c_enclosure
 from psidiff.numspec import parse_number
 from psidiff.theorems import DichotomyBranch, OptimalPair
 
-from _oracles import float_uv_search, mp_const, mp_quadext
+from _oracles import exact_uv_search, float_uv_search, mp_const, mp_quadext
 from test_convergent_source import expansions, valid_pairs
 
 SQRT2 = parse_number("surd:(0+sqrt(2))/1")
@@ -283,11 +283,49 @@ class TestConstructOptimal:
         assert pair == construct_optimal(UNDECIDED_EPS)
 
     def test_one_refinement_per_candidate(self, monkeypatch):
-        # each candidate is settled in Q(sqrt(5)), with no refinement at all
+        # the screen and each candidate's test run on integers, with no refinement at all
         calls = _count_calls(monkeypatch, "refine", "refine_compare")
         pair = construct_optimal(Fraction(1, 1000))
         assert pair.U == 1235
         assert calls == {"refine": 0, "refine_compare": 0}
+
+    @pytest.mark.parametrize("epsilon", [Fraction(1, 20), Fraction(1, 1000), Fraction(1, 10**5)])
+    def test_no_allocation_per_candidate(self, monkeypatch, epsilon):
+        # U reaches 15, 1235 and 87206; the QuadExt search made 202, 14279 and 1008177
+        # values, where only _build_pair and the companion check make any now
+        calls = []
+        make = exact._make
+        monkeypatch.setattr(exact, "_make", lambda *args: calls.append(1) or make(*args))
+        construct_optimal(epsilon)
+        assert len(calls) <= 30
+
+    def test_small_epsilons_pinned(self):
+        # the QuadExt search finds these too, in seconds rather than milliseconds
+        for epsilon, U, V in ((Fraction(1, 10**5), 87206, -53895),
+                              (Fraction(1, 10**6), 208599, -128920)):
+            pair = construct_optimal(epsilon)
+            assert (pair.U, pair.V) == (U, V)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 10**4).flatmap(lambda d: (
+        st.integers(1, min(d - 1, 20)) | st.integers(1, d - 1)).map(lambda n: Fraction(n, d))))
+    @example(Fraction(1, 662))
+    @example(Fraction(1, 663))
+    @example(Fraction(1, 875))
+    @example(Fraction(1, 876))
+    @example(UNDECIDED_EPS)
+    def test_matches_exact_reference(self, epsilon):
+        assert construct_optimal(epsilon) == exact_uv_search(epsilon)
+
+    def test_floor_neg_u_phi_small(self):
+        for U in range(5001):
+            assert theorems._floor_neg_u_phi(U) == (-(U * PHI)).floor(), U
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**12))
+    def test_floor_neg_u_phi_large(self, U):
+        # half of all U have frac(U*phi) >= 1/2, where a floor off by one would show
+        assert theorems._floor_neg_u_phi(U) == (-(U * PHI)).floor()
 
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
