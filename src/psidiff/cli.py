@@ -15,11 +15,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from .errors import PsidiffError, UndecidedSignError
-from .exact import _STR_BITS, PHI, SQRT_TAU, TAU, C, _format_scaled, render_decimal
+from .exact import _STR_BITS, PHI, SQRT_TAU, TAU, C, _format_scaled, _read_decimal, render_decimal
+
+# Fraction's own grammar less digit separators, n/d or a decimal with an exponent; ``re``
+# compiles it on first use, so a command that reads no fraction does not pay for it
+_RATIONAL = r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([-+]?\d+))?)\s*"
 
 
 def _parse(*texts: str) -> list:
@@ -27,6 +32,21 @@ def _parse(*texts: str) -> list:
     from .numspec import parse_number
 
     return [parse_number(text) for text in texts]
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), its runs of digits read by ``_read_decimal``, so also past CPython's
+    int-to-str limit; a text outside ``_RATIONAL`` goes to ``Fraction`` as it is."""
+    match = re.fullmatch(_RATIONAL, text)
+    if match is None:
+        return Fraction(text)
+    sign, whole, den, frac, exp = match.groups()
+    if den is not None:
+        n, d = _read_decimal(whole), _read_decimal(den)
+    else:
+        frac, e = frac or "", int(exp or 0)
+        n, d = _read_decimal(whole + frac) * 10 ** max(e, 0), 10 ** (len(frac) + max(-e, 0))
+    return Fraction(-n if sign == "-" else n, d)
 
 
 def cmd_constants(args: argparse.Namespace) -> dict:
@@ -136,15 +156,15 @@ def cmd_lemmas(args: argparse.Namespace) -> dict:
 def cmd_construct_optimal(args: argparse.Namespace) -> dict:
     from . import theorems
 
-    pair = theorems.construct_optimal(Fraction(args.epsilon))
+    pair = theorems.construct_optimal(_fraction(args.epsilon))
     return pair.to_json(args.digits)
 
 
 def cmd_verify_optimal(args: argparse.Namespace) -> dict:
     from . import theorems
 
-    pair = theorems.construct_optimal(Fraction(args.epsilon))
-    slack = Fraction(args.slack) if args.slack is not None else None
+    pair = theorems.construct_optimal(_fraction(args.epsilon))
+    slack = _fraction(args.slack) if args.slack is not None else None
     report = theorems.verify_near_optimality(pair, args.from_t, args.bound, slack)
     return {"pair": pair.to_json(args.digits), "report": report.to_json(args.digits)}
 
@@ -170,22 +190,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", parents=[common], help="psi and 1/psi at an integer t")
     p.add_argument("--number", required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_read_decimal, required=True)
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("profile", parents=[common], help="breakpoint profile of d(t)")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--from", dest="from_t", type=int, default=1)
-    p.add_argument("--bound", type=int, default=1000)
+    p.add_argument("--from", dest="from_t", type=_read_decimal, default=1)
+    p.add_argument("--bound", type=_read_decimal, default=1000)
     p.add_argument("--output", choices=("json", "csv"), default="csv")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("witness", parents=[common], help="find t with |d(t)| >= C t")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--from", dest="from_t", type=int, default=1)
-    p.add_argument("--bound", type=int, default=10**12)
+    p.add_argument("--from", dest="from_t", type=_read_decimal, default=1)
+    p.add_argument("--bound", type=_read_decimal, default=10**12)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("word", parents=[common], help="merged word over {B, Q, T}")
@@ -208,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-optimal", parents=[common],
                        help="verify |d| <= (C+slack) t over a range")
     p.add_argument("--epsilon", required=True)
-    p.add_argument("--from", dest="from_t", type=int, default=10**6)
-    p.add_argument("--bound", type=int, default=10**12)
+    p.add_argument("--from", dest="from_t", type=_read_decimal, default=10**6)
+    p.add_argument("--bound", type=_read_decimal, default=10**12)
     p.add_argument("--slack", default=None)
     p.set_defaults(func=cmd_verify_optimal)
 

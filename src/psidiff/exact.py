@@ -601,6 +601,21 @@ def _decimal(n: int, width: int) -> str:
     return _decimal(high, max(width - k, 0)) + _decimal(low, k)
 
 
+def _read_decimal(text: str) -> int:
+    """int(text) for a signed run of ASCII digits, also past CPython's int-to-str limit.
+
+    The inverse of ``_decimal``: past _STR_BITS worth of digits, the run is read in two
+    halves, high * 10**k + low. Any other text goes to ``int`` as it is.
+    """
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if len(digits) <= _STR_BITS * 3 // 10 or not (digits.isascii() and digits.isdigit()):
+        return int(text)
+    k = len(digits) // 2
+    n = _read_decimal(digits[:-k]) * 10**k + _read_decimal(digits[-k:])
+    return -n if body[0] == "-" else n
+
+
 def _format_scaled(n: int, digits: int) -> str:
     """n / 10**digits as a decimal with ``digits`` places."""
     sign = "-" if n < 0 else ""

@@ -8,19 +8,20 @@ because alpha and beta generally live in different fields.
 
 Every 1/psi, and every convergent remainder xi_n (as the inverse of 1/xi_n),
 comes from ``_inv_psi_at``, which checks its two closed forms exactly against
-each other. Every bracket (c_{r-1}, c_r, c_{r+1}) comes from the convergent
-stream, seeded at the lower end of its walk by one ladder lookup per number:
-by bound in ``_brackets``, by index in ``_inv_xis``. A single evaluation is the
-first step of such a walk: ``psi`` and ``inv_psi`` take the first bracket at t,
-``d_at`` the first step of the merged walk, ``convergent_distance`` and
-``check_dichotomy`` the first reciprocals from their index. The dichotomy scan
-reads 1/xi_0 .. 1/xi_depth off one walk, and passes over the breakpoints
-(profiles, merged words, witnesses, the near-optimality check, the interleave
-scan) read one merged walk of both streams from their lower end, at one
-recurrence step per breakpoint. Such a pass computes one exact 1/psi per
-convergent, not per breakpoint: at a breakpoint where only one number steps,
-the other's value is carried over from the step before, and so is its
-rendered decimal.
+each other as one integer identity on the tails' integers, with no field
+arithmetic, and builds the value with one ``exact._make``. Every bracket
+(c_{r-1}, c_r, c_{r+1}) comes from the convergent stream, seeded at the lower
+end of its walk by one ladder lookup per number: by bound in ``_brackets``, by
+index in ``_inv_xis``. A single evaluation is the first step of such a walk:
+``psi`` and ``inv_psi`` take the first bracket at t, ``d_at`` the first step of
+the merged walk, ``convergent_distance`` and ``check_dichotomy`` the first
+reciprocals from their index. The dichotomy scan reads 1/xi_0 .. 1/xi_depth off
+one walk, and passes over the breakpoints (profiles, merged words, witnesses,
+the near-optimality check, the interleave scan) read one merged walk of both
+streams from their lower end, at one recurrence step per breakpoint. Such a
+pass computes one exact 1/psi per convergent, not per breakpoint: at a
+breakpoint where only one number steps, the other's value is carried over from
+the step before, and so is its rendered decimal.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterator
 
-from . import contfrac
+from . import contfrac, exact
 from .contfrac import CFExpansion, Convergent, is_nonintegral_sum_and_diff
 from .errors import (
     FormMismatchError,
@@ -101,7 +102,7 @@ def convergent_distance(alpha: CFExpansion, n: int) -> QuadExt:
 
 
 def inv_psi(alpha: CFExpansion, t: int) -> QuadExt:
-    """1/psi_alpha(t) through both closed forms, asserted exactly equal."""
+    """1/psi_alpha(t), its two closed forms checked equal by one integer identity."""
     _require_irrational(alpha)
     return _inv_psi_at(alpha, t, next(_brackets(alpha, t)))
 
@@ -110,13 +111,19 @@ def _inv_psi_at(alpha: CFExpansion, t: int, bracket: Bracket) -> QuadExt:
     """q_r a_{r+1} + q_{r-1}, checked against q_{r+1} + q_r / a_{r+2} (a_* the tails).
 
     The one evaluation of either closed form: every 1/psi and remainder comes from here.
+    With a_{r+1} = (A1 + B1 sqrt D)/Q1 and a_{r+2} = (A2 + B2 sqrt D)/Q2, the forms
+    agree iff (first - q_{r+1}) a_{r+2} = q_r, that is, with X = q_r A1 + (q_{r-1} -
+    q_{r+1}) Q1 and Y = q_r B1, iff X B2 + Y A2 = 0 and X A2 + Y B2 D = q_r Q1 Q2:
+    one integer identity, and the value is one ``_make``. Only a failed identity
+    builds the two forms, to report them; tails of one expansion share D.
     """
     prev, cur, nxt = bracket
-    first = cur.q * contfrac.tail(alpha, cur.index + 1) + prev.q
-    second = nxt.q + cur.q / contfrac.tail(alpha, cur.index + 2)
-    if first != second:
-        raise FormMismatchError(f"closed forms of 1/psi disagree at t={t}: {first} vs {second}")
-    return first
+    q, t1, t2 = cur.q, contfrac.tail(alpha, cur.index + 1), contfrac.tail(alpha, cur.index + 2)
+    x, y = q * t1.A + (prev.q - nxt.q) * t1.Q, q * t1.B
+    if t1.D == t2.D and not x * t2.B + y * t2.A and x * t2.A + y * t2.B * t1.D == q * t1.Q * t2.Q:
+        return exact._make(q * t1.A + prev.q * t1.Q, y, t1.Q, t1.D)
+    raise FormMismatchError(f"closed forms of 1/psi disagree at t={_format_scaled(t, 0)}: "
+                            f"{q * t1 + prev.q} vs {nxt.q + q / t2}")
 
 
 def check_pair(alpha: CFExpansion, beta: CFExpansion) -> None:

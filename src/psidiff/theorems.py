@@ -37,6 +37,7 @@ from .exact import (
     QuadExt,
     Record,
     _format_scaled,
+    _ratio_str,
     _sign,
     c_enclosure,
     refine_compare,
@@ -104,10 +105,11 @@ def find_witness(
         if verdict is Comparison.GREATER:
             return Witness(t, d)
         if verdict is Comparison.UNDECIDED:
-            raise UndecidedSignError(f"|d({t})| vs C*{t} undecided at {cap_bits} bits")
-    raise NotFoundInRangeError(
-        f"no witness in [{T}, {search_bound}]; a larger search bound may still contain one"
-    )
+            t_text = _format_scaled(t, 0)
+            raise UndecidedSignError(f"|d({t_text})| vs C*{t_text} undecided at {cap_bits} bits")
+    raise NotFoundInRangeError(f"no witness in [{_format_scaled(T, 0)}, "
+                               f"{_format_scaled(search_bound, 0)}]; a larger search bound "
+                               "may still contain one")
 
 
 # -- Lemma scans over denominator coincidences ---------------------------------
@@ -405,7 +407,8 @@ def construct_optimal(epsilon: Fraction, cap_bits: int = DEFAULT_CAP_BITS) -> Op
                 if contfrac.is_nonintegral_sum_and_diff(TAU_CF.value(), pair.theta.value()):
                     return pair
         r = (r + P) & (one - 1)
-    raise SearchExhaustedError(f"no (U, V) with U <= {_UV_SEARCH_LIMIT} for epsilon {epsilon}")
+    raise SearchExhaustedError(
+        f"no (U, V) with U <= {_UV_SEARCH_LIMIT} for epsilon {_ratio_str(n, d)}")
 
 
 def _build_pair(epsilon: Fraction, U: int, V: int) -> OptimalPair:

@@ -11,7 +11,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from psidiff import QuadExt, breakpoint_profile, cli, d_at, merged_word, parse_number
+from psidiff import (QuadExt, breakpoint_profile, cli, construct_optimal, d_at, merged_word,
+                     parse_number, psi, verify_near_optimality)
 from psidiff.errors import UndecidedSignError
 
 from _oracles import (brute_force_psi_table, mp_const, mp_exact, mp_quadext, mp_rational,
@@ -175,14 +176,48 @@ class TestCommands:
         ]
         assert word.letters[-1].value >= 10**4300
 
+    def test_psi_at_a_t_past_the_int_to_str_limit(self, capsys):
+        t = "1" + "0" * 4400
+        code, out = run(capsys, "psi", "--number", "tau", "--t", t)
+        assert code == 0
+        payload = json.loads(out, parse_int=scaled_int)
+        value = psi(parse_number("tau"), 10**4400)
+        assert payload["t"] == 10**4400
+        assert (payload["index"], payload["q"]) == (value.index, value.q)
+        assert payload["inv_psi_exact"] == str(value.inv_value)
+
+    def test_range_past_the_int_to_str_limit(self, capsys):
+        t = 10**4400
+        code, out = run(capsys, "profile", "--alpha", "tau", "--beta", SQRT2, "--output", "json",
+                        "--from", "1" + "0" * 4400, "--bound", "1" + "0" * 4401)
+        assert code == 0
+        payload = json.loads(out, parse_int=scaled_int)
+        profile = breakpoint_profile(parse_number("tau"), parse_number(SQRT2), t, 10 * t)
+        assert [e["t"] for e in payload["entries"]] == [e.t for e in profile.entries]
+
+    def test_slack_past_the_int_to_str_limit(self, capsys):
+        slack = Fraction(1, 10**4400)
+        code, payload = run_json(capsys, "verify-optimal", "--epsilon", "1/1000",
+                                 "--bound", "10000000", "--slack", "1/1" + "0" * 4400)
+        assert code == 0
+        pair = construct_optimal(Fraction(1, 1000))
+        report = verify_near_optimality(pair, 10**6, 10**7, slack)
+        assert payload["report"] == report.to_json(12)
+
 
 class TestErrorsAndExitCodes:
-    @pytest.mark.parametrize("command", ["construct-optimal", "verify-optimal"])
-    def test_search_exhausted(self, capsys, command):
+    @pytest.mark.parametrize("command, epsilon", [
+        pytest.param("construct-optimal", "1e-400", id="construct-optimal"),
+        pytest.param("verify-optimal", "1e-400", id="verify-optimal"),
+        # a denominator past the int-to-str limit, which the message prints
+        pytest.param("construct-optimal", "1e-5000", id="construct-optimal-1e-5000"),
+    ])
+    def test_search_exhausted(self, capsys, command, epsilon):
         # the screen passes no U below the limit; the whole scan takes about a second
-        code, payload = run_json(capsys, command, "--epsilon", "1e-400")
+        code, payload = run_json(capsys, command, "--epsilon", epsilon)
         assert code == 1
         assert payload["error"]["code"] == "search_exhausted"
+        assert payload["error"]["message"].endswith(f"for epsilon 1/1{'0' * int(epsilon[3:])}")
 
     def test_bad_number_spec(self, capsys):
         code, payload = run_json(capsys, "expand", "--number", "surd:(1+sqrt(4))/1")
