@@ -36,7 +36,7 @@ from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from .errors import RationalInputError
-from .exact import QuadExt, Record
+from .exact import QuadExt, Record, _format_scaled
 
 
 class CFExpansion(Record):
@@ -89,12 +89,10 @@ class CFExpansion(Record):
         return _ladder(self).value
 
     def __str__(self) -> str:
-        parts = [",".join(map(str, self.preperiod))] if self.preperiod else []
-        if self.period:
-            parts.append("(" + ",".join(map(str, self.period)) + ")")
-        if not parts:
-            return f"[{self.a0}]"
-        return f"[{self.a0};{','.join(parts)}]"
+        a0, pre, period = (",".join(_format_scaled(a, 0) for a in terms)  # any length
+                           for terms in ((self.a0,), self.preperiod, self.period))
+        tail = ",".join(filter(None, (pre, period and f"({period})")))
+        return f"[{a0};{tail}]" if tail else f"[{a0}]"
 
 
 class Convergent(Record):

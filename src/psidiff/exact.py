@@ -11,7 +11,10 @@ constant C = sqrt(5) - sqrt(5*phi) and of what is built from them; one squaring
 decides its sign. Each kind has one scaled floor, floor(m*x) for an integer m >= 1:
 ``floor`` takes it at m = 1, a dyadic enclosure at m = 2**(bits + 1), and
 ``render_decimal`` prints every decimal from it at m = 2*10**digits, with no
-precision to choose. ``Interval`` is a rational enclosure, held as integers
+precision to choose. A ``QuadExt`` keeps its last scaled floor and renders at
+m = 2*10**digits << GUARD_BITS, the scale at which a difference of two values
+(``imf.DValue``) reads its parts' floors: one guarded floor per value.
+``Interval`` is a rational enclosure, held as integers
 lo_n/den and hi_n/den over one shared denominator that arithmetic never reduces;
 ``.lo`` and ``.hi`` are ``Fraction`` views. ``refine`` is the package's only
 precision-refinement loop: it starts at 64 bits, or at ``cap_bits`` when that
@@ -36,6 +39,7 @@ from .errors import MixedFieldError
 RatLike = Union[int, Fraction]
 
 DEFAULT_CAP_BITS = 4096
+GUARD_BITS = 64  # extra bits of each rendered floor, which a difference of two values reads
 _COFACTORS: list[int] = []  # recorded cofactors; a field's first is its radicand
 
 
@@ -93,10 +97,12 @@ class QuadExt:
     process's D. B == 0 means the element is rational; rationals interoperate with
     any field. ``QuadExt(a, b, D)`` takes rationals a, b and reduces the radicand,
     the one place that does: QuadExt(0, 1, 8) becomes 0 + 2*sqrt(2). Arithmetic
-    builds its results from integers in the operands' field.
+    builds its results from integers in the operands' field. The slot ``_memo`` holds
+    (m, floor(m*x)) of the last ``_scaled_floor``, outside ==, hash, repr and pickling;
+    ``_make`` sets it to None.
     """
 
-    __slots__ = ("A", "B", "Q", "D")
+    __slots__ = ("A", "B", "Q", "D", "_memo")
 
     def __new__(cls, a: RatLike, b: RatLike, D: int) -> "QuadExt":
         if D <= 0:
@@ -240,8 +246,13 @@ class QuadExt:
         unless B == 0 (D is not a square). So B*m*sqrt(D) lies in [r, r + 1) or
         in (-r - 1, -r), and x*m has the floor of (A*m + r)/Q or (A*m - r - 1)/Q.
         """
+        memo = self._memo
+        if memo and memo[0] == m:
+            return memo[1]
         r = math.isqrt(self.B * self.B * self.D * m * m)
-        return (self.A * m + (r if self.B >= 0 else -r - 1)) // self.Q
+        n = (self.A * m + (r if self.B >= 0 else -r - 1)) // self.Q
+        _SET_MEMO(self, (m, n))
+        return n
 
     def floor(self) -> int:
         """Exact integer floor, without enclosures."""
@@ -349,12 +360,13 @@ def _make(A: int, B: int, Q: int, D: int) -> QuadExt:
     _SET_B(x, B // g)
     _SET_Q(x, Q // g)
     _SET_D(x, D)
+    _SET_MEMO(x, None)
     return x
 
 
 # the slots' own setters: about twice as fast as object.__setattr__, and not
 # reached by the immutable classes' __setattr__
-_SET_A, _SET_B, _SET_Q, _SET_D = (QuadExt.__dict__[f].__set__ for f in QuadExt.__slots__)
+_SET_A, _SET_B, _SET_Q, _SET_D, _SET_MEMO = (QuadExt.__dict__[f].__set__ for f in QuadExt.__slots__)
 
 
 TAU = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
@@ -636,12 +648,16 @@ def render_decimal(x: object, digits: int = 12) -> str:
     """x correctly rounded to ``digits`` places, ties to even.
 
     x is a rational, a ``QuadExt``, a ``Root``, or another exact value with a scaled
-    floor (a cross-field ``imf.DValue``). A rational rounds by integer division. An
+    floor (an irrational ``imf.DValue``). A rational rounds by integer division. An
     irrational never sits on a tie, so it rounds to (floor(2*x*10**digits) + 1) // 2,
-    from one scaled floor: no precision to choose, no cap to reach.
+    from one scaled floor: no precision to choose, no cap to reach. A ``QuadExt`` takes it
+    exactly as floor(M*x) >> GUARD_BITS, M = 2*10**digits << GUARD_BITS, and keeps floor(M*x).
     """
     scale = 10**digits
-    if isinstance(x, QuadExt) and x.B == 0:
+    if type(x) is QuadExt:
+        if x.B:
+            n = x._scaled_floor(2 * scale << GUARD_BITS) >> GUARD_BITS
+            return _format_scaled((n + 1) // 2, digits)
         x = x.a
     if isinstance(x, (int, Fraction)):
         n = _round_half_even(x.numerator * scale, x.denominator)

@@ -21,7 +21,8 @@ the near-optimality check, the interleave scan) read one merged walk of both
 streams from their lower end, at one recurrence step per breakpoint. Such a
 pass computes one exact 1/psi per convergent, not per breakpoint: at a
 breakpoint where only one number steps, the other's value is carried over from
-the step before, and so is its rendered decimal.
+the step before, and so is its guarded floor, which ``QuadExt`` keeps. d(t), in
+one field or two, renders and takes its sign from its parts' floors.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from .errors import (
     UndecidedSignError,
 )
 from .exact import DEFAULT_CAP_BITS, Interval, QuadExt, Record, _format_scaled, render_decimal
-
-_GUARD_BITS = 64  # extra bits of the bracket in DValue._scaled_floor
 
 
 class PsiValue(Record):
@@ -163,31 +162,38 @@ class DValue(Record):
         return abs(self.enclosure(bits))
 
     def sign(self) -> int:
-        """Strict sign of d, exact in any two fields; an exact zero raises."""
+        """Strict sign of d = b - a, exact in any two fields; an exact zero raises. Floors of
+        b and a kept at one scale M decide it when they differ: floor(M*b) > floor(M*a), b > a."""
+        fb, fa = self.inv_psi_beta._memo, self.inv_psi_alpha._memo
+        if fb and fa and fb[0] == fa[0] and fb[1] != fa[1]:
+            return 1 if fb[1] > fa[1] else -1
         s = self.inv_psi_beta.compare(self.inv_psi_alpha)
         if s == 0:
             raise UndecidedSignError("d(t) is exactly zero")
         return s
 
     def _scaled_floor(self, m: int) -> int:
-        """floor(m*d) for an integer m >= 1, exact for parts b, a (d = b - a) in two fields.
+        """floor(m*d) for an integer m >= 1, exact for parts b, a (d = b - a) in any fields.
 
-        With M = m * 2**_GUARD_BITS, k = floor(M*b) - floor(M*a) is floor(M*d) or one
-        more, and floor(m*d) = floor(M*d) >> _GUARD_BITS. So j = k >> _GUARD_BITS is the
+        With M = m << GUARD_BITS, k = floor(M*b) - floor(M*a) is floor(M*d) or one
+        more, and floor(m*d) = floor(M*d) >> GUARD_BITS. So j = k >> GUARD_BITS is the
         answer unless k - 1 shifts to another j; then m*d >= j or not, one exact
-        ``compare`` of m*b - j with m*a, which never ties across two fields.
+        ``compare`` of m*b - j with m*a. The parts' floors are those they rendered at.
         """
-        scaled = m << _GUARD_BITS
+        scaled, guard = m << exact.GUARD_BITS, exact.GUARD_BITS
         k = self.inv_psi_beta._scaled_floor(scaled) - self.inv_psi_alpha._scaled_floor(scaled)
-        j = k >> _GUARD_BITS
-        if (k - 1) >> _GUARD_BITS == j:
+        j = k >> guard
+        if (k - 1) >> guard == j:
             return j
         return j - ((self.inv_psi_beta * m - j).compare(self.inv_psi_alpha * m) < 0)
 
     def render(self, digits: int = 12) -> str:
-        """d correctly rounded to ``digits`` places, from its exact value."""
-        exact = self.as_quadext()
-        return render_decimal(self if exact is None else exact, digits)
+        """d correctly rounded to ``digits`` places: irrational from its scaled floor, and
+        rational (one field, equal irrational parts) from the difference, ties to even."""
+        b, a = self.inv_psi_beta, self.inv_psi_alpha
+        if b.B * a.Q == a.B * b.Q and (b.B == 0 or b.D == a.D):
+            return render_decimal(Fraction(b.A * a.Q - a.A * b.Q, b.Q * a.Q), digits)
+        return render_decimal(self, digits)
 
 
 def d_at(alpha: CFExpansion, beta: CFExpansion, t: int) -> DValue:
@@ -299,15 +305,11 @@ def _rendered_rows(profile: BreakpointProfile,
                    digits: int) -> Iterator[tuple[int, str, str, str]]:
     """(t, 1/psi_alpha, 1/psi_beta, d) of each entry, the last three as decimals.
 
-    A 1/psi that is the previous entry's very object (the number did not step)
-    reuses that entry's string.
+    A 1/psi carried over from the entry before keeps its floor, so each value is floored once.
     """
-    held, texts = [None, None], [None, None]
     for entry in profile.entries:
-        for side, value in enumerate((entry.inv_psi_alpha, entry.inv_psi_beta)):
-            if value is not held[side]:
-                held[side], texts[side] = value, render_decimal(value, digits)
-        yield entry.t, texts[0], texts[1], entry.d.render(digits)
+        yield (entry.t, render_decimal(entry.inv_psi_alpha, digits),
+               render_decimal(entry.inv_psi_beta, digits), entry.d.render(digits))
 
 
 def profile_to_csv(profile: BreakpointProfile, digits: int = 12) -> str:

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .contfrac import CFExpansion, expand_quadratic
-from .exact import QuadExt
+from .exact import QuadExt, _read_decimal
 
 _SURD_RE = re.compile(r"surd:\((-?\d+)\+sqrt\((\d+)\)\)/(-?\d+)\Z")
 _CF_RE = re.compile(r"cf:\[(-?\d+)(?:;(.*))?\]\Z")
@@ -24,7 +24,7 @@ def parse_surd(spec: str) -> QuadExt:
     match = _SURD_RE.match(spec)
     if not match:
         raise ValueError(f"malformed surd spec {spec!r}; expected surd:(P+sqrt(D))/Q")
-    p, d, q = map(int, match.groups())
+    p, d, q = map(_read_decimal, match.groups())
     if q == 0:
         raise ValueError("surd denominator Q must be nonzero")
     return QuadExt(Fraction(p, q), Fraction(1, q), d)
@@ -36,11 +36,11 @@ def _parse_terms(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         period_text = tail.rstrip()
         if not period_text.endswith(")") or ")" in period_text[:-1]:
             raise ValueError("malformed period in cf spec")
-        period = tuple(int(x) for x in period_text[:-1].split(","))
+        period = tuple(map(_read_decimal, period_text[:-1].split(",")))
         head = head.rstrip(",")
-        pre = tuple(int(x) for x in head.split(",")) if head else ()
+        pre = tuple(map(_read_decimal, head.split(","))) if head else ()
         return pre, period
-    return tuple(int(x) for x in text.split(",")), ()
+    return tuple(map(_read_decimal, text.split(","))), ()
 
 
 def parse_number(spec: str) -> CFExpansion:
@@ -55,7 +55,7 @@ def parse_number(spec: str) -> CFExpansion:
             f"unrecognized number spec {spec!r}; expected 'tau', 'surd:(P+sqrt(D))/Q' "
             "or 'cf:[a0;a1,...,(c1,...)]'"
         )
-    a0 = int(match.group(1))
+    a0 = _read_decimal(match.group(1))
     rest = match.group(2)
     if rest is None:
         return CFExpansion(a0)

@@ -61,12 +61,10 @@ class Witness(Record):
     __slots__ = ("t", "d_value")
 
     def to_json(self, digits: int = 12) -> dict:
-        d, scale = self.d_value, 10**digits
-        exact = d.as_quadext()
-        if exact is not None:
-            top = abs(exact)._scaled_floor(scale)
-        else:  # d is irrational, and floor(-x) = -floor(x) - 1
-            top = d._scaled_floor(scale) if d.sign() > 0 else -d._scaled_floor(scale) - 1
+        d, scale = self.d_value, 2 * 10**digits
+        # floor(scale*|d|) at the scale d renders at; -d is d with its parts swapped
+        size = d if d.sign() > 0 else DValue(d.inv_psi_alpha, d.inv_psi_beta, 0, 0)
+        top = size._scaled_floor(scale)
         return {
             "kind": "witness",
             "indices": {"alpha_r": d.alpha_index, "beta_l": d.beta_index},
@@ -78,8 +76,8 @@ class Witness(Record):
             "decimal": {
                 "d": d.render(digits),
                 "c_times_t": render_decimal(C * self.t, digits),
-                # floor(x/t) = floor(floor(x)/t) for a positive integer t
-                "ratio_lower_bound": _format_scaled(top // self.t, digits),
+                # floor(x/n) = floor(floor(x)/n) for a positive integer n
+                "ratio_lower_bound": _format_scaled(top // (2 * self.t), digits),
             },
             "verdict": "greater",
         }

@@ -466,6 +466,27 @@ class TestNumberSpec:
             code, payload = run_json(capsys, "expand", "--number", bad)
             assert code == 1, bad
 
+    @pytest.mark.parametrize("spec", ["cf:[{big};(1)]", "cf:[-{big};7,{big},(2,{big})]",
+                                      "cf:[0;{big}]"])
+    def test_cf_terms_past_the_int_to_str_limit(self, capsys, spec):
+        spec = spec.format(big="1" + "0" * 4400)
+        code, out = run(capsys, "expand", "--number", spec)
+        assert code == 0
+        payload = json.loads(out, parse_int=scaled_int)
+        cf = parse_number(spec)
+        assert 10**4400 in (abs(cf.a0), *cf.preperiod)
+        assert (payload["a0"], payload["preperiod"], payload["period"]) == (
+            cf.a0, list(cf.preperiod), list(cf.period))
+        assert payload["expansion"] == spec[3:]
+
+    def test_surd_past_the_int_to_str_limit(self, capsys):
+        # P = 10**4400 + 3 over sqrt(2): a0 = P + 1, and the period stays that of sqrt(2)
+        spec = "surd:(1" + "0" * 4399 + "3+sqrt(2))/1"
+        code, out = run(capsys, "expand", "--number", spec)
+        assert code == 0
+        payload = json.loads(out, parse_int=scaled_int)
+        assert (payload["a0"], payload["preperiod"], payload["period"]) == (10**4400 + 4, [], [2])
+
 
 class TestLargeRadicands:
     """Radicands whose cofactor past trial division is large: nothing factors them."""

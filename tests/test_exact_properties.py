@@ -25,7 +25,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from psidiff import Comparison, DValue, Interval, QuadExt, d_at, imf, refine_compare, render_decimal
+from psidiff import (Comparison, DValue, Interval, QuadExt, d_at, exact, refine_compare,
+                     render_decimal)
 from psidiff.contfrac import convergent_state, expand_quadratic, last_convergent_at_most
 from psidiff.errors import MixedFieldError
 from psidiff.exact import Root, c_enclosure, squarefree_decompose
@@ -223,12 +224,16 @@ def test_root_renders_and_floors_as_mpmath(x, digits):
 @given(valid_pairs(), st.integers(1, 10**60), st.integers(1, 40), st.sampled_from((64, 0)))
 def test_cross_field_d_renders_as_mpmath(monkeypatch, pair, t, digits, guard_bits):
     """A d(t) in two fields rounds by its scaled floor: within the 64-bit guard bracket,
-    which almost never straddles, and with a 0-bit one, where the exact compare decides."""
+    which straddles only when m*d lies within 2**-64 of an integer (1/psi lies within
+    about 1/t of a rational), and with a 0-bit one, where the exact compare decides."""
     d = d_at(*pair, t)
     assume(d.as_quadext() is None)
+    compare, compares = QuadExt.compare, []
     with monkeypatch.context() as patch:
-        patch.setattr(imf, "_GUARD_BITS", guard_bits)
+        patch.setattr(exact, "GUARD_BITS", guard_bits)
+        patch.setattr(QuadExt, "compare", lambda x, y: compares.append(y) or compare(x, y))
         got = d.render(digits)
+    assert len(compares) == 1 if guard_bits == 0 else len(compares) <= 1
     dps = 4 * (digits + len(str(t))) + 80
     assert got == expected_render([d.inv_psi_beta, -d.inv_psi_alpha], digits, dps)
 

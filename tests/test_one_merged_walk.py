@@ -12,8 +12,8 @@ every convergent below them.
 Along the walk, 1/psi of a number is computed once per bracket it holds, not
 once per breakpoint: at a breakpoint where only the other number steps, its
 value is carried over. Every new bracket is still cross-checked through both
-closed forms, which a corrupted tail must trip. Rendering a profile likewise
-turns each carried-over 1/psi into a decimal once, not once per row.
+closed forms, which a corrupted tail must trip. (That rendering floors each
+carried-over 1/psi once is tested in ``test_one_floor_per_value``.)
 """
 
 import ast
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from psidiff import (CFExpansion, breakpoint_profile, check_dichotomy, cli, construct_optimal,
+from psidiff import (CFExpansion, breakpoint_profile, check_dichotomy, construct_optimal,
                      contfrac, convergent_distance, d_at, find_witness, imf, inv_psi,
                      merged_word, parse_number, psi, scan_dichotomy, scan_interleave_gap,
                      scan_lemma_conseq, scan_lemma_conseq1, theorems, verify_near_optimality)
@@ -178,25 +178,6 @@ def test_dichotomy_scan_evaluates_each_remainder_once(monkeypatch):
     assert scan_dichotomy(tau, sqrt2, depth)
     assert len(calls) <= 2 * (depth + 1)
     assert len(set(calls)) == len(calls)
-
-
-@pytest.mark.parametrize("output", ["csv", "json"])
-def test_one_render_per_bracket(output, monkeypatch, capsys):
-    """A profile renders each distinct 1/psi once, plus d once per row."""
-    sqrt2 = "surd:(0+sqrt(2))/1"
-    argv = ["profile", "--alpha", sqrt2, "--beta", "tau", "--from", "7", "--bound", str(10**100)]
-    entries = breakpoint_profile(parse_number(sqrt2), parse_number("tau"), 7, 10**100).entries
-    brackets = len({e.d.alpha_index for e in entries}) + len({e.d.beta_index for e in entries})
-    real, calls = imf.render_decimal, []
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(imf, "render_decimal", counting)
-    assert cli.main([*argv, "--output", output]) == 0
-    capsys.readouterr()
-    assert len(calls) == brackets + len(entries)
 
 
 def corrupt_tail(monkeypatch, period, offset):
