@@ -169,12 +169,21 @@ def cmd_verify_optimal(args: argparse.Namespace) -> dict:
     return {"pair": pair.to_json(args.digits), "report": report.to_json(args.digits)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error reaches ``main`` as a ValueError, to print as JSON like any other error;
+    the usage line still goes to stderr."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="psidiff",
         description="Exact irrationality-measure computations for quadratic irrationals.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--digits", type=int, default=12, help="decimal digits in output")
     common.add_argument("--precision-cap-bits", type=int, default=4096,
                         help="precision cap of the |d| vs C*t witness test, the one decision "
@@ -264,18 +273,16 @@ def _json(payload: object) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return 0 if not exc.code else 1
     status = 0
     try:
+        args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
         if args.digits < 1:
             raise ValueError("--digits must be >= 1")
         if args.precision_cap_bits < 64:
             raise ValueError("--precision-cap-bits must be >= 64")
         payload = args.func(args)
+    except SystemExit as exc:  # --help, which has printed
+        return 0 if not exc.code else 1
     except (PsidiffError, ValueError, ZeroDivisionError) as exc:
         payload = {"error": {"code": getattr(exc, "code", "invalid_input"), "message": str(exc)}}
         status = 2 if isinstance(exc, UndecidedSignError) else 1

@@ -16,12 +16,11 @@ m = 2*10**digits << GUARD_BITS, the scale at which a difference of two values
 (``imf.DValue``) reads its parts' floors: one guarded floor per value.
 ``Interval`` is a rational enclosure, held as integers
 lo_n/den and hi_n/den over one shared denominator that arithmetic never reduces;
-``.lo`` and ``.hi`` are ``Fraction`` views. ``refine`` is the package's only
-precision-refinement loop: it starts at 64 bits, or at ``cap_bits`` when that
-is lower, doubles the bits until ``decide`` settles, and reports None once the
-attempt at ``cap_bits`` does not; no attempt goes past the cap. Its one caller,
-``refine_compare``, reports reaching the cap as ``Comparison.UNDECIDED``; two
-exact operands never reach the loop.
+``.lo`` and ``.hi`` are ``Fraction`` views. ``refine_compare`` is the package's
+only precision-refinement loop, and the witness test |d(t)| vs C*t its one use: it
+encloses two values at 64 bits, or at ``cap_bits`` when that is lower, doubles the
+bits until the enclosures separate, and reports ``Comparison.UNDECIDED`` once the
+attempt at ``cap_bits`` does not; no attempt goes past the cap.
 ``Record`` is the slotted, immutable base of the package's result records.
 """
 
@@ -32,7 +31,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, TypeVar, Union
+from typing import Callable, Union
 
 from .errors import MixedFieldError
 
@@ -447,11 +446,6 @@ class Interval:
     def __reduce__(self):
         return _interval, (self.lo_n, self.hi_n, self.den)
 
-    @classmethod
-    def point(cls, value: RatLike) -> "Interval":
-        v = _as_fraction(value)
-        return _interval(v.numerator, v.numerator, v.denominator)
-
     @property
     def lo(self) -> Fraction:
         return Fraction(self.lo_n, self.den)
@@ -514,77 +508,28 @@ def c_enclosure(bits: int) -> Interval:
 
 class Comparison(Enum):
     LESS = "less"
-    EQUAL = "equal"
     GREATER = "greater"
     UNDECIDED = "undecided"
 
 
-# Anything comparable: exact values, fixed intervals, or enclosure generators
-# mapping a bit count to an Interval.
-Enclosable = Union[int, Fraction, QuadExt, Interval, Callable[[int], Interval]]
+def refine_compare(lhs: Callable[[int], Interval], rhs: Callable[[int], Interval],
+                   cap_bits: int = DEFAULT_CAP_BITS) -> Comparison:
+    """Order the values that lhs and rhs enclose, each a map from a bit count to an Interval.
 
-
-def enclosure_of(x: Enclosable, bits: int) -> Interval:
-    if callable(x):  # no value type is callable
-        return x(bits)
-    if isinstance(x, QuadExt):
-        return x.enclosure(bits)
-    if isinstance(x, Interval):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Interval.point(x)
-    raise TypeError(f"cannot form an enclosure of {type(x).__name__}")
-
-
-def _exact_operand(x: Enclosable) -> QuadExt | None:
-    if isinstance(x, QuadExt):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return _make(x.numerator, 0, x.denominator, 2)
-    return None
-
-
-E, T = TypeVar("E"), TypeVar("T")
-
-
-def refine(make: Callable[[int], E], decide: Callable[[E], T | None], cap_bits: int) -> T | None:
-    """First non-None decide(make(bits)) for bits = min(64, cap_bits), doubled up to
-    exactly cap_bits and never past it; None means the attempt at cap_bits was undecided too."""
+    Both are enclosed at bits = min(64, cap_bits), doubled up to exactly cap_bits and never
+    past it, until the two intervals separate; UNDECIDED means they still overlap at the
+    cap. Exact values are ordered by ``QuadExt.compare``, which needs no loop.
+    """
     bits = min(64, cap_bits)
     while True:
-        verdict = decide(make(bits))
-        if verdict is not None:
-            return verdict
-        if bits >= cap_bits:
-            return None
-        bits = min(2 * bits, cap_bits)
-
-
-def refine_compare(lhs: Enclosable, rhs: Enclosable,
-                   cap_bits: int = DEFAULT_CAP_BITS) -> Comparison:
-    """Decide lhs vs rhs, exactly when both are rationals or quadratic numbers.
-
-    Two exact operands, of any fields, go to ``QuadExt.compare``, which is the
-    only way EQUAL can be returned. Otherwise (a callable or an ``Interval`` on
-    either side) both sides are enclosed at doubling precision from 64 bits until
-    the intervals separate; UNDECIDED means the cap was reached with the
-    intervals still overlapping.
-    """
-    xl, xr = _exact_operand(lhs), _exact_operand(rhs)
-    if xl is not None and xr is not None:
-        return (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER)[xl.compare(xr) + 1]
-
-    def separate(pair: tuple[Interval, Interval]) -> Comparison | None:
-        el, er = pair
+        el, er = lhs(bits), rhs(bits)
         if el.hi_n * er.den < er.lo_n * el.den:
             return Comparison.LESS
         if el.lo_n * er.den > er.hi_n * el.den:
             return Comparison.GREATER
-        return None
-
-    verdict = refine(lambda bits: (enclosure_of(lhs, bits), enclosure_of(rhs, bits)),
-                     separate, cap_bits)
-    return Comparison.UNDECIDED if verdict is None else verdict
+        if bits >= cap_bits:
+            return Comparison.UNDECIDED
+        bits = min(2 * bits, cap_bits)
 
 
 # -- decimal rendering --------------------------------------------------------

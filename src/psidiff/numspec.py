@@ -36,11 +36,16 @@ def _parse_terms(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         period_text = tail.rstrip()
         if not period_text.endswith(")") or ")" in period_text[:-1]:
             raise ValueError("malformed period in cf spec")
-        period = tuple(map(_read_decimal, period_text[:-1].split(",")))
         head = head.rstrip(",")
-        pre = tuple(map(_read_decimal, head.split(","))) if head else ()
-        return pre, period
-    return tuple(map(_read_decimal, text.split(","))), ()
+        return (_read_terms(head) if head else ()), _read_terms(period_text[:-1])
+    return _read_terms(text), ()
+
+
+def _read_terms(text: str) -> tuple[int, ...]:
+    terms = text.split(",")
+    if not all(map(str.strip, terms)):
+        raise ValueError("empty term in cf spec; expected 'cf:[a0;a1,...,(c1,...)]'")
+    return tuple(map(_read_decimal, terms))
 
 
 def parse_number(spec: str) -> CFExpansion:

@@ -360,7 +360,7 @@ class OptimalPair(Record):
             "V": self.V,
             "b": list(self.b),
             "theta": str(self.theta),
-            "epsilon": str(self.epsilon),
+            "epsilon": _ratio_str(self.epsilon.numerator, self.epsilon.denominator),
         }
 
 
@@ -381,17 +381,18 @@ def construct_optimal(epsilon: Fraction, cap_bits: int = DEFAULT_CAP_BITS) -> Op
     U ascends from 0; V is the nearest integer to sqrt(tau) - U*phi, so that
     tau*V + U = tau*(V + U*phi) > 0 always. The first pair with gcd(U, V) = 1,
     approximation error |V + U*phi - sqrt(tau)| < epsilon, and a companion theta
-    with tau +- theta not integral is accepted. A screen skips U: at K = 64 + bits(epsilon's
-    denominator) + bits(U's limit), with P, S, E = floor(phi*2^K), floor(sqrt(tau)*2^K),
+    with tau +- theta not integral is accepted. A screen skips U: at K = 64 + min(bits(epsilon's
+    denominator), 64) + bits(U's limit), with P, S, E = floor(phi*2^K), floor(sqrt(tau)*2^K),
     ceil(epsilon*2^K) and r = (U*P - S) mod 2^K, 2^K*(U*phi - sqrt(tau)) lies in (r - 1, r + U)
-    mod 2^K, so E < r <= 2^K - E - U means an error >= epsilon. A U let through errs by under
-    epsilon + (U + 2)/2^K < epsilon*(1 + 2^-64); an exact integer test decides it, not ``cap_bits``.
+    mod 2^K, so E < r <= 2^K - E - U means an error >= epsilon, at any K: the min only bounds
+    the cost. A U let through errs by under epsilon + (U + 2)/2^K, below epsilon*(1 + 2^-64)
+    for a denominator of at most 64 bits; an exact integer test decides it, not ``cap_bits``.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     n, d = epsilon.numerator, epsilon.denominator
-    one = 1 << 64 + d.bit_length() + _UV_SEARCH_LIMIT.bit_length()  # 2^K
+    one = 1 << 64 + min(d.bit_length(), 64) + _UV_SEARCH_LIMIT.bit_length()  # 2^K
     P, E = (math.isqrt(5 * one * one) - one) >> 1, -(-n * one // d)
     r = -math.isqrt(one * one + math.isqrt(5 * one**4) >> 1) % one  # -S mod 2^K
     for U in range(_UV_SEARCH_LIMIT + 1):

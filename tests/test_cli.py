@@ -33,14 +33,15 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def run_fresh(*argv):
+def run_fresh(*argv, timeout=60):
     """(exit code, JSON stdout) of ``python -m psidiff.cli`` in a fresh interpreter, whose
-    first radicands are this call's; a hang fails after 60 s instead of stalling the suite."""
+    first radicands are this call's; a hang fails after ``timeout`` seconds instead of
+    stalling the suite."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-m", "psidiff.cli", *argv], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=env, timeout=timeout)
     return proc.returncode, json.loads(proc.stdout)
 
 
@@ -204,6 +205,17 @@ class TestCommands:
         report = verify_near_optimality(pair, 10**6, 10**7, slack)
         assert payload["report"] == report.to_json(12)
 
+    @pytest.mark.parametrize("command", ["construct-optimal", "verify-optimal"])
+    def test_epsilon_past_the_int_to_str_limit(self, capsys, command):
+        # 0.001<5000 zeros>1 = (10**5001 + 1)/10**5004, just above 1/1000: the pair of 1/1000
+        code, payload = run_json(capsys, command, "--epsilon", "0.001" + "0" * 5000 + "1")
+        assert code == 0
+        pair = payload if command == "construct-optimal" else payload["pair"]
+        assert (pair["U"], pair["V"], pair["theta"]) == (1235, -762, "[0;26,1,2,(1)]")
+        assert pair["epsilon"] == "1" + "0" * 5000 + "1/1" + "0" * 5004
+        if command == "verify-optimal":
+            assert payload["report"]["verdict"] == "pass"
+
 
 class TestErrorsAndExitCodes:
     @pytest.mark.parametrize("command, epsilon", [
@@ -218,6 +230,13 @@ class TestErrorsAndExitCodes:
         assert code == 1
         assert payload["error"]["code"] == "search_exhausted"
         assert payload["error"]["message"].endswith(f"for epsilon 1/1{'0' * int(epsilon[3:])}")
+
+    def test_search_exhausted_costs_no_more_for_a_tiny_epsilon(self):
+        # the screen's precision stops growing with epsilon's denominator: 1e-100000 took
+        # about a minute while it grew, and takes under a second now
+        code, payload = run_fresh("construct-optimal", "--epsilon", "1e-100000", timeout=20)
+        assert code == 1
+        assert payload["error"]["code"] == "search_exhausted"
 
     def test_bad_number_spec(self, capsys):
         code, payload = run_json(capsys, "expand", "--number", "surd:(1+sqrt(4))/1")
@@ -458,6 +477,13 @@ class TestNumberSpec:
         for text in ("cf:[0;5,(1)]", "cf:[2;1,3,(4,1)]", "cf:[-2;(1,2)]", "cf:[0;2,3]", "cf:[7]"):
             cf = parse_number(text)
             assert f"cf:{cf}" == text
+
+    @pytest.mark.parametrize("spec", ["cf:[0;()]", "cf:[0;1,]", "cf:[0;(1,)]"])
+    def test_empty_cf_term(self, capsys, spec):
+        code, payload = run_json(capsys, "expand", "--number", spec)
+        assert code == 1
+        assert payload["error"]["code"] == "invalid_input"
+        assert payload["error"]["message"].startswith("empty term in cf spec")
 
     def test_malformed_specs_rejected(self, capsys):
         from psidiff.numspec import parse_number

@@ -1,0 +1,117 @@
+"""The CLI contract over generated number arguments, not only fixed examples.
+
+Hypothesis writes the numbers that ``construct-optimal`` and ``verify-optimal`` read:
+``--epsilon`` and ``--slack`` as n/d, as decimals and with exponents, ``--from`` and
+``--bound`` as integers and at times as fractions, which they refuse, each at times a
+literal past CPython's 4300-digit int-to-str limit. Whatever the argv, ``cli.main`` returns 0, 1 or 2 without raising, prints one
+JSON document, names only error codes that ``errors.py`` defines or ``invalid_input``,
+exits 2 only with ``undecided_sign``, and prints the same bytes for the same argv. An
+epsilon in (0, 1) always gets a pair or ``search_exhausted``.
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from psidiff import cli, errors
+
+from _oracles import scaled_int
+
+CODES = {cls.code for cls in vars(errors).values()
+         if isinstance(cls, type) and issubclass(cls, errors.PsidiffError)} | {"invalid_input"}
+LONG = "0.001" + "0" * 5000 + "1"  # just above 1/1000, with 5004 places
+
+
+@st.composite
+def naturals(draw, long_ok=True):
+    """(text, value) of an integer >= 0: small, a power of ten give or take, or with a few
+    leading digits and zeros past 4300 digits."""
+    lead = draw(st.integers(0, 10**6))
+    zeros = draw(st.sampled_from((0, 0, 1, 3, 12, 40) + ((4400, 5000) if long_ok else ())))
+    return f"{lead}{'0' * zeros}", lead * 10**zeros
+
+
+@st.composite
+def rationals(draw):
+    """(text, value) in one of the three forms ``_fraction`` reads; value is None for n/0."""
+    sign = draw(st.sampled_from(("", "", "-", "+")))
+    form = draw(st.sampled_from(("ratio", "decimal", "exponent")))
+    if form == "ratio":
+        (n_text, n), (d_text, d) = draw(naturals()), draw(naturals())
+        text, value = f"{n_text}/{d_text}", Fraction(n, d) if d else None
+    elif form == "decimal":
+        whole = draw(st.sampled_from(("0", "", "1", "12")))
+        zeros, (m_text, m) = draw(st.sampled_from((0, 2, 8, 4400))), draw(naturals(long_ok=False))
+        places = zeros + len(m_text)
+        text = f"{whole}.{'0' * zeros}{m_text}"
+        value = int(whole or 0) + Fraction(m, 10**places)
+    else:
+        (m_text, m), e = draw(naturals(long_ok=False)), draw(st.integers(-5000, 40))
+        text, value = f"{m_text}e{e}", m * Fraction(10) ** e
+    return sign + text, (-value if sign == "-" and value is not None else value)
+
+
+@st.composite
+def ranges(draw):
+    """``--from`` and ``--bound`` texts: each absent, an integer (small, a power of ten, or
+    past 4300 digits, with a bound at most 10**25 times the start when both are long), or
+    at times a fraction, which these integer options refuse."""
+    argv = []
+    from_text, _ = draw(naturals())
+    if draw(st.booleans()):
+        argv += ["--from", draw(st.sampled_from(("", "-"))) + from_text]
+    choice = draw(st.sampled_from(("absent", "scaled", "short", "fraction")))
+    if choice == "scaled":
+        argv += ["--bound", from_text + "0" * draw(st.integers(0, 25))]
+    elif choice == "short":
+        argv += ["--bound", draw(naturals(long_ok=False))[0]]
+    elif choice == "fraction":
+        argv += [draw(st.sampled_from(("--from", "--bound"))), draw(rationals())[0]]
+    return argv
+
+
+@st.composite
+def optimal_argv(draw):
+    command = draw(st.sampled_from(("construct-optimal", "verify-optimal")))
+    epsilon, value = draw(rationals())
+    argv = [command, "--epsilon", epsilon]
+    if command == "verify-optimal":
+        argv += draw(ranges())
+        if draw(st.booleans()):
+            argv += ["--slack", draw(rationals())[0]]
+    # the value stays inside: repr of a Fraction past 4300 digits raises
+    return argv, value is not None and 0 < value < 1
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(optimal_argv())
+@example((["construct-optimal", "--epsilon", LONG], True))
+@example((["verify-optimal", "--epsilon", LONG, "--slack", "-1e-4400"], True))
+@example((["construct-optimal", "--epsilon", "1e-5000"], True))
+@example((["verify-optimal", "--epsilon", "0.06", "--from", "1e5"], False))
+def test_optimal_pair_commands_keep_the_contract(case):
+    argv, epsilon_in_unit = case
+    code, out = run(argv)
+    assert code in (0, 1, 2)
+    payload = json.loads(out, parse_int=scaled_int)
+    error = payload.get("error") if isinstance(payload, dict) else None
+    if code == 0:
+        assert error is None
+    else:
+        assert error is not None and set(error) == {"code", "message"}
+        assert error["code"] in CODES
+        assert (code == 2) == (error["code"] == "undecided_sign")
+    if argv[0] == "construct-optimal" and epsilon_in_unit:
+        assert code == 0 or error["code"] == "search_exhausted", error
+    assert run(argv) == (code, out)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from psidiff import Comparison, PHI, QuadExt, TAU, refine_compare, render_decimal
+from psidiff import Comparison, Interval, PHI, QuadExt, TAU, refine_compare, render_decimal
 from psidiff.errors import MixedFieldError
 from psidiff.exact import C, SQRT_TAU, Root, c_enclosure, squarefree_decompose
 
@@ -180,30 +180,36 @@ class TestIntervals:
 
 class TestRefineCompare:
     def test_two_c_plus_one_below_two(self):
-        assert refine_compare(lambda b: c_enclosure(b) * 2, 1) is Comparison.LESS
+        one = Interval(1, 1)
+        assert refine_compare(lambda b: c_enclosure(b) * 2, lambda b: one) is Comparison.LESS
         assert (C * 2 + 1 - 2).sign() < 0
 
     def test_tau_phi_product_exactly_one(self):
-        assert refine_compare(TAU * PHI, 1) is Comparison.EQUAL
+        # an exact tie is QuadExt.compare's 0; enclosures of it never separate
+        assert (TAU * PHI).compare(1) == 0
+        one = Interval(1, 1)
+        assert refine_compare((TAU * PHI).enclosure, lambda b: one, 256) is Comparison.UNDECIDED
 
     def test_equal_cross_form_undecided(self):
         # same constant through two formulas: intervals never separate
         assert refine_compare(c_enclosure, c_alt_enclosure, cap_bits=256) is Comparison.UNDECIDED
 
     def test_cross_field(self):
-        assert refine_compare(SQRT2, QuadExt(0, 1, 3)) is Comparison.LESS
-        assert refine_compare(QuadExt(0, 1, 3), SQRT2) is Comparison.GREATER
+        sqrt3 = QuadExt(0, 1, 3)
+        assert (SQRT2.compare(sqrt3), sqrt3.compare(SQRT2)) == (-1, 1)
+        assert refine_compare(SQRT2.enclosure, sqrt3.enclosure) is Comparison.LESS
+        assert refine_compare(sqrt3.enclosure, SQRT2.enclosure) is Comparison.GREATER
 
     def test_antisymmetry_and_exact_consistency(self):
         rng = random.Random(5)
-        flip = {Comparison.LESS: Comparison.GREATER, Comparison.GREATER: Comparison.LESS,
-                Comparison.EQUAL: Comparison.EQUAL}
+        order = (Comparison.LESS, Comparison.UNDECIDED, Comparison.GREATER)
         for _ in range(200):
             x = random_quadext(rng)
             y = QuadExt(x.a + Fraction(rng.randint(-2, 2), 7), x.b, x.D)
-            forward = refine_compare(x, y)
-            assert flip[forward] is refine_compare(y, x)
-            assert forward is (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER)[(x - y).sign() + 1]
+            s = x.compare(y)
+            assert s == -y.compare(x) == (x - y).sign()
+            assert refine_compare(x.enclosure, y.enclosure, 256) is order[s + 1]
+            assert refine_compare(y.enclosure, x.enclosure, 256) is order[1 - s]
 
 
 class TestConstants:

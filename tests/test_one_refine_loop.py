@@ -1,11 +1,12 @@
-"""Precision refinement has one loop, ``exact.refine``, with one start and a cap it never passes.
+"""Precision refinement has one loop, ``exact.refine_compare``, with one start and a cap it
+never passes.
 
 A bit count that doubles (``bits *= 2``, ``bits = min(2 * bits, cap)``,
 ``bits <<= 1``) anywhere else is a second, hand-written refinement loop.
-``refine`` has one caller, ``refine_compare``, and that one caller in the
-package, the witness test |d(t)| vs C*t in ``theorems.find_witness``. Every
-other decision is exact, and so is every printed decimal: no output path
-mentions refinement, enclosures or the cap.
+``refine_compare`` takes two enclosure functions and has one caller in the
+package, the witness test |d(t)| vs C*t in ``theorems.find_witness``, which
+passes it its cap. Every other decision is exact, and so is every printed
+decimal: no output path mentions refinement, enclosures or the cap.
 """
 
 import ast
@@ -16,6 +17,8 @@ import pytest
 
 import psidiff
 from psidiff import cli, exact, imf, theorems
+from psidiff.errors import UndecidedSignError
+from psidiff.numspec import TAU_CF, parse_number
 
 SOURCES = sorted(pathlib.Path(psidiff.__file__).parent.glob("*.py"))
 
@@ -75,44 +78,54 @@ def bit_doublings(source: str) -> list[tuple[str, int]]:
 
 
 def test_refine_is_the_only_bit_doubling_loop():
-    offenders = [
-        f"{path.name}:{line} in {func}"
-        for path in SOURCES
-        for func, line in bit_doublings(path.read_text())
-        if not (path.name == "exact.py" and func == "refine")
-    ]
-    assert not offenders, f"hand-written refinement loops: {', '.join(offenders)}"
+    found = [(path.name, func) for path in SOURCES for func, _ in bit_doublings(path.read_text())]
+    assert found == [("exact.py", "refine_compare")], f"refinement loops: {found}"
 
 
 def test_guard_sees_each_form():
-    source = inspect.getsource(exact.refine) + (
+    source = inspect.getsource(exact.refine_compare) + (
         "def f(bits):\n    bits *= 2\n    bits <<= 1\n    bits = bits * 2\n"
         "    scaled = 1 << (2 * bits)\n    length *= 2\n"
     )
-    assert [func for func, _ in bit_doublings(source)] == ["refine", "f", "f", "f"]
+    assert [func for func, _ in bit_doublings(source)] == ["refine_compare", "f", "f", "f"]
 
 
-def test_refine_has_no_default_cap():
-    assert inspect.signature(exact.refine).parameters["cap_bits"].default is inspect.Parameter.empty
+def test_find_witness_passes_its_cap(monkeypatch):
+    caps = []
+
+    def spy(lhs, rhs, cap_bits=None):
+        caps.append(cap_bits)
+        return exact.refine_compare(lhs, rhs, cap_bits)
+
+    monkeypatch.setattr(theorems, "refine_compare", spy)
+    sqrt2 = parse_number("surd:(0+sqrt(2))/1")
+    assert theorems.find_witness(sqrt2, TAU_CF, 10, 10**6, cap_bits=100).t == 12
+    assert caps == [100, 100]  # at t = 10 and at the witness t = 12
+    with pytest.raises(UndecidedSignError, match="at 1 bits"):
+        theorems.find_witness(sqrt2, TAU_CF, 1, 10**6, cap_bits=1)
 
 
 def test_refine_has_one_start():
-    assert list(inspect.signature(exact.refine).parameters) == ["make", "decide", "cap_bits"]
+    assert list(inspect.signature(exact.refine_compare).parameters) == ["lhs", "rhs", "cap_bits"]
 
 
-@pytest.mark.parametrize("cap_bits", [16, 40, 64])
+@pytest.mark.parametrize("cap_bits", [16, 40, 64, 100, 300])
 def test_refine_never_passes_the_cap(cap_bits):
     seen = []
 
-    def make(bits):
+    def lhs(bits):
         seen.append(bits)
         return exact.TAU.enclosure(bits)
 
-    assert exact.refine(make, lambda enc: None, cap_bits) is None
-    assert max(seen) == seen[-1] == cap_bits
+    # the same value on both sides: the enclosures never separate
+    assert exact.refine_compare(lhs, exact.TAU.enclosure, cap_bits) is exact.Comparison.UNDECIDED
+    assert seen[0] == min(64, cap_bits) and max(seen) == seen[-1] == cap_bits
+    assert all(b == min(2 * a, cap_bits) for a, b in zip(seen, seen[1:]))
     seen.clear()
-    assert exact.refine_compare(make, 1, cap_bits) is exact.Comparison.GREATER
-    assert seen == [cap_bits]  # settled at the first attempt, at the cap
+    one = exact.Interval(1, 1)
+    assert exact.refine_compare(lhs, lambda bits: one, cap_bits) is exact.Comparison.GREATER
+    assert exact.refine_compare(lambda bits: one, lhs, cap_bits) is exact.Comparison.LESS
+    assert seen == [min(64, cap_bits)] * 2  # settled at the first attempt
 
 
 class _NameUses(ast.NodeVisitor):
@@ -161,10 +174,6 @@ def uses_in_package(name: str) -> list[str]:
 
 def test_refinement_decides_only_the_witness_test():
     assert uses_in_package("refine_compare") == ["theorems.py in find_witness"]
-
-
-def test_refine_has_one_caller():
-    assert uses_in_package("refine") == ["exact.py in refine_compare"]
 
 
 OUTPUT_PATHS = [exact.render_decimal, imf.DValue.render, imf.profile_to_csv, imf._rendered_rows,

@@ -284,10 +284,10 @@ class TestConstructOptimal:
 
     def test_one_refinement_per_candidate(self, monkeypatch):
         # the screen and each candidate's test run on integers, with no refinement at all
-        calls = _count_calls(monkeypatch, "refine", "refine_compare")
+        calls = _count_calls(monkeypatch, "refine_compare")
         pair = construct_optimal(Fraction(1, 1000))
         assert pair.U == 1235
-        assert calls == {"refine": 0, "refine_compare": 0}
+        assert calls == {"refine_compare": 0}
 
     @pytest.mark.parametrize("epsilon", [Fraction(1, 20), Fraction(1, 1000), Fraction(1, 10**5)])
     def test_no_allocation_per_candidate(self, monkeypatch, epsilon):
@@ -314,6 +314,8 @@ class TestConstructOptimal:
     @example(Fraction(1, 875))
     @example(Fraction(1, 876))
     @example(UNDECIDED_EPS)
+    @example(Fraction(10**40 + 1, 10**43))  # a denominator past the screen's 64 bits for epsilon
+    @example(Fraction(2**200 // 17 + 1, 2**200))
     def test_matches_exact_reference(self, epsilon):
         assert construct_optimal(epsilon) == exact_uv_search(epsilon)
 
@@ -379,9 +381,9 @@ class TestVerifyNearOptimality:
     def test_one_comparison_per_range(self, monkeypatch):
         # the one comparison with C + slack is a sign test in Q(sqrt(5)), not a refinement
         pair = construct_optimal(Fraction(6, 100))
-        calls = _count_calls(monkeypatch, "refine", "refine_compare")
+        calls = _count_calls(monkeypatch, "refine_compare")
         verify_near_optimality(pair, 1, 10**40)
-        assert calls == {"refine": 0, "refine_compare": 0}
+        assert calls == {"refine_compare": 0}
 
     def test_exact_maximum(self):
         report = verify_near_optimality(construct_optimal(Fraction(6, 100)), 1, 10**20)
