@@ -18,6 +18,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .errors import PsidiffError, UndecidedSignError
 from .exact import _STR_BITS, PHI, SQRT_TAU, TAU, C, _format_scaled, _read_decimal, render_decimal
@@ -47,6 +48,17 @@ def _fraction(text: str) -> Fraction:
         frac, e = frac or "", int(exp or 0)
         n, d = _read_decimal(whole + frac) * 10 ** max(e, 0), 10 ** (len(frac) + max(-e, 0))
     return Fraction(-n if sign == "-" else n, d)
+
+
+def _integer(read: Callable[[str], int]) -> Callable[[str], int]:
+    """An argparse type that reads with ``read``, named for "invalid integer value: 'x'".
+
+    t, --from and --bound are of any length (``_read_decimal``); ``int`` refuses a count,
+    depth, digit count or cap past 4300 digits, which would start a run that never ends.
+    """
+    def integer(text: str) -> int:
+        return read(text)
+    return integer
 
 
 def cmd_constants(args: argparse.Namespace) -> dict:
@@ -184,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact irrationality-measure computations for quadratic irrationals.",
     )
     common = _Parser(add_help=False)
-    common.add_argument("--digits", type=int, default=12, help="decimal digits in output")
-    common.add_argument("--precision-cap-bits", type=int, default=4096,
+    common.add_argument("--digits", type=_integer(int), default=12, help="decimal digits in output")
+    common.add_argument("--precision-cap-bits", type=_integer(int), default=4096,
                         help="precision cap of the |d| vs C*t witness test, the one decision "
                              "that refines; decimals are exact at any --digits")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -199,34 +211,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", parents=[common], help="psi and 1/psi at an integer t")
     p.add_argument("--number", required=True)
-    p.add_argument("--t", type=_read_decimal, required=True)
+    p.add_argument("--t", type=_integer(_read_decimal), required=True)
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("profile", parents=[common], help="breakpoint profile of d(t)")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--from", dest="from_t", type=_read_decimal, default=1)
-    p.add_argument("--bound", type=_read_decimal, default=1000)
+    p.add_argument("--from", dest="from_t", type=_integer(_read_decimal), default=1)
+    p.add_argument("--bound", type=_integer(_read_decimal), default=1000)
     p.add_argument("--output", choices=("json", "csv"), default="csv")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("witness", parents=[common], help="find t with |d(t)| >= C t")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--from", dest="from_t", type=_read_decimal, default=1)
-    p.add_argument("--bound", type=_read_decimal, default=10**12)
+    p.add_argument("--from", dest="from_t", type=_integer(_read_decimal), default=1)
+    p.add_argument("--bound", type=_integer(_read_decimal), default=10**12)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("word", parents=[common], help="merged word over {B, Q, T}")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_integer(int), default=20)
     p.set_defaults(func=cmd_word)
 
     p = sub.add_parser("lemmas", parents=[common], help="coincidence and gap scans")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--max-depth", type=int, default=200)
+    p.add_argument("--max-depth", type=_integer(int), default=200)
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("construct-optimal", parents=[common],
@@ -237,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-optimal", parents=[common],
                        help="verify |d| <= (C+slack) t over a range")
     p.add_argument("--epsilon", required=True)
-    p.add_argument("--from", dest="from_t", type=_read_decimal, default=10**6)
-    p.add_argument("--bound", type=_read_decimal, default=10**12)
+    p.add_argument("--from", dest="from_t", type=_integer(_read_decimal), default=10**6)
+    p.add_argument("--bound", type=_integer(_read_decimal), default=10**12)
     p.add_argument("--slack", default=None)
     p.set_defaults(func=cmd_verify_optimal)
 

@@ -56,7 +56,7 @@ class CFExpansion(Record):
             raise ValueError("partial quotients after a0 must be >= 1")
         if not period and len(preperiod) >= 1 and preperiod[-1] < 2:
             raise ValueError("canonical rational expansion must end with a quotient >= 2")
-        Record.__init__(self, a0, preperiod, period)
+        self._init(a0, preperiod, period)
 
     @property
     def is_rational(self) -> bool:
@@ -99,12 +99,6 @@ class Convergent(Record):
     """The n-th convergent p/q, with its index n."""
 
     __slots__ = ("index", "p", "q")
-
-    def __init__(self, index: int, p: int, q: int) -> None:
-        set_index, set_p, set_q = self._setters
-        set_index(self, index)
-        set_p(self, p)
-        set_q(self, q)
 
 
 def rational_to_cf(num: int, den: int) -> CFExpansion:

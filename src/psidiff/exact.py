@@ -3,25 +3,25 @@
 Rationals are ``fractions.Fraction`` (always canonical: positive denominator,
 reduced). ``QuadExt`` is an element (A + B*sqrt(D))/Q of a real quadratic field,
 held as integers with Q > 0, gcd(A, B, Q) = 1 and D its field's one radicand in
-this process, found without factoring; all field operations and sign tests are
-exact integer arithmetic, and ``compare`` orders elements of any two fields by at
-most two such sign tests. ``Root`` is a + s*sqrt(w)
-with a and w in one such field and s = +-1, the form of sqrt(tau), of the optimal
-constant C = sqrt(5) - sqrt(5*phi) and of what is built from them; one squaring
-decides its sign. Each kind has one scaled floor, floor(m*x) for an integer m >= 1:
-``floor`` takes it at m = 1, a dyadic enclosure at m = 2**(bits + 1), and
-``render_decimal`` prints every decimal from it at m = 2*10**digits, with no
-precision to choose. A ``QuadExt`` keeps its last scaled floor and renders at
-m = 2*10**digits << GUARD_BITS, the scale at which a difference of two values
-(``imf.DValue``) reads its parts' floors: one guarded floor per value.
-``Interval`` is a rational enclosure, held as integers
+this process, found without factoring; all field operations are exact integer
+arithmetic, and so is the one sign test per level: ``_sign`` of a + b*sqrt(D), and
+``_sign2`` of a + b*sqrt(D) + s*sqrt(e + f*sqrt(D)), one squaring into ``_sign``, by which
+``compare`` orders elements of any two fields. ``Root`` is a + s*sqrt(w) with a and w in
+one such field and s = +-1, the form of sqrt(tau), of the optimal constant
+C = sqrt(5) - sqrt(5*phi) and of what is built from them; its sign is one ``_sign2``.
+Each kind has one scaled floor, floor(m*x) for an integer m >= 1: ``floor`` takes it at
+m = 1, a dyadic enclosure at m = 2**(bits + 1), and ``render_decimal`` prints every
+decimal from it at m = 2*10**digits, with no precision to choose. A ``QuadExt`` keeps
+its last scaled floor and renders at m = 2*10**digits << GUARD_BITS, the scale at which
+a difference of two values (``imf.DValue``) reads its parts' floors: one guarded floor
+per value. ``Interval`` is a rational enclosure, held as integers
 lo_n/den and hi_n/den over one shared denominator that arithmetic never reduces;
 ``.lo`` and ``.hi`` are ``Fraction`` views. ``refine_compare`` is the package's
 only precision-refinement loop, and the witness test |d(t)| vs C*t its one use: it
 encloses two values at 64 bits, or at ``cap_bits`` when that is lower, doubles the
 bits until the enclosures separate, and reports ``Comparison.UNDECIDED`` once the
 attempt at ``cap_bits`` does not; no attempt goes past the cap.
-``Record`` is the slotted, immutable base of the package's result records.
+``Record`` is the slotted, immutable base of the result records, built from their slots.
 """
 
 from __future__ import annotations
@@ -85,6 +85,49 @@ def _as_fraction(x: RatLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+class Record:
+    """Base of the immutable records, whose fields a subclass names in ``__slots__``.
+
+    A record is compared, hashed, pickled and copied as the pair of its class and
+    its fields (``__reduce__``), and prints through ``int_repr``; slots named with a
+    leading ``_`` are memos, outside all of this. ``__slots__`` is the one list of
+    fields. Each subclass gets a constructor ``_init`` generated from them, as ``dataclasses``
+    does, which sets each field through its slot's own setter and is the class's ``__init__``
+    unless the class writes one. ``QuadExt`` and ``Interval`` share its ``__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        scope = {f"set_{f}": cls.__dict__[f].__set__ for f in fields}
+        exec(f"def __init__(self, {', '.join(fields)}):\n"
+             + "".join(f" set_{f}(self, {f})\n" for f in fields), scope)
+        cls._init = scope["__init__"]
+        cls._init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = cls.__dict__.get("__init__", cls._init)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        parts = (f"{f}={int_repr(getattr(self, f))}" for f in self._fields)
+        return f"{type(self).__name__}({', '.join(parts)})"
+
+
 class QuadExt:
     """Exact, immutable element (A + B*sqrt(D))/Q of Q(sqrt(D)) held as integers.
 
@@ -113,10 +156,7 @@ class QuadExt:
         return _make(a.numerator * b.denominator, b.numerator * a.denominator,
                      a.denominator * b.denominator, f)
 
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError("QuadExt is immutable")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = Record.__setattr__
 
     def __reduce__(self):
         return _make, (self.A, self.B, self.Q, self.D)
@@ -196,20 +236,15 @@ class QuadExt:
     def compare(self, other: QuadExt | RatLike) -> int:
         """Exact sign of self - other, for a rational or an element of any field.
 
-        Across fields, self - other = u - v with u = self - A'/Q' in self's field and
-        v = B'*sqrt(D')/Q'; times Q*Q' they are a + b*sqrt(D) and c*sqrt(D'). Unlike
-        signs decide at once; a shared sign s gives s*sign(u^2 - v^2), one more test in
-        self's field. Never 0 there: sqrt(D') is not in Q(sqrt(D)).
+        Across fields, self - other times Q*Q' is a + b*sqrt(D) - c*sqrt(D') in integers,
+        a second-level radical a + b*sqrt(D) + s*sqrt(w) over self's field with w = c*c*D'
+        and s the sign of -c: one ``_sign2``. Never 0 there: sqrt(D') is not in Q(sqrt(D)).
         """
         if not isinstance(other, QuadExt) or other.B == 0 or self.B == 0 or other.D == self.D:
             return (self - other).sign()
-        a, b, c = self.A * other.Q - other.A * self.Q, self.B * other.Q, other.B * self.Q
-        sa, sb, sv = (a > 0) - (a < 0), (b > 0) - (b < 0), (c > 0) - (c < 0)
-        aa, bb = a * a, b * b * self.D  # both tests below read them
-        su = (sa or sb) if sa * sb >= 0 else (sa if aa > bb else sb)
-        if su != sv:
-            return su or -sv
-        return su * _sign(aa + bb - c * c * other.D, 2 * a * b, self.D)
+        c = other.B * self.Q
+        return _sign2(self.A * other.Q - other.A * self.Q, self.B * other.Q, -1 if c > 0 else 1,
+                      c * c * other.D, 0, self.D)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadExt):
@@ -295,51 +330,6 @@ def int_repr(x: object) -> str:
         return hex(x)
 
 
-class Record:
-    """Base of the immutable records, whose fields a subclass names in ``__slots__``.
-
-    A record is compared, hashed, pickled and copied as the pair of its class and
-    its fields (``__reduce__``), and prints through ``int_repr``; slots named with a
-    leading ``_`` are memos, outside all of this. ``__slots__`` is the one list of
-    fields. ``__init__`` takes them in order, the later ones also by name; records
-    built at every step of a walk call ``_setters`` directly.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls) -> None:
-        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
-        cls._setters = tuple(cls.__dict__[f].__set__ for f in cls._fields)
-
-    def __init__(self, *values: object, **named: object) -> None:
-        if named:
-            values += tuple(named.pop(f) for f in self._fields[len(values):] if f in named)
-        if named or len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
-        for setter, value in zip(self._setters, values):
-            setter(self, value)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
-
-    def __hash__(self) -> int:
-        return hash(self.__reduce__())
-
-    def __repr__(self) -> str:
-        parts = (f"{f}={int_repr(getattr(self, f))}" for f in self._fields)
-        return f"{type(self).__name__}({', '.join(parts)})"
-
-
 def _sign(a: int, b: int, D: int) -> int:
     """Exact sign of a + b*sqrt(D): that of a and b when they agree, else by a^2 vs b^2*D."""
     sa = (a > 0) - (a < 0)
@@ -347,6 +337,16 @@ def _sign(a: int, b: int, D: int) -> int:
     if sa * sb >= 0:
         return sa or sb
     return sa if a * a > b * b * D else sb
+
+
+def _sign2(a: int, b: int, s: int, e: int, f: int, D: int) -> int:
+    """Exact sign of u + s*sqrt(w), u = a + b*sqrt(D), w = e + f*sqrt(D) > 0 and s = +-1: s when
+    u is 0 or has the sign s, else u's sign times that of u^2 - w, one squaring (Bloemer,
+    FOCS 1991), which is 0 only where w is a square in the field."""
+    su = _sign(a, b, D)
+    if su != -s:
+        return s
+    return su * _sign(a * a + b * b * D - e, 2 * a * b - f, D)
 
 
 def _make(A: int, B: int, Q: int, D: int) -> QuadExt:
@@ -378,8 +378,9 @@ class Root(Record):
     a's field, so the value is irrational.
 
     Adding or subtracting an element of a's field moves a, and a positive integer k
-    scales a by k and w by k*k. The sign is ``_sign`` on field elements: unlike signs
-    decide at once, else one comparison of a*a with w.
+    scales a by k and w by k*k. The sign is one ``_sign2`` in integers: with
+    a = (A + B*sqrt(D))/Q and w = (E + F*sqrt(D))/R, the value times Q*R is
+    R*A + R*B*sqrt(D) + s*sqrt(Q*Q*R*(E + F*sqrt(D))).
     """
 
     __slots__ = ("a", "s", "w")
@@ -402,21 +403,25 @@ class Root(Record):
         return -self if self.sign() < 0 else self
 
     def sign(self) -> int:
-        return _sign(self.a, self.s, self.w)
+        (A, B, Q, D), (E, F, R, Dw) = (  # a rational outside QuadExt is (n + 0*sqrt(1))/d
+            (x.A, x.B, x.Q, x.D) if isinstance(x, QuadExt) else (x.numerator, 0, x.denominator, 1)
+            for x in (self.a, self.w))
+        k = Q * Q * R
+        return _sign2(R * A, R * B, self.s, k * E, k * F, Dw if F else D)
 
     def _scaled_floor(self, m: int) -> int:
         """floor(m*x) for an integer m >= 1.
 
         n = floor(m*a) + floor(s*sqrt(m*m*w)) is floor(m*x) or one less, as each floor
-        drops less than 1; the sign of m*x - (n + 1) settles which. It is formed without
-        dividing by m: a gcd of a huge n and m would cost more than the rest.
+        drops less than 1; the sign of the ``Root`` m*x - (n + 1) settles which. It is
+        formed without dividing by m: a gcd of a huge n and m would cost more than the rest.
         floor(sqrt(z)) is isqrt(floor(z)), and floor(-sqrt(z)) one less than its
         negative, z being no square.
         """
         am, w = self.a * m, self.w * (m * m)
         r = math.isqrt(math.floor(w))
         n = math.floor(am) + (r if self.s > 0 else -r - 1)
-        return n + (_sign(am - (n + 1), self.s, w) >= 0)
+        return n + (Root(am - (n + 1), self.s, w).sign() >= 0)
 
 
 C = Root(SQRT5, -1, 5 * PHI)  # sqrt(5) * (1 - sqrt(phi)); 5*phi has norm -25, no square
@@ -438,10 +443,7 @@ class Interval:
         return _interval(lo.numerator * hi.denominator, hi.numerator * lo.denominator,
                          lo.denominator * hi.denominator)
 
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError("Interval is immutable")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = Record.__setattr__
 
     def __reduce__(self):
         return _interval, (self.lo_n, self.hi_n, self.den)

@@ -137,24 +137,6 @@ class DValue(Record):
 
     __slots__ = ("inv_psi_beta", "inv_psi_alpha", "alpha_index", "beta_index")
 
-    def __init__(self, inv_psi_beta: QuadExt, inv_psi_alpha: QuadExt, alpha_index: int,
-                 beta_index: int) -> None:
-        set_inv_psi_beta, set_inv_psi_alpha, set_alpha_index, set_beta_index = self._setters
-        set_inv_psi_beta(self, inv_psi_beta)
-        set_inv_psi_alpha(self, inv_psi_alpha)
-        set_alpha_index(self, alpha_index)
-        set_beta_index(self, beta_index)
-
-    def as_quadext(self) -> QuadExt | None:
-        """The difference as a single element when both parts share a field."""
-        if (
-            self.inv_psi_beta.is_rational
-            or self.inv_psi_alpha.is_rational
-            or self.inv_psi_beta.D == self.inv_psi_alpha.D
-        ):
-            return self.inv_psi_beta - self.inv_psi_alpha
-        return None
-
     def enclosure(self, bits: int) -> Interval:
         return self.inv_psi_beta.enclosure(bits) - self.inv_psi_alpha.enclosure(bits)
 
@@ -238,13 +220,6 @@ def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,
 
 class ProfileEntry(Record):
     __slots__ = ("t", "inv_psi_alpha", "inv_psi_beta", "d")
-
-    def __init__(self, t: int, inv_psi_alpha: QuadExt, inv_psi_beta: QuadExt, d: DValue) -> None:
-        set_t, set_inv_psi_alpha, set_inv_psi_beta, set_d = self._setters
-        set_t(self, t)
-        set_inv_psi_alpha(self, inv_psi_alpha)
-        set_inv_psi_beta(self, inv_psi_beta)
-        set_d(self, d)
 
 
 class BreakpointProfile(Record):

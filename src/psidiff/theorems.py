@@ -38,7 +38,7 @@ from .exact import (
     Record,
     _format_scaled,
     _ratio_str,
-    _sign,
+    _sign2,
     c_enclosure,
     refine_compare,
     render_decimal,
@@ -370,9 +370,10 @@ def _floor_neg_u_phi(U: int) -> int:
 
 
 def _above_sqrt_tau(U: int, n: int, d: int) -> bool:
-    """U*phi + n/d > sqrt(tau), d > 0: a + b*sqrt(5) = 2d(U*phi + n/d) > 0, squared > 4d^2*tau."""
-    a, b = 2 * n - U * d, U * d
-    return _sign(a, b, 5) > 0 and _sign(a * a + 5 * b * b - 2 * d * d, 2 * (a * b - d * d), 5) > 0
+    """U*phi + n/d > sqrt(tau), d > 0: 2d(U*phi + n/d) - 2d*sqrt(tau) > 0, that is
+    (2n - U*d) + U*d*sqrt(5) - sqrt(2d^2 + 2d^2*sqrt(5)) > 0."""
+    dd = 2 * d * d
+    return _sign2(2 * n - U * d, U * d, -1, dd, dd, 5) > 0
 
 
 def construct_optimal(epsilon: Fraction, cap_bits: int = DEFAULT_CAP_BITS) -> OptimalPair:
@@ -485,7 +486,7 @@ def verify_near_optimality(
         raise PreconditionFailedError(f"theta = {pair.theta} does not lie in Q(sqrt(5))")
     top = argmax_t = None
     for t, d in imf._d_steps(TAU_CF, pair.theta, t_lo, t_max):
-        size = abs(d.as_quadext())
+        size = abs(d.inv_psi_beta - d.inv_psi_alpha)
         if top is None or size * argmax_t > top * t:  # |d|/t > top/argmax_t, no division
             top, argmax_t = size, t
     max_ratio = top / argmax_t

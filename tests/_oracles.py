@@ -11,7 +11,9 @@ computed in that arithmetic, which the tests hold against
 ``psidiff.exact.c_enclosure``. ``exact_uv_search`` is the one reference built on
 code under test: the (U, V) search that ``construct_optimal`` replaced, which
 settles every U with ``QuadExt`` arithmetic, kept as the reference the integer
-search must match pair for pair.
+search must match pair for pair. ``cross_field_compare`` is the cross-field branch
+that ``QuadExt.compare`` had before it became one ``exact._sign2``, kept as the
+reference that sign test must match.
 """
 
 from __future__ import annotations
@@ -187,6 +189,24 @@ def exact_uv_search(epsilon: Fraction, limit: int = 10**6):
             if contfrac.is_nonintegral_sum_and_diff(TAU_CF.value(), pair.theta.value()):
                 return pair
     raise AssertionError("exact search exhausted")
+
+
+def cross_field_compare(x: QuadExt, y: QuadExt) -> int:
+    """Sign of x - y for irrational x, y in two fields, as ``QuadExt.compare`` had it.
+
+    x - y = u - v with u = x - y.a in x's field and v = y.b*sqrt(D'); times Q*Q' they
+    are a + b*sqrt(D) and c*sqrt(D'). Unlike signs decide at once; a shared sign s gives
+    s*sign(u^2 - v^2), one more test in x's field.
+    """
+    from psidiff.exact import _sign
+
+    a, b, c = x.A * y.Q - y.A * x.Q, x.B * y.Q, y.B * x.Q
+    sa, sb, sv = (a > 0) - (a < 0), (b > 0) - (b < 0), (c > 0) - (c < 0)
+    aa, bb = a * a, b * b * x.D
+    su = (sa or sb) if sa * sb >= 0 else (sa if aa > bb else sb)
+    if su != sv:
+        return su or -sv
+    return su * _sign(aa + bb - c * c * y.D, 2 * a * b, x.D)
 
 
 def _float_theta(U: int, V: int) -> mpmath.mpf:

@@ -312,6 +312,35 @@ class TestErrorsAndExitCodes:
         else:
             assert code == 1 and json.loads(out)["error"]["code"] == "invalid_input"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-optimal", "--epsilon", "0.06", "--from", "1e5"],
+        ["psi", "--number", "tau", "--t", "12.5"],
+        ["profile", "--alpha", SQRT2, "--beta", "tau", "--bound", "1/2"],
+        ["witness", "--alpha", SQRT2, "--beta", "tau", "--from", "x"],
+        ["constants", "--digits", "x"],
+        ["word", "--alpha", SQRT2, "--beta", "tau", "--count", "1e3"],
+        ["lemmas", "--alpha", SQRT2, "--beta", "tau", "--max-depth", "2.0"],
+        ["expand", "--number", "tau", "--precision-cap-bits", "64.5"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_integer_flag_type_error(self, capsys, argv):
+        # the message names the option's grammar, not the Python function that read it
+        code, payload = run_json(capsys, *argv)
+        assert code == 1 and payload["error"]["code"] == "invalid_input"
+        assert payload["error"]["message"].endswith(
+            f"argument {argv[-2]}: invalid integer value: '{argv[-1]}'")
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--digits"],
+        ["word", "--alpha", SQRT2, "--beta", "tau", "--count"],
+        ["lemmas", "--alpha", SQRT2, "--beta", "tau", "--max-depth"],
+        ["constants", "--precision-cap-bits"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+    def test_long_count_is_refused(self, capsys, argv):
+        # past 4300 digits a count, depth, digit count or cap would start a run that never ends
+        code, payload = run_json(capsys, *argv, "1" + "0" * 4400)
+        assert code == 1 and payload["error"]["code"] == "invalid_input"
+        assert f"argument {argv[-1]}: invalid integer value: '1000" in payload["error"]["message"]
+
     @pytest.mark.parametrize("flag, value", [("--digits", "0"), ("--precision-cap-bits", "63")])
     @pytest.mark.parametrize("argv", [
         ["constants"],

@@ -3,15 +3,21 @@
 Hypothesis writes the numbers that ``construct-optimal`` and ``verify-optimal`` read:
 ``--epsilon`` and ``--slack`` as n/d, as decimals and with exponents, ``--from`` and
 ``--bound`` as integers and at times as fractions, which they refuse, each at times a
-literal past CPython's 4300-digit int-to-str limit. Whatever the argv, ``cli.main`` returns 0, 1 or 2 without raising, prints one
-JSON document, names only error codes that ``errors.py`` defines or ``invalid_input``,
-exits 2 only with ``undecided_sign``, and prints the same bytes for the same argv. An
-epsilon in (0, 1) always gets a pair or ``search_exhausted``.
+literal past CPython's 4300-digit int-to-str limit. It also writes the integer flags of
+``psi``, ``profile``, ``word``, ``lemmas`` and ``witness`` (``--t``, ``--from``,
+``--bound``, ``--count``, ``--max-depth``, ``--digits``) as integers, decimals, exponents
+or junk, over a fixed list of number specs that holds a pair whose d(t) is exactly zero
+at some breakpoints. Whatever the argv, ``cli.main`` returns 0, 1 or 2 without raising,
+prints one JSON document (or a ``profile`` CSV), names only error codes that ``errors.py``
+defines or ``invalid_input``, exits 2 only with ``undecided_sign``, names no Python
+function in an error message, and prints the same bytes for the same argv. An epsilon in
+(0, 1) always gets a pair or ``search_exhausted``.
 """
 
 import contextlib
 import io
 import json
+import re
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -24,6 +30,12 @@ from _oracles import scaled_int
 CODES = {cls.code for cls in vars(errors).values()
          if isinstance(cls, type) and issubclass(cls, errors.PsidiffError)} | {"invalid_input"}
 LONG = "0.001" + "0" * 5000 + "1"  # just above 1/1000, with 5004 places
+# a name with a leading underscore, a call, or argparse's "invalid <type> value" for a
+# type other than the integer grammar
+PYTHON_NAME = re.compile(r"\b_\w|\w\(\)|invalid (?!integer )\w+ value")
+EXACT_ZERO = ("cf:[0;(1,2)]", "cf:[0;2,(1,2)]")  # d(t) = 0 at t = 2 and 8: exit 2 allowed
+SPECS = ("tau", "surd:(0+sqrt(2))/1", "surd:(1+sqrt(3))/2", "cf:[1;2,(3)]", *EXACT_ZERO)
+JUNK = ("", "x", "-", "1/2", "0x10", "1e", "++3", "nan", "1 000", "½")
 
 
 @st.composite
@@ -87,11 +99,63 @@ def optimal_argv(draw):
     return argv, value is not None and 0 < value < 1
 
 
+@st.composite
+def integer_texts(draw, top):
+    """An integer flag's text: an integer in [-2, top], a decimal, an exponent, or junk."""
+    form = draw(st.sampled_from(("integer", "decimal", "exponent", "junk")))
+    if form == "integer":
+        return str(draw(st.integers(-2, top)))
+    if form == "decimal":
+        return f"{draw(st.integers(0, top))}.{draw(st.integers(0, 99))}"
+    if form == "exponent":
+        return f"{draw(st.integers(1, 9))}e{draw(st.integers(0, len(str(top)) - 1))}"
+    return draw(st.sampled_from(JUNK))
+
+
+@st.composite
+def integer_flag_argv(draw):
+    """psi, profile, word, lemmas or witness, each integer flag absent or drawn; bounds up
+    to 10**30, and counts, depths and digits up to 200, keep each call fast."""
+    command = draw(st.sampled_from(("psi", "profile", "word", "lemmas", "witness")))
+    alpha, beta = draw(st.just(EXACT_ZERO) | st.tuples(*[st.sampled_from(SPECS)] * 2))
+    if command == "psi":
+        argv = [command, "--number", alpha, "--t", draw(integer_texts(10**30))]
+    else:
+        argv = [command, "--alpha", alpha, "--beta", beta]
+    flags = {"psi": (), "profile": ("--from", "--bound"), "witness": ("--from", "--bound"),
+             "word": ("--count",), "lemmas": ("--max-depth",)}[command]
+    for flag in (*flags, "--digits"):
+        if draw(st.booleans()):
+            argv += [flag, draw(integer_texts(10**30 if flag in ("--from", "--bound") else 200))]
+    if command == "profile" and draw(st.booleans()):
+        argv += ["--output", "json"]
+    return argv
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return code, out.getvalue()
+
+
+def assert_contract(argv: list[str]) -> tuple[int, dict | None]:
+    """(exit code, JSON error or None) of one argv, with the contract checked."""
+    code, out = run(argv)
+    assert code in (0, 1, 2)
+    assert run(argv) == (code, out)
+    if code == 0 and argv[0] == "profile" and "json" not in argv:
+        return code, None  # a CSV
+    payload = json.loads(out, parse_int=scaled_int)
+    error = payload.get("error") if isinstance(payload, dict) else None
+    if code == 0:
+        assert error is None
+    else:
+        assert error is not None and set(error) == {"code", "message"}
+        assert error["code"] in CODES
+        assert (code == 2) == (error["code"] == "undecided_sign")
+        assert not PYTHON_NAME.search(error["message"]), error
+    return code, error
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,16 +166,17 @@ def run(argv: list[str]) -> tuple[int, str]:
 @example((["verify-optimal", "--epsilon", "0.06", "--from", "1e5"], False))
 def test_optimal_pair_commands_keep_the_contract(case):
     argv, epsilon_in_unit = case
-    code, out = run(argv)
-    assert code in (0, 1, 2)
-    payload = json.loads(out, parse_int=scaled_int)
-    error = payload.get("error") if isinstance(payload, dict) else None
-    if code == 0:
-        assert error is None
-    else:
-        assert error is not None and set(error) == {"code", "message"}
-        assert error["code"] in CODES
-        assert (code == 2) == (error["code"] == "undecided_sign")
+    code, error = assert_contract(argv)
     if argv[0] == "construct-optimal" and epsilon_in_unit:
         assert code == 0 or error["code"] == "search_exhausted", error
-    assert run(argv) == (code, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_flag_argv())
+@example(["psi", "--number", "tau", "--t", "12.5"])
+@example(["word", "--alpha", "tau", "--beta", "cf:[1;2,(3)]", "--count", "1e3"])
+@example(["profile", "--alpha", EXACT_ZERO[0], "--beta", EXACT_ZERO[1], "--output", "json"])
+@example(["lemmas", "--alpha", "tau", "--beta", "cf:[1;2,(3)]", "--max-depth", "x",
+          "--digits", "2.5"])
+def test_integer_flags_keep_the_contract(argv):
+    assert_contract(argv)

@@ -3,7 +3,12 @@
 ``QuadExt.compare`` must agree with the exact field sign on same-field pairs,
 and ``refine_compare`` on their enclosures must separate exactly the unequal
 ones; on cross-field pairs ``compare`` must agree with mpmath, near-ties far
-past the precision cap included, which refinement leaves undecided. ``QuadExt.floor`` and ``nearest_int`` are checked on
+past the precision cap included, which refinement leaves undecided, and with the
+formula it had before it became one ``exact._sign2`` (``_oracles.cross_field_compare``),
+at a precision taken from the norm bound. The other users of ``_sign2`` are held to
+mpmath too: ``Root.sign`` over Q(sqrt(5)) and Q(sqrt(2)), near-ties built from
+convergents included, and ``theorems._above_sqrt_tau``, which must also equal the sign
+of the ``Root`` sqrt(tau) - U*phi - n/d. ``QuadExt.floor`` and ``nearest_int`` are checked on
 powers of (1 + sqrt(D)), which lie exponentially close to integers:
 (1 + sqrt(2))**4000 is within 2**-5000 of one. ``render_decimal`` must give
 mpmath's correctly rounded digits, for a ``QuadExt``, for a ``Root`` a + s*sqrt(w)
@@ -26,12 +31,12 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from psidiff import (Comparison, DValue, Interval, QuadExt, d_at, exact, refine_compare,
-                     render_decimal)
+                     render_decimal, theorems)
 from psidiff.contfrac import convergent_state, expand_quadratic, last_convergent_at_most
 from psidiff.errors import MixedFieldError
-from psidiff.exact import Root, c_enclosure, squarefree_decompose
+from psidiff.exact import PHI, SQRT_TAU, Root, c_enclosure, squarefree_decompose
 
-from _oracles import FractionInterval, mp_quadext
+from _oracles import FractionInterval, cross_field_compare, mp_quadext
 from test_convergent_source import expansions, valid_pairs
 
 FIELDS = (2, 3, 5, 6, 7, 10, 11, 13)
@@ -128,6 +133,39 @@ def test_cross_field_near_tie_matches_oracle(tie):
     assert y.compare(x) == -s
 
 
+@st.composite
+def sqrt_convergent_ties(draw):
+    """(x, y) = (r + p/q + eps*sqrt(D), r + sqrt(D2)): p/q a convergent of sqrt(D2) and
+    eps = +-10**-e near its error, so x - y has two small parts that can cancel."""
+    D, D2 = draw(st.lists(st.sampled_from(FIELDS), min_size=2, max_size=2, unique=True))
+    p, _, q, _ = convergent_state(expand_quadratic(QuadExt(0, 1, D2)), draw(st.integers(0, 400)))
+    e = max(0, 2 * len(str(q)) + draw(st.integers(-3, 3)))
+    r = draw(RATIONALS)
+    return QuadExt(r + Fraction(p, q), Fraction(draw(st.sampled_from((1, -1))), 10**e), D), (
+        QuadExt(r, 1, D2))
+
+
+def cross_field_dps(x: QuadExt, y: QuadExt) -> int:
+    """Digits that resolve x - y across fields: times L = Q*Q' it is z = a + b*sqrt(D) -
+    c*sqrt(D'), whose four conjugates multiply to a nonzero integer; the other three are
+    below H = |a| + 4|b| + 4|c| (D, D' < 16), so |x - y| >= 1/(L*H**3)."""
+    a, b, c = x.A * y.Q - y.A * x.Q, x.B * y.Q, y.B * x.Q
+    H = abs(a) + 4 * abs(b) + 4 * abs(c)
+    return (x.Q * y.Q * H**3).bit_length() * 302 // 1000 + 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(quadexts(rational_ok=False), quadexts(rational_ok=False))
+       .filter(lambda pair: pair[0].D != pair[1].D) | sqrt_convergent_ties())
+def test_cross_field_compare_matches_reference(pair):
+    x, y = pair
+    s = x.compare(y)
+    assert s == cross_field_compare(x, y) == -y.compare(x) == -cross_field_compare(y, x) != 0
+    dps = cross_field_dps(x, y)
+    with mpmath.workdps(dps):
+        assert s == mpmath.sign(mp_quadext(x, dps) - mp_quadext(y, dps))
+
+
 def test_cross_field_near_tie_past_the_cap():
     # p/q is the 2000th convergent of sqrt2, and x - y is about -2.2e-1531: 4096 bits of
     # refinement cannot separate them
@@ -186,20 +224,72 @@ def is_rational_square(r: Fraction) -> bool:
 
 @st.composite
 def roots(draw):
-    """Root(a, s, w): a rational or in Q(sqrt(5)), w in Q(sqrt(5)), positive and no square.
+    """Root(a, s, w): a rational or in Q(sqrt(D)), w in Q(sqrt(D)), positive and no square,
+    for D = 5 or 2.
 
-    A square w would have a square norm; w with a norm that is no square is kept.
+    A square w would have a square norm; w with a norm that is no square is kept. A
+    rational w is a square in the field when w or w*D is a rational square.
     """
-    a = draw(RATIONALS | quadexts(D=5))
-    w = draw(quadexts(D=5))
+    D = draw(st.sampled_from((5, 2)))
+    a = draw(RATIONALS | quadexts(D=D))
+    w = draw(quadexts(D=D))
     assume(w > 0)
-    assume(not is_rational_square(w.a if w.is_rational else w.a * w.a - 5 * w.b * w.b))
+    if w.is_rational:
+        assume(not is_rational_square(w.a) and not is_rational_square(w.a * D))
+    else:
+        assume(not is_rational_square(w.a * w.a - D * w.b * w.b))
     return Root(a, draw(st.sampled_from((1, -1))), w)
+
+
+@st.composite
+def root_near_ties(draw):
+    """Root(a, -1, n) with a = p/q + eps*sqrt(D), p/q a convergent of sqrt(n) and eps =
+    +-10**-e near its error, so the parts of a - sqrt(n) cancel to many digits."""
+    D = draw(st.sampled_from((5, 2)))
+    n = draw(st.integers(2, 60).filter(lambda n: not is_rational_square(Fraction(n))
+                                        and not is_rational_square(Fraction(n * D))))
+    p, _, q, _ = convergent_state(expand_quadratic(QuadExt(0, 1, n)), draw(st.integers(0, 300)))
+    e = max(0, 2 * len(str(q)) + draw(st.integers(-3, 3)))
+    a = QuadExt(Fraction(p, q), Fraction(draw(st.sampled_from((1, -1))), 10**e), D)
+    return Root(a, -1, QuadExt(n, 0, D))
 
 
 def mp_root(x: Root, dps: int) -> mpmath.mpf:
     a = x.a if isinstance(x.a, QuadExt) else QuadExt(x.a, 0, 5)
     return mp_quadext(a, dps) + x.s * mpmath.sqrt(mp_quadext(x.w, dps))
+
+
+def root_dps(x: Root) -> int:
+    """Digits that resolve the sign of x = a + s*sqrt(w), a = (A + B*sqrt(D))/Q and
+    w = (E + F*sqrt(D))/R. Q*R*x is an algebraic integer whose conjugates multiply to a
+    nonzero integer; the other three are below H = R*(|A| + 4|B|) + Q*R*(|E| + 4|F|),
+    so |x| >= 1/(Q*R*H**3)."""
+    a, w = (v if isinstance(v, QuadExt) else QuadExt(v, 0, 5) for v in (x.a, x.w))
+    H = w.Q * (abs(a.A) + 4 * abs(a.B)) + a.Q * w.Q * (abs(w.A) + 4 * abs(w.B))
+    return (a.Q * w.Q * H**3).bit_length() * 302 // 1000 + 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots() | root_near_ties())
+@example(Root(QuadExt(Fraction(99, 70), Fraction(1, 10**4), 5), -1, QuadExt(2, 0, 5)))
+def test_root_sign_matches_mpmath(x):
+    dps = root_dps(x)
+    with mpmath.workdps(dps):
+        assert x.sign() == mpmath.sign(mp_root(x, dps)) != 0
+    assert (-x).sign() == -x.sign()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 10**6), st.integers(-2, 2))
+@example(0, 2, 0)
+def test_above_sqrt_tau_is_the_root_sign(U, d, k):
+    # n/d within 3/d of sqrt(tau) - U*phi, on either side
+    n = (SQRT_TAU - U * PHI)._scaled_floor(d) + k
+    x = SQRT_TAU - U * PHI - Fraction(n, d)
+    dps = root_dps(x)
+    with mpmath.workdps(dps):
+        below = mp_root(x, dps) < 0
+    assert theorems._above_sqrt_tau(U, n, d) == (x.sign() < 0) == below
 
 
 @settings(max_examples=200, deadline=None)
@@ -224,7 +314,7 @@ def test_cross_field_d_renders_as_mpmath(monkeypatch, pair, t, digits, guard_bit
     which straddles only when m*d lies within 2**-64 of an integer (1/psi lies within
     about 1/t of a rational), and with a 0-bit one, where the exact compare decides."""
     d = d_at(*pair, t)
-    assume(d.as_quadext() is None)
+    assume(d.inv_psi_beta.D != d.inv_psi_alpha.D)
     compare, compares = QuadExt.compare, []
     with monkeypatch.context() as patch:
         patch.setattr(exact, "GUARD_BITS", guard_bits)

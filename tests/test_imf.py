@@ -139,7 +139,7 @@ class TestD:
 
     def test_same_field_difference_is_exact(self):
         d = d_at(TAU_CF, FIVE1, 1)
-        assert d.as_quadext() == 3  # (5 + phi) - (1 + tau)
+        assert d.inv_psi_beta - d.inv_psi_alpha == 3  # (5 + phi) - (1 + tau)
 
 
 class TestProfile:

@@ -6,6 +6,8 @@ its fields, refuses assignment, pickles and copies through its constructor
 """
 
 import copy
+import importlib
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ from psidiff import (
     parse_number,
     psi,
 )
+from psidiff import exact
 from psidiff.contfrac import convergent_state
 
 SQRT2 = parse_number("surd:(0+sqrt(2))/1")
@@ -131,6 +134,31 @@ def test_constructor_arity_and_validation():
         CFExpansion(1, (0,), (1,))
     with pytest.raises(ValueError):
         CFExpansion(1, (2, 1))
+
+
+def record_classes() -> list[type]:
+    """Every ``exact.Record`` subclass that the package's modules define."""
+    for name in ("contfrac", "exact", "imf", "theorems"):
+        importlib.import_module(f"psidiff.{name}")
+    found, todo = [], [exact.Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("psidiff."):
+                found.append(cls)
+    return found
+
+
+def test_constructors_are_generated_from_the_slots():
+    classes = record_classes()
+    assert {CFExpansion, Convergent, DValue, exact.Root} <= set(classes)
+    assert "__init__" not in vars(exact.Record)
+    # each class dict holds the generated __init__, and only CFExpansion writes its own
+    assert [cls for cls in classes if vars(cls)["__init__"] is not cls._init] == [CFExpansion]
+    for cls in classes:
+        assert list(inspect.signature(cls).parameters) == list(cls._fields), cls
+    with pytest.raises(TypeError, match=r"DValue\.__init__\(\)"):
+        DValue(TAU, TAU, 1)
 
 
 def test_small_reprs_are_unchanged():

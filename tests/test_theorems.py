@@ -188,7 +188,8 @@ class TestInterleaveGap:
         # sqrt2 vs [0;1,(2)] share a field, and |d| equals bound/2 at one point
         certs = scan_interleave_gap(SQRT2, parse_number("cf:[0;1,(2)]"), 20)
         # d(1) = 1 is exactly bound/2 = 2/2, so only the second point is verified
-        assert (certs[0].first_point, certs[0].d_first.as_quadext()) == (1, 1)
+        d = certs[0].d_first
+        assert (certs[0].first_point, d.inv_psi_beta - d.inv_psi_alpha) == (1, 1)
         assert certs[0].verified_points == (2,)
         assert len(certs) == 38
 
@@ -528,7 +529,10 @@ def test_near_optimality_matches_brute_force(n, a, b):
         qs = [c.q for c in convergents(x, 200)]
         assert qs[-1] > t_max
         points.update(q for q in qs if t_lo < q <= t_max)
-    ratios = {t: abs(d_at(TAU_CF, pair.theta, t).as_quadext()) / t for t in sorted(points)}
+    ratios = {}
+    for t in sorted(points):
+        d = d_at(TAU_CF, pair.theta, t)
+        ratios[t] = abs(d.inv_psi_beta - d.inv_psi_alpha) / t
     top = max(ratios.values())
     assert report.max_ratio == top
     assert report.argmax_t == min(t for t, ratio in ratios.items() if ratio == top)
