@@ -44,6 +44,8 @@ def _fraction(text: str) -> Fraction:
     sign, whole, den, frac, exp = match.groups()
     if den is not None:
         n, d = _read_decimal(whole), _read_decimal(den)
+        if not d:  # Fraction's own message prints n, which raises past the int-to-str limit
+            raise ZeroDivisionError(f"zero denominator in {text!r}")
     else:
         frac, e = frac or "", int(exp or 0)
         n, d = _read_decimal(whole + frac) * 10 ** max(e, 0), 10 ** (len(frac) + max(-e, 0))

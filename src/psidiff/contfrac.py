@@ -13,12 +13,13 @@ with one ladder lookup per number (``last_convergent_at_most`` by bound,
 ``convergent_state`` by index). The ladder, an expansion's one memo, is built
 on first use: the states ``(p_n, p_{n-1}, q_n, q_{n-1})`` of the preperiod,
 and the squared period matrices ``M, M^2, M^4, ...`` of the 2x2 matrix view of
-continued fractions (Gosper, HAKMEM item 101), extended only on demand. A query
-costs O(log n) 2x2 products plus at most one period of single recurrence steps;
-rational expansions bisect the preperiod states.
-The ladder never stores a table of convergents: past the preperiod it holds
-only the squared powers, whose sizes double, so its memory is O(bits of the
-largest q reached), about twice the bits of the largest t queried.
+continued fractions (Gosper, HAKMEM item 101), extended only on demand. Both
+lookups are one greedy descent, ``_Ladder.seek``, keyed by index or by bound: it
+bisects the preperiod states, takes whole periods from the largest power of M down,
+and finishes with at most one period of single steps, O(log n) 2x2 products. The
+ladder stores no table of convergents: past the preperiod it holds only the squared
+powers, whose sizes double, so its memory is O(bits of the largest q reached), about
+twice the bits of the largest t queried.
 
 The ladder also holds every tail and the exact value, built from the period
 matrix M when the ladder is: the purely periodic tail is M's fixed point, the
@@ -29,11 +30,11 @@ backwards by x -> a + 1/x. So each period is folded once per expansion.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import RationalInputError
 from .exact import QuadExt, Record, _format_scaled
@@ -215,46 +216,28 @@ class _Ladder:
             self.powers = powers
         return powers[i]
 
-    def state(self, n: int) -> State:
-        k = len(self.prefix) - 1
-        if n <= k:
-            return self.prefix[n]
-        if not self.period:
-            raise IndexError(f"rational expansion has no convergent {n}")
-        j, r = divmod(n - k, len(self.period))
-        s = self.prefix[k]
-        i = 0
-        while j:
-            if j & 1:
-                s = _mul(s, self.power(i))
-            j >>= 1
-            i += 1
-        for a in self.period[:r]:
-            s = _step(s, a)
-        return s
-
-    def last_at_most(self, t: int) -> tuple[int, State]:
-        """Largest n with q_n <= t (t >= 1), and the state there.
-
-        q is nondecreasing, so whole periods are taken greedily from the largest
-        power of M down, then single steps finish inside one period.
-        """
-        prefix = self.prefix
-        k = len(prefix) - 1
-        if prefix[k][2] > t or not self.period:
-            n = bisect_right(prefix, t, key=lambda s: s[2]) - 1
+    def seek(self, past: Callable[[int, Callable[[], int]], bool]) -> tuple[int, State]:
+        """The largest n with not past(n, q), where q() is q_n, and the state there, for a test
+        that is false at n = 0 and stays true once true: an index bound (n > N), which never
+        calls q and so forms no product its index does not take, or a bound on q (q() > t).
+        Each q below is made once per phase and reads the candidate its names hold when called."""
+        prefix, period, k = self.prefix, self.period, len(self.prefix) - 1
+        if not period or past(k, lambda: prefix[k][2]):
+            n = bisect_left(range(k + 1), True, key=lambda i: past(i, lambda: prefix[i][2])) - 1
             return n, prefix[n]
-        s, j = prefix[k], 0
-        top = 0
-        while _q_of_product(s, self.power(top)) <= t:
+        s, j, top, L = prefix[k], 0, 0, len(period)
+        q = lambda: _q_of_product(s, self.power(top))
+        while not past(k + (L << top), q):
             top += 1
+        q = lambda: _q_of_product(s, x)
         for i in range(top - 1, -1, -1):
-            if _q_of_product(s, self.powers[i]) <= t:
-                s, j = _mul(s, self.powers[i]), j + (1 << i)
-        n = k + j * len(self.period)
-        for a in self.period:
+            x = self.power(i)
+            if not past(k + (j + (1 << i)) * L, q):
+                s, j = _mul(s, x), j + (1 << i)
+        n, q = k + j * L, lambda: nxt[2]
+        for a in period:
             nxt = _step(s, a)
-            if nxt[2] > t:
+            if past(n + 1, q):
                 break
             s, n = nxt, n + 1
         return n, s
@@ -272,14 +255,17 @@ def convergent_state(cf: CFExpansion, n: int) -> State:
     """(p_n, p_{n-1}, q_n, q_{n-1}) for n >= 0, with (p_{-1}, q_{-1}) = (1, 0)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _ladder(cf).state(n)
+    index, state = _ladder(cf).seek(lambda i, q: i > n)
+    if index < n:
+        raise IndexError(f"rational expansion has no convergent {n}")
+    return state
 
 
 def last_convergent_at_most(cf: CFExpansion, t: int) -> tuple[int, State]:
     """(r, state at r) for the largest index r with q_r <= t; a rational expansion stops at its end."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return _ladder(cf).last_at_most(t)
+    return _ladder(cf).seek(lambda i, q: q() > t)
 
 
 def convergent_stream(cf: CFExpansion,

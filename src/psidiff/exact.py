@@ -9,19 +9,19 @@ arithmetic, and so is the one sign test per level: ``_sign`` of a + b*sqrt(D), a
 ``compare`` orders elements of any two fields. ``Root`` is a + s*sqrt(w) with a and w in
 one such field and s = +-1, the form of sqrt(tau), of the optimal constant
 C = sqrt(5) - sqrt(5*phi) and of what is built from them; its sign is one ``_sign2``.
-Each kind has one scaled floor, floor(m*x) for an integer m >= 1: ``floor`` takes it at
-m = 1, a dyadic enclosure at m = 2**(bits + 1), and ``render_decimal`` prints every
-decimal from it at m = 2*10**digits, with no precision to choose. A ``QuadExt`` keeps
-its last scaled floor and renders at m = 2*10**digits << GUARD_BITS, the scale at which
-a difference of two values (``imf.DValue``) reads its parts' floors: one guarded floor
-per value. ``Interval`` is a rational enclosure, held as integers
-lo_n/den and hi_n/den over one shared denominator that arithmetic never reduces;
-``.lo`` and ``.hi`` are ``Fraction`` views. ``refine_compare`` is the package's
-only precision-refinement loop, and the witness test |d(t)| vs C*t its one use: it
-encloses two values at 64 bits, or at ``cap_bits`` when that is lower, doubles the
-bits until the enclosures separate, and reports ``Comparison.UNDECIDED`` once the
-attempt at ``cap_bits`` does not; no attempt goes past the cap.
-``Record`` is the slotted, immutable base of the result records, built from their slots.
+One floor per level, floor(m*x) for an integer m >= 1, is exact integer arithmetic too:
+``_floor`` of a + b*sqrt(D), and ``_guarded`` of a sum of two leaf floors (a ``Root``, or
+``imf.DValue`` from its parts' floors) at m << GUARD_BITS, with an exact sign test only on
+a straddle. ``floor`` takes it at m = 1, a dyadic enclosure at m = 2**(bits + 1), and
+``render_decimal`` every decimal at m = 2*10**digits, with no precision to choose; a
+``QuadExt`` keeps its last floor and renders at m = 2*10**digits << GUARD_BITS, where
+``DValue`` reads it. ``Interval`` is a rational enclosure, held as integers lo_n/den and
+hi_n/den over one shared denominator that arithmetic never reduces; ``.lo`` and ``.hi`` are
+``Fraction`` views. ``refine_compare`` is the package's only precision-refinement loop, and
+the witness test |d(t)| vs C*t its one use: it encloses two values at 64 bits, or at
+``cap_bits`` when that is lower, doubles the bits until the enclosures separate, and
+reports ``Comparison.UNDECIDED`` once the attempt at ``cap_bits`` does not; no attempt goes
+past the cap. ``Record``, built from its slots, is the immutable base of the result records.
 """
 
 from __future__ import annotations
@@ -274,19 +274,12 @@ class QuadExt:
     # -- conversions ----------------------------------------------------------
 
     def _scaled_floor(self, m: int) -> int:
-        """floor(x * m) for an integer m >= 1, in integers alone.
-
-        r = isqrt(B^2*D*m^2) is the floor of |B|*m*sqrt(D), which is irrational
-        unless B == 0 (D is not a square). So B*m*sqrt(D) lies in [r, r + 1) or
-        in (-r - 1, -r), and x*m has the floor of (A*m + r)/Q or (A*m - r - 1)/Q.
-        """
+        """floor(x * m) for an integer m >= 1 (``_floor``), kept in the memo."""
         memo = self._memo
-        if memo and memo[0] == m:
-            return memo[1]
-        r = math.isqrt(self.B * self.B * self.D * m * m)
-        n = (self.A * m + (r if self.B >= 0 else -r - 1)) // self.Q
-        _SET_MEMO(self, (m, n))
-        return n
+        if not (memo and memo[0] == m):
+            memo = (m, _floor(self.A, self.B, self.Q, self.D, m))
+            _SET_MEMO(self, memo)
+        return memo[1]
 
     def floor(self) -> int:
         """Exact integer floor, without enclosures."""
@@ -328,6 +321,26 @@ def int_repr(x: object) -> str:
         if isinstance(x, Fraction):
             return f"Fraction({int_repr(x.numerator)}, {int_repr(x.denominator)})"
         return hex(x)
+
+
+def _floor(A: int, B: int, Q: int, D: int, m: int) -> int:
+    """floor(m*(A + B*sqrt(D))/Q) for Q > 0, D no square and an integer m >= 1, in integers: r =
+    isqrt(B^2*D*m^2) is the floor of |B|*m*sqrt(D), irrational unless B == 0, so the floor is
+    that of (A*m + r)/Q when B >= 0 and of (A*m - r - 1)/Q when B < 0."""
+    r = math.isqrt(B * B * D * m * m)
+    return (A * m + (r if B >= 0 else -r - 1)) // Q
+
+
+def _guarded(x: object, m: int) -> int:
+    """floor(m*x) for x (a ``Root`` or ``imf.DValue``) whose ``_leaves(M)`` is n, a sum of two
+    floors at M = m << GUARD_BITS that is floor(M*x) or one less: floor(m*x) is n >> GUARD_BITS
+    unless n + 1 shifts to the next integer k, where the exact ``x._at_least(m, k)``, m*x >= k,
+    decides. Methods, not closures: two closures made per call add a fifth to a d(t) floor."""
+    n = x._leaves(m << GUARD_BITS)
+    j = n >> GUARD_BITS
+    if (n + 1) >> GUARD_BITS == j:
+        return j
+    return j + x._at_least(m, j + 1)
 
 
 def _sign(a: int, b: int, D: int) -> int:
@@ -409,19 +422,17 @@ class Root(Record):
         k = Q * Q * R
         return _sign2(R * A, R * B, self.s, k * E, k * F, Dw if F else D)
 
-    def _scaled_floor(self, m: int) -> int:
-        """floor(m*x) for an integer m >= 1.
+    def _leaves(self, M: int) -> int:
+        """floor(M*a) + floor(s*sqrt(M*M*w)) for ``_guarded``: floor(sqrt(z)) is isqrt(floor(z)),
+        and floor(-sqrt(z)) one less than its negative, z being no square."""
+        r = math.isqrt(math.floor(self.w * (M * M)))
+        return math.floor(self.a * M) + (r if self.s > 0 else -r - 1)
 
-        n = floor(m*a) + floor(s*sqrt(m*m*w)) is floor(m*x) or one less, as each floor
-        drops less than 1; the sign of the ``Root`` m*x - (n + 1) settles which. It is
-        formed without dividing by m: a gcd of a huge n and m would cost more than the rest.
-        floor(sqrt(z)) is isqrt(floor(z)), and floor(-sqrt(z)) one less than its
-        negative, z being no square.
-        """
-        am, w = self.a * m, self.w * (m * m)
-        r = math.isqrt(math.floor(w))
-        n = math.floor(am) + (r if self.s > 0 else -r - 1)
-        return n + (Root(am - (n + 1), self.s, w).sign() >= 0)
+    def _at_least(self, m: int, k: int) -> bool:
+        """m*x >= k, formed without dividing by m: a gcd of a huge k and m would cost more."""
+        return (self * m - k).sign() >= 0
+
+    _scaled_floor = _guarded  # floor(m*x) for an integer m >= 1
 
 
 C = Root(SQRT5, -1, 5 * PHI)  # sqrt(5) * (1 - sqrt(phi)); 5*phi has norm -25, no square

@@ -154,20 +154,15 @@ class DValue(Record):
             raise UndecidedSignError("d(t) is exactly zero")
         return s
 
-    def _scaled_floor(self, m: int) -> int:
-        """floor(m*d) for an integer m >= 1, exact for parts b, a (d = b - a) in any fields.
+    def _leaves(self, M: int) -> int:
+        """floor(M*b) - floor(M*a) - 1, floor(M*d) or one less, from the floors the parts
+        rendered at: the leaves of ``exact._guarded``, floor(m*d) exact in any two fields."""
+        return self.inv_psi_beta._scaled_floor(M) - self.inv_psi_alpha._scaled_floor(M) - 1
 
-        With M = m << GUARD_BITS, k = floor(M*b) - floor(M*a) is floor(M*d) or one
-        more, and floor(m*d) = floor(M*d) >> GUARD_BITS. So j = k >> GUARD_BITS is the
-        answer unless k - 1 shifts to another j; then m*d >= j or not, one exact
-        ``compare`` of m*b - j with m*a. The parts' floors are those they rendered at.
-        """
-        scaled, guard = m << exact.GUARD_BITS, exact.GUARD_BITS
-        k = self.inv_psi_beta._scaled_floor(scaled) - self.inv_psi_alpha._scaled_floor(scaled)
-        j = k >> guard
-        if (k - 1) >> guard == j:
-            return j
-        return j - ((self.inv_psi_beta * m - j).compare(self.inv_psi_alpha * m) < 0)
+    def _at_least(self, m: int, k: int) -> bool:
+        return (self.inv_psi_beta * m - k).compare(self.inv_psi_alpha * m) >= 0
+
+    _scaled_floor = exact._guarded
 
     def render(self, digits: int = 12) -> str:
         """d correctly rounded to ``digits`` places: irrational from its scaled floor, and
@@ -242,14 +237,8 @@ def sign_changes(profile: BreakpointProfile, cap_bits: int = DEFAULT_CAP_BITS) -
     """Breakpoints where the exact sign of d flips from the entry before; ``cap_bits`` is unread."""
     if not profile.entries:
         raise ValueError("empty profile")
-    flips = []
-    previous = profile.entries[0].d.sign()
-    for entry in profile.entries[1:]:
-        s = entry.d.sign()
-        if s != previous:
-            flips.append(entry.t)
-        previous = s
-    return flips
+    signs = [entry.d.sign() for entry in profile.entries]
+    return [entry.t for entry, s, last in zip(profile.entries[1:], signs[1:], signs) if s != last]
 
 
 class Letter(Record):

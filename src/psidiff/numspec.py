@@ -43,8 +43,9 @@ def _parse_terms(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _read_terms(text: str) -> tuple[int, ...]:
     terms = text.split(",")
-    if not all(map(str.strip, terms)):
-        raise ValueError("empty term in cf spec; expected 'cf:[a0;a1,...,(c1,...)]'")
+    if not all(re.fullmatch(r"\s*[-+]?\d+\s*", term) for term in terms):
+        raise ValueError(f"{'malformed' if all(map(str.strip, terms)) else 'empty'} term in cf "
+                         "spec; expected integers, as in 'cf:[a0;a1,...,(c1,...)]'")
     return tuple(map(_read_decimal, terms))
 
 

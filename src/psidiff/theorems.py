@@ -36,6 +36,7 @@ from .exact import (
     Comparison,
     QuadExt,
     Record,
+    _floor,
     _format_scaled,
     _ratio_str,
     _sign2,
@@ -364,11 +365,6 @@ class OptimalPair(Record):
         }
 
 
-def _floor_neg_u_phi(U: int) -> int:
-    """floor(-U*phi) = floor((U - U*sqrt(5))/2) for U >= 0; U*sqrt(5) is irrational for U > 0."""
-    return (U - math.isqrt(5 * U * U) - (U > 0)) // 2
-
-
 def _above_sqrt_tau(U: int, n: int, d: int) -> bool:
     """U*phi + n/d > sqrt(tau), d > 0: 2d(U*phi + n/d) - 2d*sqrt(tau) > 0, that is
     (2n - U*d) + U*d*sqrt(5) - sqrt(2d^2 + 2d^2*sqrt(5)) > 0."""
@@ -394,12 +390,12 @@ def construct_optimal(epsilon: Fraction, cap_bits: int = DEFAULT_CAP_BITS) -> Op
         raise ValueError("epsilon must lie in (0, 1)")
     n, d = epsilon.numerator, epsilon.denominator
     one = 1 << 64 + min(d.bit_length(), 64) + _UV_SEARCH_LIMIT.bit_length()  # 2^K
-    P, E = (math.isqrt(5 * one * one) - one) >> 1, -(-n * one // d)
-    r = -math.isqrt(one * one + math.isqrt(5 * one**4) >> 1) % one  # -S mod 2^K
+    P, E = PHI._scaled_floor(one), -(-n * one // d)
+    r = -SQRT_TAU._scaled_floor(one) % one  # -S mod 2^K
     for U in range(_UV_SEARCH_LIMIT + 1):
         if r <= E or r + U > one - E:
             # with m = floor(-U*phi), sqrt(tau) + 1/2 - U*phi lies in [m + 1.77, m + 2.78)
-            m = _floor_neg_u_phi(U)
+            m = _floor(U, -U, 2, 5, 1)
             V = m + 1 if _above_sqrt_tau(U, 2 * m + 3, 2) else m + 2
             if (math.gcd(U, V) == 1 and _above_sqrt_tau(U, V * d + n, d)
                     and not _above_sqrt_tau(U, V * d - n, d)):

@@ -13,7 +13,9 @@ code under test: the (U, V) search that ``construct_optimal`` replaced, which
 settles every U with ``QuadExt`` arithmetic, kept as the reference the integer
 search must match pair for pair. ``cross_field_compare`` is the cross-field branch
 that ``QuadExt.compare`` had before it became one ``exact._sign2``, kept as the
-reference that sign test must match.
+reference that sign test must match. ``screen_constants`` holds the nested ``isqrt``
+formulas for floor(phi*2^K) and floor(sqrt(tau)*2^K) that ``construct_optimal``'s
+screen wrote out before it read them from ``exact``'s scaled floors.
 """
 
 from __future__ import annotations
@@ -189,6 +191,13 @@ def exact_uv_search(epsilon: Fraction, limit: int = 10**6):
             if contfrac.is_nonintegral_sum_and_diff(TAU_CF.value(), pair.theta.value()):
                 return pair
     raise AssertionError("exact search exhausted")
+
+
+def screen_constants(one: int) -> tuple[int, int]:
+    """(floor(phi*one), floor(sqrt(tau)*one)) for an integer one >= 1, by nested ``isqrt``:
+    phi*one = (sqrt(5*one^2) - one)/2, and sqrt(tau)*one = sqrt((one^2 + sqrt(5*one^4))/2)."""
+    phi = (math.isqrt(5 * one * one) - one) >> 1
+    return phi, math.isqrt(one * one + math.isqrt(5 * one**4) >> 1)
 
 
 def cross_field_compare(x: QuadExt, y: QuadExt) -> int:

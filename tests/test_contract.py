@@ -10,8 +10,12 @@ or junk, over a fixed list of number specs that holds a pair whose d(t) is exact
 at some breakpoints. Whatever the argv, ``cli.main`` returns 0, 1 or 2 without raising,
 prints one JSON document (or a ``profile`` CSV), names only error codes that ``errors.py``
 defines or ``invalid_input``, exits 2 only with ``undecided_sign``, names no Python
-function in an error message, and prints the same bytes for the same argv. An epsilon in
-(0, 1) always gets a pair or ``search_exhausted``.
+function in an error message (outside the arguments it quotes back), and prints the same
+bytes for the same argv. An epsilon in (0, 1) always gets a pair or ``search_exhausted``.
+``expand``, ``psi`` and ``word`` also read generated number specs: surds with D below
+10**6 (D = k*k +- 1, D with a square factor) and Q of either sign, cf expansions with
+quotients up to 10**40 and preperiods up to 50 long, and either kind mutated into a
+malformed spec (a bracket gone, an empty term, a sign in the wrong place).
 """
 
 import contextlib
@@ -132,6 +136,62 @@ def integer_flag_argv(draw):
     return argv
 
 
+@st.composite
+def surd_specs(draw):
+    """surd:(P+sqrt(D))/Q with D below 10**6 (any D, k*k +- 1, or one with a square factor)
+    and Q of either sign, zero at times. |Q| stays small: unless Q divides D - P*P, the
+    discriminant and with it the period grow with Q*Q."""
+    form = draw(st.sampled_from(("any", "near_square", "square_factor")))
+    if form == "near_square":
+        k = draw(st.integers(1, 999))
+        D = k * k + draw(st.sampled_from((-1, 1)))
+    elif form == "square_factor":
+        D = draw(st.integers(2, 30)) ** 2 * draw(st.integers(1, 1100))
+    else:
+        D = draw(st.integers(0, 10**6 - 1))
+    return f"surd:({draw(st.integers(-10**6, 10**6))}+sqrt({D}))/{draw(st.integers(-30, 30))}"
+
+
+@st.composite
+def cf_specs(draw):
+    """cf:[a0;preperiod,(period)] with quotients up to 10**40, a preperiod up to 50 long and a
+    period up to 4 long, absent at times (a rational, which may end in a 1)."""
+    quotient = st.integers(1, 9) | st.integers(1, 10**40)
+    a0 = draw(st.integers(-3, 3) | st.integers(-10**40, 10**40))
+    pre, period = (",".join(map(str, draw(st.lists(quotient, max_size=size)))) for size in (50, 4))
+    body = ",".join(filter(None, (pre, period and f"({period})")))
+    return f"cf:[{a0};{body}]" if body else f"cf:[{a0}]"
+
+
+MUTATIONS = ("", "", "-", "+", ",", ";", "(", ")", "[", "]")  # "" deletes
+
+
+@st.composite
+def number_specs(draw):
+    """A generated surd or cf spec or one of the fixed list, half of them mutated: up to two
+    characters replaced by a sign, a separator, a bracket or nothing, or one inserted."""
+    spec = draw(surd_specs() | cf_specs() | st.sampled_from(SPECS))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(spec)))
+        j = draw(st.integers(i, min(i + 2, len(spec))))
+        spec = spec[:i] + draw(st.sampled_from(MUTATIONS)) + spec[j:]
+    return spec
+
+
+@st.composite
+def spec_argv(draw):
+    """expand, psi or word on generated number specs."""
+    command = draw(st.sampled_from(("expand", "psi", "word")))
+    if command == "word":
+        argv = [command, "--alpha", draw(number_specs()), "--beta", draw(number_specs()),
+                "--count", str(draw(st.integers(1, 60)))]
+    else:
+        argv = [command, "--number", draw(number_specs())]
+    if command == "psi":
+        argv += ["--t", str(draw(st.integers(1, 10**3) | st.integers(1, 10**30)))]
+    return argv
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -154,7 +214,11 @@ def assert_contract(argv: list[str]) -> tuple[int, dict | None]:
         assert error is not None and set(error) == {"code", "message"}
         assert error["code"] in CODES
         assert (code == 2) == (error["code"] == "undecided_sign")
-        assert not PYTHON_NAME.search(error["message"]), error
+        # an argument the message quotes back is the user's text, not a name of the program's
+        own_words = error["message"]
+        for arg in argv:
+            own_words = own_words.replace(repr(arg), "''")
+        assert not PYTHON_NAME.search(own_words), error
     return code, error
 
 
@@ -164,6 +228,7 @@ def assert_contract(argv: list[str]) -> tuple[int, dict | None]:
 @example((["verify-optimal", "--epsilon", LONG, "--slack", "-1e-4400"], True))
 @example((["construct-optimal", "--epsilon", "1e-5000"], True))
 @example((["verify-optimal", "--epsilon", "0.06", "--from", "1e5"], False))
+@example((["construct-optimal", "--epsilon", "1" + "0" * 4400 + "/0"], False))
 def test_optimal_pair_commands_keep_the_contract(case):
     argv, epsilon_in_unit = case
     code, error = assert_contract(argv)
@@ -179,4 +244,16 @@ def test_optimal_pair_commands_keep_the_contract(case):
 @example(["lemmas", "--alpha", "tau", "--beta", "cf:[1;2,(3)]", "--max-depth", "x",
           "--digits", "2.5"])
 def test_integer_flags_keep_the_contract(argv):
+    assert_contract(argv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec_argv())
+@example(["expand", "--number", "surd:(3+sqrt(24))/-5"])  # D = 5*5 - 1, Q < 0
+@example(["psi", "--number", "surd:(0+sqrt(72))/1", "--t", "10"])  # 72 = 6*6*2
+@example(["expand", "--number", "cf:[1;2,+]"])  # a sign where a quotient should be
+@example(["expand", "--number", "cf:[1;2;3]"])
+@example(["word", "--alpha", "cf:[1;2,(3]", "--beta", "tau", "--count", "5"])
+@example(["psi", "--number", "cf:[0;" + ",".join([str(10**40)] * 50) + ",(7)]", "--t", "5"])
+def test_number_specs_keep_the_contract(argv):
     assert_contract(argv)

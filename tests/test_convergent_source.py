@@ -25,6 +25,8 @@ from psidiff import (CFExpansion, breakpoint_profile, convergents, d_at, expand_
                      parse_surd, scan_lemma_conseq, scan_lemma_conseq1, tail)
 from psidiff.contfrac import convergent_state, convergent_stream, last_convergent_at_most
 
+from test_one_refine_loop import uses_in_package
+
 QUOTIENT = st.one_of(st.just(1), st.integers(1, 7))
 
 
@@ -65,8 +67,24 @@ def last_index_at_most(cf: CFExpansion, t: int) -> int:
     return last
 
 
+# where the one descent switches phase: the last preperiod state and the first and last
+# single step of a period, q_0 = q_1 = 1 (a_1 = 1), a rational end, and thousands of
+# periods past the preperiod, each against the plain recurrence
+SEEK_EXAMPLES = [(CFExpansion(0, (1, 2, 3), (4, 5)), n) for n in (2, 3, 4, 5, 6)] + [
+    (CFExpansion(1, (), (1,)), 0), (CFExpansion(1, (), (1,)), 1), (CFExpansion(0, (1,), (2,)), 1),
+    (CFExpansion(2, (1, 3)), 2), (CFExpansion(2, (1, 3)), 3),
+    (CFExpansion(0, (2,), (1, 3)), 3001), (CFExpansion(-3, (7,), (1, 1, 4, 2)), 4002)]
+
+
+def seek_examples(test):
+    for cf, n in SEEK_EXAMPLES:
+        test = example(cf, n)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(expansions(), st.integers(0, 300))
+@seek_examples
 def test_state_at_index(cf, n):
     states = first_states(cf, n + 1)
     if n < len(states):
@@ -78,6 +96,14 @@ def test_state_at_index(cf, n):
         assert convergent_state(cf, i) == states[i]
 
 
+def test_only_the_descent_multiplies():
+    """``_Ladder.seek`` is the one descent: no other code forms a product of two states,
+    apart from ``_Ladder.power``'s squaring."""
+    assert set(uses_in_package("_mul")) == {"contfrac.py in _Ladder.seek",
+                                            "contfrac.py in _Ladder.power"}
+    assert set(uses_in_package("_q_of_product")) == {"contfrac.py in _Ladder.seek"}
+
+
 @settings(max_examples=100, deadline=None)
 @given(expansions(), st.integers(0, 40))
 def test_convergents_list(cf, n):
@@ -87,6 +113,7 @@ def test_convergents_list(cf, n):
 
 @settings(max_examples=150, deadline=None)
 @given(expansions(), st.integers(0, 120))
+@seek_examples
 def test_bracket_index_near_denominators(cf, n):
     states = first_states(cf, n + 1)
     q_n = states[-1][2]

@@ -1,0 +1,120 @@
+"""One floor path per level: ``exact._floor`` for a + b*sqrt(D), ``exact._guarded`` for a sum.
+
+``_floor`` is floor(m*(A + B*sqrt(D))/Q) in integers; every ``QuadExt`` floor and the
+screen of ``construct_optimal`` go through it. ``_guarded`` takes floor(m*x) of a
+``Root`` or a ``DValue`` from two leaf floors at m << GUARD_BITS, and pays one exact sign
+test only when the guard bits straddle an integer. Here that branch is forced, with
+m*x within 2^-199 above and below an integer, and each floor is held against mpmath.
+The guards read the package's source: only these kernels, ``squarefree_decompose`` and
+``expand_quadratic`` take an ``isqrt``, and only ``exact`` reads ``GUARD_BITS``.
+"""
+
+import math
+import pathlib
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import psidiff
+from psidiff import DValue, QuadExt, exact
+from psidiff.exact import Root
+
+from test_exact_properties import FIELDS
+from test_one_refine_loop import uses_in_package
+
+K = 200  # bits of the dyadic approximations that put m*x next to an integer
+
+
+def bracket(m: int, s: int) -> tuple[int, int]:
+    """(lo, lo + 2), lo/2^K < m*(sqrt(5) + s*sqrt(2)) < (lo + 2)/2^K, from two isqrt floors."""
+    five, two = math.isqrt(5 * m * m << 2 * K), math.isqrt(2 * m * m << 2 * K)
+    lo = five + (two if s > 0 else -two - 1)
+    return lo, lo + 2
+
+
+def near_integer(m: int, s: int, J: int, above: bool) -> Fraction:
+    """r with m*(r + sqrt(5) + s*sqrt(2)) in (J, J + 2^(1-K)) if above, else in (J - 2^(1-K), J)."""
+    lo, hi = bracket(m, s)
+    return Fraction((J << K) - (lo if above else hi), m << K)
+
+
+def mp_floor(m: int, r: Fraction, s: int) -> int:
+    with mpmath.workdps(150):
+        x = mpmath.mpf(r.numerator) / r.denominator + mpmath.sqrt(5) + s * mpmath.sqrt(2)
+        return int(mpmath.floor(m * x))
+
+
+CASES = [(m, s, J, above) for m in (1, 2 * 10**12, 3**40) for s in (1, -1)
+         for J in (12345, -9876) for above in (True, False)]
+
+
+@pytest.mark.parametrize("m, s, J, above", CASES)
+def test_root_straddle_takes_one_exact_sign(m, s, J, above, monkeypatch):
+    """x = (r + sqrt(5)) + s*sqrt(2), a ``Root`` over Q(sqrt(5)), with m*x next to J."""
+    r = near_integer(m, s, J, above)
+    x = Root(QuadExt(r, 1, 5), s, 2)
+    signs, sign = [], Root.sign
+    monkeypatch.setattr(Root, "sign", lambda y: signs.append(y) or sign(y))
+    n = x._scaled_floor(m)
+    assert len(signs) == 1
+    assert n == (J if above else J - 1) == mp_floor(m, r, s)
+
+
+@pytest.mark.parametrize("m, s, J, above", CASES)
+def test_dvalue_straddle_takes_one_exact_compare(m, s, J, above, monkeypatch):
+    """d = b - a with b = r + s*sqrt(2) and a = -sqrt(5), two fields, and m*d next to J."""
+    r = near_integer(m, s, J, above)
+    d = DValue(QuadExt(r, s, 2), QuadExt(0, -1, 5), 0, 0)
+    compares, compare = [], QuadExt.compare
+    monkeypatch.setattr(QuadExt, "compare", lambda y, z: compares.append(z) or compare(y, z))
+    n = d._scaled_floor(m)
+    assert len(compares) == 1
+    assert n == (J if above else J - 1) == mp_floor(m, r, s)
+
+
+def test_far_from_an_integer_takes_no_exact_test(monkeypatch):
+    signs, compares = [], []
+    monkeypatch.setattr(Root, "sign", lambda y: signs.append(y))
+    monkeypatch.setattr(QuadExt, "compare", lambda y, z: compares.append(z))
+    r = near_integer(10**6, 1, 7, True) + Fraction(1, 2 * 10**6)  # m*x = 7.5 and a little
+    assert Root(QuadExt(r, 1, 5), 1, 2)._scaled_floor(10**6) == 7
+    assert DValue(QuadExt(r, 1, 2), QuadExt(0, -1, 5), 0, 0)._scaled_floor(10**6) == 7
+    assert signs == compares == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**30, 10**30), st.one_of(st.just(0), st.integers(-10**30, 10**30)),
+       st.integers(1, 10**20), st.sampled_from(FIELDS), st.integers(1, 2**200))
+@example(7, 0, 3, 5, 2**200)  # B = 0: a rational
+@example(0, -1, 1, 2, 1)  # B < 0: floor(-sqrt(2)) = -2
+@example(-5, -3, 7, 13, 2**200 - 1)
+def test_floor_kernel_is_the_floor_of_the_scaled_value(A, B, Q, D, m):
+    n = exact._floor(A, B, Q, D, m)
+    x = QuadExt(Fraction(A, Q), Fraction(B, Q), D) * m
+    assert n == x.floor()
+    assert x - n >= 0 and x - (n + 1) < 0  # the exact order, with no floor in it
+
+
+SOURCES = sorted(pathlib.Path(psidiff.__file__).parent.glob("*.py"))
+
+
+def test_isqrt_only_in_the_kernels():
+    assert set(uses_in_package("isqrt")) == {
+        "exact.py in _floor", "exact.py in Root._leaves", "exact.py in squarefree_decompose",
+        "contfrac.py in expand_quadratic"}
+
+
+def test_guard_bits_read_only_inside_exact():
+    assert {use.split(" in ")[0] for use in uses_in_package("GUARD_BITS")} == {"exact.py"}
+
+
+def test_theorems_takes_no_isqrt():
+    source = next(path for path in SOURCES if path.name == "theorems.py").read_text()
+    assert "isqrt" not in source
+
+
+def test_both_guarded_floors_are_the_one_kernel():
+    assert Root._scaled_floor is DValue._scaled_floor is exact._guarded

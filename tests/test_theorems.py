@@ -45,7 +45,7 @@ from psidiff.exact import SQRT_TAU, c_enclosure
 from psidiff.numspec import parse_number
 from psidiff.theorems import DichotomyBranch, OptimalPair
 
-from _oracles import exact_uv_search, float_uv_search, mp_const, mp_quadext
+from _oracles import exact_uv_search, float_uv_search, mp_const, mp_quadext, screen_constants
 from test_convergent_source import expansions, valid_pairs
 
 SQRT2 = parse_number("surd:(0+sqrt(2))/1")
@@ -321,14 +321,24 @@ class TestConstructOptimal:
         assert construct_optimal(epsilon) == exact_uv_search(epsilon)
 
     def test_floor_neg_u_phi_small(self):
+        # the screen's floor(-U*phi) = floor((U - U*sqrt(5))/2), through exact's level-1 kernel
         for U in range(5001):
-            assert theorems._floor_neg_u_phi(U) == (-(U * PHI)).floor(), U
+            assert exact._floor(U, -U, 2, 5, 1) == (-(U * PHI)).floor(), U
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10**12))
     def test_floor_neg_u_phi_large(self, U):
         # half of all U have frac(U*phi) >= 1/2, where a floor off by one would show
-        assert theorems._floor_neg_u_phi(U) == (-(U * PHI)).floor()
+        assert exact._floor(U, -U, 2, 5, 1) == (-(U * PHI)).floor()
+
+    @pytest.mark.parametrize("epsilon", [Fraction(6, 100), Fraction(1, 1000), UNDECIDED_EPS,
+                                         Fraction(1, 10**30), Fraction(2**200 // 17 + 1, 2**200)])
+    def test_screen_constants_match_nested_isqrt(self, epsilon):
+        """P and S of the screen, read from PHI's and SQRT_TAU's scaled floors at its 2^K, are
+        the nested-isqrt formulas the screen used before."""
+        limit = theorems._UV_SEARCH_LIMIT
+        one = 1 << 64 + min(epsilon.denominator.bit_length(), 64) + limit.bit_length()
+        assert (PHI._scaled_floor(one), SQRT_TAU._scaled_floor(one)) == screen_constants(one)
 
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
