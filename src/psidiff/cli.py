@@ -260,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_values(argv: list[str]) -> list[str]:
-    """``--slack -1/100`` as ``--slack=-1/100``: argparse takes -1/100 for an option."""
+    """``--number -tau`` as ``--number=-tau``: argparse takes ``-tau`` for an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--slack", "--epsilon"):
+        if out and out[-1] in ("--slack", "--epsilon", "--number", "--alpha", "--beta"):
             arg = f"{out.pop()}={arg}"
         out.append(arg)
     return out

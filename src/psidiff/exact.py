@@ -5,9 +5,10 @@ reduced). ``QuadExt`` is an element (A + B*sqrt(D))/Q of a real quadratic field,
 held as integers with Q > 0, gcd(A, B, Q) = 1 and D its field's one radicand in
 this process, found without factoring; all field operations are exact integer
 arithmetic, and so is the one sign test per level: ``_sign`` of a + b*sqrt(D), and
-``_sign2`` of a + b*sqrt(D) + s*sqrt(e + f*sqrt(D)), one squaring into ``_sign``, by which
-``compare`` orders elements of any two fields. ``Root`` is a + s*sqrt(w) with a and w in
-one such field and s = +-1, the form of sqrt(tau), of the optimal constant
+``_sign2`` of a + b*sqrt(D) + s*sqrt(e + f*sqrt(D)), one squaring into ``_sign``. ``_cmp``,
+the sign of m*x - m*y - k for x, y of any two fields (``compare``), and of x*y - u*v from
+the products' parts, takes one of them and builds no ``QuadExt``. ``Root`` is a + s*sqrt(w)
+with a and w in one such field and s = +-1, the form of sqrt(tau), of the optimal constant
 C = sqrt(5) - sqrt(5*phi) and of what is built from them; its sign is one ``_sign2``.
 One floor per level, floor(m*x) for an integer m >= 1, is exact integer arithmetic too:
 ``_floor`` of a + b*sqrt(D), and ``_guarded`` of a sum of two leaf floors (a ``Root``, or
@@ -31,11 +32,12 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from .errors import MixedFieldError
 
 RatLike = Union[int, Fraction]
+Parts = tuple[int, int, int, int]  # (A, B, Q, D) of (A + B*sqrt(D))/Q, not reduced
 
 DEFAULT_CAP_BITS = 4096
 GUARD_BITS = 64  # extra bits of each rendered floor, which a difference of two values reads
@@ -177,15 +179,10 @@ class QuadExt:
 
     def _join(self, other: QuadExt | RatLike) -> tuple[int, int, int, int]:
         """(A, B, Q) of other and the D of the field it shares with self."""
-        if isinstance(other, QuadExt):
-            if other.D == self.D or other.B == 0:
-                return other.A, other.B, other.Q, self.D
-            if self.B == 0:
-                return other.A, other.B, other.Q, other.D
-            raise MixedFieldError(f"cannot combine sqrt({self.D}) with sqrt({other.D})")
-        if isinstance(other, (int, Fraction)):
-            return other.numerator, 0, other.denominator, self.D
-        raise TypeError(f"expected int, Fraction or QuadExt, got {type(other).__name__}")
+        A, B, Q, D = _parts(other)
+        if B and self.B and D != self.D:
+            raise MixedFieldError(f"cannot combine sqrt({self.D}) with sqrt({D})")
+        return A, B, Q, D if B else self.D
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -206,8 +203,7 @@ class QuadExt:
         return _make(-self.A, -self.B, self.Q, self.D)
 
     def __mul__(self, other: QuadExt | RatLike) -> "QuadExt":
-        A, B, Q, D = self._join(other)
-        return _make(self.A * A + self.B * B * D, self.A * B + self.B * A, self.Q * Q, D)
+        return _make(*_product(self, other))
 
     __rmul__ = __mul__
 
@@ -234,17 +230,8 @@ class QuadExt:
         return _sign(self.A, self.B, self.D)
 
     def compare(self, other: QuadExt | RatLike) -> int:
-        """Exact sign of self - other, for a rational or an element of any field.
-
-        Across fields, self - other times Q*Q' is a + b*sqrt(D) - c*sqrt(D') in integers,
-        a second-level radical a + b*sqrt(D) + s*sqrt(w) over self's field with w = c*c*D'
-        and s the sign of -c: one ``_sign2``. Never 0 there: sqrt(D') is not in Q(sqrt(D)).
-        """
-        if not isinstance(other, QuadExt) or other.B == 0 or self.B == 0 or other.D == self.D:
-            return (self - other).sign()
-        c = other.B * self.Q
-        return _sign2(self.A * other.Q - other.A * self.Q, self.B * other.Q, -1 if c > 0 else 1,
-                      c * c * other.D, 0, self.D)
+        """Exact sign of self - other, for a rational or an element of any field: ``_cmp``."""
+        return _cmp(self, other)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadExt):
@@ -260,16 +247,16 @@ class QuadExt:
         return hash((self.A, self.B, self.Q, self.D))
 
     def __lt__(self, other: QuadExt | RatLike) -> bool:
-        return self.compare(other) < 0
+        return _cmp(self, other) < 0
 
     def __le__(self, other: QuadExt | RatLike) -> bool:
-        return self.compare(other) <= 0
+        return _cmp(self, other) <= 0
 
     def __gt__(self, other: QuadExt | RatLike) -> bool:
-        return self.compare(other) > 0
+        return _cmp(self, other) > 0
 
     def __ge__(self, other: QuadExt | RatLike) -> bool:
-        return self.compare(other) >= 0
+        return _cmp(self, other) >= 0
 
     # -- conversions ----------------------------------------------------------
 
@@ -362,6 +349,61 @@ def _sign2(a: int, b: int, s: int, e: int, f: int, D: int) -> int:
     return su * _sign(a * a + b * b * D - e, 2 * a * b - f, D)
 
 
+def _parts(x: QuadExt | RatLike | Parts) -> Parts:
+    """(A, B, Q, D) of a ``QuadExt``; a rational n/d is (n + 0*sqrt(1))/d, and the parts of an
+    unreduced value (``_product``) are themselves; else a TypeError."""
+    if type(x) is QuadExt:
+        return x.A, x.B, x.Q, x.D
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator, 1
+    if type(x) is tuple:
+        return x
+    raise TypeError(f"expected int, Fraction or QuadExt, got {type(x).__name__}")
+
+
+def _product(x: QuadExt | RatLike, y: QuadExt | RatLike) -> Parts:
+    """(A, B, Q, D) of x*y for x and y of one field, or either rational, not reduced."""
+    (A, B, Q, D), (E, F, R, Dy) = _parts(x), _parts(y)
+    if B and F and D != Dy:
+        raise MixedFieldError(f"cannot combine sqrt({D}) with sqrt({Dy})")
+    return A * E + B * F * D, A * F + B * E, Q * R, D if B or not F else Dy
+
+
+def _cmp(x: QuadExt | RatLike, y: QuadExt | RatLike, m: int = 1, k: int = 0) -> int:
+    """Exact sign of m*x - m*y - k for x, y rationals, elements of any two fields or ``Parts``,
+    an integer m >= 1 and an integer k. Times Qx*Qy it is a + b*sqrt(Dx) - c*sqrt(Dy): one
+    ``_sign`` when a root is absent or the fields agree, else one ``_sign2``, with w = c*c*Dy,
+    never 0, as sqrt(Dy) is not in Q(sqrt(Dx)). It builds no ``QuadExt``."""
+    (A, B, Q, D), (E, F, R, Dy) = _parts(x), _parts(y)
+    a, b, c = m * (A * R - E * Q) - k * Q * R, m * B * R, m * F * Q
+    if not c or D == Dy:
+        return _sign(a, b - c, D)
+    return _sign2(a, b, -1 if c > 0 else 1, c * c * Dy, 0, D)
+
+
+def _cmp_products(x: QuadExt | RatLike, y: QuadExt | RatLike, u: QuadExt | RatLike,
+                  v: QuadExt | RatLike) -> int:
+    """Exact sign of x*y - u*v for x, y of one field and u, v of one field: ``_cmp`` of the
+    parts of the two products (``_product``), which are never built."""
+    return _cmp(_product(x, y), _product(u, v))
+
+
+def _max_ratio(steps: Iterable[tuple[int, QuadExt, QuadExt]]) -> tuple[QuadExt, int]:
+    """The maximum of |x - y|/t over (t, x, y) with x, y of one field, and the first t at it:
+    a step takes the sign s of (x - y)/t = (E + F*sqrt(D))/R and sets s*(E + F*sqrt(D))/R
+    against the maximum (A + B*sqrt(D))/Q in one ``_sign``. The maximum is built at the end."""
+    (A, B, Q), arg, D = (0, 0, 1), None, 0
+    for t, x, y in steps:
+        if x.D != y.D or D and x.D != D:
+            other = D if x.D == y.D else y.D
+            raise MixedFieldError(f"cannot combine sqrt({x.D}) with sqrt({other})")
+        D, E, F, R = x.D, x.A * y.Q - y.A * x.Q, x.B * y.Q - y.B * x.Q, x.Q * y.Q * t
+        s = _sign(E, F, D)
+        if arg is None or _sign(s * E * Q - A * R, s * F * Q - B * R, D) > 0:
+            (A, B, Q), arg = (s * E, s * F, R), t
+    return _make(A, B, Q, D), arg
+
+
 def _make(A: int, B: int, Q: int, D: int) -> QuadExt:
     """(A + B*sqrt(D))/Q reduced to the invariants; Q != 0 and D already its field's radicand."""
     # Q first: it is often far smaller than A and B (q_r * tail at t = 10**30000),
@@ -416,9 +458,7 @@ class Root(Record):
         return -self if self.sign() < 0 else self
 
     def sign(self) -> int:
-        (A, B, Q, D), (E, F, R, Dw) = (  # a rational outside QuadExt is (n + 0*sqrt(1))/d
-            (x.A, x.B, x.Q, x.D) if isinstance(x, QuadExt) else (x.numerator, 0, x.denominator, 1)
-            for x in (self.a, self.w))
+        (A, B, Q, D), (E, F, R, Dw) = _parts(self.a), _parts(self.w)
         k = Q * Q * R
         return _sign2(R * A, R * B, self.s, k * E, k * F, Dw if F else D)
 

@@ -149,7 +149,7 @@ class DValue(Record):
         fb, fa = self.inv_psi_beta._memo, self.inv_psi_alpha._memo
         if fb and fa and fb[0] == fa[0] and fb[1] != fa[1]:
             return 1 if fb[1] > fa[1] else -1
-        s = self.inv_psi_beta.compare(self.inv_psi_alpha)
+        s = exact._cmp(self.inv_psi_beta, self.inv_psi_alpha)
         if s == 0:
             raise UndecidedSignError("d(t) is exactly zero")
         return s
@@ -160,7 +160,8 @@ class DValue(Record):
         return self.inv_psi_beta._scaled_floor(M) - self.inv_psi_alpha._scaled_floor(M) - 1
 
     def _at_least(self, m: int, k: int) -> bool:
-        return (self.inv_psi_beta * m - k).compare(self.inv_psi_alpha * m) >= 0
+        """m*d >= k: the sign of m*b - m*a - k, one ``exact._cmp``."""
+        return exact._cmp(self.inv_psi_beta, self.inv_psi_alpha, m, k) >= 0
 
     _scaled_floor = exact._guarded
 

@@ -36,7 +36,7 @@ def _parse_terms(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         period_text = tail.rstrip()
         if not period_text.endswith(")") or ")" in period_text[:-1]:
             raise ValueError("malformed period in cf spec")
-        head = head.rstrip(",")
+        head = head.removesuffix(",") if len(head) > 1 else head  # one comma before the period
         return (_read_terms(head) if head else ()), _read_terms(period_text[:-1])
     return _read_terms(text), ()
 

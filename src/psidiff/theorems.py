@@ -10,12 +10,13 @@ correspondence it relies on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from enum import Enum
 from fractions import Fraction
 
-from . import contfrac, imf
+from . import contfrac, exact, imf
 from .contfrac import CFExpansion, rational_to_cf
 from .errors import (
     DichotomyViolationError,
@@ -193,12 +194,13 @@ def _branch(alpha: CFExpansion, n: int, inv_xi_prev: QuadExt, inv_xi: QuadExt,
 
     It compares (1/eta_s)^2 with (1/xi_{n-1})*(1/xi_n), both positive, after checking
     the identity 1/xi_n = alpha_{n+1}/xi_{n-1} that turns the branches into that
-    comparison: one exact ``QuadExt.compare``, in one field or across two.
+    comparison: each one ``exact._cmp_products``, in one field or across two.
     """
-    if inv_xi != contfrac.tail(alpha, n + 1) * inv_xi_prev:
+    if exact._cmp_products(inv_xi, 1, contfrac.tail(alpha, n + 1), inv_xi_prev):
         raise DichotomyViolationError(f"1/xi_{n} is not alpha_{n + 1}/xi_{n - 1}")
+    s = exact._cmp_products(inv_eta, inv_eta, inv_xi, inv_xi_prev)
     return (DichotomyBranch.SECOND_BRANCH, DichotomyBranch.BOTH,
-            DichotomyBranch.FIRST_BRANCH)[(inv_eta * inv_eta).compare(inv_xi * inv_xi_prev) + 1]
+            DichotomyBranch.FIRST_BRANCH)[s + 1]
 
 
 def scan_dichotomy(
@@ -218,6 +220,7 @@ def scan_dichotomy(
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
     inv_xis = imf._inv_xis(alpha, 0, depth)
+    xi = functools.cache(lambda i: inv_xis[i].inverse())  # one xi_n for every record holding it
     records = []
     n = 1
     for s, inv_eta in enumerate(imf._inv_xis(beta, 0, depth)):
@@ -227,8 +230,7 @@ def scan_dichotomy(
             break
         if inv_xis[n - 1] < inv_eta:
             branch = _branch(alpha, n, inv_xis[n - 1], inv_xis[n], inv_eta)
-            records.append(DichotomyRecord(n, s, branch, inv_xis[n - 1].inverse(),
-                                           inv_xis[n].inverse(), inv_eta.inverse()))
+            records.append(DichotomyRecord(n, s, branch, xi(n - 1), xi(n), inv_eta.inverse()))
     return records
 
 
@@ -276,26 +278,26 @@ def _gap_certificate(pattern: str, n: int, m: int, first_point: int, second_poin
     if pattern == "a":
         if d_first.inv_psi_beta != d_second.inv_psi_beta:
             raise GapViolationError("beta step is not constant across the pattern")
-        delta = d_second.inv_psi_alpha - d_first.inv_psi_alpha
+        after, before = d_second.inv_psi_alpha, d_first.inv_psi_alpha
     else:
         if d_first.inv_psi_alpha != d_second.inv_psi_alpha:
             raise GapViolationError("alpha step is not constant across the pattern")
-        delta = d_second.inv_psi_beta - d_first.inv_psi_beta
-    if not delta > bound * (quotient - 1):
+        after, before = d_second.inv_psi_beta, d_first.inv_psi_beta
+    if exact._cmp(after, before, 1, bound * (quotient - 1)) <= 0:  # delta > bound*(quotient-1)
         raise GapViolationError(
             f"exact gap inequality failed at pattern {pattern}, (n, m) = ({n}, {m})"
         )
-    half = Fraction(bound, 2)
-    # |d| > bound/2, strictly: in one field |d| can equal bound/2 exactly
+    # |d| > bound/2 strictly, 2d - bound > 0 or 2d + bound < 0: in one field |d| can be bound/2
     verified = [point for point, d in ((first_point, d_first), (second_point, d_second))
-                if not d.inv_psi_alpha - half <= d.inv_psi_beta <= d.inv_psi_alpha + half]
+                if exact._cmp(d.inv_psi_beta, d.inv_psi_alpha, 2, bound) > 0
+                or exact._cmp(d.inv_psi_beta, d.inv_psi_alpha, 2, -bound) < 0]
     if not verified:
         raise GapViolationError(
             f"neither point exceeds half the bound at pattern {pattern}, (n, m) = ({n}, {m})"
         )
     return GapCertificate(
         pattern, n, m, first_point, second_point, bound, quotient,
-        delta, d_first, d_second, tuple(verified),
+        after - before, d_first, d_second, tuple(verified),
     )
 
 
@@ -466,7 +468,8 @@ def verify_near_optimality(
     so that the shifted-index regime is in force. slack defaults to five epsilon,
     covering the finite-range transients of an asymptotic bound. theta lies in Q(sqrt(5)), so
     the walk keeps the exact maximum of |d(t)|/t, and the verdict is the exact sign of
-    C + slack - maximum, a ``Root``. The verdict does not read ``cap_bits``.
+    C + slack - maximum, a ``Root``; ``exact._max_ratio`` keeps the maximum in integers, two
+    sign tests a step. The verdict does not read ``cap_bits``.
     """
     if slack is None:
         slack = 5 * pair.epsilon
@@ -480,12 +483,8 @@ def verify_near_optimality(
     imf.check_pair(TAU_CF, pair.theta)
     if pair.theta.value().D != TAU.D:
         raise PreconditionFailedError(f"theta = {pair.theta} does not lie in Q(sqrt(5))")
-    top = argmax_t = None
-    for t, d in imf._d_steps(TAU_CF, pair.theta, t_lo, t_max):
-        size = abs(d.inv_psi_beta - d.inv_psi_alpha)
-        if top is None or size * argmax_t > top * t:  # |d|/t > top/argmax_t, no division
-            top, argmax_t = size, t
-    max_ratio = top / argmax_t
+    steps = imf._d_steps(TAU_CF, pair.theta, t_lo, t_max)
+    max_ratio, argmax_t = exact._max_ratio((t, d.inv_psi_beta, d.inv_psi_alpha) for t, d in steps)
     passed = (C + slack - max_ratio).sign() > 0
     return NearOptimalityReport(max_ratio, argmax_t, passed, t_lo, t_max, slack)
 

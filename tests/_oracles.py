@@ -13,7 +13,12 @@ code under test: the (U, V) search that ``construct_optimal`` replaced, which
 settles every U with ``QuadExt`` arithmetic, kept as the reference the integer
 search must match pair for pair. ``cross_field_compare`` is the cross-field branch
 that ``QuadExt.compare`` had before it became one ``exact._sign2``, kept as the
-reference that sign test must match. ``screen_constants`` holds the nested ``isqrt``
+reference that sign test must match. ``cmp_by_temporaries`` is the sign of m*x - m*y - k as
+``DValue._at_least`` and the theorems' tests formed it before ``exact._cmp`` read it from
+integers, through ``QuadExt`` temporaries, kept as the reference that kernel must match;
+``products_by_temporaries`` is the same for x*y - u*v, as ``theorems._branch`` formed it
+before ``exact._cmp_products``.
+``screen_constants`` holds the nested ``isqrt``
 formulas for floor(phi*2^K) and floor(sqrt(tau)*2^K) that ``construct_optimal``'s
 screen wrote out before it read them from ``exact``'s scaled floors.
 """
@@ -216,6 +221,16 @@ def cross_field_compare(x: QuadExt, y: QuadExt) -> int:
     if su != sv:
         return su or -sv
     return su * _sign(aa + bb - c * c * y.D, 2 * a * b, x.D)
+
+
+def cmp_by_temporaries(x: QuadExt, y: QuadExt, m: int, k: int) -> int:
+    """Sign of m*x - m*y - k from the temporaries m*x - k and m*y: ``(m*x - k).compare(m*y)``."""
+    return (m * x - k).compare(m * y)
+
+
+def products_by_temporaries(x: QuadExt, y: QuadExt, u: QuadExt, v: QuadExt) -> int:
+    """Sign of x*y - u*v from the temporaries x*y and u*v: ``(x*y).compare(u*v)``."""
+    return (x * y).compare(u * v)
 
 
 def _float_theta(U: int, V: int) -> mpmath.mpf:

@@ -312,6 +312,20 @@ class TestErrorsAndExitCodes:
         else:
             assert code == 1 and json.loads(out)["error"]["code"] == "invalid_input"
 
+    @pytest.mark.parametrize("flag, argv", [
+        (1, ["expand", "--number", "-tau"]),
+        (1, ["word", "--alpha", "-tau", "--beta", "tau", "--count", "3"]),
+        (3, ["word", "--alpha", "tau", "--beta", "-surd:(0+sqrt(2))/1", "--count", "3"]),
+    ], ids=["number", "alpha", "beta"])
+    def test_spec_that_begins_with_a_minus(self, capsys, flag, argv):
+        # argparse takes -tau for an option; the error names the spec, as --number=-tau does
+        code, out = run(capsys, *argv)
+        joined = [*argv[:flag], f"{argv[flag]}={argv[flag + 1]}", *argv[flag + 2:]]
+        assert (code, out) == run(capsys, *joined)
+        error = json.loads(out)["error"]
+        assert code == 1 and error["code"] == "invalid_input"
+        assert repr(argv[flag + 1]) in error["message"]
+
     @pytest.mark.parametrize("argv", [
         ["verify-optimal", "--epsilon", "0.06", "--from", "1e5"],
         ["psi", "--number", "tau", "--t", "12.5"],

@@ -24,6 +24,7 @@ import json
 import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -255,5 +256,21 @@ def test_integer_flags_keep_the_contract(argv):
 @example(["expand", "--number", "cf:[1;2;3]"])
 @example(["word", "--alpha", "cf:[1;2,(3]", "--beta", "tau", "--count", "5"])
 @example(["psi", "--number", "cf:[0;" + ",".join([str(10**40)] * 50) + ",(7)]", "--t", "5"])
+@example(["expand", "--number", "cf:[0;1,,(2)]"])  # an empty term before the period
+@example(["expand", "--number", "cf:[0;,(2)]"])
 def test_number_specs_keep_the_contract(argv):
     assert_contract(argv)
+
+
+@pytest.mark.parametrize("spec, expansion", [
+    ("cf:[0;1,,(2)]", None), ("cf:[0;,(2)]", None),
+    ("cf:[0;1,(2)]", "[0;1,(2)]"), ("cf:[0;(2)]", "[0;(2)]"),
+])
+def test_one_comma_separates_the_period(spec, expansion):
+    """Only the one comma before the period is a separator; any other is an empty term."""
+    code, error = assert_contract(["expand", "--number", spec])
+    if expansion is None:
+        assert code == 1 and error["message"].startswith("empty term in cf spec"), error
+    else:
+        payload = json.loads(run(["expand", "--number", spec])[1])
+        assert code == 0 and payload["expansion"] == expansion

@@ -312,13 +312,13 @@ def test_root_renders_and_floors_as_mpmath(x, digits):
 def test_cross_field_d_renders_as_mpmath(monkeypatch, pair, t, digits, guard_bits):
     """A d(t) in two fields rounds by its scaled floor: within the 64-bit guard bracket,
     which straddles only when m*d lies within 2**-64 of an integer (1/psi lies within
-    about 1/t of a rational), and with a 0-bit one, where the exact compare decides."""
+    about 1/t of a rational), and with a 0-bit one, where one exact ``_cmp`` decides."""
     d = d_at(*pair, t)
     assume(d.inv_psi_beta.D != d.inv_psi_alpha.D)
-    compare, compares = QuadExt.compare, []
+    cmp, compares = exact._cmp, []
     with monkeypatch.context() as patch:
         patch.setattr(exact, "GUARD_BITS", guard_bits)
-        patch.setattr(QuadExt, "compare", lambda x, y: compares.append(y) or compare(x, y))
+        patch.setattr(exact, "_cmp", lambda *args: compares.append(args) or cmp(*args))
         got = d.render(digits)
     assert len(compares) == 1 if guard_bits == 0 else len(compares) <= 1
     dps = 4 * (digits + len(str(t))) + 80

@@ -63,22 +63,28 @@ def test_root_straddle_takes_one_exact_sign(m, s, J, above, monkeypatch):
     assert n == (J if above else J - 1) == mp_floor(m, r, s)
 
 
+def count_cmp(monkeypatch) -> list:
+    """The arguments of each ``exact._cmp`` call from now on, the exact test of m*d vs k."""
+    calls, cmp = [], exact._cmp
+    monkeypatch.setattr(exact, "_cmp", lambda *args: calls.append(args) or cmp(*args))
+    return calls
+
+
 @pytest.mark.parametrize("m, s, J, above", CASES)
 def test_dvalue_straddle_takes_one_exact_compare(m, s, J, above, monkeypatch):
     """d = b - a with b = r + s*sqrt(2) and a = -sqrt(5), two fields, and m*d next to J."""
     r = near_integer(m, s, J, above)
     d = DValue(QuadExt(r, s, 2), QuadExt(0, -1, 5), 0, 0)
-    compares, compare = [], QuadExt.compare
-    monkeypatch.setattr(QuadExt, "compare", lambda y, z: compares.append(z) or compare(y, z))
+    compares = count_cmp(monkeypatch)
     n = d._scaled_floor(m)
     assert len(compares) == 1
     assert n == (J if above else J - 1) == mp_floor(m, r, s)
 
 
 def test_far_from_an_integer_takes_no_exact_test(monkeypatch):
-    signs, compares = [], []
+    signs = []
     monkeypatch.setattr(Root, "sign", lambda y: signs.append(y))
-    monkeypatch.setattr(QuadExt, "compare", lambda y, z: compares.append(z))
+    compares = count_cmp(monkeypatch)
     r = near_integer(10**6, 1, 7, True) + Fraction(1, 2 * 10**6)  # m*x = 7.5 and a little
     assert Root(QuadExt(r, 1, 5), 1, 2)._scaled_floor(10**6) == 7
     assert DValue(QuadExt(r, 1, 2), QuadExt(0, -1, 5), 0, 0)._scaled_floor(10**6) == 7

@@ -3,7 +3,7 @@
 A ``QuadExt`` keeps (m, floor(m*x)) of its last ``_scaled_floor`` and renders at
 m = 2*10**digits << GUARD_BITS, so a 1/psi carried over to the next profile row,
 and every d(t) that contains it, reuse that one floor: ``DValue.render`` takes
-floor(m*d) from the parts' floors, with an exact ``compare`` only when the
+floor(m*d) from the parts' floors, with an exact ``exact._cmp`` only when the
 guard bracket straddles, and ``DValue.sign`` decides from two floors at one
 scale that differ. A rational d (one field, equal irrational parts) renders from
 the exact difference, ties to even, and an exact zero still raises. The memo is
@@ -33,9 +33,9 @@ SCALE = 2 * 10**DIGITS << exact.GUARD_BITS  # the scale every value renders at
 
 def watch(monkeypatch):
     """(m, x) of each ``QuadExt._scaled_floor`` that missed its memo, the ``math.isqrt``
-    calls, and the ``QuadExt.compare`` calls, each as a list that grows."""
+    calls, and the ``exact._cmp`` calls, each as a list that grows."""
     misses, isqrts, compares = [], [], []
-    floor, isqrt, compare = QuadExt._scaled_floor, math.isqrt, QuadExt.compare
+    floor, isqrt, cmp = QuadExt._scaled_floor, math.isqrt, exact._cmp
 
     def observed_floor(x, m):
         before = x._memo
@@ -46,7 +46,7 @@ def watch(monkeypatch):
 
     monkeypatch.setattr(QuadExt, "_scaled_floor", observed_floor)
     monkeypatch.setattr(math, "isqrt", lambda n: isqrts.append(n) or isqrt(n))
-    monkeypatch.setattr(QuadExt, "compare", lambda x, y: compares.append(y) or compare(x, y))
+    monkeypatch.setattr(exact, "_cmp", lambda *args: compares.append(args) or cmp(*args))
     return misses, isqrts, compares
 
 

@@ -17,12 +17,13 @@ carried-over 1/psi once is tested in ``test_one_floor_per_value``.)
 """
 
 import ast
+import itertools
 import pathlib
 from fractions import Fraction
 
 import pytest
 
-from psidiff import (CFExpansion, breakpoint_profile, check_dichotomy, construct_optimal,
+from psidiff import (CFExpansion, QuadExt, breakpoint_profile, check_dichotomy, construct_optimal,
                      contfrac, convergent_distance, d_at, find_witness, imf, inv_psi,
                      merged_word, parse_number, psi, scan_dichotomy, scan_interleave_gap,
                      scan_lemma_conseq, scan_lemma_conseq1, theorems, verify_near_optimality)
@@ -161,7 +162,11 @@ def test_one_inv_psi_per_bracket(monkeypatch):
 
 
 def test_dichotomy_scan_evaluates_each_remainder_once(monkeypatch):
-    """The scan reads 1/xi_0 .. 1/xi_depth of each number once and never calls check_dichotomy."""
+    """The scan reads 1/xi_0 .. 1/xi_depth of each number once and never calls check_dichotomy.
+
+    It also inverts each 1/xi_n at most once: records whose indices meet hold one xi object,
+    so records[i].xi is records[j].xi_prev when records[j].n = records[i].n + 1.
+    """
     tau = CFExpansion(1, (), (1,))
     sqrt2 = parse_number("surd:(0+sqrt(2))/1")
     depth, real, calls = 200, imf._inv_psi_at, []
@@ -173,11 +178,20 @@ def test_dichotomy_scan_evaluates_each_remainder_once(monkeypatch):
     def no_check(*args, **kwargs):
         raise AssertionError("check_dichotomy inside the scan")
 
+    inverted, inverse = [], QuadExt.inverse
     monkeypatch.setattr(imf, "_inv_psi_at", counting)
     monkeypatch.setattr(theorems, "check_dichotomy", no_check)
-    assert scan_dichotomy(tau, sqrt2, depth)
+    monkeypatch.setattr(QuadExt, "inverse", lambda x: inverted.append(x) or inverse(x))
+    records = scan_dichotomy(tau, sqrt2, depth)
+    assert records
     assert len(calls) <= 2 * (depth + 1)
     assert len(set(calls)) == len(calls)
+    assert len({id(x) for x in inverted}) == len(inverted)
+    xis = {}
+    for record in records:
+        assert xis.setdefault(record.n - 1, record.xi_prev) is record.xi_prev
+        assert xis.setdefault(record.n, record.xi) is record.xi
+    assert any(a.n + 1 == b.n for a, b in itertools.pairwise(records))
 
 
 def corrupt_tail(monkeypatch, period, offset):
