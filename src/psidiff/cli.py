@@ -1,11 +1,10 @@
 """Command-line front end with deterministic, machine-readable output.
 
 Exit codes: 0 success, 1 domain error (bad input, precondition failure),
-2 a sign the program could not decide: the witness test |d(t)| vs C*t reached
-``--precision-cap-bits`` (it is the one decision that refines), or d(t) is
-exactly zero where a sign change is asked for. Every decimal is exact at any
-``--digits``, so no rendering reads the cap. Errors print as JSON objects with a
-machine-readable ``code``.
+2 a sign the program could not decide: d(t) is exactly zero where a sign change
+is asked for. The witness test |d(t)| vs C*t refines to a precision computed
+from its inputs, and every decimal is exact at any ``--digits``. Errors print as
+JSON objects with a machine-readable ``code``.
 
 Each command imports ``numspec``, ``imf`` and ``theorems`` only if it runs
 them, so a call loads no module that its command does not use.
@@ -56,7 +55,7 @@ def _integer(read: Callable[[str], int]) -> Callable[[str], int]:
     """An argparse type that reads with ``read``, named for "invalid integer value: 'x'".
 
     t, --from and --bound are of any length (``_read_decimal``); ``int`` refuses a count,
-    depth, digit count or cap past 4300 digits, which would start a run that never ends.
+    depth or digit count past 4300 digits, which would start a run that never ends.
     """
     def integer(text: str) -> int:
         return read(text)
@@ -123,7 +122,7 @@ def cmd_profile(args: argparse.Namespace) -> dict | str:
 def cmd_witness(args: argparse.Namespace) -> dict:
     from . import theorems
     alpha, beta = _parse(args.alpha, args.beta)
-    witness = theorems.find_witness(alpha, beta, args.from_t, args.bound, args.precision_cap_bits)
+    witness = theorems.find_witness(alpha, beta, args.from_t, args.bound)
     payload = witness.to_json(args.digits)
     payload["parameters"] = {"alpha": args.alpha, "beta": args.beta,
                              "from": args.from_t, "bound": args.bound}
@@ -199,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = _Parser(add_help=False)
     common.add_argument("--digits", type=_integer(int), default=12, help="decimal digits in output")
-    common.add_argument("--precision-cap-bits", type=_integer(int), default=4096,
-                        help="precision cap of the |d| vs C*t witness test, the one decision "
-                             "that refines; decimals are exact at any --digits")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", parents=[common], help="render tau, phi, K, C")
@@ -292,8 +288,6 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
         if args.digits < 1:
             raise ValueError("--digits must be >= 1")
-        if args.precision_cap_bits < 64:
-            raise ValueError("--precision-cap-bits must be >= 64")
         payload = args.func(args)
     except SystemExit as exc:  # --help, which has printed
         return 0 if not exc.code else 1

@@ -103,19 +103,15 @@ class Convergent(Record):
 
 
 def rational_to_cf(num: int, den: int) -> CFExpansion:
-    """Canonical finite expansion of num/den (last quotient >= 2 unless length 1)."""
+    """Canonical finite expansion of num/den by Euclid, at any common factor: the last quotient
+    is num_k/den_k with num_k a multiple of den_k above it, so >= 2 unless it is the only one."""
     if den < 1:
         raise ValueError("denominator must be positive")
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
     quotients = []
     while den:
         a, rem = divmod(num, den)
         quotients.append(a)
         num, den = den, rem
-    if len(quotients) > 1 and quotients[-1] == 1:
-        quotients.pop()
-        quotients[-1] += 1
     return CFExpansion(quotients[0], tuple(quotients[1:]))
 
 

@@ -32,7 +32,7 @@ class FormMismatchError(PsidiffError):
 
 
 class UndecidedSignError(PsidiffError):
-    """A sign or comparison could not be decided within the precision cap."""
+    """d(t) is exactly zero where its sign is asked for; from the witness test, never."""
 
     code = "undecided_sign"
 

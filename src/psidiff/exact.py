@@ -18,11 +18,10 @@ a straddle. ``floor`` takes it at m = 1, a dyadic enclosure at m = 2**(bits + 1)
 ``QuadExt`` keeps its last floor and renders at m = 2*10**digits << GUARD_BITS, where
 ``DValue`` reads it. ``Interval`` is a rational enclosure, held as integers lo_n/den and
 hi_n/den over one shared denominator that arithmetic never reduces; ``.lo`` and ``.hi`` are
-``Fraction`` views. ``refine_compare`` is the package's only precision-refinement loop, and
-the witness test |d(t)| vs C*t its one use: it encloses two values at 64 bits, or at
-``cap_bits`` when that is lower, doubles the bits until the enclosures separate, and
-reports ``Comparison.UNDECIDED`` once the attempt at ``cap_bits`` does not; no attempt goes
-past the cap. ``Record``, built from its slots, is the immutable base of the result records.
+``Fraction`` views. ``refine_compare``, the only precision-refinement loop, encloses two values
+from 64 bits, doubling up to ``cap_bits`` and reporting ``Comparison.UNDECIDED`` if they still
+overlap there; the witness test |d(t)| vs C*t caps it at ``_witness_bits``, a root-separation
+bound where they always separate. ``Record`` is the immutable base of the result records.
 """
 
 from __future__ import annotations
@@ -570,8 +569,8 @@ def refine_compare(lhs: Callable[[int], Interval], rhs: Callable[[int], Interval
     """Order the values that lhs and rhs enclose, each a map from a bit count to an Interval.
 
     Both are enclosed at bits = min(64, cap_bits), doubled up to exactly cap_bits and never
-    past it, until the two intervals separate; UNDECIDED means they still overlap at the
-    cap. Exact values are ordered by ``QuadExt.compare``, which needs no loop.
+    past it, until the two intervals separate; UNDECIDED means they still overlap at the cap,
+    which ``_witness_bits`` rules out for the witness test. Exact values need no loop (``_cmp``).
     """
     bits = min(64, cap_bits)
     while True:
@@ -583,6 +582,15 @@ def refine_compare(lhs: Callable[[int], Interval], rhs: Callable[[int], Interval
         if bits >= cap_bits:
             return Comparison.UNDECIDED
         bits = min(2 * bits, cap_bits)
+
+
+def _witness_bits(b: QuadExt, a: QuadExt, t: int) -> int:
+    """Bits at which the enclosures of |b - a| and C*t, 2**-bits*(1 + t/2) wide together, part
+    (Burnikel et al., 2000): y = Qa*Qb*(|b - a| - C*t), an algebraic integer of degree <= 16, is
+    not 0 as C has a non-real conjugate, and its conjugates are below H, so |y| >= H**-15."""
+    sb, sa = (abs(x.A) + (abs(x.B) << (x.D.bit_length() + 1) // 2) for x in (b, a))
+    H = a.Q * sb + b.Q * sa + 6 * a.Q * b.Q * t
+    return 15 * H.bit_length() + (a.Q * b.Q * (t + 2)).bit_length()
 
 
 # -- decimal rendering --------------------------------------------------------

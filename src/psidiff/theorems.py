@@ -41,6 +41,7 @@ from .exact import (
     _format_scaled,
     _ratio_str,
     _sign2,
+    _witness_bits,
     c_enclosure,
     refine_compare,
     render_decimal,
@@ -95,18 +96,19 @@ def find_witness(
     """Smallest t in {T} U breakpoints of [T, search_bound] with |d(t)| >= C*t.
 
     Checking step left ends is exhaustive: d is constant on a step while C*t
-    increases, so a witness anywhere in a step gives one at its left end.
+    increases, so a witness anywhere in a step gives one at its left end. Each test refines
+    up to ``exact._witness_bits``, where the two must separate; ``cap_bits`` is unread.
     """
     if not 1 <= T <= search_bound:
         raise ValueError("need 1 <= T <= search_bound")
     imf.check_pair(alpha, beta)
     for t, d in imf._d_steps(alpha, beta, T, search_bound):
-        verdict = refine_compare(d.abs_enclosure, lambda bits: c_enclosure(bits) * t, cap_bits)
+        cap = _witness_bits(d.inv_psi_beta, d.inv_psi_alpha, t)
+        verdict = refine_compare(d.abs_enclosure, lambda bits: c_enclosure(bits) * t, cap)
         if verdict is Comparison.GREATER:
             return Witness(t, d)
-        if verdict is Comparison.UNDECIDED:
-            t_text = _format_scaled(t, 0)
-            raise UndecidedSignError(f"|d({t_text})| vs C*{t_text} undecided at {cap_bits} bits")
+        if verdict is Comparison.UNDECIDED:  # never: the bound separates them
+            raise UndecidedSignError(f"|d(t)| vs C*t undecided at t = {_format_scaled(t, 0)}")
     raise NotFoundInRangeError(f"no witness in [{_format_scaled(T, 0)}, "
                                f"{_format_scaled(search_bound, 0)}]; a larger search bound "
                                "may still contain one")

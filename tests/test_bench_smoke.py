@@ -1,10 +1,13 @@
-"""The benchmark's ungated modes still run on the package: ``bench/`` imported as it is.
+"""The benchmark still runs on the package: ``bench/`` imported as it is.
 
 ``run.py --workload deep_t`` calls ``exact.refine_compare`` and ``Comparison`` itself, and
 ``run.py --trace 1`` wraps the names ``bench/tracing.py`` lists. Neither mode is gated, so
 a change that drops one of those names would otherwise show only when someone runs them.
 Here the tracer is installed and uninstalled around the 10**12 rung of one ``gen.deep_t``
-unit, run through ``ops.InProcess``.
+unit, run through ``ops.InProcess``. The gated in-process workloads call the library with
+their own arguments, ``cap_bits`` passed by position among them, so one unit of
+``profile_scan`` and of ``lemma_depth`` runs through ``ops.InProcess`` and is checked by
+``checks.Checker`` and ``confirm_failures``, as ``run.py`` checks it.
 """
 
 import pathlib
@@ -47,3 +50,20 @@ def test_deep_t_rung_runs_traced(bench):
     assert errors == []
     assert rec["verdict"] in ("less", "greater")
     assert tracer.calls[tracer.ids["exact.refine_compare"]] == 1
+
+
+@pytest.mark.parametrize("workload", ["profile_scan", "lemma_depth"])
+def test_gated_workload_unit_runs_and_checks(bench, workload):
+    gen, ops, _ = bench
+    import checks
+
+    unit = getattr(gen, workload)(random.Random(1), 1)[0]
+    runner = ops.InProcess(workload)
+    runner.parse(sorted({num.spec for op in unit for num in (op["alpha"], op["beta"])}))
+    checker, ran = checks.Checker(), 0
+    for op in unit:
+        rec, errors = runner.run(op)
+        getattr(checker, workload)(op, rec)
+        checker.confirm_failures(workload, op, rec, errors)
+        ran += not errors
+    assert ran  # at least one operation ran every step

@@ -55,7 +55,7 @@ class TestCommands:
         assert payload["tau"] == "1.6180339887"
 
     def test_constants_obey_precision_cap(self, capsys):
-        # 2000 digits need about 6650 bits; the default 4096-bit cap bounds no rendering
+        # 2000 digits need about 6650 bits; every decimal is exact, at any --digits
         code, payload = run_json(capsys, "constants", "--digits", "2000")
         assert code == 0
         with mpmath.workdps(2050):
@@ -277,13 +277,11 @@ class TestErrorsAndExitCodes:
         assert payload["error"]["code"] == "undecided_sign"
 
     def test_small_cap_candidate_exits_0(self, capsys):
-        # U = 7's approximation error rounded up at 25 digits: the cap does not decide it
+        # U = 7's approximation error rounded up at 25 digits: an exact integer test decides it
         epsilon = "271091358675974865898427/5000000000000000000000000"
-        code, small = run(capsys, "construct-optimal", "--epsilon", epsilon,
-                          "--precision-cap-bits", "64")
+        code, payload = run_json(capsys, "construct-optimal", "--epsilon", epsilon)
         assert code == 0
-        assert (json.loads(small)["U"], json.loads(small)["V"]) == (7, -3)
-        assert run(capsys, "construct-optimal", "--epsilon", epsilon) == (0, small)
+        assert (payload["U"], payload["V"]) == (7, -3)
 
     def test_unknown_command_exits_1(self, capsys):
         assert cli.main(["no-such-command"]) == 1
@@ -334,7 +332,7 @@ class TestErrorsAndExitCodes:
         ["constants", "--digits", "x"],
         ["word", "--alpha", SQRT2, "--beta", "tau", "--count", "1e3"],
         ["lemmas", "--alpha", SQRT2, "--beta", "tau", "--max-depth", "2.0"],
-        ["expand", "--number", "tau", "--precision-cap-bits", "64.5"],
+        ["witness", "--alpha", SQRT2, "--beta", "tau", "--bound", "1e6"],
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_integer_flag_type_error(self, capsys, argv):
         # the message names the option's grammar, not the Python function that read it
@@ -347,15 +345,16 @@ class TestErrorsAndExitCodes:
         ["constants", "--digits"],
         ["word", "--alpha", SQRT2, "--beta", "tau", "--count"],
         ["lemmas", "--alpha", SQRT2, "--beta", "tau", "--max-depth"],
-        ["constants", "--precision-cap-bits"],
     ], ids=lambda argv: f"{argv[0]} {argv[-1]}")
     def test_long_count_is_refused(self, capsys, argv):
-        # past 4300 digits a count, depth, digit count or cap would start a run that never ends
+        # past 4300 digits a count, depth or digit count would start a run that never ends
         code, payload = run_json(capsys, *argv, "1" + "0" * 4400)
         assert code == 1 and payload["error"]["code"] == "invalid_input"
         assert f"argument {argv[-1]}: invalid integer value: '1000" in payload["error"]["message"]
 
-    @pytest.mark.parametrize("flag, value", [("--digits", "0"), ("--precision-cap-bits", "63")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--digits", "0"), ("--precision-cap-bits", "63"), ("--precision-cap-bits", "4096"),
+    ])
     @pytest.mark.parametrize("argv", [
         ["constants"],
         ["expand", "--number", "tau"],
@@ -368,11 +367,14 @@ class TestErrorsAndExitCodes:
         ["verify-optimal", "--epsilon", "0.06"],
     ], ids=lambda argv: argv[0])
     def test_bad_config(self, capsys, argv, flag, value):
-        """Every command rejects the shared flags out of range the same way."""
+        """Every command rejects a shared flag out of range the same way, and so the retired
+        --precision-cap-bits at any value, its old default 4096 included: the witness test
+        takes its precision from its inputs."""
         code, payload = run_json(capsys, *argv, flag, value)
+        message = (f"{flag} must be >= 1" if flag == "--digits"
+                   else f"psidiff: unrecognized arguments: {flag} {value}")
         assert code == 1
-        assert payload["error"]["code"] == "invalid_input"
-        assert payload["error"]["message"].startswith(flag)
+        assert payload["error"] == {"code": "invalid_input", "message": message}
 
 
 WIDE_DPS = 2050
@@ -436,30 +438,27 @@ CAPPED = {
 
 
 class TestRenderingObeysPrecisionCap:
-    """2000 digits need about 6650 bits, past the default 4096-bit cap. Every decimal
-    comes from an exact scaled floor, so any cap renders them, and alike."""
+    """Each decimal is correct to 2000 digits, which need about 6650 bits, and to the default
+    12: every decimal comes from an exact scaled floor, which no precision setting reaches."""
 
     @staticmethod
-    def check(capsys, name: str, *cap: str) -> str:
-        code, out = run(capsys, *CAPPED[name], "--digits", "2000", *cap)
+    def check(capsys, name: str, digits: int) -> None:
+        code, out = run(capsys, *CAPPED[name], "--digits", str(digits))
         assert code == 0, out
         with mpmath.workdps(WIDE_DPS):
             pairs = rendered_and_expected(name, out)
             assert len(pairs) >= 2
             for rendered, expected in pairs:
-                assert len(rendered.partition(".")[2]) == 2000
-                assert abs(mpmath.mpf(rendered) - expected) <= mpmath.mpf(10) ** -2000 / 2
-        return out
+                assert len(rendered.partition(".")[2]) == digits
+                assert abs(mpmath.mpf(rendered) - expected) <= mpmath.mpf(10) ** -digits / 2
 
     @pytest.mark.parametrize("name", sorted(CAPPED))
     def test_large_cap_renders_correctly(self, capsys, name):
-        self.check(capsys, name, "--precision-cap-bits", "100000")
+        self.check(capsys, name, 2000)
 
     @pytest.mark.parametrize("name", sorted(CAPPED))
     def test_default_cap_renders_correctly(self, capsys, name):
-        out = self.check(capsys, name)
-        assert out == run(capsys, *CAPPED[name], "--digits", "2000",
-                          "--precision-cap-bits", "64")[1]
+        self.check(capsys, name, 12)
 
 
 class TestWitnessRatioBound:

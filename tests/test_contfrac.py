@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from psidiff import (
     CFExpansion,
@@ -89,6 +91,15 @@ class TestRationalCF:
     def test_noncanonical_rejected(self):
         with pytest.raises(ValueError):
             CFExpansion(0, (2, 1))
+
+    @given(st.integers(-10**40, 10**40), st.integers(1, 10**40), st.integers(1, 10**6))
+    @example(1, 1, 7)  # one quotient, 7/7
+    @example(-3, 2, 1)  # [-2;2]
+    @example(1, 2, 3)  # 3/6, Euclid's last quotient 2
+    def test_value_is_the_fraction(self, num, den, k):
+        """Euclid's expansion of num/den, at any common factor k, is canonical as it comes:
+        ``CFExpansion`` refuses one ending in a 1, and its value is the fraction."""
+        assert rational_to_cf(k * num, k * den).value() == Fraction(num, den)
 
 
 class TestConvergents:

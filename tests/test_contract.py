@@ -15,7 +15,10 @@ bytes for the same argv. An epsilon in (0, 1) always gets a pair or ``search_exh
 ``expand``, ``psi`` and ``word`` also read generated number specs: surds with D below
 10**6 (D = k*k +- 1, D with a square factor) and Q of either sign, cf expansions with
 quotients up to 10**40 and preperiods up to 50 long, and either kind mutated into a
-malformed spec (a bracket gone, an empty term, a sign in the wrong place).
+malformed spec (a bracket gone, an empty term, a sign in the wrong place). ``witness``
+reads two such specs, unmutated, with ``--from`` and ``--bound`` up to 10**30: it finds a
+witness or exits 1 with a typed code, and never exits 2, since its precision comes from a
+root-separation bound and not from a cap.
 """
 
 import contextlib
@@ -193,6 +196,18 @@ def spec_argv(draw):
     return argv
 
 
+@st.composite
+def witness_argv(draw):
+    """witness on two generated surd or cf specs, ``--from`` and ``--bound`` each absent or
+    drawn up to 10**30."""
+    argv = ["witness", "--alpha", draw(surd_specs() | cf_specs()),
+            "--beta", draw(surd_specs() | cf_specs())]
+    for flag in ("--from", "--bound"):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(st.integers(1, 10**3) | st.integers(1, 10**30)))]
+    return argv
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -260,6 +275,19 @@ def test_integer_flags_keep_the_contract(argv):
 @example(["expand", "--number", "cf:[0;,(2)]"])
 def test_number_specs_keep_the_contract(argv):
     assert_contract(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(witness_argv())
+@example(["witness", "--alpha", EXACT_ZERO[0], "--beta", EXACT_ZERO[1], "--bound", str(10**30)])
+@example(["witness", "--alpha", "surd:(0+sqrt(2))/1", "--beta", "surd:(1+sqrt(8))/3",
+          "--bound", str(10**30)])  # one field: |d(t)|/t = (1+sqrt(2))/2 exactly
+def test_witness_keeps_the_contract(argv):
+    code, error = assert_contract(argv)
+    assert code != 2, error
+    if code == 0:
+        payload = json.loads(run(argv)[1], parse_int=scaled_int)
+        assert (payload["kind"], payload["verdict"]) == ("witness", "greater")
 
 
 @pytest.mark.parametrize("spec, expansion", [

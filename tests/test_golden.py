@@ -65,8 +65,8 @@ COMMANDS = {
     # the period discriminants of this expansion have large cofactors past trial division
     "profile_wide_quotients": ["profile", "--alpha", "cf:[0;(1000,999,998)]", "--beta", "tau",
                                "--bound", "1000000000000", "--output", "json"],
-    # 12 digits of c_times_t there need about 4360 bits, past the default cap, which
-    # bounds only the witness test
+    # 12 digits of c_times_t there need about 4360 bits; the witness test's bound there is
+    # about 69,000 bits, and each step decides at 64
     "witness_deep": ["witness", "--alpha", SQRT2, "--beta", "tau",
                      "--from", str(10**1300), "--bound", str(10**1301)],
     "profile_period_wrap": ["profile", "--alpha", LONG_PERIOD, "--beta", "surd:(0+sqrt(4999))/1",

@@ -5,8 +5,9 @@ A bit count that doubles (``bits *= 2``, ``bits = min(2 * bits, cap)``,
 ``bits <<= 1``) anywhere else is a second, hand-written refinement loop.
 ``refine_compare`` takes two enclosure functions and has one caller in the
 package, the witness test |d(t)| vs C*t in ``theorems.find_witness``, which
-passes it its cap. Every other decision is exact, and so is every printed
-decimal: no output path mentions refinement, enclosures or the cap.
+passes it the cap ``exact._witness_bits`` computes from the step, where the
+enclosures always separate. Every other decision is exact, and so is every
+printed decimal: no output path mentions refinement, enclosures or the cap.
 """
 
 import ast
@@ -17,7 +18,6 @@ import pytest
 
 import psidiff
 from psidiff import cli, exact, imf, theorems
-from psidiff.errors import UndecidedSignError
 from psidiff.numspec import TAU_CF, parse_number
 
 SOURCES = sorted(pathlib.Path(psidiff.__file__).parent.glob("*.py"))
@@ -99,10 +99,14 @@ def test_find_witness_passes_its_cap(monkeypatch):
 
     monkeypatch.setattr(theorems, "refine_compare", spy)
     sqrt2 = parse_number("surd:(0+sqrt(2))/1")
-    assert theorems.find_witness(sqrt2, TAU_CF, 10, 10**6, cap_bits=100).t == 12
-    assert caps == [100, 100]  # at t = 10 and at the witness t = 12
-    with pytest.raises(UndecidedSignError, match="at 1 bits"):
-        theorems.find_witness(sqrt2, TAU_CF, 1, 10**6, cap_bits=1)
+    bounds = []
+    for t in (10, 12):
+        d = imf.d_at(sqrt2, TAU_CF, t)
+        bounds.append(exact._witness_bits(d.inv_psi_beta, d.inv_psi_alpha, t))
+    for cap_bits in (100, 1):  # unread
+        assert theorems.find_witness(sqrt2, TAU_CF, 10, 10**6, cap_bits=cap_bits).t == 12
+    assert caps == bounds * 2  # at t = 10 and at the witness t = 12
+    assert all(64 < bound < 1000 for bound in bounds)
 
 
 def test_refine_has_one_start():

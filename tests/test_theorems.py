@@ -71,11 +71,9 @@ class TestFindWitness:
         assert ratio_lower_bound <= Fraction(2981, 5000)
         assert ratio_lower_bound > Fraction(478, 1000)
 
-    def test_small_cap_stops_the_witness_test(self):
-        # |d(1)| vs C*1 needs more than 1 bit; the cap bounds this test and nothing else
-        with pytest.raises(UndecidedSignError, match="at 1 bits"):
-            find_witness(SQRT2, TAU_CF, 1, 10**6, cap_bits=1)
-        small = find_witness(SQRT2, TAU_CF, 1, 10**6, cap_bits=2)
+    def test_small_cap_is_unread(self):
+        # |d(1)| vs C*1 needs more than 1 bit; the test takes its bits from the step instead
+        small = find_witness(SQRT2, TAU_CF, 1, 10**6, cap_bits=1)
         assert small == find_witness(SQRT2, TAU_CF, 1, 10**6)
 
     def test_reverification(self):
