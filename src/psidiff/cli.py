@@ -192,66 +192,48 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``psidiff`` parser: each flag is declared once, on a parent parser (``--digits``,
+    ``--number``, ``--alpha``/``--beta``, ``--epsilon``) or on the one command that reads it,
+    and ``command`` adds a subcommand with its ``--from``/``--bound`` defaults and its ``func``."""
     parser = _Parser(
         prog="psidiff",
         description="Exact irrationality-measure computations for quadratic irrationals.",
     )
     common = _Parser(add_help=False)
     common.add_argument("--digits", type=_integer(int), default=12, help="decimal digits in output")
+    numbered, paired, epsilon = (_Parser(add_help=False, parents=[common]) for _ in range(3))
+    numbered.add_argument("--number", required=True)
+    paired.add_argument("--alpha", required=True)
+    paired.add_argument("--beta", required=True)
+    epsilon.add_argument("--epsilon", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
+    big = _integer(_read_decimal)
 
-    p = sub.add_parser("constants", parents=[common], help="render tau, phi, K, C")
-    p.set_defaults(func=cmd_constants)
+    def command(name: str, parent: argparse.ArgumentParser, func: Callable, help: str,
+                span: tuple[int, int] | None = None) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[parent], help=help)
+        if span:
+            p.add_argument("--from", dest="from_t", type=big, default=span[0])
+            p.add_argument("--bound", type=big, default=span[1])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("expand", parents=[common], help="continued-fraction expansion")
-    p.add_argument("--number", required=True)
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("psi", parents=[common], help="psi and 1/psi at an integer t")
-    p.add_argument("--number", required=True)
-    p.add_argument("--t", type=_integer(_read_decimal), required=True)
-    p.set_defaults(func=cmd_psi)
-
-    p = sub.add_parser("profile", parents=[common], help="breakpoint profile of d(t)")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--from", dest="from_t", type=_integer(_read_decimal), default=1)
-    p.add_argument("--bound", type=_integer(_read_decimal), default=1000)
+    command("constants", common, cmd_constants, "render tau, phi, K, C")
+    command("expand", numbered, cmd_expand, "continued-fraction expansion")
+    p = command("psi", numbered, cmd_psi, "psi and 1/psi at an integer t")
+    p.add_argument("--t", type=big, required=True)
+    p = command("profile", paired, cmd_profile, "breakpoint profile of d(t)", (1, 1000))
     p.add_argument("--output", choices=("json", "csv"), default="csv")
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("witness", parents=[common], help="find t with |d(t)| >= C t")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--from", dest="from_t", type=_integer(_read_decimal), default=1)
-    p.add_argument("--bound", type=_integer(_read_decimal), default=10**12)
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("word", parents=[common], help="merged word over {B, Q, T}")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
+    command("witness", paired, cmd_witness, "find t with |d(t)| >= C t", (1, 10**12))
+    p = command("word", paired, cmd_word, "merged word over {B, Q, T}")
     p.add_argument("--count", type=_integer(int), default=20)
-    p.set_defaults(func=cmd_word)
-
-    p = sub.add_parser("lemmas", parents=[common], help="coincidence and gap scans")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
+    p = command("lemmas", paired, cmd_lemmas, "coincidence and gap scans")
     p.add_argument("--max-depth", type=_integer(int), default=200)
-    p.set_defaults(func=cmd_lemmas)
-
-    p = sub.add_parser("construct-optimal", parents=[common],
-                       help="build the near-optimal companion of tau")
-    p.add_argument("--epsilon", required=True)
-    p.set_defaults(func=cmd_construct_optimal)
-
-    p = sub.add_parser("verify-optimal", parents=[common],
-                       help="verify |d| <= (C+slack) t over a range")
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--from", dest="from_t", type=_integer(_read_decimal), default=10**6)
-    p.add_argument("--bound", type=_integer(_read_decimal), default=10**12)
+    command("construct-optimal", epsilon, cmd_construct_optimal,
+            "build the near-optimal companion of tau")
+    p = command("verify-optimal", epsilon, cmd_verify_optimal,
+                "verify |d| <= (C+slack) t over a range", (10**6, 10**12))
     p.add_argument("--slack", default=None)
-    p.set_defaults(func=cmd_verify_optimal)
-
     return parser
 
 

@@ -3,8 +3,8 @@
 Conventions fixed throughout the package: q_{-1} = 0, q_0 = 1, partial
 quotients a_j >= 1 for j >= 1, and canonical rational expansions end with a
 quotient >= 2 unless the expansion is a single integer. Surd expansions are
-produced by the (P, Q) state recursion, whose first repeated state yields the
-preperiod and the minimal period.
+produced by the (P, Q) state recursion, whose first reduced state opens the
+minimal period (Galois), which ends when that state comes back.
 
 Convergents come from one in-order stream, ``convergent_stream``, one
 recurrence step each. It starts at index 0 (``convergents``) or, seeded with a
@@ -96,6 +96,9 @@ class CFExpansion(Record):
         return f"[{a0};{tail}]" if tail else f"[{a0}]"
 
 
+TAU_CF = CFExpansion(1, (), (1,))  # the golden ratio tau = [1;(1)]
+
+
 class Convergent(Record):
     """The n-th convergent p/q, with its index n."""
 
@@ -119,7 +122,10 @@ def expand_quadratic(x: QuadExt) -> CFExpansion:
     """Eventually periodic expansion of an irrational quadratic element.
 
     Writes x = (P + sqrt(N))/Q with Q | N - P^2 and runs the integer surd
-    recursion; the expansion is read off when a (P, Q) state repeats.
+    recursion. After the first quotient every state is above 1, and it is reduced, its
+    conjugate in (-1, 0), iff P <= isqrt(N) < P + Q; a reduced state is purely periodic
+    (Galois), and a state before it is not. So the period starts at the first reduced
+    state and ends when that one state comes back: no table of states is kept.
     """
     if x.is_rational:
         raise RationalInputError("expansion of a rational via expand_quadratic")
@@ -131,15 +137,16 @@ def expand_quadratic(x: QuadExt) -> CFExpansion:
         Q *= abs(Q)
     s = math.isqrt(N)
     quotients: list[int] = []
-    seen: dict[tuple[int, int], int] = {}  # (P, Q) after i quotients -> i
+    first, j = None, 0  # the first reduced (P, Q), after j quotients
     while True:
         a = (P + s + (Q < 0)) // Q  # floor((P + sqrt(N))/Q), as sqrt(N) is no integer
         quotients.append(a)
         P = a * Q - P
         Q = (N - P * P) // Q
-        j = seen.setdefault((P, Q), len(quotients))
-        if j < len(quotients):
+        if (P, Q) == first:
             return CFExpansion(quotients[0], tuple(quotients[1:j]), tuple(quotients[j:]))
+        if first is None and P <= s < P + Q:
+            first, j = (P, Q), len(quotients)
 
 
 State = tuple[int, int, int, int]

@@ -32,7 +32,8 @@ class FormMismatchError(PsidiffError):
 
 
 class UndecidedSignError(PsidiffError):
-    """d(t) is exactly zero where its sign is asked for; from the witness test, never."""
+    """d(t) is exactly zero on a step whose strict sign is asked for (``imf.sign_changes``);
+    from the witness test, never."""
 
     code = "undecided_sign"
 

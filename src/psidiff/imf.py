@@ -144,15 +144,12 @@ class DValue(Record):
         return abs(self.enclosure(bits))
 
     def sign(self) -> int:
-        """Strict sign of d = b - a, exact in any two fields; an exact zero raises. Floors of
-        b and a kept at one scale M decide it when they differ: floor(M*b) > floor(M*a), b > a."""
+        """Sign of d = b - a, -1, 0 or 1, exact in any two fields. Floors of b and a kept at
+        one scale M decide it when they differ: floor(M*b) > floor(M*a), b > a."""
         fb, fa = self.inv_psi_beta._memo, self.inv_psi_alpha._memo
         if fb and fa and fb[0] == fa[0] and fb[1] != fa[1]:
             return 1 if fb[1] > fa[1] else -1
-        s = exact._cmp(self.inv_psi_beta, self.inv_psi_alpha)
-        if s == 0:
-            raise UndecidedSignError("d(t) is exactly zero")
-        return s
+        return exact._cmp(self.inv_psi_beta, self.inv_psi_alpha)
 
     def _leaves(self, M: int) -> int:
         """floor(M*b) - floor(M*a) - 1, floor(M*d) or one less, from the floors the parts
@@ -235,10 +232,16 @@ def breakpoint_profile(
 
 
 def sign_changes(profile: BreakpointProfile, cap_bits: int = DEFAULT_CAP_BITS) -> list[int]:
-    """Breakpoints where the exact sign of d flips from the entry before; ``cap_bits`` is unread."""
+    """Breakpoints where the strict sign of d flips from the entry before; ``cap_bits`` is unread.
+
+    A step on which d is exactly zero has no strict sign, so a profile with one raises
+    ``UndecidedSignError`` rather than choose a side for it.
+    """
     if not profile.entries:
         raise ValueError("empty profile")
     signs = [entry.d.sign() for entry in profile.entries]
+    if 0 in signs:
+        raise UndecidedSignError("d(t) is exactly zero")
     return [entry.t for entry, s, last in zip(profile.entries[1:], signs[1:], signs) if s != last]
 
 

@@ -11,13 +11,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .contfrac import CFExpansion, expand_quadratic
+from .contfrac import TAU_CF, CFExpansion, expand_quadratic
 from .exact import QuadExt, _read_decimal
 
 _SURD_RE = re.compile(r"surd:\((-?\d+)\+sqrt\((\d+)\)\)/(-?\d+)\Z")
 _CF_RE = re.compile(r"cf:\[(-?\d+)(?:;(.*))?\]\Z")
-
-TAU_CF = CFExpansion(1, (), (1,))
 
 
 def parse_surd(spec: str) -> QuadExt:

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import contfrac, exact, imf
-from .contfrac import CFExpansion, rational_to_cf
+from .contfrac import TAU_CF, CFExpansion, rational_to_cf
 from .errors import (
     DichotomyViolationError,
     GapViolationError,
@@ -28,6 +28,7 @@ from .errors import (
     UndecidedSignError,
 )
 from .exact import (
+    _STR_BITS,
     DEFAULT_CAP_BITS,
     PHI,
     SQRT5,
@@ -47,7 +48,6 @@ from .exact import (
     render_decimal,
 )
 from .imf import DValue
-from .numspec import TAU_CF
 
 _UV_SEARCH_LIMIT = 10**6
 
@@ -407,8 +407,10 @@ def construct_optimal(epsilon: Fraction, cap_bits: int = DEFAULT_CAP_BITS) -> Op
                 if contfrac.is_nonintegral_sum_and_diff(TAU_CF.value(), pair.theta.value()):
                     return pair
         r = (r + P) & (one - 1)
-    raise SearchExhaustedError(
-        f"no (U, V) with U <= {_UV_SEARCH_LIMIT} for epsilon {_ratio_str(n, d)}")
+    # past _STR_BITS, a bound from the bit lengths names epsilon: its digits cost quadratic time
+    name = (_ratio_str(n, d) if d.bit_length() <= _STR_BITS
+            else f"below 2^-{d.bit_length() - n.bit_length() - 1}")
+    raise SearchExhaustedError(f"no (U, V) with U <= {_UV_SEARCH_LIMIT} for epsilon {name}")
 
 
 def _build_pair(epsilon: Fraction, U: int, V: int) -> OptimalPair:

@@ -18,6 +18,9 @@ reference that sign test must match. ``cmp_by_temporaries`` is the sign of m*x -
 integers, through ``QuadExt`` temporaries, kept as the reference that kernel must match;
 ``products_by_temporaries`` is the same for x*y - u*v, as ``theorems._branch`` formed it
 before ``exact._cmp_products``.
+``expand_by_state_table`` is the surd expansion that ``contfrac.expand_quadratic`` ran
+before it found the period from the first reduced state: it keeps every (P, Q) state in a
+table and stops at the first that repeats, kept as the reference the Galois rule must match.
 ``screen_constants`` holds the nested ``isqrt``
 formulas for floor(phi*2^K) and floor(sqrt(tau)*2^K) that ``construct_optimal``'s
 screen wrote out before it read them from ``exact``'s scaled floors.
@@ -203,6 +206,26 @@ def screen_constants(one: int) -> tuple[int, int]:
     phi*one = (sqrt(5*one^2) - one)/2, and sqrt(tau)*one = sqrt((one^2 + sqrt(5*one^4))/2)."""
     phi = (math.isqrt(5 * one * one) - one) >> 1
     return phi, math.isqrt(one * one + math.isqrt(5 * one**4) >> 1)
+
+
+def expand_by_state_table(x: QuadExt) -> CFExpansion:
+    """The expansion of an irrational x = (P + sqrt(N))/Q, read off when a (P, Q) state of the
+    integer surd recursion repeats, every state kept in a table."""
+    N = x.B * x.B * x.D
+    P, Q = (x.A, x.Q) if x.B > 0 else (-x.A, -x.Q)
+    if (N - P * P) % Q:
+        P, N, Q = P * abs(Q), N * Q * Q, Q * abs(Q)
+    s = math.isqrt(N)
+    quotients: list[int] = []
+    seen: dict[tuple[int, int], int] = {}  # (P, Q) after i quotients -> i
+    while True:
+        a = (P + s + (Q < 0)) // Q
+        quotients.append(a)
+        P = a * Q - P
+        Q = (N - P * P) // Q
+        j = seen.setdefault((P, Q), len(quotients))
+        if j < len(quotients):
+            return CFExpansion(quotients[0], tuple(quotients[1:j]), tuple(quotients[j:]))
 
 
 def cross_field_compare(x: QuadExt, y: QuadExt) -> int:

@@ -14,6 +14,7 @@ import pytest
 from psidiff import (QuadExt, breakpoint_profile, cli, construct_optimal, d_at, merged_word,
                      parse_number, psi, verify_near_optimality)
 from psidiff.errors import UndecidedSignError
+from psidiff.exact import _STR_BITS
 
 from _oracles import (brute_force_psi_table, mp_const, mp_exact, mp_quadext, mp_rational,
                       mp_rounded, scaled_int)
@@ -221,7 +222,7 @@ class TestErrorsAndExitCodes:
     @pytest.mark.parametrize("command, epsilon", [
         pytest.param("construct-optimal", "1e-400", id="construct-optimal"),
         pytest.param("verify-optimal", "1e-400", id="verify-optimal"),
-        # a denominator past the int-to-str limit, which the message prints
+        # a denominator past _STR_BITS, which the message names by a power of two above epsilon
         pytest.param("construct-optimal", "1e-5000", id="construct-optimal-1e-5000"),
     ])
     def test_search_exhausted(self, capsys, command, epsilon):
@@ -229,7 +230,12 @@ class TestErrorsAndExitCodes:
         code, payload = run_json(capsys, command, "--epsilon", epsilon)
         assert code == 1
         assert payload["error"]["code"] == "search_exhausted"
-        assert payload["error"]["message"].endswith(f"for epsilon 1/1{'0' * int(epsilon[3:])}")
+        message, e = payload["error"]["message"], int(epsilon[3:])
+        if (10**e).bit_length() > _STR_BITS:
+            k = int(message.rpartition("for epsilon below 2^-")[2])
+            assert 2**k < 10**e <= 2**(k + 2)
+        else:
+            assert message.endswith(f"for epsilon 1/1{'0' * e}")
 
     def test_search_exhausted_costs_no_more_for_a_tiny_epsilon(self):
         # the screen's precision stops growing with epsilon's denominator: 1e-100000 took
@@ -275,6 +281,14 @@ class TestErrorsAndExitCodes:
         )
         assert code == 2
         assert payload["error"]["code"] == "undecided_sign"
+
+    def test_exact_zero_step_exits_2_only_for_sign_changes(self, capsys):
+        # d(t) = 0 at t = 2: the JSON lists sign changes, which need a strict sign; the CSV not
+        pair = ("--alpha", "cf:[0;(1,2)]", "--beta", "cf:[0;2,(1,2)]")
+        code, payload = run_json(capsys, "profile", *pair, "--output", "json")
+        assert (code, payload["error"]["code"]) == (2, "undecided_sign")
+        code, out = run(capsys, "profile", *pair, "--bound", "8")
+        assert code == 0 and out.splitlines()[2] == "2,3.732050807569,3.732050807569,0.000000000000"
 
     def test_small_cap_candidate_exits_0(self, capsys):
         # U = 7's approximation error rounded up at 25 digits: an exact integer test decides it

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from psidiff import (
@@ -19,9 +19,10 @@ from psidiff import (
     tail,
 )
 from psidiff.errors import RationalInputError
-from psidiff.numspec import parse_number
+from psidiff.numspec import parse_number, parse_surd
 
-from _oracles import mp_cf_value, mp_quadext
+from _oracles import expand_by_state_table, mp_cf_value, mp_quadext
+from test_contract import surd_specs
 
 SQRT2_CF = CFExpansion(1, (), (2,))
 TAU_CF = CFExpansion(1, (), (1,))
@@ -68,6 +69,18 @@ class TestExpand:
         for _ in range(200):
             x = random_surd(rng)
             assert expand_quadratic(x).value() == x
+
+    @settings(max_examples=300, deadline=None)
+    @given(surd_specs())
+    @example("surd:(1+sqrt(5))/2")  # tau, reduced before its first quotient: a0 opens no period
+    @example("surd:(7+sqrt(24))/-5")  # Q < 0 and Q not dividing D - P*P
+    def test_period_from_first_reduced_state(self, spec):
+        """Galois: the first reduced state starts the period, as the table of states finds."""
+        try:
+            x = parse_surd(spec)
+        except ValueError:  # Q = 0 or a square D
+            assume(False)
+        assert expand_quadratic(x) == expand_by_state_table(x)
 
 
 class TestRationalCF:

@@ -1,24 +1,30 @@
-"""The CLI contract over generated number arguments, not only fixed examples.
+"""The CLI contract over generated arguments, not only fixed examples.
 
-Hypothesis writes the numbers that ``construct-optimal`` and ``verify-optimal`` read:
-``--epsilon`` and ``--slack`` as n/d, as decimals and with exponents, ``--from`` and
-``--bound`` as integers and at times as fractions, which they refuse, each at times a
-literal past CPython's 4300-digit int-to-str limit. It also writes the integer flags of
-``psi``, ``profile``, ``word``, ``lemmas`` and ``witness`` (``--t``, ``--from``,
-``--bound``, ``--count``, ``--max-depth``, ``--digits``) as integers, decimals, exponents
-or junk, over a fixed list of number specs that holds a pair whose d(t) is exactly zero
-at some breakpoints. Whatever the argv, ``cli.main`` returns 0, 1 or 2 without raising,
-prints one JSON document (or a ``profile`` CSV), names only error codes that ``errors.py``
-defines or ``invalid_input``, exits 2 only with ``undecided_sign``, names no Python
-function in an error message (outside the arguments it quotes back), and prints the same
-bytes for the same argv. An epsilon in (0, 1) always gets a pair or ``search_exhausted``.
-``expand``, ``psi`` and ``word`` also read generated number specs: surds with D below
-10**6 (D = k*k +- 1, D with a square factor) and Q of either sign, cf expansions with
-quotients up to 10**40 and preperiods up to 50 long, and either kind mutated into a
-malformed spec (a bracket gone, an empty term, a sign in the wrong place). ``witness``
-reads two such specs, unmutated, with ``--from`` and ``--bound`` up to 10**30: it finds a
-witness or exits 1 with a typed code, and never exits 2, since its precision comes from a
-root-separation bound and not from a cap.
+One fuzzer reads ``cli.build_parser()``: it draws any of its commands, and each option of
+that command by its kind, so a new command or option is fuzzed as soon as it is declared.
+Number specs come from ``number_specs``, integer options from ``integer_texts`` (up to
+10**30 for ``--t``, ``--from`` and ``--bound``, which read any length, and up to 200 for
+counts, depths and digits), ``--epsilon`` and ``--slack`` from ``rationals`` and
+``--output`` from its choices. Half the argvs may hold junk (an integer option as a decimal,
+an exponent or junk, a choice as junk, a spec mutated); in the other half every text is well
+formed, so most of them reach the command, ``profile`` and ``lemmas`` on generated specs
+included. Whatever the argv, ``cli.main`` returns 0, 1 or 2 without raising, prints one JSON
+document (or a ``profile`` CSV), names only error codes that ``errors.py`` defines or
+``invalid_input``, exits 2 only with ``undecided_sign``, names no Python function in an
+error message (outside the arguments it quotes back), and prints the same bytes for the
+same argv.
+
+Narrower fuzzers cover what the general one reaches too rarely. ``construct-optimal`` and
+``verify-optimal`` read ``--epsilon`` and ``--slack`` as n/d, as decimals and with
+exponents, and ``--from`` and ``--bound`` as integers and at times as fractions, which they
+refuse, each at times a literal past CPython's 4300-digit int-to-str limit; an epsilon in
+(0, 1) always gets a pair or ``search_exhausted``. ``expand``, ``psi`` and ``word`` read
+generated number specs: surds with D below 10**6 (D = k*k +- 1, D with a square factor) and
+Q of either sign, cf expansions with quotients up to 10**40 and preperiods up to 50 long,
+and either kind mutated into a malformed spec (a bracket gone, an empty term, a sign in the
+wrong place). ``witness`` reads two such specs, unmutated, with ``--from`` and ``--bound``
+up to 10**30: it finds a witness or exits 1 with a typed code, and never exits 2, since its
+precision comes from a root-separation bound and not from a cap.
 """
 
 import contextlib
@@ -108,9 +114,11 @@ def optimal_argv(draw):
 
 
 @st.composite
-def integer_texts(draw, top):
-    """An integer flag's text: an integer in [-2, top], a decimal, an exponent, or junk."""
-    form = draw(st.sampled_from(("integer", "decimal", "exponent", "junk")))
+def integer_texts(draw, top, junk=True):
+    """An integer flag's text: an integer in [-2, top], or with ``junk`` also a decimal, an
+    exponent, or junk."""
+    forms = ("integer", "decimal", "exponent", "junk") if junk else ("integer",)
+    form = draw(st.sampled_from(forms))
     if form == "integer":
         return str(draw(st.integers(-2, top)))
     if form == "decimal":
@@ -118,26 +126,6 @@ def integer_texts(draw, top):
     if form == "exponent":
         return f"{draw(st.integers(1, 9))}e{draw(st.integers(0, len(str(top)) - 1))}"
     return draw(st.sampled_from(JUNK))
-
-
-@st.composite
-def integer_flag_argv(draw):
-    """psi, profile, word, lemmas or witness, each integer flag absent or drawn; bounds up
-    to 10**30, and counts, depths and digits up to 200, keep each call fast."""
-    command = draw(st.sampled_from(("psi", "profile", "word", "lemmas", "witness")))
-    alpha, beta = draw(st.just(EXACT_ZERO) | st.tuples(*[st.sampled_from(SPECS)] * 2))
-    if command == "psi":
-        argv = [command, "--number", alpha, "--t", draw(integer_texts(10**30))]
-    else:
-        argv = [command, "--alpha", alpha, "--beta", beta]
-    flags = {"psi": (), "profile": ("--from", "--bound"), "witness": ("--from", "--bound"),
-             "word": ("--count",), "lemmas": ("--max-depth",)}[command]
-    for flag in (*flags, "--digits"):
-        if draw(st.booleans()):
-            argv += [flag, draw(integer_texts(10**30 if flag in ("--from", "--bound") else 200))]
-    if command == "profile" and draw(st.booleans()):
-        argv += ["--output", "json"]
-    return argv
 
 
 @st.composite
@@ -171,15 +159,64 @@ MUTATIONS = ("", "", "-", "+", ",", ";", "(", ")", "[", "]")  # "" deletes
 
 
 @st.composite
-def number_specs(draw):
-    """A generated surd or cf spec or one of the fixed list, half of them mutated: up to two
-    characters replaced by a sign, a separator, a bracket or nothing, or one inserted."""
+def number_specs(draw, mutate=True):
+    """A generated surd or cf spec or one of the fixed list, with ``mutate`` half of them
+    mutated: up to two characters replaced by a sign, a separator, a bracket or nothing, or
+    one inserted."""
     spec = draw(surd_specs() | cf_specs() | st.sampled_from(SPECS))
-    if draw(st.booleans()):
+    if mutate and draw(st.booleans()):
         i = draw(st.integers(0, len(spec)))
         j = draw(st.integers(i, min(i + 2, len(spec))))
         spec = spec[:i] + draw(st.sampled_from(MUTATIONS)) + spec[j:]
     return spec
+
+
+PARSER = cli.build_parser()
+COMMANDS = next(a for a in PARSER._actions if a.dest == "command").choices  # name -> parser
+
+
+def options(parser) -> list:
+    """The options of one command that take a value, in the parser's order (--help left out)."""
+    return [action for action in parser._actions if action.option_strings and action.nargs != 0]
+
+
+def unbounded(action) -> bool:
+    """Whether an integer option reads any length, as --t, --from and --bound do."""
+    try:
+        action.type("1" + "0" * 5000)
+    except ValueError:
+        return False
+    return True
+
+
+RATIONAL = {"--epsilon", "--slack"}  # a free-text option that is no rational is a number spec
+
+
+def option_text(action, junk: bool):
+    """A strategy for one option's text, by its kind: a choice, an integer text (up to 10**30
+    for an option of any length, else 200), a rational, or a number spec; with ``junk``, a
+    choice may be junk, an integer text any form, and a spec mutated."""
+    if action.choices is not None:
+        return st.sampled_from(action.choices) | st.sampled_from(JUNK if junk else action.choices)
+    if action.type is not None:
+        return integer_texts(10**30 if unbounded(action) else 200, junk)
+    if action.option_strings[0] in RATIONAL:
+        return rationals().map(lambda pair: pair[0])
+    return number_specs(mutate=junk)
+
+
+@st.composite
+def command_argv(draw):
+    """Any command of ``cli.build_parser()``, each required option drawn and each other one
+    absent or drawn, by its kind. Half the argvs may hold junk; in the other half every
+    integer is an integer, every choice a choice and every spec unmutated, so that most of
+    them reach the command."""
+    command, junk = draw(st.sampled_from(sorted(COMMANDS))), draw(st.booleans())
+    argv = [command]
+    for action in options(COMMANDS[command]):
+        if action.required or draw(st.booleans()):
+            argv += [action.option_strings[0], draw(option_text(action, junk))]
+    return argv
 
 
 @st.composite
@@ -252,15 +289,30 @@ def test_optimal_pair_commands_keep_the_contract(case):
         assert code == 0 or error["code"] == "search_exhausted", error
 
 
-@settings(max_examples=60, deadline=None)
-@given(integer_flag_argv())
+@settings(max_examples=200, deadline=None)
+@given(command_argv())
 @example(["psi", "--number", "tau", "--t", "12.5"])
 @example(["word", "--alpha", "tau", "--beta", "cf:[1;2,(3)]", "--count", "1e3"])
 @example(["profile", "--alpha", EXACT_ZERO[0], "--beta", EXACT_ZERO[1], "--output", "json"])
+@example(["profile", "--alpha", EXACT_ZERO[0], "--beta", EXACT_ZERO[1], "--output", "xml"])
+@example(["profile", "--alpha", EXACT_ZERO[0], "--beta", EXACT_ZERO[1], "--from", "3",
+          "--bound", "7", "--output", "json"])  # no zero step in range: exit 0
 @example(["lemmas", "--alpha", "tau", "--beta", "cf:[1;2,(3)]", "--max-depth", "x",
           "--digits", "2.5"])
-def test_integer_flags_keep_the_contract(argv):
+@example(["lemmas", "--alpha", EXACT_ZERO[0], "--beta", EXACT_ZERO[1], "--max-depth", "200"])
+@example(["constants", "--digits", "200"])
+def test_every_command_keeps_the_contract(argv):
     assert_contract(argv)
+
+
+def test_attach_values_lists_every_free_text_option():
+    """A spec or a rational may begin with "-"; every option read as free text (no type, no
+    choices) must be attached to its value, or argparse takes that value for an option."""
+    found = {action.option_strings[0]: action for parser in COMMANDS.values()
+             for action in options(parser)}
+    attached = {flag for flag in found if cli._attach_values([flag, "-x"]) == [f"{flag}=-x"]}
+    assert attached == {flag for flag, action in found.items()
+                        if action.type is None and action.choices is None}
 
 
 @settings(max_examples=80, deadline=None)

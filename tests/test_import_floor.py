@@ -2,7 +2,9 @@
 
 ``import psidiff`` loads no submodule, since the package resolves its public
 names on first use (PEP 562). ``cli`` imports ``numspec``, ``imf`` and
-``theorems`` inside the commands that run them, and the records derive from
+``theorems`` inside the commands that run them, ``theorems`` takes tau's expansion
+from ``contfrac``, so the sharpness commands, which read no number spec, load no
+``numspec``, and the records derive from
 ``exact.Record``, so no module loads ``dataclasses`` (and, with it,
 ``inspect``). The package imports only the standard library, and the
 large-radicand commands run with ``sympy`` blocked. The subprocess checks run a
@@ -60,6 +62,8 @@ def test_one_name_loads_its_home_module():
     (["expand", "--number", "surd:(0+sqrt(2))/1"], {"imf", "theorems"}),
     (["psi", "--number", "tau", "--t", "100"], {"theorems"}),
     (["word", "--alpha", "tau", "--beta", "surd:(0+sqrt(2))/1", "--count", "3"], {"theorems"}),
+    (["construct-optimal", "--epsilon", "0.06"], {"numspec"}),
+    (["verify-optimal", "--epsilon", "0.06", "--bound", "10000000"], {"numspec"}),
 ], ids=lambda x: x[0] if isinstance(x, list) else None)
 def test_cli_command_loads_only_what_it_runs(argv, unused):
     loaded = loaded_submodules(CLI.format(argv=argv))

@@ -6,7 +6,8 @@ and every d(t) that contains it, reuse that one floor: ``DValue.render`` takes
 floor(m*d) from the parts' floors, with an exact ``exact._cmp`` only when the
 guard bracket straddles, and ``DValue.sign`` decides from two floors at one
 scale that differ. A rational d (one field, equal irrational parts) renders from
-the exact difference, ties to even, and an exact zero still raises. The memo is
+the exact difference, ties to even, and an exact zero has the sign 0, on which
+``sign_changes`` raises. The memo is
 the fresh ``isqrt`` floor, and invisible to ==, hash, repr, pickle and deepcopy.
 """
 
@@ -132,8 +133,7 @@ def test_rational_d_renders_half_even(x):
     for part in (zero.inv_psi_beta, zero.inv_psi_alpha):
         render_decimal(part, 2)
     assert zero.inv_psi_beta._memo == zero.inv_psi_alpha._memo  # the filter cannot decide
-    with pytest.raises(UndecidedSignError):
-        zero.sign()
+    assert zero.sign() == 0
 
 
 def test_same_field_profile_with_rational_steps():
@@ -149,12 +149,11 @@ def test_same_field_profile_with_rational_steps():
         assert d.render(3) == render_decimal(difference, 3)
         if difference.is_rational:
             texts[entry.t] = d.render(3)
-            if difference == 0:
-                with pytest.raises(UndecidedSignError):
-                    d.sign()
-        else:
-            assert d.sign() == difference.sign()
+        assert d.sign() == difference.sign()
     assert texts[1] == "-1.000" and texts[2] == texts[8] == texts[30] == "0.000"
+    assert [entry.t for entry in profile.entries if entry.d.sign() == 0][:3] == [2, 8, 30]
+    with pytest.raises(UndecidedSignError):  # a zero step has no strict sign to compare
+        sign_changes(profile)
 
 
 @settings(max_examples=150, deadline=None)
@@ -166,9 +165,4 @@ def test_sign_filter_agrees_with_compare(pair, t, m_beta, m_alpha):
     for x, m in ((d.inv_psi_beta, m_beta), (d.inv_psi_alpha, m_alpha)):
         if m is not None:
             x._scaled_floor(m)
-    expected = d.inv_psi_beta.compare(d.inv_psi_alpha)
-    if expected == 0:
-        with pytest.raises(UndecidedSignError):
-            d.sign()
-    else:
-        assert d.sign() == expected
+    assert d.sign() == d.inv_psi_beta.compare(d.inv_psi_alpha)

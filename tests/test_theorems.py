@@ -39,6 +39,7 @@ from psidiff.errors import (
     IntegralSumOrDiffError,
     NotFoundInRangeError,
     PreconditionFailedError,
+    SearchExhaustedError,
     UndecidedSignError,
 )
 from psidiff.exact import SQRT_TAU, c_enclosure
@@ -343,6 +344,18 @@ class TestConstructOptimal:
             construct_optimal(Fraction(0))
         with pytest.raises(ValueError):
             construct_optimal(Fraction(3, 2))
+
+    def test_exhausted_message_prints_no_huge_epsilon(self, monkeypatch):
+        # printing 10**300000 took most of the call's time, quadratic in its digits
+        widths = []
+        decimal = exact._decimal
+        monkeypatch.setattr(exact, "_decimal",
+                            lambda n, width: widths.append(n.bit_length()) or decimal(n, width))
+        with pytest.raises(SearchExhaustedError) as info:
+            construct_optimal(Fraction(1, 10**300000))
+        assert max(widths, default=0) <= exact._STR_BITS
+        k = int(str(info.value).rpartition("for epsilon below 2^-")[2])
+        assert 2**k < 10**300000 <= 2**(k + 2)
 
     def test_x_over_f_converges_to_scaled_a(self):
         pair = construct_optimal(Fraction(6, 100))
