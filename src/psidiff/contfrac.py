@@ -7,7 +7,8 @@ produced by the (P, Q) state recursion, whose first reduced state opens the
 minimal period (Galois), which ends when that state comes back.
 
 Convergents come from one in-order stream, ``convergent_stream``, one
-recurrence step each. It starts at index 0 (``convergents``) or, seeded with a
+recurrence step each, yielding (n, p_n, q_n) as plain ints; ``convergents`` alone
+wraps them in ``Convergent`` records. It starts at index 0 or, seeded with a
 state from the ladder, at any index; ``imf`` seeds every walk at its lower end
 with one ladder lookup per number (``last_convergent_at_most`` by bound,
 ``convergent_state`` by index). The ladder, an expansion's one memo, is built
@@ -24,7 +25,8 @@ twice the bits of the largest t queried.
 The ladder also holds every tail and the exact value, built from the period
 matrix M when the ladder is: the purely periodic tail is M's fixed point, the
 period's other tails follow forwards by x -> 1/(x - a), and the preperiod's
-backwards by x -> a + 1/x. So each period is folded once per expansion.
+backwards by x -> a + 1/x. So each period is folded once per expansion, and
+``tails`` reads them off in order, unrolling the period, beside the stream.
 """
 
 from __future__ import annotations
@@ -272,22 +274,22 @@ def last_convergent_at_most(cf: CFExpansion, t: int) -> tuple[int, State]:
 
 
 def convergent_stream(cf: CFExpansion,
-                      start: tuple[int, State] | None = None) -> Iterator[Convergent]:
-    """Convergents in order from index 0, or from n given start = (n, state at n)."""
+                      start: tuple[int, State] | None = None) -> Iterator[tuple[int, int, int]]:
+    """(n, p_n, q_n) as plain ints in order from index 0, or from n given start = (n, state at n)."""
     index, (p, p_prev, q, q_prev) = start or (0, (cf.a0, 1, 1, 0))
-    yield Convergent(index, p, q)
+    yield index, p, q
     for a in cf.quotients(index + 1):
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         index += 1
-        yield Convergent(index, p, q)
+        yield index, p, q
 
 
 def convergents(cf: CFExpansion, n: int) -> list[Convergent]:
-    """Convergents 0..n; a rational expansion stops at its last index."""
+    """Convergents 0..n as records; a rational expansion stops at its last index."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return list(islice(convergent_stream(cf), n + 1))
+    return [Convergent(*c) for c in islice(convergent_stream(cf), n + 1)]
 
 
 def continuant(word: Sequence[int]) -> int:
@@ -298,14 +300,22 @@ def continuant(word: Sequence[int]) -> int:
     return _fold(word)[0]
 
 
-def tail(cf: CFExpansion, r: int) -> QuadExt:
-    """Exact tail [a_r; a_{r+1}, ...] of a periodic expansion, r >= 1."""
+def tails(cf: CFExpansion, start: int) -> Iterator[QuadExt]:
+    """The exact tails [a_r; a_{r+1}, ...] of a periodic expansion for r = start, start+1, ...
+    (start >= 1), read in order off the ladder's ``tails``, unrolling the period."""
     if cf.is_rational:
         raise RationalInputError("tails are defined for irrational expansions only")
-    if r < 1:
+    if start < 1:
         raise ValueError("tail index must be >= 1")
-    k = len(cf.preperiod)
-    return _ladder(cf).tails[r - 1 if r <= k else k + (r - k - 1) % len(cf.period)]
+    held, k = _ladder(cf).tails, len(cf.preperiod)
+    yield from held[start - 1 if start <= k else k + (start - k - 1) % len(cf.period):]
+    while True:
+        yield from held[k:]
+
+
+def tail(cf: CFExpansion, r: int) -> QuadExt:
+    """Exact tail [a_r; a_{r+1}, ...] of a periodic expansion, r >= 1."""
+    return next(tails(cf, r))
 
 
 def is_nonintegral_sum_and_diff(x: QuadExt, y: QuadExt) -> bool:

@@ -387,6 +387,15 @@ def _cmp_products(x: QuadExt | RatLike, y: QuadExt | RatLike, u: QuadExt | RatLi
     return _cmp(_product(x, y), _product(u, v))
 
 
+def _eq_products(x: QuadExt | RatLike, y: QuadExt | RatLike, u: QuadExt | RatLike,
+                 v: QuadExt | RatLike) -> bool:
+    """x*y == u*v for x, y of one field and u, v of one field, from the products' parts: equal
+    rational parts, equal irrational parts, and one field when those are not 0. It is
+    ``_cmp_products(x, y, u, v) == 0`` without the sign test."""
+    (A, B, Q, D), (E, F, R, Dy) = _product(x, y), _product(u, v)
+    return A * R == E * Q and B * R == F * Q and (not B or D == Dy)
+
+
 def _max_ratio(steps: Iterable[tuple[int, QuadExt, QuadExt]]) -> tuple[QuadExt, int]:
     """The maximum of |x - y|/t over (t, x, y) with x, y of one field, and the first t at it:
     a step takes the sign s of (x - y)/t = (E + F*sqrt(D))/R and sets s*(E + F*sqrt(D))/R

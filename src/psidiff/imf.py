@@ -10,9 +10,11 @@ Every 1/psi, and every convergent remainder xi_n (as the inverse of 1/xi_n),
 comes from ``_inv_psi_at``, which checks its two closed forms exactly against
 each other as one integer identity on the tails' integers, with no field
 arithmetic, and builds the value with one ``exact._make``. Every bracket
-(c_{r-1}, c_r, c_{r+1}) comes from the convergent stream, seeded at the lower
-end of its walk by one ladder lookup per number: by bound in ``_brackets``, by
-index in ``_inv_xis``. A single evaluation is the first step of such a walk:
+(r, q_{r-1}, q_r, q_{r+1}, alpha_{r+1}, alpha_{r+2}) is plain integers and two
+tails: ``_walk`` steps the convergent stream and the ladder's tails together,
+with no record, seeded at the lower end of its walk by one ladder lookup per
+number: by bound in ``_brackets``, by index in ``_inv_xis``. A single
+evaluation is the first step of such a walk:
 ``psi`` and ``inv_psi`` take the first bracket at t, ``d_at`` the first step of
 the merged walk, ``convergent_distance`` and ``check_dichotomy`` the first
 reciprocals from their index. The dichotomy scan reads 1/xi_0 .. 1/xi_depth off
@@ -21,8 +23,9 @@ the near-optimality check, the interleave scan) read one merged walk of both
 streams from their lower end, at one recurrence step per breakpoint. Such a
 pass computes one exact 1/psi per convergent, not per breakpoint: at a
 breakpoint where only one number steps, the other's value is carried over from
-the step before, and so is its guarded floor, which ``QuadExt`` keeps. d(t), in
-one field or two, renders and takes its sign from its parts' floors.
+the step before, and so is its guarded floor, which ``QuadExt`` keeps, and its
+rendered string in a profile's rows. d(t), in one field or two, renders and takes
+its sign from its parts' floors.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import contfrac, exact
-from .contfrac import CFExpansion, Convergent, is_nonintegral_sum_and_diff
+from .contfrac import CFExpansion, is_nonintegral_sum_and_diff
 from .errors import (
     FormMismatchError,
     IntegralSumOrDiffError,
@@ -55,16 +58,19 @@ def _require_irrational(cf: CFExpansion) -> QuadExt:
     return value
 
 
-Bracket = tuple[Convergent, Convergent, Convergent]
+Bracket = tuple[int, int, int, int, QuadExt, QuadExt]
+"""(r, q_{r-1}, q_r, q_{r+1}, alpha_{r+1}, alpha_{r+2}): recurrence integers and two tails."""
 
 
 def _walk(cf: CFExpansion, r: int, state: contfrac.State) -> Iterator[Bracket]:
-    """The brackets (c_{n-1}, c_n, c_{n+1}) for n = r, r+1, ..., from the state at r."""
-    stream = contfrac.convergent_stream(cf, (r, state))
-    prev, cur = Convergent(r - 1, state[1], state[3]), next(stream)
-    for nxt in stream:
-        yield prev, cur, nxt
-        prev, cur = cur, nxt
+    """The brackets at r, r+1, ..., from the state at r: the q from the convergent stream and
+    the tails read in order off the ladder, one step of each per bracket."""
+    stream, tails = contfrac.convergent_stream(cf, (r, state)), contfrac.tails(cf, r + 1)
+    next(stream)
+    q_prev, q, tail = state[3], state[2], next(tails)
+    for (n, _, q_next), tail_next in zip(stream, tails):
+        yield n - 1, q_prev, q, q_next, tail, tail_next
+        q_prev, q, tail = q, q_next, tail_next
 
 
 def _brackets(cf: CFExpansion, t: int) -> Iterator[Bracket]:
@@ -79,15 +85,15 @@ def _inv_xis(cf: CFExpansion, first: int, last: int) -> list[QuadExt]:
     """[1/xi_first, ..., 1/xi_last], 1/xi_n = q_n a_{n+1} + q_{n-1}, of an irrational cf."""
     _require_irrational(cf)
     walk = _walk(cf, first, contfrac.convergent_state(cf, first))
-    return [_inv_psi_at(cf, b[1].q, b) for b in itertools.islice(walk, last - first + 1)]
+    return [_inv_psi_at(b[2], b) for b in itertools.islice(walk, last - first + 1)]
 
 
 def psi(alpha: CFExpansion, t: int) -> PsiValue:
     """Exact psi_alpha(t) = ||q_r alpha|| with r the largest index, q_r <= t."""
     _require_irrational(alpha)
     bracket = next(_brackets(alpha, t))
-    inv_value = _inv_psi_at(alpha, t, bracket)
-    return PsiValue(bracket[1].index, bracket[1].q, inv_value.inverse(), inv_value)
+    inv_value = _inv_psi_at(t, bracket)
+    return PsiValue(bracket[0], bracket[2], inv_value.inverse(), inv_value)
 
 
 def convergent_distance(alpha: CFExpansion, n: int) -> QuadExt:
@@ -103,10 +109,10 @@ def convergent_distance(alpha: CFExpansion, n: int) -> QuadExt:
 def inv_psi(alpha: CFExpansion, t: int) -> QuadExt:
     """1/psi_alpha(t), its two closed forms checked equal by one integer identity."""
     _require_irrational(alpha)
-    return _inv_psi_at(alpha, t, next(_brackets(alpha, t)))
+    return _inv_psi_at(t, next(_brackets(alpha, t)))
 
 
-def _inv_psi_at(alpha: CFExpansion, t: int, bracket: Bracket) -> QuadExt:
+def _inv_psi_at(t: int, bracket: Bracket) -> QuadExt:
     """q_r a_{r+1} + q_{r-1}, checked against q_{r+1} + q_r / a_{r+2} (a_* the tails).
 
     The one evaluation of either closed form: every 1/psi and remainder comes from here.
@@ -116,13 +122,12 @@ def _inv_psi_at(alpha: CFExpansion, t: int, bracket: Bracket) -> QuadExt:
     one integer identity, and the value is one ``_make``. Only a failed identity
     builds the two forms, to report them; tails of one expansion share D.
     """
-    prev, cur, nxt = bracket
-    q, t1, t2 = cur.q, contfrac.tail(alpha, cur.index + 1), contfrac.tail(alpha, cur.index + 2)
-    x, y = q * t1.A + (prev.q - nxt.q) * t1.Q, q * t1.B
+    _, q_prev, q, q_next, t1, t2 = bracket
+    x, y = q * t1.A + (q_prev - q_next) * t1.Q, q * t1.B
     if t1.D == t2.D and not x * t2.B + y * t2.A and x * t2.A + y * t2.B * t1.D == q * t1.Q * t2.Q:
-        return exact._make(q * t1.A + prev.q * t1.Q, y, t1.Q, t1.D)
+        return exact._make(q * t1.A + q_prev * t1.Q, y, t1.Q, t1.D)
     raise FormMismatchError(f"closed forms of 1/psi disagree at t={_format_scaled(t, 0)}: "
-                            f"{q * t1 + prev.q} vs {nxt.q + q / t2}")
+                            f"{q * t1 + q_prev} vs {q_next + q / t2}")
 
 
 def check_pair(alpha: CFExpansion, beta: CFExpansion) -> None:
@@ -188,9 +193,9 @@ def _merged_brackets(alpha: CFExpansion, beta: CFExpansion,
     a, b = next(walk_a), next(walk_b)
     while True:
         yield t, a, b
-        t = min(a[2].q, b[2].q)
-        a = next(walk_a) if a[2].q == t else a
-        b = next(walk_b) if b[2].q == t else b
+        t = min(a[3], b[3])
+        a = next(walk_a) if a[3] == t else a
+        b = next(walk_b) if b[3] == t else b
 
 
 def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,
@@ -205,10 +210,10 @@ def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,
         if t > t_max:
             return
         if a is not held_a:
-            held_a, inv_a = a, _inv_psi_at(alpha, t, a)
+            held_a, inv_a = a, _inv_psi_at(t, a)
         if b is not held_b:
-            held_b, inv_b = b, _inv_psi_at(beta, t, b)
-        yield t, DValue(inv_b, inv_a, a[1].index, b[1].index)
+            held_b, inv_b = b, _inv_psi_at(t, b)
+        yield t, DValue(inv_b, inv_a, a[0], b[0])
 
 
 class ProfileEntry(Record):
@@ -262,8 +267,8 @@ def merged_word(alpha: CFExpansion, beta: CFExpansion, count: int) -> MergedWord
     check_pair(alpha, beta)
     letters = []
     for t, a, b in itertools.islice(_merged_brackets(alpha, beta, 1), count):
-        n = a[1].index if a[1].q == t else None
-        s = b[1].index if b[1].q == t else None
+        n = a[0] if a[2] == t else None
+        s = b[0] if b[2] == t else None
         kind = "T" if n is None else "Q" if s is None else "B"
         letters.append(Letter(kind, n, s, t))
     return MergedWord(tuple(letters))
@@ -273,11 +278,16 @@ def _rendered_rows(profile: BreakpointProfile,
                    digits: int) -> Iterator[tuple[int, str, str, str]]:
     """(t, 1/psi_alpha, 1/psi_beta, d) of each entry, the last three as decimals.
 
-    A 1/psi carried over from the entry before keeps its floor, so each value is floored once.
+    A 1/psi carried over from the entry before is the same object, whose string is reused; a
+    new one renders once, and d reads the floor it keeps.
     """
+    a = b = a_text = b_text = None
     for entry in profile.entries:
-        yield (entry.t, render_decimal(entry.inv_psi_alpha, digits),
-               render_decimal(entry.inv_psi_beta, digits), entry.d.render(digits))
+        if entry.inv_psi_alpha is not a:
+            a, a_text = entry.inv_psi_alpha, render_decimal(entry.inv_psi_alpha, digits)
+        if entry.inv_psi_beta is not b:
+            b, b_text = entry.inv_psi_beta, render_decimal(entry.inv_psi_beta, digits)
+        yield entry.t, a_text, b_text, entry.d.render(digits)
 
 
 def profile_to_csv(profile: BreakpointProfile, digits: int = 12) -> str:

@@ -117,14 +117,18 @@ def find_witness(
 # -- Lemma scans over denominator coincidences ---------------------------------
 
 
+def _denominators(cf: CFExpansion, n: int) -> list[int]:
+    """q_0 .. q_n, straight from the convergent stream."""
+    return [q for _, _, q in itertools.islice(contfrac.convergent_stream(cf), n + 1)]
+
+
 def _coincidences(alpha: CFExpansion, beta: CFExpansion, depth: int, gap: int,
                   shift: int) -> list[tuple[int, int]]:
     """All (n, m), n, m <= depth, with (q_n, q_{n+gap}) = (t_{m+shift}, t_{m+shift+1}), sorted."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    qs = [c.q for c in contfrac.convergents(alpha, depth + gap)]
-    ts = [c.q for c in contfrac.convergents(beta, depth + shift + 1)]
+    qs, ts = _denominators(alpha, depth + gap), _denominators(beta, depth + shift + 1)
     by_pair: dict[tuple[int, int], list[int]] = {}
     for m in range(depth + 1):
         by_pair.setdefault((ts[m + shift], ts[m + shift + 1]), []).append(m)
@@ -196,9 +200,10 @@ def _branch(alpha: CFExpansion, n: int, inv_xi_prev: QuadExt, inv_xi: QuadExt,
 
     It compares (1/eta_s)^2 with (1/xi_{n-1})*(1/xi_n), both positive, after checking
     the identity 1/xi_n = alpha_{n+1}/xi_{n-1} that turns the branches into that
-    comparison: each one ``exact._cmp_products``, in one field or across two.
+    comparison: the identity by the products' parts (``exact._eq_products``), the comparison
+    by one ``exact._cmp_products``, in one field or across two.
     """
-    if exact._cmp_products(inv_xi, 1, contfrac.tail(alpha, n + 1), inv_xi_prev):
+    if not exact._eq_products(inv_xi, 1, contfrac.tail(alpha, n + 1), inv_xi_prev):
         raise DichotomyViolationError(f"1/xi_{n} is not alpha_{n + 1}/xi_{n - 1}")
     s = exact._cmp_products(inv_eta, inv_eta, inv_xi, inv_xi_prev)
     return (DichotomyBranch.SECOND_BRANCH, DichotomyBranch.BOTH,
@@ -216,24 +221,38 @@ def scan_dichotomy(
     Both reciprocal remainder sequences are strictly increasing, so for each s
     there is at most one n with 1/eta_s strictly inside (1/xi_{n-1}, 1/xi_n); a
     single merge pass over the two in-order lists finds them all. Every order is
-    exact; no decision reads ``cap_bits``.
+    exact, most of them by the integer brackets of ``_remainders``; no decision
+    reads ``cap_bits``.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    inv_xis = imf._inv_xis(alpha, 0, depth)
-    xi = functools.cache(lambda i: inv_xis[i].inverse())  # one xi_n for every record holding it
+    xis = _remainders(alpha, depth)
+    xi = functools.cache(lambda i: xis[i][2].inverse())  # one xi_n for every record holding it
     records = []
     n = 1
-    for s, inv_eta in enumerate(imf._inv_xis(beta, 0, depth)):
-        while n <= depth and not inv_eta < inv_xis[n]:
+    for s, eta in enumerate(_remainders(beta, depth)):
+        while n <= depth and not _below(eta, xis[n]):
             n += 1
         if n > depth:
             break
-        if inv_xis[n - 1] < inv_eta:
-            branch = _branch(alpha, n, inv_xis[n - 1], inv_xis[n], inv_eta)
-            records.append(DichotomyRecord(n, s, branch, xi(n - 1), xi(n), inv_eta.inverse()))
+        if _below(xis[n - 1], eta):
+            branch = _branch(alpha, n, xis[n - 1][2], xis[n][2], eta[2])
+            records.append(DichotomyRecord(n, s, branch, xi(n - 1), xi(n), eta[2].inverse()))
     return records
+
+
+def _remainders(cf: CFExpansion, depth: int) -> list[tuple[int, int, QuadExt]]:
+    """(q_{n+1}, q_{n+1} + q_n, 1/xi_n) for n = 0 .. depth: 1/xi_n = q_n alpha_{n+1} + q_{n-1}
+    lies strictly between the two integers, as a_{n+1} < alpha_{n+1} < a_{n+1} + 1."""
+    qs = _denominators(cf, depth + 1)
+    return [(q1, q1 + q, x) for q, q1, x in zip(qs, qs[1:], imf._inv_xis(cf, 0, depth))]
+
+
+def _below(x: tuple[int, int, QuadExt], y: tuple[int, int, QuadExt]) -> bool:
+    """x < y for two (lo, hi, value) with lo < value < hi: by the integers when the two
+    brackets part, else by one exact ``<``."""
+    return x[1] <= y[0] or (x[0] < y[1] and x[2] < y[2])
 
 
 # -- The interleave-gap pattern -------------------------------------------------
@@ -320,7 +339,7 @@ def scan_interleave_gap(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    qs, ts = ([c.q for c in contfrac.convergents(x, depth + 1)] for x in (alpha, beta))
+    qs, ts = _denominators(alpha, depth + 1), _denominators(beta, depth + 1)
     matches = []
     steps = imf._d_steps(alpha, beta, 1, min(qs[depth], ts[depth]))
     for (t0, d0), (t1, d1) in itertools.pairwise(steps):
@@ -427,7 +446,7 @@ def _build_pair(epsilon: Fraction, U: int, V: int) -> OptimalPair:
     shift = k - w
     while len(xs) < k + 22:
         xs.append(xs[-1] + xs[-2])
-    denominators = [c.q for c in contfrac.convergents(theta, w + 21)]
+    denominators = _denominators(theta, w + 21)
     for n in range(max(w - 1, 0), w + 21):
         if denominators[n] != xs[n + shift]:
             raise PsidiffError(

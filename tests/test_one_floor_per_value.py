@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psidiff import (DValue, QuadExt, breakpoint_profile, cli, d_at, exact, parse_number,
+from psidiff import (DValue, QuadExt, breakpoint_profile, cli, d_at, exact, imf, parse_number,
                      render_decimal, sign_changes)
 from psidiff.errors import UndecidedSignError
 
@@ -96,6 +96,25 @@ def test_cli_profile_floors_each_value_once(output, monkeypatch, capsys):
     rendered = [x for m, x in misses if m == SCALE]
     assert len(rendered) == len({id(x) for x in rendered}) == brackets
     assert set(rendered) == {x for e in entries for x in (e.inv_psi_alpha, e.inv_psi_beta)}
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_cli_profile_renders_each_value_once_per_column(output, monkeypatch, capsys):
+    """A 1/psi carried over to the next row reuses that row's string: ``profile`` renders
+    each distinct 1/psi once in its column."""
+    argv = ["profile", "--alpha", "surd:(0+sqrt(2))/1", "--beta", "tau", "--from", "7",
+            "--bound", str(10**100), "--output", output]
+    entries = breakpoint_profile(SQRT2, TAU, 7, 10**100).entries
+    rendered, render = [], imf.render_decimal
+    monkeypatch.setattr(imf, "render_decimal",
+                        lambda x, digits: rendered.append(x) or render(x, digits))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    values = [x for x in rendered if type(x) is QuadExt]  # d renders as a DValue or a Fraction
+    distinct = {x for e in entries for x in (e.inv_psi_alpha, e.inv_psi_beta)}
+    assert len(values) == len({id(x) for x in values}) == len(distinct) < 2 * len(entries)
+    assert set(values) == distinct
+    assert len(rendered) - len(values) == len(entries)  # and one d per row
 
 
 def fresh_floor(x: QuadExt, m: int) -> int:

@@ -2,7 +2,8 @@
 
 ``imf._inv_psi_at`` evaluates 1/xi_r = q_r a_{r+1} + q_{r-1} and checks it
 against q_{r+1} + q_r / a_{r+2} as one integer identity on the tails' (A, B, Q),
-with no ``QuadExt`` arithmetic: the value is its one ``exact._make``. A property
+with no ``QuadExt`` arithmetic: the value is its one ``exact._make``. Its bracket
+(r, q_{r-1}, q_r, q_{r+1}, a_{r+1}, a_{r+2}) is plain integers and the two tails. A property
 holds that identity to the ``QuadExt`` comparison of the two forms. ``psi``,
 ``convergent_distance``, the dichotomy and the interleave certificates read
 their reciprocals (and the remainders, as their inverses) from it, so a
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 from psidiff import (CFExpansion, breakpoint_profile, check_dichotomy, cli, contfrac,
                      convergent_distance, convergents, exact, imf, parse_number, psi,
                      scan_dichotomy, scan_interleave_gap)
-from psidiff.contfrac import Convergent
 from psidiff.errors import FormMismatchError
 
 from test_convergent_source import expansions
@@ -117,17 +117,14 @@ def test_integer_identity_is_the_quadext_identity(cf, r, shifts, change1, change
     True tails keep it under shifts with shift_{r+1} = a_{r+1} shift_r + shift_{r-1}, and
     a_{r+2} doubled keeps the identity's sqrt(D) part and breaks only its rational part.
     """
-    bracket = tuple(Convergent(c.index, c.p, c.q + k)
-                    for c, k in zip(convergents(cf, r + 1)[r - 1:], shifts))
-    q_prev, q, q_next = (c.q for c in bracket)
-    tails = {i: contfrac.tail(cf, i) * m + k for i, (m, k) in ((r + 1, change1), (r + 2, change2))}
-    first = q * tails[r + 1] + q_prev
-    agree = first == q_next + q / tails[r + 2]
+    q_prev, q, q_next = (c.q + k for c, k in zip(convergents(cf, r + 1)[r - 1:], shifts))
+    t1, t2 = (contfrac.tail(cf, i) * m + k for i, (m, k) in ((r + 1, change1), (r + 2, change2)))
+    first = q * t1 + q_prev
+    agree = first == q_next + q / t2
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(contfrac, "tail", lambda _, i: tails[i])
         counts, _ = makes_per_evaluation(patch)
         try:
-            value = imf._inv_psi_at(cf, q, bracket)
+            value = imf._inv_psi_at(q, (r, q_prev, q, q_next, t1, t2))
         except FormMismatchError:
             value = None
     assert (counts == [1]) == agree

@@ -146,15 +146,15 @@ def test_one_inv_psi_per_bracket(monkeypatch):
     t_min, t_max = 7, 10**100
     real, calls = imf._inv_psi_at, []
 
-    def counting(cf, t, bracket):
-        calls.append((cf, bracket[1].index))
-        return real(cf, t, bracket)
+    def counting(t, bracket):
+        calls.append((bracket[4].D, bracket[0]))  # the number by its field, and r
+        return real(t, bracket)
 
     monkeypatch.setattr(imf, "_inv_psi_at", counting)
     breakpoint_profile(sqrt2, tau, t_min, t_max)
     # q_r increases strictly from r = 1, so the brackets met in [t_min, t_max] are
     # those of the indices r(t_min) .. r(t_max), r(t) the last index with q_r <= t
-    want = {(x, r) for x in (sqrt2, tau)
+    want = {(x.value().D, r) for x in (sqrt2, tau)
             for r in range(contfrac.last_convergent_at_most(x, t_min)[0],
                            contfrac.last_convergent_at_most(x, t_max)[0] + 1)}
     assert len(calls) == len(want)
@@ -171,9 +171,9 @@ def test_dichotomy_scan_evaluates_each_remainder_once(monkeypatch):
     sqrt2 = parse_number("surd:(0+sqrt(2))/1")
     depth, real, calls = 200, imf._inv_psi_at, []
 
-    def counting(cf, t, bracket):
-        calls.append((cf, bracket[1].index))
-        return real(cf, t, bracket)
+    def counting(t, bracket):
+        calls.append((bracket[4].D, bracket[0]))  # the number by its field, and n
+        return real(t, bracket)
 
     def no_check(*args, **kwargs):
         raise AssertionError("check_dichotomy inside the scan")
@@ -196,15 +196,17 @@ def test_dichotomy_scan_evaluates_each_remainder_once(monkeypatch):
 
 def corrupt_tail(monkeypatch, period, offset):
     """Shift by 1 every tail that starts at this offset of this period, so the closed forms
-    disagree there."""
-    real = contfrac.tail
+    disagree there. The walks read their tails in order from ``contfrac.tails``, and
+    ``contfrac.tail`` reads it too, so both see the corruption."""
+    real = contfrac.tails
 
-    def corrupted(cf, r):
-        value, k = real(cf, r), len(cf.preperiod)
-        hit = cf.period == period and r > k and (r - k - 1) % len(period) == offset
-        return value + 1 if hit else value
+    def corrupted(cf, start):
+        k = len(cf.preperiod)
+        for r, value in enumerate(real(cf, start), start):
+            hit = cf.period == period and r > k and (r - k - 1) % len(period) == offset
+            yield value + 1 if hit else value
 
-    monkeypatch.setattr(contfrac, "tail", corrupted)
+    monkeypatch.setattr(contfrac, "tails", corrupted)
 
 
 def test_cross_check_runs_on_a_bracket_that_steps_alone(monkeypatch):

@@ -1,6 +1,7 @@
 """One sign kernel for a difference: ``exact._cmp(x, y, m, k)``, the sign of m*x - m*y - k,
 its form on products, ``exact._cmp_products(x, y, u, v)``, of x*y - u*v, and the running
-maximum of |x - y|/t that the near-optimality check keeps, ``exact._max_ratio``.
+maximum of |x - y|/t that the near-optimality check keeps, ``exact._max_ratio``. The
+equality of two products, ``exact._eq_products``, is held to a zero of the product form.
 
 Times Qx*Qy the difference is a + b*sqrt(Dx) - c*sqrt(Dy) in integers, so the kernel is
 one ``_sign`` or one ``_sign2`` and builds no ``QuadExt``. It is held to mpmath at a
@@ -125,6 +126,41 @@ def test_product_kernel_is_the_sign_of_the_difference(case):
     assert exact._cmp_products(x, y, u, v) == -exact._cmp_products(u, v, x, y)
     if tie:
         assert s == 0
+
+
+@st.composite
+def equality_cases(draw):
+    """(x, y, u, v, tie): x, y of one field and u, v of one field or rational, with tie when
+    x*y == u*v by construction: u = x*y/v for v rational or in x's field, or two fields whose
+    products are one rational, a*b*D1 = c*e*D2; or u*v with x*y's parts over another field."""
+    kind = draw(st.sampled_from(("any", "rational", "tie", "field_tie", "cross_tie", "forged")))
+    x, y = draw(same_field_pairs())
+    if kind == "rational":
+        return draw(RATIONALS), y, draw(RATIONALS), draw(RATIONALS), False
+    if kind in ("tie", "field_tie"):
+        v = draw(RATIONALS.filter(bool) if kind == "tie" else quadexts(D=x.D).filter(lambda q: q != 0))
+        return x, y, x * y / v, v, True
+    D1, D2 = draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=2, max_size=2, unique=True))
+    if kind == "cross_tie":
+        a, c, e = (draw(RATIONALS.filter(bool)) for _ in range(3))
+        b = c * e * D2 / (a * D1)
+        return QuadExt(0, a, D1), QuadExt(0, b, D1), QuadExt(0, c, D2), QuadExt(0, e, D2), True
+    if kind == "forged":
+        a, b = draw(RATIONALS), draw(RATIONALS.filter(bool))
+        return QuadExt(a, b, D1), 1, QuadExt(a, b, D2), 1, False
+    u, v = draw(same_field_pairs())
+    return x, y, u, v, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(equality_cases())
+def test_product_equality_is_a_zero_sign(case):
+    """``exact._eq_products``, the dichotomy's identity check, is ``_cmp_products(...) == 0``."""
+    x, y, u, v, tie = case
+    equal = exact._eq_products(x, y, u, v)
+    assert equal == (exact._cmp_products(x, y, u, v) == 0) == exact._eq_products(u, v, x, y)
+    if tie:
+        assert equal
 
 
 @st.composite

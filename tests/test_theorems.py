@@ -1,5 +1,6 @@
 """Witness search, lemma scans, the dichotomy, and the optimality construction."""
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -497,6 +498,22 @@ def test_dichotomy_scan_matches_single_checks(pair, depth):
     alpha, beta = pair
     for record in scan_dichotomy(alpha, beta, depth):
         assert record.branch is check_dichotomy(alpha, beta, record.n, record.s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_pairs(), st.integers(0, 40))
+def test_dichotomy_scan_misses_no_record(pair, depth):
+    """The scan's (n, s) are every pair of indices <= depth that ``check_dichotomy`` takes,
+    that is, for which it does not raise ``PreconditionFailedError``."""
+    alpha, beta = pair
+    taken = set()
+    for n, s in itertools.product(range(1, depth + 1), range(depth + 1)):
+        try:
+            check_dichotomy(alpha, beta, n, s)
+        except PreconditionFailedError:
+            continue
+        taken.add((n, s))
+    assert {(r.n, r.s) for r in scan_dichotomy(alpha, beta, depth)} == taken
 
 
 def _mp_tail(cf, r):
