@@ -16,12 +16,15 @@ One floor per level, floor(m*x) for an integer m >= 1, is exact integer arithmet
 a straddle. ``floor`` takes it at m = 1, a dyadic enclosure at m = 2**(bits + 1), and
 ``render_decimal`` every decimal at m = 2*10**digits, with no precision to choose; a
 ``QuadExt`` keeps its last floor and renders at m = 2*10**digits << GUARD_BITS, where
-``DValue`` reads it. ``Interval`` is a rational enclosure, held as integers lo_n/den and
-hi_n/den over one shared denominator that arithmetic never reduces; ``.lo`` and ``.hi`` are
-``Fraction`` views. ``refine_compare``, the only precision-refinement loop, encloses two values
-from 64 bits, doubling up to ``cap_bits`` and reporting ``Comparison.UNDECIDED`` if they still
-overlap there; the witness test |d(t)| vs C*t caps it at ``_witness_bits``, a root-separation
-bound where they always separate. ``Record`` is the immutable base of the result records.
+``DValue`` reads it. Being immutable, a ``QuadExt`` also keeps its exact ``str`` and its
+decimal at the last ``digits``, so a value carried over to the next profile row, or held by
+several records, is formatted once. ``Interval`` is a rational enclosure, held as integers
+lo_n/den and hi_n/den over one shared denominator that arithmetic never reduces; ``.lo`` and
+``.hi`` are ``Fraction`` views. ``refine_compare``, the only precision-refinement loop,
+encloses two values from 64 bits, doubling up to ``cap_bits`` and reporting
+``Comparison.UNDECIDED`` if they still overlap there; the witness test |d(t)| vs C*t caps it
+at ``_witness_bits``, a root-separation bound where they always separate. ``Record`` is the
+immutable base of the result records.
 """
 
 from __future__ import annotations
@@ -141,11 +144,12 @@ class QuadExt:
     any field. ``QuadExt(a, b, D)`` takes rationals a, b and reduces the radicand,
     the one place that does: QuadExt(0, 1, 8) becomes 0 + 2*sqrt(2). Arithmetic
     builds its results from integers in the operands' field. The slot ``_memo`` holds
-    (m, floor(m*x)) of the last ``_scaled_floor``, outside ==, hash, repr and pickling;
-    ``_make`` sets it to None.
+    (m, floor(m*x)) of the last ``_scaled_floor``, and ``_texts`` (str(x), digits, decimal)
+    with the ``str`` and the last ``render_decimal`` made, None where not made yet. Both are
+    outside ==, hash, repr, pickling and copying; ``_make`` clears them.
     """
 
-    __slots__ = ("A", "B", "Q", "D", "_memo")
+    __slots__ = ("A", "B", "Q", "D", "_memo", "_texts")
 
     def __new__(cls, a: RatLike, b: RatLike, D: int) -> "QuadExt":
         if D <= 0:
@@ -289,8 +293,14 @@ class QuadExt:
         return _dyadic(self, bits)
 
     def __str__(self) -> str:
-        a, b = _ratio_str(self.A, self.Q), _ratio_str(abs(self.B), self.Q)
-        return a if self.B == 0 else f"{a}{'+-'[self.B < 0]}{b}√{_format_scaled(self.D, 0)}"
+        text, digits, decimal = self._texts
+        if text is None:
+            text = _ratio_str(self.A, self.Q)
+            if self.B:
+                b = _ratio_str(abs(self.B), self.Q)
+                text = f"{text}{'+-'[self.B < 0]}{b}√{_format_scaled(self.D, 0)}"
+            _SET_TEXTS(self, (text, digits, decimal))
+        return text
 
     def __repr__(self) -> str:
         return f"QuadExt({int_repr(self.a)}, {int_repr(self.b)}, {self.D})"
@@ -423,12 +433,14 @@ def _make(A: int, B: int, Q: int, D: int) -> QuadExt:
     _SET_Q(x, Q // g)
     _SET_D(x, D)
     _SET_MEMO(x, None)
+    _SET_TEXTS(x, (None, None, None))
     return x
 
 
 # the slots' own setters: about twice as fast as object.__setattr__, and not
 # reached by the immutable classes' __setattr__
-_SET_A, _SET_B, _SET_Q, _SET_D, _SET_MEMO = (QuadExt.__dict__[f].__set__ for f in QuadExt.__slots__)
+_SET_A, _SET_B, _SET_Q, _SET_D, _SET_MEMO, _SET_TEXTS = (
+    QuadExt.__dict__[f].__set__ for f in QuadExt.__slots__)
 
 
 TAU = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
@@ -644,12 +656,13 @@ def _read_decimal(text: str) -> int:
 
 
 def _format_scaled(n: int, digits: int) -> str:
-    """n / 10**digits as a decimal with ``digits`` places."""
-    sign = "-" if n < 0 else ""
-    text = _decimal(abs(n), digits + 1)
-    if digits == 0:
-        return f"{sign}{text}"
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    """n / 10**digits as a decimal with ``digits`` places: one ``str`` up to _STR_BITS bits,
+    whose ``zfill`` pads after the sign, and ``_decimal``'s split past them."""
+    if n.bit_length() <= _STR_BITS:
+        text = str(n).zfill(digits + 1 + (n < 0))
+    else:
+        text = "-" * (n < 0) + _decimal(abs(n), digits + 1)
+    return f"{text[:-digits]}.{text[-digits:]}" if digits else text
 
 
 def _ratio_str(n: int, d: int) -> str:
@@ -662,20 +675,26 @@ def _ratio_str(n: int, d: int) -> str:
 def render_decimal(x: object, digits: int = 12) -> str:
     """x correctly rounded to ``digits`` places, ties to even.
 
-    x is a rational, a ``QuadExt``, a ``Root``, or another exact value with a scaled
-    floor (an irrational ``imf.DValue``). A rational rounds by integer division. An
-    irrational never sits on a tie, so it rounds to (floor(2*x*10**digits) + 1) // 2,
-    from one scaled floor: no precision to choose, no cap to reach. A ``QuadExt`` takes it
-    exactly as floor(M*x) >> GUARD_BITS, M = 2*10**digits << GUARD_BITS, and keeps floor(M*x).
+    x is a rational, a ``QuadExt``, or a ``Record`` with a scaled floor (a ``Root``, an
+    irrational ``imf.DValue``). A rational rounds by integer division. An irrational never
+    sits on a tie, so it rounds to (floor(2*x*10**digits) + 1) // 2, from one scaled floor:
+    no precision to choose, no cap to reach. A ``QuadExt`` takes it exactly as floor(M*x) >>
+    GUARD_BITS, M = 2*10**digits << GUARD_BITS, and keeps floor(M*x) and the decimal: it is
+    immutable, so the decimal at the same ``digits`` is the same string, rendered once.
     """
     scale = 10**digits
     if type(x) is QuadExt:
-        if x.B:
-            n = x._scaled_floor(2 * scale << GUARD_BITS) >> GUARD_BITS
-            return _format_scaled((n + 1) // 2, digits)
-        x = x.a
-    if isinstance(x, (int, Fraction)):
-        n = _round_half_even(x.numerator * scale, x.denominator)
-    else:
+        text, held, decimal = x._texts
+        if held != digits:
+            if x.B:
+                n = ((x._scaled_floor(2 * scale << GUARD_BITS) >> GUARD_BITS) + 1) // 2
+            else:
+                n = _round_half_even(x.A * scale, x.Q)
+            decimal = _format_scaled(n, digits)
+            _SET_TEXTS(x, (text, digits, decimal))
+        return decimal
+    if isinstance(x, Record):
         n = (x._scaled_floor(2 * scale) + 1) // 2
+    else:
+        n = _round_half_even(x.numerator * scale, x.denominator)
     return _format_scaled(n, digits)

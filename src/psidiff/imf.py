@@ -23,8 +23,8 @@ the near-optimality check, the interleave scan) read one merged walk of both
 streams from their lower end, at one recurrence step per breakpoint. Such a
 pass computes one exact 1/psi per convergent, not per breakpoint: at a
 breakpoint where only one number steps, the other's value is carried over from
-the step before, and so is its guarded floor, which ``QuadExt`` keeps, and its
-rendered string in a profile's rows. d(t), in one field or two, renders and takes
+the step before, and so are its guarded floor and its rendered string, which
+``QuadExt`` keeps. d(t), in one field or two, renders and takes
 its sign from its parts' floors.
 """
 
@@ -81,11 +81,12 @@ def _brackets(cf: CFExpansion, t: int) -> Iterator[Bracket]:
     return _walk(cf, *contfrac.last_convergent_at_most(cf, t))
 
 
-def _inv_xis(cf: CFExpansion, first: int, last: int) -> list[QuadExt]:
-    """[1/xi_first, ..., 1/xi_last], 1/xi_n = q_n a_{n+1} + q_{n-1}, of an irrational cf."""
+def _inv_xis(cf: CFExpansion, first: int, last: int) -> list[tuple[int, int, QuadExt]]:
+    """(q_n, q_{n+1}, 1/xi_n) for n = first .. last, 1/xi_n = q_n a_{n+1} + q_{n-1}, of an
+    irrational cf: the q come with each value from the one walk."""
     _require_irrational(cf)
     walk = _walk(cf, first, contfrac.convergent_state(cf, first))
-    return [_inv_psi_at(b[2], b) for b in itertools.islice(walk, last - first + 1)]
+    return [(b[2], b[3], _inv_psi_at(b[2], b)) for b in itertools.islice(walk, last - first + 1)]
 
 
 def psi(alpha: CFExpansion, t: int) -> PsiValue:
@@ -103,7 +104,7 @@ def convergent_distance(alpha: CFExpansion, n: int) -> QuadExt:
     nearest integer to alpha is then p_1, not p_0), and it is this remainder
     that satisfies xi_{n-1}/xi_n = alpha_{n+1} and the reciprocal identities.
     """
-    return _inv_xis(alpha, n, n)[0].inverse()
+    return _inv_xis(alpha, n, n)[0][2].inverse()
 
 
 def inv_psi(alpha: CFExpansion, t: int) -> QuadExt:
@@ -171,7 +172,7 @@ class DValue(Record):
         """d correctly rounded to ``digits`` places: irrational from its scaled floor, and
         rational (one field, equal irrational parts) from the difference, ties to even."""
         b, a = self.inv_psi_beta, self.inv_psi_alpha
-        if b.B * a.Q == a.B * b.Q and (b.B == 0 or b.D == a.D):
+        if (b.B == 0 or b.D == a.D) and b.B * a.Q == a.B * b.Q:
             return render_decimal(Fraction(b.A * a.Q - a.A * b.Q, b.Q * a.Q), digits)
         return render_decimal(self, digits)
 
@@ -278,16 +279,12 @@ def _rendered_rows(profile: BreakpointProfile,
                    digits: int) -> Iterator[tuple[int, str, str, str]]:
     """(t, 1/psi_alpha, 1/psi_beta, d) of each entry, the last three as decimals.
 
-    A 1/psi carried over from the entry before is the same object, whose string is reused; a
-    new one renders once, and d reads the floor it keeps.
+    A 1/psi carried over from the entry before is the same object, which keeps its string;
+    a new one renders once, and d reads the floor it keeps.
     """
-    a = b = a_text = b_text = None
     for entry in profile.entries:
-        if entry.inv_psi_alpha is not a:
-            a, a_text = entry.inv_psi_alpha, render_decimal(entry.inv_psi_alpha, digits)
-        if entry.inv_psi_beta is not b:
-            b, b_text = entry.inv_psi_beta, render_decimal(entry.inv_psi_beta, digits)
-        yield entry.t, a_text, b_text, entry.d.render(digits)
+        yield (entry.t, render_decimal(entry.inv_psi_alpha, digits),
+               render_decimal(entry.inv_psi_beta, digits), entry.d.render(digits))
 
 
 def profile_to_csv(profile: BreakpointProfile, digits: int = 12) -> str:

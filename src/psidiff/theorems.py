@@ -188,7 +188,8 @@ def check_dichotomy(alpha: CFExpansion, beta: CFExpansion, n: int, s: int) -> Di
     """
     if n < 1 or s < 0:
         raise ValueError("need n >= 1 and s >= 0")
-    (inv_xi_prev, inv_xi), (inv_eta,) = imf._inv_xis(alpha, n - 1, n), imf._inv_xis(beta, s, s)
+    (_, _, inv_xi_prev), (_, _, inv_xi) = imf._inv_xis(alpha, n - 1, n)
+    (_, _, inv_eta), = imf._inv_xis(beta, s, s)
     if not inv_xi_prev < inv_eta < inv_xi:
         raise PreconditionFailedError(f"eta_{s} is not inside (xi_{n}, xi_{n-1})")
     return _branch(alpha, n, inv_xi_prev, inv_xi, inv_eta)
@@ -245,8 +246,7 @@ def scan_dichotomy(
 def _remainders(cf: CFExpansion, depth: int) -> list[tuple[int, int, QuadExt]]:
     """(q_{n+1}, q_{n+1} + q_n, 1/xi_n) for n = 0 .. depth: 1/xi_n = q_n alpha_{n+1} + q_{n-1}
     lies strictly between the two integers, as a_{n+1} < alpha_{n+1} < a_{n+1} + 1."""
-    qs = _denominators(cf, depth + 1)
-    return [(q1, q1 + q, x) for q, q1, x in zip(qs, qs[1:], imf._inv_xis(cf, 0, depth))]
+    return [(q1, q1 + q, x) for q, q1, x in imf._inv_xis(cf, 0, depth)]
 
 
 def _below(x: tuple[int, int, QuadExt], y: tuple[int, int, QuadExt]) -> bool:
@@ -285,7 +285,7 @@ class GapCertificate(Record):
                 "d_first": self.d_first.render(digits),
                 "d_second": self.d_second.render(digits),
                 "delta": render_decimal(self.delta, digits),
-                "threshold": render_decimal(Fraction(self.bound * (self.quotient - 1)), digits),
+                "threshold": render_decimal(self.bound * (self.quotient - 1), digits),
                 "half_bound": render_decimal(Fraction(self.bound, 2), digits),
             },
             "verdict": "verified",

@@ -36,6 +36,8 @@ COMMANDS = {
                           "--max-depth", "60"],
     "lemmas_preperiod": ["lemmas", "--alpha", "cf:[0;1,1,1,1,1,1,(1,2)]",
                          "--beta", "surd:(1+sqrt(3))/2", "--max-depth", "60"],
+    "lemmas_digits40": ["lemmas", "--alpha", SQRT2, "--beta", "tau", "--max-depth", "60",
+                        "--digits", "40"],
     "lemmas_tie": ["lemmas", "--alpha", SQRT2, "--beta", "cf:[0;1,(2)]", "--max-depth", "20"],
     "construct_optimal": ["construct-optimal", "--epsilon", "0.06"],
     "verify_optimal": ["verify-optimal", "--epsilon", "0.06", "--from", "1000000",
@@ -45,6 +47,8 @@ COMMANDS = {
     "construct_optimal_small": ["construct-optimal", "--epsilon", "1/3000"],
     "verify_optimal_wide": ["verify-optimal", "--epsilon", "1/1000", "--from", "1000000",
                             "--bound", "10000000000000000000000000000000000000000"],
+    "profile_json_digits1": ["profile", "--alpha", SQRT2, "--beta", "tau", "--bound", str(10**30),
+                             "--output", "json", "--digits", "1"],
     "profile_far": ["profile", "--alpha", SQRT2, "--beta", "tau",
                     "--from", "1000000000000000000000000000000000000000000000000000000000000",
                     "--bound", "100000000000000000000000000000000000000000000000000000000000000",

@@ -9,6 +9,10 @@ scale that differ. A rational d (one field, equal irrational parts) renders from
 the exact difference, ties to even, and an exact zero has the sign 0, on which
 ``sign_changes`` raises. The memo is
 the fresh ``isqrt`` floor, and invisible to ==, hash, repr, pickle and deepcopy.
+
+A ``QuadExt`` keeps its exact string and its decimal at the last ``digits`` too, so a
+1/psi carried over to the next row, or a 1/xi held by several dichotomy records, is
+formatted once (``exact._format_scaled``); the memoized strings are a fresh clone's.
 """
 
 import copy
@@ -20,8 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psidiff import (DValue, QuadExt, breakpoint_profile, cli, d_at, exact, imf, parse_number,
-                     render_decimal, sign_changes)
+from psidiff import (DValue, QuadExt, breakpoint_profile, cli, d_at, exact, parse_number,
+                     render_decimal, scan_dichotomy, scan_interleave_gap, sign_changes)
 from psidiff.errors import UndecidedSignError
 
 from test_convergent_source import valid_pairs
@@ -98,23 +102,48 @@ def test_cli_profile_floors_each_value_once(output, monkeypatch, capsys):
     assert set(rendered) == {x for e in entries for x in (e.inv_psi_alpha, e.inv_psi_beta)}
 
 
+def watch_formats(monkeypatch) -> list:
+    """(n, digits) of each ``exact._format_scaled`` call from now on."""
+    calls, format_scaled = [], exact._format_scaled
+    monkeypatch.setattr(exact, "_format_scaled",
+                        lambda n, digits: calls.append((n, digits)) or format_scaled(n, digits))
+    return calls
+
+
 @pytest.mark.parametrize("output", ["csv", "json"])
 def test_cli_profile_renders_each_value_once_per_column(output, monkeypatch, capsys):
-    """A 1/psi carried over to the next row reuses that row's string: ``profile`` renders
-    each distinct 1/psi once in its column."""
+    """A 1/psi carried over to the next row keeps the string it rendered: ``profile`` formats
+    each distinct 1/psi once in its column, and each row's d once."""
     argv = ["profile", "--alpha", "surd:(0+sqrt(2))/1", "--beta", "tau", "--from", "7",
             "--bound", str(10**100), "--output", output]
     entries = breakpoint_profile(SQRT2, TAU, 7, 10**100).entries
-    rendered, render = [], imf.render_decimal
-    monkeypatch.setattr(imf, "render_decimal",
-                        lambda x, digits: rendered.append(x) or render(x, digits))
+    columns = [{e.inv_psi_alpha for e in entries}, {e.inv_psi_beta for e in entries}]
+    calls = watch_formats(monkeypatch)
     assert cli.main(argv) == 0
     capsys.readouterr()
-    values = [x for x in rendered if type(x) is QuadExt]  # d renders as a DValue or a Fraction
-    distinct = {x for e in entries for x in (e.inv_psi_alpha, e.inv_psi_beta)}
-    assert len(values) == len({id(x) for x in values}) == len(distinct) < 2 * len(entries)
-    assert set(values) == distinct
-    assert len(rendered) - len(values) == len(entries)  # and one d per row
+    assert {digits for _, digits in calls} == {DIGITS}
+    assert len(calls) == len(columns[0]) + len(columns[1]) + len(entries) < 3 * len(entries)
+
+
+def test_cli_lemmas_formats_each_remainder_once(monkeypatch, capsys):
+    """A 1/xi held by several dichotomy records keeps its strings: ``lemmas`` formats each
+    distinct xi object as often as one fresh ``str`` and one fresh decimal of it do."""
+    depth = 200
+    records = scan_dichotomy(SQRT2, TAU, depth)
+    values = {id(x): x for r in records for x in (r.xi_prev, r.xi, r.eta)}
+    assert len(values) < 3 * len(records)  # neighbouring records share an xi
+    calls = watch_formats(monkeypatch)
+    for cert in scan_interleave_gap(SQRT2, TAU, depth):
+        cert.to_json(DIGITS)
+    for x in values.values():
+        clone = pickle.loads(pickle.dumps(x))
+        str(clone), render_decimal(clone, DIGITS)
+    once = len(calls)
+    calls.clear()
+    argv = ["lemmas", "--alpha", "surd:(0+sqrt(2))/1", "--beta", "tau", "--max-depth", str(depth)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == once
 
 
 def fresh_floor(x: QuadExt, m: int) -> int:
@@ -140,6 +169,46 @@ def test_memo_is_the_fresh_floor_and_invisible(x, pool, picks):
             assert clone == x and clone._memo is None
     with pytest.raises(AttributeError):
         x._memo = None
+
+
+# radicands past exact._STR_BITS bits, each its own field's radicand as it stands
+WIDE_RADICANDS = (2**2048 + 1, 10**650 + 3)
+WIDE = st.integers(1, 10**6) | st.integers(2**exact._STR_BITS, 2**(exact._STR_BITS + 64))
+
+
+@st.composite
+def wide_quadexts(draw):
+    """(A + B*sqrt(D))/Q with each of A, B, Q and D small or past ``exact._STR_BITS`` bits."""
+    A, B = (draw(WIDE) * draw(st.sampled_from([-1, 0, 1])) for _ in range(2))
+    Q = draw(WIDE)
+    return QuadExt(Fraction(A, Q), Fraction(B, Q), draw(st.sampled_from((2, 5) + WIDE_RADICANDS)))
+
+
+STEPS = st.lists(st.tuples(st.just("floor"), MULTIPLIERS) | st.tuples(st.just("str"), st.none())
+                 | st.tuples(st.just("render"), st.integers(0, 40)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadexts() | wide_quadexts(), STEPS)
+def test_memoized_strings_equal_a_fresh_clones(x, steps):
+    """``str(x)`` and ``render_decimal(x, digits)`` equal a fresh pickle clone's after any mix
+    of renders at other digits and floors at other scales, and the memo stays invisible."""
+    blank = exact._make(x.A, x.B, x.Q, x.D)
+    for kind, arg in steps + [("str", None), ("render", 12), ("floor", 3), ("render", 12)]:
+        fresh = pickle.loads(pickle.dumps(x))
+        if kind == "floor":
+            assert x._scaled_floor(arg) == fresh_floor(x, arg)
+        elif kind == "str":
+            assert str(x) == str(fresh) == x._texts[0]
+        else:
+            assert render_decimal(x, arg) == render_decimal(fresh, arg) == x._texts[2]
+            assert x._texts[1] == arg
+        assert x == blank and hash(x) == hash(blank) and repr(x) == repr(blank)
+        assert pickle.dumps(x) == pickle.dumps(blank)
+        for clone in (copy.copy(x), copy.deepcopy(x)):
+            assert clone == x and clone._texts == (None, None, None)
+    with pytest.raises(AttributeError):
+        x._texts = None
 
 
 @pytest.mark.parametrize("x", [exact.TAU, exact.SQRT5 * Fraction(3, 7) + 1,

@@ -206,7 +206,7 @@ def count_makes(monkeypatch) -> list:
 @pytest.mark.parametrize("alpha, beta", [(SQRT2, TAU_CF), (TAU_CF, SQRT2)])
 def test_branch_builds_no_value(alpha, beta, monkeypatch):
     records = scan_dichotomy(alpha, beta, DEPTH)
-    inv_xis, inv_etas = imf._inv_xis(alpha, 0, DEPTH), imf._inv_xis(beta, 0, DEPTH)
+    inv_xis, inv_etas = ([x for _, _, x in imf._inv_xis(cf, 0, DEPTH)] for cf in (alpha, beta))
     makes = count_makes(monkeypatch)
     for r in records:
         branch = theorems._branch(alpha, r.n, inv_xis[r.n - 1], inv_xis[r.n], inv_etas[r.s])
@@ -217,7 +217,8 @@ def test_branch_builds_no_value(alpha, beta, monkeypatch):
 def test_branch_identity_check_sees_the_field():
     """1/xi_n's coefficients over sqrt(3) instead of sqrt(2) break the identity."""
     r = scan_dichotomy(SQRT2, TAU_CF, DEPTH)[0]
-    inv_xis, inv_eta = imf._inv_xis(SQRT2, 0, DEPTH), imf._inv_xis(TAU_CF, r.s, r.s)[0]
+    inv_xis = [x for _, _, x in imf._inv_xis(SQRT2, 0, DEPTH)]
+    (_, _, inv_eta), = imf._inv_xis(TAU_CF, r.s, r.s)
     forged = QuadExt(inv_xis[r.n].a, inv_xis[r.n].b, 3)
     assert theorems._branch(SQRT2, r.n, inv_xis[r.n - 1], inv_xis[r.n], inv_eta) is r.branch
     with pytest.raises(DichotomyViolationError):

@@ -36,6 +36,15 @@ SQRT2 = parse_number("surd:(0+sqrt(2))/1")
 TAU_CF = parse_number("tau")
 
 
+def filled_value() -> exact.QuadExt:
+    """3*tau with its floor, exact string and decimal memos filled."""
+    x = TAU * 3
+    x._scaled_floor(7)
+    str(x)
+    exact.render_decimal(x, 5)
+    return x
+
+
 def filled_expansion() -> CFExpansion:
     cf = CFExpansion(0, [1, 3], [2, 1, 5])
     cf.value()
@@ -68,6 +77,13 @@ def test_memos_take_no_part_in_equality():
     assert getattr(fresh, "_ladder", None) is None and filled._ladder is not None
     assert fresh == filled and hash(fresh) == hash(filled)
     assert repr(fresh) == repr(filled) == "CFExpansion(a0=0, preperiod=(1, 3), period=(2, 1, 5))"
+    fresh, filled = TAU * 3, filled_value()
+    assert fresh._memo is None and fresh._texts == (None, None, None)
+    assert filled._memo is not None and None not in filled._texts
+    assert fresh == filled and hash(fresh) == hash(filled) and repr(fresh) == repr(filled)
+    assert pickle.dumps(fresh) == pickle.dumps(filled)
+    for clone in (copy.copy(filled), copy.deepcopy(filled), pickle.loads(pickle.dumps(filled))):
+        assert clone == filled and clone._memo is None and clone._texts == (None, None, None)
 
 
 def test_equality_is_per_class():
@@ -96,6 +112,13 @@ def test_memo_slots_cannot_be_assigned_from_outside():
     cf = filled_expansion()
     with pytest.raises(AttributeError, match="immutable"):
         cf._ladder = None
+    x = filled_value()
+    for slot in ("_memo", "_texts"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, slot, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(x, slot)
+    assert str(x) == "3/2+3/2√5" and exact.render_decimal(x, 5) == "4.85410"
 
 
 @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
