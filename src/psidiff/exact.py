@@ -22,9 +22,9 @@ several records, is formatted once. ``Interval`` is a rational enclosure, held a
 lo_n/den and hi_n/den over one shared denominator that arithmetic never reduces; ``.lo`` and
 ``.hi`` are ``Fraction`` views. ``refine_compare``, the only precision-refinement loop,
 encloses two values from 64 bits, doubling up to ``cap_bits`` and reporting
-``Comparison.UNDECIDED`` if they still overlap there; the witness test |d(t)| vs C*t caps it
-at ``_witness_bits``, a root-separation bound where they always separate. ``Record`` is the
-immutable base of the result records.
+``Comparison.UNDECIDED`` if they still overlap there. Its one caller, the witness test
+|d(t)| >= C*t (``_exceeds_c_times``), caps it at ``_witness_bits``, a root-separation bound
+where they always separate. ``Record`` is the immutable base of the result records.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Union
 
-from .errors import MixedFieldError
+from .errors import MixedFieldError, UndecidedSignError
 
 RatLike = Union[int, Fraction]
 Parts = tuple[int, int, int, int]  # (A, B, Q, D) of (A + B*sqrt(D))/Q, not reduced
@@ -612,6 +612,16 @@ def _witness_bits(b: QuadExt, a: QuadExt, t: int) -> int:
     sb, sa = (abs(x.A) + (abs(x.B) << (x.D.bit_length() + 1) // 2) for x in (b, a))
     H = a.Q * sb + b.Q * sa + 6 * a.Q * b.Q * t
     return 15 * H.bit_length() + (a.Q * b.Q * (t + 2)).bit_length()
+
+
+def _exceeds_c_times(b: QuadExt, a: QuadExt, t: int) -> bool:
+    """|b - a| >= C*t for b, a of any two fields and an integer t >= 1, the witness test: they
+    are never equal, so ``refine_compare`` capped at ``_witness_bits`` always decides it."""
+    verdict = refine_compare(lambda bits: abs(b.enclosure(bits) - a.enclosure(bits)),
+                             lambda bits: c_enclosure(bits) * t, _witness_bits(b, a, t))
+    if verdict is Comparison.UNDECIDED:  # never: the bound separates them
+        raise UndecidedSignError(f"|d(t)| vs C*t undecided at t = {_format_scaled(t, 0)}")
+    return verdict is Comparison.GREATER
 
 
 # -- decimal rendering --------------------------------------------------------

@@ -24,8 +24,8 @@ streams from their lower end, at one recurrence step per breakpoint. Such a
 pass computes one exact 1/psi per convergent, not per breakpoint: at a
 breakpoint where only one number steps, the other's value is carried over from
 the step before, and so are its guarded floor and its rendered string, which
-``QuadExt`` keeps. d(t), in one field or two, renders and takes
-its sign from its parts' floors.
+``QuadExt`` keeps. d(t), in one field or two, renders and takes its sign from its
+parts' floors; ``exact._exceeds_c_times`` decides |d(t)| >= C*t from the two parts.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
     RationalInputError,
     UndecidedSignError,
 )
-from .exact import DEFAULT_CAP_BITS, Interval, QuadExt, Record, _format_scaled, render_decimal
+from .exact import DEFAULT_CAP_BITS, QuadExt, Record, _format_scaled, render_decimal
 
 
 class PsiValue(Record):
@@ -143,10 +143,10 @@ class DValue(Record):
 
     __slots__ = ("inv_psi_beta", "inv_psi_alpha", "alpha_index", "beta_index")
 
-    def enclosure(self, bits: int) -> Interval:
+    def enclosure(self, bits: int):  # an exact.Interval
         return self.inv_psi_beta.enclosure(bits) - self.inv_psi_alpha.enclosure(bits)
 
-    def abs_enclosure(self, bits: int) -> Interval:
+    def abs_enclosure(self, bits: int):
         return abs(self.enclosure(bits))
 
     def sign(self) -> int:
@@ -173,7 +173,7 @@ class DValue(Record):
         rational (one field, equal irrational parts) from the difference, ties to even."""
         b, a = self.inv_psi_beta, self.inv_psi_alpha
         if (b.B == 0 or b.D == a.D) and b.B * a.Q == a.B * b.Q:
-            return render_decimal(Fraction(b.A * a.Q - a.A * b.Q, b.Q * a.Q), digits)
+            return render_decimal(b - a, digits)
         return render_decimal(self, digits)
 
 

@@ -1,11 +1,11 @@
 """Machine-checkable certificates for the main inequality and its lemmas.
 
-Witnesses certify |d(t)| >= C*t at explicit t. The lemma scanners enumerate
-the finite coincidence patterns between the two denominator sequences and, for
-the interleave pattern, verify the exact in-field inequality that drives the
-contradiction. The optimality construction builds the near-extremal companion
-of tau from a shifted Fibonacci-type sequence and verifies the denominator
-correspondence it relies on.
+Witnesses certify |d(t)| >= C*t at explicit t, each test one ``exact._exceeds_c_times``.
+The lemma scanners enumerate the finite coincidence patterns between the two denominator
+sequences and, for the interleave pattern, verify the exact in-field inequality that drives
+the contradiction. The optimality construction builds the near-extremal companion of tau from
+a shifted Fibonacci-type sequence, deciding each candidate by exact ``Root`` signs, and
+verifies the denominator correspondence it relies on.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     PreconditionFailedError,
     PsidiffError,
     SearchExhaustedError,
-    UndecidedSignError,
 )
 from .exact import (
     _STR_BITS,
@@ -35,16 +34,10 @@ from .exact import (
     SQRT_TAU,
     TAU,
     C,
-    Comparison,
     QuadExt,
     Record,
-    _floor,
     _format_scaled,
     _ratio_str,
-    _sign2,
-    _witness_bits,
-    c_enclosure,
-    refine_compare,
     render_decimal,
 )
 from .imf import DValue
@@ -96,19 +89,15 @@ def find_witness(
     """Smallest t in {T} U breakpoints of [T, search_bound] with |d(t)| >= C*t.
 
     Checking step left ends is exhaustive: d is constant on a step while C*t
-    increases, so a witness anywhere in a step gives one at its left end. Each test refines
-    up to ``exact._witness_bits``, where the two must separate; ``cap_bits`` is unread.
+    increases, so a witness anywhere in a step gives one at its left end. Each test is one
+    ``exact._exceeds_c_times`` on the step's two 1/psi, always decided; ``cap_bits`` is unread.
     """
     if not 1 <= T <= search_bound:
         raise ValueError("need 1 <= T <= search_bound")
     imf.check_pair(alpha, beta)
     for t, d in imf._d_steps(alpha, beta, T, search_bound):
-        cap = _witness_bits(d.inv_psi_beta, d.inv_psi_alpha, t)
-        verdict = refine_compare(d.abs_enclosure, lambda bits: c_enclosure(bits) * t, cap)
-        if verdict is Comparison.GREATER:
+        if exact._exceeds_c_times(d.inv_psi_beta, d.inv_psi_alpha, t):
             return Witness(t, d)
-        if verdict is Comparison.UNDECIDED:  # never: the bound separates them
-            raise UndecidedSignError(f"|d(t)| vs C*t undecided at t = {_format_scaled(t, 0)}")
     raise NotFoundInRangeError(f"no witness in [{_format_scaled(T, 0)}, "
                                f"{_format_scaled(search_bound, 0)}]; a larger search bound "
                                "may still contain one")
@@ -304,7 +293,8 @@ def _gap_certificate(pattern: str, n: int, m: int, first_point: int, second_poin
         if d_first.inv_psi_alpha != d_second.inv_psi_alpha:
             raise GapViolationError("alpha step is not constant across the pattern")
         after, before = d_second.inv_psi_beta, d_first.inv_psi_beta
-    if exact._cmp(after, before, 1, bound * (quotient - 1)) <= 0:  # delta > bound*(quotient-1)
+    delta = after - before
+    if delta <= bound * (quotient - 1):
         raise GapViolationError(
             f"exact gap inequality failed at pattern {pattern}, (n, m) = ({n}, {m})"
         )
@@ -318,7 +308,7 @@ def _gap_certificate(pattern: str, n: int, m: int, first_point: int, second_poin
         )
     return GapCertificate(
         pattern, n, m, first_point, second_point, bound, quotient,
-        after - before, d_first, d_second, tuple(verified),
+        delta, d_first, d_second, tuple(verified),
     )
 
 
@@ -388,25 +378,18 @@ class OptimalPair(Record):
         }
 
 
-def _above_sqrt_tau(U: int, n: int, d: int) -> bool:
-    """U*phi + n/d > sqrt(tau), d > 0: 2d(U*phi + n/d) - 2d*sqrt(tau) > 0, that is
-    (2n - U*d) + U*d*sqrt(5) - sqrt(2d^2 + 2d^2*sqrt(5)) > 0."""
-    dd = 2 * d * d
-    return _sign2(2 * n - U * d, U * d, -1, dd, dd, 5) > 0
-
-
 def construct_optimal(epsilon: Fraction, cap_bits: int = DEFAULT_CAP_BITS) -> OptimalPair:
     """Deterministic search for the near-optimal companion of tau.
 
-    U ascends from 0; V is the nearest integer to sqrt(tau) - U*phi, so that
-    tau*V + U = tau*(V + U*phi) > 0 always. The first pair with gcd(U, V) = 1,
-    approximation error |V + U*phi - sqrt(tau)| < epsilon, and a companion theta
+    U ascends from 0; V is the nearest integer to x = sqrt(tau) - U*phi, a ``Root``, so that
+    tau*V + U = tau*(V + U*phi) > 0 always. The first pair with gcd(U, V) = 1, error
+    |x - V| < epsilon (the error ``to_json`` prints), and a companion theta
     with tau +- theta not integral is accepted. A screen skips U: at K = 64 + min(bits(epsilon's
     denominator), 64) + bits(U's limit), with P, S, E = floor(phi*2^K), floor(sqrt(tau)*2^K),
     ceil(epsilon*2^K) and r = (U*P - S) mod 2^K, 2^K*(U*phi - sqrt(tau)) lies in (r - 1, r + U)
     mod 2^K, so E < r <= 2^K - E - U means an error >= epsilon, at any K: the min only bounds
     the cost. A U let through errs by under epsilon + (U + 2)/2^K, below epsilon*(1 + 2^-64)
-    for a denominator of at most 64 bits; an exact integer test decides it, not ``cap_bits``.
+    for a denominator of at most 64 bits; exact ``Root`` signs decide it, not ``cap_bits``.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -417,11 +400,9 @@ def construct_optimal(epsilon: Fraction, cap_bits: int = DEFAULT_CAP_BITS) -> Op
     r = -SQRT_TAU._scaled_floor(one) % one  # -S mod 2^K
     for U in range(_UV_SEARCH_LIMIT + 1):
         if r <= E or r + U > one - E:
-            # with m = floor(-U*phi), sqrt(tau) + 1/2 - U*phi lies in [m + 1.77, m + 2.78)
-            m = _floor(U, -U, 2, 5, 1)
-            V = m + 1 if _above_sqrt_tau(U, 2 * m + 3, 2) else m + 2
-            if (math.gcd(U, V) == 1 and _above_sqrt_tau(U, V * d + n, d)
-                    and not _above_sqrt_tau(U, V * d - n, d)):
+            x = SQRT_TAU - U * PHI
+            V = (x._scaled_floor(2) + 1) // 2  # floor(x + 1/2); x is irrational: no tie
+            if math.gcd(U, V) == 1 and (abs(x - V) - epsilon).sign() < 0:
                 pair = _build_pair(epsilon, U, V)
                 if contfrac.is_nonintegral_sum_and_diff(TAU_CF.value(), pair.theta.value()):
                     return pair

@@ -5,10 +5,9 @@ and ``refine_compare`` on their enclosures must separate exactly the unequal
 ones; on cross-field pairs ``compare`` must agree with mpmath, near-ties far
 past the precision cap included, which refinement leaves undecided, and with the
 formula it had before it became one ``exact._sign2`` (``_oracles.cross_field_compare``),
-at a precision taken from the norm bound. The other users of ``_sign2`` are held to
+at a precision taken from the norm bound. The other user of ``_sign2`` is held to
 mpmath too: ``Root.sign`` over Q(sqrt(5)) and Q(sqrt(2)), near-ties built from
-convergents included, and ``theorems._above_sqrt_tau``, which must also equal the sign
-of the ``Root`` sqrt(tau) - U*phi - n/d. ``QuadExt.floor`` and ``nearest_int`` are checked on
+convergents included. ``QuadExt.floor`` and ``nearest_int`` are checked on
 powers of (1 + sqrt(D)), which lie exponentially close to integers:
 (1 + sqrt(2))**4000 is within 2**-5000 of one. ``render_decimal`` must give
 mpmath's correctly rounded digits, for a ``QuadExt``, for a ``Root`` a + s*sqrt(w)
@@ -31,10 +30,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from psidiff import (Comparison, DValue, Interval, QuadExt, d_at, exact, refine_compare,
-                     render_decimal, theorems)
+                     render_decimal)
 from psidiff.contfrac import convergent_state, expand_quadratic, last_convergent_at_most
 from psidiff.errors import MixedFieldError
-from psidiff.exact import PHI, SQRT_TAU, Root, c_enclosure, squarefree_decompose
+from psidiff.exact import Root, c_enclosure, squarefree_decompose
 
 from _oracles import FractionInterval, cross_field_compare, mp_quadext
 from test_convergent_source import expansions, valid_pairs
@@ -277,19 +276,6 @@ def test_root_sign_matches_mpmath(x):
     with mpmath.workdps(dps):
         assert x.sign() == mpmath.sign(mp_root(x, dps)) != 0
     assert (-x).sign() == -x.sign()
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 10**6), st.integers(-2, 2))
-@example(0, 2, 0)
-def test_above_sqrt_tau_is_the_root_sign(U, d, k):
-    # n/d within 3/d of sqrt(tau) - U*phi, on either side
-    n = (SQRT_TAU - U * PHI)._scaled_floor(d) + k
-    x = SQRT_TAU - U * PHI - Fraction(n, d)
-    dps = root_dps(x)
-    with mpmath.workdps(dps):
-        below = mp_root(x, dps) < 0
-    assert theorems._above_sqrt_tau(U, n, d) == (x.sign() < 0) == below
 
 
 @settings(max_examples=200, deadline=None)

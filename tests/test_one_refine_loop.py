@@ -4,10 +4,11 @@ never passes.
 A bit count that doubles (``bits *= 2``, ``bits = min(2 * bits, cap)``,
 ``bits <<= 1``) anywhere else is a second, hand-written refinement loop.
 ``refine_compare`` takes two enclosure functions and has one caller in the
-package, the witness test |d(t)| vs C*t in ``theorems.find_witness``, which
-passes it the cap ``exact._witness_bits`` computes from the step, where the
-enclosures always separate. Every other decision is exact, and so is every
-printed decimal: no output path mentions refinement, enclosures or the cap.
+package, the witness test |d(t)| vs C*t, ``exact._exceeds_c_times``, which
+``theorems.find_witness`` calls on each step and which passes it the cap
+``exact._witness_bits`` computes from the step, where the enclosures always
+separate. Every other decision is exact, and so is every printed decimal: no
+output path mentions refinement, enclosures or the cap.
 """
 
 import ast
@@ -91,13 +92,13 @@ def test_guard_sees_each_form():
 
 
 def test_find_witness_passes_its_cap(monkeypatch):
-    caps = []
+    caps, refine = [], exact.refine_compare
 
     def spy(lhs, rhs, cap_bits=None):
         caps.append(cap_bits)
-        return exact.refine_compare(lhs, rhs, cap_bits)
+        return refine(lhs, rhs, cap_bits)
 
-    monkeypatch.setattr(theorems, "refine_compare", spy)
+    monkeypatch.setattr(exact, "refine_compare", spy)
     sqrt2 = parse_number("surd:(0+sqrt(2))/1")
     bounds = []
     for t in (10, 12):
@@ -177,7 +178,40 @@ def uses_in_package(name: str) -> list[str]:
 
 
 def test_refinement_decides_only_the_witness_test():
-    assert uses_in_package("refine_compare") == ["theorems.py in find_witness"]
+    assert uses_in_package("refine_compare") == ["exact.py in _exceeds_c_times"]
+
+
+EXACT_ONLY = {"_floor", "_sign", "_sign2", "refine_compare", "Comparison", "c_enclosure",
+              "_witness_bits", "Interval"}
+
+
+def names_in(source: str) -> set[str]:
+    """Every name a module mentions: by name, as an attribute, or imported under any name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_decision_mechanics_are_named_only_in_exact():
+    """How a verdict is reached, the level kernels, the refinement loop, its enclosures and its
+    cap, is known to ``exact`` alone: other modules ask it for verdicts. ``DEFAULT_CAP_BITS``
+    is not listed, as the commands keep an unread ``cap_bits`` that callers pass by position."""
+    found = {path.name: sorted(names_in(path.read_text()) & EXACT_ONLY)
+             for path in SOURCES if path.name != "exact.py"}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_exact_only_guard_sees_each_form():
+    source = ("from .exact import _floor as floor\nfrom . import exact\n"
+              "def f(x):\n    return exact.refine_compare(x, 0)\n"
+              "def g(x) -> Interval:\n    return _sign2\n")
+    assert names_in(source) & EXACT_ONLY == {"_floor", "refine_compare", "Interval", "_sign2"}
 
 
 OUTPUT_PATHS = [exact.render_decimal, imf.DValue.render, imf.profile_to_csv, imf._rendered_rows,

@@ -56,6 +56,8 @@ TAU_CF = parse_number("tau")
 FIVE1 = parse_number("cf:[0;5,(1)]")
 # U = 7's approximation error |V + U*phi - sqrt(tau)| rounded up at 25 digits
 UNDECIDED_EPS = Fraction(271091358675974865898427, 5000000000000000000000000)
+EPSILONS = st.integers(2, 10**4).flatmap(lambda d: (
+    st.integers(1, min(d - 1, 20)) | st.integers(1, d - 1)).map(lambda n: Fraction(n, d)))
 
 
 class TestFindWitness:
@@ -293,12 +295,14 @@ class TestConstructOptimal:
     @pytest.mark.parametrize("epsilon", [Fraction(1, 20), Fraction(1, 1000), Fraction(1, 10**5)])
     def test_no_allocation_per_candidate(self, monkeypatch, epsilon):
         # U reaches 15, 1235 and 87206; the QuadExt search made 202, 14279 and 1008177
-        # values, where only _build_pair and the companion check make any now
+        # values. A U the screen skips builds none: only the one to three it lets through
+        # build values (x = sqrt(tau) - U*phi, V and the error), and _build_pair and the
+        # companion check the rest, 31, 35 and 37 in all, however far U goes
         calls = []
         make = exact._make
         monkeypatch.setattr(exact, "_make", lambda *args: calls.append(1) or make(*args))
         construct_optimal(epsilon)
-        assert len(calls) <= 30
+        assert len(calls) <= 45
 
     def test_small_epsilons_pinned(self):
         # the QuadExt search finds these too, in seconds rather than milliseconds
@@ -308,8 +312,7 @@ class TestConstructOptimal:
             assert (pair.U, pair.V) == (U, V)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(2, 10**4).flatmap(lambda d: (
-        st.integers(1, min(d - 1, 20)) | st.integers(1, d - 1)).map(lambda n: Fraction(n, d))))
+    @given(EPSILONS)
     @example(Fraction(1, 662))
     @example(Fraction(1, 663))
     @example(Fraction(1, 875))
@@ -320,8 +323,21 @@ class TestConstructOptimal:
     def test_matches_exact_reference(self, epsilon):
         assert construct_optimal(epsilon) == exact_uv_search(epsilon)
 
+    @settings(max_examples=80, deadline=None)
+    @given(EPSILONS)
+    @example(Fraction(99, 100))
+    @example(UNDECIDED_EPS)
+    def test_pair_rechecks_from_its_fields(self, epsilon):
+        """U and V are coprime, V + U*phi is the nearest of its kind to sqrt(tau), and the
+        error the pair prints is below epsilon, each an exact ``Root`` sign."""
+        pair = construct_optimal(epsilon)
+        error = abs(SQRT_TAU - (pair.V + pair.U * PHI))
+        assert pair.epsilon == epsilon and math.gcd(pair.U, pair.V) == 1
+        assert (error - Fraction(1, 2)).sign() < 0 and (error - epsilon).sign() < 0
+        assert pair.A * SQRT5 == pair.V + pair.U * PHI
+
     def test_floor_neg_u_phi_small(self):
-        # the screen's floor(-U*phi) = floor((U - U*sqrt(5))/2), through exact's level-1 kernel
+        # floor(-U*phi) = floor((U - U*sqrt(5))/2) through exact's level-1 floor kernel
         for U in range(5001):
             assert exact._floor(U, -U, 2, 5, 1) == (-(U * PHI)).floor(), U
 
@@ -490,6 +506,19 @@ def test_interleave_certificates_match_single_evaluations(pair, depth):
     for c in certs:
         assert c.d_first == d_at(alpha, beta, c.first_point)
         assert c.d_second == d_at(alpha, beta, c.second_point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_pairs(), st.integers(0, 40))
+def test_gap_certificates_recheck_from_their_fields(pair, depth):
+    """Each delta is the stepping number's 1/psi at the second point less that at the first,
+    the other number's held, and exceeds bound*(quotient - 1) exactly."""
+    for c in scan_interleave_gap(*pair, depth):
+        part, held = (("inv_psi_alpha", "inv_psi_beta") if c.pattern == "a"
+                      else ("inv_psi_beta", "inv_psi_alpha"))
+        assert getattr(c.d_first, held) == getattr(c.d_second, held)
+        assert c.delta == getattr(c.d_second, part) - getattr(c.d_first, part)
+        assert c.bound == c.second_point and c.delta > c.bound * (c.quotient - 1)
 
 
 @settings(max_examples=60, deadline=None)
