@@ -9,8 +9,8 @@ minimal period (Galois), which ends when that state comes back.
 Convergents come from one in-order stream, ``convergent_stream``, one
 recurrence step each, yielding (n, p_n, q_n) as plain ints; ``convergents`` alone
 wraps them in ``Convergent`` records. It starts at index 0 or, seeded with a
-state from the ladder, at any index; ``imf`` seeds every walk at its lower end
-with one ladder lookup per number (``last_convergent_at_most`` by bound,
+state from the ladder, at any index. ``imf``'s walks step q on ``quotients`` alike, each
+seeded at its lower end by one ladder lookup (``last_convergent_at_most`` by bound,
 ``convergent_state`` by index). The ladder, an expansion's one memo, is built
 on first use: the states ``(p_n, p_{n-1}, q_n, q_{n-1})`` of the preperiod,
 and the squared period matrices ``M, M^2, M^4, ...`` of the 2x2 matrix view of
@@ -35,7 +35,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, islice
+from itertools import accumulate, chain, cycle, islice
 from typing import Callable, Iterator, Sequence
 
 from .errors import RationalInputError
@@ -75,17 +75,13 @@ class CFExpansion(Record):
         """a_start, a_start+1, ...: an infinite stream for irrational values.
 
         The stream starts by slicing the preperiod or rotating the period, not by
-        skipping quotients.
+        skipping quotients, and is a chain of C iterators, which a walk steps with no frame.
         """
         if start < 0:
             raise IndexError("quotient index must be >= 0")
-        head = (self.a0, *self.preperiod)
-        yield from head[start:]
-        if self.period:
-            offset = max(start - len(head), 0) % len(self.period)
-            yield from self.period[offset:]
-            while True:
-                yield from self.period
+        head, period = (self.a0, *self.preperiod), self.period
+        offset = max(start - len(head), 0) % (len(period) or 1)
+        return chain(head[start:], period[offset:], cycle(period))
 
     def value(self) -> QuadExt | Fraction:
         """Exact value: a Fraction when rational, a QuadExt otherwise (from the ladder)."""
@@ -302,15 +298,14 @@ def continuant(word: Sequence[int]) -> int:
 
 def tails(cf: CFExpansion, start: int) -> Iterator[QuadExt]:
     """The exact tails [a_r; a_{r+1}, ...] of a periodic expansion for r = start, start+1, ...
-    (start >= 1), read in order off the ladder's ``tails``, unrolling the period."""
+    (start >= 1), read in order off the ladder's ``tails``, unrolling the period by C iterators."""
     if cf.is_rational:
         raise RationalInputError("tails are defined for irrational expansions only")
     if start < 1:
         raise ValueError("tail index must be >= 1")
     held, k = _ladder(cf).tails, len(cf.preperiod)
-    yield from held[start - 1 if start <= k else k + (start - k - 1) % len(cf.period):]
-    while True:
-        yield from held[k:]
+    return chain(held[start - 1 if start <= k else k + (start - k - 1) % len(cf.period):],
+                 cycle(held[k:]))
 
 
 def tail(cf: CFExpansion, r: int) -> QuadExt:

@@ -11,12 +11,13 @@ the products' parts, takes one of them and builds no ``QuadExt``. ``Root`` is a 
 with a and w in one such field and s = +-1, the form of sqrt(tau), of the optimal constant
 C = sqrt(5) - sqrt(5*phi) and of what is built from them; its sign is one ``_sign2``.
 One floor per level, floor(m*x) for an integer m >= 1, is exact integer arithmetic too:
-``_floor`` of a + b*sqrt(D), and ``_guarded`` of a sum of two leaf floors (a ``Root``, or
+``_floor`` of a + b*sqrt(D), by a fixed-point root floor(sqrt(D)*2**K) that ``_root``
+caches up to K = ``_ROOT_BITS``, and ``_guarded`` of a sum of two leaf floors (a ``Root``, or
 ``imf.DValue`` from its parts' floors) at m << GUARD_BITS, with an exact sign test only on
 a straddle. ``floor`` takes it at m = 1, a dyadic enclosure at m = 2**(bits + 1), and
 ``render_decimal`` every decimal at m = 2*10**digits, with no precision to choose; a
-``QuadExt`` keeps its last floor and renders at m = 2*10**digits << GUARD_BITS, where
-``DValue`` reads it. Being immutable, a ``QuadExt`` also keeps its exact ``str`` and its
+``QuadExt`` keeps its last floor in its memo and renders at m = 2*10**digits << GUARD_BITS,
+where ``DValue`` reads it. Being immutable, a ``QuadExt`` also keeps its exact ``str`` and its
 decimal at the last ``digits``, so a value carried over to the next profile row, or held by
 several records, is formatted once. ``Interval`` is a rational enclosure, held as integers
 lo_n/den and hi_n/den over one shared denominator that arithmetic never reduces; ``.lo`` and
@@ -319,11 +320,31 @@ def int_repr(x: object) -> str:
         return hex(x)
 
 
+_ROOT_BITS = 4096  # the widest cached root; a floor that needs more takes its own isqrt
+
+
+@lru_cache(maxsize=1024)
+def _root(D: int, K: int) -> int:
+    """floor(sqrt(D) * 2**K) for K a power of two: the fixed-point root ``_floor`` multiplies by."""
+    return math.isqrt(D << 2 * K)
+
+
 def _floor(A: int, B: int, Q: int, D: int, m: int) -> int:
-    """floor(m*(A + B*sqrt(D))/Q) for Q > 0, D no square and an integer m >= 1, in integers: r =
-    isqrt(B^2*D*m^2) is the floor of |B|*m*sqrt(D), irrational unless B == 0, so the floor is
-    that of (A*m + r)/Q when B >= 0 and of (A*m - r - 1)/Q when B < 0."""
-    r = math.isqrt(B * B * D * m * m)
+    """floor(m*(A + B*sqrt(D))/Q) for Q > 0, D no square and an integer m >= 1, in integers.
+
+    With y = N*sqrt(D), N = |B|*m, and r = floor(y), the floor is that of (A*m + r)/Q when
+    B >= 0 and of (A*m - r - 1)/Q when B < 0, as y is irrational unless B == 0. r is
+    (N*s) >> K with s = ``_root(D, K)`` = floor(sqrt(D)*2**K), K the least power of two with
+    K >= 2*bits(N) + ceil(bits(D)/2) + 1, a fixed-point root (Brent and Zimmermann, Modern
+    Computer Arithmetic, 1.5). It is exact, with no guard: N*s/2**K lies in (y - N/2**K, y],
+    and an integer k <= y lies at least 1/(2y + 1) below y, as y - k = (y*y - k*k)/(y + k)
+    and y*y is an integer; N*(2y + 1) < 2**(2*bits(N) + ceil(bits(D)/2) + 1) <= 2**K, so
+    no integer lies in the interval but floor(y). Past K = ``_ROOT_BITS`` no root is cached,
+    and r is isqrt(N*N*D), so a deep value cannot grow the cache.
+    """
+    N = abs(B) * m
+    K = 1 << (2 * N.bit_length() + (D.bit_length() + 1) // 2).bit_length()
+    r = (N * _root(D, K)) >> K if K <= _ROOT_BITS else math.isqrt(N * N * D)
     return (A * m + (r if B >= 0 else -r - 1)) // Q
 
 
@@ -427,10 +448,12 @@ def _make(A: int, B: int, Q: int, D: int) -> QuadExt:
     # Q first: it is often far smaller than A and B (q_r * tail at t = 10**30000),
     # and math.gcd skips the remaining arguments once the result is 1
     g = math.gcd(Q, A, B) if Q > 0 else -math.gcd(Q, A, B)
+    if g != 1:  # most values come reduced (every 1/psi), and a division is not free
+        A, B, Q = A // g, B // g, Q // g
     x = object.__new__(QuadExt)
-    _SET_A(x, A // g)
-    _SET_B(x, B // g)
-    _SET_Q(x, Q // g)
+    _SET_A(x, A)
+    _SET_B(x, B)
+    _SET_Q(x, Q)
     _SET_D(x, D)
     _SET_MEMO(x, None)
     _SET_TEXTS(x, (None, None, None))
@@ -696,8 +719,12 @@ def render_decimal(x: object, digits: int = 12) -> str:
     if type(x) is QuadExt:
         text, held, decimal = x._texts
         if held != digits:
-            if x.B:
-                n = ((x._scaled_floor(2 * scale << GUARD_BITS) >> GUARD_BITS) + 1) // 2
+            if x.B:  # ``_scaled_floor`` inlined: one frame less per rendered 1/psi
+                m, memo = 2 * scale << GUARD_BITS, x._memo
+                if not (memo and memo[0] == m):
+                    memo = (m, _floor(x.A, x.B, x.Q, x.D, m))
+                    _SET_MEMO(x, memo)
+                n = ((memo[1] >> GUARD_BITS) + 1) // 2
             else:
                 n = _round_half_even(x.A * scale, x.Q)
             decimal = _format_scaled(n, digits)

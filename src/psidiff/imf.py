@@ -11,9 +11,11 @@ comes from ``_inv_psi_at``, which checks its two closed forms exactly against
 each other as one integer identity on the tails' integers, with no field
 arithmetic, and builds the value with one ``exact._make``. Every bracket
 (r, q_{r-1}, q_r, q_{r+1}, alpha_{r+1}, alpha_{r+2}) is plain integers and two
-tails: ``_walk`` steps the convergent stream and the ladder's tails together,
-with no record, seeded at the lower end of its walk by one ladder lookup per
-number: by bound in ``_brackets``, by index in ``_inv_xis``. A single
+tails: ``_walk`` steps the q recurrence on the partial quotients and the ladder's
+tails together, both drawn from C iterators (``_seed``), with no record, seeded at
+the lower end of its walk by one ladder lookup per number: by bound in ``_brackets``
+and ``_merged_brackets``, by index in ``_inv_xis``. The merged walk of two numbers
+steps both itself, so a breakpoint resumes one generator frame. A single
 evaluation is the first step of such a walk:
 ``psi`` and ``inv_psi`` take the first bracket at t, ``d_at`` the first step of
 the merged walk, ``convergent_distance`` and ``check_dichotomy`` the first
@@ -25,14 +27,15 @@ pass computes one exact 1/psi per convergent, not per breakpoint: at a
 breakpoint where only one number steps, the other's value is carried over from
 the step before, and so are its guarded floor and its rendered string, which
 ``QuadExt`` keeps. d(t), in one field or two, renders and takes its sign from its
-parts' floors; ``exact._exceeds_c_times`` decides |d(t)| >= C*t from the two parts.
+parts' floors, read off their memos; ``exact._exceeds_c_times`` decides |d(t)| >= C*t
+from the two parts.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import contfrac, exact
 from .contfrac import CFExpansion, is_nonintegral_sum_and_diff
@@ -62,15 +65,21 @@ Bracket = tuple[int, int, int, int, QuadExt, QuadExt]
 """(r, q_{r-1}, q_r, q_{r+1}, alpha_{r+1}, alpha_{r+2}): recurrence integers and two tails."""
 
 
+def _seed(cf: CFExpansion, r: int, state: contfrac.State) -> tuple[Bracket, Callable, Callable]:
+    """The bracket at r from the state at r, and the ``__next__`` of the quotients from a_{r+2}
+    and of the ladder's tails from alpha_{r+3}, in order: C iterators, which step with no frame."""
+    quotient, tail = cf.quotients(r + 1).__next__, contfrac.tails(cf, r + 1).__next__
+    _, _, q, q_prev = state
+    return (r, q_prev, q, quotient() * q + q_prev, tail(), tail()), quotient, tail
+
+
 def _walk(cf: CFExpansion, r: int, state: contfrac.State) -> Iterator[Bracket]:
-    """The brackets at r, r+1, ..., from the state at r: the q from the convergent stream and
-    the tails read in order off the ladder, one step of each per bracket."""
-    stream, tails = contfrac.convergent_stream(cf, (r, state)), contfrac.tails(cf, r + 1)
-    next(stream)
-    q_prev, q, tail = state[3], state[2], next(tails)
-    for (n, _, q_next), tail_next in zip(stream, tails):
-        yield n - 1, q_prev, q, q_next, tail, tail_next
-        q_prev, q, tail = q, q_next, tail_next
+    """The brackets at r, r+1, ..., from the state at r: one step of q and one tail each."""
+    bracket, quotient, tail = _seed(cf, r, state)
+    while True:
+        yield bracket
+        _, _, q_prev, q, _, t = bracket
+        bracket = (bracket[0] + 1, q_prev, q, quotient() * q + q_prev, t, tail())
 
 
 def _brackets(cf: CFExpansion, t: int) -> Iterator[Bracket]:
@@ -158,9 +167,12 @@ class DValue(Record):
         return exact._cmp(self.inv_psi_beta, self.inv_psi_alpha)
 
     def _leaves(self, M: int) -> int:
-        """floor(M*b) - floor(M*a) - 1, floor(M*d) or one less, from the floors the parts
-        rendered at: the leaves of ``exact._guarded``, floor(m*d) exact in any two fields."""
-        return self.inv_psi_beta._scaled_floor(M) - self.inv_psi_alpha._scaled_floor(M) - 1
+        """floor(M*b) - floor(M*a) - 1, floor(M*d) or one less, off the memos of the floors the
+        parts rendered at: the leaves of ``exact._guarded``, floor(m*d) exact in any two fields."""
+        b, a = self.inv_psi_beta, self.inv_psi_alpha
+        fb, fa = b._memo, a._memo
+        fb = fb[1] if fb and fb[0] == M else b._scaled_floor(M)
+        return fb - (fa[1] if fa and fa[0] == M else a._scaled_floor(M)) - 1
 
     def _at_least(self, m: int, k: int) -> bool:
         """m*d >= k: the sign of m*b - m*a - k, one ``exact._cmp``."""
@@ -188,15 +200,20 @@ def _merged_brackets(alpha: CFExpansion, beta: CFExpansion,
     """(t, alpha's bracket, beta's bracket) at t, then at each later denominator of either number.
 
     The one merge of the two denominator sequences. t ascends, and a number
-    stepped at t exactly when the middle q of its bracket is t.
+    stepped at t exactly when the middle q of its bracket is t. Each number is seeded by
+    bound, as in ``_brackets``, and stepped here as in ``_walk``: one frame per breakpoint.
     """
-    walk_a, walk_b = _brackets(alpha, t), _brackets(beta, t)
-    a, b = next(walk_a), next(walk_b)
+    a, quotient_a, tail_a = _seed(alpha, *contfrac.last_convergent_at_most(alpha, t))
+    b, quotient_b, tail_b = _seed(beta, *contfrac.last_convergent_at_most(beta, t))
     while True:
         yield t, a, b
-        t = min(a[3], b[3])
-        a = next(walk_a) if a[3] == t else a
-        b = next(walk_b) if b[3] == t else b
+        _, _, qa_prev, qa, _, ta = a
+        _, _, qb_prev, qb, _, tb = b
+        t = qa if qa < qb else qb
+        if qa == t:
+            a = (a[0] + 1, qa_prev, qa, quotient_a() * qa + qa_prev, ta, tail_a())
+        if qb == t:
+            b = (b[0] + 1, qb_prev, qb, quotient_b() * qb + qb_prev, tb, tail_b())
 
 
 def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,
@@ -207,6 +224,7 @@ def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,
     1/psi is then carried over; only a new bracket is evaluated and cross-checked.
     """
     held_a = held_b = inv_a = inv_b = None
+    new, init = object.__new__, DValue._init  # the generated constructor, with no type call
     for t, a, b in _merged_brackets(alpha, beta, t_min):
         if t > t_max:
             return
@@ -214,7 +232,8 @@ def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,
             held_a, inv_a = a, _inv_psi_at(t, a)
         if b is not held_b:
             held_b, inv_b = b, _inv_psi_at(t, b)
-        yield t, DValue(inv_b, inv_a, a[0], b[0])
+        init(d := new(DValue), inv_b, inv_a, a[0], b[0])
+        yield t, d
 
 
 class ProfileEntry(Record):
@@ -232,9 +251,11 @@ def breakpoint_profile(
     if not 1 <= t_min <= t_max:
         raise ValueError("need 1 <= t_min <= t_max")
     check_pair(alpha, beta)
-    entries = tuple(ProfileEntry(t, d.inv_psi_alpha, d.inv_psi_beta, d)
-                    for t, d in _d_steps(alpha, beta, t_min, t_max))
-    return BreakpointProfile(t_min, t_max, entries)
+    entries, new, init = [], object.__new__, ProfileEntry._init  # no genexpr frame per row
+    for t, d in _d_steps(alpha, beta, t_min, t_max):
+        init(entry := new(ProfileEntry), t, d.inv_psi_alpha, d.inv_psi_beta, d)
+        entries.append(entry)
+    return BreakpointProfile(t_min, t_max, tuple(entries))
 
 
 def sign_changes(profile: BreakpointProfile, cap_bits: int = DEFAULT_CAP_BITS) -> list[int]:

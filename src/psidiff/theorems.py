@@ -107,8 +107,11 @@ def find_witness(
 
 
 def _denominators(cf: CFExpansion, n: int) -> list[int]:
-    """q_0 .. q_n, straight from the convergent stream."""
-    return [q for _, _, q in itertools.islice(contfrac.convergent_stream(cf), n + 1)]
+    """q_0 .. q_n by q_j = a_j q_{j-1} + q_{j-2} on the partial quotients (q_{-1} = 0); a
+    rational expansion stops at its end."""
+    steps = itertools.accumulate(itertools.islice(cf.quotients(1), n),
+                                 lambda q, a: (a * q[0] + q[1], q[0]), initial=(1, 0))
+    return [q for q, _ in steps]
 
 
 def _coincidences(alpha: CFExpansion, beta: CFExpansion, depth: int, gap: int,

@@ -1,12 +1,14 @@
 """One floor path per level: ``exact._floor`` for a + b*sqrt(D), ``exact._guarded`` for a sum.
 
-``_floor`` is floor(m*(A + B*sqrt(D))/Q) in integers; every ``QuadExt`` floor and the
-screen of ``construct_optimal`` go through it. ``_guarded`` takes floor(m*x) of a
+``_floor`` is floor(m*(A + B*sqrt(D))/Q) in integers, one multiplication by a cached
+fixed-point root up to ``exact._ROOT_BITS`` and one ``isqrt`` past it, and equals the plain
+``isqrt`` floor on both sides of that cap, also within 2^-200 of an integer; every
+``QuadExt`` floor and the screen of ``construct_optimal`` go through it. ``_guarded`` takes floor(m*x) of a
 ``Root`` or a ``DValue`` from two leaf floors at m << GUARD_BITS, and pays one exact sign
 test only when the guard bits straddle an integer. Here that branch is forced, with
 m*x within 2^-199 above and below an integer, and each floor is held against mpmath.
-The guards read the package's source: only these kernels, ``squarefree_decompose`` and
-``expand_quadratic`` take an ``isqrt``, and only ``exact`` reads ``GUARD_BITS``.
+The guards read the package's source: only these kernels, the root cache ``_root``,
+``squarefree_decompose`` and ``expand_quadratic`` take an ``isqrt``, and only ``exact`` reads ``GUARD_BITS``.
 """
 
 import math
@@ -104,13 +106,77 @@ def test_floor_kernel_is_the_floor_of_the_scaled_value(A, B, Q, D, m):
     assert x - n >= 0 and x - (n + 1) < 0  # the exact order, with no floor in it
 
 
+def isqrt_floor(A: int, B: int, Q: int, D: int, m: int) -> int:
+    """floor(m*(A + B*sqrt(D))/Q) from one isqrt of B^2*D*m^2, the kernel before the cached root."""
+    r = math.isqrt(B * B * D * m * m)
+    return (A * m + (r if B >= 0 else -r - 1)) // Q
+
+
+RADICANDS = FIELDS + (2**2048 + 1, 10**650 + 3)  # no squares; the last two past _STR_BITS
+WIDTHS = st.integers(0, 6000).flatmap(lambda bits: st.integers(0, 2**bits))  # 0 to 6000 bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2**6000, 2**6000), WIDTHS, st.sampled_from([1, -1]), st.integers(1, 2**64),
+       st.sampled_from(RADICANDS), st.integers(1, 2**200))
+@example(5, 0, 1, 3, 2, 7)  # B = 0
+@example(-1, 2**1000, -1, 1, 5, 1)  # a root of 2049 bits, under the cap
+@example(-1, 2**3000, 1, 3, 5, 1)  # past the cap: its own isqrt
+def test_floor_is_the_isqrt_floor_on_both_sides_of_the_cap(A, B, sign, Q, D, m):
+    assert exact._floor(A, sign * B, Q, D, m) == isqrt_floor(A, sign * B, Q, D, m)
+
+
+def near_integer_root(m: int, B: int, D: int, J: int, above: bool) -> Fraction:
+    """r with m*(r + B*sqrt(D)) in (J, J + 2^-K) if above, else in (J - 2^-K, J): the one-root
+    form of ``near_integer``."""
+    lo = math.isqrt(B * B * D * m * m << 2 * K) * (1 if B > 0 else -1) - (B < 0)
+    return Fraction((J << K) - (lo if above else lo + 1), m << K)
+
+
+@pytest.mark.parametrize("m, s, J, above", CASES)
+@pytest.mark.parametrize("D", [2, 5, 2**2048 + 1])
+def test_floor_holds_within_2_pow_minus_199_of_an_integer(m, s, J, above, D):
+    """On ``near_integer``'s values, whose m*(r + s*sqrt(2)) is the leaf of a d(t) next to J at
+    m << GUARD_BITS, and on r + s*sqrt(D) with m*x itself within 2^-200 of J."""
+    r = near_integer(m, s, J, above)
+    for M in (m, m << exact.GUARD_BITS):
+        assert exact._floor(r.numerator, s * r.denominator, r.denominator, 2, M) == isqrt_floor(
+            r.numerator, s * r.denominator, r.denominator, 2, M)
+    r = near_integer_root(m, s, D, J, above)
+    n = exact._floor(r.numerator, s * r.denominator, r.denominator, D, m)
+    assert n == isqrt_floor(r.numerator, s * r.denominator, r.denominator, D, m)
+    assert n == (J if above else J - 1)
+
+
+@pytest.mark.parametrize("D", RADICANDS)
+def test_each_root_tier_is_the_floor_of_the_scaled_root(D):
+    K = 1
+    while K <= exact._ROOT_BITS:
+        s = exact._root(D, K)
+        assert s * s <= D << 2 * K < (s + 1) * (s + 1)  # s = floor(sqrt(D) * 2**K)
+        K *= 2
+
+
+def test_deep_value_builds_no_root_past_the_cap(monkeypatch):
+    """d(10^30000) and its render floor by their own isqrt: no root wider than the cap is
+    built, so a deep evaluation cannot grow the cache."""
+    tiers, isqrts, root, isqrt = [], [], exact._root, math.isqrt
+    monkeypatch.setattr(exact, "_root", lambda D, K: tiers.append(K) or root(D, K))
+    monkeypatch.setattr(math, "isqrt", lambda n: isqrts.append(n.bit_length()) or isqrt(n))
+    sqrt2 = psidiff.parse_number("surd:(0+sqrt(2))/1")
+    d = psidiff.d_at(sqrt2, psidiff.parse_number("tau"), 10**30000)
+    d.render(12)
+    assert all(K <= exact._ROOT_BITS for K in tiers)
+    assert sum(bits > 10**5 for bits in isqrts) == 2  # each part's own, of about 2*10^5 bits
+
+
 SOURCES = sorted(pathlib.Path(psidiff.__file__).parent.glob("*.py"))
 
 
 def test_isqrt_only_in_the_kernels():
     assert set(uses_in_package("isqrt")) == {
-        "exact.py in _floor", "exact.py in Root._leaves", "exact.py in squarefree_decompose",
-        "contfrac.py in expand_quadratic"}
+        "exact.py in _floor", "exact.py in _root", "exact.py in Root._leaves",
+        "exact.py in squarefree_decompose", "contfrac.py in expand_quadratic"}
 
 
 def test_guard_bits_read_only_inside_exact():

@@ -1,6 +1,6 @@
 """Each rendered value is floored once, and d(t) reads its parts' floors.
 
-A ``QuadExt`` keeps (m, floor(m*x)) of its last ``_scaled_floor`` and renders at
+A ``QuadExt`` keeps (m, floor(m*x)) of its last floor (``exact._floor``) and renders at
 m = 2*10**digits << GUARD_BITS, so a 1/psi carried over to the next profile row,
 and every d(t) that contains it, reuse that one floor: ``DValue.render`` takes
 floor(m*d) from the parts' floors, with an exact ``exact._cmp`` only when the
@@ -37,22 +37,23 @@ SCALE = 2 * 10**DIGITS << exact.GUARD_BITS  # the scale every value renders at
 
 
 def watch(monkeypatch):
-    """(m, x) of each ``QuadExt._scaled_floor`` that missed its memo, the ``math.isqrt``
-    calls, and the ``exact._cmp`` calls, each as a list that grows."""
+    """(m, parts) of each ``exact._floor`` call from now on, a floor that missed its memo, the
+    ``math.isqrt`` calls, and the ``exact._cmp`` calls, each as a list that grows."""
     misses, isqrts, compares = [], [], []
-    floor, isqrt, cmp = QuadExt._scaled_floor, math.isqrt, exact._cmp
+    floor, isqrt, cmp = exact._floor, math.isqrt, exact._cmp
 
-    def observed_floor(x, m):
-        before = x._memo
-        n = floor(x, m)
-        if x._memo is not before:
-            misses.append((m, x))
-        return n
+    def observed_floor(A, B, Q, D, m):
+        misses.append((m, (A, B, Q, D)))
+        return floor(A, B, Q, D, m)
 
-    monkeypatch.setattr(QuadExt, "_scaled_floor", observed_floor)
+    monkeypatch.setattr(exact, "_floor", observed_floor)
     monkeypatch.setattr(math, "isqrt", lambda n: isqrts.append(n) or isqrt(n))
     monkeypatch.setattr(exact, "_cmp", lambda *args: compares.append(args) or cmp(*args))
     return misses, isqrts, compares
+
+
+def parts(x: QuadExt) -> tuple[int, int, int, int]:
+    return x.A, x.B, x.Q, x.D
 
 
 def straddles(d: DValue) -> bool:
@@ -70,6 +71,7 @@ def test_one_floor_per_value(alpha, beta, bound, monkeypatch):
     profile = breakpoint_profile(alpha, beta, 1, bound)
     assert len(profile.entries) == 20
     misses, isqrts, compares = watch(monkeypatch)
+    roots = exact._root.cache_info().misses
     for entry in profile.entries:
         render_decimal(entry.inv_psi_alpha, DIGITS)
         render_decimal(entry.inv_psi_beta, DIGITS)
@@ -78,8 +80,11 @@ def test_one_floor_per_value(alpha, beta, bound, monkeypatch):
         assert len(misses) == held[0]
         assert len(compares) - held[1] == straddles(entry.d)
     values = {id(x): x for e in profile.entries for x in (e.inv_psi_alpha, e.inv_psi_beta)}
-    assert sorted(id(x) for _, x in misses) == sorted(values)  # one miss per distinct 1/psi
-    assert {m for m, _ in misses} == {SCALE} and len(isqrts) == len(misses)
+    assert len(misses) == len(values)  # one miss per distinct 1/psi
+    assert {p for _, p in misses} == {parts(x) for x in values.values()}
+    assert {m for m, _ in misses} == {SCALE}
+    # no isqrt per value: a floor multiplies by a cached root, and an isqrt only builds one
+    assert len(isqrts) == exact._root.cache_info().misses - roots < len(misses)
     held = len(misses), len(compares)
     sign_changes(profile)
     assert len(misses) == held[0]
@@ -97,9 +102,9 @@ def test_cli_profile_floors_each_value_once(output, monkeypatch, capsys):
     misses, _, _ = watch(monkeypatch)
     assert cli.main([*argv, "--output", output]) == 0
     capsys.readouterr()
-    rendered = [x for m, x in misses if m == SCALE]
-    assert len(rendered) == len({id(x) for x in rendered}) == brackets
-    assert set(rendered) == {x for e in entries for x in (e.inv_psi_alpha, e.inv_psi_beta)}
+    rendered = [p for m, p in misses if m == SCALE]
+    assert len(rendered) == len(set(rendered)) == brackets
+    assert set(rendered) == {parts(x) for e in entries for x in (e.inv_psi_alpha, e.inv_psi_beta)}
 
 
 def watch_formats(monkeypatch) -> list:

@@ -22,12 +22,16 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psidiff import (CFExpansion, QuadExt, breakpoint_profile, check_dichotomy, construct_optimal,
                      contfrac, convergent_distance, d_at, find_witness, imf, inv_psi,
                      merged_word, parse_number, psi, scan_dichotomy, scan_interleave_gap,
                      scan_lemma_conseq, scan_lemma_conseq1, theorems, verify_near_optimality)
 from psidiff.errors import FormMismatchError
+
+from test_convergent_source import valid_pairs
 
 LADDER = ("last_convergent_at_most", "convergent_state")
 
@@ -118,25 +122,58 @@ def ladder_references() -> list[str]:
 
 
 def test_only_the_seeds_touch_the_ladder():
-    """Outside contfrac the ladder seeds the two walks and finds the regime floor, nothing else."""
-    assert ladder_references() == ["imf._brackets", "imf._inv_xis",
-                                   "theorems.verify_near_optimality"]
+    """Outside contfrac the ladder seeds the walks, the merged walk seeding its two numbers
+    itself, and finds the regime floor, nothing else."""
+    assert ladder_references() == ["imf._brackets", "imf._inv_xis", "imf._merged_brackets",
+                                   "imf._merged_brackets", "theorems.verify_near_optimality"]
 
 
 def test_far_window_walks_from_its_lower_end(monkeypatch):
-    """The stream yields once per entry, plus a seed and a first step per number."""
+    """The walk draws one partial quotient per entry, plus a seed and a last step per number."""
     tau = CFExpansion(1, (), (1,))
     sqrt2 = parse_number("surd:(0+sqrt(2))/1")
-    real, yielded = contfrac.convergent_stream, []
+    real, drawn = CFExpansion.quotients, []
 
-    def counting(*args):
-        for c in real(*args):
-            yielded.append(c)
-            yield c
+    def counting(cf, start=0):
+        for a in real(cf, start):
+            drawn.append(a)
+            yield a
 
-    monkeypatch.setattr(contfrac, "convergent_stream", counting)
+    monkeypatch.setattr(CFExpansion, "quotients", counting)
     profile = breakpoint_profile(sqrt2, tau, 10**10000, 10**10001)
-    assert len(yielded) <= len(profile.entries) + 2 * 2
+    assert profile.entries[0].d.alpha_index > 10**4  # a walk from index 0 would draw as many
+    assert len(profile.entries) <= len(drawn) <= len(profile.entries) + 2 * 2
+
+
+def merge_of_walks(alpha, beta, t):
+    """The merge of two ``imf._brackets`` walks, as it was written before the merged walk
+    stepped both numbers itself."""
+    walk_a, walk_b = imf._brackets(alpha, t), imf._brackets(beta, t)
+    a, b = next(walk_a), next(walk_b)
+    while True:
+        yield t, a, b
+        t = min(a[3], b[3])
+        a = next(walk_a) if a[3] == t else a
+        b = next(walk_b) if b[3] == t else b
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_pairs(), st.integers(1, 10**300), st.integers(1, 40))
+def test_flat_merge_is_the_merge_of_two_walks(pair, t_min, steps):
+    """Equal steps, each bracket that of the unseeded convergents and the tails, and a number
+    that did not step holding the very same bracket, which ``_d_steps`` carries over by."""
+    merged = list(itertools.islice(imf._merged_brackets(*pair, t_min), steps))
+    assert merged == list(itertools.islice(merge_of_walks(*pair, t_min), steps))
+    for cf, column in zip(pair, (1, 2)):
+        last = merged[-1][column][0]
+        q = [0, *(c.q for c in contfrac.convergents(cf, last + 1))]  # q[n + 1] = q_n
+        for _, *brackets in merged:
+            r, *rest = brackets[column - 1]
+            assert rest == [q[r], q[r + 1], q[r + 2], contfrac.tail(cf, r + 1),
+                            contfrac.tail(cf, r + 2)]
+    for (_, *before), (t, *after) in itertools.pairwise(merged):
+        for held, now in zip(before, after):
+            assert (now is held) == (held[3] != t)
 
 
 def test_one_inv_psi_per_bracket(monkeypatch):
