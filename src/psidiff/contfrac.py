@@ -26,7 +26,8 @@ The ladder also holds every tail and the exact value, built from the period
 matrix M when the ladder is: the purely periodic tail is M's fixed point, the
 period's other tails follow forwards by x -> 1/(x - a), and the preperiod's
 backwards by x -> a + 1/x. So each period is folded once per expansion, and
-``tails`` reads them off in order, unrolling the period, beside the stream.
+``tails`` reads them off in order, unrolling the period, beside the stream; ``tail`` indexes
+one, as ``CFExpansion.partial_quotient`` indexes the preperiod or the period.
 """
 
 from __future__ import annotations
@@ -66,10 +67,16 @@ class CFExpansion(Record):
         return not self.period
 
     def partial_quotient(self, j: int) -> int:
-        """a_j for any j >= 0, unrolling the period."""
-        for a in self.quotients(j):
-            return a
-        raise IndexError(f"rational expansion has no quotient a_{j}")
+        """a_j for any j >= 0: a0, an index into the preperiod, or one into the period."""
+        k = len(self.preperiod)
+        if 0 < j <= k:
+            return self.preperiod[j - 1]
+        if j > k and self.period:
+            return self.period[(j - k - 1) % len(self.period)]
+        if j == 0:
+            return self.a0
+        raise IndexError("quotient index must be >= 0" if j < 0 else
+                         f"rational expansion has no quotient a_{j}")
 
     def quotients(self, start: int = 0) -> Iterator[int]:
         """a_start, a_start+1, ...: an infinite stream for irrational values.
@@ -296,21 +303,27 @@ def continuant(word: Sequence[int]) -> int:
     return _fold(word)[0]
 
 
+def _held_tail(cf: CFExpansion, r: int) -> tuple[tuple[QuadExt, ...], int]:
+    """The ladder's ``tails`` of a periodic expansion and the index in them of tail r >= 1."""
+    if cf.is_rational:
+        raise RationalInputError("tails are defined for irrational expansions only")
+    if r < 1:
+        raise ValueError("tail index must be >= 1")
+    k = len(cf.preperiod)
+    return _ladder(cf).tails, r - 1 if r <= k else k + (r - k - 1) % len(cf.period)
+
+
 def tails(cf: CFExpansion, start: int) -> Iterator[QuadExt]:
     """The exact tails [a_r; a_{r+1}, ...] of a periodic expansion for r = start, start+1, ...
     (start >= 1), read in order off the ladder's ``tails``, unrolling the period by C iterators."""
-    if cf.is_rational:
-        raise RationalInputError("tails are defined for irrational expansions only")
-    if start < 1:
-        raise ValueError("tail index must be >= 1")
-    held, k = _ladder(cf).tails, len(cf.preperiod)
-    return chain(held[start - 1 if start <= k else k + (start - k - 1) % len(cf.period):],
-                 cycle(held[k:]))
+    held, i = _held_tail(cf, start)
+    return chain(held[i:], cycle(held[len(cf.preperiod):]))
 
 
 def tail(cf: CFExpansion, r: int) -> QuadExt:
-    """Exact tail [a_r; a_{r+1}, ...] of a periodic expansion, r >= 1."""
-    return next(tails(cf, r))
+    """Exact tail [a_r; a_{r+1}, ...] of a periodic expansion, r >= 1: one index into the ladder."""
+    held, i = _held_tail(cf, r)
+    return held[i]
 
 
 def is_nonintegral_sum_and_diff(x: QuadExt, y: QuadExt) -> bool:

@@ -6,10 +6,13 @@ held as integers with Q > 0, gcd(A, B, Q) = 1 and D its field's one radicand in
 this process, found without factoring; all field operations are exact integer
 arithmetic, and so is the one sign test per level: ``_sign`` of a + b*sqrt(D), and
 ``_sign2`` of a + b*sqrt(D) + s*sqrt(e + f*sqrt(D)), one squaring into ``_sign``. ``_cmp``,
-the sign of m*x - m*y - k for x, y of any two fields (``compare``), and of x*y - u*v from
-the products' parts, takes one of them and builds no ``QuadExt``. ``Root`` is a + s*sqrt(w)
-with a and w in one such field and s = +-1, the form of sqrt(tau), of the optimal constant
-C = sqrt(5) - sqrt(5*phi) and of what is built from them; its sign is one ``_sign2``.
+the sign of m*x - m*y - k for x, y of any two fields (``compare``), takes one of them and
+builds no ``QuadExt``, nor do the two certificate kernels fused from it: ``_beyond_half``,
+|x - y| > k/2 from one set of products (the interleave gap's point test), and
+``_branch_sign``, the dichotomy's identity x = a*y and sign of e*e - x*y from the four
+values' parts, read once. ``Root`` is a + s*sqrt(w) with a and w in one such field and
+s = +-1, the form of sqrt(tau), of the optimal constant C = sqrt(5) - sqrt(5*phi) and of
+what is built from them; its sign is one ``_sign2``.
 One floor per level, floor(m*x) for an integer m >= 1, is exact integer arithmetic too:
 ``_floor`` of a + b*sqrt(D), by a fixed-point root floor(sqrt(D)*2**K) that ``_root``
 caches up to K = ``_ROOT_BITS``, and ``_guarded`` of a sum of two leaf floors (a ``Root``, or
@@ -296,10 +299,18 @@ class QuadExt:
     def __str__(self) -> str:
         text, digits, decimal = self._texts
         if text is None:
-            text = _ratio_str(self.A, self.Q)
-            if self.B:
-                b = _ratio_str(abs(self.B), self.Q)
-                text = f"{text}{'+-'[self.B < 0]}{b}√{_format_scaled(self.D, 0)}"
+            A, B, Q, D = self.A, self.B, self.Q, self.D
+            if (abs(A) | abs(B) | Q | D).bit_length() > _STR_BITS:
+                text = _ratio_str(A, Q)
+                if B:
+                    text += f"{'+-'[B < 0]}{_ratio_str(abs(B), Q)}√{_format_scaled(D, 0)}"
+            else:  # ``_ratio_str`` inline, one frame per value
+                g = math.gcd(A, Q)
+                text = str(A // g) if g == Q else f"{A // g}/{Q // g}"
+                if B:
+                    g = math.gcd(B, Q)
+                    b = str(abs(B) // g) if g == Q else f"{abs(B) // g}/{Q // g}"
+                    text = f"{text}{'+-'[B < 0]}{b}√{D}"
             _SET_TEXTS(self, (text, digits, decimal))
         return text
 
@@ -379,15 +390,12 @@ def _sign2(a: int, b: int, s: int, e: int, f: int, D: int) -> int:
     return su * _sign(a * a + b * b * D - e, 2 * a * b - f, D)
 
 
-def _parts(x: QuadExt | RatLike | Parts) -> Parts:
-    """(A, B, Q, D) of a ``QuadExt``; a rational n/d is (n + 0*sqrt(1))/d, and the parts of an
-    unreduced value (``_product``) are themselves; else a TypeError."""
+def _parts(x: QuadExt | RatLike) -> Parts:
+    """(A, B, Q, D) of a ``QuadExt``; a rational n/d is (n + 0*sqrt(1))/d; else a TypeError."""
     if type(x) is QuadExt:
         return x.A, x.B, x.Q, x.D
     if isinstance(x, (int, Fraction)):
         return x.numerator, 0, x.denominator, 1
-    if type(x) is tuple:
-        return x
     raise TypeError(f"expected int, Fraction or QuadExt, got {type(x).__name__}")
 
 
@@ -400,8 +408,8 @@ def _product(x: QuadExt | RatLike, y: QuadExt | RatLike) -> Parts:
 
 
 def _cmp(x: QuadExt | RatLike, y: QuadExt | RatLike, m: int = 1, k: int = 0) -> int:
-    """Exact sign of m*x - m*y - k for x, y rationals, elements of any two fields or ``Parts``,
-    an integer m >= 1 and an integer k. Times Qx*Qy it is a + b*sqrt(Dx) - c*sqrt(Dy): one
+    """Exact sign of m*x - m*y - k for x, y rationals or elements of any two fields, an integer
+    m >= 1 and an integer k. Times Qx*Qy it is a + b*sqrt(Dx) - c*sqrt(Dy): one
     ``_sign`` when a root is absent or the fields agree, else one ``_sign2``, with w = c*c*Dy,
     never 0, as sqrt(Dy) is not in Q(sqrt(Dx)). It builds no ``QuadExt``."""
     (A, B, Q, D), (E, F, R, Dy) = _parts(x), _parts(y)
@@ -411,20 +419,39 @@ def _cmp(x: QuadExt | RatLike, y: QuadExt | RatLike, m: int = 1, k: int = 0) -> 
     return _sign2(a, b, -1 if c > 0 else 1, c * c * Dy, 0, D)
 
 
-def _cmp_products(x: QuadExt | RatLike, y: QuadExt | RatLike, u: QuadExt | RatLike,
-                  v: QuadExt | RatLike) -> int:
-    """Exact sign of x*y - u*v for x, y of one field and u, v of one field: ``_cmp`` of the
-    parts of the two products (``_product``), which are never built."""
-    return _cmp(_product(x, y), _product(u, v))
+def _beyond_half(x: QuadExt | RatLike, y: QuadExt | RatLike, k: int) -> bool:
+    """|x - y| > k/2 strictly for x, y of any two fields and an integer k: 2*x - 2*y - k > 0 or
+    2*x - 2*y + k < 0, the two signs of ``_cmp(x, y, 2, +-k)`` from one set of its products.
+    In one field |x - y| can be k/2, which is not beyond. The interleave gap's point test."""
+    (A, B, Q, D), (E, F, R, Dy) = _parts(x), _parts(y)
+    a, b, c, k = 2 * (A * R - E * Q), 2 * B * R, 2 * F * Q, k * Q * R
+    if not c or D == Dy:
+        return _sign(a - k, b - c, D) > 0 or _sign(a + k, b - c, D) < 0
+    s, w = -1 if c > 0 else 1, c * c * Dy
+    return _sign2(a - k, b, s, w, 0, D) > 0 or _sign2(a + k, b, s, w, 0, D) < 0
 
 
-def _eq_products(x: QuadExt | RatLike, y: QuadExt | RatLike, u: QuadExt | RatLike,
-                 v: QuadExt | RatLike) -> bool:
-    """x*y == u*v for x, y of one field and u, v of one field, from the products' parts: equal
-    rational parts, equal irrational parts, and one field when those are not 0. It is
-    ``_cmp_products(x, y, u, v) == 0`` without the sign test."""
-    (A, B, Q, D), (E, F, R, Dy) = _product(x, y), _product(u, v)
-    return A * R == E * Q and B * R == F * Q and (not B or D == Dy)
+def _branch_sign(x: QuadExt | RatLike, y: QuadExt | RatLike, a: QuadExt | RatLike,
+                 e: QuadExt | RatLike) -> int | None:
+    """Sign of e*e - x*y once x == a*y holds, for x, y, a of one field and e of any, from their
+    parts read once, building no ``QuadExt``; None when x != a*y: unequal rational or irrational
+    parts, or x over another field. The dichotomy's branch, x, y, a, e = 1/xi_n, 1/xi_{n-1},
+    alpha_{n+1}, 1/eta_s: times T*T*Q*R, e*e - x*y is u + v*sqrt(De) - w*sqrt(D), one ``_sign``
+    or one ``_sign2``, as in ``_cmp``."""
+    (A, B, Q, D), (E, F, R, Dy) = _parts(x), _parts(y)
+    (G, H, S, Da), (I, J, T, De) = _parts(a), _parts(e)
+    if F and H and Dy != Da:
+        raise MixedFieldError(f"cannot combine sqrt({Da}) with sqrt({Dy})")
+    Dy = Dy if F else Da  # the field of a*y, which x must share
+    if (A * S * R != (G * E + H * F * Dy) * Q or B * S * R != (G * F + H * E) * Q
+            or B and D != Dy):
+        return None
+    D = D if B else Dy  # the field of x*y
+    u = (I * I + J * J * De) * Q * R - (A * E + B * F * D) * T * T
+    v, w = 2 * I * J * Q * R, (A * F + B * E) * T * T
+    if not w or De == D:
+        return _sign(u, v - w, De)
+    return _sign2(u, v, -1 if w > 0 else 1, w * w * D, 0, De)
 
 
 def _max_ratio(steps: Iterable[tuple[int, QuadExt, QuadExt]]) -> tuple[QuadExt, int]:
@@ -715,10 +742,10 @@ def render_decimal(x: object, digits: int = 12) -> str:
     GUARD_BITS, M = 2*10**digits << GUARD_BITS, and keeps floor(M*x) and the decimal: it is
     immutable, so the decimal at the same ``digits`` is the same string, rendered once.
     """
-    scale = 10**digits
     if type(x) is QuadExt:
         text, held, decimal = x._texts
         if held != digits:
+            scale = 10**digits
             if x.B:  # ``_scaled_floor`` inlined: one frame less per rendered 1/psi
                 m, memo = 2 * scale << GUARD_BITS, x._memo
                 if not (memo and memo[0] == m):
@@ -730,6 +757,7 @@ def render_decimal(x: object, digits: int = 12) -> str:
             decimal = _format_scaled(n, digits)
             _SET_TEXTS(x, (text, digits, decimal))
         return decimal
+    scale = 10**digits
     if isinstance(x, Record):
         n = (x._scaled_floor(2 * scale) + 1) // 2
     else:

@@ -186,7 +186,7 @@ class DValue(Record):
         b, a = self.inv_psi_beta, self.inv_psi_alpha
         if (b.B == 0 or b.D == a.D) and b.B * a.Q == a.B * b.Q:
             return render_decimal(b - a, digits)
-        return render_decimal(self, digits)
+        return exact._format_scaled((self._scaled_floor(2 * 10**digits) + 1) // 2, digits)
 
 
 def d_at(alpha: CFExpansion, beta: CFExpansion, t: int) -> DValue:

@@ -10,7 +10,6 @@ verifies the denominator correspondence it relies on.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from enum import Enum
@@ -109,9 +108,11 @@ def find_witness(
 def _denominators(cf: CFExpansion, n: int) -> list[int]:
     """q_0 .. q_n by q_j = a_j q_{j-1} + q_{j-2} on the partial quotients (q_{-1} = 0); a
     rational expansion stops at its end."""
-    steps = itertools.accumulate(itertools.islice(cf.quotients(1), n),
-                                 lambda q, a: (a * q[0] + q[1], q[0]), initial=(1, 0))
-    return [q for q, _ in steps]
+    qs, q, q_prev = [1], 1, 0
+    for a in itertools.islice(cf.quotients(1), n):
+        q, q_prev = a * q + q_prev, q
+        qs.append(q)
+    return qs
 
 
 def _coincidences(alpha: CFExpansion, beta: CFExpansion, depth: int, gap: int,
@@ -193,12 +194,12 @@ def _branch(alpha: CFExpansion, n: int, inv_xi_prev: QuadExt, inv_xi: QuadExt,
 
     It compares (1/eta_s)^2 with (1/xi_{n-1})*(1/xi_n), both positive, after checking
     the identity 1/xi_n = alpha_{n+1}/xi_{n-1} that turns the branches into that
-    comparison: the identity by the products' parts (``exact._eq_products``), the comparison
-    by one ``exact._cmp_products``, in one field or across two.
+    comparison: both in one ``exact._branch_sign`` on the four values' integer parts, in one
+    field or across two, which builds no value and reports a failed identity as None.
     """
-    if not exact._eq_products(inv_xi, 1, contfrac.tail(alpha, n + 1), inv_xi_prev):
+    s = exact._branch_sign(inv_xi, inv_xi_prev, contfrac.tail(alpha, n + 1), inv_eta)
+    if s is None:
         raise DichotomyViolationError(f"1/xi_{n} is not alpha_{n + 1}/xi_{n - 1}")
-    s = exact._cmp_products(inv_eta, inv_eta, inv_xi, inv_xi_prev)
     return (DichotomyBranch.SECOND_BRANCH, DichotomyBranch.BOTH,
             DichotomyBranch.FIRST_BRANCH)[s + 1]
 
@@ -215,14 +216,15 @@ def scan_dichotomy(
     there is at most one n with 1/eta_s strictly inside (1/xi_{n-1}, 1/xi_n); a
     single merge pass over the two in-order lists finds them all. Every order is
     exact, most of them by the integer brackets of ``_remainders``; no decision
-    reads ``cap_bits``.
+    reads ``cap_bits``. Each record's branch is one ``_branch``, and each xi_n is inverted
+    once, into a list, for every record that holds it.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
     xis = _remainders(alpha, depth)
-    xi = functools.cache(lambda i: xis[i][2].inverse())  # one xi_n for every record holding it
-    records = []
+    xi: list[QuadExt | None] = [None] * (depth + 1)
+    records, new, init = [], object.__new__, DichotomyRecord._init
     n = 1
     for s, eta in enumerate(_remainders(beta, depth)):
         while n <= depth and not _below(eta, xis[n]):
@@ -231,7 +233,10 @@ def scan_dichotomy(
             break
         if _below(xis[n - 1], eta):
             branch = _branch(alpha, n, xis[n - 1][2], xis[n][2], eta[2])
-            records.append(DichotomyRecord(n, s, branch, xi(n - 1), xi(n), eta[2].inverse()))
+            for i in (n - 1, n):
+                xi[i] = xi[i] or xis[i][2].inverse()
+            init(record := new(DichotomyRecord), n, s, branch, xi[n - 1], xi[n], eta[2].inverse())
+            records.append(record)
     return records
 
 
@@ -263,6 +268,7 @@ class GapCertificate(Record):
                  "delta", "d_first", "d_second", "verified_points")
 
     def to_json(self, digits: int = 12) -> dict:
+        scale = 10**digits
         return {
             "kind": f"interleave_gap_{self.pattern}",
             "indices": {
@@ -277,8 +283,9 @@ class GapCertificate(Record):
                 "d_first": self.d_first.render(digits),
                 "d_second": self.d_second.render(digits),
                 "delta": render_decimal(self.delta, digits),
-                "threshold": render_decimal(self.bound * (self.quotient - 1), digits),
-                "half_bound": render_decimal(Fraction(self.bound, 2), digits),
+                "threshold": exact._format_scaled(self.bound * (self.quotient - 1) * scale, digits),
+                "half_bound": exact._format_scaled(exact._round_half_even(self.bound * scale, 2),
+                                                   digits),
             },
             "verdict": "verified",
         }
@@ -301,10 +308,8 @@ def _gap_certificate(pattern: str, n: int, m: int, first_point: int, second_poin
         raise GapViolationError(
             f"exact gap inequality failed at pattern {pattern}, (n, m) = ({n}, {m})"
         )
-    # |d| > bound/2 strictly, 2d - bound > 0 or 2d + bound < 0: in one field |d| can be bound/2
     verified = [point for point, d in ((first_point, d_first), (second_point, d_second))
-                if exact._cmp(d.inv_psi_beta, d.inv_psi_alpha, 2, bound) > 0
-                or exact._cmp(d.inv_psi_beta, d.inv_psi_alpha, 2, -bound) < 0]
+                if exact._beyond_half(d.inv_psi_beta, d.inv_psi_alpha, bound)]
     if not verified:
         raise GapViolationError(
             f"neither point exceeds half the bound at pattern {pattern}, (n, m) = ({n}, {m})"

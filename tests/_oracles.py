@@ -17,7 +17,7 @@ reference that sign test must match. ``cmp_by_temporaries`` is the sign of m*x -
 ``DValue._at_least`` and the theorems' tests formed it before ``exact._cmp`` read it from
 integers, through ``QuadExt`` temporaries, kept as the reference that kernel must match;
 ``products_by_temporaries`` is the same for x*y - u*v, as ``theorems._branch`` formed it
-before ``exact._cmp_products``.
+before ``exact._branch_sign`` read its identity and its sign from integers.
 ``expand_by_state_table`` is the surd expansion that ``contfrac.expand_quadratic`` ran
 before it found the period from the first reduced state: it keeps every (P, Q) state in a
 table and stops at the first that repeats, kept as the reference the Galois rule must match.

@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 from psidiff import (CFExpansion, breakpoint_profile, convergents, d_at, expand_quadratic,
                      find_witness, is_nonintegral_sum_and_diff, merged_word, parse_number,
                      parse_surd, scan_lemma_conseq, scan_lemma_conseq1, tail)
+from psidiff import contfrac
 from psidiff.contfrac import convergent_state, convergent_stream, last_convergent_at_most
+from psidiff.errors import RationalInputError
 
 from test_one_refine_loop import uses_in_package
 
@@ -166,6 +168,32 @@ def test_every_tail_against_the_recurrence(cf):
         t_r = tail(cf, n + 1)
         assert x == (p * t_r + p_prev) / (q * t_r + q_prev)
         assert t_r.floor() == cf.partial_quotient(n + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansions(), st.integers(-3, 0))
+def test_indexed_quotient_and_tail_are_the_streams_first(cf, below):
+    """``partial_quotient(j)`` and ``tail(cf, r)`` index the preperiod, the period and the
+    ladder's tails: over the preperiod and three periods they are the first values of
+    ``quotients(j)`` and ``tails(cf, r)``, and they raise what the streams raise."""
+    span = range(len(cf.preperiod) + 3 * max(len(cf.period), 1) + 2)
+    for j in span:
+        want = next(cf.quotients(j), None)
+        if want is None:  # a rational past its end
+            with pytest.raises(IndexError):
+                cf.partial_quotient(j)
+        else:
+            assert cf.partial_quotient(j) == want
+    for reader in (cf.partial_quotient, cf.quotients):
+        with pytest.raises(IndexError):
+            reader(below - 1)
+    for r in (*span[1:], below):
+        if cf.is_rational or r < 1:
+            for reader in (tail, contfrac.tails):
+                with pytest.raises(RationalInputError if cf.is_rational else ValueError):
+                    reader(cf, r)
+        else:
+            assert tail(cf, r) is next(contfrac.tails(cf, r))
 
 
 @settings(max_examples=100, deadline=None)

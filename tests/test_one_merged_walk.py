@@ -233,17 +233,28 @@ def test_dichotomy_scan_evaluates_each_remainder_once(monkeypatch):
 
 def corrupt_tail(monkeypatch, period, offset):
     """Shift by 1 every tail that starts at this offset of this period, so the closed forms
-    disagree there. The walks read their tails in order from ``contfrac.tails``, and
-    ``contfrac.tail`` reads it too, so both see the corruption."""
-    real = contfrac.tails
+    disagree there. It corrupts the ladder's ``tails`` of every expansion with this period,
+    which the walks' ``contfrac.tails`` and the single ``contfrac.tail`` both index, so both
+    see the corruption, also in a ladder built before the call."""
+    held = contfrac._Ladder.tails  # the slot
 
-    def corrupted(cf, start):
-        k = len(cf.preperiod)
-        for r, value in enumerate(real(cf, start), start):
-            hit = cf.period == period and r > k and (r - k - 1) % len(period) == offset
-            yield value + 1 if hit else value
+    def corrupted(ladder):
+        values = held.__get__(ladder)
+        if ladder.period != period:
+            return values
+        i = len(values) - len(period) + offset  # past the preperiod's tails
+        return (*values[:i], values[i] + 1, *values[i + 1:])
 
-    monkeypatch.setattr(contfrac, "tails", corrupted)
+    monkeypatch.setattr(contfrac._Ladder, "tails", property(corrupted, held.__set__))
+
+
+def test_corruption_reaches_both_tail_readers(monkeypatch):
+    alpha = CFExpansion(0, (1,) * 6, (1, 2))
+    intact = list(itertools.islice(contfrac.tails(alpha, 1), 12))  # the ladder is built here
+    corrupt_tail(monkeypatch, (1, 2), 1)
+    walked = list(itertools.islice(contfrac.tails(alpha, 1), 12))
+    assert walked == [contfrac.tail(alpha, r) for r in range(1, 13)]
+    assert [r for r in range(1, 13) if walked[r - 1] != intact[r - 1]] == [8, 10, 12]
 
 
 def test_cross_check_runs_on_a_bracket_that_steps_alone(monkeypatch):

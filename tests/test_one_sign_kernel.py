@@ -1,19 +1,22 @@
 """One sign kernel for a difference: ``exact._cmp(x, y, m, k)``, the sign of m*x - m*y - k,
-its form on products, ``exact._cmp_products(x, y, u, v)``, of x*y - u*v, and the running
-maximum of |x - y|/t that the near-optimality check keeps, ``exact._max_ratio``. The
-equality of two products, ``exact._eq_products``, is held to a zero of the product form.
+its two fused forms, ``exact._beyond_half(x, y, k)``, |x - y| > k/2, and
+``exact._branch_sign(x, y, a, e)``, the sign of e*e - x*y once x = a*y holds, and the running
+maximum of |x - y|/t that the near-optimality check keeps, ``exact._max_ratio``.
 
 Times Qx*Qy the difference is a + b*sqrt(Dx) - c*sqrt(Dy) in integers, so the kernel is
 one ``_sign`` or one ``_sign2`` and builds no ``QuadExt``. It is held to mpmath at a
 precision taken from the norm bound and to the temporaries formula it replaced
 (``_oracles.cmp_by_temporaries``) on rationals and elements of one or two fields, with m
 up to 2**200 and k of either sign: exact ties in one field give 0, and near-ties across
-two fields, m*(x - y) with x - y tiny, are never 0. The product form is held to its own
-temporaries formula (``_oracles.products_by_temporaries``), exact ties included, and the
-maximum to ``max`` over the built ratios, ties in |x - y|/t included. The decisions they
-took over build no value either, which ``exact._make`` counts show on a fixed pair: the
-dichotomy's branch test, the |d| > bound/2 test of the interleave-gap certificates (each
-certificate builds its delta only), and the near-optimality maximum, built once at the end.
+two fields, m*(x - y) with x - y tiny, are never 0. The gap-point form is held to ``_cmp`` at
++k and -k on the 1/psi of d(t), with k next to 2|d| and |d| = k/2 exactly in one field. The
+branch form is held to the temporaries formula of a product difference
+(``_oracles.products_by_temporaries``): its identity x = a*y is a zero of x*1 - a*y, a forged
+field included, and its sign that of e*e - x*y, exact ties included; the maximum is held to
+``max`` over the built ratios, ties in |x - y|/t included. The decisions they take build no
+value either, which ``exact._make`` counts show on a fixed pair: the dichotomy's branch test,
+the |d| > bound/2 test of the interleave-gap certificates (each certificate builds its delta
+only), and the near-optimality maximum, built once at the end.
 """
 
 from fractions import Fraction
@@ -23,12 +26,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from psidiff import (QuadExt, construct_optimal, exact, imf, parse_number, scan_dichotomy,
+from psidiff import (QuadExt, construct_optimal, d_at, exact, imf, parse_number, scan_dichotomy,
                      scan_interleave_gap, theorems, verify_near_optimality)
 from psidiff.errors import DichotomyViolationError, MixedFieldError
 from psidiff.numspec import TAU_CF
 
 from _oracles import cmp_by_temporaries, mp_quadext, products_by_temporaries
+from test_convergent_source import expansions, valid_pairs
 from test_exact_properties import (RATIONALS, quadexts, same_field_pairs,
                                    sqrt_convergent_ties)
 
@@ -105,62 +109,110 @@ def test_kernel_is_the_sign_of_the_difference(case):
 
 
 @st.composite
-def product_cases(draw):
-    """(x, y, u, v, tie): x, y of one field and u, v of one field, the two fields alike or
-    not; or an exact tie u = x*y/v, v rational."""
+def branch_cases(draw):
+    """(x, y, a, e, tie) with x = a*y, x, y of one field and e of any: a = x/y for a same-field
+    pair, or x = a*y rational from a, y over one root; tie when e*e == x*y by construction,
+    e rational and x = e*e/y."""
+    kind = draw(st.sampled_from(("any", "tie", "rational_product")))
+    if kind == "rational_product":
+        D = draw(st.sampled_from((2, 3, 5, 7)))
+        a, y = (QuadExt(0, draw(RATIONALS.filter(bool)), D) for _ in range(2))
+        return a * y, y, a, draw(OPERANDS), False
     x, y = draw(same_field_pairs())
-    if draw(st.booleans()):
-        v = draw(RATIONALS.filter(bool))
-        return x, y, x * y / v, v, True
-    u, v = draw(same_field_pairs())
-    return x, y, u, v, False
+    assume(y != 0)
+    if kind == "tie":
+        e = draw(RATIONALS.filter(bool))
+        x = e * e / y
+        return x, y, x / y, e, True
+    return x, y, x / y, draw(OPERANDS), False
 
 
 @settings(max_examples=300, deadline=None)
-@given(product_cases())
-@example((QuadExt(1, 1, 5), QuadExt(1, 1, 5), QuadExt(0, 1, 2), QuadExt(0, 2, 2), False))
+@given(branch_cases())
+@example((QuadExt(0, 1, 2), QuadExt(0, 2, 2), Fraction(1, 2), QuadExt(1, 1, 5), False))
 def test_product_kernel_is_the_sign_of_the_difference(case):
-    x, y, u, v, tie = case
-    s = exact._cmp_products(x, y, u, v)
-    assert s == products_by_temporaries(*map(wrap, (x, y, u, v)))
-    assert exact._cmp_products(x, y, u, v) == -exact._cmp_products(u, v, x, y)
+    """Once x = a*y holds, ``exact._branch_sign(x, y, a, e)`` is the sign of e*e - x*y."""
+    x, y, a, e, tie = case
+    s = exact._branch_sign(x, y, a, e)
+    assert s == products_by_temporaries(*map(wrap, (e, e, x, y)))
+    assert s == exact._cmp(e * e, x * y)
     if tie:
         assert s == 0
 
 
 @st.composite
-def equality_cases(draw):
-    """(x, y, u, v, tie): x, y of one field and u, v of one field or rational, with tie when
-    x*y == u*v by construction: u = x*y/v for v rational or in x's field, or two fields whose
-    products are one rational, a*b*D1 = c*e*D2; or u*v with x*y's parts over another field."""
-    kind = draw(st.sampled_from(("any", "rational", "tie", "field_tie", "cross_tie", "forged")))
-    x, y = draw(same_field_pairs())
+def identity_cases(draw):
+    """(x, y, a, e, tie): y, a of one field or rational and x of any, with tie when x == a*y by
+    construction: x = a*y, in the field or rational, or a product of two roots of one field,
+    a*y rational; or x with a*y's parts over another field, forged."""
+    kind = draw(st.sampled_from(("any", "rational", "tie", "cross_tie", "forged")))
+    e = draw(OPERANDS)
     if kind == "rational":
-        return draw(RATIONALS), y, draw(RATIONALS), draw(RATIONALS), False
-    if kind in ("tie", "field_tie"):
-        v = draw(RATIONALS.filter(bool) if kind == "tie" else quadexts(D=x.D).filter(lambda q: q != 0))
-        return x, y, x * y / v, v, True
+        return draw(RATIONALS), draw(RATIONALS), draw(RATIONALS), e, False
+    a, y = draw(same_field_pairs())
+    if kind == "tie":
+        y = draw(st.sampled_from((y, y.a)))
+        return a * y, y, a, e, True
     D1, D2 = draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=2, max_size=2, unique=True))
     if kind == "cross_tie":
-        a, c, e = (draw(RATIONALS.filter(bool)) for _ in range(3))
-        b = c * e * D2 / (a * D1)
-        return QuadExt(0, a, D1), QuadExt(0, b, D1), QuadExt(0, c, D2), QuadExt(0, e, D2), True
+        b, c = draw(RATIONALS.filter(bool)), draw(RATIONALS.filter(bool))
+        return b * c * D2, QuadExt(0, b, D2), QuadExt(0, c, D2), e, True
     if kind == "forged":
-        a, b = draw(RATIONALS), draw(RATIONALS.filter(bool))
-        return QuadExt(a, b, D1), 1, QuadExt(a, b, D2), 1, False
-    u, v = draw(same_field_pairs())
-    return x, y, u, v, False
+        p, q = draw(RATIONALS), draw(RATIONALS.filter(bool))
+        return QuadExt(p, q, D1), QuadExt(p, q, D2), 1, e, False
+    return draw(OPERANDS), y, a, e, False
 
 
 @settings(max_examples=300, deadline=None)
-@given(equality_cases())
+@given(identity_cases())
+@example((QuadExt(1, 1, 3), QuadExt(1, 1, 2), 1, Fraction(1), False))
 def test_product_equality_is_a_zero_sign(case):
-    """``exact._eq_products``, the dichotomy's identity check, is ``_cmp_products(...) == 0``."""
-    x, y, u, v, tie = case
-    equal = exact._eq_products(x, y, u, v)
-    assert equal == (exact._cmp_products(x, y, u, v) == 0) == exact._eq_products(u, v, x, y)
+    """``exact._branch_sign`` is None exactly when x*1 - a*y is not 0, the dichotomy's identity
+    check, a forged field included; when it holds, the sign is that of e*e - x*y."""
+    x, y, a, e, tie = case
+    s = exact._branch_sign(x, y, a, e)
+    holds = products_by_temporaries(*map(wrap, (x, 1, a, y))) == 0
+    assert (s is not None) == holds
     if tie:
-        assert equal
+        assert holds
+    if holds:
+        assert s == products_by_temporaries(*map(wrap, (e, e, x, y)))
+
+
+def test_product_kernel_refuses_two_fields():
+    with pytest.raises(MixedFieldError):
+        exact._branch_sign(QuadExt(0, 1, 6), QuadExt(0, 1, 2), QuadExt(0, 1, 3), 1)
+
+
+@st.composite
+def gap_points(draw):
+    """(b, a, k): the two 1/psi of d(t) = b - a for a valid pair, in one field or across two,
+    and a bound k within 3 of 2|d|, or drawn at random."""
+    d = d_at(*draw(valid_pairs()), draw(st.integers(1, 10**30)))
+    if draw(st.booleans()):
+        k = abs(d._scaled_floor(2) + draw(st.integers(-2, 3)))  # floor(2d), shifted
+    else:
+        k = draw(st.integers(-10**6, 10**40))
+    return d.inv_psi_beta, d.inv_psi_alpha, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap_points())
+def test_gap_point_kernel_is_two_signs(case):
+    """``exact._beyond_half(b, a, k)``, |b - a| > k/2, is ``_cmp`` at +k or at -k."""
+    b, a, k = case
+    two_signs = exact._cmp(b, a, 2, k) > 0 or exact._cmp(b, a, 2, -k) < 0
+    assert exact._beyond_half(b, a, k) == two_signs
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions(rational=False), st.integers(1, 10**30), st.integers(0, 10**40))
+def test_gap_point_at_exactly_half_is_not_beyond(cf, t, k):
+    """In one field |d| can be k/2 exactly, which is not beyond it; any more is."""
+    a = imf.inv_psi(cf, t)
+    for b in (a + Fraction(k, 2), a - Fraction(k, 2)):
+        assert not exact._beyond_half(b, a, k)
+        assert exact._beyond_half(b, a, k - 1)
 
 
 @st.composite
