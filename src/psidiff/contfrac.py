@@ -6,14 +6,14 @@ quotient >= 2 unless the expansion is a single integer. Surd expansions are
 produced by the (P, Q) state recursion, whose first reduced state opens the
 minimal period (Galois), which ends when that state comes back.
 
-Convergents come from one in-order stream, ``convergent_stream``, one
-recurrence step each, yielding (n, p_n, q_n) as plain ints; ``convergents`` alone
-wraps them in ``Convergent`` records. It starts at index 0 or, seeded with a
-state from the ladder, at any index. ``imf``'s walks step q on ``quotients`` alike, each
-seeded at its lower end by one ladder lookup (``last_convergent_at_most`` by bound,
-``convergent_state`` by index). The ladder, an expansion's one memo, is built
-on first use: the states ``(p_n, p_{n-1}, q_n, q_{n-1})`` of the preperiod,
-and the squared period matrices ``M, M^2, M^4, ...`` of the 2x2 matrix view of
+Convergents come from one in-order stream from index 0, ``convergent_stream``, one
+recurrence step each, yielding (n, p_n, q_n) as plain ints; ``convergents`` wraps them
+in ``Convergent`` records, and the coincidence scans and the optimality check of
+``theorems`` read their q off it. ``imf``'s walks, which start anywhere, step q on
+``quotients`` alike, each seeded at its lower end by one ladder lookup
+(``last_convergent_at_most`` by bound, ``convergent_state`` by index). The ladder, an
+expansion's one memo, is built on first use: the states ``(p_n, p_{n-1}, q_n, q_{n-1})``
+of the preperiod, and the squared period matrices ``M, M^2, M^4, ...`` of the 2x2 matrix view of
 continued fractions (Gosper, HAKMEM item 101), extended only on demand. Both
 lookups are one greedy descent, ``_Ladder.seek``, keyed by index or by bound: it
 bisects the preperiod states, takes whole periods from the largest power of M down,
@@ -276,16 +276,14 @@ def last_convergent_at_most(cf: CFExpansion, t: int) -> tuple[int, State]:
     return _ladder(cf).seek(lambda i, q: q() > t)
 
 
-def convergent_stream(cf: CFExpansion,
-                      start: tuple[int, State] | None = None) -> Iterator[tuple[int, int, int]]:
-    """(n, p_n, q_n) as plain ints in order from index 0, or from n given start = (n, state at n)."""
-    index, (p, p_prev, q, q_prev) = start or (0, (cf.a0, 1, 1, 0))
-    yield index, p, q
-    for a in cf.quotients(index + 1):
+def convergent_stream(cf: CFExpansion) -> Iterator[tuple[int, int, int]]:
+    """(n, p_n, q_n) as plain ints in order from index 0; a rational expansion stops at its end."""
+    p, p_prev, q, q_prev = cf.a0, 1, 1, 0
+    yield 0, p, q
+    for n, a in enumerate(cf.quotients(1), 1):
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-        index += 1
-        yield index, p, q
+        yield n, p, q
 
 
 def convergents(cf: CFExpansion, n: int) -> list[Convergent]:

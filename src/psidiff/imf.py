@@ -15,19 +15,20 @@ tails: ``_walk`` steps the q recurrence on the partial quotients and the ladder'
 tails together, both drawn from C iterators (``_seed``), with no record, seeded at
 the lower end of its walk by one ladder lookup per number: by bound in ``_brackets``
 and ``_merged_brackets``, by index in ``_inv_xis``. The merged walk of two numbers
-steps both itself, so a breakpoint resumes one generator frame. A single
-evaluation is the first step of such a walk:
-``psi`` and ``inv_psi`` take the first bracket at t, ``d_at`` the first step of
-the merged walk, ``convergent_distance`` and ``check_dichotomy`` the first
-reciprocals from their index. The dichotomy scan reads 1/xi_0 .. 1/xi_depth off
-one walk, and passes over the breakpoints (profiles, merged words, witnesses,
-the near-optimality check, the interleave scan) read one merged walk of both
-streams from their lower end, at one recurrence step per breakpoint. Such a
-pass computes one exact 1/psi per convergent, not per breakpoint: at a
-breakpoint where only one number steps, the other's value is carried over from
-the step before, and so are its guarded floor and its rendered string, which
-``QuadExt`` keeps. d(t), in one field or two, renders and takes its sign from its
-parts' floors, read off their memos; ``exact._exceeds_c_times`` decides |d(t)| >= C*t
+steps both itself, so a breakpoint resumes one generator frame. A single evaluation
+is the first step of such a walk: ``psi`` and ``inv_psi`` take the first bracket at t,
+``d_at`` the first step of the merged walk, ``convergent_distance`` and
+``check_dichotomy`` the first reciprocals from their index. The dichotomy scan reads
+1/xi_0 .. 1/xi_depth of each number off one walk, ``_inv_xis``, with the integer bracket
+(q_{n+1}, q_{n+1} + q_n) around each that its merge orders by. Passes over the breakpoints
+(profiles, merged words, witnesses, the near-optimality check, the interleave scan) read one
+merged walk of both streams from their lower end, at one recurrence step per breakpoint. The
+merged word and the interleave scan read its brackets' indices, the scan evaluating only the
+1/psi its certificates hold; the other passes, through ``_d_steps``, compute one exact 1/psi
+per convergent, not per breakpoint: at a breakpoint where only one number steps, the other's
+value is carried over from the step before, and so are its guarded floor and its rendered
+string, which ``QuadExt`` keeps. d(t), in one field or two, renders and takes its sign from
+its parts' floors, read off their memos; ``exact._exceeds_c_times`` decides |d(t)| >= C*t
 from the two parts.
 """
 
@@ -91,11 +92,13 @@ def _brackets(cf: CFExpansion, t: int) -> Iterator[Bracket]:
 
 
 def _inv_xis(cf: CFExpansion, first: int, last: int) -> list[tuple[int, int, QuadExt]]:
-    """(q_n, q_{n+1}, 1/xi_n) for n = first .. last, 1/xi_n = q_n a_{n+1} + q_{n-1}, of an
-    irrational cf: the q come with each value from the one walk."""
+    """(q_{n+1}, q_{n+1} + q_n, 1/xi_n) for n = first .. last of an irrational cf, off one walk:
+    1/xi_n = q_n alpha_{n+1} + q_{n-1} lies strictly between the two integers, as
+    a_{n+1} < alpha_{n+1} < a_{n+1} + 1, so they bracket it for the dichotomy's merge."""
     _require_irrational(cf)
     walk = _walk(cf, first, contfrac.convergent_state(cf, first))
-    return [(b[2], b[3], _inv_psi_at(b[2], b)) for b in itertools.islice(walk, last - first + 1)]
+    return [(b[3], b[3] + b[2], _inv_psi_at(b[2], b))
+            for b in itertools.islice(walk, last - first + 1)]
 
 
 def psi(alpha: CFExpansion, t: int) -> PsiValue:

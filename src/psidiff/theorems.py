@@ -105,23 +105,14 @@ def find_witness(
 # -- Lemma scans over denominator coincidences ---------------------------------
 
 
-def _denominators(cf: CFExpansion, n: int) -> list[int]:
-    """q_0 .. q_n by q_j = a_j q_{j-1} + q_{j-2} on the partial quotients (q_{-1} = 0); a
-    rational expansion stops at its end."""
-    qs, q, q_prev = [1], 1, 0
-    for a in itertools.islice(cf.quotients(1), n):
-        q, q_prev = a * q + q_prev, q
-        qs.append(q)
-    return qs
-
-
 def _coincidences(alpha: CFExpansion, beta: CFExpansion, depth: int, gap: int,
                   shift: int) -> list[tuple[int, int]]:
     """All (n, m), n, m <= depth, with (q_n, q_{n+gap}) = (t_{m+shift}, t_{m+shift+1}), sorted."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    qs, ts = _denominators(alpha, depth + gap), _denominators(beta, depth + shift + 1)
+    qs, ts = ([q for _, _, q in itertools.islice(contfrac.convergent_stream(cf), n + 1)]
+              for cf, n in ((alpha, depth + gap), (beta, depth + shift + 1)))
     by_pair: dict[tuple[int, int], list[int]] = {}
     for m in range(depth + 1):
         by_pair.setdefault((ts[m + shift], ts[m + shift + 1]), []).append(m)
@@ -214,19 +205,20 @@ def scan_dichotomy(
 
     Both reciprocal remainder sequences are strictly increasing, so for each s
     there is at most one n with 1/eta_s strictly inside (1/xi_{n-1}, 1/xi_n); a
-    single merge pass over the two in-order lists finds them all. Every order is
-    exact, most of them by the integer brackets of ``_remainders``; no decision
-    reads ``cap_bits``. Each record's branch is one ``_branch``, and each xi_n is inverted
-    once, into a list, for every record that holds it.
+    single merge pass over the two in-order lists finds them all. Both lists, 1/xi_n and
+    1/eta_s for indices 0 .. depth with the integer brackets the q give them, come
+    from ``imf._inv_xis``, one walk per number. Every order is exact, most of them by
+    those brackets; no decision reads ``cap_bits``. Each record's branch is one
+    ``_branch``, and each xi_n is inverted once, into a list, for every record that holds it.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    xis = _remainders(alpha, depth)
+    xis = imf._inv_xis(alpha, 0, depth)
     xi: list[QuadExt | None] = [None] * (depth + 1)
     records, new, init = [], object.__new__, DichotomyRecord._init
     n = 1
-    for s, eta in enumerate(_remainders(beta, depth)):
+    for s, eta in enumerate(imf._inv_xis(beta, 0, depth)):
         while n <= depth and not _below(eta, xis[n]):
             n += 1
         if n > depth:
@@ -238,12 +230,6 @@ def scan_dichotomy(
             init(record := new(DichotomyRecord), n, s, branch, xi[n - 1], xi[n], eta[2].inverse())
             records.append(record)
     return records
-
-
-def _remainders(cf: CFExpansion, depth: int) -> list[tuple[int, int, QuadExt]]:
-    """(q_{n+1}, q_{n+1} + q_n, 1/xi_n) for n = 0 .. depth: 1/xi_n = q_n alpha_{n+1} + q_{n-1}
-    lies strictly between the two integers, as a_{n+1} < alpha_{n+1} < a_{n+1} + 1."""
-    return [(q1, q1 + q, x) for q, q1, x in imf._inv_xis(cf, 0, depth)]
 
 
 def _below(x: tuple[int, int, QuadExt], y: tuple[int, int, QuadExt]) -> bool:
@@ -331,24 +317,37 @@ def scan_interleave_gap(
     Pattern a: q_{n-1} <= t_{m-1} < q_n < t_m with a_{n+1} >= 2, evaluated at
     t_{m-1} and q_n. Pattern b swaps the roles of the two numbers. Either way the
     two points are consecutive merged denominators, the first a denominator of the
-    number that does not step at the second, so one walk of the steps finds them all.
-    Every comparison is exact; no decision reads ``cap_bits``.
+    number that does not step at the second, so one walk of the brackets, ``imf._merged_brackets``,
+    finds them all by their indices, evaluating nothing, until an index passes depth (past
+    min(q_depth, t_depth)). Only an occurrence with a quotient >= 2 is evaluated, each 1/psi
+    once per bracket, carried over to the next occurrence holding it: every value the scan
+    cross-checks through ``imf._inv_psi_at`` is one its certificates hold. Every comparison
+    is exact; no decision reads ``cap_bits``.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    qs, ts = _denominators(alpha, depth + 1), _denominators(beta, depth + 1)
-    matches = []
-    steps = imf._d_steps(alpha, beta, 1, min(qs[depth], ts[depth]))
-    for (t0, d0), (t1, d1) in itertools.pairwise(steps):
-        if d0.beta_index == d1.beta_index and t0 == ts[d1.beta_index]:
-            n, m = d1.alpha_index, d1.beta_index + 1
-            matches.append(("a", n, m, t0, t1, d0, d1, alpha.partial_quotient(n + 1)))
-        elif d0.alpha_index == d1.alpha_index and t0 == qs[d1.alpha_index]:
-            n, m = d1.alpha_index + 1, d1.beta_index
-            matches.append(("b", n, m, t0, t1, d0, d1, beta.partial_quotient(m + 1)))
+    matches, held = [], [(None, None), (None, None)]  # alpha's, beta's last bracket and 1/psi
+
+    def d(t: int, a: imf.Bracket, b: imf.Bracket) -> DValue:
+        for number, bracket in enumerate((a, b)):
+            if held[number][0] is not bracket:
+                held[number] = bracket, imf._inv_psi_at(t, bracket)
+        return DValue(held[1][1], held[0][1], a[0], b[0])
+
+    for (t0, a0, b0), (t1, a1, b1) in itertools.pairwise(imf._merged_brackets(alpha, beta, 1)):
+        if a1[0] > depth or b1[0] > depth:
+            break
+        if b1 is b0 and t0 == b0[2] and b0[0] < depth:  # beta holds t_{m-1} = t0
+            pattern, n, m, quotient = "a", a1[0], b0[0] + 1, alpha.partial_quotient(a1[0] + 1)
+        elif a1 is a0 and t0 == a0[2] and a0[0] < depth:  # alpha holds q_{n-1} = t0
+            pattern, n, m, quotient = "b", a0[0] + 1, b1[0], beta.partial_quotient(b1[0] + 1)
+        else:
+            continue
+        if quotient >= 2:
+            matches.append((pattern, n, m, t0, t1, d(t0, a0, b0), d(t1, a1, b1), quotient))
     matches.sort(key=lambda match: match[0])  # stable: pattern a first, each in walk order
-    return [_gap_certificate(*match) for match in matches if match[-1] >= 2]
+    return [_gap_certificate(*match) for match in matches]
 
 
 # -- Sharpness: the near-optimal companion of tau --------------------------------
@@ -435,12 +434,11 @@ def _build_pair(epsilon: Fraction, U: int, V: int) -> OptimalPair:
     shift = k - w
     while len(xs) < k + 22:
         xs.append(xs[-1] + xs[-2])
-    denominators = _denominators(theta, w + 21)
-    for n in range(max(w - 1, 0), w + 21):
-        if denominators[n] != xs[n + shift]:
+    for n, _, s_n in itertools.islice(contfrac.convergent_stream(theta), max(w - 1, 0), w + 21):
+        if s_n != xs[n + shift]:
             raise PsidiffError(
                 f"denominator correspondence failed at n={n}: "
-                f"s_n={denominators[n]} != X_{n + shift}={xs[n + shift]}"
+                f"s_n={s_n} != X_{n + shift}={xs[n + shift]}"
             )
     A = (TAU * V + U) / (TAU + 2)
     return OptimalPair(epsilon, U, V, A, k, w, b, theta, shift)

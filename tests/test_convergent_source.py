@@ -1,15 +1,14 @@
 """The per-expansion convergent source against a plain recurrence.
 
 ``convergent_state`` and ``last_convergent_at_most`` answer through the
-ladder of squared period matrices; ``convergent_stream`` walks in order, from
-index 0 or from a seed, and so does the merged walk behind profiles, merged
-words and witness searches. Every answer is compared with the three-term
+ladder of squared period matrices; ``convergent_stream`` walks in order from
+index 0, and the merged walk behind profiles, merged words and witness searches
+walks in order from its seed. Every answer is compared with the three-term
 recurrence written out below, on expansions drawn with and without a
-preperiod, rational ones, and ones with a_1 = 1 (where q_0 = q_1 = 1); a
-seeded stream is compared with the stream from index 0, and the merged walk
-with 1/psi built from the unseeded convergents and with denominators merged by
-hand. The exact value and the surd expansion invert each other on the same
-expansions.
+preperiod, rational ones, and ones with a_1 = 1 (where q_0 = q_1 = 1); the
+merged walk is compared with 1/psi built from the convergents and with
+denominators merged by hand. The exact value and the surd expansion invert each
+other on the same expansions.
 """
 
 import itertools
@@ -24,7 +23,7 @@ from psidiff import (CFExpansion, breakpoint_profile, convergents, d_at, expand_
                      find_witness, is_nonintegral_sum_and_diff, merged_word, parse_number,
                      parse_surd, scan_lemma_conseq, scan_lemma_conseq1, tail)
 from psidiff import contfrac
-from psidiff.contfrac import convergent_state, convergent_stream, last_convergent_at_most
+from psidiff.contfrac import convergent_state, last_convergent_at_most
 from psidiff.errors import RationalInputError
 
 from test_one_refine_loop import uses_in_package
@@ -125,14 +124,6 @@ def test_bracket_index_near_denominators(cf, n):
         r, state = last_convergent_at_most(cf, t)
         assert r == last_index_at_most(cf, t)
         assert state == first_states(cf, r + 1)[r]
-
-
-@settings(max_examples=150, deadline=None)
-@given(expansions(), st.data())
-def test_seeded_stream_is_the_stream_from_its_seed(cf, data):
-    n = data.draw(st.integers(0, len(cf.preperiod) if cf.is_rational else 30))
-    seeded = itertools.islice(convergent_stream(cf, (n, first_states(cf, n + 1)[n])), 20)
-    assert list(seeded) == list(itertools.islice(convergent_stream(cf), n, n + 20))
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,7 +9,8 @@ So a pass over the breakpoints builds no ``Convergent`` record and calls no
 reciprocals by these brackets when they part, and by the exact ``<`` only when they overlap.
 """
 
-from psidiff import QuadExt, breakpoint_profile, contfrac, parse_number, scan_dichotomy, theorems
+from psidiff import (QuadExt, breakpoint_profile, contfrac, imf, parse_number, scan_dichotomy,
+                     theorems)
 from psidiff.numspec import TAU_CF
 
 SQRT2 = parse_number("surd:(0+sqrt(2))/1")
@@ -32,7 +33,7 @@ def test_profile_walk_builds_no_record_and_reads_no_tail(monkeypatch):
 def test_remainders_lie_inside_their_integer_brackets():
     for cf in (SQRT2, TAU_CF, parse_number("cf:[2;1,(3,1,7)]")):
         qs = [c.q for c in contfrac.convergents(cf, 41)]
-        remainders = theorems._remainders(cf, 40)
+        remainders = imf._inv_xis(cf, 0, 40)
         assert [(lo, hi) for lo, hi, _ in remainders] == [
             (q1, q1 + q) for q, q1 in zip(qs, qs[1:])]
         assert all(lo < x < hi for lo, hi, x in remainders)

@@ -198,6 +198,28 @@ def test_one_inv_psi_per_bracket(monkeypatch):
     assert set(calls) == want
 
 
+def test_interleave_scan_evaluates_only_what_its_certificates_hold(monkeypatch):
+    """The interleave scan finds its patterns on the brackets' indices alone and computes 1/psi
+    only for the occurrences it certifies: at most three values per certificate, each one that
+    a certificate's d_first or d_second holds, and none twice."""
+    tau = CFExpansion(1, (), (1,))
+    sqrt2 = parse_number("surd:(0+sqrt(2))/1")
+    real, calls = imf._inv_psi_at, []
+
+    def counting(t, bracket):
+        calls.append((bracket[4].D, bracket[0]))  # the number by its field, and r
+        return real(t, bracket)
+
+    monkeypatch.setattr(imf, "_inv_psi_at", counting)
+    certificates = scan_interleave_gap(sqrt2, tau, 200)
+    assert certificates
+    assert len(calls) <= 3 * len(certificates)
+    held = {key for c in certificates for d in (c.d_first, c.d_second)
+            for key in ((d.inv_psi_alpha.D, d.alpha_index), (d.inv_psi_beta.D, d.beta_index))}
+    assert set(calls) <= held
+    assert len(set(calls)) == len(calls)
+
+
 def test_dichotomy_scan_evaluates_each_remainder_once(monkeypatch):
     """The scan reads 1/xi_0 .. 1/xi_depth of each number once and never calls check_dichotomy.
 
