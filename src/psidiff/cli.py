@@ -51,14 +51,22 @@ def _fraction(text: str) -> Fraction:
     return Fraction(-n if sign == "-" else n, d)
 
 
-def _integer(read: Callable[[str], int]) -> Callable[[str], int]:
-    """An argparse type that reads with ``read``, named for "invalid integer value: 'x'".
+# the largest --count and --max-depth: output grows about as the square of a walk's length,
+# and at 10**4 ``lemmas`` on tau and sqrt(2) runs about 10 s and prints about 100 MB
+BUDGET = 10**4
+
+
+def _integer(read: Callable[[str], int], most: float = float("inf")) -> Callable[[str], int]:
+    """An argparse type that reads with ``read``, named for "invalid integer value: 'x'", and
+    refuses a value above ``most`` before any walk starts.
 
     t, --from and --bound are of any length (``_read_decimal``); ``int`` refuses a count,
     depth or digit count past 4300 digits, which would start a run that never ends.
     """
     def integer(text: str) -> int:
-        return read(text)
+        if (value := read(text)) > most:
+            raise argparse.ArgumentTypeError(f"at most {most} (the stated budget), got {text}")
+        return value
     return integer
 
 
@@ -226,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("json", "csv"), default="csv")
     command("witness", paired, cmd_witness, "find t with |d(t)| >= C t", (1, 10**12))
     p = command("word", paired, cmd_word, "merged word over {B, Q, T}")
-    p.add_argument("--count", type=_integer(int), default=20)
+    p.add_argument("--count", type=_integer(int, BUDGET), default=20)
     p = command("lemmas", paired, cmd_lemmas, "coincidence and gap scans")
-    p.add_argument("--max-depth", type=_integer(int), default=200)
+    p.add_argument("--max-depth", type=_integer(int, BUDGET), default=200)
     command("construct-optimal", epsilon, cmd_construct_optimal,
             "build the near-optimal companion of tau")
     p = command("verify-optimal", epsilon, cmd_verify_optimal,

@@ -6,11 +6,11 @@ quotient >= 2 unless the expansion is a single integer. Surd expansions are
 produced by the (P, Q) state recursion, whose first reduced state opens the
 minimal period (Galois), which ends when that state comes back.
 
-Convergents come from one in-order stream from index 0, ``convergent_stream``, one
-recurrence step each, yielding (n, p_n, q_n) as plain ints; ``convergents`` wraps them
-in ``Convergent`` records, and the coincidence scans and the optimality check of
-``theorems`` read their q off it. ``imf``'s walks, which start anywhere, step q on
-``quotients`` alike, each seeded at its lower end by one ladder lookup
+Every single step of a convergent state here is ``_step``: the in-order stream from index 0,
+``convergent_stream``, accumulates it over ``quotients``, yielding (n, p_n, q_n) as plain
+ints; ``convergents`` wraps them in ``Convergent`` records, and the coincidence scans and
+the optimality check of ``theorems`` read their q off it. The one other q recurrence is
+``imf._walk``, which starts anywhere, seeded at its lower end by one ladder lookup
 (``last_convergent_at_most`` by bound, ``convergent_state`` by index). The ladder, an
 expansion's one memo, is built on first use: the states ``(p_n, p_{n-1}, q_n, q_{n-1})``
 of the preperiod, and the squared period matrices ``M, M^2, M^4, ...`` of the 2x2 matrix view of
@@ -278,11 +278,7 @@ def last_convergent_at_most(cf: CFExpansion, t: int) -> tuple[int, State]:
 
 def convergent_stream(cf: CFExpansion) -> Iterator[tuple[int, int, int]]:
     """(n, p_n, q_n) as plain ints in order from index 0; a rational expansion stops at its end."""
-    p, p_prev, q, q_prev = cf.a0, 1, 1, 0
-    yield 0, p, q
-    for n, a in enumerate(cf.quotients(1), 1):
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
+    for n, (p, _, q, _) in enumerate(accumulate(cf.quotients(1), _step, initial=(cf.a0, 1, 1, 0))):
         yield n, p, q
 
 

@@ -6,37 +6,35 @@ is piecewise constant between the merged denominators of the two numbers. All
 values are exact quadratic-field elements; d(t) is kept as a pair of them
 because alpha and beta generally live in different fields.
 
-Every 1/psi, and every convergent remainder xi_n (as the inverse of 1/xi_n),
-comes from ``_inv_psi_at``, which checks its two closed forms exactly against
-each other as one integer identity on the tails' integers, with no field
-arithmetic, and builds the value with one ``exact._make``. Every bracket
-(r, q_{r-1}, q_r, q_{r+1}, alpha_{r+1}, alpha_{r+2}) is plain integers and two
-tails: ``_walk`` steps the q recurrence on the partial quotients and the ladder's
-tails together, both drawn from C iterators (``_seed``), with no record, seeded at
-the lower end of its walk by one ladder lookup per number: by bound in ``_brackets``
-and ``_merged_brackets``, by index in ``_inv_xis``. The merged walk of two numbers
-steps both itself, so a breakpoint resumes one generator frame. A single evaluation
-is the first step of such a walk: ``psi`` and ``inv_psi`` take the first bracket at t,
-``d_at`` the first step of the merged walk, ``convergent_distance`` and
-``check_dichotomy`` the first reciprocals from their index. The dichotomy scan reads
-1/xi_0 .. 1/xi_depth of each number off one walk, ``_inv_xis``, with the integer bracket
-(q_{n+1}, q_{n+1} + q_n) around each that its merge orders by. Passes over the breakpoints
-(profiles, merged words, witnesses, the near-optimality check, the interleave scan) read one
-merged walk of both streams from their lower end, at one recurrence step per breakpoint. The
-merged word and the interleave scan read its brackets' indices, the scan evaluating only the
-1/psi its certificates hold; the other passes, through ``_d_steps``, compute one exact 1/psi
-per convergent, not per breakpoint: at a breakpoint where only one number steps, the other's
-value is carried over from the step before, and so are its guarded floor and its rendered
-string, which ``QuadExt`` keeps. d(t), in one field or two, renders and takes its sign from
-its parts' floors, read off their memos; ``exact._exceeds_c_times`` decides |d(t)| >= C*t
-from the two parts.
+Every 1/psi, and every convergent remainder xi_n (as the inverse of 1/xi_n), comes from
+``_inv_psi_at``, which checks its two closed forms exactly against each other as one
+integer identity on the tails' integers, with no field arithmetic, and builds the value
+with one ``exact._make``. Every bracket (r, q_{r-1}, q_r, q_{r+1}, alpha_{r+1},
+alpha_{r+2}) is plain integers and two tails, and comes from ``_walk``, the one place here
+that steps the q recurrence: on the partial quotients and the ladder's tails together, both
+drawn from C iterators, with no record, seeded at the lower end of its walk by one ladder
+lookup: by bound in ``_brackets``, by index in ``_inv_xis``. A single evaluation is the
+first step of such a walk: ``psi`` and ``inv_psi`` take the first bracket at t, ``d_at``
+the first step of the merged walk, ``convergent_distance`` and ``check_dichotomy`` the
+first reciprocals from their index. The dichotomy scan reads 1/xi_0 .. 1/xi_depth of each
+number off one walk, ``_inv_xis``, with the integer bracket (q_{n+1}, q_{n+1} + q_n) around
+each that its merge orders by. Passes over the breakpoints (profiles, merged words,
+witnesses, the near-optimality check, the interleave scan) read one merged walk,
+``_merged_brackets``, which merges two ``_brackets`` walks from their lower end and steps a
+number's walk only at its own denominators. The merged word and the interleave scan read
+its brackets' indices, the scan evaluating only the 1/psi its certificates hold; the other
+passes, through ``_d_steps``, compute one exact 1/psi per convergent, not per breakpoint:
+at a breakpoint where only one number steps, the other's value is carried over from the
+step before, and so are its guarded floor and its rendered string, which ``QuadExt`` keeps.
+d(t), in one field or two, renders and takes its sign from its parts' floors, read off
+their memos; ``exact._exceeds_c_times`` decides |d(t)| >= C*t from the two parts.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import contfrac, exact
 from .contfrac import CFExpansion, is_nonintegral_sum_and_diff
@@ -66,17 +64,12 @@ Bracket = tuple[int, int, int, int, QuadExt, QuadExt]
 """(r, q_{r-1}, q_r, q_{r+1}, alpha_{r+1}, alpha_{r+2}): recurrence integers and two tails."""
 
 
-def _seed(cf: CFExpansion, r: int, state: contfrac.State) -> tuple[Bracket, Callable, Callable]:
-    """The bracket at r from the state at r, and the ``__next__`` of the quotients from a_{r+2}
-    and of the ladder's tails from alpha_{r+3}, in order: C iterators, which step with no frame."""
+def _walk(cf: CFExpansion, r: int, state: contfrac.State) -> Iterator[Bracket]:
+    """The brackets at r, r+1, ..., from the state at r: one step of q and one tail each, the
+    quotients from a_{r+1} and the ladder's tails from alpha_{r+1} drawn from C iterators."""
     quotient, tail = cf.quotients(r + 1).__next__, contfrac.tails(cf, r + 1).__next__
     _, _, q, q_prev = state
-    return (r, q_prev, q, quotient() * q + q_prev, tail(), tail()), quotient, tail
-
-
-def _walk(cf: CFExpansion, r: int, state: contfrac.State) -> Iterator[Bracket]:
-    """The brackets at r, r+1, ..., from the state at r: one step of q and one tail each."""
-    bracket, quotient, tail = _seed(cf, r, state)
+    bracket = (r, q_prev, q, quotient() * q + q_prev, tail(), tail())
     while True:
         yield bracket
         _, _, q_prev, q, _, t = bracket
@@ -202,21 +195,17 @@ def _merged_brackets(alpha: CFExpansion, beta: CFExpansion,
                      t: int) -> Iterator[tuple[int, Bracket, Bracket]]:
     """(t, alpha's bracket, beta's bracket) at t, then at each later denominator of either number.
 
-    The one merge of the two denominator sequences. t ascends, and a number
-    stepped at t exactly when the middle q of its bracket is t. Each number is seeded by
-    bound, as in ``_brackets``, and stepped here as in ``_walk``: one frame per breakpoint.
+    The one merge of the two denominator sequences, each read off its own ``_brackets`` walk.
+    t ascends, and a number stepped at t exactly when the middle q of its bracket is t; one
+    that did not step holds the very same bracket object.
     """
-    a, quotient_a, tail_a = _seed(alpha, *contfrac.last_convergent_at_most(alpha, t))
-    b, quotient_b, tail_b = _seed(beta, *contfrac.last_convergent_at_most(beta, t))
+    next_a, next_b = _brackets(alpha, t).__next__, _brackets(beta, t).__next__
+    a, b = next_a(), next_b()
     while True:
         yield t, a, b
-        _, _, qa_prev, qa, _, ta = a
-        _, _, qb_prev, qb, _, tb = b
-        t = qa if qa < qb else qb
-        if qa == t:
-            a = (a[0] + 1, qa_prev, qa, quotient_a() * qa + qa_prev, ta, tail_a())
-        if qb == t:
-            b = (b[0] + 1, qb_prev, qb, quotient_b() * qb + qb_prev, tb, tail_b())
+        t = min(a[3], b[3])
+        a = next_a() if a[3] == t else a
+        b = next_b() if b[3] == t else b
 
 
 def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,

@@ -7,7 +7,9 @@ Here the tracer is installed and uninstalled around the 10**12 rung of one ``gen
 unit, run through ``ops.InProcess``. The gated in-process workloads call the library with
 their own arguments, ``cap_bits`` passed by position among them, so one unit of
 ``profile_scan`` and of ``lemma_depth`` runs through ``ops.InProcess`` and is checked by
-``checks.Checker`` and ``confirm_failures``, as ``run.py`` checks it.
+``checks.Checker`` and ``confirm_failures``, as ``run.py`` checks it. So does one unit of
+``cli_mix``, through ``ops.CliProcess``: the CLI's stdout on drawn pairs, checked against
+mpmath as in a benchmark run.
 """
 
 import pathlib
@@ -52,14 +54,17 @@ def test_deep_t_rung_runs_traced(bench):
     assert tracer.calls[tracer.ids["exact.refine_compare"]] == 1
 
 
-@pytest.mark.parametrize("workload", ["profile_scan", "lemma_depth"])
+@pytest.mark.parametrize("workload", ["profile_scan", "lemma_depth", "cli_mix"])
 def test_gated_workload_unit_runs_and_checks(bench, workload):
     gen, ops, _ = bench
     import checks
 
     unit = getattr(gen, workload)(random.Random(1), 1)[0]
-    runner = ops.InProcess(workload)
-    runner.parse(sorted({num.spec for op in unit for num in (op["alpha"], op["beta"])}))
+    if workload == "cli_mix":  # nine fresh ``python -m psidiff.cli`` processes
+        runner = ops.CliProcess(BENCH.parent)
+    else:
+        runner = ops.InProcess(workload)
+        runner.parse(sorted({num.spec for op in unit for num in (op["alpha"], op["beta"])}))
     checker, ran = checks.Checker(), 0
     for op in unit:
         rec, errors = runner.run(op)

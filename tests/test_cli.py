@@ -34,15 +34,19 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def run_fresh(*argv, timeout=60):
-    """(exit code, JSON stdout) of ``python -m psidiff.cli`` in a fresh interpreter, whose
-    first radicands are this call's; a hang fails after ``timeout`` seconds instead of
-    stalling the suite."""
+def fresh(*argv, timeout=60) -> subprocess.CompletedProcess:
+    """``python -m psidiff.cli`` run in a fresh interpreter, whose first radicands are this
+    call's; a hang fails after ``timeout`` seconds instead of stalling the suite."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-m", "psidiff.cli", *argv], capture_output=True,
+    return subprocess.run([sys.executable, "-m", "psidiff.cli", *argv], capture_output=True,
                           text=True, env=env, timeout=timeout)
+
+
+def run_fresh(*argv, timeout=60):
+    """(exit code, JSON stdout) of ``fresh``."""
+    proc = fresh(*argv, timeout=timeout)
     return proc.returncode, json.loads(proc.stdout)
 
 
@@ -243,6 +247,18 @@ class TestErrorsAndExitCodes:
         code, payload = run_fresh("construct-optimal", "--epsilon", "1e-100000", timeout=20)
         assert code == 1
         assert payload["error"]["code"] == "search_exhausted"
+
+    @pytest.mark.parametrize("command, flag", [("word", "--count"), ("lemmas", "--max-depth")])
+    def test_walk_past_its_budget_is_refused(self, command, flag):
+        """A count or depth past ``cli.BUDGET`` is refused as it is read, before any walk: at
+        10**8 either walk allocated until it ended in a MemoryError traceback."""
+        argv = (command, "--alpha", "tau", "--beta", SQRT2, flag)
+        proc = fresh(*argv, str(cli.BUDGET + 1), timeout=30)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"]["code"] == "invalid_input"
+        assert "Traceback" not in proc.stderr
+        dest = flag[2:].replace("-", "_")
+        assert getattr(cli.build_parser().parse_args([*argv, str(cli.BUDGET)]), dest) == cli.BUDGET
 
     def test_bad_number_spec(self, capsys):
         code, payload = run_json(capsys, "expand", "--number", "surd:(1+sqrt(4))/1")

@@ -107,6 +107,22 @@ def test_only_the_descent_multiplies():
 
 @settings(max_examples=100, deadline=None)
 @given(expansions(), st.integers(0, 40))
+@example(CFExpansion(5), 0)  # a lone integer: index 0 only, and no step
+def test_stream_steps_only_by_the_ladders_step(cf, n):
+    """``convergent_stream`` forms no q of its own: ``contfrac._step`` makes each term after
+    index 0, once, and a rational expansion's stream stops at its last index."""
+    real, steps = contfrac._step, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contfrac, "_step", lambda s, a: steps.append(a) or real(s, a))
+        stream = contfrac.convergent_stream(cf)
+        got = list(stream if cf.is_rational else itertools.islice(stream, n + 1))
+    states = reference_states(cf) if cf.is_rational else enumerate(first_states(cf, n + 1))
+    assert got == [(i, s[0], s[2]) for i, s in states]
+    assert steps == [cf.partial_quotient(i) for i in range(1, len(got))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions(), st.integers(0, 40))
 def test_convergents_list(cf, n):
     got = [(c.index, c.p, c.q) for c in convergents(cf, n)]
     assert got == [(i, s[0], s[2]) for i, s in enumerate(first_states(cf, n + 1))]

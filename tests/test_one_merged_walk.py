@@ -122,10 +122,36 @@ def ladder_references() -> list[str]:
 
 
 def test_only_the_seeds_touch_the_ladder():
-    """Outside contfrac the ladder seeds the walks, the merged walk seeding its two numbers
-    itself, and finds the regime floor, nothing else."""
-    assert ladder_references() == ["imf._brackets", "imf._inv_xis", "imf._merged_brackets",
-                                   "imf._merged_brackets", "theorems.verify_near_optimality"]
+    """Outside contfrac the ladder seeds the walks, the merged walk through ``_brackets``, and
+    finds the regime floor, nothing else."""
+    assert ladder_references() == ["imf._brackets", "imf._inv_xis",
+                                   "theorems.verify_near_optimality"]
+
+
+def test_merged_walk_yields_only_what_the_walks_yield(monkeypatch):
+    """``imf._walk`` is the one place in ``imf`` that steps q: every bracket the merged walk
+    yields, to profiles and to merged words alike, is an object some ``_walk`` yielded."""
+    tau = CFExpansion(1, (), (1,))
+    sqrt2 = parse_number("surd:(0+sqrt(2))/1")
+    walk, merge, walked, merged = imf._walk, imf._merged_brackets, [], []
+
+    def walking(*args):
+        for bracket in walk(*args):
+            walked.append(bracket)
+            yield bracket
+
+    def merging(*args):
+        for step in merge(*args):
+            merged.extend(step[1:])
+            yield step
+
+    monkeypatch.setattr(imf, "_walk", walking)
+    monkeypatch.setattr(imf, "_merged_brackets", merging)
+    breakpoint_profile(sqrt2, tau, 1, 10**50)
+    merged_word(sqrt2, tau, 50)
+    assert len(merged) > 2 * 50
+    ids = {id(bracket) for bracket in walked}  # ``walked`` keeps each alive, so no id is reused
+    assert all(id(bracket) in ids for bracket in merged)
 
 
 def test_far_window_walks_from_its_lower_end(monkeypatch):
@@ -146,8 +172,7 @@ def test_far_window_walks_from_its_lower_end(monkeypatch):
 
 
 def merge_of_walks(alpha, beta, t):
-    """The merge of two ``imf._brackets`` walks, as it was written before the merged walk
-    stepped both numbers itself."""
+    """The merge of two ``imf._brackets`` walks, written out on their generators."""
     walk_a, walk_b = imf._brackets(alpha, t), imf._brackets(beta, t)
     a, b = next(walk_a), next(walk_b)
     while True:
