@@ -51,8 +51,9 @@ def _fraction(text: str) -> Fraction:
     return Fraction(-n if sign == "-" else n, d)
 
 
-# the largest --count and --max-depth: output grows about as the square of a walk's length,
-# and at 10**4 ``lemmas`` on tau and sqrt(2) runs about 10 s and prints about 100 MB
+# the largest --count, --max-depth and --digits, whose cost grows about as the square of the
+# value: at 10**4 ``lemmas`` on tau and sqrt(2) runs about 10 s and prints about 100 MB, and
+# ``constants`` runs in a fifth of a second (README has the timings and the machine)
 BUDGET = 10**4
 
 
@@ -208,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact irrationality-measure computations for quadratic irrationals.",
     )
     common = _Parser(add_help=False)
-    common.add_argument("--digits", type=_integer(int), default=12, help="decimal digits in output")
+    common.add_argument("--digits", type=_integer(int, BUDGET), default=12,
+                        help="decimal digits in output")
     numbered, paired, epsilon = (_Parser(add_help=False, parents=[common]) for _ in range(3))
     numbered.add_argument("--number", required=True)
     paired.add_argument("--alpha", required=True)

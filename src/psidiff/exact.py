@@ -6,13 +6,12 @@ held as integers with Q > 0, gcd(A, B, Q) = 1 and D its field's one radicand in
 this process, found without factoring; all field operations are exact integer
 arithmetic, and so is the one sign test per level: ``_sign`` of a + b*sqrt(D), and
 ``_sign2`` of a + b*sqrt(D) + s*sqrt(e + f*sqrt(D)), one squaring into ``_sign``. ``_cmp``,
-the sign of m*x - m*y - k for x, y of any two fields (``compare``), takes one of them and
-builds no ``QuadExt``, nor do the two certificate kernels fused from it: ``_beyond_half``,
-|x - y| > k/2 from one set of products (the interleave gap's point test), and
-``_branch_sign``, the dichotomy's identity x = a*y and sign of e*e - x*y from the four
-values' parts, read once. ``Root`` is a + s*sqrt(w) with a and w in one such field and
-s = +-1, the form of sqrt(tau), of the optimal constant C = sqrt(5) - sqrt(5*phi) and of
-what is built from them; its sign is one ``_sign2``.
+the sign of m*x - m*y - k for x, y of any two fields (``compare``, and at m = 2, k = +-bound
+the interleave gap's point test), takes one of them and builds no ``QuadExt``, nor does the
+one certificate kernel fused from it, ``_branch_sign``, the dichotomy's identity x = a*y and
+sign of e*e - x*y from the four values' parts, read once. ``Root`` is a + s*sqrt(w) with a
+and w in one such field and s = +-1, the form of sqrt(tau), of the optimal constant
+C = sqrt(5) - sqrt(5*phi) and of what is built from them; its sign is one ``_sign2``.
 One floor per level, floor(m*x) for an integer m >= 1, is exact integer arithmetic too:
 ``_floor`` of a + b*sqrt(D), by a fixed-point root floor(sqrt(D)*2**K) that ``_root``
 caches up to K = ``_ROOT_BITS``, and ``_guarded`` of a sum of two leaf floors (a ``Root``, or
@@ -417,18 +416,6 @@ def _cmp(x: QuadExt | RatLike, y: QuadExt | RatLike, m: int = 1, k: int = 0) -> 
     if not c or D == Dy:
         return _sign(a, b - c, D)
     return _sign2(a, b, -1 if c > 0 else 1, c * c * Dy, 0, D)
-
-
-def _beyond_half(x: QuadExt | RatLike, y: QuadExt | RatLike, k: int) -> bool:
-    """|x - y| > k/2 strictly for x, y of any two fields and an integer k: 2*x - 2*y - k > 0 or
-    2*x - 2*y + k < 0, the two signs of ``_cmp(x, y, 2, +-k)`` from one set of its products.
-    In one field |x - y| can be k/2, which is not beyond. The interleave gap's point test."""
-    (A, B, Q, D), (E, F, R, Dy) = _parts(x), _parts(y)
-    a, b, c, k = 2 * (A * R - E * Q), 2 * B * R, 2 * F * Q, k * Q * R
-    if not c or D == Dy:
-        return _sign(a - k, b - c, D) > 0 or _sign(a + k, b - c, D) < 0
-    s, w = -1 if c > 0 else 1, c * c * Dy
-    return _sign2(a - k, b, s, w, 0, D) > 0 or _sign2(a + k, b, s, w, 0, D) < 0
 
 
 def _branch_sign(x: QuadExt | RatLike, y: QuadExt | RatLike, a: QuadExt | RatLike,

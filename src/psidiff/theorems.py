@@ -295,7 +295,8 @@ def _gap_certificate(pattern: str, n: int, m: int, first_point: int, second_poin
             f"exact gap inequality failed at pattern {pattern}, (n, m) = ({n}, {m})"
         )
     verified = [point for point, d in ((first_point, d_first), (second_point, d_second))
-                if exact._beyond_half(d.inv_psi_beta, d.inv_psi_alpha, bound)]
+                if exact._cmp(d.inv_psi_beta, d.inv_psi_alpha, 2, bound) > 0
+                or exact._cmp(d.inv_psi_beta, d.inv_psi_alpha, 2, -bound) < 0]
     if not verified:
         raise GapViolationError(
             f"neither point exceeds half the bound at pattern {pattern}, (n, m) = ({n}, {m})"

@@ -248,16 +248,20 @@ class TestErrorsAndExitCodes:
         assert code == 1
         assert payload["error"]["code"] == "search_exhausted"
 
-    @pytest.mark.parametrize("command, flag", [("word", "--count"), ("lemmas", "--max-depth")])
-    def test_walk_past_its_budget_is_refused(self, command, flag):
-        """A count or depth past ``cli.BUDGET`` is refused as it is read, before any walk: at
-        10**8 either walk allocated until it ended in a MemoryError traceback."""
-        argv = (command, "--alpha", "tau", "--beta", SQRT2, flag)
+    @pytest.mark.parametrize("argv", [
+        ("word", "--alpha", "tau", "--beta", SQRT2, "--count"),
+        ("lemmas", "--alpha", "tau", "--beta", SQRT2, "--max-depth"),
+        ("constants", "--digits"),
+    ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+    def test_walk_past_its_budget_is_refused(self, argv):
+        """A count, depth or digit count past ``cli.BUDGET`` is refused as it is read, before
+        any walk: at 10**8 either walk allocated until it ended in a MemoryError traceback,
+        and ``constants --digits 10**6`` ran for over a minute."""
         proc = fresh(*argv, str(cli.BUDGET + 1), timeout=30)
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"]["code"] == "invalid_input"
         assert "Traceback" not in proc.stderr
-        dest = flag[2:].replace("-", "_")
+        dest = argv[-1][2:].replace("-", "_")
         assert getattr(cli.build_parser().parse_args([*argv, str(cli.BUDGET)]), dest) == cli.BUDGET
 
     def test_bad_number_spec(self, capsys):

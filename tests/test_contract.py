@@ -8,11 +8,13 @@ counts, depths and digits), ``--epsilon`` and ``--slack`` from ``rationals`` and
 ``--output`` from its choices. Half the argvs may hold junk (an integer option as a decimal,
 an exponent or junk, a choice as junk, a spec mutated); in the other half every text is well
 formed, so most of them reach the command, ``profile`` and ``lemmas`` on generated specs
-included. Whatever the argv, ``cli.main`` returns 0, 1 or 2 without raising, prints one JSON
-document (or a ``profile`` CSV), names only error codes that ``errors.py`` defines or
-``invalid_input``, exits 2 only with ``undecided_sign``, names no Python function in an
-error message (outside the arguments it quotes back), and prints the same bytes for the
-same argv.
+included, and a count, depth or digit count is at times past ``cli.BUDGET``, up to 10**30,
+which must exit 1 with ``invalid_input`` (never in (200, BUDGET], which runs too long).
+Whatever the argv, ``cli.main`` returns 0, 1 or 2 without raising or printing a traceback,
+prints one JSON document (or a ``profile`` CSV), names only error codes that ``errors.py``
+defines or ``invalid_input``, exits 2 only with ``undecided_sign``, names no Python function
+in an error message (outside the arguments it quotes back), and prints the same bytes for
+the same argv.
 
 Narrower fuzzers cover what the general one reaches too rarely. ``construct-optimal`` and
 ``verify-optimal`` read ``--epsilon`` and ``--slack`` as n/d, as decimals and with
@@ -27,6 +29,7 @@ up to 10**30: it finds a witness or exits 1 with a typed code, and never exits 2
 precision comes from a root-separation bound and not from a cap.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -189,17 +192,34 @@ def unbounded(action) -> bool:
     return True
 
 
+def budgeted(action) -> bool:
+    """Whether an integer option refuses a value past ``cli.BUDGET``, as --count, --max-depth
+    and --digits do."""
+    try:
+        action.type(str(cli.BUDGET + 1))
+    except argparse.ArgumentTypeError:
+        return True
+    return False
+
+
+BUDGETED = {action.option_strings[0] for parser in COMMANDS.values()
+            for action in options(parser) if action.type is not None and budgeted(action)}
+OVER_BUDGET = st.integers(cli.BUDGET + 1, 10**30).map(str)
 RATIONAL = {"--epsilon", "--slack"}  # a free-text option that is no rational is a number spec
 
 
 def option_text(action, junk: bool):
     """A strategy for one option's text, by its kind: a choice, an integer text (up to 10**30
-    for an option of any length, else 200), a rational, or a number spec; with ``junk``, a
-    choice may be junk, an integer text any form, and a spec mutated."""
+    for an option of any length, else 200, or without ``junk`` one time in four past the
+    budget of an option that has one), a rational, or a number spec; with ``junk``, a choice
+    may be junk, an integer text any form, and a spec mutated."""
     if action.choices is not None:
         return st.sampled_from(action.choices) | st.sampled_from(JUNK if junk else action.choices)
     if action.type is not None:
-        return integer_texts(10**30 if unbounded(action) else 200, junk)
+        texts = integer_texts(10**30 if unbounded(action) else 200, junk)
+        if junk or action.option_strings[0] not in BUDGETED:
+            return texts
+        return st.integers(0, 3).flatmap(lambda i: texts if i else OVER_BUDGET)
     if action.option_strings[0] in RATIONAL:
         return rationals().map(lambda pair: pair[0])
     return number_specs(mutate=junk)
@@ -246,10 +266,17 @@ def witness_argv(draw):
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    assert "Traceback" not in err.getvalue()
     return code, out.getvalue()
+
+
+def over_budget(argv: list[str]) -> bool:
+    """Whether a budgeted option of the argv holds an integer past ``cli.BUDGET``."""
+    return any(flag in BUDGETED and text.isdecimal() and int(text) > cli.BUDGET
+               for flag, text in zip(argv, argv[1:]))
 
 
 def assert_contract(argv: list[str]) -> tuple[int, dict | None]:
@@ -301,8 +328,12 @@ def test_optimal_pair_commands_keep_the_contract(case):
           "--digits", "2.5"])
 @example(["lemmas", "--alpha", EXACT_ZERO[0], "--beta", EXACT_ZERO[1], "--max-depth", "200"])
 @example(["constants", "--digits", "200"])
+@example(["constants", "--digits", "10001"])
+@example(["lemmas", "--alpha", "tau", "--beta", "cf:[1;2,(3)]", "--max-depth", str(10**30)])
 def test_every_command_keeps_the_contract(argv):
-    assert_contract(argv)
+    code, error = assert_contract(argv)
+    if over_budget(argv):
+        assert code == 1 and error["code"] == "invalid_input", error
 
 
 def test_attach_values_lists_every_free_text_option():

@@ -1,16 +1,19 @@
 """One sign kernel for a difference: ``exact._cmp(x, y, m, k)``, the sign of m*x - m*y - k,
-its two fused forms, ``exact._beyond_half(x, y, k)``, |x - y| > k/2, and
-``exact._branch_sign(x, y, a, e)``, the sign of e*e - x*y once x = a*y holds, and the running
-maximum of |x - y|/t that the near-optimality check keeps, ``exact._max_ratio``.
+its one fused form, ``exact._branch_sign(x, y, a, e)``, the sign of e*e - x*y once x = a*y
+holds, and the running maximum of |x - y|/t that the near-optimality check keeps,
+``exact._max_ratio``.
 
 Times Qx*Qy the difference is a + b*sqrt(Dx) - c*sqrt(Dy) in integers, so the kernel is
 one ``_sign`` or one ``_sign2`` and builds no ``QuadExt``. It is held to mpmath at a
 precision taken from the norm bound and to the temporaries formula it replaced
 (``_oracles.cmp_by_temporaries``) on rationals and elements of one or two fields, with m
 up to 2**200 and k of either sign: exact ties in one field give 0, and near-ties across
-two fields, m*(x - y) with x - y tiny, are never 0. The gap-point form is held to ``_cmp`` at
-+k and -k on the 1/psi of d(t), with k next to 2|d| and |d| = k/2 exactly in one field. The
-branch form is held to the temporaries formula of a product difference
+two fields, m*(x - y) with x - y tiny, are never 0. The interleave gap's point test,
+|d| > bound/2, is ``_cmp(b, a, 2, bound) > 0 or _cmp(b, a, 2, -bound) < 0`` on the two 1/psi
+of d(t): a certificate's ``verified_points`` are held to mpmath at the norm-bound precision,
+each point reaches ``_cmp`` at m = 2 and k = +-bound once or twice, and where |d| = k/2
+exactly, in one field, ``_cmp(b, a, 2, +-k)`` is 0, so the strict test fails there and holds
+at k - 1. The branch form is held to the temporaries formula of a product difference
 (``_oracles.products_by_temporaries``): its identity x = a*y is a zero of x*1 - a*y, a forged
 field included, and its sign that of e*e - x*y, exact ties included; the maximum is held to
 ``max`` over the built ratios, ties in |x - y|/t included. The decisions they take build no
@@ -36,6 +39,8 @@ from test_convergent_source import expansions, valid_pairs
 from test_exact_properties import (RATIONALS, quadexts, same_field_pairs,
                                    sqrt_convergent_ties)
 
+SQRT2 = parse_number("surd:(0+sqrt(2))/1")
+DEPTH = 60
 MULTIPLIERS = st.integers(1, 2**200) | st.sampled_from([1, 2, 2 << 64])
 SHIFTS = st.integers(-2**200, 2**200) | st.integers(-10, 10)
 OPERANDS = quadexts() | RATIONALS
@@ -184,35 +189,66 @@ def test_product_kernel_refuses_two_fields():
         exact._branch_sign(QuadExt(0, 1, 6), QuadExt(0, 1, 2), QuadExt(0, 1, 3), 1)
 
 
-@st.composite
-def gap_points(draw):
-    """(b, a, k): the two 1/psi of d(t) = b - a for a valid pair, in one field or across two,
-    and a bound k within 3 of 2|d|, or drawn at random."""
-    d = d_at(*draw(valid_pairs()), draw(st.integers(1, 10**30)))
-    if draw(st.booleans()):
-        k = abs(d._scaled_floor(2) + draw(st.integers(-2, 3)))  # floor(2d), shifted
-    else:
-        k = draw(st.integers(-10**6, 10**40))
-    return d.inv_psi_beta, d.inv_psi_alpha, k
+def mp_beyond_half(d, bound: int) -> bool:
+    """|d| > bound/2 for d = b - a, by mpmath at twice the digits N that resolve 2*b - 2*a -+
+    bound: a nonzero difference is then above 10**-N and the error far below it, so a smaller
+    one is the exact tie |d| = bound/2."""
+    b, a = d.inv_psi_beta, d.inv_psi_alpha
+    dps = 2 * norm_dps(b, a, 2, bound)
+    with mpmath.workdps(dps):
+        excess = 2 * abs(mp_value(b, dps) - mp_value(a, dps)) - bound
+        return excess > mpmath.mpf(10) ** -(dps // 2)
 
 
-@settings(max_examples=300, deadline=None)
-@given(gap_points())
-def test_gap_point_kernel_is_two_signs(case):
-    """``exact._beyond_half(b, a, k)``, |b - a| > k/2, is ``_cmp`` at +k or at -k."""
-    b, a, k = case
-    two_signs = exact._cmp(b, a, 2, k) > 0 or exact._cmp(b, a, 2, -k) < 0
-    assert exact._beyond_half(b, a, k) == two_signs
+@settings(max_examples=60, deadline=None)
+@given(valid_pairs(), st.integers(1, DEPTH))
+def test_gap_point_kernel_is_two_signs(pair, depth):
+    """A point is in a certificate's ``verified_points`` exactly when mpmath puts |d| above
+    bound/2 there, in one field or across two."""
+    alpha, beta = pair
+    for cert in scan_interleave_gap(alpha, beta, depth):
+        expected = tuple(point for point in (cert.first_point, cert.second_point)
+                         if mp_beyond_half(d_at(alpha, beta, point), cert.bound))
+        assert cert.verified_points == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(expansions(rational=False), st.integers(1, 10**30), st.integers(0, 10**40))
 def test_gap_point_at_exactly_half_is_not_beyond(cf, t, k):
-    """In one field |d| can be k/2 exactly, which is not beyond it; any more is."""
+    """In one field |d| can be k/2 exactly: ``_cmp(b, a, 2, +-k)`` is 0 there, not d's sign,
+    so the strict point test fails, and at k - 1 it has d's sign."""
     a = imf.inv_psi(cf, t)
-    for b in (a + Fraction(k, 2), a - Fraction(k, 2)):
-        assert not exact._beyond_half(b, a, k)
-        assert exact._beyond_half(b, a, k - 1)
+    for s in (1, -1):
+        b = a + Fraction(s * k, 2)
+        assert exact._cmp(b, a, 2, s * k) == 0
+        assert exact._cmp(b, a, 2, s * (k - 1)) == s
+
+
+def test_each_gap_point_is_two_signs_of_the_one_kernel(monkeypatch):
+    """Every point of every certificate reaches ``exact._cmp`` at m = 2 and k = +-bound, once
+    or twice: the point test is the one kernel, with no form of its own."""
+    calls, per_cert, cmp, check = [], [], exact._cmp, theorems._gap_certificate
+
+    def spy(x, y, m=1, k=0):
+        calls.append((x, y, m, k))
+        return cmp(x, y, m, k)
+
+    def counted(*args):
+        del calls[:]
+        cert = check(*args)
+        per_cert.append((cert, list(calls)))
+        return cert
+
+    monkeypatch.setattr(exact, "_cmp", spy)
+    monkeypatch.setattr(theorems, "_gap_certificate", counted)
+    certs = scan_interleave_gap(SQRT2, TAU_CF, 200)
+    monkeypatch.undo()
+    assert certs and [cert for cert, _ in per_cert] == certs
+    for cert, seen in per_cert:
+        for d in (cert.d_first, cert.d_second):
+            tests = [k for x, y, m, k in seen
+                     if m == 2 and x == d.inv_psi_beta and y == d.inv_psi_alpha]
+            assert 1 <= len(tests) <= 2 and set(tests) <= {cert.bound, -cert.bound}
 
 
 @st.composite
@@ -242,10 +278,6 @@ def test_max_ratio_refuses_two_fields():
         exact._max_ratio([(1, x, y)])
     with pytest.raises(MixedFieldError, match=r"sqrt\(2\) with sqrt\(5\)"):
         exact._max_ratio([(1, x, x + 1), (2, y, y + 1)])
-
-
-SQRT2 = parse_number("surd:(0+sqrt(2))/1")
-DEPTH = 60
 
 
 def count_makes(monkeypatch) -> list:
