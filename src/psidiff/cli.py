@@ -51,9 +51,9 @@ def _fraction(text: str) -> Fraction:
     return Fraction(-n if sign == "-" else n, d)
 
 
-# the largest --count, --max-depth and --digits, whose cost grows about as the square of the
-# value: at 10**4 ``lemmas`` on tau and sqrt(2) runs about 10 s and prints about 100 MB, and
-# ``constants`` runs in a fifth of a second (README has the timings and the machine)
+# the largest --count, --max-depth, --digits and profile row count, whose cost grows about as
+# the square of the value: at 10**4 ``lemmas`` on tau and sqrt(2) runs about 10 s and prints
+# about 100 MB, and ``constants`` runs in a fifth of a second (README: timings and machine)
 BUDGET = 10**4
 
 
@@ -110,8 +110,13 @@ def cmd_psi(args: argparse.Namespace) -> dict:
 
 
 def cmd_profile(args: argparse.Namespace) -> dict | str:
-    from . import imf
+    from . import contfrac, imf
     alpha, beta = _parse(args.alpha, args.beta)
+    # at most r(bound) - r(from) new denominators per number, r(t) the last index with q_r <= t
+    rows = 1 + sum(contfrac.last_convergent_at_most(cf, max(t, 1))[0] * sign
+                   for cf in (alpha, beta) for t, sign in ((args.bound, 1), (args.from_t, -1)))
+    if rows > BUDGET:
+        raise ValueError(f"up to {rows} rows, past the stated budget of {BUDGET} rows")
     profile = imf.breakpoint_profile(alpha, beta, args.from_t, args.bound)
     if args.output == "csv":
         return imf.profile_to_csv(profile, args.digits)

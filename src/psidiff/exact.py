@@ -7,10 +7,13 @@ this process, found without factoring; all field operations are exact integer
 arithmetic, and so is the one sign test per level: ``_sign`` of a + b*sqrt(D), and
 ``_sign2`` of a + b*sqrt(D) + s*sqrt(e + f*sqrt(D)), one squaring into ``_sign``. ``_cmp``,
 the sign of m*x - m*y - k for x, y of any two fields (``compare``, and at m = 2, k = +-bound
-the interleave gap's point test), takes one of them and builds no ``QuadExt``, nor does the
-one certificate kernel fused from it, ``_branch_sign``, the dichotomy's identity x = a*y and
-sign of e*e - x*y from the four values' parts, read once. ``Root`` is a + s*sqrt(w) with a
-and w in one such field and s = +-1, the form of sqrt(tau), of the optimal constant
+the interleave gap's point test where its brackets straddle), takes one of them and builds
+no ``QuadExt``, nor does the one certificate kernel fused from it, ``_branch_sign``, the
+dichotomy's identity x = a*y and sign of e*e - x*y from the four values' parts, read once.
+The lemma scans hold their values ``Bracketed``, (n, hi, x) with n < x*2**GUARD_BITS < hi
+and n from ``_bracket``, and decide each order on those integers (the point test is
+``_exceeds_half``), reaching an exact sign only on a straddle. ``Root`` is a + s*sqrt(w)
+with a and w in one such field and s = +-1, the form of sqrt(tau), of the optimal constant
 C = sqrt(5) - sqrt(5*phi) and of what is built from them; its sign is one ``_sign2``.
 One floor per level, floor(m*x) for an integer m >= 1, is exact integer arithmetic too:
 ``_floor`` of a + b*sqrt(D), by a fixed-point root floor(sqrt(D)*2**K) that ``_root``
@@ -43,6 +46,7 @@ from .errors import MixedFieldError, UndecidedSignError
 
 RatLike = Union[int, Fraction]
 Parts = tuple[int, int, int, int]  # (A, B, Q, D) of (A + B*sqrt(D))/Q, not reduced
+Bracketed = tuple[int, int, "QuadExt"]  # (n, hi, x) with n < x*2**GUARD_BITS < hi
 
 DEFAULT_CAP_BITS = 4096
 GUARD_BITS = 64  # extra bits of each rendered floor, which a difference of two values reads
@@ -418,27 +422,49 @@ def _cmp(x: QuadExt | RatLike, y: QuadExt | RatLike, m: int = 1, k: int = 0) -> 
     return _sign2(a, b, -1 if c > 0 else 1, c * c * Dy, 0, D)
 
 
-def _branch_sign(x: QuadExt | RatLike, y: QuadExt | RatLike, a: QuadExt | RatLike,
-                 e: QuadExt | RatLike) -> int | None:
-    """Sign of e*e - x*y once x == a*y holds, for x, y, a of one field and e of any, from their
-    parts read once, building no ``QuadExt``; None when x != a*y: unequal rational or irrational
-    parts, or x over another field. The dichotomy's branch, x, y, a, e = 1/xi_n, 1/xi_{n-1},
-    alpha_{n+1}, 1/eta_s: times T*T*Q*R, e*e - x*y is u + v*sqrt(De) - w*sqrt(D), one ``_sign``
-    or one ``_sign2``, as in ``_cmp``."""
-    (A, B, Q, D), (E, F, R, Dy) = _parts(x), _parts(y)
-    (G, H, S, Da), (I, J, T, De) = _parts(a), _parts(e)
+def _branch_sign(x: Bracketed, y: Bracketed, a: QuadExt | RatLike, e: Bracketed) -> int | None:
+    """Sign of e*e - x*y once x == a*y holds, for x, y, a of one field and e of any, x, y and e
+    each an (n, hi, value) with 0 <= n < value*2**GUARD_BITS < hi; None when x != a*y: unequal
+    rational or irrational parts, or x over another field. The dichotomy's branch, x, y, a, e =
+    1/xi_n, 1/xi_{n-1}, alpha_{n+1}, 1/eta_s: the identity from the parts of x, y and a, then
+    the sign by the integers when n_e*n_e >= hi_x*hi_y or hi_e*hi_e <= n_x*n_y, else, times
+    T*T*Q*R, e*e - x*y is u + v*sqrt(De) - w*sqrt(D), one ``_sign`` or one ``_sign2``, as in
+    ``_cmp``. Every part is read once, and no ``QuadExt`` is built."""
+    (nx, hx, x), (ny, hy, y), (ne, he, e) = x, y, e
+    (A, B, Q, D), (E, F, R, Dy), (G, H, S, Da) = _parts(x), _parts(y), _parts(a)
     if F and H and Dy != Da:
         raise MixedFieldError(f"cannot combine sqrt({Da}) with sqrt({Dy})")
     Dy = Dy if F else Da  # the field of a*y, which x must share
     if (A * S * R != (G * E + H * F * Dy) * Q or B * S * R != (G * F + H * E) * Q
             or B and D != Dy):
         return None
-    D = D if B else Dy  # the field of x*y
+    if ne * ne >= hx * hy:
+        return 1
+    if he * he <= nx * ny:
+        return -1
+    D, (I, J, T, De) = D if B else Dy, _parts(e)  # the field of x*y, and e's parts
     u = (I * I + J * J * De) * Q * R - (A * E + B * F * D) * T * T
     v, w = 2 * I * J * Q * R, (A * F + B * E) * T * T
     if not w or De == D:
         return _sign(u, v - w, De)
     return _sign2(u, v, -1 if w > 0 else 1, w * w * D, 0, De)
+
+
+def _bracket(q: int, q_prev: int, tail: QuadExt) -> int:
+    """n with n < 2**GUARD_BITS*(q*tail + q_prev) < n + q, for q >= 1 and an irrational tail:
+    q*floor(2**GUARD_BITS*tail) + (q_prev << GUARD_BITS), the floor kept in the tail's memo."""
+    return q * tail._scaled_floor(1 << GUARD_BITS) + (q_prev << GUARD_BITS)
+
+
+def _exceeds_half(b: Bracketed, a: Bracketed, k: int) -> bool:
+    """|y - x| > k/2 for b = (n_b, h_b, y) and a = (n_a, h_a, x), each n < value*2**GUARD_BITS
+    < h: 2**(GUARD_BITS + 1)*(y - x) lies in (2*(n_b - h_a), 2*(h_b - n_a)), and only where
+    that interval holds k*2**GUARD_BITS or its negative does the strict test reach
+    ``_cmp(y, x, 2, k) > 0`` or ``_cmp(y, x, 2, -k) < 0``. The interleave gap's point test."""
+    (nb, hb, y), (na, ha, x), K = b, a, k << GUARD_BITS
+    lo, hi = 2 * (nb - ha), 2 * (hb - na)
+    return (lo >= K or hi > K and _cmp(y, x, 2, k) > 0
+            or hi <= -K or lo < -K and _cmp(y, x, 2, -k) < 0)
 
 
 def _max_ratio(steps: Iterable[tuple[int, QuadExt, QuadExt]]) -> tuple[QuadExt, int]:

@@ -17,12 +17,12 @@ lookup: by bound in ``_brackets``, by index in ``_inv_xis``. A single evaluation
 first step of such a walk: ``psi`` and ``inv_psi`` take the first bracket at t, ``d_at``
 the first step of the merged walk, ``convergent_distance`` and ``check_dichotomy`` the
 first reciprocals from their index. The dichotomy scan reads 1/xi_0 .. 1/xi_depth of each
-number off one walk, ``_inv_xis``, with the integer bracket (q_{n+1}, q_{n+1} + q_n) around
-each that its merge orders by. Passes over the breakpoints (profiles, merged words,
-witnesses, the near-optimality check, the interleave scan) read one merged walk,
+number off one walk, ``_inv_xis``, each ``_bracketed``: with integers lo < 2**GUARD_BITS/xi_n
+< lo + q_n, by which its orders are decided. Passes over the breakpoints (profiles, merged
+words, witnesses, the near-optimality check, the interleave scan) read one merged walk,
 ``_merged_brackets``, which merges two ``_brackets`` walks from their lower end and steps a
 number's walk only at its own denominators. The merged word and the interleave scan read
-its brackets' indices, the scan evaluating only the 1/psi its certificates hold; the other
+its brackets' indices, the scan bracketing only the 1/psi its certificates hold; the other
 passes, through ``_d_steps``, compute one exact 1/psi per convergent, not per breakpoint:
 at a breakpoint where only one number steps, the other's value is carried over from the
 step before, and so are its guarded floor and its rendered string, which ``QuadExt`` keeps.
@@ -84,14 +84,19 @@ def _brackets(cf: CFExpansion, t: int) -> Iterator[Bracket]:
     return _walk(cf, *contfrac.last_convergent_at_most(cf, t))
 
 
-def _inv_xis(cf: CFExpansion, first: int, last: int) -> list[tuple[int, int, QuadExt]]:
-    """(q_{n+1}, q_{n+1} + q_n, 1/xi_n) for n = first .. last of an irrational cf, off one walk:
-    1/xi_n = q_n alpha_{n+1} + q_{n-1} lies strictly between the two integers, as
-    a_{n+1} < alpha_{n+1} < a_{n+1} + 1, so they bracket it for the dichotomy's merge."""
+def _inv_xis(cf: CFExpansion, first: int, last: int) -> list[exact.Bracketed]:
+    """``_bracketed`` 1/xi_n = q_n alpha_{n+1} + q_{n-1} for n = first .. last of an irrational
+    cf, off one walk: (lo, lo + q_n, 1/xi_n), lo < 2**GUARD_BITS/xi_n < lo + q_n."""
     _require_irrational(cf)
     walk = _walk(cf, first, contfrac.convergent_state(cf, first))
-    return [(b[3], b[3] + b[2], _inv_psi_at(b[2], b))
-            for b in itertools.islice(walk, last - first + 1)]
+    return [_bracketed(b[2], b) for b in itertools.islice(walk, last - first + 1)]
+
+
+def _bracketed(t: int, bracket: Bracket) -> exact.Bracketed:
+    """(n, n + q_r, 1/psi at t) with n = ``exact._bracket(q_r, q_{r-1}, alpha_{r+1})``, so that
+    n < 2**GUARD_BITS/psi < n + q_r: the value and the integers the lemma scans order it by."""
+    n = exact._bracket(bracket[2], bracket[1], bracket[4])
+    return n, n + bracket[2], _inv_psi_at(t, bracket)
 
 
 def psi(alpha: CFExpansion, t: int) -> PsiValue:

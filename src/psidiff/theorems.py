@@ -172,21 +172,22 @@ def check_dichotomy(alpha: CFExpansion, beta: CFExpansion, n: int, s: int) -> Di
     """
     if n < 1 or s < 0:
         raise ValueError("need n >= 1 and s >= 0")
-    (_, _, inv_xi_prev), (_, _, inv_xi) = imf._inv_xis(alpha, n - 1, n)
-    (_, _, inv_eta), = imf._inv_xis(beta, s, s)
-    if not inv_xi_prev < inv_eta < inv_xi:
+    inv_xi_prev, inv_xi = imf._inv_xis(alpha, n - 1, n)
+    inv_eta, = imf._inv_xis(beta, s, s)
+    if not (_below(inv_xi_prev, inv_eta) and _below(inv_eta, inv_xi)):
         raise PreconditionFailedError(f"eta_{s} is not inside (xi_{n}, xi_{n-1})")
     return _branch(alpha, n, inv_xi_prev, inv_xi, inv_eta)
 
 
-def _branch(alpha: CFExpansion, n: int, inv_xi_prev: QuadExt, inv_xi: QuadExt,
-            inv_eta: QuadExt) -> DichotomyBranch:
+def _branch(alpha: CFExpansion, n: int, inv_xi_prev: exact.Bracketed, inv_xi: exact.Bracketed,
+            inv_eta: exact.Bracketed) -> DichotomyBranch:
     """The branch test of ``check_dichotomy`` on reciprocals already known to be in order.
 
     It compares (1/eta_s)^2 with (1/xi_{n-1})*(1/xi_n), both positive, after checking
     the identity 1/xi_n = alpha_{n+1}/xi_{n-1} that turns the branches into that
-    comparison: both in one ``exact._branch_sign`` on the four values' integer parts, in one
-    field or across two, which builds no value and reports a failed identity as None.
+    comparison: both in one ``exact._branch_sign`` on the three ``(n, hi, value)`` of
+    ``imf._inv_xis`` and the tail, in one field or across two, which decides the sign by the
+    brackets unless they straddle, builds no value and reports a failed identity as None.
     """
     s = exact._branch_sign(inv_xi, inv_xi_prev, contfrac.tail(alpha, n + 1), inv_eta)
     if s is None:
@@ -206,8 +207,8 @@ def scan_dichotomy(
     Both reciprocal remainder sequences are strictly increasing, so for each s
     there is at most one n with 1/eta_s strictly inside (1/xi_{n-1}, 1/xi_n); a
     single merge pass over the two in-order lists finds them all. Both lists, 1/xi_n and
-    1/eta_s for indices 0 .. depth with the integer brackets the q give them, come
-    from ``imf._inv_xis``, one walk per number. Every order is exact, most of them by
+    1/eta_s for indices 0 .. depth, each with its integer bracket at scale 2**GUARD_BITS,
+    come from ``imf._inv_xis``, one walk per number. Every order is exact, all but a few by
     those brackets; no decision reads ``cap_bits``. Each record's branch is one
     ``_branch``, and each xi_n is inverted once, into a list, for every record that holds it.
     """
@@ -224,7 +225,7 @@ def scan_dichotomy(
         if n > depth:
             break
         if _below(xis[n - 1], eta):
-            branch = _branch(alpha, n, xis[n - 1][2], xis[n][2], eta[2])
+            branch = _branch(alpha, n, xis[n - 1], xis[n], eta)
             for i in (n - 1, n):
                 xi[i] = xi[i] or xis[i][2].inverse()
             init(record := new(DichotomyRecord), n, s, branch, xi[n - 1], xi[n], eta[2].inverse())
@@ -232,13 +233,16 @@ def scan_dichotomy(
     return records
 
 
-def _below(x: tuple[int, int, QuadExt], y: tuple[int, int, QuadExt]) -> bool:
-    """x < y for two (lo, hi, value) with lo < value < hi: by the integers when the two
-    brackets part, else by one exact ``<``."""
+def _below(x: exact.Bracketed, y: exact.Bracketed) -> bool:
+    """x < y for two ``exact.Bracketed`` (lo, hi, value), lo < value*2**GUARD_BITS < hi: by the
+    integers when the two brackets part, else by one exact ``<``."""
     return x[1] <= y[0] or (x[0] < y[1] and x[2] < y[2])
 
 
 # -- The interleave-gap pattern -------------------------------------------------
+
+
+GapPoint = tuple[DValue, exact.Bracketed, exact.Bracketed]  # d(t) and its two parts' brackets
 
 
 class GapCertificate(Record):
@@ -278,9 +282,9 @@ class GapCertificate(Record):
 
 
 def _gap_certificate(pattern: str, n: int, m: int, first_point: int, second_point: int,
-                     d_first: DValue, d_second: DValue, quotient: int) -> GapCertificate:
-    """Check one occurrence, bounded by its second point, from d at its two points."""
-    bound = second_point
+                     first: GapPoint, second: GapPoint, quotient: int) -> GapCertificate:
+    """Check one occurrence, bounded by its second point, from (d, brackets) at its two points."""
+    bound, d_first, d_second = second_point, first[0], second[0]
     if pattern == "a":
         if d_first.inv_psi_beta != d_second.inv_psi_beta:
             raise GapViolationError("beta step is not constant across the pattern")
@@ -294,9 +298,8 @@ def _gap_certificate(pattern: str, n: int, m: int, first_point: int, second_poin
         raise GapViolationError(
             f"exact gap inequality failed at pattern {pattern}, (n, m) = ({n}, {m})"
         )
-    verified = [point for point, d in ((first_point, d_first), (second_point, d_second))
-                if exact._cmp(d.inv_psi_beta, d.inv_psi_alpha, 2, bound) > 0
-                or exact._cmp(d.inv_psi_beta, d.inv_psi_alpha, 2, -bound) < 0]
+    verified = [point for point, (_, b, a) in ((first_point, first), (second_point, second))
+                if exact._exceeds_half(b, a, bound)]
     if not verified:
         raise GapViolationError(
             f"neither point exceeds half the bound at pattern {pattern}, (n, m) = ({n}, {m})"
@@ -322,19 +325,21 @@ def scan_interleave_gap(
     finds them all by their indices, evaluating nothing, until an index passes depth (past
     min(q_depth, t_depth)). Only an occurrence with a quotient >= 2 is evaluated, each 1/psi
     once per bracket, carried over to the next occurrence holding it: every value the scan
-    cross-checks through ``imf._inv_psi_at`` is one its certificates hold. Every comparison
-    is exact; no decision reads ``cap_bits``.
+    brackets through ``imf._bracketed`` is one its certificates hold. Every comparison is
+    exact, each point test by the two brackets unless they straddle (``exact._exceeds_half``);
+    no decision reads ``cap_bits``.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    matches, held = [], [(None, None), (None, None)]  # alpha's, beta's last bracket and 1/psi
+    matches, held = [], [(None, None), (None, None)]  # alpha's, beta's bracket, bracketed 1/psi
 
-    def d(t: int, a: imf.Bracket, b: imf.Bracket) -> DValue:
+    def d(t: int, a: imf.Bracket, b: imf.Bracket) -> GapPoint:
         for number, bracket in enumerate((a, b)):
             if held[number][0] is not bracket:
-                held[number] = bracket, imf._inv_psi_at(t, bracket)
-        return DValue(held[1][1], held[0][1], a[0], b[0])
+                held[number] = bracket, imf._bracketed(t, bracket)
+        inv_b, inv_a = held[1][1], held[0][1]
+        return DValue(inv_b[2], inv_a[2], a[0], b[0]), inv_b, inv_a
 
     for (t0, a0, b0), (t1, a1, b1) in itertools.pairwise(imf._merged_brackets(alpha, beta, 1)):
         if a1[0] > depth or b1[0] > depth:

@@ -252,17 +252,29 @@ class TestErrorsAndExitCodes:
         ("word", "--alpha", "tau", "--beta", SQRT2, "--count"),
         ("lemmas", "--alpha", "tau", "--beta", SQRT2, "--max-depth"),
         ("constants", "--digits"),
+        ("profile", "--alpha", "tau", "--beta", SQRT2, "--bound"),
     ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
     def test_walk_past_its_budget_is_refused(self, argv):
         """A count, depth or digit count past ``cli.BUDGET`` is refused as it is read, before
         any walk: at 10**8 either walk allocated until it ended in a MemoryError traceback,
-        and ``constants --digits 10**6`` ran for over a minute."""
-        proc = fresh(*argv, str(cli.BUDGET + 1), timeout=30)
+        and ``constants --digits 10**6`` ran for over a minute. A profile's rows are bounded
+        before any walk by each number's last index at --bound less that at --from, plus one:
+        on these two numbers 7,397 to 10**1000, which runs (7,395 rows), and 22,192 to
+        10**3000, which ran for 7.5 s and printed 134 MB; ``witness`` keeps any --bound."""
+        over, within = str(cli.BUDGET + 1), str(cli.BUDGET)
+        if argv[0] == "profile":
+            over, within = "1" + "0" * 3000, "1" + "0" * 1000
+        proc = fresh(*argv, over, timeout=30)
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"]["code"] == "invalid_input"
         assert "Traceback" not in proc.stderr
+        if argv[0] == "profile":
+            proc = fresh(*argv, within, timeout=30)
+            assert proc.returncode == 0 and proc.stdout.count("\n") == 1 + 7395
+            assert fresh("witness", *argv[1:], over, timeout=30).returncode == 0
+            return
         dest = argv[-1][2:].replace("-", "_")
-        assert getattr(cli.build_parser().parse_args([*argv, str(cli.BUDGET)]), dest) == cli.BUDGET
+        assert getattr(cli.build_parser().parse_args([*argv, within]), dest) == cli.BUDGET
 
     def test_bad_number_spec(self, capsys):
         code, payload = run_json(capsys, "expand", "--number", "surd:(1+sqrt(4))/1")

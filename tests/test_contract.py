@@ -9,7 +9,8 @@ counts, depths and digits), ``--epsilon`` and ``--slack`` from ``rationals`` and
 an exponent or junk, a choice as junk, a spec mutated); in the other half every text is well
 formed, so most of them reach the command, ``profile`` and ``lemmas`` on generated specs
 included, and a count, depth or digit count is at times past ``cli.BUDGET``, up to 10**30,
-which must exit 1 with ``invalid_input`` (never in (200, BUDGET], which runs too long).
+which must exit 1 with ``invalid_input`` (never in (200, BUDGET], which runs too long), and a
+``profile`` bound is at times long enough that the rows pass the budget.
 Whatever the argv, ``cli.main`` returns 0, 1 or 2 without raising or printing a traceback,
 prints one JSON document (or a ``profile`` CSV), names only error codes that ``errors.py``
 defines or ``invalid_input``, exits 2 only with ``undecided_sign``, names no Python function
@@ -230,12 +231,15 @@ def command_argv(draw):
     """Any command of ``cli.build_parser()``, each required option drawn and each other one
     absent or drawn, by its kind. Half the argvs may hold junk; in the other half every
     integer is an integer, every choice a choice and every spec unmutated, so that most of
-    them reach the command."""
+    them reach the command. A ``profile`` drawn with no ``--bound`` gets one of 1400 to 2000
+    digits one time in four, past the row budget on tau and sqrt(2) (about 7.4 rows a decade)."""
     command, junk = draw(st.sampled_from(sorted(COMMANDS))), draw(st.booleans())
     argv = [command]
     for action in options(COMMANDS[command]):
         if action.required or draw(st.booleans()):
             argv += [action.option_strings[0], draw(option_text(action, junk))]
+    if command == "profile" and "--bound" not in argv and not draw(st.integers(0, 3)):
+        argv += ["--bound", "1" + "0" * draw(st.integers(1400, 2000))]
     return argv
 
 
@@ -330,6 +334,7 @@ def test_optimal_pair_commands_keep_the_contract(case):
 @example(["constants", "--digits", "200"])
 @example(["constants", "--digits", "10001"])
 @example(["lemmas", "--alpha", "tau", "--beta", "cf:[1;2,(3)]", "--max-depth", str(10**30)])
+@example(["profile", "--alpha", "tau", "--beta", "cf:[1;2,(3)]", "--bound", "1" + "0" * 3000])
 def test_every_command_keeps_the_contract(argv):
     code, error = assert_contract(argv)
     if over_budget(argv):

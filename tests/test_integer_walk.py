@@ -4,14 +4,22 @@
 carries the bracket (r, q_{r-1}, q_r, q_{r+1}, alpha_{r+1}, alpha_{r+2}): recurrence
 integers and two tails, read in order off the ladder by one ``contfrac.tails`` per walk.
 So a pass over the breakpoints builds no ``Convergent`` record and calls no
-``contfrac.tail``. In ``theorems.scan_dichotomy`` each 1/xi_n lies strictly inside
-(q_{n+1}, q_{n+1} + q_n), as a_{n+1} < alpha_{n+1} < a_{n+1} + 1; the merge orders two
-reciprocals by these brackets when they part, and by the exact ``<`` only when they overlap.
+``contfrac.tail``. In ``theorems.scan_dichotomy`` each 1/xi_n = q_n alpha_{n+1} + q_{n-1}
+comes with n = q_n*floor(2**G*alpha_{n+1}) + q_{n-1}*2**G, G = ``exact.GUARD_BITS``, so that
+2**G/xi_n lies strictly inside (n, n + q_n), which at G = 0 is (q_{n+1}, q_{n+1} + q_n); the
+merge orders two reciprocals by these brackets when they part, and by the exact ``<`` only when
+they overlap. At any G the lemma scans give the records they give at the default.
 """
 
-from psidiff import (QuadExt, breakpoint_profile, contfrac, imf, parse_number, scan_dichotomy,
-                     theorems)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psidiff import (QuadExt, breakpoint_profile, contfrac, exact, imf, parse_number,
+                     scan_dichotomy, scan_interleave_gap, theorems)
 from psidiff.numspec import TAU_CF
+
+from test_convergent_source import valid_pairs
 
 SQRT2 = parse_number("surd:(0+sqrt(2))/1")
 
@@ -30,19 +38,27 @@ def test_profile_walk_builds_no_record_and_reads_no_tail(monkeypatch):
     assert [cf for cf, _ in walks] == [SQRT2, TAU_CF]  # one running read per walk
 
 
-def test_remainders_lie_inside_their_integer_brackets():
+@pytest.mark.parametrize("guard_bits", [0, exact.GUARD_BITS])
+def test_remainders_lie_inside_their_integer_brackets(monkeypatch, guard_bits):
+    """Each bracket is q_n wide and holds 2**G/xi_n; at G = 0 it is (q_{n+1}, q_{n+1} + q_n)."""
+    monkeypatch.setattr(exact, "GUARD_BITS", guard_bits)
     for cf in (SQRT2, TAU_CF, parse_number("cf:[2;1,(3,1,7)]")):
         qs = [c.q for c in contfrac.convergents(cf, 41)]
         remainders = imf._inv_xis(cf, 0, 40)
-        assert [(lo, hi) for lo, hi, _ in remainders] == [
-            (q1, q1 + q) for q, q1 in zip(qs, qs[1:])]
-        assert all(lo < x < hi for lo, hi, x in remainders)
+        assert [hi - lo for lo, hi, _ in remainders] == qs[:41]
+        assert all(lo < x * 2**guard_bits < hi for lo, hi, x in remainders)
+        if guard_bits == 0:
+            assert [(lo, hi) for lo, hi, _ in remainders] == [
+                (q1, q1 + q) for q, q1 in zip(qs, qs[1:])]
 
 
-def test_exact_order_runs_only_on_overlapping_brackets(monkeypatch):
-    """sqrt2 vs tau to depth 10: 27 orders in the merge, 14 of them with overlapping brackets.
-    The records equal those of a merge that orders every pair exactly."""
-    orders, overlaps, exact = [], [], []
+@pytest.mark.parametrize("guard_bits, overlapping", [(0, 14), (exact.GUARD_BITS, 0)])
+def test_exact_order_runs_only_on_overlapping_brackets(monkeypatch, guard_bits, overlapping):
+    """sqrt2 vs tau to depth 10: 27 orders in the merge, 14 of them with overlapping brackets
+    at G = 0 and none at the default, and the exact ``<`` runs on exactly those. The records
+    equal those of a merge that orders every pair exactly."""
+    monkeypatch.setattr(exact, "GUARD_BITS", guard_bits)
+    orders, overlaps, exact_orders = [], [], []
     below, lt = theorems._below, QuadExt.__lt__
 
     def counted(x, y):
@@ -52,10 +68,22 @@ def test_exact_order_runs_only_on_overlapping_brackets(monkeypatch):
         return below(x, y)
 
     monkeypatch.setattr(theorems, "_below", counted)
-    monkeypatch.setattr(QuadExt, "__lt__", lambda x, y: exact.append((x, y)) or lt(x, y))
+    monkeypatch.setattr(QuadExt, "__lt__", lambda x, y: exact_orders.append((x, y)) or lt(x, y))
     records = scan_dichotomy(SQRT2, TAU_CF, 10)
-    assert (len(orders), len(overlaps)) == (27, 14)
-    assert exact == overlaps
+    assert (len(orders), len(overlaps)) == (27, overlapping)
+    assert exact_orders == overlaps
     monkeypatch.setattr(theorems, "_below", lambda x, y: x[2] < y[2])
     assert scan_dichotomy(SQRT2, TAU_CF, 10) == records
-    assert len(exact) == len(overlaps) + len(orders)  # the exact merge ordered every pair
+    assert len(exact_orders) == len(overlaps) + len(orders)  # the exact merge ordered every pair
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_pairs(), st.integers(0, 60), st.sampled_from((0, 1, 2, 8)))
+def test_lemma_scans_do_not_depend_on_the_bracket_scale(pair, depth, guard_bits):
+    """At G = 0, 1, 2 and 8 the brackets overlap far more often than at the default, so the
+    merge's exact ``<``, the branch's exact sign and the gap point's ``_cmp`` all run; the
+    records are the default's."""
+    want = scan_dichotomy(*pair, depth), scan_interleave_gap(*pair, depth)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "GUARD_BITS", guard_bits)
+        assert (scan_dichotomy(*pair, depth), scan_interleave_gap(*pair, depth)) == want

@@ -5,8 +5,9 @@ convergents of both numbers in ascending order, so each bracket comes from one
 recurrence step of the two convergent streams. The ladder only seeds a walk at
 its lower end, one lookup per number, and single evaluations are the first step
 of such a walk; a per-step ladder lookup creeping back into any of them fails
-here, and so does a ladder lookup from anywhere but the two seeding helpers and
-the near-optimality regime floor. A walk far out costs its own entries, not
+here, and so does a ladder lookup from anywhere but the two seeding helpers, the
+near-optimality regime floor and ``profile``'s row budget, which reads each number's last
+index at both ends of the range before any walk. A walk far out costs its own entries, not
 every convergent below them.
 
 Along the walk, 1/psi of a number is computed once per bracket it holds, not
@@ -122,9 +123,9 @@ def ladder_references() -> list[str]:
 
 
 def test_only_the_seeds_touch_the_ladder():
-    """Outside contfrac the ladder seeds the walks, the merged walk through ``_brackets``, and
-    finds the regime floor, nothing else."""
-    assert ladder_references() == ["imf._brackets", "imf._inv_xis",
+    """Outside contfrac the ladder seeds the walks, the merged walk through ``_brackets``,
+    finds the regime floor and bounds a profile's rows for its budget, nothing else."""
+    assert ladder_references() == ["cli.cmd_profile", "imf._brackets", "imf._inv_xis",
                                    "theorems.verify_near_optimality"]
 
 

@@ -10,12 +10,14 @@ precision taken from the norm bound and to the temporaries formula it replaced
 up to 2**200 and k of either sign: exact ties in one field give 0, and near-ties across
 two fields, m*(x - y) with x - y tiny, are never 0. The interleave gap's point test,
 |d| > bound/2, is ``_cmp(b, a, 2, bound) > 0 or _cmp(b, a, 2, -bound) < 0`` on the two 1/psi
-of d(t): a certificate's ``verified_points`` are held to mpmath at the norm-bound precision,
-each point reaches ``_cmp`` at m = 2 and k = +-bound once or twice, and where |d| = k/2
-exactly, in one field, ``_cmp(b, a, 2, +-k)`` is 0, so the strict test fails there and holds
-at k - 1. The branch form is held to the temporaries formula of a product difference
-(``_oracles.products_by_temporaries``): its identity x = a*y is a zero of x*1 - a*y, a forged
-field included, and its sign that of e*e - x*y, exact ties included; the maximum is held to
+of d(t) wherever their integer brackets leave it open (``exact._exceeds_half``): a
+certificate's ``verified_points`` are held to mpmath at the norm-bound precision, each point
+reaches ``_cmp`` at m = 2 and k = +-bound exactly for the thresholds its brackets leave open,
+and where |d| = k/2 exactly, in one field, ``_cmp(b, a, 2, +-k)`` is 0, so the strict test
+fails there and holds at k - 1. The branch form is held to the temporaries formula of a
+product difference (``_oracles.products_by_temporaries``): its identity x = a*y is a zero of
+x*1 - a*y, a forged field included, and its sign that of e*e - x*y, exact ties included, both
+where the brackets decide nothing and where true brackets decide; the maximum is held to
 ``max`` over the built ratios, ties in |x - y|/t included. The decisions they take build no
 value either, which ``exact._make`` counts show on a fixed pair: the dichotomy's branch test,
 the |d| > bound/2 test of the interleave-gap certificates (each certificate builds its delta
@@ -60,6 +62,18 @@ def kernel_cases(draw):
         return x, y - Fraction(k, m), m, k, False
     x, y = draw(same_field_pairs()) if kind == "same_field" else (draw(OPERANDS), draw(OPERANDS))
     return x, y, m, k, False
+
+
+def opened(v: QuadExt | Fraction) -> tuple[int, int, QuadExt | Fraction]:
+    """v as an (n, hi, value) triple whose integers decide nothing in ``_branch_sign``: with
+    (0, 1) for all three, n_e*n_e = 0 < 1 = hi_x*hi_y and hi_e*hi_e = 1 > 0 = n_x*n_y."""
+    return 0, 1, v
+
+
+def bracketed(v: QuadExt | Fraction, g: int) -> tuple[int, int, QuadExt | Fraction] | None:
+    """(f - 1, f + 1, v), f = floor(v*2**g), which holds v*2**g strictly; None unless f >= 1."""
+    f = v._scaled_floor(1 << g) if isinstance(v, QuadExt) else v * 2**g // 1
+    return (f - 1, f + 1, v) if f >= 1 else None
 
 
 def wrap(v: QuadExt | Fraction) -> QuadExt:
@@ -136,13 +150,19 @@ def branch_cases(draw):
 @given(branch_cases())
 @example((QuadExt(0, 1, 2), QuadExt(0, 2, 2), Fraction(1, 2), QuadExt(1, 1, 5), False))
 def test_product_kernel_is_the_sign_of_the_difference(case):
-    """Once x = a*y holds, ``exact._branch_sign(x, y, a, e)`` is the sign of e*e - x*y."""
+    """Once x = a*y holds, ``exact._branch_sign(x, y, a, e)`` is the sign of e*e - x*y: by the
+    exact sign where the brackets decide nothing, and by true brackets of positive x, y and e
+    at one scale 2**g wherever they decide it, ties included."""
     x, y, a, e, tie = case
-    s = exact._branch_sign(x, y, a, e)
+    s = exact._branch_sign(opened(x), opened(y), a, opened(e))
     assert s == products_by_temporaries(*map(wrap, (e, e, x, y)))
     assert s == exact._cmp(e * e, x * y)
     if tie:
         assert s == 0
+    for g in (0, 8, 64):
+        triples = [bracketed(v, g) for v in (x, y, e)]
+        if None not in triples:
+            assert exact._branch_sign(triples[0], triples[1], a, triples[2]) == s
 
 
 @st.composite
@@ -175,7 +195,7 @@ def test_product_equality_is_a_zero_sign(case):
     """``exact._branch_sign`` is None exactly when x*1 - a*y is not 0, the dichotomy's identity
     check, a forged field included; when it holds, the sign is that of e*e - x*y."""
     x, y, a, e, tie = case
-    s = exact._branch_sign(x, y, a, e)
+    s = exact._branch_sign(opened(x), opened(y), a, opened(e))
     holds = products_by_temporaries(*map(wrap, (x, 1, a, y))) == 0
     assert (s is not None) == holds
     if tie:
@@ -186,7 +206,8 @@ def test_product_equality_is_a_zero_sign(case):
 
 def test_product_kernel_refuses_two_fields():
     with pytest.raises(MixedFieldError):
-        exact._branch_sign(QuadExt(0, 1, 6), QuadExt(0, 1, 2), QuadExt(0, 1, 3), 1)
+        exact._branch_sign(opened(QuadExt(0, 1, 6)), opened(QuadExt(0, 1, 2)), QuadExt(0, 1, 3),
+                           opened(1))
 
 
 def mp_beyond_half(d, bound: int) -> bool:
@@ -224,9 +245,19 @@ def test_gap_point_at_exactly_half_is_not_beyond(cf, t, k):
         assert exact._cmp(b, a, 2, s * (k - 1)) == s
 
 
-def test_each_gap_point_is_two_signs_of_the_one_kernel(monkeypatch):
-    """Every point of every certificate reaches ``exact._cmp`` at m = 2 and k = +-bound, once
-    or twice: the point test is the one kernel, with no form of its own."""
+def open_thresholds(point, bound: int, g: int) -> list[int]:
+    """The thresholds k of +-bound whose k*2**(g - 1) the brackets of a gap point's two 1/psi,
+    at scale 2**g, leave open: 2**(g + 1)*d lies in (2*(n_b - h_a), 2*(h_b - n_a))."""
+    _, (nb, hb, _), (na, ha, _) = point
+    return [k for k in (bound, -bound) if 2 * (nb - ha) < k << g < 2 * (hb - na)]
+
+
+@pytest.mark.parametrize("guard_bits", [0, exact.GUARD_BITS])
+def test_each_gap_point_is_two_signs_of_the_one_kernel(monkeypatch, guard_bits):
+    """Every point of every certificate is decided by the brackets of its two 1/psi, or where
+    they leave +-bound/2 open by ``exact._cmp`` at m = 2 and k = +-bound, one or both of them,
+    with no form of its own. At G = 0 the brackets leave points open, and those reach ``_cmp``;
+    on this pair at the default scale they leave none."""
     calls, per_cert, cmp, check = [], [], exact._cmp, theorems._gap_certificate
 
     def spy(x, y, m=1, k=0):
@@ -236,19 +267,25 @@ def test_each_gap_point_is_two_signs_of_the_one_kernel(monkeypatch):
     def counted(*args):
         del calls[:]
         cert = check(*args)
-        per_cert.append((cert, list(calls)))
+        per_cert.append((cert, args[5:7], list(calls)))
         return cert
 
+    monkeypatch.setattr(exact, "GUARD_BITS", guard_bits)
     monkeypatch.setattr(exact, "_cmp", spy)
     monkeypatch.setattr(theorems, "_gap_certificate", counted)
     certs = scan_interleave_gap(SQRT2, TAU_CF, 200)
     monkeypatch.undo()
-    assert certs and [cert for cert, _ in per_cert] == certs
-    for cert, seen in per_cert:
-        for d in (cert.d_first, cert.d_second):
+    assert certs and [cert for cert, _, _ in per_cert] == certs
+    assert certs == scan_interleave_gap(SQRT2, TAU_CF, 200)
+    opened_points = 0
+    for cert, points, seen in per_cert:
+        for point in points:
+            d, expected = point[0], open_thresholds(point, cert.bound, guard_bits)
             tests = [k for x, y, m, k in seen
                      if m == 2 and x == d.inv_psi_beta and y == d.inv_psi_alpha]
-            assert 1 <= len(tests) <= 2 and set(tests) <= {cert.bound, -cert.bound}
+            assert tests in (expected, expected[:1])  # the second skipped once the first holds
+            opened_points += bool(expected)
+    assert opened_points > 0 if guard_bits == 0 else opened_points == 0
 
 
 @st.composite
@@ -290,7 +327,7 @@ def count_makes(monkeypatch) -> list:
 @pytest.mark.parametrize("alpha, beta", [(SQRT2, TAU_CF), (TAU_CF, SQRT2)])
 def test_branch_builds_no_value(alpha, beta, monkeypatch):
     records = scan_dichotomy(alpha, beta, DEPTH)
-    inv_xis, inv_etas = ([x for _, _, x in imf._inv_xis(cf, 0, DEPTH)] for cf in (alpha, beta))
+    inv_xis, inv_etas = (imf._inv_xis(cf, 0, DEPTH) for cf in (alpha, beta))
     makes = count_makes(monkeypatch)
     for r in records:
         branch = theorems._branch(alpha, r.n, inv_xis[r.n - 1], inv_xis[r.n], inv_etas[r.s])
@@ -298,12 +335,18 @@ def test_branch_builds_no_value(alpha, beta, monkeypatch):
     assert records and makes == []
 
 
-def test_branch_identity_check_sees_the_field():
-    """1/xi_n's coefficients over sqrt(3) instead of sqrt(2) break the identity."""
+@pytest.mark.parametrize("guard_bits", [0, exact.GUARD_BITS])
+def test_branch_identity_check_sees_the_field(monkeypatch, guard_bits):
+    """1/xi_n's coefficients over sqrt(3) instead of sqrt(2) break the identity, which is
+    checked before the brackets decide the sign, as they do at the default scale."""
+    monkeypatch.setattr(exact, "GUARD_BITS", guard_bits)
     r = scan_dichotomy(SQRT2, TAU_CF, DEPTH)[0]
-    inv_xis = [x for _, _, x in imf._inv_xis(SQRT2, 0, DEPTH)]
-    (_, _, inv_eta), = imf._inv_xis(TAU_CF, r.s, r.s)
-    forged = QuadExt(inv_xis[r.n].a, inv_xis[r.n].b, 3)
+    inv_xis = imf._inv_xis(SQRT2, 0, DEPTH)
+    inv_eta, = imf._inv_xis(TAU_CF, r.s, r.s)
+    (nx, hx, x), (ny, hy, _), (ne, he, _) = inv_xis[r.n], inv_xis[r.n - 1], inv_eta
+    if guard_bits:
+        assert ne * ne >= hx * hy or he * he <= nx * ny
+    forged = nx, hx, QuadExt(x.a, x.b, 3)
     assert theorems._branch(SQRT2, r.n, inv_xis[r.n - 1], inv_xis[r.n], inv_eta) is r.branch
     with pytest.raises(DichotomyViolationError):
         theorems._branch(SQRT2, r.n, inv_xis[r.n - 1], forged, inv_eta)

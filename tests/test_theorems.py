@@ -26,6 +26,7 @@ from psidiff import (
     d_at,
     exact,
     find_witness,
+    imf,
     refine_compare,
     scan_dichotomy,
     scan_interleave_gap,
@@ -150,14 +151,15 @@ class TestDichotomy:
             check_dichotomy(SQRT2, TAU_CF, 2, 1)
 
     def test_branch_checks_the_reciprocal_identity(self, monkeypatch):
-        inv_xi_prev, inv_xi = (1 / convergent_distance(SQRT2, n) for n in (1, 2))
-        inv_eta = 1 / convergent_distance(TAU_CF, 3)
+        inv_xi_prev, inv_xi = imf._inv_xis(SQRT2, 1, 2)
+        inv_eta, = imf._inv_xis(TAU_CF, 3, 3)
+        assert inv_xi[2] == 1 / convergent_distance(SQRT2, 2)
         calls = _count_calls(monkeypatch, "refine_compare")
         branch = theorems._branch(SQRT2, 2, inv_xi_prev, inv_xi, inv_eta)
         assert branch is DichotomyBranch.SECOND_BRANCH
         assert calls == {"refine_compare": 0}
         with pytest.raises(DichotomyViolationError):
-            theorems._branch(SQRT2, 2, inv_xi_prev, inv_xi + 1, inv_eta)
+            theorems._branch(SQRT2, 2, inv_xi_prev, (*inv_xi[:2], inv_xi[2] + 1), inv_eta)
 
     def test_scan_never_violates(self):
         for alpha, beta in ((SQRT2, TAU_CF), (SQRT2, SQRT3), (TAU_CF, FIVE1)):
