@@ -6,13 +6,13 @@ held as integers with Q > 0, gcd(A, B, Q) = 1 and D its field's one radicand in
 this process, found without factoring; all field operations are exact integer
 arithmetic, and so is the one sign test per level: ``_sign`` of a + b*sqrt(D), and
 ``_sign2`` of a + b*sqrt(D) + s*sqrt(e + f*sqrt(D)), one squaring into ``_sign``. ``_cmp``,
-the sign of m*x - m*y - k for x, y of any two fields (``compare``, and at m = 2, k = +-bound
-the interleave gap's point test where its brackets straddle), takes one of them and builds
-no ``QuadExt``, nor does the one certificate kernel fused from it, ``_branch_sign``, the
-dichotomy's identity x = a*y and sign of e*e - x*y from the four values' parts, read once.
-The lemma scans hold their values ``Bracketed``, (n, hi, x) with n < x*2**GUARD_BITS < hi
-and n from ``_bracket``, and decide each order on those integers (the point test is
-``_exceeds_half``), reaching an exact sign only on a straddle. ``Root`` is a + s*sqrt(w)
+the sign of m*x - m*y - k for x, y of any two fields (``compare``, and a certificate order
+where its brackets straddle), takes one of them and builds no ``QuadExt``. The lemma scans
+hold their values ``Bracketed``, (n, hi, x) with n < x*2**GUARD_BITS < hi and n from
+``_bracket``, and decide every order, m*y - m*x > k, by one ``_above`` on those integers,
+reaching ``_cmp`` only on a straddle: the dichotomy merge, the gap inequality and the gap
+point test. ``_branch_sign`` is the dichotomy's identity x = a*y from the values' parts and the
+sign of e*e - x*y from their brackets, from ``_cmp`` on a straddle. ``Root`` is a + s*sqrt(w)
 with a and w in one such field and s = +-1, the form of sqrt(tau), of the optimal constant
 C = sqrt(5) - sqrt(5*phi) and of what is built from them; its sign is one ``_sign2``.
 One floor per level, floor(m*x) for an integer m >= 1, is exact integer arithmetic too:
@@ -427,9 +427,8 @@ def _branch_sign(x: Bracketed, y: Bracketed, a: QuadExt | RatLike, e: Bracketed)
     each an (n, hi, value) with 0 <= n < value*2**GUARD_BITS < hi; None when x != a*y: unequal
     rational or irrational parts, or x over another field. The dichotomy's branch, x, y, a, e =
     1/xi_n, 1/xi_{n-1}, alpha_{n+1}, 1/eta_s: the identity from the parts of x, y and a, then
-    the sign by the integers when n_e*n_e >= hi_x*hi_y or hi_e*hi_e <= n_x*n_y, else, times
-    T*T*Q*R, e*e - x*y is u + v*sqrt(De) - w*sqrt(D), one ``_sign`` or one ``_sign2``, as in
-    ``_cmp``. Every part is read once, and no ``QuadExt`` is built."""
+    the sign by the integers when n_e*n_e >= hi_x*hi_y or hi_e*hi_e <= n_x*n_y, else, on a
+    straddle only, by one ``_cmp(e*e, x*y)``."""
     (nx, hx, x), (ny, hy, y), (ne, he, e) = x, y, e
     (A, B, Q, D), (E, F, R, Dy), (G, H, S, Da) = _parts(x), _parts(y), _parts(a)
     if F and H and Dy != Da:
@@ -442,12 +441,7 @@ def _branch_sign(x: Bracketed, y: Bracketed, a: QuadExt | RatLike, e: Bracketed)
         return 1
     if he * he <= nx * ny:
         return -1
-    D, (I, J, T, De) = D if B else Dy, _parts(e)  # the field of x*y, and e's parts
-    u = (I * I + J * J * De) * Q * R - (A * E + B * F * D) * T * T
-    v, w = 2 * I * J * Q * R, (A * F + B * E) * T * T
-    if not w or De == D:
-        return _sign(u, v - w, De)
-    return _sign2(u, v, -1 if w > 0 else 1, w * w * D, 0, De)
+    return _cmp(e * e, x * y)
 
 
 def _bracket(q: int, q_prev: int, tail: QuadExt) -> int:
@@ -456,15 +450,15 @@ def _bracket(q: int, q_prev: int, tail: QuadExt) -> int:
     return q * tail._scaled_floor(1 << GUARD_BITS) + (q_prev << GUARD_BITS)
 
 
-def _exceeds_half(b: Bracketed, a: Bracketed, k: int) -> bool:
-    """|y - x| > k/2 for b = (n_b, h_b, y) and a = (n_a, h_a, x), each n < value*2**GUARD_BITS
-    < h: 2**(GUARD_BITS + 1)*(y - x) lies in (2*(n_b - h_a), 2*(h_b - n_a)), and only where
-    that interval holds k*2**GUARD_BITS or its negative does the strict test reach
-    ``_cmp(y, x, 2, k) > 0`` or ``_cmp(y, x, 2, -k) < 0``. The interleave gap's point test."""
-    (nb, hb, y), (na, ha, x), K = b, a, k << GUARD_BITS
-    lo, hi = 2 * (nb - ha), 2 * (hb - na)
-    return (lo >= K or hi > K and _cmp(y, x, 2, k) > 0
-            or hi <= -K or lo < -K and _cmp(y, x, 2, -k) < 0)
+def _above(y: Bracketed, x: Bracketed, m: int = 1, k: int = 0) -> bool:
+    """m*Y - m*X > k for y = (n_y, h_y, Y) and x = (n_x, h_x, X), each n < value*2**GUARD_BITS
+    < h, an integer m >= 1 and an integer k: 2**GUARD_BITS*(m*Y - m*X) lies in (m*(n_y - h_x),
+    m*(h_y - n_x)), and only where that interval holds k*2**GUARD_BITS does the order reach one
+    ``_cmp(Y, X, m, k)``. Every order of the lemma certificates."""
+    (ny, hy, Y), (nx, hx, X), K = y, x, k << GUARD_BITS
+    if m * (ny - hx) >= K:
+        return True
+    return m * (hy - nx) > K and _cmp(Y, X, m, k) > 0
 
 
 def _max_ratio(steps: Iterable[tuple[int, QuadExt, QuadExt]]) -> tuple[QuadExt, int]:

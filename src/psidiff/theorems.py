@@ -168,13 +168,13 @@ def check_dichotomy(alpha: CFExpansion, beta: CFExpansion, n: int, s: int) -> Di
     Branch two: 1/xi_n - 1/eta_s >= q_n(alpha_{n+1} + q_{n-1}/q_n)(1 - 1/sqrt(alpha_{n+1})).
     As 1/xi_n = alpha_{n+1}/xi_{n-1}, branch one says 1/eta_s >= g and branch two
     1/eta_s <= g, where g = sqrt((1/xi_{n-1})*(1/xi_n)). So exactly one holds
-    unless 1/eta_s equals g, when both do.
+    unless 1/eta_s equals g, when both do. Its precondition is two ``exact._above``.
     """
     if n < 1 or s < 0:
         raise ValueError("need n >= 1 and s >= 0")
     inv_xi_prev, inv_xi = imf._inv_xis(alpha, n - 1, n)
     inv_eta, = imf._inv_xis(beta, s, s)
-    if not (_below(inv_xi_prev, inv_eta) and _below(inv_eta, inv_xi)):
+    if not (exact._above(inv_eta, inv_xi_prev) and exact._above(inv_xi, inv_eta)):
         raise PreconditionFailedError(f"eta_{s} is not inside (xi_{n}, xi_{n-1})")
     return _branch(alpha, n, inv_xi_prev, inv_xi, inv_eta)
 
@@ -187,7 +187,7 @@ def _branch(alpha: CFExpansion, n: int, inv_xi_prev: exact.Bracketed, inv_xi: ex
     the identity 1/xi_n = alpha_{n+1}/xi_{n-1} that turns the branches into that
     comparison: both in one ``exact._branch_sign`` on the three ``(n, hi, value)`` of
     ``imf._inv_xis`` and the tail, in one field or across two, which decides the sign by the
-    brackets unless they straddle, builds no value and reports a failed identity as None.
+    brackets, by ``exact._cmp`` only on a straddle, and reports a failed identity as None.
     """
     s = exact._branch_sign(inv_xi, inv_xi_prev, contfrac.tail(alpha, n + 1), inv_eta)
     if s is None:
@@ -208,7 +208,7 @@ def scan_dichotomy(
     there is at most one n with 1/eta_s strictly inside (1/xi_{n-1}, 1/xi_n); a
     single merge pass over the two in-order lists finds them all. Both lists, 1/xi_n and
     1/eta_s for indices 0 .. depth, each with its integer bracket at scale 2**GUARD_BITS,
-    come from ``imf._inv_xis``, one walk per number. Every order is exact, all but a few by
+    come from ``imf._inv_xis``, one walk per number. Every order is one ``exact._above`` on
     those brackets; no decision reads ``cap_bits``. Each record's branch is one
     ``_branch``, and each xi_n is inverted once, into a list, for every record that holds it.
     """
@@ -220,23 +220,17 @@ def scan_dichotomy(
     records, new, init = [], object.__new__, DichotomyRecord._init
     n = 1
     for s, eta in enumerate(imf._inv_xis(beta, 0, depth)):
-        while n <= depth and not _below(eta, xis[n]):
+        while n <= depth and not exact._above(xis[n], eta):
             n += 1
         if n > depth:
             break
-        if _below(xis[n - 1], eta):
+        if exact._above(eta, xis[n - 1]):
             branch = _branch(alpha, n, xis[n - 1], xis[n], eta)
             for i in (n - 1, n):
                 xi[i] = xi[i] or xis[i][2].inverse()
             init(record := new(DichotomyRecord), n, s, branch, xi[n - 1], xi[n], eta[2].inverse())
             records.append(record)
     return records
-
-
-def _below(x: exact.Bracketed, y: exact.Bracketed) -> bool:
-    """x < y for two ``exact.Bracketed`` (lo, hi, value), lo < value*2**GUARD_BITS < hi: by the
-    integers when the two brackets part, else by one exact ``<``."""
-    return x[1] <= y[0] or (x[0] < y[1] and x[2] < y[2])
 
 
 # -- The interleave-gap pattern -------------------------------------------------
@@ -288,25 +282,25 @@ def _gap_certificate(pattern: str, n: int, m: int, first_point: int, second_poin
     if pattern == "a":
         if d_first.inv_psi_beta != d_second.inv_psi_beta:
             raise GapViolationError("beta step is not constant across the pattern")
-        after, before = d_second.inv_psi_alpha, d_first.inv_psi_alpha
+        stepping = 2  # alpha's bracket
     else:
         if d_first.inv_psi_alpha != d_second.inv_psi_alpha:
             raise GapViolationError("alpha step is not constant across the pattern")
-        after, before = d_second.inv_psi_beta, d_first.inv_psi_beta
-    delta = after - before
-    if delta <= bound * (quotient - 1):
+        stepping = 1  # beta's bracket
+    after, before = second[stepping], first[stepping]
+    if not exact._above(after, before, 1, bound * (quotient - 1)):
         raise GapViolationError(
             f"exact gap inequality failed at pattern {pattern}, (n, m) = ({n}, {m})"
         )
     verified = [point for point, (_, b, a) in ((first_point, first), (second_point, second))
-                if exact._exceeds_half(b, a, bound)]
+                if exact._above(b, a, 2, bound) or exact._above(a, b, 2, bound)]
     if not verified:
         raise GapViolationError(
             f"neither point exceeds half the bound at pattern {pattern}, (n, m) = ({n}, {m})"
         )
     return GapCertificate(
         pattern, n, m, first_point, second_point, bound, quotient,
-        delta, d_first, d_second, tuple(verified),
+        after[2] - before[2], d_first, d_second, tuple(verified),
     )
 
 
@@ -325,9 +319,9 @@ def scan_interleave_gap(
     finds them all by their indices, evaluating nothing, until an index passes depth (past
     min(q_depth, t_depth)). Only an occurrence with a quotient >= 2 is evaluated, each 1/psi
     once per bracket, carried over to the next occurrence holding it: every value the scan
-    brackets through ``imf._bracketed`` is one its certificates hold. Every comparison is
-    exact, each point test by the two brackets unless they straddle (``exact._exceeds_half``);
-    no decision reads ``cap_bits``.
+    brackets through ``imf._bracketed`` is one its certificates hold. Each comparison is
+    ``exact._above`` on brackets: the gap inequality on the stepping number's, and the point
+    test |d| > bound/2 on d's two parts, both ways round; no decision reads ``cap_bits``.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")

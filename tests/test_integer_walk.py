@@ -7,16 +7,17 @@ So a pass over the breakpoints builds no ``Convergent`` record and calls no
 ``contfrac.tail``. In ``theorems.scan_dichotomy`` each 1/xi_n = q_n alpha_{n+1} + q_{n-1}
 comes with n = q_n*floor(2**G*alpha_{n+1}) + q_{n-1}*2**G, G = ``exact.GUARD_BITS``, so that
 2**G/xi_n lies strictly inside (n, n + q_n), which at G = 0 is (q_{n+1}, q_{n+1} + q_n); the
-merge orders two reciprocals by these brackets when they part, and by the exact ``<`` only when
-they overlap. At any G the lemma scans give the records they give at the default.
+merge orders two reciprocals by one ``exact._above`` on these brackets, which reaches the exact
+``exact._cmp`` only when they overlap. At any G the lemma scans give the records they give at
+the default.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psidiff import (QuadExt, breakpoint_profile, contfrac, exact, imf, parse_number,
-                     scan_dichotomy, scan_interleave_gap, theorems)
+from psidiff import (breakpoint_profile, contfrac, exact, imf, parse_number, scan_dichotomy,
+                     scan_interleave_gap)
 from psidiff.numspec import TAU_CF
 
 from test_convergent_source import valid_pairs
@@ -54,35 +55,41 @@ def test_remainders_lie_inside_their_integer_brackets(monkeypatch, guard_bits):
 
 @pytest.mark.parametrize("guard_bits, overlapping", [(0, 14), (exact.GUARD_BITS, 0)])
 def test_exact_order_runs_only_on_overlapping_brackets(monkeypatch, guard_bits, overlapping):
-    """sqrt2 vs tau to depth 10: 27 orders in the merge, 14 of them with overlapping brackets
-    at G = 0 and none at the default, and the exact ``<`` runs on exactly those. The records
-    equal those of a merge that orders every pair exactly."""
+    """sqrt2 vs tau to depth 10: 27 orders in the merge, each one ``exact._above``, 14 of them
+    with overlapping brackets at G = 0 and none at the default, and the exact ``_cmp`` runs on
+    exactly those. The records equal those of a merge that orders every pair exactly."""
     monkeypatch.setattr(exact, "GUARD_BITS", guard_bits)
-    orders, overlaps, exact_orders = [], [], []
-    below, lt = theorems._below, QuadExt.__lt__
+    orders, overlaps, cmps, exact_orders, all_exact = [], [], [], [], []
+    above, cmp = exact._above, exact._cmp
 
-    def counted(x, y):
-        orders.append((x, y))
+    def counted(y, x, m=1, k=0):
+        orders.append((y, x, m, k))
         if x[0] < y[1] and y[0] < x[1]:
-            overlaps.append((x[2], y[2]))
-        return below(x, y)
+            overlaps.append((y[2], x[2]))
+        before = len(cmps)
+        verdict = above(y, x, m, k)
+        exact_orders.extend(cmps[before:])  # the _cmp this order reached, not the branch's
+        return verdict
 
-    monkeypatch.setattr(theorems, "_below", counted)
-    monkeypatch.setattr(QuadExt, "__lt__", lambda x, y: exact_orders.append((x, y)) or lt(x, y))
+    monkeypatch.setattr(exact, "_above", counted)
+    monkeypatch.setattr(exact, "_cmp",
+                        lambda y, x, m=1, k=0: cmps.append((y, x)) or cmp(y, x, m, k))
     records = scan_dichotomy(SQRT2, TAU_CF, 10)
     assert (len(orders), len(overlaps)) == (27, overlapping)
+    assert {(m, k) for _, _, m, k in orders} == {(1, 0)}
     assert exact_orders == overlaps
-    monkeypatch.setattr(theorems, "_below", lambda x, y: x[2] < y[2])
+    monkeypatch.setattr(exact, "_above", lambda y, x, m=1, k=0:
+                        all_exact.append((y[2], x[2])) or cmp(y[2], x[2], m, k) > 0)
     assert scan_dichotomy(SQRT2, TAU_CF, 10) == records
-    assert len(exact_orders) == len(overlaps) + len(orders)  # the exact merge ordered every pair
+    assert all_exact == [(y[2], x[2]) for y, x, _, _ in orders]  # every pair ordered exactly
 
 
 @settings(max_examples=40, deadline=None)
 @given(valid_pairs(), st.integers(0, 60), st.sampled_from((0, 1, 2, 8)))
 def test_lemma_scans_do_not_depend_on_the_bracket_scale(pair, depth, guard_bits):
     """At G = 0, 1, 2 and 8 the brackets overlap far more often than at the default, so the
-    merge's exact ``<``, the branch's exact sign and the gap point's ``_cmp`` all run; the
-    records are the default's."""
+    ``_cmp`` behind the merge's, the gap inequality's and the gap point's ``exact._above`` and
+    the branch's exact sign all run; the records are the default's."""
     want = scan_dichotomy(*pair, depth), scan_interleave_gap(*pair, depth)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exact, "GUARD_BITS", guard_bits)

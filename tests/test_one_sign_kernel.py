@@ -1,29 +1,33 @@
 """One sign kernel for a difference: ``exact._cmp(x, y, m, k)``, the sign of m*x - m*y - k,
-its one fused form, ``exact._branch_sign(x, y, a, e)``, the sign of e*e - x*y once x = a*y
-holds, and the running maximum of |x - y|/t that the near-optimality check keeps,
-``exact._max_ratio``.
+its one bracketed order, ``exact._above(y, x, m, k)``, m*Y - m*X > k, its one certificate
+form, ``exact._branch_sign(x, y, a, e)``, the sign of e*e - x*y once x = a*y holds, and the
+running maximum of |x - y|/t that the near-optimality check keeps, ``exact._max_ratio``.
 
 Times Qx*Qy the difference is a + b*sqrt(Dx) - c*sqrt(Dy) in integers, so the kernel is
 one ``_sign`` or one ``_sign2`` and builds no ``QuadExt``. It is held to mpmath at a
 precision taken from the norm bound and to the temporaries formula it replaced
 (``_oracles.cmp_by_temporaries``) on rationals and elements of one or two fields, with m
 up to 2**200 and k of either sign: exact ties in one field give 0, and near-ties across
-two fields, m*(x - y) with x - y tiny, are never 0. The interleave gap's point test,
-|d| > bound/2, is ``_cmp(b, a, 2, bound) > 0 or _cmp(b, a, 2, -bound) < 0`` on the two 1/psi
-of d(t) wherever their integer brackets leave it open (``exact._exceeds_half``): a
-certificate's ``verified_points`` are held to mpmath at the norm-bound precision, each point
-reaches ``_cmp`` at m = 2 and k = +-bound exactly for the thresholds its brackets leave open,
-and where |d| = k/2 exactly, in one field, ``_cmp(b, a, 2, +-k)`` is 0, so the strict test
-fails there and holds at k - 1. The branch form is held to the temporaries formula of a
-product difference (``_oracles.products_by_temporaries``): its identity x = a*y is a zero of
-x*1 - a*y, a forged field included, and its sign that of e*e - x*y, exact ties included, both
-where the brackets decide nothing and where true brackets decide; the maximum is held to
-``max`` over the built ratios, ties in |x - y|/t included. The decisions they take build no
-value either, which ``exact._make`` counts show on a fixed pair: the dichotomy's branch test,
+two fields, m*(x - y) with x - y tiny, are never 0. ``_above`` is ``_cmp(Y, X, m, k) > 0``
+on true brackets of Y and X at any scale, ties included. The interleave gap's point test,
+|d| > bound/2, is ``_above(b, a, 2, bound) or _above(a, b, 2, bound)`` on the two bracketed
+1/psi of d(t): a certificate's ``verified_points`` are held to mpmath at the norm-bound
+precision, each point reaches ``_cmp`` at m = 2 and k = bound, b - a or a - b, exactly for the
+thresholds its brackets leave open, and where |d| = k/2 exactly, in one field,
+``_cmp(b, a, 2, +-k)`` is 0, so the strict test fails there and holds at k - 1. The gap
+certificate refuses a step that moves, a delta at or below its threshold, by the brackets or
+by ``_cmp`` on a straddle, and two points within half the bound. The branch form is held to
+the temporaries formula of a product difference (``_oracles.products_by_temporaries``): its
+identity x = a*y is a zero of x*1 - a*y, a forged field included, and its sign that of
+e*e - x*y, exact ties included, both where the brackets decide nothing and where true
+brackets decide; the maximum is held to ``max`` over the built ratios, ties in |x - y|/t
+included. The decisions they take build no value either, which ``exact._make`` counts show
+on a fixed pair at the default scale: the dichotomy's branch test,
 the |d| > bound/2 test of the interleave-gap certificates (each certificate builds its delta
 only), and the near-optimality maximum, built once at the end.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -33,7 +37,8 @@ from hypothesis import strategies as st
 
 from psidiff import (QuadExt, construct_optimal, d_at, exact, imf, parse_number, scan_dichotomy,
                      scan_interleave_gap, theorems, verify_near_optimality)
-from psidiff.errors import DichotomyViolationError, MixedFieldError
+from psidiff.errors import DichotomyViolationError, GapViolationError, MixedFieldError
+from psidiff.imf import DValue
 from psidiff.numspec import TAU_CF
 
 from _oracles import cmp_by_temporaries, mp_quadext, products_by_temporaries
@@ -125,6 +130,43 @@ def test_kernel_is_the_sign_of_the_difference(case):
             assert mpmath.sign(value) == s
         else:
             assert abs(value) < mpmath.mpf(10) ** -(dps // 2)
+
+
+@st.composite
+def above_cases(draw):
+    """(y, x, m, k, tie): two operands, of one field or of any two, or a cross-field near-tie,
+    m in {1, 2} and k within 3 of m*(y - x); or an exact one-field tie m*(y - x) = k."""
+    m = draw(st.sampled_from((1, 2)))
+    kind = draw(st.sampled_from(("any", "same_field", "near_tie", "tie")))
+    if kind == "tie":
+        x, k = draw(OPERANDS), draw(st.integers(-10**6, 10**6))
+        return x + Fraction(k, m), x, m, k, True
+    if kind == "any":
+        y, x = draw(OPERANDS), draw(OPERANDS)
+    else:
+        y, x = draw(same_field_pairs() if kind == "same_field" else sqrt_convergent_ties())
+    return y, x, m, math.floor(m * y) - math.floor(m * x) + draw(st.integers(-2, 2)), False
+
+
+@settings(max_examples=300, deadline=None)
+@given(above_cases(), st.sampled_from((0, 1, 8, 64)), st.data())
+@example((Fraction(3), Fraction(1), 2, 4, True), 0, None)
+def test_above_is_the_sign_of_the_difference_on_true_brackets(case, guard_bits, data):
+    """``exact._above(y, x, m, k)``, the one bracketed order, is ``_cmp(Y, X, m, k) > 0`` on
+    true brackets n < v*2**G < h of any width, at G = 0, 1, 8 and 64: ties give False."""
+    y, x, m, k, tie = case
+    triples = []
+    for v in (y, x):
+        f = v._scaled_floor(1 << guard_bits) if isinstance(v, QuadExt) else v * 2**guard_bits // 1
+        widths = (1, 0) if data is None else [
+            data.draw(st.integers(low, 3) | st.integers(low, 2**80)) for low in (1, 0)]
+        triples.append((f - widths[0], f + 1 + widths[1], v))  # f <= v*2**G < f + 1
+    want = exact._cmp(y, x, m, k) > 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "GUARD_BITS", guard_bits)
+        assert exact._above(*triples, m, k) is want
+    if tie:
+        assert not want
 
 
 @st.composite
@@ -247,7 +289,8 @@ def test_gap_point_at_exactly_half_is_not_beyond(cf, t, k):
 
 def open_thresholds(point, bound: int, g: int) -> list[int]:
     """The thresholds k of +-bound whose k*2**(g - 1) the brackets of a gap point's two 1/psi,
-    at scale 2**g, leave open: 2**(g + 1)*d lies in (2*(n_b - h_a), 2*(h_b - n_a))."""
+    at scale 2**g, leave open: 2**(g + 1)*d lies in (2*(n_b - h_a), 2*(h_b - n_a)). The point
+    test reaches ``_cmp(b, a, 2, bound)`` for k = bound and ``_cmp(a, b, 2, bound)`` for -bound."""
     _, (nb, hb, _), (na, ha, _) = point
     return [k for k in (bound, -bound) if 2 * (nb - ha) < k << g < 2 * (hb - na)]
 
@@ -255,9 +298,9 @@ def open_thresholds(point, bound: int, g: int) -> list[int]:
 @pytest.mark.parametrize("guard_bits", [0, exact.GUARD_BITS])
 def test_each_gap_point_is_two_signs_of_the_one_kernel(monkeypatch, guard_bits):
     """Every point of every certificate is decided by the brackets of its two 1/psi, or where
-    they leave +-bound/2 open by ``exact._cmp`` at m = 2 and k = +-bound, one or both of them,
-    with no form of its own. At G = 0 the brackets leave points open, and those reach ``_cmp``;
-    on this pair at the default scale they leave none."""
+    they leave +-bound/2 open by ``exact._cmp`` at m = 2 and k = bound, b - a or a - b, one or
+    both of them, with no form of its own. At G = 0 the brackets leave points open, and those
+    reach ``_cmp``; on this pair at the default scale they leave none."""
     calls, per_cert, cmp, check = [], [], exact._cmp, theorems._gap_certificate
 
     def spy(x, y, m=1, k=0):
@@ -281,11 +324,73 @@ def test_each_gap_point_is_two_signs_of_the_one_kernel(monkeypatch, guard_bits):
     for cert, points, seen in per_cert:
         for point in points:
             d, expected = point[0], open_thresholds(point, cert.bound, guard_bits)
-            tests = [k for x, y, m, k in seen
-                     if m == 2 and x == d.inv_psi_beta and y == d.inv_psi_alpha]
+            b, a = d.inv_psi_beta, d.inv_psi_alpha
+            assert all(k == cert.bound for _, _, m, k in seen if m == 2)
+            tests = [k if x == b else -k for x, y, m, k in seen  # a - b > bound: b - a < -bound
+                     if m == 2 and (x, y) in ((b, a), (a, b))]
             assert tests in (expected, expected[:1])  # the second skipped once the first holds
             opened_points += bool(expected)
     assert opened_points > 0 if guard_bits == 0 else opened_points == 0
+
+
+def forged_point(inv_beta: QuadExt, inv_alpha: QuadExt) -> theorems.GapPoint:
+    """A gap point of two 1/psi with true brackets (f - 1, f + 1) at the current scale."""
+    g = exact.GUARD_BITS
+    return DValue(inv_beta, inv_alpha, 0, 0), bracketed(inv_beta, g), bracketed(inv_alpha, g)
+
+
+def test_gap_certificate_refuses_a_step_that_moves():
+    """Pattern a needs beta's 1/psi constant across the two points, and pattern b alpha's."""
+    b, a = QuadExt(5, 1, 2), QuadExt(1, 1, 2)
+    first, second = forged_point(b, a), forged_point(b + 1, a + 7)
+    with pytest.raises(GapViolationError, match="beta step is not constant"):
+        theorems._gap_certificate("a", 1, 1, 2, 3, first, second, 3)
+    with pytest.raises(GapViolationError, match="alpha step is not constant"):
+        theorems._gap_certificate("b", 1, 1, 2, 3, first, second, 3)
+
+
+@pytest.mark.parametrize("guard_bits", [0, exact.GUARD_BITS])
+@pytest.mark.parametrize("shortfall", [Fraction(0), Fraction(1, 1000)])
+def test_gap_certificate_refuses_a_delta_at_or_below_the_threshold(monkeypatch, guard_bits,
+                                                                   shortfall):
+    """delta = bound*(quotient - 1) - shortfall is refused. A tie straddles the brackets at any
+    scale, and so does a shortfall of 1/1000 at G = 0, so both reach ``_cmp`` at m = 1; at the
+    default scale the brackets alone refuse the shortfall. delta = threshold + 1/1000 passes."""
+    monkeypatch.setattr(exact, "GUARD_BITS", guard_bits)
+    calls, cmp = [], exact._cmp
+    monkeypatch.setattr(exact, "_cmp", lambda *args: calls.append(args) or cmp(*args))
+    bound, quotient = 3, 3  # threshold 6
+    b, a = QuadExt(5, 1, 2), QuadExt(1, 1, 2)
+    first = forged_point(b, a)
+    with pytest.raises(GapViolationError, match="exact gap inequality failed at pattern a"):
+        theorems._gap_certificate("a", 1, 1, 2, bound, first,
+                                  forged_point(b, a + 6 - shortfall), quotient)
+    reached = [args for args in calls if args[2:] == (1, 6)]
+    assert len(reached) == (guard_bits == 0 or shortfall == 0)
+    cert = theorems._gap_certificate("a", 1, 1, 2, bound, first,
+                                     forged_point(b, a + Fraction(6001, 1000)), quotient)
+    assert cert.delta == Fraction(6001, 1000)
+
+
+@pytest.mark.parametrize("guard_bits", [0, exact.GUARD_BITS])
+def test_gap_certificate_refuses_points_within_half_the_bound(monkeypatch, guard_bits):
+    """|d| = bound/2 exactly at both points, a tie the strict point test refuses; only a
+    forged quotient of 1, threshold 0, lets such a pair past the gap inequality."""
+    monkeypatch.setattr(exact, "GUARD_BITS", guard_bits)
+    a = QuadExt(1, 1, 2)
+    b = a + Fraction(3, 2)
+    with pytest.raises(GapViolationError, match="neither point exceeds half the bound"):
+        theorems._gap_certificate("a", 1, 1, 2, 3, forged_point(b, a), forged_point(b, a + 3), 1)
+
+
+def test_gap_inequality_reaches_no_exact_sign_at_the_default_scale(monkeypatch):
+    """On sqrt2 vs tau to depth 200 the brackets at 2**GUARD_BITS decide every gap inequality,
+    so its ``_cmp`` at m = 1 never runs."""
+    calls, cmp = [], exact._cmp
+    monkeypatch.setattr(exact, "_cmp", lambda *args: calls.append(args) or cmp(*args))
+    certs = scan_interleave_gap(SQRT2, TAU_CF, 200)
+    assert len(certs) > 100
+    assert [args for args in calls if args[2:3] in ((), (1,))] == []
 
 
 @st.composite
