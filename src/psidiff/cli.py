@@ -22,9 +22,10 @@ from typing import Callable
 from .errors import PsidiffError, UndecidedSignError
 from .exact import _STR_BITS, PHI, SQRT_TAU, TAU, C, _format_scaled, _read_decimal, render_decimal
 
-# Fraction's own grammar less digit separators, n/d or a decimal with an exponent; ``re``
-# compiles it on first use, so a command that reads no fraction does not pay for it
+# Fraction's own grammar once its digit separators are dropped, n/d or a decimal with an
+# exponent; ``re`` compiles it on first use, so a command that reads no fraction does not pay
 _RATIONAL = r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([-+]?\d+))?)\s*"
+_EXPONENTS = 10**5  # the largest |exponent| of --epsilon and --slack (README: timings)
 
 
 def _parse(*texts: str) -> list:
@@ -36,8 +37,9 @@ def _parse(*texts: str) -> list:
 
 def _fraction(text: str) -> Fraction:
     """Fraction(text), its runs of digits read by ``_read_decimal``, so also past CPython's
-    int-to-str limit; a text outside ``_RATIONAL`` goes to ``Fraction`` as it is."""
-    match = re.fullmatch(_RATIONAL, text)
+    int-to-str limit, and an exponent past ``_EXPONENTS`` refused before any power; a text that
+    ``_RATIONAL`` does not match, separators dropped, has none and goes to ``Fraction`` as is."""
+    match = re.fullmatch(_RATIONAL, re.sub(r"(?<=\d)_(?=\d)", "", text))
     if match is None:
         return Fraction(text)
     sign, whole, den, frac, exp = match.groups()
@@ -46,7 +48,9 @@ def _fraction(text: str) -> Fraction:
         if not d:  # Fraction's own message prints n, which raises past the int-to-str limit
             raise ZeroDivisionError(f"zero denominator in {text!r}")
     else:
-        frac, e = frac or "", int(exp or 0)
+        frac, e = frac or "", _read_decimal(exp or "0")
+        if abs(e) > _EXPONENTS:
+            raise ValueError(f"exponent past the stated budget of {_EXPONENTS} in {text!r}")
         n, d = _read_decimal(whole + frac) * 10 ** max(e, 0), 10 ** (len(frac) + max(-e, 0))
     return Fraction(-n if sign == "-" else n, d)
 
@@ -190,8 +194,8 @@ def cmd_construct_optimal(args: argparse.Namespace) -> dict:
 def cmd_verify_optimal(args: argparse.Namespace) -> dict:
     from . import theorems
 
+    slack = _fraction(args.slack) if args.slack is not None else None  # refused before a search
     pair = theorems.construct_optimal(_fraction(args.epsilon))
-    slack = _fraction(args.slack) if args.slack is not None else None
     report = theorems.verify_near_optimality(pair, args.from_t, args.bound, slack)
     return {"pair": pair.to_json(args.digits), "report": report.to_json(args.digits)}
 

@@ -11,10 +11,10 @@ where its brackets straddle), takes one of them and builds no ``QuadExt``. The l
 hold their values ``Bracketed``, (n, hi, x) with n < x*2**GUARD_BITS < hi and n from
 ``_bracket``, and decide every order, m*y - m*x > k, by one ``_above`` on those integers,
 reaching ``_cmp`` only on a straddle: the dichotomy merge, the gap inequality and the gap
-point test. ``_branch_sign`` is the dichotomy's identity x = a*y from the values' parts and the
-sign of e*e - x*y from their brackets, from ``_cmp`` on a straddle. ``Root`` is a + s*sqrt(w)
-with a and w in one such field and s = +-1, the form of sqrt(tau), of the optimal constant
-C = sqrt(5) - sqrt(5*phi) and of what is built from them; its sign is one ``_sign2``.
+point test. ``_branch_sign`` is the dichotomy's identity x = a*y, x's parts against those of
+``_product(a, y)``, and the sign of e*e - x*y from the brackets, ``_cmp`` only on a straddle.
+``Root`` is a + s*sqrt(w), a and w in one such field and s = +-1: sqrt(tau), the optimal
+constant C = sqrt(5) - sqrt(5*phi) and what is built from them; its sign is one ``_sign2``.
 One floor per level, floor(m*x) for an integer m >= 1, is exact integer arithmetic too:
 ``_floor`` of a + b*sqrt(D), by a fixed-point root floor(sqrt(D)*2**K) that ``_root``
 caches up to K = ``_ROOT_BITS``, and ``_guarded`` of a sum of two leaf floors (a ``Root``, or
@@ -29,7 +29,7 @@ lo_n/den and hi_n/den over one shared denominator that arithmetic never reduces;
 ``.hi`` are ``Fraction`` views. ``refine_compare``, the only precision-refinement loop,
 encloses two values from 64 bits, doubling up to ``cap_bits`` and reporting
 ``Comparison.UNDECIDED`` if they still overlap there. Its one caller, the witness test
-|d(t)| >= C*t (``_exceeds_c_times``), caps it at ``_witness_bits``, a root-separation bound
+|d(t)| >= C*t (``_exceeds_c_times``), refines ``DValue.abs_enclosure`` to ``_witness_bits``,
 where they always separate. ``Record`` is the immutable base of the result records.
 """
 
@@ -426,16 +426,12 @@ def _branch_sign(x: Bracketed, y: Bracketed, a: QuadExt | RatLike, e: Bracketed)
     """Sign of e*e - x*y once x == a*y holds, for x, y, a of one field and e of any, x, y and e
     each an (n, hi, value) with 0 <= n < value*2**GUARD_BITS < hi; None when x != a*y: unequal
     rational or irrational parts, or x over another field. The dichotomy's branch, x, y, a, e =
-    1/xi_n, 1/xi_{n-1}, alpha_{n+1}, 1/eta_s: the identity from the parts of x, y and a, then
-    the sign by the integers when n_e*n_e >= hi_x*hi_y or hi_e*hi_e <= n_x*n_y, else, on a
-    straddle only, by one ``_cmp(e*e, x*y)``."""
+    1/xi_n, 1/xi_{n-1}, alpha_{n+1}, 1/eta_s: the identity as x's parts against those of
+    ``_product(a, y)``, then the sign by the integers when n_e*n_e >= hi_x*hi_y or hi_e*hi_e <=
+    n_x*n_y, else, on a straddle only, by one ``_cmp(e*e, x*y)``."""
     (nx, hx, x), (ny, hy, y), (ne, he, e) = x, y, e
-    (A, B, Q, D), (E, F, R, Dy), (G, H, S, Da) = _parts(x), _parts(y), _parts(a)
-    if F and H and Dy != Da:
-        raise MixedFieldError(f"cannot combine sqrt({Da}) with sqrt({Dy})")
-    Dy = Dy if F else Da  # the field of a*y, which x must share
-    if (A * S * R != (G * E + H * F * Dy) * Q or B * S * R != (G * F + H * E) * Q
-            or B and D != Dy):
+    (A, B, Q, D), (E, F, R, Dp) = _parts(x), _product(a, y)
+    if A * R != E * Q or B * R != F * Q or B and D != Dp:
         return None
     if ne * ne >= hx * hy:
         return 1
@@ -671,11 +667,11 @@ def _witness_bits(b: QuadExt, a: QuadExt, t: int) -> int:
     return 15 * H.bit_length() + (a.Q * b.Q * (t + 2)).bit_length()
 
 
-def _exceeds_c_times(b: QuadExt, a: QuadExt, t: int) -> bool:
-    """|b - a| >= C*t for b, a of any two fields and an integer t >= 1, the witness test: they
-    are never equal, so ``refine_compare`` capped at ``_witness_bits`` always decides it."""
-    verdict = refine_compare(lambda bits: abs(b.enclosure(bits) - a.enclosure(bits)),
-                             lambda bits: c_enclosure(bits) * t, _witness_bits(b, a, t))
+def _exceeds_c_times(d: Record, t: int) -> bool:
+    """|d| >= C*t for an ``imf.DValue`` d and an integer t >= 1, the witness test: never equal,
+    so ``refine_compare`` on ``d.abs_enclosure`` capped at ``_witness_bits`` decides it."""
+    verdict = refine_compare(d.abs_enclosure, lambda bits: c_enclosure(bits) * t,
+                             _witness_bits(d.inv_psi_beta, d.inv_psi_alpha, t))
     if verdict is Comparison.UNDECIDED:  # never: the bound separates them
         raise UndecidedSignError(f"|d(t)| vs C*t undecided at t = {_format_scaled(t, 0)}")
     return verdict is Comparison.GREATER

@@ -27,7 +27,7 @@ passes, through ``_d_steps``, compute one exact 1/psi per convergent, not per br
 at a breakpoint where only one number steps, the other's value is carried over from the
 step before, and so are its guarded floor and its rendered string, which ``QuadExt`` keeps.
 d(t), in one field or two, renders and takes its sign from its parts' floors, read off
-their memos; ``exact._exceeds_c_times`` decides |d(t)| >= C*t from the two parts.
+their memos; ``exact._exceeds_c_times`` decides |d(t)| >= C*t by its ``abs_enclosure``.
 """
 
 from __future__ import annotations

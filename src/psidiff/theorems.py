@@ -89,13 +89,13 @@ def find_witness(
 
     Checking step left ends is exhaustive: d is constant on a step while C*t
     increases, so a witness anywhere in a step gives one at its left end. Each test is one
-    ``exact._exceeds_c_times`` on the step's two 1/psi, always decided; ``cap_bits`` is unread.
+    ``exact._exceeds_c_times`` on the step's d, always decided; ``cap_bits`` is unread.
     """
     if not 1 <= T <= search_bound:
         raise ValueError("need 1 <= T <= search_bound")
     imf.check_pair(alpha, beta)
     for t, d in imf._d_steps(alpha, beta, T, search_bound):
-        if exact._exceeds_c_times(d.inv_psi_beta, d.inv_psi_alpha, t):
+        if exact._exceeds_c_times(d, t):
             return Witness(t, d)
     raise NotFoundInRangeError(f"no witness in [{_format_scaled(T, 0)}, "
                                f"{_format_scaled(search_bound, 0)}]; a larger search bound "
@@ -279,14 +279,10 @@ def _gap_certificate(pattern: str, n: int, m: int, first_point: int, second_poin
                      first: GapPoint, second: GapPoint, quotient: int) -> GapCertificate:
     """Check one occurrence, bounded by its second point, from (d, brackets) at its two points."""
     bound, d_first, d_second = second_point, first[0], second[0]
-    if pattern == "a":
-        if d_first.inv_psi_beta != d_second.inv_psi_beta:
-            raise GapViolationError("beta step is not constant across the pattern")
-        stepping = 2  # alpha's bracket
-    else:
-        if d_first.inv_psi_alpha != d_second.inv_psi_alpha:
-            raise GapViolationError("alpha step is not constant across the pattern")
-        stepping = 1  # beta's bracket
+    # pattern a holds beta's 1/psi and steps alpha's; the index of each bracket in a GapPoint
+    name, held, stepping = ("beta", 1, 2) if pattern == "a" else ("alpha", 2, 1)
+    if first[held][2] != second[held][2]:
+        raise GapViolationError(f"{name} step is not constant across the pattern")
     after, before = second[stepping], first[stepping]
     if not exact._above(after, before, 1, bound * (quotient - 1)):
         raise GapViolationError(

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -275,6 +276,30 @@ class TestErrorsAndExitCodes:
             return
         dest = argv[-1][2:].replace("-", "_")
         assert getattr(cli.build_parser().parse_args([*argv, within]), dest) == cli.BUDGET
+
+    @pytest.mark.parametrize("argv", [
+        ("construct-optimal", "--epsilon", "1e999999999"),
+        ("construct-optimal", "--epsilon", "1e-999999999"),
+        ("verify-optimal", "--epsilon", "0.06", "--slack", "1e-999999999"),
+        # Fraction's digit separators, which once took the text past the exponent's budget
+        ("construct-optimal", "--epsilon", "1e-999_999_999"),
+    ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+    def test_exponent_past_its_budget_is_refused(self, argv):
+        """An exponent of --epsilon or --slack past ``cli._EXPONENTS`` is refused before its
+        power of ten is formed: 1e+-999999999 ran past a 30 s timeout, and ``verify-optimal
+        --slack 1e-1000000`` took 19.5 s; at the budget, 1e-100000, either command answers."""
+        start = time.perf_counter()
+        proc = fresh(*argv, timeout=30)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"]["code"] == "invalid_input"
+        assert "Traceback" not in proc.stderr
+
+    def test_exponent_at_its_budget_is_read(self, capsys):
+        code, payload = run_json(capsys, "verify-optimal", "--epsilon", "0.06",
+                                 "--slack", f"1e-{cli._EXPONENTS}")
+        assert code == 0 and payload["report"]["kind"] == "near_optimality"
+        assert cli._fraction(f"2_5e{cli._EXPONENTS}") == 25 * 10**cli._EXPONENTS
 
     def test_bad_number_spec(self, capsys):
         code, payload = run_json(capsys, "expand", "--number", "surd:(1+sqrt(4))/1")

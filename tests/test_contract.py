@@ -21,13 +21,15 @@ Narrower fuzzers cover what the general one reaches too rarely. ``construct-opti
 ``verify-optimal`` read ``--epsilon`` and ``--slack`` as n/d, as decimals and with
 exponents, and ``--from`` and ``--bound`` as integers and at times as fractions, which they
 refuse, each at times a literal past CPython's 4300-digit int-to-str limit; an epsilon in
-(0, 1) always gets a pair or ``search_exhausted``. ``expand``, ``psi`` and ``word`` read
-generated number specs: surds with D below 10**6 (D = k*k +- 1, D with a square factor) and
-Q of either sign, cf expansions with quotients up to 10**40 and preperiods up to 50 long,
-and either kind mutated into a malformed spec (a bracket gone, an empty term, a sign in the
-wrong place). ``witness`` reads two such specs, unmutated, with ``--from`` and ``--bound``
-up to 10**30: it finds a witness or exits 1 with a typed code, and never exits 2, since its
-precision comes from a root-separation bound and not from a cap.
+(0, 1) always gets a pair or ``search_exhausted``. One exponent in four is past
+``cli._EXPONENTS``, of either sign, which must exit 1 with ``invalid_input``, here and in
+the general fuzzer. ``expand``, ``psi`` and ``word`` read generated number specs: surds with
+D below 10**6 (D = k*k +- 1, D with a square factor) and Q of either sign, cf expansions
+with quotients up to 10**40 and preperiods up to 50 long, and either kind mutated into a
+malformed spec (a bracket gone, an empty term, a sign in the wrong place). ``witness`` reads
+two such specs, unmutated, with ``--from`` and ``--bound`` up to 10**30: it finds a witness
+or exits 1 with a typed code, and never exits 2, since its precision comes from a
+root-separation bound and not from a cap.
 """
 
 import argparse
@@ -67,7 +69,8 @@ def naturals(draw, long_ok=True):
 
 @st.composite
 def rationals(draw):
-    """(text, value) in one of the three forms ``_fraction`` reads; value is None for n/0."""
+    """(text, value) in one of the three forms ``_fraction`` reads; value is None for n/0 and
+    for an exponent past ``cli._EXPONENTS``, of either sign, drawn one time in four."""
     sign = draw(st.sampled_from(("", "", "-", "+")))
     form = draw(st.sampled_from(("ratio", "decimal", "exponent")))
     if form == "ratio":
@@ -81,7 +84,10 @@ def rationals(draw):
         value = int(whole or 0) + Fraction(m, 10**places)
     else:
         (m_text, m), e = draw(naturals(long_ok=False)), draw(st.integers(-5000, 40))
-        text, value = f"{m_text}e{e}", m * Fraction(10) ** e
+        if not draw(st.integers(0, 3)):
+            e = draw(st.sampled_from((-1, 1))) * draw(st.integers(cli._EXPONENTS + 1, 10**12))
+        text = f"{m_text}e{e}"
+        value = m * Fraction(10) ** e if abs(e) <= cli._EXPONENTS else None
     return sign + text, (-value if sign == "-" and value is not None else value)
 
 
@@ -207,6 +213,7 @@ BUDGETED = {action.option_strings[0] for parser in COMMANDS.values()
             for action in options(parser) if action.type is not None and budgeted(action)}
 OVER_BUDGET = st.integers(cli.BUDGET + 1, 10**30).map(str)
 RATIONAL = {"--epsilon", "--slack"}  # a free-text option that is no rational is a number spec
+EXPONENT = re.compile(r"[-+]?\d+e([-+]?\d+)")  # the exponent form of ``rationals``
 
 
 def option_text(action, junk: bool):
@@ -278,8 +285,11 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 
 def over_budget(argv: list[str]) -> bool:
-    """Whether a budgeted option of the argv holds an integer past ``cli.BUDGET``."""
+    """Whether a budgeted option of the argv holds an integer past ``cli.BUDGET``, or
+    ``--epsilon`` or ``--slack`` an exponent past ``cli._EXPONENTS``."""
     return any(flag in BUDGETED and text.isdecimal() and int(text) > cli.BUDGET
+               or flag in RATIONAL and (m := EXPONENT.fullmatch(text)) is not None
+               and abs(int(m[1])) > cli._EXPONENTS
                for flag, text in zip(argv, argv[1:]))
 
 
@@ -311,11 +321,15 @@ def assert_contract(argv: list[str]) -> tuple[int, dict | None]:
 @example((["construct-optimal", "--epsilon", LONG], True))
 @example((["verify-optimal", "--epsilon", LONG, "--slack", "-1e-4400"], True))
 @example((["construct-optimal", "--epsilon", "1e-5000"], True))
+@example((["construct-optimal", "--epsilon", "1e999999999"], False))
+@example((["verify-optimal", "--epsilon", "0.06", "--slack", "-1e-999999999"], False))
 @example((["verify-optimal", "--epsilon", "0.06", "--from", "1e5"], False))
 @example((["construct-optimal", "--epsilon", "1" + "0" * 4400 + "/0"], False))
 def test_optimal_pair_commands_keep_the_contract(case):
     argv, epsilon_in_unit = case
     code, error = assert_contract(argv)
+    if over_budget(argv):
+        assert code == 1 and error["code"] == "invalid_input", error
     if argv[0] == "construct-optimal" and epsilon_in_unit:
         assert code == 0 or error["code"] == "search_exhausted", error
 

@@ -233,6 +233,7 @@ def identity_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(identity_cases())
 @example((QuadExt(1, 1, 3), QuadExt(1, 1, 2), 1, Fraction(1), False))
+@example((QuadExt(1, 2, 2), 1, QuadExt(1, 1, 2), Fraction(1), False))  # only sqrt parts differ
 def test_product_equality_is_a_zero_sign(case):
     """``exact._branch_sign`` is None exactly when x*1 - a*y is not 0, the dichotomy's identity
     check, a forged field included; when it holds, the sign is that of e*e - x*y."""
