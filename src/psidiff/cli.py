@@ -113,14 +113,20 @@ def cmd_psi(args: argparse.Namespace) -> dict:
     }
 
 
+def _budget_steps(cfs: tuple, t_min: int, t_max: int, unit: str) -> None:
+    """Refuse a walk over [t_min, t_max] of more than ``BUDGET`` merged steps, counted before it:
+    one, plus r(t_max) - r(t_min) per number, r(t) the last index with q_r <= t."""
+    from . import contfrac
+    steps = 1 + sum(contfrac.last_convergent_at_most(cf, max(t, 1))[0] * sign
+                    for cf in cfs for t, sign in ((t_max, 1), (t_min, -1)))
+    if steps > BUDGET:
+        raise ValueError(f"up to {steps} {unit}, past the stated budget of {BUDGET} {unit}")
+
+
 def cmd_profile(args: argparse.Namespace) -> dict | str:
-    from . import contfrac, imf
+    from . import imf
     alpha, beta = _parse(args.alpha, args.beta)
-    # at most r(bound) - r(from) new denominators per number, r(t) the last index with q_r <= t
-    rows = 1 + sum(contfrac.last_convergent_at_most(cf, max(t, 1))[0] * sign
-                   for cf in (alpha, beta) for t, sign in ((args.bound, 1), (args.from_t, -1)))
-    if rows > BUDGET:
-        raise ValueError(f"up to {rows} rows, past the stated budget of {BUDGET} rows")
+    _budget_steps((alpha, beta), args.from_t, args.bound, "rows")
     profile = imf.breakpoint_profile(alpha, beta, args.from_t, args.bound)
     if args.output == "csv":
         return imf.profile_to_csv(profile, args.digits)
@@ -192,10 +198,12 @@ def cmd_construct_optimal(args: argparse.Namespace) -> dict:
 
 
 def cmd_verify_optimal(args: argparse.Namespace) -> dict:
-    from . import theorems
+    from . import contfrac, theorems
 
     slack = _fraction(args.slack) if args.slack is not None else None  # refused before a search
     pair = theorems.construct_optimal(_fraction(args.epsilon))
+    floor = contfrac.convergent_state(pair.theta, pair.w + 10)[2]  # the check's regime floor
+    _budget_steps((contfrac.TAU_CF, pair.theta), max(args.from_t, floor), args.bound, "steps")
     report = theorems.verify_near_optimality(pair, args.from_t, args.bound, slack)
     return {"pair": pair.to_json(args.digits), "report": report.to_json(args.digits)}
 

@@ -8,9 +8,9 @@ minimal period (Galois), which ends when that state comes back.
 
 Every single step of a convergent state here is ``_step``: the in-order stream from index 0,
 ``convergent_stream``, accumulates it over ``quotients``, yielding (n, p_n, q_n) as plain
-ints; ``convergents`` wraps them in ``Convergent`` records, and the coincidence scans and
-the optimality check of ``theorems`` read their q off it. The one other q recurrence is
-``imf._walk``, which starts anywhere, seeded at its lower end by one ladder lookup
+ints; ``convergents`` wraps them in ``Convergent`` records, and ``construct_optimal`` reads
+theta's q off it. The one other q recurrence is ``imf._walk``, which starts anywhere: at
+index 0, on from the last row of ``imf``'s row table, or seeded by one ladder lookup
 (``last_convergent_at_most`` by bound, ``convergent_state`` by index). The ladder, an
 expansion's one memo, is built on first use: the states ``(p_n, p_{n-1}, q_n, q_{n-1})``
 of the preperiod, and the squared period matrices ``M, M^2, M^4, ...`` of the 2x2 matrix view of
@@ -18,9 +18,10 @@ continued fractions (Gosper, HAKMEM item 101), extended only on demand. Both
 lookups are one greedy descent, ``_Ladder.seek``, keyed by index or by bound: it
 bisects the preperiod states, takes whole periods from the largest power of M down,
 and finishes with at most one period of single steps, O(log n) 2x2 products. The
-ladder stores no table of convergents: past the preperiod it holds only the squared
-powers, whose sizes double, so its memory is O(bits of the largest q reached), about
-twice the bits of the largest t queried.
+ladder stores no table of convergents (``imf._table`` keeps one, for the few expansions
+read by index last): past the preperiod it holds only the squared powers, whose sizes
+double, so its memory is O(bits of the largest q reached), about twice the bits of the
+largest t queried.
 
 The ladder also holds every tail and the exact value, built from the period
 matrix M when the ladder is: the purely periodic tail is M's fixed point, the

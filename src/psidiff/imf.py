@@ -7,34 +7,35 @@ values are exact quadratic-field elements; d(t) is kept as a pair of them
 because alpha and beta generally live in different fields.
 
 Every 1/psi, and every convergent remainder xi_n (as the inverse of 1/xi_n), comes from
-``_inv_psi_at``, which checks its two closed forms exactly against each other as one
-integer identity on the tails' integers, with no field arithmetic, and builds the value
-with one ``exact._make``. Every bracket (r, q_{r-1}, q_r, q_{r+1}, alpha_{r+1},
-alpha_{r+2}) is plain integers and two tails, and comes from ``_walk``, the one place here
-that steps the q recurrence: on the partial quotients and the ladder's tails together, both
-drawn from C iterators, with no record, seeded at the lower end of its walk by one ladder
-lookup: by bound in ``_brackets``, by index in ``_inv_xis``. A single evaluation is the
-first step of such a walk: ``psi`` and ``inv_psi`` take the first bracket at t, ``d_at``
-the first step of the merged walk, ``convergent_distance`` and ``check_dichotomy`` the
-first reciprocals from their index. The dichotomy scan reads 1/xi_0 .. 1/xi_depth of each
-number off one walk, ``_inv_xis``, each ``_bracketed``: with integers lo < 2**GUARD_BITS/xi_n
-< lo + q_n, by which its orders are decided. Passes over the breakpoints (profiles, merged
-words, witnesses, the near-optimality check, the interleave scan) read one merged walk,
+``_inv_psi_at``, which checks its two closed forms exactly against each other as one integer
+identity on the tails' integers, with no field arithmetic, and builds the value with one
+``exact._make``. Every bracket (r, q_{r-1}, q_r, q_{r+1}, alpha_{r+1}, alpha_{r+2}) is plain
+integers and two tails, and comes from ``_walk``, the one place here that steps the q
+recurrence: on the partial quotients and the ladder's tails together, both drawn from C
+iterators, with no record. Reads by index take the rows of ``_table``, each 1/xi made once
+beside them, for the ``_HELD`` expansions read last; ``_brackets`` serves them from t on,
+else seeds by one ladder lookup. A single evaluation is the first step of such a walk:
+``psi`` and ``inv_psi`` take the first bracket at t, ``d_at`` the first step of the merged
+walk, ``convergent_distance`` and ``check_dichotomy`` the rows at their index, or past them
+a walk seeded there. The dichotomy scan reads 1/xi_0 .. 1/xi_depth of each number off its
+rows, ``_inv_xis``, each ``_bracketed``: with integers lo < 2**GUARD_BITS/xi_n < lo + q_n,
+by which its orders are decided. Passes over the breakpoints (profiles, merged words,
+witnesses, the near-optimality check, the interleave scan) read one merged walk,
 ``_merged_brackets``, which merges two ``_brackets`` walks from their lower end and steps a
-number's walk only at its own denominators. The merged word and the interleave scan read
-its brackets' indices, the scan bracketing only the 1/psi its certificates hold; the other
-passes, through ``_d_steps``, compute one exact 1/psi per convergent, not per breakpoint:
-at a breakpoint where only one number steps, the other's value is carried over from the
-step before, and so are its guarded floor and its rendered string, which ``QuadExt`` keeps.
-d(t), in one field or two, renders and takes its sign from its parts' floors, read off
-their memos; ``exact._exceeds_c_times`` decides |d(t)| >= C*t by its ``abs_enclosure``.
+number's walk only at its own denominators. The merged word and the interleave scan read its
+brackets' indices, the scan bracketing only the 1/psi its certificates hold; the other
+passes, through ``_d_steps``, compute one exact 1/psi per convergent, not per breakpoint: at
+a breakpoint where only one number steps, the other's value is carried over from the step
+before, and so are its guarded floor and its rendered string, which ``QuadExt`` keeps. d(t),
+in one field or two, renders and takes its sign from its parts' floors, read off their
+memos; ``exact._exceeds_c_times`` decides |d(t)| >= C*t by its ``abs_enclosure``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import contfrac, exact
 from .contfrac import CFExpansion, is_nonintegral_sum_and_diff
@@ -76,27 +77,60 @@ def _walk(cf: CFExpansion, r: int, state: contfrac.State) -> Iterator[Bracket]:
         bracket = (bracket[0] + 1, q_prev, q, quotient() * q + q_prev, t, tail())
 
 
+_HELD = 4
+"""At most: a pair, whose lemma scans share rows, and the optimality check's tau and theta."""
+_held: dict[contfrac._Ladder, tuple] = {}  # by expansion, its rows and values; oldest first
+
+
+def _table(cf: CFExpansion, last: int = -1) -> tuple[tuple[Bracket, ...], Callable]:
+    """cf's rows, its walk's brackets from index 0, and 1/psi of a bracket, kept once made if a
+    row's. Only a read by index, to ``last`` >= 0, makes rows; the ``_HELD`` latest keep them."""
+    rows, values = _held.pop(ladder := contfrac._ladder(cf), None) or ((), {})
+    if not rows and last < 0:
+        return rows, _inv_psi_at
+    if len(rows) <= last:
+        rows += tuple(itertools.islice(_after(cf, rows), last + 1 - len(rows)))
+    _held[ladder] = rows, values
+    for old in list(_held)[:-_HELD]:  # one copy and pops, so a concurrent caller never raises
+        _held.pop(old, None)
+    def value(t: int, bracket: Bracket) -> QuadExt:
+        inv = values.get(bracket[0]) or _inv_psi_at(t, bracket)
+        if bracket[0] < len(rows):
+            values[bracket[0]] = inv
+        return inv
+    return rows, value
+
+
+def _after(cf: CFExpansion, rows: tuple[Bracket, ...]) -> Iterator[Bracket]:
+    r, _, q, q_next = rows[-1][:4] if rows else (-1, 0, 0, 1)  # q_{-1} = 0, q_0 = 1
+    return _walk(cf, r + 1, (0, 0, q_next, q))
+
+
 def _brackets(cf: CFExpansion, t: int) -> Iterator[Bracket]:
     """The bracket at t, then one per later q_r in turn; r(t) is the largest index, q_r <= t.
 
     Past r(t) the q_r increase strictly: of q_0 = q_1 = 1, r(t) is already the last.
     """
+    rows = _table(cf)[0]
+    if rows and t < rows[-1][3]:
+        return itertools.chain(itertools.dropwhile(lambda row: row[3] <= t, rows), _after(cf, rows))
     return _walk(cf, *contfrac.last_convergent_at_most(cf, t))
 
 
 def _inv_xis(cf: CFExpansion, first: int, last: int) -> list[exact.Bracketed]:
-    """``_bracketed`` 1/xi_n = q_n alpha_{n+1} + q_{n-1} for n = first .. last of an irrational
-    cf, off one walk: (lo, lo + q_n, 1/xi_n), lo < 2**GUARD_BITS/xi_n < lo + q_n."""
+    """``_bracketed`` 1/xi_n = q_n alpha_{n+1} + q_{n-1}, n = first .. last, of an irrational cf,
+    off its rows if they reach ``first``, else off one walk seeded there and kept nowhere."""
     _require_irrational(cf)
-    walk = _walk(cf, first, contfrac.convergent_state(cf, first))
-    return [_bracketed(b[2], b) for b in itertools.islice(walk, last - first + 1)]
+    rows, value = _table(cf, last) if first <= len(_table(cf)[0]) else ((), _inv_psi_at)
+    walk = rows[first:] or _walk(cf, first, contfrac.convergent_state(cf, first))
+    return [_bracketed(b[2], b, value) for b in itertools.islice(walk, last - first + 1)]
 
 
-def _bracketed(t: int, bracket: Bracket) -> exact.Bracketed:
-    """(n, n + q_r, 1/psi at t) with n = ``exact._bracket(q_r, q_{r-1}, alpha_{r+1})``, so that
-    n < 2**GUARD_BITS/psi < n + q_r: the value and the integers the lemma scans order it by."""
+def _bracketed(t: int, bracket: Bracket, value: Callable) -> exact.Bracketed:
+    """(n, n + q_r, value(t, bracket)), n = ``exact._bracket(q_r, q_{r-1}, alpha_{r+1})``, so
+    that n < 2**GUARD_BITS/psi < n + q_r: the value and the integers the lemma scans order it by."""
     n = exact._bracket(bracket[2], bracket[1], bracket[4])
-    return n, n + bracket[2], _inv_psi_at(t, bracket)
+    return n, n + bracket[2], value(t, bracket)
 
 
 def psi(alpha: CFExpansion, t: int) -> PsiValue:
@@ -221,14 +255,15 @@ def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,
     1/psi is then carried over; only a new bracket is evaluated and cross-checked.
     """
     held_a = held_b = inv_a = inv_b = None
+    value_a, value_b = _table(alpha)[1], _table(beta)[1]
     new, init = object.__new__, DValue._init  # the generated constructor, with no type call
     for t, a, b in _merged_brackets(alpha, beta, t_min):
         if t > t_max:
             return
         if a is not held_a:
-            held_a, inv_a = a, _inv_psi_at(t, a)
+            held_a, inv_a = a, value_a(t, a)
         if b is not held_b:
-            held_b, inv_b = b, _inv_psi_at(t, b)
+            held_b, inv_b = b, value_b(t, b)
         init(d := new(DValue), inv_b, inv_a, a[0], b[0])
         yield t, d
 

@@ -111,7 +111,7 @@ def _coincidences(alpha: CFExpansion, beta: CFExpansion, depth: int, gap: int,
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    qs, ts = ([q for _, _, q in itertools.islice(contfrac.convergent_stream(cf), n + 1)]
+    qs, ts = ([row[2] for row in imf._table(cf, n)[0][:n + 1]]
               for cf, n in ((alpha, depth + gap), (beta, depth + shift + 1)))
     by_pair: dict[tuple[int, int], list[int]] = {}
     for m in range(depth + 1):
@@ -323,11 +323,12 @@ def scan_interleave_gap(
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
     matches, held = [], [(None, None), (None, None)]  # alpha's, beta's bracket, bracketed 1/psi
+    values = imf._table(alpha)[1], imf._table(beta)[1]
 
     def d(t: int, a: imf.Bracket, b: imf.Bracket) -> GapPoint:
         for number, bracket in enumerate((a, b)):
             if held[number][0] is not bracket:
-                held[number] = bracket, imf._bracketed(t, bracket)
+                held[number] = bracket, imf._bracketed(t, bracket, values[number])
         inv_b, inv_a = held[1][1], held[0][1]
         return DValue(inv_b[2], inv_a[2], a[0], b[0]), inv_b, inv_a
 

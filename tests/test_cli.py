@@ -277,6 +277,22 @@ class TestErrorsAndExitCodes:
         dest = argv[-1][2:].replace("-", "_")
         assert getattr(cli.build_parser().parse_args([*argv, within]), dest) == cli.BUDGET
 
+    def test_verify_optimal_range_past_its_budget_is_refused(self):
+        """``verify-optimal`` counts the merged steps of tau and theta over [max(--from, regime
+        floor), --bound] off the ladder before any walk: at --epsilon 0.06, 9,514 to 10**1000,
+        which runs, and 57,363 to 10**6000, which ran for 4 s and is refused."""
+        start = time.perf_counter()
+        proc = fresh("verify-optimal", "--epsilon", "0.06", "--bound", "1" + "0" * 6000,
+                     timeout=30)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 1
+        error = json.loads(proc.stdout)["error"]
+        assert error["code"] == "invalid_input" and "57363 steps" in error["message"]
+        assert "Traceback" not in proc.stderr
+        proc = fresh("verify-optimal", "--epsilon", "0.06", "--bound", "1" + "0" * 1000,
+                     timeout=30)
+        assert proc.returncode == 0 and json.loads(proc.stdout)["report"]["verdict"] == "pass"
+
     @pytest.mark.parametrize("argv", [
         ("construct-optimal", "--epsilon", "1e999999999"),
         ("construct-optimal", "--epsilon", "1e-999999999"),

@@ -293,6 +293,19 @@ def over_budget(argv: list[str]) -> bool:
                for flag, text in zip(argv, argv[1:]))
 
 
+def steps_over_budget(argv: list[str]) -> bool:
+    """Whether ``verify-optimal``'s range holds more than ``cli.BUDGET`` merged steps for
+    certain: a --bound of 3100 digits or more over a --from (default 10**6) of at most 100.
+    Past the regime floor, below 10**20 for any pair that constructs, tau and theta both
+    have quotients 1, so each step at most doubles q, and each number takes at least
+    log2(bound/from) > 10**4 steps. The pair is built first, so the refusal may be
+    ``search_exhausted`` instead."""
+    values = dict(zip(argv, argv[1:]))
+    bound, start = values.get("--bound", "1" * 13), values.get("--from", "1" * 7).lstrip("-")
+    return (argv[0] == "verify-optimal" and bound.isdecimal() and len(bound.lstrip("0")) > 3100
+            and start.isdecimal() and len(start) <= 100)
+
+
 def assert_contract(argv: list[str]) -> tuple[int, dict | None]:
     """(exit code, JSON error or None) of one argv, with the contract checked."""
     code, out = run(argv)
@@ -324,12 +337,15 @@ def assert_contract(argv: list[str]) -> tuple[int, dict | None]:
 @example((["construct-optimal", "--epsilon", "1e999999999"], False))
 @example((["verify-optimal", "--epsilon", "0.06", "--slack", "-1e-999999999"], False))
 @example((["verify-optimal", "--epsilon", "0.06", "--from", "1e5"], False))
+@example((["verify-optimal", "--epsilon", "0.06", "--bound", "1" + "0" * 4400], True))
 @example((["construct-optimal", "--epsilon", "1" + "0" * 4400 + "/0"], False))
 def test_optimal_pair_commands_keep_the_contract(case):
     argv, epsilon_in_unit = case
     code, error = assert_contract(argv)
     if over_budget(argv):
         assert code == 1 and error["code"] == "invalid_input", error
+    elif steps_over_budget(argv):
+        assert code == 1 and error["code"] in ("invalid_input", "search_exhausted"), error
     if argv[0] == "construct-optimal" and epsilon_in_unit:
         assert code == 0 or error["code"] == "search_exhausted", error
 
@@ -353,6 +369,8 @@ def test_every_command_keeps_the_contract(argv):
     code, error = assert_contract(argv)
     if over_budget(argv):
         assert code == 1 and error["code"] == "invalid_input", error
+    elif steps_over_budget(argv):
+        assert code == 1 and error["code"] in ("invalid_input", "search_exhausted"), error
 
 
 def test_attach_values_lists_every_free_text_option():

@@ -5,10 +5,13 @@ convergents of both numbers in ascending order, so each bracket comes from one
 recurrence step of the two convergent streams. The ladder only seeds a walk at
 its lower end, one lookup per number, and single evaluations are the first step
 of such a walk; a per-step ladder lookup creeping back into any of them fails
-here, and so does a ladder lookup from anywhere but the two seeding helpers, the
-near-optimality regime floor and ``profile``'s row budget, which reads each number's last
-index at both ends of the range before any walk. A walk far out costs its own entries, not
-every convergent below them.
+here, and so does a ladder lookup from anywhere but the seeding helper ``_brackets``, the
+near-optimality regime floor (in the check, and in ``verify-optimal``'s budget) and the CLI's
+step budget of ``profile`` and ``verify-optimal``, which reads each number's last index at
+both ends of the range before any walk. A walk far out costs its own entries, not every
+convergent below them. Reads by index take no lookup where the number's row table reaches
+their first index (the coincidence and dichotomy scans read from index 0); a single
+evaluation past the rows is the first step of a walk seeded by ``_inv_xis``.
 
 Along the walk, 1/psi of a number is computed once per bracket it holds, not
 once per breakpoint: at a breakpoint where only the other number steps, its
@@ -32,6 +35,7 @@ from psidiff import (CFExpansion, QuadExt, breakpoint_profile, check_dichotomy, 
                      scan_lemma_conseq, scan_lemma_conseq1, theorems, verify_near_optimality)
 from psidiff.errors import FormMismatchError
 
+from conftest import empty_table
 from test_convergent_source import valid_pairs
 
 LADDER = ("last_convergent_at_most", "convergent_state")
@@ -51,9 +55,9 @@ def passes():
     }
 
 
-# ladder lookups per pass: one seed per number of a walk, none for the conseq scans,
-# which read plain convergent lists
-SEEDS = {"profile": 2, "word": 2, "witness": 2, "interleave_gap": 2, "dichotomy": 2,
+# ladder lookups per pass: one seed per number of a walk by bound, none for the conseq and
+# dichotomy scans, which read each number's row table by index, walked from index 0
+SEEDS = {"profile": 2, "word": 2, "witness": 2, "interleave_gap": 2, "dichotomy": 0,
          "conseq": 0, "conseq1": 0}
 
 
@@ -71,15 +75,23 @@ def count_ladder(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", sorted(passes()))
 def test_in_order_pass_needs_no_ladder(name, monkeypatch):
-    """No lookup per step: at most one ladder lookup per number seeds the walk."""
-    want = passes()[name]()
+    """No lookup per step: at most one ladder lookup per number seeds the walk, on a first
+    pass and on one that finds the row tables the first pass left."""
     lookups = count_ladder(monkeypatch)
+    want = passes()[name]()
+    assert len(lookups) == SEEDS[name]
+    assert len(set(lookups)) == len(lookups)
+    lookups.clear()
     assert passes()[name]() == want
     assert len(lookups) == SEEDS[name]
     assert len(set(lookups)) == len(lookups)
 
 
 def test_single_evaluation_is_one_seeded_step(monkeypatch):
+    """An evaluation at t, or at an index past the row table, is the first step of a walk
+    seeded by one ladder lookup per number, and keeps no rows. Rows walked to that index from
+    index 0 draw one quotient each, for its q_{r+1}; the evaluation then reads them, with no
+    lookup and no quotient drawn."""
     tau = CFExpansion(1, (), (1,))
     sqrt2 = parse_number("surd:(0+sqrt(2))/1")
     alpha = CFExpansion(0, (1,) * 6, (1, 2))
@@ -88,14 +100,39 @@ def test_single_evaluation_is_one_seeded_step(monkeypatch):
         (lambda: d_at(sqrt2, tau, t), [sqrt2, tau]),
         (lambda: psi(tau, t), [tau]),
         (lambda: inv_psi(sqrt2, t), [sqrt2]),
-        (lambda: convergent_distance(sqrt2, 40), [sqrt2]),
-        (lambda: check_dichotomy(alpha, sqrt2, 7, 3), [alpha, sqrt2]),
     ]
     lookups = count_ladder(monkeypatch)
     for evaluate, numbers in evaluations:
         lookups.clear()
         evaluate()
         assert lookups == numbers
+    real, drawn = CFExpansion.quotients, []
+
+    def counting(cf, start=0):
+        for a in real(cf, start):
+            drawn.append(cf)
+            yield a
+
+    monkeypatch.setattr(CFExpansion, "quotients", counting)
+    by_index = [
+        (lambda: convergent_distance(sqrt2, 40), {sqrt2: 40}),
+        (lambda: check_dichotomy(alpha, sqrt2, 7, 3), {alpha: 7, sqrt2: 3}),
+    ]
+    for evaluate, last in by_index:
+        empty_table()
+        lookups.clear()
+        want = evaluate()
+        assert lookups == list(last)
+        assert not imf._held
+        drawn.clear()
+        for cf, n in last.items():
+            imf._table(cf, n)
+        assert sorted(map(id, drawn)) == sorted(id(cf) for cf, n in last.items()
+                                                for _ in range(n + 1))
+        lookups.clear()
+        drawn.clear()
+        assert evaluate() == want
+        assert lookups == drawn == []
 
 
 def ladder_references() -> list[str]:
@@ -123,9 +160,11 @@ def ladder_references() -> list[str]:
 
 
 def test_only_the_seeds_touch_the_ladder():
-    """Outside contfrac the ladder seeds the walks, the merged walk through ``_brackets``,
-    finds the regime floor and bounds a profile's rows for its budget, nothing else."""
-    assert ladder_references() == ["cli.cmd_profile", "imf._brackets", "imf._inv_xis",
+    """Outside contfrac the ladder seeds the walks, by bound through ``_brackets`` and by index
+    past the row table through ``_inv_xis``, finds the regime floor and bounds the steps of
+    ``profile`` and ``verify-optimal`` for their budget, nothing else."""
+    assert ladder_references() == ["cli._budget_steps", "cli.cmd_verify_optimal",
+                                   "imf._brackets", "imf._inv_xis",
                                    "theorems.verify_near_optimality"]
 
 
@@ -283,7 +322,9 @@ def corrupt_tail(monkeypatch, period, offset):
     """Shift by 1 every tail that starts at this offset of this period, so the closed forms
     disagree there. It corrupts the ladder's ``tails`` of every expansion with this period,
     which the walks' ``contfrac.tails`` and the single ``contfrac.tail`` both index, so both
-    see the corruption, also in a ladder built before the call."""
+    see the corruption, also in a ladder built before the call. It empties the row table,
+    whose rows and values were made from the tails before the call."""
+    empty_table()
     held = contfrac._Ladder.tails  # the slot
 
     def corrupted(ladder):
