@@ -202,8 +202,8 @@ def cmd_verify_optimal(args: argparse.Namespace) -> dict:
 
     slack = _fraction(args.slack) if args.slack is not None else None  # refused before a search
     pair = theorems.construct_optimal(_fraction(args.epsilon))
-    floor = contfrac.convergent_state(pair.theta, pair.w + 10)[2]  # the check's regime floor
-    _budget_steps((contfrac.TAU_CF, pair.theta), max(args.from_t, floor), args.bound, "steps")
+    t_min = max(args.from_t, theorems._regime_floor(pair))
+    _budget_steps((contfrac.TAU_CF, pair.theta), t_min, args.bound, "steps")
     report = theorems.verify_near_optimality(pair, args.from_t, args.bound, slack)
     return {"pair": pair.to_json(args.digits), "report": report.to_json(args.digits)}
 

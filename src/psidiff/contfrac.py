@@ -18,10 +18,10 @@ continued fractions (Gosper, HAKMEM item 101), extended only on demand. Both
 lookups are one greedy descent, ``_Ladder.seek``, keyed by index or by bound: it
 bisects the preperiod states, takes whole periods from the largest power of M down,
 and finishes with at most one period of single steps, O(log n) 2x2 products. The
-ladder stores no table of convergents (``imf._table`` keeps one, for the few expansions
-read by index last): past the preperiod it holds only the squared powers, whose sizes
-double, so its memory is O(bits of the largest q reached), about twice the bits of the
-largest t queried.
+ladder stores no table of convergents (``imf._table`` keeps one, of at most ``imf._ROWS``
+rows, for the pair read by index last): past the preperiod it holds only the squared
+powers, whose sizes double, so its memory is O(bits of the largest q reached), about twice
+the bits of the largest t queried.
 
 The ladder also holds every tail and the exact value, built from the period
 matrix M when the ladder is: the purely periodic tail is M's fixed point, the

@@ -12,14 +12,14 @@ identity on the tails' integers, with no field arithmetic, and builds the value 
 ``exact._make``. Every bracket (r, q_{r-1}, q_r, q_{r+1}, alpha_{r+1}, alpha_{r+2}) is plain
 integers and two tails, and comes from ``_walk``, the one place here that steps the q
 recurrence: on the partial quotients and the ladder's tails together, both drawn from C
-iterators, with no record. Reads by index take the rows of ``_table``, each 1/xi made once
-beside them, for the ``_HELD`` expansions read last; ``_brackets`` serves them from t on,
-else seeds by one ladder lookup. A single evaluation is the first step of such a walk:
-``psi`` and ``inv_psi`` take the first bracket at t, ``d_at`` the first step of the merged
-walk, ``convergent_distance`` and ``check_dichotomy`` the rows at their index, or past them
-a walk seeded there. The dichotomy scan reads 1/xi_0 .. 1/xi_depth of each number off its
-rows, ``_inv_xis``, each ``_bracketed``: with integers lo < 2**GUARD_BITS/xi_n < lo + q_n,
-by which its orders are decided. Passes over the breakpoints (profiles, merged words,
+iterators, with no record. Reads by index take the rows of ``_table``, the brackets from
+index 0 with each 1/xi made once beside them; walks from t, ``_brackets``, are seeded by one
+ladder lookup and take the values the rows hold. A single evaluation is the first step of
+such a walk: ``psi`` and ``inv_psi`` take the first bracket at t, ``d_at`` the first step of
+the merged walk, ``convergent_distance`` and ``check_dichotomy`` the rows at their index, or
+past them a walk seeded there. The dichotomy scan reads 1/xi_0 .. 1/xi_depth of each number
+off its rows, ``_inv_xis``, each ``_bracketed``: with integers lo < 2**GUARD_BITS/xi_n < lo
++ q_n, by which its orders are decided. Passes over the breakpoints (profiles, merged words,
 witnesses, the near-optimality check, the interleave scan) read one merged walk,
 ``_merged_brackets``, which merges two ``_brackets`` walks from their lower end and steps a
 number's walk only at its own denominators. The merged word and the interleave scan read its
@@ -77,33 +77,31 @@ def _walk(cf: CFExpansion, r: int, state: contfrac.State) -> Iterator[Bracket]:
         bracket = (bracket[0] + 1, q_prev, q, quotient() * q + q_prev, t, tail())
 
 
-_HELD = 4
-"""At most: a pair, whose lemma scans share rows, and the optimality check's tau and theta."""
+_HELD = 2
+"""At most one pair: ``psidiff lemmas`` reads both numbers' rows in each of its four scans."""
+_ROWS = 256
+"""Rows kept at most: ``lemmas`` at its default ``--max-depth``, 200, reads to index 202."""
 _held: dict[contfrac._Ladder, tuple] = {}  # by expansion, its rows and values; oldest first
 
 
 def _table(cf: CFExpansion, last: int = -1) -> tuple[tuple[Bracket, ...], Callable]:
-    """cf's rows, its walk's brackets from index 0, and 1/psi of a bracket, kept once made if a
-    row's. Only a read by index, to ``last`` >= 0, makes rows; the ``_HELD`` latest keep them."""
-    rows, values = _held.pop(ladder := contfrac._ladder(cf), None) or ((), {})
-    if not rows and last < 0:
-        return rows, _inv_psi_at
+    """cf's rows (its walk's brackets from index 0, through ``last`` at least) and 1/psi of a
+    bracket, kept if a held row's. Reads to 0 <= ``last`` < ``_ROWS`` keep rows, for ``_HELD``."""
+    rows, values = _held.get(ladder := contfrac._ladder(cf)) or ((), {})
     if len(rows) <= last:
-        rows += tuple(itertools.islice(_after(cf, rows), last + 1 - len(rows)))
-    _held[ladder] = rows, values
-    for old in list(_held)[:-_HELD]:  # one copy and pops, so a concurrent caller never raises
-        _held.pop(old, None)
+        r, _, q, q_next = rows[-1][:4] if rows else (-1, 0, 0, 1)  # q_{-1} = 0, q_0 = 1
+        rows += tuple(itertools.islice(_walk(cf, r + 1, (0, 0, q_next, q)), last - r))
+    if not rows or last >= _ROWS:
+        return rows, _inv_psi_at
+    if last >= 0:
+        _held.pop(ladder, None)  # to the end, the most recent
+        _held[ladder] = rows, values
+        for old in list(_held)[:-_HELD]:  # one copy and pops, so a concurrent caller never raises
+            _held.pop(old, None)
     def value(t: int, bracket: Bracket) -> QuadExt:
         inv = values.get(bracket[0]) or _inv_psi_at(t, bracket)
-        if bracket[0] < len(rows):
-            values[bracket[0]] = inv
-        return inv
+        return values.setdefault(bracket[0], inv) if bracket[0] < len(rows) else inv
     return rows, value
-
-
-def _after(cf: CFExpansion, rows: tuple[Bracket, ...]) -> Iterator[Bracket]:
-    r, _, q, q_next = rows[-1][:4] if rows else (-1, 0, 0, 1)  # q_{-1} = 0, q_0 = 1
-    return _walk(cf, r + 1, (0, 0, q_next, q))
 
 
 def _brackets(cf: CFExpansion, t: int) -> Iterator[Bracket]:
@@ -111,17 +109,15 @@ def _brackets(cf: CFExpansion, t: int) -> Iterator[Bracket]:
 
     Past r(t) the q_r increase strictly: of q_0 = q_1 = 1, r(t) is already the last.
     """
-    rows = _table(cf)[0]
-    if rows and t < rows[-1][3]:
-        return itertools.chain(itertools.dropwhile(lambda row: row[3] <= t, rows), _after(cf, rows))
     return _walk(cf, *contfrac.last_convergent_at_most(cf, t))
 
 
 def _inv_xis(cf: CFExpansion, first: int, last: int) -> list[exact.Bracketed]:
     """``_bracketed`` 1/xi_n = q_n alpha_{n+1} + q_{n-1}, n = first .. last, of an irrational cf,
-    off its rows if they reach ``first``, else off one walk seeded there and kept nowhere."""
+    off its rows if they reach ``first`` and may keep ``last``, else off one walk seeded there."""
     _require_irrational(cf)
-    rows, value = _table(cf, last) if first <= len(_table(cf)[0]) else ((), _inv_psi_at)
+    held = 0 <= first <= len(_table(cf)[0]) and last < _ROWS
+    rows, value = _table(cf, last) if held else ((), _inv_psi_at)
     walk = rows[first:] or _walk(cf, first, contfrac.convergent_state(cf, first))
     return [_bracketed(b[2], b, value) for b in itertools.islice(walk, last - first + 1)]
 

@@ -483,8 +483,7 @@ def verify_near_optimality(
     slack = Fraction(slack)
     if t_min > t_max:
         raise ValueError("need t_min <= t_max")
-    regime_floor = contfrac.convergent_state(pair.theta, pair.w + 10)[2]
-    t_lo = max(t_min, regime_floor)
+    t_lo = max(t_min, regime_floor := _regime_floor(pair))
     if t_lo > t_max:
         raise ValueError(f"range [{t_min}, {t_max}] lies below the verified regime {regime_floor}")
     imf.check_pair(TAU_CF, pair.theta)
@@ -494,6 +493,11 @@ def verify_near_optimality(
     max_ratio, argmax_t = exact._max_ratio((t, d.inv_psi_beta, d.inv_psi_alpha) for t, d in steps)
     passed = (C + slack - max_ratio).sign() > 0
     return NearOptimalityReport(max_ratio, argmax_t, passed, t_lo, t_max, slack)
+
+
+def _regime_floor(pair: OptimalPair) -> int:
+    """s_{w+10}, theta's denominator from which the shifted-index regime is in force."""
+    return contfrac.convergent_state(pair.theta, pair.w + 10)[2]
 
 
 # -- Fibonacci / Binet ------------------------------------------------------------

@@ -6,12 +6,13 @@ recurrence step of the two convergent streams. The ladder only seeds a walk at
 its lower end, one lookup per number, and single evaluations are the first step
 of such a walk; a per-step ladder lookup creeping back into any of them fails
 here, and so does a ladder lookup from anywhere but the seeding helper ``_brackets``, the
-near-optimality regime floor (in the check, and in ``verify-optimal``'s budget) and the CLI's
-step budget of ``profile`` and ``verify-optimal``, which reads each number's last index at
-both ends of the range before any walk. A walk far out costs its own entries, not every
-convergent below them. Reads by index take no lookup where the number's row table reaches
-their first index (the coincidence and dichotomy scans read from index 0); a single
-evaluation past the rows is the first step of a walk seeded by ``_inv_xis``.
+near-optimality regime floor (``theorems._regime_floor``, which ``verify-optimal``'s budget
+also reads) and the CLI's step budget of ``profile`` and ``verify-optimal``, which reads
+each number's last index at both ends of the range before any walk. A walk far out costs
+its own entries, not every convergent below them. Reads by index take no lookup where the
+number's row table reaches their first index (the coincidence and dichotomy scans read from
+index 0); a single evaluation past the rows is the first step of a walk seeded by
+``_inv_xis``.
 
 Along the walk, 1/psi of a number is computed once per bracket it holds, not
 once per breakpoint: at a breakpoint where only the other number steps, its
@@ -163,9 +164,8 @@ def test_only_the_seeds_touch_the_ladder():
     """Outside contfrac the ladder seeds the walks, by bound through ``_brackets`` and by index
     past the row table through ``_inv_xis``, finds the regime floor and bounds the steps of
     ``profile`` and ``verify-optimal`` for their budget, nothing else."""
-    assert ladder_references() == ["cli._budget_steps", "cli.cmd_verify_optimal",
-                                   "imf._brackets", "imf._inv_xis",
-                                   "theorems.verify_near_optimality"]
+    assert ladder_references() == ["cli._budget_steps", "imf._brackets", "imf._inv_xis",
+                                   "theorems._regime_floor"]
 
 
 def test_merged_walk_yields_only_what_the_walks_yield(monkeypatch):

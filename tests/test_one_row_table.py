@@ -1,13 +1,15 @@
 """Each expansion has one table of convergent rows, read by every walk.
 
-``imf._table`` keeps, for the few expansions walked last, the walk's brackets from index 0
-and each 1/xi made once beside them by ``imf._inv_psi_at``. The coincidence and dichotomy
-scans read it by index and extend it; the merged walks (the interleave scan, witness
-searches, the near-optimality check) read rows and values where it has them and step on from
-its last row past it. Outputs do not depend on what the table holds.
+``imf._table`` keeps, for the few expansions read by index last and to at most
+``imf._ROWS`` rows, the walk's brackets from index 0 and each 1/xi made once beside them by
+``imf._inv_psi_at``. The coincidence and dichotomy scans read it by index and extend it from
+its last row; the merged walks (the interleave scan, witness searches, the near-optimality
+check) are seeded by the ladder as before and take the values it holds. Outputs, errors
+included, do not depend on what the table holds.
 """
 
 import itertools
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -16,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psidiff import (breakpoint_profile, construct_optimal, contfrac, convergent_distance, imf,
-                     parse_number, scan_dichotomy, scan_interleave_gap, scan_lemma_conseq, scan_lemma_conseq1,
-                     verify_near_optimality)
+from psidiff import (breakpoint_profile, construct_optimal, contfrac, convergent_distance, d_at,
+                     imf, inv_psi, parse_number, psi, scan_dichotomy, scan_interleave_gap,
+                     scan_lemma_conseq, scan_lemma_conseq1, verify_near_optimality)
 
 from conftest import empty_table
 from test_convergent_source import valid_pairs
@@ -87,13 +89,44 @@ def test_a_read_far_past_the_rows_keeps_none():
 
 
 @settings(max_examples=60, deadline=None)
-@given(valid_pairs(), st.integers(0, 30), st.integers(1, 10**40), st.integers(1, 60))
-def test_a_walk_past_the_rows_is_a_fresh_walk(pair, last, t, steps):
+@given(valid_pairs(), st.integers(0, 40), st.integers(0, 40))
+def test_rows_extended_from_the_last_are_a_fresh_walk(pair, first, then):
+    """Rows made in two reads, the second walking on from the first's last row, are the
+    brackets of one walk from index 0."""
     cf = pair[0]
-    fresh = list(itertools.islice(imf._walk(cf, *contfrac.last_convergent_at_most(cf, t)),
-                                  steps))
-    imf._table(cf, last)
-    assert list(itertools.islice(imf._brackets(cf, t), steps)) == fresh
+    fresh = list(itertools.islice(imf._walk(cf, 0, contfrac.convergent_state(cf, 0)),
+                                  first + then + 1))
+    imf._table(cf, first)
+    assert list(imf._table(cf, first + then)[0]) == fresh
+
+
+def test_invalid_input_is_refused_with_or_without_rows():
+    """A negative index and a t below 1 raise what they raise on a number with no rows."""
+    sqrt2, sqrt3 = (parse_number(f"surd:(0+sqrt({d}))/1") for d in (2, 3))
+    calls = [lambda: convergent_distance(sqrt2, -1), lambda: psi(sqrt2, 0),
+             lambda: inv_psi(sqrt2, 0), lambda: d_at(sqrt2, sqrt3, 0)]
+    errors = []
+    for call in calls:
+        with pytest.raises(ValueError) as cold:
+            call()
+        errors.append(str(cold.value))
+    scan_dichotomy(sqrt2, sqrt3, 20)
+    assert len(imf._held) == 2
+    for call, error in zip(calls, errors):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            call()
+
+
+def test_a_deep_read_keeps_no_rows():
+    """A read by index to ``imf._ROWS`` or past it walks its rows and keeps none, so no table
+    holds more than ``imf._ROWS`` rows, whatever depth a call reached."""
+    sqrt2, sqrt3 = (parse_number(f"surd:(0+sqrt({d}))/1") for d in (2, 3))
+    scan_lemma_conseq(sqrt2, sqrt3, 40)
+    held = dict(imf._held)
+    for scan in SCANS:
+        scan(sqrt2, sqrt3, imf._ROWS)
+    assert imf._held == held
+    assert max(len(rows) for rows, _ in imf._held.values()) == 42
 
 
 def test_threads_share_the_table_safely():
