@@ -19,11 +19,11 @@ such a walk: ``psi`` and ``inv_psi`` take the first bracket at t, ``d_at`` the f
 the merged walk, ``convergent_distance`` and ``check_dichotomy`` the rows at their index, or
 past them a walk seeded there. The dichotomy scan reads 1/xi_0 .. 1/xi_depth of each number
 off its rows, ``_inv_xis``, each ``_bracketed``: with integers lo < 2**GUARD_BITS/xi_n < lo
-+ q_n, by which its orders are decided. Passes over the breakpoints (profiles, merged words,
-witnesses, the near-optimality check, the interleave scan) read one merged walk,
-``_merged_brackets``, which merges two ``_brackets`` walks from their lower end and steps a
-number's walk only at its own denominators. The merged word and the interleave scan read its
-brackets' indices, the scan bracketing only the 1/psi its certificates hold; the other
++ q_n, by which its orders are decided. One merge, ``_merged_brackets``, steps each of two
+walks of brackets only at its own denominators: the interleave scan merges the two numbers'
+rows from r(1) and brackets only the 1/psi its certificates hold, each once per index; passes
+over the breakpoints from t (profiles, merged words, witnesses, the near-optimality check)
+merge two ``_brackets`` walks. The merged word reads the brackets' indices; the other
 passes, through ``_d_steps``, compute one exact 1/psi per convergent, not per breakpoint: at
 a breakpoint where only one number steps, the other's value is carried over from the step
 before, and so are its guarded floor and its rendered string, which ``QuadExt`` keeps. d(t),
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import contfrac, exact
 from .contfrac import CFExpansion, is_nonintegral_sum_and_diff
@@ -86,14 +86,17 @@ _held: dict[contfrac._Ladder, tuple] = {}  # by expansion, its rows and values; 
 
 def _table(cf: CFExpansion, last: int = -1) -> tuple[tuple[Bracket, ...], Callable]:
     """cf's rows (its walk's brackets from index 0, through ``last`` at least) and 1/psi of a
-    bracket, kept if a held row's. Reads to 0 <= ``last`` < ``_ROWS`` keep rows, for ``_HELD``."""
+    bracket, made once per row's index: reads to 0 <= ``last`` < ``_ROWS`` keep both for ``_HELD``,
+    a deeper read's values live with its reader, and with no rows the reader is ``_inv_psi_at``."""
     rows, values = _held.get(ladder := contfrac._ladder(cf)) or ((), {})
     if len(rows) <= last:
         r, _, q, q_next = rows[-1][:4] if rows else (-1, 0, 0, 1)  # q_{-1} = 0, q_0 = 1
         rows += tuple(itertools.islice(_walk(cf, r + 1, (0, 0, q_next, q)), last - r))
-    if not rows or last >= _ROWS:
+    if not rows:
         return rows, _inv_psi_at
-    if last >= 0:
+    if last >= _ROWS:
+        values = {}  # the reader's own, gone with it
+    elif last >= 0:
         _held.pop(ladder, None)  # to the end, the most recent
         _held[ladder] = rows, values
         for old in list(_held)[:-_HELD]:  # one copy and pops, so a concurrent caller never raises
@@ -226,15 +229,15 @@ def d_at(alpha: CFExpansion, beta: CFExpansion, t: int) -> DValue:
     return next(_d_steps(alpha, beta, t, t))[1]
 
 
-def _merged_brackets(alpha: CFExpansion, beta: CFExpansion,
+def _merged_brackets(walk_a: Iterable[Bracket], walk_b: Iterable[Bracket],
                      t: int) -> Iterator[tuple[int, Bracket, Bracket]]:
     """(t, alpha's bracket, beta's bracket) at t, then at each later denominator of either number.
 
-    The one merge of the two denominator sequences, each read off its own ``_brackets`` walk.
-    t ascends, and a number stepped at t exactly when the middle q of its bracket is t; one
-    that did not step holds the very same bracket object.
+    The one merge of the two denominator sequences, each read off its own walk of brackets from
+    r(t), ``_brackets`` or rows. t ascends, and a number stepped at t exactly when the middle q of
+    its bracket is t; one that did not step holds the very same bracket object.
     """
-    next_a, next_b = _brackets(alpha, t).__next__, _brackets(beta, t).__next__
+    next_a, next_b = iter(walk_a).__next__, iter(walk_b).__next__
     a, b = next_a(), next_b()
     while True:
         yield t, a, b
@@ -253,7 +256,7 @@ def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,
     held_a = held_b = inv_a = inv_b = None
     value_a, value_b = _table(alpha)[1], _table(beta)[1]
     new, init = object.__new__, DValue._init  # the generated constructor, with no type call
-    for t, a, b in _merged_brackets(alpha, beta, t_min):
+    for t, a, b in _merged_brackets(_brackets(alpha, t_min), _brackets(beta, t_min), t_min):
         if t > t_max:
             return
         if a is not held_a:
@@ -315,8 +318,8 @@ def merged_word(alpha: CFExpansion, beta: CFExpansion, count: int) -> MergedWord
     if count < 1:
         raise ValueError("count must be >= 1")
     check_pair(alpha, beta)
-    letters = []
-    for t, a, b in itertools.islice(_merged_brackets(alpha, beta, 1), count):
+    letters, merge = [], _merged_brackets(_brackets(alpha, 1), _brackets(beta, 1), 1)
+    for t, a, b in itertools.islice(merge, count):
         n = a[0] if a[2] == t else None
         s = b[0] if b[2] == t else None
         kind = "T" if n is None else "Q" if s is None else "B"

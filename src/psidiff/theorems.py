@@ -311,28 +311,25 @@ def scan_interleave_gap(
     Pattern a: q_{n-1} <= t_{m-1} < q_n < t_m with a_{n+1} >= 2, evaluated at
     t_{m-1} and q_n. Pattern b swaps the roles of the two numbers. Either way the
     two points are consecutive merged denominators, the first a denominator of the
-    number that does not step at the second, so one walk of the brackets, ``imf._merged_brackets``,
-    finds them all by their indices, evaluating nothing, until an index passes depth (past
-    min(q_depth, t_depth)). Only an occurrence with a quotient >= 2 is evaluated, each 1/psi
-    once per bracket, carried over to the next occurrence holding it: every value the scan
-    brackets through ``imf._bracketed`` is one its certificates hold. Each comparison is
-    ``exact._above`` on brackets: the gap inequality on the stepping number's, and the point
-    test |d| > bound/2 on d's two parts, both ways round; no decision reads ``cap_bits``.
+    number that does not step at the second, so merging the two numbers' rows from r(1)
+    (``imf._table``'s to index depth + 2, ``imf._merged_brackets``) finds them all by their
+    indices, evaluating nothing, until an index passes depth (past min(q_depth, t_depth)). Only
+    an occurrence with a quotient >= 2 is evaluated, each 1/psi once per index by the table's
+    reader, so every value the scan brackets (``imf._bracketed``) is one its certificates hold.
+    Each comparison is ``exact._above``: the gap inequality on the stepping number's brackets,
+    and the point test |d| > bound/2 on d's parts, both ways round; no decision reads ``cap_bits``.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    matches, held = [], [(None, None), (None, None)]  # alpha's, beta's bracket, bracketed 1/psi
-    values = imf._table(alpha)[1], imf._table(beta)[1]
+    matches, tables = [], (imf._table(alpha, depth + 2), imf._table(beta, depth + 2))
+    walks = (rows[rows[1][2] == 1:] for rows, _ in tables)  # from r(1): row 1 if q_1 = 1
 
     def d(t: int, a: imf.Bracket, b: imf.Bracket) -> GapPoint:
-        for number, bracket in enumerate((a, b)):
-            if held[number][0] is not bracket:
-                held[number] = bracket, imf._bracketed(t, bracket, values[number])
-        inv_b, inv_a = held[1][1], held[0][1]
+        inv_a, inv_b = imf._bracketed(t, a, tables[0][1]), imf._bracketed(t, b, tables[1][1])
         return DValue(inv_b[2], inv_a[2], a[0], b[0]), inv_b, inv_a
 
-    for (t0, a0, b0), (t1, a1, b1) in itertools.pairwise(imf._merged_brackets(alpha, beta, 1)):
+    for (t0, a0, b0), (t1, a1, b1) in itertools.pairwise(imf._merged_brackets(*walks, 1)):
         if a1[0] > depth or b1[0] > depth:
             break
         if b1 is b0 and t0 == b0[2] and b0[0] < depth:  # beta holds t_{m-1} = t0

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import mpmath
 
-from psidiff import CFExpansion, Interval, QuadExt
+from psidiff import CFExpansion, QuadExt
 
 DPS = 60  # roughly 200 bits
 
@@ -94,9 +94,12 @@ def mp_const(name: str, dps: int = DPS) -> mpmath.mpf:
     raise ValueError(name)
 
 
-def c_alt_enclosure(bits: int) -> Interval:
+def c_alt_enclosure(bits: int):  # a psidiff.Interval
     """The product form of C, K * (sqrt(tau) + tau**(-3/2)), in ``FractionInterval`` arithmetic
-    from an enclosure of sqrt(5) rounded out to 2**-bits."""
+    from an enclosure of sqrt(5) rounded out to 2**-bits. ``Interval`` is imported here, its one
+    use, so that loading this module does not need it."""
+    from psidiff import Interval
+
     t = (fraction_sqrt_interval(FractionInterval.point(5), bits) + 1) * Fraction(1, 2)
     st = fraction_sqrt_interval(t, bits)
     c = (st - 1) * (st + 1 / (t * st))

@@ -13,7 +13,7 @@ the default.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psidiff import (breakpoint_profile, contfrac, exact, imf, parse_number, scan_dichotomy,
@@ -84,8 +84,15 @@ def test_exact_order_runs_only_on_overlapping_brackets(monkeypatch, guard_bits, 
     assert all_exact == [(y[2], x[2]) for y, x, _, _ in orders]  # every pair ordered exactly
 
 
+ONES, TWOS = parse_number("cf:[0;(1)]"), parse_number("cf:[0;(2)]")  # a_1 = 1: q_0 = q_1 = 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(valid_pairs(), st.integers(0, 60), st.sampled_from((0, 1, 2, 8)))
+@example((ONES, TWOS), 0, 0)
+@example((TWOS, ONES), 0, 0)
+@example((ONES, TWOS), 1, 0)
+@example((TWOS, ONES), 1, 0)
 def test_lemma_scans_do_not_depend_on_the_bracket_scale(pair, depth, guard_bits):
     """At G = 0, 1, 2 and 8 the brackets overlap far more often than at the default, so the
     ``_cmp`` behind the merge's, the gap inequality's and the gap point's ``exact._above`` and

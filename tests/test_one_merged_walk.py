@@ -10,9 +10,8 @@ near-optimality regime floor (``theorems._regime_floor``, which ``verify-optimal
 also reads) and the CLI's step budget of ``profile`` and ``verify-optimal``, which reads
 each number's last index at both ends of the range before any walk. A walk far out costs
 its own entries, not every convergent below them. Reads by index take no lookup where the
-number's row table reaches their first index (the coincidence and dichotomy scans read from
-index 0); a single evaluation past the rows is the first step of a walk seeded by
-``_inv_xis``.
+number's row table reaches their first index (the four lemma scans read from index 0); a
+single evaluation past the rows is the first step of a walk seeded by ``_inv_xis``.
 
 Along the walk, 1/psi of a number is computed once per bracket it holds, not
 once per breakpoint: at a breakpoint where only the other number steps, its
@@ -56,9 +55,9 @@ def passes():
     }
 
 
-# ladder lookups per pass: one seed per number of a walk by bound, none for the conseq and
-# dichotomy scans, which read each number's row table by index, walked from index 0
-SEEDS = {"profile": 2, "word": 2, "witness": 2, "interleave_gap": 2, "dichotomy": 0,
+# ladder lookups per pass: one seed per number of a walk by bound, none for the four lemma
+# scans, which read each number's row table by index, walked from index 0
+SEEDS = {"profile": 2, "word": 2, "witness": 2, "interleave_gap": 0, "dichotomy": 0,
          "conseq": 0, "conseq1": 0}
 
 
@@ -227,7 +226,8 @@ def merge_of_walks(alpha, beta, t):
 def test_flat_merge_is_the_merge_of_two_walks(pair, t_min, steps):
     """Equal steps, each bracket that of the unseeded convergents and the tails, and a number
     that did not step holding the very same bracket, which ``_d_steps`` carries over by."""
-    merged = list(itertools.islice(imf._merged_brackets(*pair, t_min), steps))
+    walks = (imf._brackets(cf, t_min) for cf in pair)
+    merged = list(itertools.islice(imf._merged_brackets(*walks, t_min), steps))
     assert merged == list(itertools.islice(merge_of_walks(*pair, t_min), steps))
     for cf, column in zip(pair, (1, 2)):
         last = merged[-1][column][0]
@@ -263,10 +263,12 @@ def test_one_inv_psi_per_bracket(monkeypatch):
     assert set(calls) == want
 
 
-def test_interleave_scan_evaluates_only_what_its_certificates_hold(monkeypatch):
+@pytest.mark.parametrize("depth", [200, 300])
+def test_interleave_scan_evaluates_only_what_its_certificates_hold(monkeypatch, depth):
     """The interleave scan finds its patterns on the brackets' indices alone and computes 1/psi
     only for the occurrences it certifies: at most three values per certificate, each one that
-    a certificate's d_first or d_second holds, and none twice."""
+    a certificate's d_first or d_second holds, and none twice, also past ``imf._ROWS``, where
+    the scan keeps no rows after it."""
     tau = CFExpansion(1, (), (1,))
     sqrt2 = parse_number("surd:(0+sqrt(2))/1")
     real, calls = imf._inv_psi_at, []
@@ -276,8 +278,9 @@ def test_interleave_scan_evaluates_only_what_its_certificates_hold(monkeypatch):
         return real(t, bracket)
 
     monkeypatch.setattr(imf, "_inv_psi_at", counting)
-    certificates = scan_interleave_gap(sqrt2, tau, 200)
+    certificates = scan_interleave_gap(sqrt2, tau, depth)
     assert certificates
+    assert bool(imf._held) == (depth + 2 < imf._ROWS)
     assert len(calls) <= 3 * len(certificates)
     held = {key for c in certificates for d in (c.d_first, c.d_second)
             for key in ((d.inv_psi_alpha.D, d.alpha_index), (d.inv_psi_beta.D, d.beta_index))}

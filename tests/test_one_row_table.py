@@ -2,10 +2,10 @@
 
 ``imf._table`` keeps, for the few expansions read by index last and to at most
 ``imf._ROWS`` rows, the walk's brackets from index 0 and each 1/xi made once beside them by
-``imf._inv_psi_at``. The coincidence and dichotomy scans read it by index and extend it from
-its last row; the merged walks (the interleave scan, witness searches, the near-optimality
-check) are seeded by the ladder as before and take the values it holds. Outputs, errors
-included, do not depend on what the table holds.
+``imf._inv_psi_at``. The four lemma scans read it by index and extend it from its last row;
+the walks from t (profiles, witness searches, the near-optimality check) are seeded by the
+ladder as before and take the values it holds. Outputs, errors included, do not depend on
+what the table holds.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psidiff import (breakpoint_profile, construct_optimal, contfrac, convergent_distance, d_at,
@@ -26,10 +26,13 @@ from conftest import empty_table
 from test_convergent_source import valid_pairs
 
 SCANS = (scan_lemma_conseq, scan_lemma_conseq1, scan_interleave_gap, scan_dichotomy)
+ONES, TWOS = parse_number("cf:[0;(1)]"), parse_number("cf:[0;(2)]")  # a_1 = 1: q_0 = q_1 = 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(valid_pairs(), st.integers(0, 60))
+@example((ONES, TWOS), 0)
+@example((TWOS, ONES), 1)
 def test_each_value_is_made_once_per_number_and_index(pair, depth):
     """Across the four lemma scans of one pair, 1/psi of a number at an index is made once;
     the number is known by its ladder's tails, which every walk's brackets hold."""
@@ -118,8 +121,9 @@ def test_invalid_input_is_refused_with_or_without_rows():
 
 
 def test_a_deep_read_keeps_no_rows():
-    """A read by index to ``imf._ROWS`` or past it walks its rows and keeps none, so no table
-    holds more than ``imf._ROWS`` rows, whatever depth a call reached."""
+    """A read by index to ``imf._ROWS`` or past it walks its rows and keeps none, and no value
+    past the held rows, so no table holds more than ``imf._ROWS`` rows or values, whatever depth
+    a call reached."""
     sqrt2, sqrt3 = (parse_number(f"surd:(0+sqrt({d}))/1") for d in (2, 3))
     scan_lemma_conseq(sqrt2, sqrt3, 40)
     held = dict(imf._held)
@@ -127,6 +131,7 @@ def test_a_deep_read_keeps_no_rows():
         scan(sqrt2, sqrt3, imf._ROWS)
     assert imf._held == held
     assert max(len(rows) for rows, _ in imf._held.values()) == 42
+    assert all(max(values, default=0) < len(rows) for rows, values in imf._held.values())
 
 
 def test_threads_share_the_table_safely():
