@@ -13,26 +13,27 @@ identity on the tails' integers, with no field arithmetic, and builds the value 
 integers and two tails, and comes from ``_walk``, the one place here that steps the q
 recurrence: on the partial quotients and the ladder's tails together, both drawn from C
 iterators, with no record. Reads by index take the rows of ``_table``, the brackets from
-index 0 with each 1/xi made once beside them; walks from t, ``_brackets``, are seeded by one
-ladder lookup and take the values the rows hold. A single evaluation is the first step of
-such a walk: ``psi`` and ``inv_psi`` take the first bracket at t, ``d_at`` the first step of
-the merged walk, ``convergent_distance`` and ``check_dichotomy`` the rows at their index, or
-past them a walk seeded there. The dichotomy scan reads 1/xi_0 .. 1/xi_depth of each number
-off its rows, ``_inv_xis``, each ``_bracketed``: with integers lo < 2**GUARD_BITS/xi_n < lo
-+ q_n, by which its orders are decided. One merge, ``_merged_brackets``, steps each of two
+index 0 with each 1/xi made once beside them, through its reader, which brackets each
+(``_bracketed``) once per call. Walks from t, ``_brackets``, are seeded by one ladder lookup
+and read no rows. A single evaluation is the first step of such a walk: ``psi`` and
+``inv_psi`` take the first bracket at t, ``d_at`` the first step of the merged walk,
+``convergent_distance`` and ``check_dichotomy`` the rows at their index, or past them a walk
+seeded there. The dichotomy scan reads 1/xi_0 .. 1/xi_depth of each number, ``_inv_xis``,
+and decides its orders by their integers. One merge, ``_merged_brackets``, steps each of two
 walks of brackets only at its own denominators: the interleave scan merges the two numbers'
-rows from r(1) and brackets only the 1/psi its certificates hold, each once per index; passes
-over the breakpoints from t (profiles, merged words, witnesses, the near-optimality check)
-merge two ``_brackets`` walks. The merged word reads the brackets' indices; the other
-passes, through ``_d_steps``, compute one exact 1/psi per convergent, not per breakpoint: at
-a breakpoint where only one number steps, the other's value is carried over from the step
-before, and so are its guarded floor and its rendered string, which ``QuadExt`` keeps. d(t),
-in one field or two, renders and takes its sign from its parts' floors, read off their
-memos; ``exact._exceeds_c_times`` decides |d(t)| >= C*t by its ``abs_enclosure``.
+rows from r(1) and reads only the 1/psi its certificates hold; passes over the breakpoints
+from t (profiles, merged words, witnesses, the near-optimality check) merge two ``_brackets``
+walks. The merged word reads the brackets' indices; the other passes, through ``_d_steps``,
+compute one exact 1/psi per convergent, not per breakpoint: at a breakpoint where only one
+number steps, the other's value is carried over from the step before, and so are its guarded
+floor and its rendered string, which ``QuadExt`` keeps. d(t), in one field or two, renders
+and takes its sign from its parts' floors, read off their memos; ``exact._exceeds_c_times``
+decides |d(t)| >= C*t by its ``abs_enclosure``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -84,27 +85,26 @@ _ROWS = 256
 _held: dict[contfrac._Ladder, tuple] = {}  # by expansion, its rows and values; oldest first
 
 
-def _table(cf: CFExpansion, last: int = -1) -> tuple[tuple[Bracket, ...], Callable]:
-    """cf's rows (its walk's brackets from index 0, through ``last`` at least) and 1/psi of a
-    bracket, made once per row's index: reads to 0 <= ``last`` < ``_ROWS`` keep both for ``_HELD``,
-    a deeper read's values live with its reader, and with no rows the reader is ``_inv_psi_at``."""
+def _table(cf: CFExpansion, last: int) -> tuple[tuple[Bracket, ...], Callable]:
+    """cf's rows (its walk's brackets from index 0, through ``last`` at least) and a reader of row
+    i's ``exact.Bracketed`` (n, n + q_i, 1/xi_i), the integers made once per reader and the value
+    once per index, kept with the rows for ``_HELD`` if ``last`` < ``_ROWS``, else by the reader."""
     rows, values = _held.get(ladder := contfrac._ladder(cf)) or ((), {})
     if len(rows) <= last:
         r, _, q, q_next = rows[-1][:4] if rows else (-1, 0, 0, 1)  # q_{-1} = 0, q_0 = 1
         rows += tuple(itertools.islice(_walk(cf, r + 1, (0, 0, q_next, q)), last - r))
-    if not rows:
-        return rows, _inv_psi_at
     if last >= _ROWS:
         values = {}  # the reader's own, gone with it
-    elif last >= 0:
+    else:
         _held.pop(ladder, None)  # to the end, the most recent
         _held[ladder] = rows, values
         for old in list(_held)[:-_HELD]:  # one copy and pops, so a concurrent caller never raises
             _held.pop(old, None)
-    def value(t: int, bracket: Bracket) -> QuadExt:
-        inv = values.get(bracket[0]) or _inv_psi_at(t, bracket)
-        return values.setdefault(bracket[0], inv) if bracket[0] < len(rows) else inv
-    return rows, value
+    @functools.cache  # the reader's own brackets, gone with it
+    def read(i: int) -> exact.Bracketed:
+        inv = values.get(i) or values.setdefault(i, _inv_psi_at(rows[i][2], rows[i]))
+        return _bracketed(rows[i], inv)
+    return rows, read
 
 
 def _brackets(cf: CFExpansion, t: int) -> Iterator[Bracket]:
@@ -119,17 +119,17 @@ def _inv_xis(cf: CFExpansion, first: int, last: int) -> list[exact.Bracketed]:
     """``_bracketed`` 1/xi_n = q_n alpha_{n+1} + q_{n-1}, n = first .. last, of an irrational cf,
     off its rows if they reach ``first`` and may keep ``last``, else off one walk seeded there."""
     _require_irrational(cf)
-    held = 0 <= first <= len(_table(cf)[0]) and last < _ROWS
-    rows, value = _table(cf, last) if held else ((), _inv_psi_at)
-    walk = rows[first:] or _walk(cf, first, contfrac.convergent_state(cf, first))
-    return [_bracketed(b[2], b, value) for b in itertools.islice(walk, last - first + 1)]
+    if 0 <= first <= len(_held.get(contfrac._ladder(cf), ((),))[0]) and last < _ROWS:
+        return list(map(_table(cf, last)[1], range(first, last + 1)))
+    walk = _walk(cf, first, contfrac.convergent_state(cf, first))
+    return [_bracketed(b, _inv_psi_at(b[2], b)) for b in itertools.islice(walk, last - first + 1)]
 
 
-def _bracketed(t: int, bracket: Bracket, value: Callable) -> exact.Bracketed:
-    """(n, n + q_r, value(t, bracket)), n = ``exact._bracket(q_r, q_{r-1}, alpha_{r+1})``, so
-    that n < 2**GUARD_BITS/psi < n + q_r: the value and the integers the lemma scans order it by."""
+def _bracketed(bracket: Bracket, value: QuadExt) -> exact.Bracketed:
+    """(n, n + q_r, value), n = ``exact._bracket(q_r, q_{r-1}, alpha_{r+1})``, so that n <
+    2**GUARD_BITS*value < n + q_r for value = 1/psi: the integers the lemma scans order it by."""
     n = exact._bracket(bracket[2], bracket[1], bracket[4])
-    return n, n + bracket[2], value(t, bracket)
+    return n, n + bracket[2], value
 
 
 def psi(alpha: CFExpansion, t: int) -> PsiValue:
@@ -254,15 +254,14 @@ def _d_steps(alpha: CFExpansion, beta: CFExpansion, t_min: int,
     1/psi is then carried over; only a new bracket is evaluated and cross-checked.
     """
     held_a = held_b = inv_a = inv_b = None
-    value_a, value_b = _table(alpha)[1], _table(beta)[1]
     new, init = object.__new__, DValue._init  # the generated constructor, with no type call
     for t, a, b in _merged_brackets(_brackets(alpha, t_min), _brackets(beta, t_min), t_min):
         if t > t_max:
             return
         if a is not held_a:
-            held_a, inv_a = a, value_a(t, a)
+            held_a, inv_a = a, _inv_psi_at(t, a)
         if b is not held_b:
-            held_b, inv_b = b, value_b(t, b)
+            held_b, inv_b = b, _inv_psi_at(t, b)
         init(d := new(DValue), inv_b, inv_a, a[0], b[0])
         yield t, d
 

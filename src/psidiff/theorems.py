@@ -314,8 +314,8 @@ def scan_interleave_gap(
     number that does not step at the second, so merging the two numbers' rows from r(1)
     (``imf._table``'s to index depth + 2, ``imf._merged_brackets``) finds them all by their
     indices, evaluating nothing, until an index passes depth (past min(q_depth, t_depth)). Only
-    an occurrence with a quotient >= 2 is evaluated, each 1/psi once per index by the table's
-    reader, so every value the scan brackets (``imf._bracketed``) is one its certificates hold.
+    an occurrence with a quotient >= 2 is evaluated, each 1/psi and its bracket once per index by
+    the table's reader, so every value the scan brackets is one its certificates hold.
     Each comparison is ``exact._above``: the gap inequality on the stepping number's brackets,
     and the point test |d| > bound/2 on d's parts, both ways round; no decision reads ``cap_bits``.
     """
@@ -325,8 +325,8 @@ def scan_interleave_gap(
     matches, tables = [], (imf._table(alpha, depth + 2), imf._table(beta, depth + 2))
     walks = (rows[rows[1][2] == 1:] for rows, _ in tables)  # from r(1): row 1 if q_1 = 1
 
-    def d(t: int, a: imf.Bracket, b: imf.Bracket) -> GapPoint:
-        inv_a, inv_b = imf._bracketed(t, a, tables[0][1]), imf._bracketed(t, b, tables[1][1])
+    def d(a: imf.Bracket, b: imf.Bracket) -> GapPoint:
+        inv_a, inv_b = tables[0][1](a[0]), tables[1][1](b[0])
         return DValue(inv_b[2], inv_a[2], a[0], b[0]), inv_b, inv_a
 
     for (t0, a0, b0), (t1, a1, b1) in itertools.pairwise(imf._merged_brackets(*walks, 1)):
@@ -339,7 +339,7 @@ def scan_interleave_gap(
         else:
             continue
         if quotient >= 2:
-            matches.append((pattern, n, m, t0, t1, d(t0, a0, b0), d(t1, a1, b1), quotient))
+            matches.append((pattern, n, m, t0, t1, d(a0, b0), d(a1, b1), quotient))
     matches.sort(key=lambda match: match[0])  # stable: pattern a first, each in walk order
     return [_gap_certificate(*match) for match in matches]
 

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psidiff import (CFExpansion, QuadExt, breakpoint_profile, check_dichotomy, construct_optimal,
-                     contfrac, convergent_distance, d_at, find_witness, imf, inv_psi,
+                     contfrac, convergent_distance, d_at, exact, find_witness, imf, inv_psi,
                      merged_word, parse_number, psi, scan_dichotomy, scan_interleave_gap,
                      scan_lemma_conseq, scan_lemma_conseq1, theorems, verify_near_optimality)
 from psidiff.errors import FormMismatchError
@@ -263,15 +263,29 @@ def test_one_inv_psi_per_bracket(monkeypatch):
     assert set(calls) == want
 
 
+def count_brackets(monkeypatch, *numbers) -> list[tuple[int, int, int]]:
+    """The key of each ``exact._bracket`` call from now on: the number, known by its tail's id
+    (every walk's tails are its ladder's), and q_r, q_{r-1}, which fix the index r."""
+    number = {id(t): i for i, cf in enumerate(numbers) for t in contfrac._ladder(cf).tails}
+    real, calls = exact._bracket, []
+
+    def counting(q, q_prev, tail):
+        calls.append((number[id(tail)], q, q_prev))
+        return real(q, q_prev, tail)
+
+    monkeypatch.setattr(exact, "_bracket", counting)
+    return calls
+
+
 @pytest.mark.parametrize("depth", [200, 300])
 def test_interleave_scan_evaluates_only_what_its_certificates_hold(monkeypatch, depth):
     """The interleave scan finds its patterns on the brackets' indices alone and computes 1/psi
     only for the occurrences it certifies: at most three values per certificate, each one that
     a certificate's d_first or d_second holds, and none twice, also past ``imf._ROWS``, where
-    the scan keeps no rows after it."""
+    the scan keeps no rows after it. It brackets each value once, though two points share it."""
     tau = CFExpansion(1, (), (1,))
     sqrt2 = parse_number("surd:(0+sqrt(2))/1")
-    real, calls = imf._inv_psi_at, []
+    real, calls, brackets = imf._inv_psi_at, [], count_brackets(monkeypatch, sqrt2, tau)
 
     def counting(t, bracket):
         calls.append((bracket[4].D, bracket[0]))  # the number by its field, and r
@@ -286,17 +300,19 @@ def test_interleave_scan_evaluates_only_what_its_certificates_hold(monkeypatch, 
             for key in ((d.inv_psi_alpha.D, d.alpha_index), (d.inv_psi_beta.D, d.beta_index))}
     assert set(calls) <= held
     assert len(set(calls)) == len(calls)
+    assert len(set(brackets)) == len(brackets) == len(calls)
 
 
 def test_dichotomy_scan_evaluates_each_remainder_once(monkeypatch):
-    """The scan reads 1/xi_0 .. 1/xi_depth of each number once and never calls check_dichotomy.
+    """The scan reads 1/xi_0 .. 1/xi_depth of each number once, bracketing each once, and never
+    calls check_dichotomy.
 
     It also inverts each 1/xi_n at most once: records whose indices meet hold one xi object,
     so records[i].xi is records[j].xi_prev when records[j].n = records[i].n + 1.
     """
     tau = CFExpansion(1, (), (1,))
     sqrt2 = parse_number("surd:(0+sqrt(2))/1")
-    depth, real, calls = 200, imf._inv_psi_at, []
+    depth, real, calls, brackets = 200, imf._inv_psi_at, [], count_brackets(monkeypatch, tau, sqrt2)
 
     def counting(t, bracket):
         calls.append((bracket[4].D, bracket[0]))  # the number by its field, and n
@@ -313,6 +329,7 @@ def test_dichotomy_scan_evaluates_each_remainder_once(monkeypatch):
     assert records
     assert len(calls) <= 2 * (depth + 1)
     assert len(set(calls)) == len(calls)
+    assert len(set(brackets)) == len(brackets) == len(calls)
     assert len({id(x) for x in inverted}) == len(inverted)
     xis = {}
     for record in records:

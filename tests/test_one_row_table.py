@@ -1,11 +1,11 @@
-"""Each expansion has one table of convergent rows, read by every walk.
+"""Each expansion has one table of convergent rows, read by index.
 
 ``imf._table`` keeps, for the few expansions read by index last and to at most
 ``imf._ROWS`` rows, the walk's brackets from index 0 and each 1/xi made once beside them by
 ``imf._inv_psi_at``. The four lemma scans read it by index and extend it from its last row;
-the walks from t (profiles, witness searches, the near-optimality check) are seeded by the
-ladder as before and take the values it holds. Outputs, errors included, do not depend on
-what the table holds.
+the walks from t (profiles, merged words, witness searches, the near-optimality check) are
+seeded by the ladder and read no rows. Outputs, errors included, do not depend on what the
+table holds.
 """
 
 import itertools
@@ -18,9 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psidiff import (breakpoint_profile, construct_optimal, contfrac, convergent_distance, d_at,
-                     imf, inv_psi, parse_number, psi, scan_dichotomy, scan_interleave_gap,
-                     scan_lemma_conseq, scan_lemma_conseq1, verify_near_optimality)
+from psidiff import (CFExpansion, breakpoint_profile, construct_optimal, contfrac,
+                     convergent_distance, d_at, find_witness, imf, inv_psi, merged_word,
+                     parse_number, psi, scan_dichotomy, scan_interleave_gap, scan_lemma_conseq,
+                     scan_lemma_conseq1, verify_near_optimality)
 
 from conftest import empty_table
 from test_convergent_source import valid_pairs
@@ -62,12 +63,48 @@ def test_outputs_do_not_depend_on_the_table(pair, depth):
     assert warm == cold
 
 
+class Unreadable(dict):
+    """A row table on which any read or write raises."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a walk from t touched the row table")
+
+    get = pop = keys = values = items = __getitem__ = __setitem__ = _refuse
+    __contains__ = __iter__ = __len__ = _refuse
+
+
+def test_walks_from_t_read_no_rows():
+    """Each walk from t returns, with both numbers' rows and values filled by a scan and the
+    table made unreadable, what it returns on an empty table."""
+    sqrt2, tau = parse_number("surd:(0+sqrt(2))/1"), CFExpansion(1, (), (1,))
+    optimal = construct_optimal(Fraction(6, 100))
+    walks = [
+        ((sqrt2, tau), lambda: breakpoint_profile(sqrt2, tau, 1, 10**40)),
+        ((sqrt2, tau), lambda: find_witness(sqrt2, tau, 4, 10**6)),
+        ((sqrt2, tau), lambda: merged_word(sqrt2, tau, 60)),
+        ((sqrt2, tau), lambda: d_at(sqrt2, tau, 10**30)),
+        ((contfrac.TAU_CF, optimal.theta), lambda: verify_near_optimality(optimal, 10**6, 10**40)),
+    ]
+    for pair, walk in walks:
+        empty_table()
+        cold = walk()
+        scan_dichotomy(*pair, 200)  # every row and value to index 200, past 10**40
+        assert all(rows[-1][2] > 10**40 for rows, _ in imf._held.values())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(imf, "_held", Unreadable())
+            assert walk() == cold
+
+
 def test_near_optimality_does_not_depend_on_the_table():
+    """The near-optimality check neither reads the rows tau and theta hold nor adds to them."""
     pair = construct_optimal(Fraction(6, 100))
     cold = verify_near_optimality(pair, 10**6, 10**40)
-    scan_dichotomy(contfrac.TAU_CF, pair.theta, 120)  # tau and theta hold rows past 10**40
-    assert len(imf._held[contfrac._ladder(contfrac.TAU_CF)][0]) == 121
+    assert not imf._held
+    scan_lemma_conseq(contfrac.TAU_CF, pair.theta, 200)  # rows past 10**40, and no values
+    held = {ladder: (rows, dict(values)) for ladder, (rows, values) in imf._held.items()}
+    assert len(held) == 2 and all(rows[-1][2] > 10**40 for rows, _ in held.values())
     assert verify_near_optimality(pair, 10**6, 10**40) == cold
+    assert {ladder: (rows, dict(values)) for ladder, (rows, values) in imf._held.items()} == held
 
 
 def test_at_most_the_bound_hold_rows():
