@@ -20,7 +20,7 @@ _EXPORTS = {
     "numspec": ("parse_number", "parse_surd"),
     "theorems": ("DichotomyBranch", "GapCertificate", "NearOptimalityReport", "OptimalPair",
                  "Witness", "binet_fib", "check_dichotomy", "construct_optimal", "find_witness",
-                 "scan_dichotomy", "scan_interleave_gap", "scan_lemma_conseq",
+                 "lemma_scans", "scan_dichotomy", "scan_interleave_gap", "scan_lemma_conseq",
                  "scan_lemma_conseq1", "verify_near_optimality"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

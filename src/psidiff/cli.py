@@ -172,21 +172,15 @@ def cmd_word(args: argparse.Namespace) -> dict:
 def cmd_lemmas(args: argparse.Namespace) -> dict:
     from . import theorems
     alpha, beta = _parse(args.alpha, args.beta)
-    depth = args.max_depth
+    conseq, conseq1, gaps, records = theorems.lemma_scans(alpha, beta, args.max_depth)
     return {
         "alpha": args.alpha,
         "beta": args.beta,
-        "depth": depth,
-        "conseq": [list(pair) for pair in theorems.scan_lemma_conseq(alpha, beta, depth)],
-        "conseq1": [list(pair) for pair in theorems.scan_lemma_conseq1(alpha, beta, depth)],
-        "interleave_gap": [
-            cert.to_json(args.digits)
-            for cert in theorems.scan_interleave_gap(alpha, beta, depth)
-        ],
-        "dichotomy": [
-            record.to_json(args.digits)
-            for record in theorems.scan_dichotomy(alpha, beta, depth)
-        ],
+        "depth": args.max_depth,
+        "conseq": [list(pair) for pair in conseq],
+        "conseq1": [list(pair) for pair in conseq1],
+        "interleave_gap": [cert.to_json(args.digits) for cert in gaps],
+        "dichotomy": [record.to_json(args.digits) for record in records],
     }
 
 

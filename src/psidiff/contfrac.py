@@ -18,9 +18,9 @@ continued fractions (Gosper, HAKMEM item 101), extended only on demand. Both
 lookups are one greedy descent, ``_Ladder.seek``, keyed by index or by bound: it
 bisects the preperiod states, takes whole periods from the largest power of M down,
 and finishes with at most one period of single steps, O(log n) 2x2 products. The
-ladder stores no table of convergents (``imf._table`` keeps one, of at most ``imf._ROWS``
-rows, for the pair read by index last): past the preperiod it holds only the squared
-powers, whose sizes double, so its memory is O(bits of the largest q reached), about twice
+ladder stores no table of convergents (``imf._table`` builds one for the call that reads
+it by index): past the preperiod it holds only the squared powers, whose sizes double,
+so its memory is O(bits of the largest q reached), about twice
 the bits of the largest t queried.
 
 The ladder also holds every tail and the exact value, built from the period
@@ -298,7 +298,7 @@ def continuant(word: Sequence[int]) -> int:
     return _fold(word)[0]
 
 
-def _held_tail(cf: CFExpansion, r: int) -> tuple[tuple[QuadExt, ...], int]:
+def _ladder_tail(cf: CFExpansion, r: int) -> tuple[tuple[QuadExt, ...], int]:
     """The ladder's ``tails`` of a periodic expansion and the index in them of tail r >= 1."""
     if cf.is_rational:
         raise RationalInputError("tails are defined for irrational expansions only")
@@ -311,13 +311,13 @@ def _held_tail(cf: CFExpansion, r: int) -> tuple[tuple[QuadExt, ...], int]:
 def tails(cf: CFExpansion, start: int) -> Iterator[QuadExt]:
     """The exact tails [a_r; a_{r+1}, ...] of a periodic expansion for r = start, start+1, ...
     (start >= 1), read in order off the ladder's ``tails``, unrolling the period by C iterators."""
-    held, i = _held_tail(cf, start)
+    held, i = _ladder_tail(cf, start)
     return chain(held[i:], cycle(held[len(cf.preperiod):]))
 
 
 def tail(cf: CFExpansion, r: int) -> QuadExt:
     """Exact tail [a_r; a_{r+1}, ...] of a periodic expansion, r >= 1: one index into the ladder."""
-    held, i = _held_tail(cf, r)
+    held, i = _ladder_tail(cf, r)
     return held[i]
 
 

@@ -12,14 +12,14 @@ identity on the tails' integers, with no field arithmetic, and builds the value 
 ``exact._make``. Every bracket (r, q_{r-1}, q_r, q_{r+1}, alpha_{r+1}, alpha_{r+2}) is plain
 integers and two tails, and comes from ``_walk``, the one place here that steps the q
 recurrence: on the partial quotients and the ladder's tails together, both drawn from C
-iterators, with no record. Reads by index take the rows of ``_table``, the brackets from
-index 0 with each 1/xi made once beside them, through its reader, which brackets each
-(``_bracketed``) once per call. Walks from t, ``_brackets``, are seeded by one ladder lookup
-and read no rows. A single evaluation is the first step of such a walk: ``psi`` and
-``inv_psi`` take the first bracket at t, ``d_at`` the first step of the merged walk,
-``convergent_distance`` and ``check_dichotomy`` the rows at their index, or past them a walk
-seeded there. The dichotomy scan reads 1/xi_0 .. 1/xi_depth of each number, ``_inv_xis``,
-and decides its orders by their integers. One merge, ``_merged_brackets``, steps each of two
+iterators, with no record. The lemma scans read by index the rows of ``_table``, the brackets
+from index 0, through its reader, which makes each row's 1/xi and its bracket (``_bracketed``)
+once; rows and reader live as long as the call that builds them, and nothing here holds
+either between calls. Walks from t, ``_brackets``, are seeded by one ladder lookup. A single
+evaluation is the first step of such a walk: ``psi`` and ``inv_psi`` take the first bracket
+at t, ``d_at`` the first step of the merged walk, ``convergent_distance`` and
+``check_dichotomy`` the first steps of one seeded at their index, ``_inv_xis``. The dichotomy
+scan orders the 1/xi_n by their integers. One merge, ``_merged_brackets``, steps each of two
 walks of brackets only at its own denominators: the interleave scan merges the two numbers'
 rows from r(1) and reads only the 1/psi its certificates hold; passes over the breakpoints
 from t (profiles, merged words, witnesses, the near-optimality check) merge two ``_brackets``
@@ -78,32 +78,13 @@ def _walk(cf: CFExpansion, r: int, state: contfrac.State) -> Iterator[Bracket]:
         bracket = (bracket[0] + 1, q_prev, q, quotient() * q + q_prev, t, tail())
 
 
-_HELD = 2
-"""At most one pair: ``psidiff lemmas`` reads both numbers' rows in each of its four scans."""
-_ROWS = 256
-"""Rows kept at most: ``lemmas`` at its default ``--max-depth``, 200, reads to index 202."""
-_held: dict[contfrac._Ladder, tuple] = {}  # by expansion, its rows and values; oldest first
-
-
 def _table(cf: CFExpansion, last: int) -> tuple[tuple[Bracket, ...], Callable]:
-    """cf's rows (its walk's brackets from index 0, through ``last`` at least) and a reader of row
-    i's ``exact.Bracketed`` (n, n + q_i, 1/xi_i), the integers made once per reader and the value
-    once per index, kept with the rows for ``_HELD`` if ``last`` < ``_ROWS``, else by the reader."""
-    rows, values = _held.get(ladder := contfrac._ladder(cf)) or ((), {})
-    if len(rows) <= last:
-        r, _, q, q_next = rows[-1][:4] if rows else (-1, 0, 0, 1)  # q_{-1} = 0, q_0 = 1
-        rows += tuple(itertools.islice(_walk(cf, r + 1, (0, 0, q_next, q)), last - r))
-    if last >= _ROWS:
-        values = {}  # the reader's own, gone with it
-    else:
-        _held.pop(ladder, None)  # to the end, the most recent
-        _held[ladder] = rows, values
-        for old in list(_held)[:-_HELD]:  # one copy and pops, so a concurrent caller never raises
-            _held.pop(old, None)
-    @functools.cache  # the reader's own brackets, gone with it
+    """cf's rows, its walk's brackets from index 0 through ``last``, and a reader of row i's
+    ``exact.Bracketed`` (n, n + q_i, 1/xi_i), made once per index; both go with the caller."""
+    rows = tuple(itertools.islice(_walk(cf, 0, (0, 0, 1, 0)), last + 1))  # q_{-1} = 0, q_0 = 1
+    @functools.cache
     def read(i: int) -> exact.Bracketed:
-        inv = values.get(i) or values.setdefault(i, _inv_psi_at(rows[i][2], rows[i]))
-        return _bracketed(rows[i], inv)
+        return _bracketed(rows[i], _inv_psi_at(rows[i][2], rows[i]))
     return rows, read
 
 
@@ -117,10 +98,8 @@ def _brackets(cf: CFExpansion, t: int) -> Iterator[Bracket]:
 
 def _inv_xis(cf: CFExpansion, first: int, last: int) -> list[exact.Bracketed]:
     """``_bracketed`` 1/xi_n = q_n alpha_{n+1} + q_{n-1}, n = first .. last, of an irrational cf,
-    off its rows if they reach ``first`` and may keep ``last``, else off one walk seeded there."""
+    off one walk seeded at ``first``."""
     _require_irrational(cf)
-    if 0 <= first <= len(_held.get(contfrac._ladder(cf), ((),))[0]) and last < _ROWS:
-        return list(map(_table(cf, last)[1], range(first, last + 1)))
     walk = _walk(cf, first, contfrac.convergent_state(cf, first))
     return [_bracketed(b, _inv_psi_at(b[2], b)) for b in itertools.islice(walk, last - first + 1)]
 

@@ -105,14 +105,18 @@ def find_witness(
 # -- Lemma scans over denominator coincidences ---------------------------------
 
 
-def _coincidences(alpha: CFExpansion, beta: CFExpansion, depth: int, gap: int,
-                  shift: int) -> list[tuple[int, int]]:
-    """All (n, m), n, m <= depth, with (q_n, q_{n+gap}) = (t_{m+shift}, t_{m+shift+1}), sorted."""
+def _tables(alpha: CFExpansion, beta: CFExpansion, depth: int) -> tuple:
+    """Both numbers' ``imf._table`` to index depth + 2, the last a lemma scan reads, once the depth
+    and the pair are checked: what each scan takes, built by the one call that runs it."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    qs, ts = ([row[2] for row in imf._table(cf, n)[0][:n + 1]]
-              for cf, n in ((alpha, depth + gap), (beta, depth + shift + 1)))
+    return imf._table(alpha, depth + 2), imf._table(beta, depth + 2)
+
+
+def _coincidences(depth: int, gap: int, shift: int, tables: tuple) -> list[tuple[int, int]]:
+    """All (n, m), n, m <= depth, with (q_n, q_{n+gap}) = (t_{m+shift}, t_{m+shift+1}), sorted."""
+    qs, ts = ([row[2] for row in rows] for rows, _ in tables)
     by_pair: dict[tuple[int, int], list[int]] = {}
     for m in range(depth + 1):
         by_pair.setdefault((ts[m + shift], ts[m + shift + 1]), []).append(m)
@@ -121,12 +125,16 @@ def _coincidences(alpha: CFExpansion, beta: CFExpansion, depth: int, gap: int,
 
 def scan_lemma_conseq(alpha: CFExpansion, beta: CFExpansion, depth: int) -> list[tuple[int, int]]:
     """All (n, m) with (q_n, q_{n+1}) = (t_m, t_{m+1}) and n, m <= depth."""
-    return _coincidences(alpha, beta, depth, 1, 0)
+    return _coincidences(depth, 1, 0, _tables(alpha, beta, depth))
 
 
 def scan_lemma_conseq1(alpha: CFExpansion, beta: CFExpansion, depth: int) -> list[tuple[int, int]]:
     """All (n, m), n, m <= depth, with (q_n, q_{n+2}) = (t_{m+1}, t_{m+2}) and a_{n+2} = 1."""
-    return [(n, m) for n, m in _coincidences(alpha, beta, depth, 2, 1)
+    return _conseq1(alpha, depth, _tables(alpha, beta, depth))
+
+
+def _conseq1(alpha: CFExpansion, depth: int, tables: tuple) -> list[tuple[int, int]]:
+    return [(n, m) for n, m in _coincidences(depth, 2, 1, tables)
             if alpha.partial_quotient(n + 2) == 1]
 
 
@@ -186,7 +194,7 @@ def _branch(alpha: CFExpansion, n: int, inv_xi_prev: exact.Bracketed, inv_xi: ex
     It compares (1/eta_s)^2 with (1/xi_{n-1})*(1/xi_n), both positive, after checking
     the identity 1/xi_n = alpha_{n+1}/xi_{n-1} that turns the branches into that
     comparison: both in one ``exact._branch_sign`` on the three ``(n, hi, value)`` of
-    ``imf._inv_xis`` and the tail, in one field or across two, which decides the sign by the
+    ``imf._bracketed`` and the tail, in one field or across two, which decides the sign by the
     brackets, by ``exact._cmp`` only on a straddle, and reports a failed identity as None.
     """
     s = exact._branch_sign(inv_xi, inv_xi_prev, contfrac.tail(alpha, n + 1), inv_eta)
@@ -206,28 +214,30 @@ def scan_dichotomy(
 
     Both reciprocal remainder sequences are strictly increasing, so for each s
     there is at most one n with 1/eta_s strictly inside (1/xi_{n-1}, 1/xi_n); a
-    single merge pass over the two in-order lists finds them all. Both lists, 1/xi_n and
-    1/eta_s for indices 0 .. depth, each with its integer bracket at scale 2**GUARD_BITS,
-    come from ``imf._inv_xis``, one walk per number. Every order is one ``exact._above`` on
-    those brackets; no decision reads ``cap_bits``. Each record's branch is one
-    ``_branch``, and each xi_n is inverted once, into a list, for every record that holds it.
+    single merge pass over the two in-order sequences finds them all. Each 1/xi_n and
+    1/eta_s, with its integer bracket at scale 2**GUARD_BITS, is read from its number's row
+    table when the merge reaches it, so none past the merge's end is made. Every order is one
+    ``exact._above`` on those brackets; no decision reads ``cap_bits``. Each record's branch is
+    one ``_branch``, and each xi_n is inverted once, into a list, for every record that holds it.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    imf.check_pair(alpha, beta)
-    xis = imf._inv_xis(alpha, 0, depth)
+    return _dichotomy(alpha, depth, _tables(alpha, beta, depth))
+
+
+def _dichotomy(alpha: CFExpansion, depth: int, tables: tuple) -> list[DichotomyRecord]:
+    (_, xis), (_, etas) = tables
     xi: list[QuadExt | None] = [None] * (depth + 1)
     records, new, init = [], object.__new__, DichotomyRecord._init
     n = 1
-    for s, eta in enumerate(imf._inv_xis(beta, 0, depth)):
-        while n <= depth and not exact._above(xis[n], eta):
+    for s in range(depth + 1):
+        eta = etas(s)
+        while n <= depth and not exact._above(xis(n), eta):
             n += 1
         if n > depth:
             break
-        if exact._above(eta, xis[n - 1]):
-            branch = _branch(alpha, n, xis[n - 1], xis[n], eta)
+        if exact._above(eta, xis(n - 1)):
+            branch = _branch(alpha, n, xis(n - 1), xis(n), eta)
             for i in (n - 1, n):
-                xi[i] = xi[i] or xis[i][2].inverse()
+                xi[i] = xi[i] or xis(i)[2].inverse()
             init(record := new(DichotomyRecord), n, s, branch, xi[n - 1], xi[n], eta[2].inverse())
             records.append(record)
     return records
@@ -319,10 +329,12 @@ def scan_interleave_gap(
     Each comparison is ``exact._above``: the gap inequality on the stepping number's brackets,
     and the point test |d| > bound/2 on d's parts, both ways round; no decision reads ``cap_bits``.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    imf.check_pair(alpha, beta)
-    matches, tables = [], (imf._table(alpha, depth + 2), imf._table(beta, depth + 2))
+    return _interleave_gap(alpha, beta, depth, _tables(alpha, beta, depth))
+
+
+def _interleave_gap(alpha: CFExpansion, beta: CFExpansion, depth: int,
+                    tables: tuple) -> list[GapCertificate]:
+    matches = []
     walks = (rows[rows[1][2] == 1:] for rows, _ in tables)  # from r(1): row 1 if q_1 = 1
 
     def d(a: imf.Bracket, b: imf.Bracket) -> GapPoint:
@@ -342,6 +354,19 @@ def scan_interleave_gap(
             matches.append((pattern, n, m, t0, t1, d(a0, b0), d(a1, b1), quotient))
     matches.sort(key=lambda match: match[0])  # stable: pattern a first, each in walk order
     return [_gap_certificate(*match) for match in matches]
+
+
+# -- The four scans in one call --------------------------------------------------
+
+
+def lemma_scans(alpha: CFExpansion, beta: CFExpansion, depth: int) -> tuple[list, ...]:
+    """``scan_lemma_conseq``, ``scan_lemma_conseq1``, ``scan_interleave_gap`` and
+    ``scan_dichotomy`` of one pair at one depth, as ``psidiff lemmas`` prints them. The depth and
+    the pair are checked once and each number's row table is built once, so each 1/xi_n and its
+    bracket is made at most once across the four scans; the tables go when the call returns."""
+    tables = _tables(alpha, beta, depth)
+    return (_coincidences(depth, 1, 0, tables), _conseq1(alpha, depth, tables),
+            _interleave_gap(alpha, beta, depth, tables), _dichotomy(alpha, depth, tables))
 
 
 # -- Sharpness: the near-optimal companion of tau --------------------------------

@@ -78,7 +78,7 @@ COMMANDS = {
                             "--from", str(LONG_Q[685]), "--bound", str(LONG_Q[691]),
                             "--output", "csv", "--digits", "6"],
 }
-# past ``imf._ROWS`` the lemma scans read rows that only their reader keeps; the 4 MB output is
+# the deepest lemma output pinned here, its row tables read to index 302; the 4 MB output is
 # pinned by its length and SHA-256 rather than kept as a golden file
 DEEP_LEMMAS = ["lemmas", "--alpha", "surd:(0+sqrt(1000001))/1",
                "--beta", "surd:(0+sqrt(1000002))/1", "--max-depth", "300"]

@@ -9,9 +9,9 @@ here, and so does a ladder lookup from anywhere but the seeding helper ``_bracke
 near-optimality regime floor (``theorems._regime_floor``, which ``verify-optimal``'s budget
 also reads) and the CLI's step budget of ``profile`` and ``verify-optimal``, which reads
 each number's last index at both ends of the range before any walk. A walk far out costs
-its own entries, not every convergent below them. Reads by index take no lookup where the
-number's row table reaches their first index (the four lemma scans read from index 0); a
-single evaluation past the rows is the first step of a walk seeded by ``_inv_xis``.
+its own entries, not every convergent below them. The four lemma scans take no lookup: they
+read each number's row table, walked from index 0; a single evaluation by index is the first
+step of a walk seeded there by ``_inv_xis``.
 
 Along the walk, 1/psi of a number is computed once per bracket it holds, not
 once per breakpoint: at a breakpoint where only the other number steps, its
@@ -35,7 +35,6 @@ from psidiff import (CFExpansion, QuadExt, breakpoint_profile, check_dichotomy, 
                      scan_lemma_conseq, scan_lemma_conseq1, theorems, verify_near_optimality)
 from psidiff.errors import FormMismatchError
 
-from conftest import empty_table
 from test_convergent_source import valid_pairs
 
 LADDER = ("last_convergent_at_most", "convergent_state")
@@ -76,7 +75,7 @@ def count_ladder(monkeypatch) -> list:
 @pytest.mark.parametrize("name", sorted(passes()))
 def test_in_order_pass_needs_no_ladder(name, monkeypatch):
     """No lookup per step: at most one ladder lookup per number seeds the walk, on a first
-    pass and on one that finds the row tables the first pass left."""
+    pass and on a second one, which finds nothing the first left."""
     lookups = count_ladder(monkeypatch)
     want = passes()[name]()
     assert len(lookups) == SEEDS[name]
@@ -88,10 +87,9 @@ def test_in_order_pass_needs_no_ladder(name, monkeypatch):
 
 
 def test_single_evaluation_is_one_seeded_step(monkeypatch):
-    """An evaluation at t, or at an index past the row table, is the first step of a walk
-    seeded by one ladder lookup per number, and keeps no rows. Rows walked to that index from
-    index 0 draw one quotient each, for its q_{r+1}; the evaluation then reads them, with no
-    lookup and no quotient drawn."""
+    """An evaluation at t, or at an index, is the first step of a walk seeded by one ladder
+    lookup per number, and keeps nothing: by index it draws one quotient per value, for its
+    q_{r+1}, and a second evaluation draws as many again, with the same lookups."""
     tau = CFExpansion(1, (), (1,))
     sqrt2 = parse_number("surd:(0+sqrt(2))/1")
     alpha = CFExpansion(0, (1,) * 6, (1, 2))
@@ -114,25 +112,22 @@ def test_single_evaluation_is_one_seeded_step(monkeypatch):
             yield a
 
     monkeypatch.setattr(CFExpansion, "quotients", counting)
-    by_index = [
-        (lambda: convergent_distance(sqrt2, 40), {sqrt2: 40}),
-        (lambda: check_dichotomy(alpha, sqrt2, 7, 3), {alpha: 7, sqrt2: 3}),
+    by_index = [  # the numbers seeded, and the values each draws a quotient for
+        (lambda: convergent_distance(sqrt2, 40), {sqrt2: 1}),
+        (lambda: check_dichotomy(alpha, sqrt2, 7, 3), {alpha: 2, sqrt2: 1}),
     ]
-    for evaluate, last in by_index:
-        empty_table()
+    for evaluate, values in by_index:
         lookups.clear()
-        want = evaluate()
-        assert lookups == list(last)
-        assert not imf._held
         drawn.clear()
-        for cf, n in last.items():
-            imf._table(cf, n)
-        assert sorted(map(id, drawn)) == sorted(id(cf) for cf, n in last.items()
-                                                for _ in range(n + 1))
+        want = evaluate()
+        assert lookups == list(values)
+        assert sorted(map(id, drawn)) == sorted(id(cf) for cf, k in values.items()
+                                                for _ in range(k))
         lookups.clear()
         drawn.clear()
         assert evaluate() == want
-        assert lookups == drawn == []
+        assert lookups == list(values)
+        assert len(drawn) == sum(values.values())
 
 
 def ladder_references() -> list[str]:
@@ -281,8 +276,8 @@ def count_brackets(monkeypatch, *numbers) -> list[tuple[int, int, int]]:
 def test_interleave_scan_evaluates_only_what_its_certificates_hold(monkeypatch, depth):
     """The interleave scan finds its patterns on the brackets' indices alone and computes 1/psi
     only for the occurrences it certifies: at most three values per certificate, each one that
-    a certificate's d_first or d_second holds, and none twice, also past ``imf._ROWS``, where
-    the scan keeps no rows after it. It brackets each value once, though two points share it."""
+    a certificate's d_first or d_second holds, and none twice, at index 256 and past it as
+    below. It brackets each value once, though two points share it."""
     tau = CFExpansion(1, (), (1,))
     sqrt2 = parse_number("surd:(0+sqrt(2))/1")
     real, calls, brackets = imf._inv_psi_at, [], count_brackets(monkeypatch, sqrt2, tau)
@@ -294,7 +289,6 @@ def test_interleave_scan_evaluates_only_what_its_certificates_hold(monkeypatch, 
     monkeypatch.setattr(imf, "_inv_psi_at", counting)
     certificates = scan_interleave_gap(sqrt2, tau, depth)
     assert certificates
-    assert bool(imf._held) == (depth + 2 < imf._ROWS)
     assert len(calls) <= 3 * len(certificates)
     held = {key for c in certificates for d in (c.d_first, c.d_second)
             for key in ((d.inv_psi_alpha.D, d.alpha_index), (d.inv_psi_beta.D, d.beta_index))}
@@ -342,9 +336,7 @@ def corrupt_tail(monkeypatch, period, offset):
     """Shift by 1 every tail that starts at this offset of this period, so the closed forms
     disagree there. It corrupts the ladder's ``tails`` of every expansion with this period,
     which the walks' ``contfrac.tails`` and the single ``contfrac.tail`` both index, so both
-    see the corruption, also in a ladder built before the call. It empties the row table,
-    whose rows and values were made from the tails before the call."""
-    empty_table()
+    see the corruption, also in a ladder built before the call."""
     held = contfrac._Ladder.tails  # the slot
 
     def corrupted(ladder):
