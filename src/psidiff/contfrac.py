@@ -10,7 +10,7 @@ Every single step of a convergent state here is ``_step``: the in-order stream f
 ``convergent_stream``, accumulates it over ``quotients``, yielding (n, p_n, q_n) as plain
 ints; ``convergents`` wraps them in ``Convergent`` records, and ``construct_optimal`` reads
 theta's q off it. The one other q recurrence is ``imf._walk``, which starts anywhere: at
-index 0, on from the last row of ``imf``'s row table, or seeded by one ladder lookup
+index 0 for ``imf``'s row table, or seeded by one ladder lookup
 (``last_convergent_at_most`` by bound, ``convergent_state`` by index). The ladder, an
 expansion's one memo, is built on first use: the states ``(p_n, p_{n-1}, q_n, q_{n-1})``
 of the preperiod, and the squared period matrices ``M, M^2, M^4, ...`` of the 2x2 matrix view of
@@ -40,7 +40,7 @@ from functools import reduce
 from itertools import accumulate, chain, cycle, islice
 from typing import Callable, Iterator, Sequence
 
-from .errors import RationalInputError
+from .errors import MixedFieldError, RationalInputError
 from .exact import QuadExt, Record, _format_scaled
 
 
@@ -185,13 +185,13 @@ def _fold(word: Sequence[int]) -> State:
 class _Ladder:
     """Random-access convergent source of one expansion.
 
-    ``prefix[n]`` is the state at index n for n <= k = len(preperiod); past it,
-    the state at k + j*m + r is prefix[k] * M^j followed by r single steps,
-    where M is the period's matrix and M^j is assembled from ``powers[i] =
-    M^(2^i)``. ``powers`` only ever grows, by rebinding to a longer tuple, so
-    concurrent readers see a consistent prefix of it. ``tails[r - 1]`` is the
-    tail [a_r; a_{r+1}, ...] for 1 <= r <= k + len(period), and ``value`` the
-    expansion's value.
+    ``prefix[n]`` is the state at index n for n <= k = len(preperiod); past it, the state at
+    k + j*m + r is prefix[k] * M^j followed by r single steps, where M is the period's matrix
+    and M^j is assembled from ``powers[i] = M^(2^i)``. ``powers`` only ever grows, by rebinding
+    to a longer tuple, so concurrent readers see a consistent prefix of it. ``tails[r - 1]`` is
+    the tail [a_r; a_{r+1}, ...] for 1 <= r <= k + len(period), and ``value`` the expansion's
+    value, all over the radicand of the discriminant of the primitive form of M's fixed point,
+    which every GL2(Z)-equivalent number shares (Buchmann and Vollmer, Binary Quadratic Forms).
     """
 
     __slots__ = ("prefix", "period", "powers", "tails", "value")
@@ -208,9 +208,10 @@ class _Ladder:
             return
         p, p_prev, q, q_prev = m = _fold(cf.period)
         self.powers = (m,)
-        # omega = (p*omega + p_prev) / (q*omega + q_prev), the root above 1
-        omega = QuadExt(Fraction(p - q_prev, 2 * q), Fraction(1, 2 * q),
-                        (q_prev - p) ** 2 + 4 * q * p_prev)
+        # omega = (p*omega + p_prev) / (q*omega + q_prev) > 1; g makes its form primitive
+        g = math.gcd(q, q_prev - p, p_prev)
+        omega = QuadExt(Fraction(p - q_prev, 2 * q), Fraction(g, 2 * q),
+                        ((q_prev - p) ** 2 + 4 * q * p_prev) // (g * g))
         # the tails at r = k+1, k, ..., 1 backwards, and at r = k+1, ..., k+L forwards
         back = list(accumulate(reversed(cf.preperiod), lambda x, a: a + x.inverse(), initial=omega))
         forward = accumulate(cf.period[:-1], lambda x, a: (x - a).inverse(), initial=omega)
@@ -325,9 +326,7 @@ def is_nonintegral_sum_and_diff(x: QuadExt, y: QuadExt) -> bool:
     """True iff neither x+y nor x-y is an integer (both inputs irrational)."""
     if x.is_rational or y.is_rational:
         raise RationalInputError("both numbers must be irrational")
-    if x.D != y.D:
+    try:
+        return all(z.B or z.Q != 1 for z in (x + y, x - y))
+    except MixedFieldError:  # two fields: no sum or difference is rational
         return True
-    for combined in (x + y, x - y):
-        if combined.B == 0 and combined.Q == 1:
-            return False
-    return True

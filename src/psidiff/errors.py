@@ -8,7 +8,7 @@ class PsidiffError(Exception):
 
 
 class MixedFieldError(PsidiffError):
-    """Binary operation on quadratic-field elements with different radicands."""
+    """Binary operation on quadratic-field elements of two fields."""
 
     code = "mixed_field"
 

@@ -2,8 +2,8 @@
 
 Rationals are ``fractions.Fraction`` (always canonical: positive denominator,
 reduced). ``QuadExt`` is an element (A + B*sqrt(D))/Q of a real quadratic field,
-held as integers with Q > 0, gcd(A, B, Q) = 1 and D its field's one radicand in
-this process, found without factoring; all field operations are exact integer
+held as integers with Q > 0, gcd(A, B, Q) = 1 and D a radicand that the value's own
+source names, found without factoring; all field operations are exact integer
 arithmetic, and so is the one sign test per level: ``_sign`` of a + b*sqrt(D), and
 ``_sign2`` of a + b*sqrt(D) + s*sqrt(e + f*sqrt(D)), one squaring into ``_sign``. ``_cmp``,
 the sign of m*x - m*y - k for x, y of any two fields (``compare``, and a certificate order
@@ -50,17 +50,15 @@ Bracketed = tuple[int, int, "QuadExt"]  # (n, hi, x) with n < x*2**GUARD_BITS < 
 
 DEFAULT_CAP_BITS = 4096
 GUARD_BITS = 64  # extra bits of each rendered floor, which a difference of two values reads
-_COFACTORS: list[int] = []  # recorded cofactors; a field's first is its radicand
+_SQUAREFREE = 10**12  # a radicand below this is squarefree: its cofactor has at most two primes
 
 
 @lru_cache(maxsize=8192)
-def squarefree_decompose(n: int) -> tuple[RatLike, int]:
-    """Split n > 0 as s*s*f, f this process's radicand of Q(sqrt(n)); returns (s, f).
+def squarefree_decompose(n: int) -> tuple[int, int]:
+    """Split n > 0 as s*s*f, f the radicand of Q(sqrt(n)) that n itself names; returns (s, f).
 
-    Trial division below 1e4 leaves a cofactor c. Two radicands give one field
-    exactly when their product is a square, so c is a square, or joins the field
-    of the first recorded cofactor g with c*g a square (sqrt(c) = isqrt(c*g)/g *
-    sqrt(g), and s may be a Fraction), or is recorded as its field's radicand.
+    Trial division below 1e4 leaves a cofactor c, a square by one ``isqrt`` or else all in f.
+    Below ``_SQUAREFREE`` c is squarefree; past it, c may keep the square of a prime above 1e4.
     """
     if n <= 0:
         raise ValueError("positive integer required")
@@ -78,14 +76,7 @@ def squarefree_decompose(n: int) -> tuple[RatLike, int]:
             if e % 2:
                 f *= p
     r = math.isqrt(n)
-    if r * r == n:
-        return s * r, f
-    while True:  # scanning again after the append, racing threads agree on the first entry
-        for g in _COFACTORS:
-            r = math.isqrt(n * g)
-            if r * r == n * g:
-                return s * Fraction(r, g), f * g
-        _COFACTORS.append(n)
+    return (s * r, f) if r * r == n else (s, f * n)
 
 
 def _as_fraction(x: RatLike) -> Fraction:
@@ -143,17 +134,15 @@ class QuadExt:
     """Exact, immutable element (A + B*sqrt(D))/Q of Q(sqrt(D)) held as integers.
 
     Invariants: Q > 0, gcd(A, B, Q) = 1, and D not a square and a fixed point,
-    ``squarefree_decompose(D) == (1, D)``: the one radicand of its field in this
-    process. D is squarefree when the first cofactor of its field seen is below
-    1e12, which has at most two primes above 1e4; only that first radicand can
-    leave D the square of a prime above 1e4. A pickled element carries this
-    process's D. B == 0 means the element is rational; rationals interoperate with
-    any field. ``QuadExt(a, b, D)`` takes rationals a, b and reduces the radicand,
-    the one place that does: QuadExt(0, 1, 8) becomes 0 + 2*sqrt(2). Arithmetic
-    builds its results from integers in the operands' field. The slot ``_memo`` holds
-    (m, floor(m*x)) of the last ``_scaled_floor``, and ``_texts`` (str(x), digits, decimal)
-    with the ``str`` and the last ``render_decimal`` made, None where not made yet. Both are
-    outside ==, hash, repr, pickling and copying; ``_make`` clears them.
+    ``squarefree_decompose(D) == (1, D)``, read off the value's source alone. Past ``_SQUAREFREE``
+    one field can have two such D: arithmetic writes the right operand over the left one's
+    (``_join``), == compares the two by ``_cmp``, and the hash reads a and b*|b|*D, the same over
+    both. B == 0 means the element is rational; rationals interoperate with any field.
+    ``QuadExt(a, b, D)`` takes rationals a, b and reduces the radicand, the one place that does:
+    QuadExt(0, 1, 8) becomes 0 + 2*sqrt(2). The slot ``_memo`` holds (m, floor(m*x)) of the last
+    ``_scaled_floor``, and ``_texts`` (str(x), digits, decimal) with the ``str`` and the last
+    ``render_decimal`` made, None where not made yet. Both are outside ==, hash, repr, pickling
+    and copying; ``_make`` clears them.
     """
 
     __slots__ = ("A", "B", "Q", "D", "_memo", "_texts")
@@ -187,23 +176,16 @@ class QuadExt:
     def is_rational(self) -> bool:
         return self.B == 0
 
-    def _join(self, other: QuadExt | RatLike) -> tuple[int, int, int, int]:
-        """(A, B, Q) of other and the D of the field it shares with self."""
-        A, B, Q, D = _parts(other)
-        if B and self.B and D != self.D:
-            raise MixedFieldError(f"cannot combine sqrt({self.D}) with sqrt({D})")
-        return A, B, Q, D if B else self.D
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: QuadExt | RatLike) -> "QuadExt":
-        A, B, Q, D = self._join(other)
+        A, B, Q, D = _join(self.B, self.D, other)
         return _make(self.A * Q + A * self.Q, self.B * Q + B * self.Q, self.Q * Q, D)
 
     __radd__ = __add__
 
     def __sub__(self, other: QuadExt | RatLike) -> "QuadExt":
-        A, B, Q, D = self._join(other)
+        A, B, Q, D = _join(self.B, self.D, other)
         return _make(self.A * Q - A * self.Q, self.B * Q - B * self.Q, self.Q * Q, D)
 
     def __rsub__(self, other: QuadExt | RatLike) -> "QuadExt":
@@ -225,7 +207,7 @@ class QuadExt:
         return _make(self.Q * self.A, -self.Q * self.B, n, self.D)
 
     def __truediv__(self, other: QuadExt | RatLike) -> "QuadExt":
-        return self * _make(*self._join(other)).inverse()
+        return self * _make(*_join(self.B, self.D, other)).inverse()
 
     def __rtruediv__(self, other: QuadExt | RatLike) -> "QuadExt":
         return self.inverse() * other
@@ -245,16 +227,16 @@ class QuadExt:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadExt):
-            return (self.A == other.A and self.B == other.B and self.Q == other.Q
-                    and (self.B == 0 or self.D == other.D))
+            if self.B and other.B and self.D != other.D:  # two radicands: one field or two
+                return _cmp(self, other) == 0
+            return self.A == other.A and self.B == other.B and self.Q == other.Q
         if isinstance(other, (int, Fraction)):
             return self.B == 0 and self.A == other.numerator and self.Q == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.B == 0:
-            return hash(self.a)
-        return hash((self.A, self.B, self.Q, self.D))
+        b2D = Fraction(self.B * abs(self.B) * self.D, self.Q * self.Q)  # b*|b|*D
+        return hash((self.a, b2D) if self.B else self.a)
 
     def __lt__(self, other: QuadExt | RatLike) -> bool:
         return _cmp(self, other) < 0
@@ -402,19 +384,37 @@ def _parts(x: QuadExt | RatLike) -> Parts:
     raise TypeError(f"expected int, Fraction or QuadExt, got {type(x).__name__}")
 
 
+def _over(A: int, B: int, Q: int, D: int, D0: int) -> Parts | None:
+    """(A + B*sqrt(D))/Q over the radicand D0, unreduced, or None if irrational in another field:
+    the field test, sqrt(D) = (r/D0)*sqrt(D0) if D*D0 = r*r, never for two D below _SQUAREFREE."""
+    if D == D0 or not B:
+        return A, B, Q, D0
+    r = math.isqrt(D * D0) if max(D, D0) >= _SQUAREFREE else 0  # else two squarefree: two fields
+    return (A * D0, B * r, Q * D0, D0) if r * r == D * D0 else None
+
+
+def _join(B: int, D: int, y: QuadExt | RatLike) -> Parts:
+    """y's parts over D, the radicand of a value whose irrational part is B, or over y's own when
+    B is 0 and y lies in another field; else a ``MixedFieldError``."""
+    parts = _parts(y)
+    joined = _over(*parts, D) or (None if B else parts)
+    if joined is None:
+        raise MixedFieldError(f"cannot combine sqrt({D}) with sqrt({parts[3]})")
+    return joined
+
+
 def _product(x: QuadExt | RatLike, y: QuadExt | RatLike) -> Parts:
     """(A, B, Q, D) of x*y for x and y of one field, or either rational, not reduced."""
-    (A, B, Q, D), (E, F, R, Dy) = _parts(x), _parts(y)
-    if B and F and D != Dy:
-        raise MixedFieldError(f"cannot combine sqrt({D}) with sqrt({Dy})")
-    return A * E + B * F * D, A * F + B * E, Q * R, D if B or not F else Dy
+    A, B, Q, D = _parts(x)
+    E, F, R, D = _join(B, D, y)
+    return A * E + B * F * D, A * F + B * E, Q * R, D
 
 
 def _cmp(x: QuadExt | RatLike, y: QuadExt | RatLike, m: int = 1, k: int = 0) -> int:
     """Exact sign of m*x - m*y - k for x, y rationals or elements of any two fields, an integer
     m >= 1 and an integer k. Times Qx*Qy it is a + b*sqrt(Dx) - c*sqrt(Dy): one
-    ``_sign`` when a root is absent or the fields agree, else one ``_sign2``, with w = c*c*Dy,
-    never 0, as sqrt(Dy) is not in Q(sqrt(Dx)). It builds no ``QuadExt``."""
+    ``_sign`` when a root is absent or the radicands agree, else one ``_sign2``, with w = c*c*Dy,
+    exact for one field with two radicands too. It builds no ``QuadExt``."""
     (A, B, Q, D), (E, F, R, Dy) = _parts(x), _parts(y)
     a, b, c = m * (A * R - E * Q) - k * Q * R, m * B * R, m * F * Q
     if not c or D == Dy:
@@ -474,7 +474,7 @@ def _max_ratio(steps: Iterable[tuple[int, QuadExt, QuadExt]]) -> tuple[QuadExt, 
 
 
 def _make(A: int, B: int, Q: int, D: int) -> QuadExt:
-    """(A + B*sqrt(D))/Q reduced to the invariants; Q != 0 and D already its field's radicand."""
+    """(A + B*sqrt(D))/Q reduced to the invariants; Q != 0 and D already a reduced radicand."""
     # Q first: it is often far smaller than A and B (q_r * tail at t = 10**30000),
     # and math.gcd skips the remaining arguments once the result is 1
     g = math.gcd(Q, A, B) if Q > 0 else -math.gcd(Q, A, B)

@@ -197,7 +197,7 @@ class DValue(Record):
         """d correctly rounded to ``digits`` places: irrational from its scaled floor, and
         rational (one field, equal irrational parts) from the difference, ties to even."""
         b, a = self.inv_psi_beta, self.inv_psi_alpha
-        if (b.B == 0 or b.D == a.D) and b.B * a.Q == a.B * b.Q:
+        if (over := exact._over(a.A, a.B, a.Q, a.D, b.D)) and b.B * over[2] == over[1] * b.Q:
             return render_decimal(b - a, digits)
         return exact._format_scaled((self._scaled_floor(2 * 10**digits) + 1) // 2, digits)
 

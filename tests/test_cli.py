@@ -36,8 +36,8 @@ def run_json(capsys, *argv):
 
 
 def fresh(*argv, timeout=60) -> subprocess.CompletedProcess:
-    """``python -m psidiff.cli`` run in a fresh interpreter, whose first radicands are this
-    call's; a hang fails after ``timeout`` seconds instead of stalling the suite."""
+    """``python -m psidiff.cli`` run in a fresh interpreter, which holds no state from this
+    process; a hang fails after ``timeout`` seconds instead of stalling the suite."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
@@ -664,7 +664,7 @@ class TestLargeRadicands:
     @pytest.mark.parametrize("first", ["alpha", "beta"])
     def test_square_of_a_large_prime_keeps_the_field(self, first):
         # 109758411554087 = 104729^2 * 10007, so alpha = sqrt(10007) and beta - alpha = 1,
-        # whichever radicand is seen first
+        # in either order
         alpha, beta = "surd:(0+sqrt(109758411554087))/104729", "surd:(1+sqrt(10007))/1"
         pair = (alpha, beta) if first == "alpha" else (beta, alpha)
         code, payload = run_fresh("profile", "--alpha", pair[0], "--beta", pair[1])

@@ -107,17 +107,36 @@ class TestSquarefree:
                              ids=["product_first", "cofactor_first"])
     def test_square_of_a_large_prime_keeps_the_field(self, p, q, product_first):
         # sqrt(p*p*q) = p*sqrt(q) with p past the trial-division table, so nothing factors
-        # p*p*q: the first radicand seen fixes the field's D. Tests share one process, so
-        # each order uses primes no other test does.
+        # p*p*q: the field has two radicands, and each value keeps the one its source named,
+        # in either order of construction
         build = [lambda: QuadExt(0, 1, p * p * q), lambda: p * QuadExt(0, 1, q)]
         x, y = (make() for make in (build if product_first else build[::-1]))
-        assert x == y and hash(x) == hash(y) and x.compare(y) == y.compare(x) == 0
-        assert x.D == y.D == (p * p * q if product_first else q)
-        assert squarefree_decompose(x.D) == (1, x.D)
-        assert squarefree_decompose(q) == ((Fraction(1, p), p * p * q) if product_first else (1, q))
+        x, y = (x, y) if product_first else (y, x)
+        assert x == y and y == x and hash(x) == hash(y) and x.compare(y) == y.compare(x) == 0
+        assert (x.D, y.D) == (p * p * q, q)
+        assert squarefree_decompose(x.D) == (1, x.D) and squarefree_decompose(q) == (1, q)
         assert (x - p * QuadExt(0, 1, q)).is_rational and x * x == p * p * q
-        # the printed surd keeps the square under the root when p*p*q came first
-        assert str(QuadExt(1, 1, q)) == (f"1+1/{p}√{p * p * q}" if product_first else f"1+1√{q}")
+        assert (p * QuadExt(0, 1, q) - x).is_rational and x * y == p * p * q
+        assert str(QuadExt(1, 1, q)) == f"1+1√{q}"
+
+    def test_surds_of_one_rational_part_hash_apart(self):
+        # the hash reads b*|b|*D beside a, the same over each radicand of a field, so a set of
+        # surds with one rational part is no chain of ``_cmp`` calls
+        roots = [QuadExt(0, 1, n) for n in (2, 3, 5, 6, 7, 10, 11, 13, 10007, 10009)]
+        assert len({hash(x) for x in roots}) == len(roots)
+        assert hash(QuadExt(0, -1, 2)) != hash(QuadExt(0, 1, 2))
+
+    @pytest.mark.parametrize("fields", [1, 300])
+    def test_a_new_radicand_takes_one_isqrt(self, fields, monkeypatch):
+        # a radicand reads no other field's, so the N fields made before cost nothing; primes
+        # of a range no other test reaches, one range per N, so that none is cached yet
+        low = 700_001 + 20_000 * (fields > 1)
+        primes = [p for p in range(low, low + 20_000, 2) if all(p % d for d in range(3, 900, 2))]
+        for p in primes[:fields]:
+            QuadExt(0, 1, p)
+        calls, isqrt = [], math.isqrt
+        monkeypatch.setattr(math, "isqrt", lambda n: calls.append(n) or isqrt(n))
+        assert QuadExt(0, 1, primes[fields]).D == primes[fields] and len(calls) == 1
 
 
 class TestIntervals:

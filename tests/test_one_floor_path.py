@@ -8,7 +8,8 @@ fixed-point root up to ``exact._ROOT_BITS`` and one ``isqrt`` past it, and equal
 test only when the guard bits straddle an integer. Here that branch is forced, with
 m*x within 2^-199 above and below an integer, and each floor is held against mpmath.
 The guards read the package's source: only these kernels, the root cache ``_root``,
-``squarefree_decompose`` and ``expand_quadratic`` take an ``isqrt``, and only ``exact`` reads ``GUARD_BITS``.
+``squarefree_decompose``, the field test ``_over`` and ``expand_quadratic`` take an ``isqrt``, and
+only ``exact`` reads ``GUARD_BITS``.
 """
 
 import math
@@ -176,7 +177,7 @@ SOURCES = sorted(pathlib.Path(psidiff.__file__).parent.glob("*.py"))
 def test_isqrt_only_in_the_kernels():
     assert set(uses_in_package("isqrt")) == {
         "exact.py in _floor", "exact.py in _root", "exact.py in Root._leaves",
-        "exact.py in squarefree_decompose", "contfrac.py in expand_quadratic"}
+        "exact.py in squarefree_decompose", "exact.py in _over", "contfrac.py in expand_quadratic"}
 
 
 def test_guard_bits_read_only_inside_exact():
