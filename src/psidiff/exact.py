@@ -137,7 +137,8 @@ class QuadExt:
     ``squarefree_decompose(D) == (1, D)``, read off the value's source alone. Past ``_SQUAREFREE``
     one field can have two such D: arithmetic writes the right operand over the left one's
     (``_join``), == compares the two by ``_cmp``, and the hash reads a and b*|b|*D, the same over
-    both. B == 0 means the element is rational; rationals interoperate with any field.
+    both, as reduced integer pairs, with no ``Fraction``; a rational hashes like its ``Fraction``.
+    B == 0 means the element is rational; rationals interoperate with any field.
     ``QuadExt(a, b, D)`` takes rationals a, b and reduces the radicand, the one place that does:
     QuadExt(0, 1, 8) becomes 0 + 2*sqrt(2). The slot ``_memo`` holds (m, floor(m*x)) of the last
     ``_scaled_floor``, and ``_texts`` (str(x), digits, decimal) with the ``str`` and the last
@@ -234,9 +235,10 @@ class QuadExt:
             return self.B == 0 and self.A == other.numerator and self.Q == other.denominator
         return NotImplemented
 
-    def __hash__(self) -> int:
-        b2D = Fraction(self.B * abs(self.B) * self.D, self.Q * self.Q)  # b*|b|*D
-        return hash((self.a, b2D) if self.B else self.a)
+    def __hash__(self) -> int:  # a = A/Q and b*|b|*D = N/M reduced, or a rational's own hash
+        A, Q, N, M = self.A, self.Q, self.B * abs(self.B) * self.D, self.Q * self.Q
+        g, h = math.gcd(A, Q), math.gcd(N, M)
+        return hash((A // g, Q // g, N // h, M // h) if N else self.a)
 
     def __lt__(self, other: QuadExt | RatLike) -> bool:
         return _cmp(self, other) < 0
@@ -386,10 +388,12 @@ def _parts(x: QuadExt | RatLike) -> Parts:
 
 def _over(A: int, B: int, Q: int, D: int, D0: int) -> Parts | None:
     """(A + B*sqrt(D))/Q over the radicand D0, unreduced, or None if irrational in another field:
-    the field test, sqrt(D) = (r/D0)*sqrt(D0) if D*D0 = r*r, never for two D below _SQUAREFREE."""
+    the field test, sqrt(D) = (r/D0)*sqrt(D0) if D*D0 = r*r. Below _SQUAREFREE radicands are
+    squarefree: two name two fields, and one names a larger one's only if it divides it."""
     if D == D0 or not B:
         return A, B, Q, D0
-    r = math.isqrt(D * D0) if max(D, D0) >= _SQUAREFREE else 0  # else two squarefree: two fields
+    lo, hi = sorted((D, D0))
+    r = math.isqrt(D * D0) if hi >= _SQUAREFREE and (lo >= _SQUAREFREE or not hi % lo) else 0
     return (A * D0, B * r, Q * D0, D0) if r * r == D * D0 else None
 
 

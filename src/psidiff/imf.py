@@ -12,16 +12,17 @@ identity on the tails' integers, with no field arithmetic, and builds the value 
 ``exact._make``. Every bracket (r, q_{r-1}, q_r, q_{r+1}, alpha_{r+1}, alpha_{r+2}) is plain
 integers and two tails, and comes from ``_walk``, the one place here that steps the q
 recurrence: on the partial quotients and the ladder's tails together, both drawn from C
-iterators, with no record. The lemma scans read by index the rows of ``_table``, the brackets
-from index 0, through its reader, which makes each row's 1/xi and its bracket (``_bracketed``)
-once; rows and reader live as long as the call that builds them, and nothing here holds
-either between calls. Walks from t, ``_brackets``, are seeded by one ladder lookup. A single
-evaluation is the first step of such a walk: ``psi`` and ``inv_psi`` take the first bracket
-at t, ``d_at`` the first step of the merged walk, ``convergent_distance`` and
-``check_dichotomy`` the first steps of one seeded at their index, ``_inv_xis``. The dichotomy
-scan orders the 1/xi_n by their integers. One merge, ``_merged_brackets``, steps each of two
-walks of brackets only at its own denominators: the interleave scan merges the two numbers'
-rows from r(1) and reads only the 1/psi its certificates hold; passes over the breakpoints
+iterators, with no record. Every read by index comes from one ``_table``: its rows are the
+brackets of one walk seeded by one ladder lookup at its first index, and its reader makes
+each row's 1/xi and integer bracket once. The lemma scans read tables from index 0,
+``convergent_distance`` one row at its index, and ``check_dichotomy`` rows n - 1, n and s,
+taking alpha_{n+1} off row n's tail; rows and reader live as long as the call that builds
+them, and nothing here holds either between calls. Walks from t, ``_brackets``, are seeded by
+one ladder lookup too, and a single evaluation at t is the first step of such a walk: ``psi``
+and ``inv_psi`` take the first bracket at t, ``d_at`` the first step of the merged walk. The
+dichotomy scan orders the 1/xi_n by their integers. One merge, ``_merged_brackets``, steps
+each of two walks of brackets only at its own denominators: the interleave scan merges the two
+numbers' rows from r(1) and reads only the 1/psi its certificates hold; passes over the breakpoints
 from t (profiles, merged words, witnesses, the near-optimality check) merge two ``_brackets``
 walks. The merged word reads the brackets' indices; the other passes, through ``_d_steps``,
 compute one exact 1/psi per convergent, not per breakpoint: at a breakpoint where only one
@@ -78,13 +79,19 @@ def _walk(cf: CFExpansion, r: int, state: contfrac.State) -> Iterator[Bracket]:
         bracket = (bracket[0] + 1, q_prev, q, quotient() * q + q_prev, t, tail())
 
 
-def _table(cf: CFExpansion, last: int) -> tuple[tuple[Bracket, ...], Callable]:
-    """cf's rows, its walk's brackets from index 0 through ``last``, and a reader of row i's
-    ``exact.Bracketed`` (n, n + q_i, 1/xi_i), made once per index; both go with the caller."""
-    rows = tuple(itertools.islice(_walk(cf, 0, (0, 0, 1, 0)), last + 1))  # q_{-1} = 0, q_0 = 1
+def _table(cf: CFExpansion, first: int, last: int) -> tuple[tuple[Bracket, ...], Callable]:
+    """Rows ``first`` .. ``last`` of an irrational cf, the brackets of one walk seeded at ``first``,
+    and a reader of row i's ``exact.Bracketed`` (n, n + q_i, 1/xi_i), n = ``exact._bracket(q_i,
+    q_{i-1}, alpha_{i+1})``, so that n < 2**GUARD_BITS/xi_i < n + q_i: the integers the lemma
+    scans order 1/xi_i by. The reader makes each once per index; both go with the caller."""
+    _require_irrational(cf)
+    walk = _walk(cf, first, contfrac.convergent_state(cf, first))
+    rows = tuple(itertools.islice(walk, last - first + 1))
     @functools.cache
     def read(i: int) -> exact.Bracketed:
-        return _bracketed(rows[i], _inv_psi_at(rows[i][2], rows[i]))
+        row = rows[i - first]
+        value, n = _inv_psi_at(row[2], row), exact._bracket(row[2], row[1], row[4])
+        return n, n + row[2], value
     return rows, read
 
 
@@ -94,21 +101,6 @@ def _brackets(cf: CFExpansion, t: int) -> Iterator[Bracket]:
     Past r(t) the q_r increase strictly: of q_0 = q_1 = 1, r(t) is already the last.
     """
     return _walk(cf, *contfrac.last_convergent_at_most(cf, t))
-
-
-def _inv_xis(cf: CFExpansion, first: int, last: int) -> list[exact.Bracketed]:
-    """``_bracketed`` 1/xi_n = q_n alpha_{n+1} + q_{n-1}, n = first .. last, of an irrational cf,
-    off one walk seeded at ``first``."""
-    _require_irrational(cf)
-    walk = _walk(cf, first, contfrac.convergent_state(cf, first))
-    return [_bracketed(b, _inv_psi_at(b[2], b)) for b in itertools.islice(walk, last - first + 1)]
-
-
-def _bracketed(bracket: Bracket, value: QuadExt) -> exact.Bracketed:
-    """(n, n + q_r, value), n = ``exact._bracket(q_r, q_{r-1}, alpha_{r+1})``, so that n <
-    2**GUARD_BITS*value < n + q_r for value = 1/psi: the integers the lemma scans order it by."""
-    n = exact._bracket(bracket[2], bracket[1], bracket[4])
-    return n, n + bracket[2], value
 
 
 def psi(alpha: CFExpansion, t: int) -> PsiValue:
@@ -126,7 +118,7 @@ def convergent_distance(alpha: CFExpansion, n: int) -> QuadExt:
     nearest integer to alpha is then p_1, not p_0), and it is this remainder
     that satisfies xi_{n-1}/xi_n = alpha_{n+1} and the reciprocal identities.
     """
-    return _inv_xis(alpha, n, n)[0][2].inverse()
+    return _table(alpha, n, n)[1](n)[2].inverse()
 
 
 def inv_psi(alpha: CFExpansion, t: int) -> QuadExt:

@@ -106,12 +106,12 @@ def find_witness(
 
 
 def _tables(alpha: CFExpansion, beta: CFExpansion, depth: int) -> tuple:
-    """Both numbers' ``imf._table`` to index depth + 2, the last a lemma scan reads, once the depth
-    and the pair are checked: what each scan takes, built by the one call that runs it."""
+    """Both numbers' ``imf._table`` from index 0 to depth + 2, the last a lemma scan reads, once
+    the depth and the pair are checked: what each scan takes, built by the one call that runs it."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     imf.check_pair(alpha, beta)
-    return imf._table(alpha, depth + 2), imf._table(beta, depth + 2)
+    return imf._table(alpha, 0, depth + 2), imf._table(beta, 0, depth + 2)
 
 
 def _coincidences(depth: int, gap: int, shift: int, tables: tuple) -> list[tuple[int, int]]:
@@ -180,24 +180,24 @@ def check_dichotomy(alpha: CFExpansion, beta: CFExpansion, n: int, s: int) -> Di
     """
     if n < 1 or s < 0:
         raise ValueError("need n >= 1 and s >= 0")
-    inv_xi_prev, inv_xi = imf._inv_xis(alpha, n - 1, n)
-    inv_eta, = imf._inv_xis(beta, s, s)
+    (rows, xis), (_, etas) = imf._table(alpha, n - 1, n), imf._table(beta, s, s)
+    inv_xi_prev, inv_xi, inv_eta = xis(n - 1), xis(n), etas(s)
     if not (exact._above(inv_eta, inv_xi_prev) and exact._above(inv_xi, inv_eta)):
         raise PreconditionFailedError(f"eta_{s} is not inside (xi_{n}, xi_{n-1})")
-    return _branch(alpha, n, inv_xi_prev, inv_xi, inv_eta)
+    return _branch(rows[1], inv_xi_prev, inv_xi, inv_eta)
 
 
-def _branch(alpha: CFExpansion, n: int, inv_xi_prev: exact.Bracketed, inv_xi: exact.Bracketed,
+def _branch(row: imf.Bracket, inv_xi_prev: exact.Bracketed, inv_xi: exact.Bracketed,
             inv_eta: exact.Bracketed) -> DichotomyBranch:
     """The branch test of ``check_dichotomy`` on reciprocals already known to be in order.
 
     It compares (1/eta_s)^2 with (1/xi_{n-1})*(1/xi_n), both positive, after checking
     the identity 1/xi_n = alpha_{n+1}/xi_{n-1} that turns the branches into that
-    comparison: both in one ``exact._branch_sign`` on the three ``(n, hi, value)`` of
-    ``imf._bracketed`` and the tail, in one field or across two, which decides the sign by the
-    brackets, by ``exact._cmp`` only on a straddle, and reports a failed identity as None.
+    comparison: both in one ``exact._branch_sign`` on the three ``(n, hi, value)`` and row n's
+    tail alpha_{n+1}, which 1/xi_n was built from, in one field or two, deciding the sign by the
+    brackets, by ``exact._cmp`` only on a straddle, and reporting a failed identity as None.
     """
-    s = exact._branch_sign(inv_xi, inv_xi_prev, contfrac.tail(alpha, n + 1), inv_eta)
+    n, s = row[0], exact._branch_sign(inv_xi, inv_xi_prev, row[4], inv_eta)
     if s is None:
         raise DichotomyViolationError(f"1/xi_{n} is not alpha_{n + 1}/xi_{n - 1}")
     return (DichotomyBranch.SECOND_BRANCH, DichotomyBranch.BOTH,
@@ -220,11 +220,11 @@ def scan_dichotomy(
     ``exact._above`` on those brackets; no decision reads ``cap_bits``. Each record's branch is
     one ``_branch``, and each xi_n is inverted once, into a list, for every record that holds it.
     """
-    return _dichotomy(alpha, depth, _tables(alpha, beta, depth))
+    return _dichotomy(depth, _tables(alpha, beta, depth))
 
 
-def _dichotomy(alpha: CFExpansion, depth: int, tables: tuple) -> list[DichotomyRecord]:
-    (_, xis), (_, etas) = tables
+def _dichotomy(depth: int, tables: tuple) -> list[DichotomyRecord]:
+    (rows, xis), (_, etas) = tables
     xi: list[QuadExt | None] = [None] * (depth + 1)
     records, new, init = [], object.__new__, DichotomyRecord._init
     n = 1
@@ -235,7 +235,7 @@ def _dichotomy(alpha: CFExpansion, depth: int, tables: tuple) -> list[DichotomyR
         if n > depth:
             break
         if exact._above(eta, xis(n - 1)):
-            branch = _branch(alpha, n, xis(n - 1), xis(n), eta)
+            branch = _branch(rows[n], xis(n - 1), xis(n), eta)
             for i in (n - 1, n):
                 xi[i] = xi[i] or xis(i)[2].inverse()
             init(record := new(DichotomyRecord), n, s, branch, xi[n - 1], xi[n], eta[2].inverse())
@@ -366,7 +366,7 @@ def lemma_scans(alpha: CFExpansion, beta: CFExpansion, depth: int) -> tuple[list
     bracket is made at most once across the four scans; the tables go when the call returns."""
     tables = _tables(alpha, beta, depth)
     return (_coincidences(depth, 1, 0, tables), _conseq1(alpha, depth, tables),
-            _interleave_gap(alpha, beta, depth, tables), _dichotomy(alpha, depth, tables))
+            _interleave_gap(alpha, beta, depth, tables), _dichotomy(depth, tables))
 
 
 # -- Sharpness: the near-optimal companion of tau --------------------------------

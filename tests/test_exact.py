@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from psidiff import Comparison, Interval, PHI, QuadExt, TAU, refine_compare, render_decimal
+from psidiff import Comparison, Interval, PHI, QuadExt, TAU, exact, refine_compare, render_decimal
 from psidiff.errors import MixedFieldError
 from psidiff.exact import C, SQRT_TAU, Root, c_enclosure, squarefree_decompose
 
@@ -125,6 +125,22 @@ class TestSquarefree:
         roots = [QuadExt(0, 1, n) for n in (2, 3, 5, 6, 7, 10, 11, 13, 10007, 10009)]
         assert len({hash(x) for x in roots}) == len(roots)
         assert hash(QuadExt(0, -1, 2)) != hash(QuadExt(0, 1, 2))
+
+    def test_hashing_a_surd_builds_no_fraction(self, monkeypatch):
+        # a and b*|b|*D hash as reduced integer pairs, equal over the two radicands p*p*q and q
+        p, q = 100003, 10037
+        x = QuadExt(Fraction(3, 7), Fraction(5, 6), p * p * q)
+        y = QuadExt(Fraction(6, 14), Fraction(5 * p, 6), q)
+        values = [x, y, -x, QuadExt(Fraction(-4, 6), -2, 5), SQRT2 * 9 / 6, TAU]
+        want = [hash(v) for v in values]
+        built, fraction = [], exact.Fraction
+        with monkeypatch.context() as patch:
+            patch.setattr(exact, "Fraction", lambda *args: built.append(args) or fraction(*args))
+            assert [hash(v) for v in values] == want
+        assert built == []
+        assert x == y and want[0] == want[1] and (x.D, y.D) == (p * p * q, q)
+        assert len(set(want[1:])) == len(want) - 1
+        assert hash(QuadExt(Fraction(6, 4), 0, 5)) == hash(Fraction(3, 2))  # a rational as before
 
     @pytest.mark.parametrize("fields", [1, 300])
     def test_a_new_radicand_takes_one_isqrt(self, fields, monkeypatch):

@@ -373,6 +373,27 @@ def test_large_square_factor_leaves_the_field(a, b, g, k):
     assert_canonical(y)
 
 
+PRIMES_PAST_THE_TABLE = st.sampled_from((10007, 10009, 10037, 10039, 10061, 10067, 104723, 104729,
+                                         1000003))
+
+
+@settings(max_examples=100, deadline=None)
+@given(PRIMES_PAST_THE_TABLE, PRIMES_PAST_THE_TABLE, st.sampled_from((1, *FIELDS)), RATIONALS,
+       RATIONALS.filter(bool))
+def test_one_field_over_two_radicands(p, r, m, a, b):
+    """p*p*r*m keeps the square of p, which no trial division finds, so x and y are one value
+    over two radicands of one field: equal, hashing and ordering alike, closed under + and *,
+    flooring and rendering alike, and each printing over its own radicand."""
+    x, y = QuadExt(a, b, p * p * r * m), QuadExt(a, b * p, r * m)
+    assert (x.D, y.D) == (p * p * r * m, r * m)
+    assert x == y and y == x and hash(x) == hash(y)
+    assert x.compare(y) == y.compare(x) == 0 and x - y == 0 and (y - x).is_rational
+    assert x + y == 2 * y and (x + y).D == x.D and (y + x).D == y.D
+    assert x * y == y * y and (x * y).D == x.D and (y * x).D == y.D
+    assert x.floor() == y.floor() and render_decimal(x, 30) == render_decimal(y, 30)
+    assert str(x).endswith(f"√{x.D}") and str(y).endswith(f"√{y.D}")
+
+
 @settings(max_examples=200, deadline=None)
 @given(RATIONALS, st.sampled_from(FIELDS), st.sampled_from(FIELDS))
 def test_equal_rationals_hash_alike_across_fields(r, D, E):

@@ -45,7 +45,8 @@ def test_remainders_lie_inside_their_integer_brackets(monkeypatch, guard_bits):
     monkeypatch.setattr(exact, "GUARD_BITS", guard_bits)
     for cf in (SQRT2, TAU_CF, parse_number("cf:[2;1,(3,1,7)]")):
         qs = [c.q for c in contfrac.convergents(cf, 41)]
-        remainders = imf._inv_xis(cf, 0, 40)
+        read = imf._table(cf, 0, 40)[1]
+        remainders = [read(n) for n in range(41)]
         assert [hi - lo for lo, hi, _ in remainders] == qs[:41]
         assert all(lo < x * 2**guard_bits < hi for lo, hi, x in remainders)
         if guard_bits == 0:

@@ -12,6 +12,7 @@ The guards read the package's source: only these kernels, the root cache ``_root
 only ``exact`` reads ``GUARD_BITS``.
 """
 
+import json
 import math
 import pathlib
 from fractions import Fraction
@@ -26,6 +27,7 @@ from psidiff import DValue, QuadExt, exact
 from psidiff.exact import Root
 
 from test_exact_properties import FIELDS
+from test_golden import COMMANDS, GOLDEN
 from test_one_refine_loop import uses_in_package
 
 K = 200  # bits of the dyadic approximations that put m*x next to an integer
@@ -172,6 +174,24 @@ def test_deep_value_builds_no_root_past_the_cap(monkeypatch):
 
 
 SOURCES = sorted(pathlib.Path(psidiff.__file__).parent.glob("*.py"))
+
+
+def test_a_squarefree_radicand_takes_no_field_test_isqrt(monkeypatch):
+    """The d renders of the golden ``profile_wide_quotients`` pair, radicands 994018964042970013
+    and 5, test the field with no ``isqrt``: 5 is below ``exact._SQUAREFREE``, so squarefree,
+    and does not divide the other. Each part's floor and root are made before counting."""
+    argv = COMMANDS["profile_wide_quotients"]
+    alpha, beta = (psidiff.parse_number(argv[argv.index(key) + 1]) for key in ("--alpha", "--beta"))
+    profile = psidiff.breakpoint_profile(alpha, beta, 1, int(argv[argv.index("--bound") + 1]))
+    for entry in profile.entries:
+        for part in (entry.inv_psi_alpha, entry.inv_psi_beta):
+            psidiff.render_decimal(part, 12)
+    calls, isqrt = [], math.isqrt
+    monkeypatch.setattr(math, "isqrt", lambda n: calls.append(n) or isqrt(n))
+    rendered = [entry.d.render(12) for entry in profile.entries]
+    golden = json.loads((GOLDEN / "profile_wide_quotients.out").read_text())["entries"]
+    assert rendered == [row["d"] for row in golden] and len(rendered) == 62
+    assert (alpha.value().D, beta.value().D) == (994018964042970013, 5) and calls == []
 
 
 def test_isqrt_only_in_the_kernels():

@@ -9,9 +9,9 @@ here, and so does a ladder lookup from anywhere but the seeding helper ``_bracke
 near-optimality regime floor (``theorems._regime_floor``, which ``verify-optimal``'s budget
 also reads) and the CLI's step budget of ``profile`` and ``verify-optimal``, which reads
 each number's last index at both ends of the range before any walk. A walk far out costs
-its own entries, not every convergent below them. The four lemma scans take no lookup: they
-read each number's row table, walked from index 0; a single evaluation by index is the first
-step of a walk seeded there by ``_inv_xis``.
+its own entries, not every convergent below them. Every read by index is a row table,
+``_table``, whose walk one lookup per number seeds at its first index: the four lemma scans
+read tables from index 0, and a single evaluation by index is a table seeded there.
 
 Along the walk, 1/psi of a number is computed once per bracket it holds, not
 once per breakpoint: at a breakpoint where only the other number steps, its
@@ -54,10 +54,10 @@ def passes():
     }
 
 
-# ladder lookups per pass: one seed per number of a walk by bound, none for the four lemma
-# scans, which read each number's row table by index, walked from index 0
-SEEDS = {"profile": 2, "word": 2, "witness": 2, "interleave_gap": 0, "dichotomy": 0,
-         "conseq": 0, "conseq1": 0}
+# ladder lookups per pass: one seed per number, of a walk by bound or, for the four lemma
+# scans, of each number's row table, walked from index 0
+SEEDS = {"profile": 2, "word": 2, "witness": 2, "interleave_gap": 2, "dichotomy": 2,
+         "conseq": 2, "conseq1": 2}
 
 
 def count_ladder(monkeypatch) -> list:
@@ -156,9 +156,9 @@ def ladder_references() -> list[str]:
 
 def test_only_the_seeds_touch_the_ladder():
     """Outside contfrac the ladder seeds the walks, by bound through ``_brackets`` and by index
-    past the row table through ``_inv_xis``, finds the regime floor and bounds the steps of
+    through the row table ``_table``, finds the regime floor and bounds the steps of
     ``profile`` and ``verify-optimal`` for their budget, nothing else."""
-    assert ladder_references() == ["cli._budget_steps", "imf._brackets", "imf._inv_xis",
+    assert ladder_references() == ["cli._budget_steps", "imf._brackets", "imf._table",
                                    "theorems._regime_floor"]
 
 

@@ -1,7 +1,9 @@
 """Each lemma call builds one table of convergent rows per number, and nothing outlives it.
 
-``imf._table`` walks a number's brackets from index 0 and returns them with a reader that
-makes each row's 1/xi, cross-checked by ``imf._inv_psi_at``, and its integer bracket once.
+``imf._table`` walks a number's brackets from a first index, seeded there by one ladder lookup,
+and returns them with a reader that makes each row's 1/xi, cross-checked by
+``imf._inv_psi_at``, and its integer bracket once. The lemma scans read tables from index 0,
+and a single read by index is a table seeded at that index.
 ``theorems.lemma_scans`` builds the two tables of a pair once for all four lemma scans, and
 ``psidiff lemmas`` makes that one call; each public scan called alone builds its own. The
 walks from t (profiles, merged words, witness searches, the near-optimality check) are
@@ -28,7 +30,7 @@ from psidiff import (CFExpansion, breakpoint_profile, cli, construct_optimal, co
                      merged_word, parse_number, psi, scan_dichotomy, scan_interleave_gap,
                      scan_lemma_conseq, scan_lemma_conseq1, verify_near_optimality)
 
-from test_convergent_source import valid_pairs
+from test_convergent_source import expansions, valid_pairs
 from test_golden import COMMANDS, GOLDEN
 from test_one_merged_walk import count_brackets
 
@@ -171,7 +173,7 @@ def test_near_optimality_does_not_depend_on_the_table(monkeypatch):
     scans of tau and theta to index 200, whose rows pass 10**40, as before them."""
     pair = construct_optimal(Fraction(6, 100))
     cold = verify_near_optimality(pair, 10**6, 10**40)
-    rows, _ = imf._table(pair.theta, 202)
+    rows, _ = imf._table(pair.theta, 0, 202)
     assert rows[-1][2] > 10**40
     lemma_scans(contfrac.TAU_CF, pair.theta, 200)
     monkeypatch.setattr(imf, "_table", no_table)
@@ -193,12 +195,12 @@ def test_no_call_leaves_rows_held():
 
 
 def test_a_read_far_past_the_rows_keeps_none():
-    """A single value far out comes off a walk seeded at its index, keeping nothing, so a deep
+    """A single value far out comes off a table seeded at its index, keeping nothing, so a deep
     index costs its own entry, not a table of every row below it; it equals row 3000's value
-    read off a table, and a second read gives it again."""
+    read off a table from index 0, and a second read gives it again."""
     far = convergent_distance(SQRT2, 3000)
-    assert imf._table(SQRT2, 3000)[1](3000)[2].inverse() == far
-    assert imf._inv_xis(SQRT2, 0, 3000)[-1][2].inverse() == far
+    assert imf._table(SQRT2, 0, 3000)[1](3000)[2].inverse() == far
+    assert imf._table(SQRT2, 3000, 3000)[1](3000)[2].inverse() == far
     assert convergent_distance(SQRT2, 3000) == far
     assert not live_readers()
 
@@ -207,13 +209,30 @@ def test_a_read_far_past_the_rows_keeps_none():
 @given(valid_pairs(), st.integers(0, 40), st.integers(0, 40))
 def test_rows_are_one_walk_from_index_0(pair, first, then):
     """A table's rows are the brackets of one walk from index 0, whichever its length, and
-    row ``first`` is the first bracket of the walk ``imf._inv_xis`` seeds at that index."""
+    row ``first`` is the first row of the table seeded at that index, the first bracket of the
+    walk seeded there."""
     cf = pair[0]
     fresh = list(itertools.islice(imf._walk(cf, 0, contfrac.convergent_state(cf, 0)),
                                   first + then + 1))
-    assert list(imf._table(cf, first + then)[0]) == fresh
-    assert imf._table(cf, first)[0][first] == fresh[first]
+    assert list(imf._table(cf, 0, first + then)[0]) == fresh
+    assert imf._table(cf, 0, first)[0][first] == fresh[first]
+    assert imf._table(cf, first, first)[0] == (fresh[first],)
     assert next(imf._walk(cf, first, contfrac.convergent_state(cf, first))) == fresh[first]
+
+
+@settings(max_examples=60, deadline=None)
+@given(expansions(rational=False), st.integers(0, 60), st.integers(0, 60))
+@example(ONES, 0, 0)
+@example(ONES, 1, 60)
+def test_a_seeded_table_is_the_table_from_index_0(cf, first, last):
+    """From ``first`` on, the rows and reads of the table seeded at ``first`` equal those of
+    the table from index 0, whatever the two indices."""
+    first, last = sorted((first, last))
+    rows, read = imf._table(cf, first, last)
+    whole, read_whole = imf._table(cf, 0, last)
+    assert rows == whole[first:]
+    for i in range(first, last + 1):
+        assert read(i) == read_whole(i)
 
 
 def test_invalid_input_is_refused_with_or_without_rows():

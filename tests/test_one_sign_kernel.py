@@ -433,10 +433,11 @@ def count_makes(monkeypatch) -> list:
 @pytest.mark.parametrize("alpha, beta", [(SQRT2, TAU_CF), (TAU_CF, SQRT2)])
 def test_branch_builds_no_value(alpha, beta, monkeypatch):
     records = scan_dichotomy(alpha, beta, DEPTH)
-    inv_xis, inv_etas = (imf._inv_xis(cf, 0, DEPTH) for cf in (alpha, beta))
+    (rows, xis), (_, etas) = (imf._table(cf, 0, DEPTH) for cf in (alpha, beta))
+    inv_xis, inv_etas = ([read(i) for i in range(DEPTH + 1)] for read in (xis, etas))
     makes = count_makes(monkeypatch)
     for r in records:
-        branch = theorems._branch(alpha, r.n, inv_xis[r.n - 1], inv_xis[r.n], inv_etas[r.s])
+        branch = theorems._branch(rows[r.n], inv_xis[r.n - 1], inv_xis[r.n], inv_etas[r.s])
         assert branch is r.branch
     assert records and makes == []
 
@@ -447,15 +448,16 @@ def test_branch_identity_check_sees_the_field(monkeypatch, guard_bits):
     checked before the brackets decide the sign, as they do at the default scale."""
     monkeypatch.setattr(exact, "GUARD_BITS", guard_bits)
     r = scan_dichotomy(SQRT2, TAU_CF, DEPTH)[0]
-    inv_xis = imf._inv_xis(SQRT2, 0, DEPTH)
-    inv_eta, = imf._inv_xis(TAU_CF, r.s, r.s)
+    rows, xis = imf._table(SQRT2, 0, DEPTH)
+    inv_xis = [xis(i) for i in range(DEPTH + 1)]
+    inv_eta = imf._table(TAU_CF, r.s, r.s)[1](r.s)
     (nx, hx, x), (ny, hy, _), (ne, he, _) = inv_xis[r.n], inv_xis[r.n - 1], inv_eta
     if guard_bits:
         assert ne * ne >= hx * hy or he * he <= nx * ny
     forged = nx, hx, QuadExt(x.a, x.b, 3)
-    assert theorems._branch(SQRT2, r.n, inv_xis[r.n - 1], inv_xis[r.n], inv_eta) is r.branch
+    assert theorems._branch(rows[r.n], inv_xis[r.n - 1], inv_xis[r.n], inv_eta) is r.branch
     with pytest.raises(DichotomyViolationError):
-        theorems._branch(SQRT2, r.n, inv_xis[r.n - 1], forged, inv_eta)
+        theorems._branch(rows[r.n], inv_xis[r.n - 1], forged, inv_eta)
 
 
 @pytest.mark.parametrize("alpha, beta", [(SQRT2, TAU_CF), (SQRT2, parse_number("cf:[0;1,(2)]"))])

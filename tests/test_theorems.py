@@ -21,6 +21,7 @@ from psidiff import (
     breakpoint_profile,
     check_dichotomy,
     construct_optimal,
+    contfrac,
     convergent_distance,
     convergents,
     d_at,
@@ -151,15 +152,17 @@ class TestDichotomy:
             check_dichotomy(SQRT2, TAU_CF, 2, 1)
 
     def test_branch_checks_the_reciprocal_identity(self, monkeypatch):
-        inv_xi_prev, inv_xi = imf._inv_xis(SQRT2, 1, 2)
-        inv_eta, = imf._inv_xis(TAU_CF, 3, 3)
+        rows, xis = imf._table(SQRT2, 1, 2)
+        inv_xi_prev, inv_xi = xis(1), xis(2)
+        inv_eta = imf._table(TAU_CF, 3, 3)[1](3)
         assert inv_xi[2] == 1 / convergent_distance(SQRT2, 2)
+        assert rows[1][0] == 2 and rows[1][4] == contfrac.tail(SQRT2, 3)  # alpha_{n+1} at n = 2
         calls = _count_calls(monkeypatch, "refine_compare")
-        branch = theorems._branch(SQRT2, 2, inv_xi_prev, inv_xi, inv_eta)
+        branch = theorems._branch(rows[1], inv_xi_prev, inv_xi, inv_eta)
         assert branch is DichotomyBranch.SECOND_BRANCH
         assert calls == {"refine_compare": 0}
         with pytest.raises(DichotomyViolationError):
-            theorems._branch(SQRT2, 2, inv_xi_prev, (*inv_xi[:2], inv_xi[2] + 1), inv_eta)
+            theorems._branch(rows[1], inv_xi_prev, (*inv_xi[:2], inv_xi[2] + 1), inv_eta)
 
     def test_scan_never_violates(self):
         for alpha, beta in ((SQRT2, TAU_CF), (SQRT2, SQRT3), (TAU_CF, FIVE1)):
